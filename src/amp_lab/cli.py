@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -245,7 +244,10 @@ def compute_se(cfg: ExperimentConfig):
 
 def _worker_count(runs: int) -> int:
     env = os.environ.get("AMP_LAB_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValidationError(f"AMP_LAB_THREADS must be an integer, got {env!r}") from None
     if cap < 1:
         raise ValidationError("AMP_LAB_THREADS must be >= 1")
     return max(1, min(runs, cap))
@@ -304,6 +306,7 @@ def run_experiment(cfg: ExperimentConfig):
 
     Returns (rows, se_rows, n_ok, n_divergent).  Seeds whose run raises a
     numerical failure are excluded from aggregation and counted."""
+    workers = _worker_count(cfg.runs)
     law = parse_law_spec(cfg.law)
     f = None
     if cfg.spiked and cfg.algo == "ri-amp-mp":
@@ -320,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig):
                   file=sys.stderr)
             return None
 
-    with ThreadPoolExecutor(max_workers=_worker_count(cfg.runs)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(task, range(cfg.runs)))
     ok = [r for r in results if r is not None]
     n_div = cfg.runs - len(ok)
@@ -424,7 +427,6 @@ def _write_outputs(cfg: ExperimentConfig, out_dir: str, rows, se_rows,
         "seeds_divergent": n_div,
         "content_hash": digest,
         "scale_note": "desk-scale defaults N=2000, runs=20",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)

@@ -27,23 +27,35 @@ HORIZON_CAP = 10
 
 @dataclass
 class MatrixOperator:
-    """Factored symmetric matrix: apply polynomials/functions via (lam, O)."""
+    """Factored symmetric matrix O V diag(eigenvalues) V^T O^T: O is the
+    ensemble's eigenbasis and V (None for the identity) the secular
+    eigenbasis of a spiked instance's diagonal-plus-rank-one core."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    rotation: np.ndarray
+    inner: np.ndarray | None = None
 
     @property
     def N(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def to_spectral(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates of v in the eigenbasis: V^T O^T v."""
+        s = self.rotation.T @ v
+        return s if self.inner is None else self.inner.T @ s
+
+    def from_spectral(self, s: np.ndarray) -> np.ndarray:
+        """The vector with eigenbasis coordinates s: O V s."""
+        if self.inner is not None:
+            s = self.inner @ s
+        return self.rotation @ s
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        O = self.eigenvectors
-        return O @ (self.eigenvalues * (O.T @ v))
+        return self.apply_values(self.eigenvalues, v)
 
     def apply_values(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(O diag(values) O^T) v for precomputed spectral values."""
-        O = self.eigenvectors
-        return O @ (values * (O.T @ v))
+        """(O V diag(values) V^T O^T) v for precomputed spectral values."""
+        return self.from_spectral(values * self.to_spectral(v))
 
 
 def as_operator(M) -> tuple[MatrixOperator, np.ndarray]:
@@ -53,8 +65,8 @@ def as_operator(M) -> tuple[MatrixOperator, np.ndarray]:
     of the underlying noise matrix W (used for grid-mode de-biasing; for a
     spiked instance this is W, not Y)."""
     if isinstance(M, SpikedInstance):
-        lam, O = _eigh(M.Y)
-        return MatrixOperator(lam, O), M.ensemble.eigenvalues
+        _, mu, V = M.spectrum
+        return MatrixOperator(mu, M.ensemble.eigenvectors, V), M.ensemble.eigenvalues
     if isinstance(M, RotInvEnsemble):
         return MatrixOperator(M.eigenvalues, M.eigenvectors), M.eigenvalues
     W = np.asarray(M, dtype=float)
@@ -455,11 +467,11 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
     T = run.T
     op = run.operator
     V = _poly_matrix_values(run, law, op.eigenvalues)  # (T, T, N)
-    ub_spec = np.vstack([op.eigenvectors.T @ run.ubar[j] for j in range(T)])  # (T, N)
+    ub_spec = np.vstack([op.to_spectral(run.ubar[j]) for j in range(T)])  # (T, N)
     errors = np.empty(T)
     for t in range(1, T + 1):
         recon_spec = np.einsum("jn,jn->n", V[t - 1, :t], ub_spec[:t])
-        r_hat = op.eigenvectors @ recon_spec
+        r_hat = op.from_spectral(recon_spec)
         denom = np.linalg.norm(run.r[t - 1])
         errors[t - 1] = np.linalg.norm(r_hat - run.r[t - 1]) / max(denom, 1e-300)
     # trace residuals average the polynomial entries over the run's realized

@@ -370,20 +370,32 @@ def parse_law_spec(spec: str) -> SpectralLaw:
     "point:c=1.5", "file:path"."""
     head, _, rest = spec.partition(":")
     head = head.strip().lower()
+    if head == "file":
+        return load_law_file(rest)
+    if head in ("semicircle", "sc", "goe"):
+        allowed = ("var", "variance")
+    elif head in ("mp", "marchenko-pastur", "marchenkopastur"):
+        allowed = ("alpha",)
+    elif head in ("point", "point-mass"):
+        allowed = ("c",)
+    else:
+        raise ValidationError(f"unknown law spec {spec!r}")
     kv = {}
-    if head != "file" and rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            kv[k.strip()] = float(v)
+    for item in rest.split(",") if rest else ():
+        k, _, v = item.partition("=")
+        k = k.strip()
+        if k not in allowed:
+            raise ValidationError(
+                f"law spec {spec!r}: unknown parameter {k!r} (expected one of {allowed})")
+        try:
+            kv[k] = float(v)
+        except ValueError:
+            raise ValidationError(f"law spec {spec!r}: {k}={v!r} is not a number") from None
     if head in ("semicircle", "sc", "goe"):
         return Semicircle(variance=kv.get("var", kv.get("variance", 1.0)))
     if head in ("mp", "marchenko-pastur", "marchenkopastur"):
         return MarchenkoPastur(alpha=kv.get("alpha", 0.5))
-    if head in ("point", "point-mass"):
-        return point_mass(kv.get("c", 0.0))
-    if head == "file":
-        return load_law_file(rest)
-    raise ValidationError(f"unknown law spec {spec!r}")
+    return point_mass(kv.get("c", 0.0))
 
 
 def _catalan(k: int) -> int:

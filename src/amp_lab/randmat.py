@@ -3,7 +3,9 @@
 Matrices with prescribed spectra are kept in factored form (eigenvalues,
 Haar eigenvectors) so that applying a scalar function to the matrix costs
 two dense products after the initial sampling; the dense symmetric matrix
-is materialized lazily.
+is materialized lazily.  A spiked instance Y = O (Lambda + rho z z^T) O^T,
+z = O^T x*, is factored through the secular equation of its
+diagonal-plus-rank-one core, without forming Y.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalError, ValidationError
 
@@ -56,12 +59,6 @@ class RotInvEnsemble:
         """W @ v without materializing W."""
         O = self.eigenvectors
         return O @ (self.eigenvalues * (O.T @ v))
-
-    def matrix_function_apply(self, f: Callable, v: np.ndarray) -> np.ndarray:
-        """f(W) @ v via the stored factorization."""
-        fv = _map_eigenvalues(f, self.eigenvalues)
-        O = self.eigenvectors
-        return O @ (fv[:, None] * (O.T @ v) if v.ndim == 2 else fv * (O.T @ v))
 
 
 def build_rot_invariant(grid: np.ndarray, seed: int) -> RotInvEnsemble:
@@ -178,16 +175,135 @@ def make_prior(name: str, **params) -> Prior:
 # spiked instances and the overlap measure
 # ---------------------------------------------------------------------------
 
+def diag_rank_one_eigh(lam: np.ndarray, z: np.ndarray,
+                       rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition diag(lam) + rho z z^T = V diag(mu) V^T for rho > 0,
+    with mu ascending and V orthogonal, in O(N^2) time.
+
+    Entries of lam equal to within tol = 8 eps max(|lam|, rho |z|^2) are
+    grouped, and a Householder reflection within each group moves the
+    group's part of z onto one entry.  Entries whose coupling rho |z_i| is
+    below tol are deflated to the eigenpair (lam_i, e_i).  The K remaining
+    eigenvalues are the roots of the secular equation
+    1 + rho sum_i z_i^2 / (d_i - mu) = 0, one in each interval (d_j, d_j+1)
+    and the last above d_K.  LAPACK dlasd4 finds them, along with every
+    difference d_i - mu_j to high relative accuracy, after the map
+    d -> sqrt(d - d_1 + s).  z is then recomputed by the Loewner formula, so
+    that the roots are exact eigenvalues of a nearby problem, and the
+    eigenvectors (d - mu_j)^-1 z are orthogonal to working precision
+    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1994).
+    """
+    lam = np.asarray(lam, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if lam.ndim != 1 or z.shape != lam.shape:
+        raise ValidationError("lam and z must be 1-d arrays of equal length")
+    if not rho > 0:
+        raise ValidationError("rho must be > 0")
+    N = lam.size
+    order = np.argsort(lam, kind="stable")
+    d = lam[order]
+    w = z[order]
+    znorm = float(np.linalg.norm(w))
+    rho_n = rho * znorm**2
+    if znorm > 0:
+        w = w / znorm
+    tol = 8.0 * np.finfo(float).eps * max(float(np.abs(d).max()), rho_n)
+
+    starts = [0]
+    dl = d.tolist()
+    for i in range(1, N):
+        if dl[i] - dl[starts[-1]] > tol:
+            starts.append(i)
+    reflectors = []  # (first, stop, v): H = I - 2 v v^T / v^T v on rows first:stop
+    for first, stop in zip(starts, starts[1:] + [N]):
+        if stop - first < 2:
+            continue
+        v = w[first:stop].copy()
+        nv = float(np.linalg.norm(v))
+        if nv == 0:
+            continue
+        sgn = 1.0 if v[0] >= 0 else -1.0
+        v[0] += sgn * nv
+        w[first:stop] = 0.0
+        w[first] = -sgn * nv
+        reflectors.append((first, stop, v))
+
+    keep = rho_n * np.abs(w) > tol
+    K = np.flatnonzero(keep)
+    mu_all = d.copy()
+    if K.size == 1:  # dlasd4 returns no differences d_i - mu for a single root
+        mu_all[K] = d[K] + rho_n * w[K] ** 2
+        Vk = np.ones((1, 1))
+    elif K.size > 1:
+        mu_all[K], Vk = _secular_core(d[K], w[K], rho_n)
+
+    cols = np.argsort(mu_all, kind="stable")
+    col_of = np.empty(N, dtype=int)
+    col_of[cols] = np.arange(N)
+    V = np.zeros((N, N))
+    defl = np.flatnonzero(~keep)
+    V[order[defl], col_of[defl]] = 1.0
+    if K.size:
+        V[np.ix_(order[K], col_of[K])] = Vk
+    for first, stop, v in reflectors:
+        rows = order[first:stop]
+        block = V[rows]
+        V[rows] = block - np.outer(v, (2.0 / (v @ v)) * (v @ block))
+    return mu_all[cols], V
+
+
+def _secular_core(d: np.ndarray, w: np.ndarray, rho_n: float):
+    """Roots mu and eigenvectors of diag(d) + rho_n w w^T for strictly
+    increasing d and w without negligible entries; w is rescaled to unit
+    length, as dlasd4 assumes."""
+    K = d.size
+    wn = float(np.linalg.norm(w))
+    rho_k = rho_n * wn**2
+    w = w / wn
+    s = d[-1] - d[0]
+    dd = np.sqrt(d - d[0] + s)
+    gaps = np.empty((K, K))  # gaps[j, i] = d_i - mu_j
+    for j in range(K):
+        delta, _, work, info = lapack.dlasd4(j, dd, w, rho_k)
+        if info != 0:
+            raise NumericalError(f"secular equation root {j} did not converge (info={info})")
+        gaps[j] = delta * work
+    mu = d - np.diagonal(gaps)
+    # Loewner: zhat_i^2 = (mu_K - d_i)/rho prod_{j<i} (d_i - mu_j)/(d_i - d_j)
+    #                     prod_{i<=j<K-1} (mu_j - d_i)/(d_{j+1} - d_i),
+    # every ratio in (0, 1); differences of d taken in the shifted variable
+    jj = np.arange(K - 1)[:, None]
+    other = dd[np.where(jj < np.arange(K)[None, :], jj, jj + 1)]
+    ratios = np.abs(gaps[:-1]) / (np.abs(other - dd) * (other + dd))
+    zhat = np.sqrt(np.abs(gaps[-1]) / rho_k * np.prod(ratios, axis=0))
+    zhat = np.copysign(zhat, w)
+    Vk = np.divide(zhat, gaps, out=gaps).T
+    Vk /= np.linalg.norm(Vk, axis=0)
+    return mu, Vk
+
+
 @dataclass
 class SpikedInstance:
     theta: float
     x_star: np.ndarray
     ensemble: RotInvEnsemble
     _Y: np.ndarray | None = field(default=None, repr=False)
+    _spectrum: tuple | None = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
         return self.x_star.shape[0]
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, mu, V) with z = O^T x*, mu ascending and
+        Y = O V diag(mu) V^T O^T: the secular factorization of
+        diag(lambda) + (theta/N) z z^T, computed once; Y is not formed."""
+        if self._spectrum is None:
+            z = self.ensemble.eigenvectors.T @ self.x_star
+            mu, V = diag_rank_one_eigh(self.ensemble.eigenvalues, z, self.theta / self.N)
+            self._spectrum = (z, mu, V)
+        return self._spectrum
 
     @property
     def Y(self) -> np.ndarray:
@@ -232,12 +348,12 @@ class OverlapMeasure:
 
 
 def overlap_measure(inst: SpikedInstance, n_cap: int = DENSE_N_CAP) -> OverlapMeasure:
-    """Empirical eigen-overlap measure of the spiked matrix."""
+    """Empirical eigen-overlap measure of the spiked matrix, eigenvalues
+    ascending; the weight of eigenvector O v_k is (z^T v_k)^2 / N."""
     if inst.N > n_cap:
         raise ValidationError(f"N={inst.N} exceeds the dense decomposition cap {n_cap}")
-    lam, U = _eigh(inst.Y)
-    w = (inst.x_star @ U) ** 2 / inst.N
-    return OverlapMeasure(eigenvalues=lam, weights=w)
+    z, mu, V = inst.spectrum
+    return OverlapMeasure(eigenvalues=mu, weights=(z @ V) ** 2 / inst.N)
 
 
 # ---------------------------------------------------------------------------

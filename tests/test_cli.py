@@ -168,6 +168,31 @@ def test_run_writes_outputs_and_is_deterministic(tmp_path, capsys):
         open(os.path.join(out2, "meta.json")))["content_hash"]
 
 
+def test_run_meta_json_byte_identical(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**BASE, "N": 64, "runs": 1, "mc_samples": 10_000}))
+    metas = []
+    for name in ("a", "b"):
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / name)]) == 0
+        metas.append((tmp_path / name / "meta.json").read_bytes())
+    assert metas[0] == metas[1]
+
+
+def test_bad_thread_count_env_exits_1(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE)))
+    monkeypatch.setenv("AMP_LAB_THREADS", "x")
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert "AMP_LAB_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,needle", [("mp:alpha=abc", "not a number"),
+                                         ("semicircle:vr=2", "unknown parameter")])
+def test_bad_law_spec_exits_1(spec, needle, capsys):
+    assert main(["cumulants", "--law", spec, "--order", "4"]) == 1
+    assert needle in capsys.readouterr().err
+
+
 def test_run_aggregation_independent_of_worker_count(tmp_path, monkeypatch):
     cfg = _cfg(runs=3)
     monkeypatch.setenv("AMP_LAB_THREADS", "1")

@@ -24,7 +24,7 @@ from amp_lab.engines import (
 from amp_lab.errors import UnsupportedVariantError, ValidationError
 from amp_lab.freeprob import cumulants_from_law
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
-from amp_lab.randmat import build_rot_invariant, goe_ensemble
+from amp_lab.randmat import build_rot_invariant, build_spiked, goe_ensemble, make_prior
 from amp_lab.se import mp_denoise_fn
 
 
@@ -105,6 +105,20 @@ def test_unfolding_exact(variant):
     assert rep.max_error < 1e-10
     assert np.max(rep.trace_residuals) < 1e-9
     assert ubar_divergences(run) < 1e-12
+
+
+def test_unfolding_exact_spiked_mp_denoise():
+    # a spiked instance runs through the secular factorization of Y; the
+    # unfolding identity holds in Y's eigenbasis (acceptance 5/6 bounds)
+    law = MarchenkoPastur(alpha=0.3)
+    N, T, theta = 500, 4, 1.5
+    ens, u1 = _setup(law, N, seed=6)
+    inst = build_spiked(theta, make_prior("rademacher"), ens, seed=7)
+    run = run_ri_amp_mp(inst, law, mp_denoise_fn(theta, 0.3), _lip_dens(T, seed=80),
+                        u1, T, mode="grid")
+    rep = verify_unfolding(run)
+    assert rep.max_error <= 1e-8
+    assert np.max(rep.trace_residuals) <= 1e-9
 
 
 def test_unfolding_population_mode_approximate():

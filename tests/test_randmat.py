@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from amp_lab.engines import as_operator
 from amp_lab.errors import DomainError, ValidationError
-from amp_lab.laws import MarchenkoPastur, Semicircle
+from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, parse_law_spec
 from amp_lab.randmat import (
+    RotInvEnsemble,
     build_rot_invariant,
     build_spiked,
+    diag_rank_one_eigh,
     goe_ensemble,
     load_matrix,
     make_prior,
@@ -18,6 +21,7 @@ from amp_lab.randmat import (
     save_matrix,
     trace_free_center,
 )
+from amp_lab.se import mp_denoise_fn
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +198,59 @@ def test_overlap_measure_size_cap():
     inst = build_spiked(1.0, make_prior("rademacher"), ens, seed=0)
     with pytest.raises(ValidationError):
         overlap_measure(inst, n_cap=32)
+
+
+def _secular_case(name, N):
+    """(instance, eigenvalue scale) for one secular-vs-dense comparison."""
+    prior = make_prior("rademacher")
+    if name == "mp":
+        law, theta = MarchenkoPastur(alpha=0.2), 1.5
+    elif name == "semicircle-subcritical":
+        law, theta = Semicircle(), 0.5
+    elif name == "point-mass":  # one eigenvalue: everything but the spike deflates
+        law, theta = parse_law_spec("point:c=1.5"), 1.5
+    elif name == "repeated-atoms":
+        law, theta = DiscreteGrid(atoms=np.array([0.5, 1.0, 1.0, 2.0, 3.0])), 1.2
+    else:  # identity eigenbasis and a sparse signal: exact zeros in z
+        law, theta = MarchenkoPastur(alpha=0.3), 1.5
+        prior = make_prior("sparse", rho=0.1)
+    grid = law.quantile_grid(N).atoms
+    if name == "sparse-identity":
+        ens = RotInvEnsemble(eigenvalues=grid.copy(), eigenvectors=np.eye(N))
+    else:
+        ens = build_rot_invariant(grid, seed=N + 1)
+    return build_spiked(theta, prior, ens, seed=N + 2), float(np.max(np.abs(grid)))
+
+
+@pytest.mark.parametrize("N", [200, 500])
+@pytest.mark.parametrize("name", ["mp", "semicircle-subcritical", "point-mass",
+                                  "repeated-atoms", "sparse-identity"])
+def test_secular_factorization_matches_dense_eigh(name, N):
+    inst, scale = _secular_case(name, N)
+    z, mu, V = inst.spectrum
+    lam, U = np.linalg.eigh(inst.Y)
+    assert np.max(np.abs(mu - lam)) <= 1e-12 * scale
+    assert np.max(np.abs(V.T @ V - np.eye(N))) <= 1e-10
+    op, _ = as_operator(inst)
+    v = np.random.default_rng(N).standard_normal(N)
+    for f in (mp_denoise_fn(1.5, 0.2), np.polynomial.Polynomial([1.0, -1.0, 0.0, 0.5])):
+        dense = U @ (f(lam) * (U.T @ v))
+        assert np.linalg.norm(op.apply_values(f(mu), v) - dense) <= 1e-10 * np.linalg.norm(dense)
+    om = overlap_measure(inst)
+    assert np.array_equal(om.eigenvalues, mu)
+    assert np.max(np.abs(om.weights - (inst.x_star @ U) ** 2 / N)) <= 1e-12
+
+
+def test_diag_rank_one_eigh_reconstructs():
+    # unsorted diagonal with a tie and a zero coupling
+    lam = np.array([3.0, -1.0, 2.0, -1.0, 0.5])
+    z = np.array([0.3, 1.0, 0.0, -2.0, 0.7])
+    mu, V = diag_rank_one_eigh(lam, z, 0.8)
+    assert np.all(np.diff(mu) >= 0)
+    recon = (V * mu) @ V.T
+    assert np.max(np.abs(recon - (np.diag(lam) + 0.8 * np.outer(z, z)))) < 1e-14
+    with pytest.raises(ValidationError):
+        diag_rank_one_eigh(lam, z, 0.0)
 
 
 # ---------------------------------------------------------------------------
