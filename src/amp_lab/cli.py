@@ -24,8 +24,8 @@ from . import __version__
 from .denoisers import (Denoiser, identity_denoiser, linear_mmse_combining_denoiser,
                         mmse_rademacher_denoiser, random_lipschitz_denoiser,
                         tanh_denoiser)
-from .engines import (orthogonality_residuals, run_gaussian_amp, run_oamp,
-                      run_ri_amp, run_ri_amp_df, run_ri_amp_mp,
+from .engines import (HORIZON_CAP, orthogonality_residuals, run_gaussian_amp,
+                      run_oamp, run_ri_amp, run_ri_amp_df, run_ri_amp_mp,
                       ubar_divergences, verify_unfolding)
 from .errors import AmpLabError, NumericalError, ValidationError
 from .freeprob import (build_poly_family, cumulants_from_law,
@@ -51,6 +51,7 @@ _CONFIG_FIELDS = {
     "runs": int, "seed_base": int, "algo": str, "denoiser": str,
     "matrix_fn": str, "prior": str, "mc_samples": int, "output": str,
 }
+_NULLABLE_FIELDS = ("theta", "omega", "output")
 
 
 @dataclass
@@ -72,14 +73,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.N < 16:
             raise ValidationError("N must be >= 16")
-        if self.T < 1:
-            raise ValidationError("T must be >= 1")
+        if not 1 <= self.T <= HORIZON_CAP:
+            raise ValidationError(f"T must lie in [1, {HORIZON_CAP}]")
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
+        if self.seed_base < 0:
+            raise ValidationError("seed_base must be >= 0")
+        if self.mc_samples < 2:
+            raise ValidationError("mc_samples must be >= 2")
         if self.omega is not None and not 0.0 <= self.omega <= 1.0:
             raise ValidationError("omega must lie in [0, 1]")
-        if self.theta is not None and self.theta <= 0:
-            raise ValidationError("theta must be > 0")
+        if self.theta is not None and not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValidationError("theta must be a finite number > 0")
         if (self.theta is None) != (self.omega is None):
             raise ValidationError("spiked runs need both theta and omega")
         if self.algo not in ALL_ALGOS:
@@ -109,9 +114,18 @@ class ExperimentConfig:
         coerced = {}
         for key, val in data.items():
             typ = _CONFIG_FIELDS[key]
+            if val is None:
+                if key not in _NULLABLE_FIELDS:
+                    raise ValidationError(f"config key {key!r} must not be null")
+                coerced[key] = None
+                continue
+            if typ is not str and isinstance(val, bool):
+                raise ValidationError(f"config key {key!r} must be a number, got {val!r}")
+            if typ is int and isinstance(val, float) and not val.is_integer():
+                raise ValidationError(f"config key {key!r} must be an integer, got {val!r}")
             try:
-                coerced[key] = typ(val) if val is not None else None
-            except (TypeError, ValueError) as exc:
+                coerced[key] = typ(val)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"config key {key!r}: {exc}") from exc
         return cls(**coerced)
 
@@ -287,8 +301,7 @@ def _single_run(cfg: ExperimentConfig, law, f, states, run_idx: int):
     elif cfg.algo == "gaussian-amp":
         # inject u_1 through a zero-derivative first denoiser so the first
         # Onsager term vanishes (the conventional u_0 = 0 start)
-        init_den = Denoiser("init", 1, lambda R, v=u1: v,
-                            lambda R: np.zeros_like(R), depends=frozenset())
+        init_den = Denoiser("init", 1, lambda R, v=u1: v, lambda R: np.zeros_like(R))
         schedule = [init_den] + list(states)
         run = run_gaussian_amp(ens, schedule, np.zeros(cfg.N), cfg.T)
     elif cfg.algo == "oamp":

@@ -1,9 +1,9 @@
 """Rowwise-separable iterate denoisers with analytic or finite-difference partials.
 
 A denoiser at step t maps the history rows (r_1[n], ..., r_t[n]) (plus optional
-side information a[n]) to a scalar.  `depends` declares which history indices
-the map actually reads; state-evolution expectations exploit this to pick
-low-dimensional quadrature when possible.
+side information a[n]) to a scalar.  Most denoisers are projections,
+eta(R) = g(p^T R) for a fixed vector p and a scalar link g; state evolution
+integrates those exactly by quadrature over at most two projections.
 """
 
 from __future__ import annotations
@@ -18,27 +18,37 @@ from .errors import ValidationError
 FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality and hash: `projection` is an array
 class Denoiser:
     """eta: (t, N) history array [+ side info] -> (N,) output.
 
-    `fn(R, a)` and optional `partial_fn(R, a) -> (t, N)` operate on the full
-    history; partials w.r.t. unused inputs must be zero.  `depends` is the
-    1-based set of history indices read (None = all).
+    A projection denoiser sets `projection` p (length `arity`, zero entries
+    for unread rows), an elementwise `link` g and its derivative `link_prime`:
+    eta(R) = g(p^T R) and d eta / d r_i = p_i g'(p^T R).  Otherwise `fn(R, a)`
+    and optional `partial_fn(R, a) -> (t, N)` operate on the full history;
+    partials w.r.t. unused inputs must be zero.
     """
 
     name: str
     arity: int
-    fn: Callable
+    fn: Callable | None = None
     partial_fn: Callable | None = None
-    depends: frozenset | None = None
     lipschitz_bound: float = float("inf")
     uses_side_info: bool = False
+    projection: np.ndarray | None = None
+    link: Callable | None = None
+    link_prime: Callable | None = None
 
     def depends_on(self) -> frozenset:
-        if self.depends is None:
+        """1-based history indices the map reads."""
+        if self.projection is None:
             return frozenset(range(1, self.arity + 1))
-        return self.depends
+        return frozenset(int(i) + 1 for i in np.flatnonzero(self.projection))
+
+    def _apply(self, R: np.ndarray, a) -> np.ndarray:
+        if self.projection is not None:
+            return self.link(self.projection @ R)
+        return self.fn(R, a) if self.uses_side_info else self.fn(R)
 
     def evaluate(self, R: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
         R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -46,12 +56,13 @@ class Denoiser:
             raise ValidationError(
                 f"denoiser {self.name!r} expects {self.arity} history rows, got {R.shape[0]}"
             )
-        out = self.fn(R, a) if self.uses_side_info else self.fn(R)
-        return np.asarray(out, dtype=float)
+        return np.asarray(self._apply(R, a), dtype=float)
 
     def partials(self, R: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
         """(t, N) array of partial derivatives; finite differences as fallback."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
+        if self.projection is not None:
+            return self.projection[:, None] * self.link_prime(self.projection @ R)[None, :]
         if self.partial_fn is not None:
             out = self.partial_fn(R, a) if self.uses_side_info else self.partial_fn(R)
             return np.asarray(out, dtype=float)
@@ -68,8 +79,8 @@ class Denoiser:
             Rp[i] = R[i] + h
             Rm = R.copy()
             Rm[i] = R[i] - h
-            fp = self.fn(Rp, a) if self.uses_side_info else self.fn(Rp)
-            fm = self.fn(Rm, a) if self.uses_side_info else self.fn(Rm)
+            fp = self._apply(Rp, a)
+            fm = self._apply(Rm, a)
             out[i] = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h)
         return out
 
@@ -82,60 +93,64 @@ class Denoiser:
 # factories
 # ---------------------------------------------------------------------------
 
+def projection_denoiser(name: str, p, link: Callable, link_prime: Callable) -> Denoiser:
+    """eta(R) = link(p^T R) with arity len(p).  `link` and `link_prime` act
+    elementwise on arrays of any shape; every link used here is 1-Lipschitz,
+    so sum |p_i| bounds the Lipschitz constant."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    return Denoiser(name, p.size, projection=p, link=link, link_prime=link_prime,
+                    lipschitz_bound=float(np.abs(p).sum()))
+
+
+def _last(t: int, scale: float = 1.0) -> np.ndarray:
+    """scale * e_t, the projection of a single-memory denoiser."""
+    p = np.zeros(t)
+    p[-1] = scale
+    return p
+
+
+def _identity(s):
+    return s
+
+
+def _one(s):
+    return np.ones_like(s)
+
+
+def _zero(s):
+    return np.zeros_like(s)
+
+
+def _tanh_prime(s):
+    return 1.0 - np.tanh(s) ** 2
+
+
 def identity_denoiser(t: int) -> Denoiser:
     """eta = r_t (last history row)."""
-
-    def partial(R):
-        out = np.zeros_like(R)
-        out[-1] = 1.0
-        return out
-
-    return Denoiser("identity", t, lambda R: R[-1], partial,
-                    depends=frozenset({t}), lipschitz_bound=1.0)
+    return projection_denoiser("identity", _last(t), _identity, _one)
 
 
 def constant_denoiser(t: int, c: float) -> Denoiser:
-    return Denoiser(
-        f"constant({c})", t,
-        lambda R: np.full(R.shape[1], float(c)),
-        lambda R: np.zeros_like(R),
-        depends=frozenset(), lipschitz_bound=0.0,
-    )
+    value = float(c)
+    return projection_denoiser(f"constant({c})", np.zeros(t),
+                               lambda s: np.full(np.shape(s), value), _zero)
 
 
 def linear_denoiser(weights) -> Denoiser:
     """eta = sum_i w_i r_i."""
-    w = np.asarray(weights, dtype=float)
-    t = w.size
-    deps = frozenset(i + 1 for i in range(t) if w[i] != 0.0)
-    return Denoiser(
-        "linear", t,
-        lambda R: w @ R,
-        lambda R: np.broadcast_to(w[:, None], R.shape).copy(),
-        depends=deps, lipschitz_bound=float(np.abs(w).sum()),
-    )
+    return projection_denoiser("linear", weights, _identity, _one)
 
 
 def tanh_denoiser(t: int, scale: float = 1.0) -> Denoiser:
     """eta = tanh(scale * r_t), single memory."""
     s = float(scale)
-
-    def fn(R):
-        return np.tanh(s * R[-1])
-
-    def partial(R):
-        out = np.zeros_like(R)
-        out[-1] = s * (1.0 - np.tanh(s * R[-1]) ** 2)
-        return out
-
-    return Denoiser(f"tanh(scale={s})", t, fn, partial,
-                    depends=frozenset({t}), lipschitz_bound=abs(s))
+    return projection_denoiser(f"tanh(scale={s})", _last(t, s), np.tanh, _tanh_prime)
 
 
 def random_lipschitz_denoiser(t: int, seed: int) -> Denoiser:
     """eta = sum_i w_i tanh(s_i r_i + b_i): Lipschitz, analytic partials, and
     generically nonzero divergence w.r.t. every history index (exercises the
-    full lower-triangular de-biasing path)."""
+    full lower-triangular de-biasing path).  Not a projection denoiser."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.3, 1.0, size=t) * rng.choice([-1.0, 1.0], size=t)
     s = rng.uniform(0.5, 1.5, size=t)
@@ -157,26 +172,17 @@ def mmse_rademacher_denoiser(t: int, beta: float, sigma2: float) -> Denoiser:
     if sigma2 <= 0:
         raise ValidationError("sigma2 must be positive")
     c = float(beta) / float(sigma2)
-
-    def fn(R):
-        return np.tanh(c * R[-1])
-
-    def partial(R):
-        out = np.zeros_like(R)
-        out[-1] = c * (1.0 - np.tanh(c * R[-1]) ** 2)
-        return out
-
-    return Denoiser(f"mmse-rademacher(beta={beta},sigma2={sigma2})", t, fn, partial,
-                    depends=frozenset({t}), lipschitz_bound=abs(c))
+    return projection_denoiser(f"mmse-rademacher(beta={beta},sigma2={sigma2})",
+                               _last(t, c), np.tanh, _tanh_prime)
 
 
 def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
     """Precision-weighted combination of the history followed by the scalar
     Rademacher posterior mean.
 
-    With R = beta x + Z, Z ~ N(0, Sigma), the statistic s = beta^T Sigma^-1 R
-    satisfies s | x ~ N(gamma x, gamma) with gamma = beta^T Sigma^-1 beta, so
-    the posterior mean is tanh(s).
+    With R = beta x + Z, Z ~ N(0, Sigma), the statistic s = c^T R with
+    c = Sigma^-1 beta satisfies s | x ~ N(gamma x, gamma), gamma = beta^T c, so
+    the posterior mean is tanh(s).  The combining weights c are the projection.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
@@ -185,14 +191,6 @@ def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
         raise ValidationError("Sigma shape must match beta length")
     # least-squares solve tolerates the near-singular Sigma of late iterations
     c, *_ = np.linalg.lstsq(Sigma, beta, rcond=1e-12)
-
-    def fn(R):
-        return np.tanh(c @ R)
-
-    def partial(R):
-        return c[:, None] * (1.0 - np.tanh(c @ R) ** 2)[None, :]
-
-    den = Denoiser("linear-mmse-combining", t, fn, partial,
-                   lipschitz_bound=float(np.abs(c).sum()))
-    object.__setattr__(den, "combining_weights", c)
+    den = projection_denoiser("linear-mmse-combining", c, np.tanh, _tanh_prime)
+    object.__setattr__(den, "combining_weights", den.projection)
     return den

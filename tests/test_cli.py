@@ -5,8 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amp_lab.cli import (
+    _CONFIG_FIELDS,
     ExperimentConfig,
     compute_se,
     main,
@@ -14,8 +17,11 @@ from amp_lab.cli import (
     resolve_matrix_fn,
     run_experiment,
 )
+from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
-from amp_lab.laws import MarchenkoPastur, Semicircle
+from amp_lab.laws import MarchenkoPastur, Semicircle, parse_law_spec
+from amp_lab.randmat import make_prior
+from amp_lab.se import McConfig, SeInit, spiked_se
 
 
 BASE = {"law": "mp:alpha=0.2", "N": 200, "T": 3, "theta": 1.5, "omega": 0.3,
@@ -51,6 +57,58 @@ def test_config_requires_core_keys():
 def test_config_validation(bad):
     with pytest.raises(ValidationError):
         _cfg(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"N": 100.7}, {"runs": True}, {"seed_base": 1.9}, {"T": 2.5}, {"N": False},
+    {"mc_samples": 1000.5}, {"mc_samples": 1}, {"seed_base": -1}, {"T": None},
+    {"N": float("inf")}, {"theta": float("nan")}, {"theta": True},
+    {"T": HORIZON_CAP + 1},
+])
+def test_config_rejects_non_integral_and_out_of_range_values(bad):
+    with pytest.raises(ValidationError):
+        _cfg(**bad)
+
+
+def test_config_accepts_integral_floats():
+    cfg = _cfg(N=200.0, runs=3.0)
+    assert (cfg.N, cfg.runs) == (200, 3)
+    assert type(cfg.N) is int and type(cfg.runs) is int
+
+
+@pytest.mark.parametrize("bad", [{"N": 100.7}, {"runs": True}, {"T": HORIZON_CAP + 1}])
+def test_bad_config_values_exit_1(bad, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**BASE, **bad}))
+    assert main(["se", "--config", str(p)]) == 1
+    assert capsys.readouterr().out == ""  # rejected before any prediction
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_PLAUSIBLE = st.sampled_from([0, 1, 2, 10, 16, 200, 1.5, 0.3, -1, 2.5, "mp:alpha=0.2",
+                              "semicircle", "ri-amp", "tanh", "rademacher", "sparse"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(_CONFIG_FIELDS) + ["bogus"]),
+                       _JSON_VALUES | _PLAUSIBLE, max_size=4),
+       st.booleans())
+def test_from_dict_gives_valid_config_or_validation_error(data, over_base):
+    if over_base:
+        data = {**BASE, **data}
+    try:
+        cfg = ExperimentConfig.from_dict(data)
+    except ValidationError:
+        return
+    for key, typ in _CONFIG_FIELDS.items():
+        val = getattr(cfg, key)
+        assert type(val) is typ or (val is None and key in ("theta", "omega", "output"))
+    assert cfg.N >= 16 and 1 <= cfg.T <= HORIZON_CAP and cfg.runs >= 1
+    assert cfg.seed_base >= 0 and cfg.mc_samples >= 2
 
 
 def test_mmse_denoiser_requires_spiked():
@@ -212,6 +270,27 @@ def test_se_command(tmp_path, capsys):
     vals = [float(line.split(",")[1]) for line in out[1:]]
     assert len(vals) == BASE["T"]
     assert all(v >= 0 for v in vals)
+
+
+def test_spiked_se_rows_do_not_depend_on_mc_samples():
+    # linear-mmse-combining is a projection denoiser, so the spiked
+    # prediction is quadrature and never samples
+    cfg = {**BASE, "N": 2000, "T": 6, "runs": 2, "seed_base": 0}
+    rows_small = compute_se(ExperimentConfig.from_dict({**cfg, "mc_samples": 10}))[1]
+    rows_big = compute_se(ExperimentConfig.from_dict({**cfg, "mc_samples": 2_000_000}))[1]
+    assert rows_small == rows_big
+
+
+def test_spiked_se_converged_in_quadrature_nodes():
+    cfg = ExperimentConfig.from_dict({**BASE, "T": 6})
+    law = parse_law_spec(cfg.law)
+    f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
+    fac = resolve_denoiser_factory(cfg.denoiser, True)
+    init = SeInit(prior=make_prior(cfg.prior), omega=cfg.omega)
+    ref = spiked_se(law, cfg.theta, f, fac, init, cfg.T, cfg=McConfig(gh_points=256))
+    pred = np.array([v for _, v in compute_se(cfg)[1]])
+    ref = np.array([s.mse_pred for s in ref])
+    assert np.all(np.abs(pred - ref) <= 1e-3 * ref)
 
 
 def test_se_perfect_init_starts_lower():

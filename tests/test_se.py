@@ -12,6 +12,7 @@ from amp_lab.freeprob import cumulants_from_law
 from amp_lab.laws import MarchenkoPastur, Semicircle
 from amp_lab.randmat import make_prior
 from amp_lab.se import (
+    DEFAULT_GH_POINTS,
     McConfig,
     SeInit,
     check_pole_free,
@@ -21,6 +22,7 @@ from amp_lab.se import (
     gaussian_expectations,
     mp_denoise_fn,
     nu_measure,
+    population_moments,
     ri_amp_df_se,
     ri_amp_se,
     spiked_se,
@@ -82,6 +84,63 @@ def test_gh_and_mc_engines_agree():
                                cfg=McConfig(method="mc", samples=2_000_000, seed=5))
     assert abs(gh["divergences"][1] - mc["divergences"][1]) < 5e-3
     assert abs(gh["ubar_second_moment"] - mc["ubar_second_moment"]) < 5e-3
+
+
+def test_quadrature_and_mc_agree_for_combining_schedule():
+    # a fixed multi-memory linear-mmse-combining schedule at t=3: the
+    # quadrature path against 16 Monte-Carlo batches of 125k samples
+    Sigma = np.array([[1.0, 0.3, 0.2], [0.3, 0.8, 0.25], [0.2, 0.25, 0.6]])
+    beta = np.array([0.6, 0.9, 1.2])
+    dens = [linear_mmse_combining_denoiser(beta[:j], Sigma[:j, :j]) for j in range(1, 4)]
+    init = SeInit(prior=make_prior("rademacher"), omega=0.3)
+    quad = population_moments(dens, Sigma, beta, init, McConfig(), step_seed=3)
+    assert quad.mse_stderr == 0.0  # method="auto" took the quadrature path
+
+    def flat(pm):
+        return np.concatenate([pm.Phi.ravel(), pm.DeltaBar.ravel(), pm.alpha, [pm.mse]])
+
+    batches = np.array([
+        flat(population_moments(dens, Sigma, beta, init,
+                                 McConfig(method="mc", samples=125_000, seed=s), step_seed=3))
+        for s in range(16)])
+    stderr = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
+    diff = np.abs(flat(quad) - batches.mean(axis=0))
+    assert np.all(diff <= 4.0 * stderr + 1e-12)
+
+
+def test_projection_quadrature_matches_explicit_1d_tanh():
+    # p = 1.1 e_3: the projection path reduces to a 1-D Gauss-Hermite rule in R_3
+    Sigma = np.array([[1.0, 0.3, 0.2], [0.3, 0.8, 0.25], [0.2, 0.25, 0.6]])
+    beta = np.array([0.6, 0.9, 1.2])
+    init = SeInit(prior=make_prior("rademacher"), omega=0.3)
+    out = gaussian_expectations(tanh_denoiser(3, scale=1.1), Sigma, init=init, beta=beta)
+    z, w = np.polynomial.hermite_e.hermegauss(DEFAULT_GH_POINTS)
+    w = w / w.sum()
+    r = np.array([-1.0, 1.0])[:, None] * beta[2] + math.sqrt(Sigma[2, 2]) * z[None, :]
+    x = np.array([-1.0, 1.0])[:, None]
+
+    def expect(vals):
+        return float(np.mean(vals @ w))
+
+    d = expect(1.1 * (1.0 - np.tanh(1.1 * r) ** 2))
+    ubar = np.tanh(1.1 * r) - d * r
+    assert np.array_equal(out["divergences"][:2], np.zeros(2))
+    assert abs(out["divergences"][2] - d) < 1e-12
+    assert abs(out["alpha"] - expect(x * ubar)) < 1e-12
+    assert abs(out["ubar_second_moment"] - expect(ubar**2)) < 1e-12
+
+
+@pytest.mark.parametrize("kw", [{"gh_points": 1}, {"gh_points": 257}, {"gh_points": 400},
+                                {"gh_points": 96.0}, {"samples": 1}, {"samples": 0},
+                                {"samples": True}])
+def test_mc_config_rejects_bad_sizes(kw):
+    with pytest.raises(ValidationError):
+        McConfig(**kw)
+
+
+def test_mc_config_accepts_range_ends():
+    assert McConfig(gh_points=2, samples=2).gh_points == 2
+    assert McConfig(gh_points=256).gh_points == 256
 
 
 def test_ri_amp_se_goe_matches_scalar_recursion():
