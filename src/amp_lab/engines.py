@@ -20,19 +20,23 @@ from .denoisers import Denoiser
 from .errors import NumericalError, UnsupportedVariantError, ValidationError
 from .freeprob import build_poly_family, moments_to_cumulants
 from .laws import DiscreteGrid, SpectralLaw
-from .randmat import RotInvEnsemble, SpikedInstance, _eigh, _map_eigenvalues
+from .randmat import (HouseholderRotation, RotInvEnsemble, SpikedInstance, _eigh,
+                      _map_eigenvalues)
 
 HORIZON_CAP = 10
+MP_DEBIAS_NODES = 400  # quadrature nodes of the RI-AMP-MP trace-free solve
 
 
 @dataclass
 class MatrixOperator:
     """Factored symmetric matrix O V diag(eigenvalues) V^T O^T: O is the
-    ensemble's eigenbasis and V (None for the identity) the secular
-    eigenbasis of a spiked instance's diagonal-plus-rank-one core."""
+    ensemble's eigenbasis (a HouseholderRotation or a dense orthogonal
+    matrix) and V (None for the identity) the secular eigenbasis of a spiked
+    instance's diagonal-plus-rank-one core.  to_spectral and from_spectral
+    take a vector (N,) or a block of column vectors (N, k)."""
 
     eigenvalues: np.ndarray
-    rotation: np.ndarray
+    rotation: np.ndarray | HouseholderRotation
     inner: np.ndarray | None = None
 
     @property
@@ -157,13 +161,13 @@ def ri_amp_debias(kappa: Sequence[float], phi_hat: np.ndarray) -> np.ndarray:
 
 
 def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
-                     phi_hat: np.ndarray, n_nodes: int = 400) -> np.ndarray:
+                     phi_hat: np.ndarray, n_nodes: int = MP_DEBIAS_NODES) -> np.ndarray:
     """Unique lower-triangular E_t with E_mu[J(Lambda)] = 0, where
     J = (F - E)(I - Phi_hat (F - E))^{-1}, F(lambda) = diag(f_1..f_t)(lambda).
 
-    Solved row by row: row n of the Neumann factor S = (I - Phi(F-E))^{-1}
-    depends only on earlier rows of E, so each row satisfies a unit-diagonal
-    triangular linear system.
+    Solved row by row (`_mp_debias_row`): row n depends only on the leading
+    n x n blocks of Phi_hat and E, so the rows of E_t are those of E_{t-1}
+    with one row appended.
     """
     phi_hat = np.atleast_2d(np.asarray(phi_hat, dtype=float))
     t = phi_hat.shape[0]
@@ -171,23 +175,35 @@ def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
         raise ValidationError("f schedule length must match phi_hat size")
     if np.any(np.abs(np.triu(phi_hat)) > 0):
         raise ValidationError("phi_hat must be strictly lower triangular")
-    nodes, w = law.quad_nodes(n_nodes)
-    nA = nodes.size
-    F = np.empty((t, nA))
-    for i, f in enumerate(f_schedule):
-        F[i] = _map_eigenvalues(f, nodes)
+    F, w = _schedule_at_nodes(law, f_schedule, n_nodes)
     E = np.zeros((t, t))
     for n in range(1, t + 1):
-        S = _neumann_factor(phi_hat, F, E)  # (nA, t, t); rows < n are final
-        # A[j, m] = E_mu[S_{m,j}], b[j] = E_mu[f_n S_{n,j}]
-        A = np.einsum("a,amj->jm", w, S[:, :n, :n])
-        b = np.einsum("a,a,aj->j", w, F[n - 1], S[:, n - 1, :n])
-        try:
-            e_row = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"singular row system at row {n}") from exc
-        E[n - 1, :n] = e_row
+        E[n - 1, :n] = _mp_debias_row(phi_hat[:n, :n], F[:n], E[:n, :n], w)
     return E
+
+
+def _schedule_at_nodes(law: SpectralLaw, f_schedule: Sequence[Callable],
+                       n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F, w): F[i] = f_{i+1} at the law's quadrature nodes, w their weights."""
+    nodes, w = law.quad_nodes(n_nodes)
+    return np.vstack([_map_eigenvalues(f, nodes) for f in f_schedule]), w
+
+
+def _mp_debias_row(phi: np.ndarray, F: np.ndarray, E: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """Last row of E for the n x n system (phi, F = f_1..f_n at the nodes, E
+    with rows < n final).  Row n of the Neumann factor
+    S = (I - Phi(F-E))^{-1} depends only on earlier rows of E, so the row
+    satisfies a unit-diagonal triangular linear system."""
+    n = phi.shape[0]
+    S = _neumann_factor(phi, F, E)  # (nA, n, n); rows < n are final
+    # A[j, m] = E_mu[S_{m,j}], b[j] = E_mu[f_n S_{n,j}]
+    A = np.einsum("a,amj->jm", w, S)
+    b = np.einsum("a,a,aj->j", w, F[n - 1], S[:, n - 1])
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalError(f"singular row system at row {n}") from exc
 
 
 def _neumann_factor(phi: np.ndarray, F: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -295,10 +311,12 @@ def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
         raise ValidationError("f schedule shorter than horizon")
     f_schedule = f_schedule[:T]
     fvals = [_map_eigenvalues(ft, operator.eigenvalues) for ft in f_schedule]
+    F, w = _schedule_at_nodes(dlaw, f_schedule, MP_DEBIAS_NODES)
+    E = np.zeros((T, T))
 
     def r_step(t, u, ubar, phi_t):
-        E = ri_amp_mp_debias(dlaw, f_schedule[:t], phi_t)
-        row = E[t - 1]
+        row = _mp_debias_row(phi_t, F[:t], E[:t, :t], w)
+        E[t - 1, :t] = row
         r_t = operator.apply_values(fvals[t - 1], u[t - 1])
         for i in range(t):
             r_t = r_t - row[i] * u[i]
@@ -467,13 +485,12 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
     T = run.T
     op = run.operator
     V = _poly_matrix_values(run, law, op.eigenvalues)  # (T, T, N)
-    ub_spec = np.vstack([op.to_spectral(run.ubar[j]) for j in range(T)])  # (T, N)
-    errors = np.empty(T)
-    for t in range(1, T + 1):
-        recon_spec = np.einsum("jn,jn->n", V[t - 1, :t], ub_spec[:t])
-        r_hat = op.from_spectral(recon_spec)
-        denom = np.linalg.norm(run.r[t - 1])
-        errors[t - 1] = np.linalg.norm(r_hat - run.r[t - 1]) / max(denom, 1e-300)
+    V *= np.tri(T)[:, :, None]  # r_t uses ubar_1..ubar_t only
+    ub_spec = op.to_spectral(np.column_stack(run.ubar[:T]))  # (N, T)
+    r_hat = op.from_spectral(np.einsum("tjn,nj->nt", V, ub_spec))  # (N, T)
+    R = np.column_stack(run.r)
+    denom = np.maximum(np.linalg.norm(R, axis=0), 1e-300)
+    errors = np.linalg.norm(r_hat - R, axis=0) / denom
     # trace residuals average the polynomial entries over the run's realized
     # eigenvalue law, so a mismatched `law` (wrong cumulants) shows up here
     nodes, w = run.debias_law.quad_nodes()

@@ -1,17 +1,19 @@
 """Rotationally-invariant ensembles, spiked instances, and signal priors.
 
 Matrices with prescribed spectra are kept in factored form (eigenvalues,
-Haar eigenvectors) so that applying a scalar function to the matrix costs
-two dense products after the initial sampling; the dense symmetric matrix
-is materialized lazily.  A spiked instance Y = O (Lambda + rho z z^T) O^T,
-z = O^T x*, is factored through the secular equation of its
-diagonal-plus-rank-one core, without forming Y.
+Haar eigenvectors).  A Haar eigenbasis is sampled as N Householder
+reflectors in O(N^2) time and never formed: applying it, or its transpose,
+to a vector costs about one dense matrix-vector product, and the dense
+orthogonal and symmetric matrices are materialized only on request.  A
+spiked instance Y = O (Lambda + rho z z^T) O^T, z = O^T x*, is factored
+through the secular equation of its diagonal-plus-rank-one core, without
+forming Y.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -20,27 +22,137 @@ from scipy.linalg import lapack
 from .errors import DomainError, NumericalError, ValidationError
 
 DENSE_N_CAP = 8000
+WY_BLOCK = 64  # reflectors per compact-WY block
 
 
-def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
-    """Haar-distributed orthogonal matrix: QR of an iid Gaussian matrix with
-    the R-diagonal sign correction (plain QR is not Haar)."""
+@dataclass(frozen=True)
+class HouseholderRotation:
+    """Orthogonal O = H_1 ... H_N diag(signs), H_k = I - tau_k v_k v_k^T,
+    where v_k is zero before entry k and one at entry k; O is never formed.
+
+    The reflectors are kept in consecutive blocks (k0, V, T): row i of V is
+    v_{k0+i} from entry k0 on, and H_k0 ... H_k0+nb-1 = I - V^T T V in
+    compact WY form with T upper triangular (Schreiber & Van Loan, SIAM J.
+    Sci. Stat. Comput. 10, 1989).  O @ x and O.T @ x cost three BLAS-2
+    calls per block, about one dense matrix-vector product, and the blocks
+    hold about N^2/2 numbers.
+    """
+
+    blocks: tuple  # ((k0, V, T), ...) in reflector order
+    signs: np.ndarray  # (N,), entries +-1
+    transposed: bool = False
+
+    @classmethod
+    def from_gaussian_rows(cls, row_blocks) -> "HouseholderRotation":
+        """Rotation whose reflector k is built from row k, columns k on, of
+        the N x N matrix stacked from `row_blocks`, by the LAPACK dlarfg
+        convention (beta = -sign(alpha) |x|), with signs = sign(beta).  Each
+        block of rows becomes one compact-WY block.
+
+        For iid standard normal rows the rotation is Haar: the reflectors of
+        a Householder QR of a Gaussian matrix are built from independent
+        Gaussian vectors of lengths N, N-1, ..., 1, and sign(diag R) makes
+        Q Haar (Stewart, SIAM J. Numer. Anal. 17, 1980; Mezzadri, Notices
+        AMS 54, 2007).
+        """
+        blocks, signs = [], []
+        k0, N = 0, None
+        for rows in row_blocks:
+            nb = rows.shape[0]
+            N = rows.shape[1] if N is None else N
+            if rows.shape[1] != N or k0 + nb > N:
+                raise ValidationError("row blocks must stack to a square matrix")
+            V = np.array(rows[:, k0:], dtype=float)
+            V[:, :nb][np.tril_indices(nb, -1)] = 0.0
+            diag = np.arange(nb)
+            alpha = V[diag, diag].copy()
+            V[diag, diag] = 0.0
+            xnorm = np.linalg.norm(V, axis=1)
+            beta = -np.copysign(np.hypot(alpha, xnorm), alpha)
+            if np.any(beta == 0.0):
+                raise NumericalError(f"zero-norm Householder row at reflector "
+                                     f"{k0 + int(np.argmax(beta == 0.0))}")
+            reflect = xnorm > 0.0  # otherwise H_k = I and beta = alpha
+            tau = np.where(reflect, (beta - alpha) / beta, 0.0)
+            V *= np.where(reflect, 1.0 / (alpha - beta), 0.0)[:, None]
+            V[diag, diag] = 1.0
+            signs.append(np.sign(np.where(reflect, beta, alpha)))
+            # forward columnwise T (LAPACK dlarft):
+            # T[:i, i] = -tau_i T[:i, :i] V[:i] v_i
+            S = V @ V.T
+            T = np.zeros((nb, nb))
+            for i in range(nb):
+                T[:i, i] = -tau[i] * (T[:i, :i] @ S[:i, i])
+                T[i, i] = tau[i]
+            blocks.append((k0, V, T))
+            k0 += nb
+        if N is None or k0 != N:
+            raise ValidationError("row blocks must stack to a square matrix")
+        return cls(blocks=tuple(blocks), signs=np.concatenate(signs))
+
+    @property
+    def N(self) -> int:
+        return self.signs.shape[0]
+
+    @property
+    def T(self) -> "HouseholderRotation":
+        """The transpose (and inverse), sharing the reflectors."""
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, x) -> np.ndarray:
+        """O @ x (O.T @ x when transposed) for x of shape (N,) or (N, k)."""
+        y = np.array(x, dtype=float)
+        if y.ndim not in (1, 2) or y.shape[0] != self.N:
+            raise ValidationError(f"cannot apply an {self.N}x{self.N} rotation "
+                                  f"to shape {y.shape}")
+        d = self.signs if y.ndim == 1 else self.signs[:, None]
+        if self.transposed:  # diag(d) Q_B^T ... Q_1^T x, Q_b^T = I - V^T T^T V
+            for k0, V, T in self.blocks:
+                seg = y[k0:]
+                seg -= V.T @ (T.T @ (V @ seg))
+            y *= d
+        else:  # Q_1 ... Q_B diag(d) x, Q_b = I - V^T T V
+            y *= d
+            for k0, V, T in reversed(self.blocks):
+                seg = y[k0:]
+                seg -= V.T @ (T @ (V @ seg))
+        return y
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix, formed in O(N^3)."""
+        return self @ np.eye(self.N)
+
+
+def sample_haar_rotation(N: int, seed: int) -> HouseholderRotation:
+    """Haar-distributed orthogonal matrix in factored form, in O(N^2): row k
+    of one N x N standard-normal draw supplies reflector k.  The draw is
+    taken WY_BLOCK rows at a time (the same numbers as one N x N draw), so
+    only the reflectors' half of it is kept."""
     if N < 1:
         raise ValidationError("N must be >= 1")
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((N, N))
-    Q, R = np.linalg.qr(G)
-    d = np.sign(np.diag(R))
-    d[d == 0] = 1.0
-    return Q * d[None, :]
+    return HouseholderRotation.from_gaussian_rows(
+        rng.standard_normal((min(WY_BLOCK, N - k0), N)) for k0 in range(0, N, WY_BLOCK))
+
+
+def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
+    """Dense form of `sample_haar_rotation(N, seed)`."""
+    return sample_haar_rotation(N, seed).dense()
+
+
+def _dense(O) -> np.ndarray:
+    """An eigenbasis as a dense matrix (formed if it is a rotation)."""
+    return O.dense() if isinstance(O, HouseholderRotation) else O
 
 
 @dataclass
 class RotInvEnsemble:
-    """W = O diag(eigenvalues) O^T with O Haar; dense W built on demand."""
+    """W = O diag(eigenvalues) O^T; dense W built on demand.  The
+    eigenbasis O is a HouseholderRotation (Haar) or a dense orthogonal
+    matrix (GOE)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | HouseholderRotation
     _W: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -50,7 +162,7 @@ class RotInvEnsemble:
     @property
     def W(self) -> np.ndarray:
         if self._W is None:
-            O = self.eigenvectors
+            O = _dense(self.eigenvectors)
             self._W = (O * self.eigenvalues[None, :]) @ O.T
             self._W = 0.5 * (self._W + self._W.T)
         return self._W
@@ -68,7 +180,7 @@ def build_rot_invariant(grid: np.ndarray, seed: int) -> RotInvEnsemble:
         raise ValidationError("grid must be a nonempty 1-d array")
     if not np.all(np.isfinite(grid)):
         raise ValidationError("grid contains non-finite entries")
-    O = sample_haar_orthogonal(grid.size, seed)
+    O = sample_haar_rotation(grid.size, seed)
     return RotInvEnsemble(eigenvalues=grid.copy(), eigenvectors=O)
 
 
@@ -110,7 +222,7 @@ def _map_eigenvalues(f: Callable, lam: np.ndarray) -> np.ndarray:
 def matrix_function(W, f: Callable) -> np.ndarray:
     """f(W) for symmetric W: eigendecompose once, map, reassemble."""
     if isinstance(W, RotInvEnsemble):
-        lam, O = W.eigenvalues, W.eigenvectors
+        lam, O = W.eigenvalues, _dense(W.eigenvectors)
     else:
         W = np.asarray(W, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -262,20 +374,24 @@ def _secular_core(d: np.ndarray, w: np.ndarray, rho_n: float):
     w = w / wn
     s = d[-1] - d[0]
     dd = np.sqrt(d - d[0] + s)
+    # Loewner: zhat_i^2 = (mu_K - d_i)/rho prod_{j<i} (d_i - mu_j)/(d_i - d_j)
+    #                     prod_{i<=j<K-1} (mu_j - d_i)/(d_{j+1} - d_i),
+    # every ratio in (0, 1); differences of d taken in the shifted variable.
+    # The product is accumulated one root at a time, so that no K x K
+    # temporary is needed beside gaps.
     gaps = np.empty((K, K))  # gaps[j, i] = d_i - mu_j
+    prod = np.ones(K)
+    idx = np.arange(K)
     for j in range(K):
         delta, _, work, info = lapack.dlasd4(j, dd, w, rho_k)
         if info != 0:
             raise NumericalError(f"secular equation root {j} did not converge (info={info})")
         gaps[j] = delta * work
+        if j < K - 1:
+            other = np.where(j < idx, dd[j], dd[j + 1])
+            prod *= np.abs(gaps[j]) / (np.abs(other - dd) * (other + dd))
     mu = d - np.diagonal(gaps)
-    # Loewner: zhat_i^2 = (mu_K - d_i)/rho prod_{j<i} (d_i - mu_j)/(d_i - d_j)
-    #                     prod_{i<=j<K-1} (mu_j - d_i)/(d_{j+1} - d_i),
-    # every ratio in (0, 1); differences of d taken in the shifted variable
-    jj = np.arange(K - 1)[:, None]
-    other = dd[np.where(jj < np.arange(K)[None, :], jj, jj + 1)]
-    ratios = np.abs(gaps[:-1]) / (np.abs(other - dd) * (other + dd))
-    zhat = np.sqrt(np.abs(gaps[-1]) / rho_k * np.prod(ratios, axis=0))
+    zhat = np.sqrt(np.abs(gaps[-1]) / rho_k * prod)
     zhat = np.copysign(zhat, w)
     Vk = np.divide(zhat, gaps, out=gaps).T
     Vk /= np.linalg.norm(Vk, axis=0)

@@ -20,7 +20,7 @@ from amp_lab.cli import (
 from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
 from amp_lab.laws import MarchenkoPastur, Semicircle, parse_law_spec
-from amp_lab.randmat import make_prior
+from amp_lab.randmat import HouseholderRotation, make_prior
 from amp_lab.se import McConfig, SeInit, spiked_se
 
 
@@ -234,6 +234,19 @@ def test_run_meta_json_byte_identical(tmp_path):
         assert main(["run", "--config", str(p), "--out", str(tmp_path / name)]) == 0
         metas.append((tmp_path / name / "meta.json").read_bytes())
     assert metas[0] == metas[1]
+
+
+def test_run_samples_haar_without_qr_or_dense_rotation(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Haar sampling path used")
+
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    monkeypatch.setattr(HouseholderRotation, "dense", forbidden)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE)))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    meta = json.load(open(tmp_path / "o" / "meta.json"))
+    assert meta["seeds_ok"] == BASE["runs"] and meta["seeds_divergent"] == 0
 
 
 def test_bad_thread_count_env_exits_1(tmp_path, monkeypatch, capsys):

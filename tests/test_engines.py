@@ -85,6 +85,18 @@ def test_mp_debias_constant_schedule_is_pushforward_cumulants():
     assert np.max(np.abs(E - direct)) < 1e-8
 
 
+def test_mp_debias_rows_appended_per_step_match_full_solve():
+    # the run solves one new row per step; the full solve at the horizon
+    # re-solves every row from the final Phi
+    law = MarchenkoPastur(alpha=0.3)
+    N, T = 300, 6
+    ens, u1 = _setup(law, N, 4)
+    f = mp_denoise_fn(1.2, 0.3)
+    run = run_ri_amp_mp(ens, law, f, _lip_dens(T, 4), u1, T, mode="grid")
+    E = ri_amp_mp_debias(run.debias_law, [f] * T, run.phi_matrix(T))
+    assert np.max(np.abs(run.debias - E)) <= 1e-12 * np.max(np.abs(E))
+
+
 # ---------------------------------------------------------------------------
 # exact unfolding (grid mode)
 # ---------------------------------------------------------------------------

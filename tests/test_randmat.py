@@ -1,12 +1,18 @@
 """Ensembles, priors, spiked instances, overlap measures, and matrix I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.linalg import lapack
 
-from amp_lab.engines import as_operator
-from amp_lab.errors import DomainError, ValidationError
+from amp_lab.cli import ExperimentConfig, compute_se, resolve_matrix_fn
+from amp_lab.engines import as_operator, run_ri_amp_mp
+from amp_lab.errors import DomainError, NumericalError, ValidationError
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, parse_law_spec
 from amp_lab.randmat import (
+    HouseholderRotation,
     RotInvEnsemble,
     build_rot_invariant,
     build_spiked,
@@ -18,6 +24,7 @@ from amp_lab.randmat import (
     overlap_measure,
     sample_goe,
     sample_haar_orthogonal,
+    sample_haar_rotation,
     save_matrix,
     trace_free_center,
 )
@@ -56,6 +63,118 @@ def test_haar_entry_statistics():
     stderr = 1.0 / np.sqrt(seeds)
     assert abs(scaled.mean()) < 3 * stderr
     assert abs(scaled.var() - 1.0) < 0.2
+
+
+def _qr_haar(N, seed):
+    """Reference sampler: QR of a Gaussian matrix with the R-diagonal sign
+    correction (Mezzadri 2007)."""
+    Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((N, N)))
+    d = np.sign(np.diag(R))
+    d[d == 0] = 1.0
+    return Q * d[None, :]
+
+
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 130])
+def test_householder_rotation_matches_dense_form(N):
+    rot = sample_haar_rotation(N, seed=N)
+    # dense form built independently: LAPACK dorgqr on the stored reflectors
+    A = np.zeros((N, N))
+    for k0, V, _ in rot.blocks:
+        A[k0:k0 + V.shape[0], k0:] = V
+    tau = np.concatenate([np.diag(T) for _, _, T in rot.blocks])
+    Q, _, info = lapack.dorgqr(A.T.copy(), tau)
+    assert info == 0
+    O = Q * rot.signs[None, :]
+    assert np.max(np.abs(O.T @ O - np.eye(N))) < 1e-12
+    rng = np.random.default_rng(N + 1)
+    for v in (rng.standard_normal(N), rng.standard_normal((N, 3))):
+        assert np.max(np.abs(rot @ v - O @ v)) < 1e-12
+        assert np.max(np.abs(rot.T @ v - O.T @ v)) < 1e-12
+        assert np.max(np.abs(rot.T @ (rot @ v) - v)) < 1e-12
+        assert np.array_equal(sample_haar_rotation(N, seed=N) @ v, rot @ v)
+    assert np.max(np.abs(rot.dense() - O)) < 1e-12
+    assert np.max(np.abs(rot.T.dense() - O.T)) < 1e-12
+    with pytest.raises(ValidationError):
+        rot @ np.ones(N + 1)
+
+
+def test_householder_rotation_guards():
+    with pytest.raises(ValidationError):
+        sample_haar_rotation(0, seed=0)
+    G = np.random.default_rng(0).standard_normal((8, 8))
+    with pytest.raises(ValidationError):
+        HouseholderRotation.from_gaussian_rows([G[:5], G[:5]])  # 10 rows of length 8
+    with pytest.raises(ValidationError):
+        HouseholderRotation.from_gaussian_rows([G[:5]])  # 5 rows of length 8
+    with pytest.raises(ValidationError):
+        HouseholderRotation.from_gaussian_rows([G[:4], G[4:, :6]])  # ragged
+    with pytest.raises(ValidationError):
+        HouseholderRotation.from_gaussian_rows([])
+    for row in (3, 7):  # a zero row tail mid-way, and the last entry
+        Z = G.copy()
+        Z[row, row:] = 0.0
+        with pytest.raises(NumericalError, match="zero-norm"):
+            HouseholderRotation.from_gaussian_rows([Z[:4], Z[4:]])
+
+
+def test_householder_rotation_keeps_half_the_draw():
+    # the reflectors fill only the upper triangle of the N x N draw
+    N = 1000
+    tracemalloc.start()
+    try:
+        sample_haar_rotation(N, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * 8 * N * N  # a full draw alone would be 1.0
+
+
+def test_householder_haar_law_matches_qr_reference():
+    # two-sample KS between the factored sampler and QR with sign correction,
+    # on disjoint seeds: sqrt(N) O[0, 0] and a fixed bilinear form u^T O v
+    N, seeds = 50, 4000
+    rng = np.random.default_rng(99)
+    u, v = rng.standard_normal(N), rng.standard_normal(N)
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    rots = [sample_haar_rotation(N, seed=s) for s in range(seeds)]
+    new = np.array([np.sqrt(N) * (rot @ np.eye(N)[0])[0] for rot in rots])
+    new_uv = np.array([u @ (rot @ v) for rot in rots])
+    refs = [_qr_haar(N, seed=10**6 + s) for s in range(seeds)]
+    ref = np.array([O[0, 0] * np.sqrt(N) for O in refs])
+    ref_uv = np.array([u @ O @ v for O in refs])
+    assert stats.ks_2samp(new, ref).pvalue > 0.01
+    assert stats.ks_2samp(new_uv, ref_uv).pvalue > 0.01
+
+
+def test_spiked_mse_same_law_under_qr_reference():
+    # per-seed MSE of spiked RI-AMP-MP at t = 1, 2 with the factored sampler
+    # and with dense QR eigenvectors: two-sample KS on each t
+    cfg = ExperimentConfig.from_dict({
+        "law": "mp:alpha=0.2", "N": 1000, "T": 2, "theta": 1.5, "omega": 0.3,
+        "runs": 24, "algo": "ri-amp-mp", "denoiser": "linear-mmse-combining",
+        "matrix_fn": "mp-denoise"})
+    law = parse_law_spec(cfg.law)
+    f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
+    states, _ = compute_se(cfg)
+    dens = [st.denoiser for st in states]
+    grid = law.quantile_grid(cfg.N).atoms
+    prior = make_prior("rademacher")
+
+    def mse(ens, seed):
+        inst = build_spiked(cfg.theta, prior, ens, seed=seed)
+        x = inst.x_star
+        noise = np.random.default_rng(seed + 1).standard_normal(cfg.N)
+        u1 = np.sqrt(cfg.omega) * x + np.sqrt(1.0 - cfg.omega) * noise
+        run = run_ri_amp_mp(inst, law, f, dens, u1, cfg.T, mode="grid")
+        return [np.mean((run.u[t] - x) ** 2) for t in (1, 2)]
+
+    new = np.array([mse(build_rot_invariant(grid, seed=500 + s), 600 + s)
+                    for s in range(cfg.runs)])
+    ref = np.array([mse(RotInvEnsemble(eigenvalues=grid.copy(),
+                                       eigenvectors=_qr_haar(cfg.N, seed=700 + s)), 800 + s)
+                    for s in range(cfg.runs)])
+    for t in range(2):
+        assert stats.ks_2samp(new[:, t], ref[:, t]).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +358,21 @@ def test_secular_factorization_matches_dense_eigh(name, N):
     om = overlap_measure(inst)
     assert np.array_equal(om.eigenvalues, mu)
     assert np.max(np.abs(om.weights - (inst.x_star @ U) ** 2 / N)) <= 1e-12
+
+
+def test_diag_rank_one_eigh_peak_memory():
+    # the Loewner product is accumulated per root: no K x K temporaries
+    # beyond the root differences and V itself
+    N = 1000
+    rng = np.random.default_rng(0)
+    lam, z = np.sort(rng.standard_normal(N)), rng.standard_normal(N)
+    tracemalloc.start()
+    try:
+        _, V = diag_rank_one_eigh(lam, z, 1.5 / N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * V.nbytes
 
 
 def test_diag_rank_one_eigh_reconstructs():
