@@ -54,6 +54,24 @@ _CONFIG_FIELDS = {
 _NULLABLE_FIELDS = ("theta", "omega", "output")
 
 
+def _physical_memory_bytes() -> int | None:
+    """Physical memory of the machine, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _seed_bytes(N: int, algo: str, spiked: bool) -> int:
+    """Peak bytes one seed holds: the Haar eigenbasis as Householder
+    reflectors (half an N x N draw, 4 N^2) plus, on spiked configs, the
+    secular eigenvectors V and their temporaries (16 N^2); Gaussian AMP holds
+    a dense GOE draw, its symmetrization and its eigenvectors (24 N^2)."""
+    if algo == "gaussian-amp":
+        return 24 * N * N
+    return (4 + (16 if spiked else 0)) * N * N
+
+
 @dataclass
 class ExperimentConfig:
     law: str
@@ -98,6 +116,13 @@ class ExperimentConfig:
                 raise ValidationError(f"denoiser {self.denoiser!r} needs a spiked config")
             if make_prior(self.prior).second_moment != 1.0:
                 raise ValidationError("MMSE denoisers need a unit-second-moment prior")
+        workers = _worker_count(self.runs)
+        need = workers * _seed_bytes(self.N, self.algo, self.spiked)
+        have = _physical_memory_bytes()
+        if have is not None and need > have:
+            raise ValidationError(
+                f"N={self.N} needs about {need / 2**30:.1f} GiB for {workers} concurrent "
+                f"seed(s), more than the {have / 2**30:.1f} GiB of physical memory")
 
     @property
     def spiked(self) -> bool:

@@ -13,7 +13,6 @@ intermediate exact, so round trips are not tolerance-limited.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -21,14 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .laws import SpectralLaw
+from .laws import SpectralLaw, catalan  # noqa: F401 (re-exported)
 
 NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
-
-
-def catalan(k: int) -> int:
-    return math.comb(2 * k, k) // (k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalError, ValidationError
 
@@ -343,31 +342,61 @@ def diag_rank_one_eigh(lam: np.ndarray, z: np.ndarray,
     keep = rho_n * np.abs(w) > tol
     K = np.flatnonzero(keep)
     mu_all = d.copy()
+    # V is built in the sorted frame (row i <-> d_i) and its rows are put
+    # in the order of lam at the end; the secular eigenvectors are formed in
+    # V's leading K x K block and moved out in place, so that V is the only
+    # N x N array.
+    V = np.zeros((N, N))
     if K.size == 1:  # dlasd4 returns no differences d_i - mu for a single root
         mu_all[K] = d[K] + rho_n * w[K] ** 2
-        Vk = np.ones((1, 1))
+        V[0, 0] = 1.0
     elif K.size > 1:
-        mu_all[K], Vk = _secular_core(d[K], w[K], rho_n)
+        mu_all[K] = _secular_core(d[K], w[K], rho_n, V[:K.size, :K.size])
 
     cols = np.argsort(mu_all, kind="stable")
     col_of = np.empty(N, dtype=int)
     col_of[cols] = np.arange(N)
-    V = np.zeros((N, N))
+    # root j goes to column col_of[K[j]] >= j and row j to row K[j] >= j,
+    # both increasing in j, so moving the last first overwrites nothing
+    for j, c in reversed(list(enumerate(col_of[K]))):
+        if c != j:
+            V[:K.size, c] = V[:K.size, j]
+            V[:K.size, j] = 0.0
+    for i, r in reversed(list(enumerate(K))):
+        if r != i:
+            V[r] = V[i]
+            V[i] = 0.0
     defl = np.flatnonzero(~keep)
-    V[order[defl], col_of[defl]] = 1.0
-    if K.size:
-        V[np.ix_(order[K], col_of[K])] = Vk
+    V[defl, col_of[defl]] = 1.0
     for first, stop, v in reflectors:
-        rows = order[first:stop]
-        block = V[rows]
-        V[rows] = block - np.outer(v, (2.0 / (v @ v)) * (v @ block))
+        block = V[first:stop]
+        block -= np.outer(v, (2.0 / (v @ v)) * (v @ block))
+    _permute_rows(V, order)
     return mu_all[cols], V
 
 
-def _secular_core(d: np.ndarray, w: np.ndarray, rho_n: float):
-    """Roots mu and eigenvectors of diag(d) + rho_n w w^T for strictly
-    increasing d and w without negligible entries; w is rescaled to unit
-    length, as dlasd4 assumes."""
+def _permute_rows(A: np.ndarray, order: np.ndarray) -> None:
+    """A[order] = A (A's row i moves to row order[i]) in place, one cycle
+    of the permutation at a time, with a single row as scratch."""
+    done = order == np.arange(order.size)
+    for start in np.flatnonzero(~done):
+        if done[start]:
+            continue
+        row = A[start].copy()
+        i = start
+        while not done[i]:
+            done[i] = True
+            row, A[order[i]] = A[order[i]].copy(), row
+            i = order[i]
+
+
+def _secular_core(d: np.ndarray, w: np.ndarray, rho_n: float, out: np.ndarray):
+    """Roots mu of diag(d) + rho_n w w^T for strictly increasing d and w
+    without negligible entries; the eigenvectors are written to the K x K
+    array `out`, column j for root j.  w is rescaled to unit length, as
+    dlasd4 assumes."""
+    from scipy.linalg import lapack  # the only scipy use; loaded on first call
+
     K = d.size
     wn = float(np.linalg.norm(w))
     rho_k = rho_n * wn**2
@@ -378,8 +407,8 @@ def _secular_core(d: np.ndarray, w: np.ndarray, rho_n: float):
     #                     prod_{i<=j<K-1} (mu_j - d_i)/(d_{j+1} - d_i),
     # every ratio in (0, 1); differences of d taken in the shifted variable.
     # The product is accumulated one root at a time, so that no K x K
-    # temporary is needed beside gaps.
-    gaps = np.empty((K, K))  # gaps[j, i] = d_i - mu_j
+    # temporary is needed beside gaps, which is `out` itself.
+    gaps = out  # gaps[j, i] = d_i - mu_j
     prod = np.ones(K)
     idx = np.arange(K)
     for j in range(K):
@@ -393,9 +422,25 @@ def _secular_core(d: np.ndarray, w: np.ndarray, rho_n: float):
     mu = d - np.diagonal(gaps)
     zhat = np.sqrt(np.abs(gaps[-1]) / rho_k * prod)
     zhat = np.copysign(zhat, w)
-    Vk = np.divide(zhat, gaps, out=gaps).T
-    Vk /= np.linalg.norm(Vk, axis=0)
-    return mu, Vk
+    np.divide(zhat, gaps, out=gaps)
+    # normalize the eigenvectors (rows of gaps) a block at a time, each norm
+    # summed along the row as np.linalg.norm(gaps.T, axis=0) would
+    for j0 in range(0, K, 64):
+        vecs = gaps[j0:j0 + 64].T
+        vecs /= np.sqrt(np.add.reduce(vecs * vecs, axis=0))
+    _transpose_in_place(out)
+    return mu
+
+
+def _transpose_in_place(A: np.ndarray, block: int = 256) -> None:
+    """A = A.T for a square A, swapping block x block tiles."""
+    n = A.shape[0]
+    for i in range(0, n, block):
+        A[i:i + block, i:i + block] = A[i:i + block, i:i + block].T.copy()
+        for j in range(i + block, n, block):
+            tile = A[i:i + block, j:j + block].copy()
+            A[i:i + block, j:j + block] = A[j:j + block, i:i + block].T
+            A[j:j + block, i:i + block] = tile.T
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amp_lab import cli
 from amp_lab.cli import (
     _CONFIG_FIELDS,
     ExperimentConfig,
@@ -109,6 +110,31 @@ def test_from_dict_gives_valid_config_or_validation_error(data, over_base):
         assert type(val) is typ or (val is None and key in ("theta", "omega", "output"))
     assert cfg.N >= 16 and 1 <= cfg.T <= HORIZON_CAP and cfg.runs >= 1
     assert cfg.seed_base >= 0 and cfg.mc_samples >= 2
+
+
+def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
+    # 2 seed workers hold 2 x (4 + 16) N^2 bytes on a spiked config, so
+    # N=6000 (1.44e9 bytes) does not fit 1 GiB; nothing large is allocated
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
+    monkeypatch.setenv("AMP_LAB_THREADS", "2")
+    with pytest.raises(ValidationError, match="physical memory"):
+        _cfg(N=6000)
+    _cfg(N=5000)
+    _cfg(N=6000, theta=None, omega=None, algo="ri-amp", denoiser="tanh")
+    monkeypatch.setenv("AMP_LAB_THREADS", "1")
+    _cfg(N=6000)
+    _cfg(N=7000)  # 0.98e9 bytes
+    with pytest.raises(ValidationError, match="physical memory"):  # dense GOE: 24 N^2
+        _cfg(N=7000, theta=None, omega=None, algo="gaussian-amp", denoiser="tanh",
+             law="semicircle")
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: None)
+    _cfg(N=100_000)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**BASE, "N": 9000}))
+    assert main(["se", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "physical memory" in captured.err
 
 
 def test_mmse_denoiser_requires_spiked():

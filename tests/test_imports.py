@@ -1,0 +1,67 @@
+"""Import footprint: numpy is the only heavy dependency that `import amp_lab`
+and the non-spiked paths load; scipy.linalg (for LAPACK dlasd4) loads only
+when a spiked instance is factored."""
+
+import json
+import os
+import subprocess
+import sys
+
+import amp_lab
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(amp_lab.__file__)))
+REPORT = 'print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))'
+
+
+def _scipy_modules(code: str, *args: str) -> set:
+    """The scipy modules loaded after running `code` in a fresh interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               AMP_LAB_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + "\n" + REPORT,
+                           *args], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def _write_config(tmp_path, **cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules("import amp_lab, amp_lab.cli") == set()
+
+
+def test_nonspiked_run_and_verification_load_no_scipy(tmp_path):
+    cfg = _write_config(tmp_path, law="mp:alpha=0.3", N=64, T=2, algo="ri-amp",
+                        denoiser="tanh", runs=1)
+    code = """
+import numpy as np
+from amp_lab.cli import main
+from amp_lab.denoisers import tanh_denoiser
+from amp_lab.engines import run_ri_amp, verify_unfolding
+from amp_lab.laws import Semicircle
+from amp_lab.randmat import build_rot_invariant
+assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+law = Semicircle()
+ens = build_rot_invariant(law.quantile_grid(64).atoms, seed=1)
+u1 = np.random.default_rng(2).choice([-1.0, 1.0], size=64)
+run = run_ri_amp(ens, law, [tanh_denoiser(t) for t in (1, 2)], u1, 2, mode="grid")
+assert verify_unfolding(run).max_error < 1e-8
+"""
+    assert _scipy_modules(code, cfg, str(tmp_path / "out")) == set()
+
+
+def test_spiked_run_loads_only_scipy_linalg(tmp_path):
+    cfg = _write_config(tmp_path, law="mp:alpha=0.2", N=64, T=2, theta=1.5, omega=0.3,
+                        algo="ri-amp-mp", denoiser="linear-mmse-combining",
+                        matrix_fn="mp-denoise", runs=1)
+    code = """
+from amp_lab.cli import main
+assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+"""
+    mods = _scipy_modules(code, cfg, str(tmp_path / "out"))
+    assert "scipy.linalg" in mods
+    assert not mods & {"scipy.integrate", "scipy.special", "scipy.optimize"}

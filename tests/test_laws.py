@@ -2,16 +2,18 @@
 and the law-spec / file parsers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from amp_lab.errors import ValidationError
+from amp_lab.errors import NumericalError, ValidationError
 from amp_lab.laws import (
     DiscreteGrid,
     ExternalDensity,
     MarchenkoPastur,
     Semicircle,
+    catalan,
     load_law_file,
     parse_law_spec,
     point_mass,
@@ -188,3 +190,101 @@ def test_load_law_file_errors_carry_line_numbers(tmp_path):
     r.write_text("# nothing\n")
     with pytest.raises(ValidationError, match="no data"):
         load_law_file(str(r))
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre expectation engine
+# ---------------------------------------------------------------------------
+
+def _quad_reference(law, f):
+    """E[f] by adaptive scipy quadrature over the arcsine substitution."""
+    from scipy import integrate
+
+    if isinstance(law, Semicircle):
+        r = 2.0 * math.sqrt(law.variance)
+
+        def integrand(theta):
+            return f(r * np.sin(theta)) * (2.0 / np.pi) * np.cos(theta) ** 2
+    else:
+        a_minus, a_plus = law.edges
+        mid, half = 0.5 * (a_plus + a_minus), 0.5 * (a_plus - a_minus)
+
+        def integrand(theta):
+            lam = mid + half * np.sin(theta)
+            return f(lam) * half**2 * np.cos(theta) ** 2 / (2.0 * np.pi * law.alpha * lam)
+
+    with warnings.catch_warnings():  # its roundoff warnings on odd integrands
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(integrand, -np.pi / 2, np.pi / 2, epsabs=1e-12,
+                                epsrel=1e-12, limit=200)
+    return val
+
+
+def _engine_integrands(law):
+    from amp_lab.freeprob import build_poly_family
+    from amp_lab.se import mp_denoise_fn
+
+    fs = [lambda x, n=n: x**n for n in range(21)]
+    if isinstance(law, MarchenkoPastur):
+        g = mp_denoise_fn(1.5, law.alpha)
+        fs += [lambda x, k=k: g(x) ** k for k in range(1, 11)]
+    z = 0.7 + 0.3j  # as in test_stieltjes_matches_quadrature
+    fs += [lambda x: np.real(1.0 / (z - x)), lambda x: np.imag(1.0 / (z - x))]
+    fam = build_poly_family(law, "Q", 6)
+    fs += [lambda x, i=i, j=j: fam.evaluate(i, x) * fam.evaluate(j, x)
+           for i in range(7) for j in range(i, 7)]
+    return fs
+
+
+@pytest.mark.parametrize("law", [Semicircle(), Semicircle(variance=2.0)]
+                         + [MarchenkoPastur(alpha=a) for a in (0.2, 0.5, 0.9, 0.99)],
+                         ids=lambda law: repr(law))
+def test_expect_matches_scipy_quad(law):
+    for f in _engine_integrands(law):
+        ref = _quad_reference(law, f)
+        assert abs(law.expect(f) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
+def test_mp_closed_form_moments_match_expectation(alpha):
+    mp = MarchenkoPastur(alpha=alpha)
+    assert mp.moment(0) == 1.0
+    for n in range(1, 21):
+        by_quadrature = mp.expect(lambda x, n=n: x**n)
+        assert abs(mp.moment(n) - by_quadrature) <= 1e-13 * by_quadrature
+
+
+@pytest.mark.parametrize("f", [lambda x: np.sign(x - 0.3), lambda x: np.cos(1e4 * x),
+                               lambda x: 1.0 / (x - 0.3)])
+def test_expect_raises_when_rules_do_not_agree(f):
+    with pytest.raises(NumericalError, match="did not converge"):
+        Semicircle().expect(f)
+
+
+def test_expect_raises_on_non_finite_integrand():
+    with pytest.raises(NumericalError, match="not finite"):
+        MarchenkoPastur(alpha=0.3).expect(lambda x: np.log(x - 1.0))
+
+
+def test_expect_accepts_constant_integrand():
+    assert MarchenkoPastur(alpha=0.3).expect(lambda x: 2.5) == pytest.approx(2.5, abs=1e-13)
+
+
+def test_catalan_lives_in_laws():
+    import amp_lab.freeprob
+
+    assert amp_lab.freeprob.catalan is catalan
+    assert [catalan(k) for k in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+    assert Semicircle(variance=2.0).moment(8) == 14 * 2.0**4
+
+
+@pytest.mark.parametrize("law", [Semicircle(variance=1.5), MarchenkoPastur(alpha=0.2),
+                                 ExternalDensity(grid=np.linspace(0.0, 2.0, 9),
+                                                 density=np.linspace(1.0, 3.0, 9))],
+                         ids=lambda law: type(law).__name__)
+def test_cdf_grid_equals_scipy_cumulative_trapezoid(law):
+    from scipy.integrate import cumulative_trapezoid
+
+    lam, cdf = law.cdf_grid(5001)
+    ref = cumulative_trapezoid(law._density_vector(lam), lam, initial=0.0)
+    assert np.array_equal(cdf, ref / ref[-1])

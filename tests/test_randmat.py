@@ -375,6 +375,30 @@ def test_diag_rank_one_eigh_peak_memory():
     assert peak <= 2.5 * V.nbytes
 
 
+@pytest.mark.parametrize("case", ["sorted", "unsorted-with-ties"])
+def test_diag_rank_one_eigh_builds_eigenvectors_in_place(case):
+    # the secular eigenvectors are formed in V's own storage: V is the only
+    # N x N array, in the sorted case the CLI takes and with grouping,
+    # deflation and a row permutation
+    N = 1000
+    rng = np.random.default_rng(1)
+    lam, z = np.sort(rng.standard_normal(N)), rng.standard_normal(N)
+    if case == "unsorted-with-ties":
+        lam[100:140] = lam[100]
+        z[500:520] = 0.0
+        perm = rng.permutation(N)
+        lam, z = lam[perm], z[perm]
+    tracemalloc.start()
+    try:
+        mu, V = diag_rank_one_eigh(lam, z, 1.5 / N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * V.nbytes
+    assert np.max(np.abs(V.T @ V - np.eye(N))) <= 1e-12
+    assert np.max(np.abs((V * mu) @ V.T - (np.diag(lam) + 1.5 / N * np.outer(z, z)))) <= 1e-12
+
+
 def test_diag_rank_one_eigh_reconstructs():
     # unsorted diagonal with a tie and a zero coupling
     lam = np.array([3.0, -1.0, 2.0, -1.0, 0.5])
