@@ -1,4 +1,9 @@
-"""Free cumulants, rotationally-invariant AMP, and state evolution."""
+"""Free cumulants, rotationally-invariant AMP, and state evolution.
+
+The package namespace carries the error classes, the five AMP runners with
+their state-evolution recursions and verifiers, and the names the demos and
+the README use.  Everything else is imported from its submodule.
+"""
 
 from .errors import (
     AmpLabError,
@@ -8,68 +13,29 @@ from .errors import (
     UnsupportedVariantError,
     ValidationError,
 )
-from .laws import (
-    DiscreteGrid,
-    ExternalDensity,
-    MarchenkoPastur,
-    Semicircle,
-    SpectralLaw,
-    catalan,
-    load_law_file,
-    parse_law_spec,
-    point_mass,
-)
+from .laws import MarchenkoPastur, Semicircle, load_law_file
 from .freeprob import (
-    CumulantTable,
-    PartialMomentTable,
-    PolyFamily,
     build_poly_family,
     cumulants_from_law,
     cumulants_to_moments_nc,
-    enumerate_nc_partitions,
-    enumerate_step_tuples,
-    is_noncrossing,
     mc_cumulants,
-    mc_moments,
     moments_to_cumulants,
     partial_moments,
-    partition_to_tuple,
 )
 from .randmat import (
-    OverlapMeasure,
-    Prior,
-    RotInvEnsemble,
     SpikedInstance,
     build_rot_invariant,
     build_spiked,
     goe_ensemble,
     load_matrix,
     make_prior,
-    matrix_function,
     overlap_measure,
-    sample_goe,
     sample_haar_orthogonal,
     save_matrix,
-    trace_free_center,
 )
-from .denoisers import (
-    Denoiser,
-    constant_denoiser,
-    identity_denoiser,
-    linear_denoiser,
-    linear_mmse_combining_denoiser,
-    mmse_rademacher_denoiser,
-    random_lipschitz_denoiser,
-    tanh_denoiser,
-)
+from .denoisers import linear_mmse_combining_denoiser, tanh_denoiser
 from .engines import (
-    AmpRun,
-    UnfoldedRepresentation,
-    diagnostics_csv,
-    orthogonal_decompose,
     orthogonality_residuals,
-    ri_amp_debias,
-    ri_amp_mp_debias,
     run_gaussian_amp,
     run_oamp,
     run_ri_amp,
@@ -80,22 +46,15 @@ from .engines import (
 )
 from .se import (
     McConfig,
-    NuMeasure,
     SeInit,
-    SeState,
-    check_pole_free,
-    fan_se_form,
     find_outlier,
     gaussian_amp_se,
-    gaussian_expectations,
     mp_denoise_fn,
     nu_measure,
     oamp_se,
-    population_moments,
     ri_amp_df_se,
     ri_amp_se,
     spiked_se,
-    theorem_sigma,
 )
 
 __version__ = "0.1.0"

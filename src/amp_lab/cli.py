@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .denoisers import (Denoiser, identity_denoiser, linear_mmse_combining_denoiser,
+from .denoisers import (identity_denoiser, linear_mmse_combining_denoiser,
                         mmse_rademacher_denoiser, random_lipschitz_denoiser,
                         tanh_denoiser)
 from .engines import (HORIZON_CAP, orthogonality_residuals, run_gaussian_amp,
@@ -72,6 +72,13 @@ def _seed_bytes(N: int, algo: str, spiked: bool) -> int:
     return (4 + (16 if spiked else 0)) * N * N
 
 
+def _check_fits_memory(need: int, what: str) -> None:
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValidationError(f"{what} needs about {need / 2**30:.1f} GiB, more than "
+                              f"the {have / 2**30:.1f} GiB of physical memory")
+
+
 @dataclass
 class ExperimentConfig:
     law: str
@@ -117,12 +124,8 @@ class ExperimentConfig:
             if make_prior(self.prior).second_moment != 1.0:
                 raise ValidationError("MMSE denoisers need a unit-second-moment prior")
         workers = _worker_count(self.runs)
-        need = workers * _seed_bytes(self.N, self.algo, self.spiked)
-        have = _physical_memory_bytes()
-        if have is not None and need > have:
-            raise ValidationError(
-                f"N={self.N} needs about {need / 2**30:.1f} GiB for {workers} concurrent "
-                f"seed(s), more than the {have / 2**30:.1f} GiB of physical memory")
+        _check_fits_memory(workers * _seed_bytes(self.N, self.algo, self.spiked),
+                           f"N={self.N} with {workers} concurrent seed(s)")
 
     @property
     def spiked(self) -> bool:
@@ -324,11 +327,7 @@ def _single_run(cfg: ExperimentConfig, law, f, states, run_idx: int):
         runner = run_ri_amp if cfg.algo == "ri-amp" else run_ri_amp_df
         run = runner(ens, law, dens, u1, cfg.T, mode="grid")
     elif cfg.algo == "gaussian-amp":
-        # inject u_1 through a zero-derivative first denoiser so the first
-        # Onsager term vanishes (the conventional u_0 = 0 start)
-        init_den = Denoiser("init", 1, lambda R, v=u1: v, lambda R: np.zeros_like(R))
-        schedule = [init_den] + list(states)
-        run = run_gaussian_amp(ens, schedule, np.zeros(cfg.N), cfg.T)
+        run = run_gaussian_amp(ens, states, u1, cfg.T)
     elif cfg.algo == "oamp":
         factory = resolve_denoiser_factory(cfg.denoiser, False)
         g_sched = [factory(t, None, states[t - 1]) for t in range(1, cfg.T + 1)]
@@ -479,6 +478,11 @@ def cmd_cumulants(args) -> int:
     law = parse_law_spec(args.law)
     if args.order < 1:
         raise ValidationError("order must be >= 1")
+    if args.mc:
+        if args.replicas < 1 or args.dim < 1:
+            raise ValidationError("--replicas and --dim must be >= 1")
+        # the replicas run one after another, each on one Haar ensemble
+        _check_fits_memory(_seed_bytes(args.dim, "ri-amp", False), f"--dim {args.dim}")
     table = cumulants_from_law(law, args.order)
     header = ["n", "m_n", "kappa_n"]
     extra = None

@@ -1,9 +1,9 @@
 """Rowwise-separable iterate denoisers with analytic or finite-difference partials.
 
-A denoiser at step t maps the history rows (r_1[n], ..., r_t[n]) (plus optional
-side information a[n]) to a scalar.  Most denoisers are projections,
-eta(R) = g(p^T R) for a fixed vector p and a scalar link g; state evolution
-integrates those exactly by quadrature over at most two projections.
+A denoiser at step t maps the history rows (r_1[n], ..., r_t[n]) to a
+scalar.  Most denoisers are projections, eta(R) = g(p^T R) for a fixed vector
+p and a scalar link g; state evolution integrates those exactly by quadrature
+over at most two projections.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ FD_STEP = 1e-5
 
 @dataclass(frozen=True, eq=False)  # identity equality and hash: `projection` is an array
 class Denoiser:
-    """eta: (t, N) history array [+ side info] -> (N,) output.
+    """eta: (t, N) history array -> (N,) output.
 
     A projection denoiser sets `projection` p (length `arity`, zero entries
     for unread rows), an elementwise `link` g and its derivative `link_prime`:
-    eta(R) = g(p^T R) and d eta / d r_i = p_i g'(p^T R).  Otherwise `fn(R, a)`
-    and optional `partial_fn(R, a) -> (t, N)` operate on the full history;
+    eta(R) = g(p^T R) and d eta / d r_i = p_i g'(p^T R).  Otherwise `fn(R)`
+    and optional `partial_fn(R) -> (t, N)` operate on the full history;
     partials w.r.t. unused inputs must be zero.
     """
 
@@ -34,7 +34,6 @@ class Denoiser:
     fn: Callable | None = None
     partial_fn: Callable | None = None
     lipschitz_bound: float = float("inf")
-    uses_side_info: bool = False
     projection: np.ndarray | None = None
     link: Callable | None = None
     link_prime: Callable | None = None
@@ -45,30 +44,29 @@ class Denoiser:
             return frozenset(range(1, self.arity + 1))
         return frozenset(int(i) + 1 for i in np.flatnonzero(self.projection))
 
-    def _apply(self, R: np.ndarray, a) -> np.ndarray:
+    def _apply(self, R: np.ndarray) -> np.ndarray:
         if self.projection is not None:
             return self.link(self.projection @ R)
-        return self.fn(R, a) if self.uses_side_info else self.fn(R)
+        return self.fn(R)
 
-    def evaluate(self, R: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+    def evaluate(self, R: np.ndarray) -> np.ndarray:
         R = np.atleast_2d(np.asarray(R, dtype=float))
         if R.shape[0] != self.arity:
             raise ValidationError(
                 f"denoiser {self.name!r} expects {self.arity} history rows, got {R.shape[0]}"
             )
-        return np.asarray(self._apply(R, a), dtype=float)
+        return np.asarray(self._apply(R), dtype=float)
 
-    def partials(self, R: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+    def partials(self, R: np.ndarray) -> np.ndarray:
         """(t, N) array of partial derivatives; finite differences as fallback."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
         if self.projection is not None:
             return self.projection[:, None] * self.link_prime(self.projection @ R)[None, :]
         if self.partial_fn is not None:
-            out = self.partial_fn(R, a) if self.uses_side_info else self.partial_fn(R)
-            return np.asarray(out, dtype=float)
-        return self._fd_partials(R, a)
+            return np.asarray(self.partial_fn(R), dtype=float)
+        return self._fd_partials(R)
 
-    def _fd_partials(self, R: np.ndarray, a) -> np.ndarray:
+    def _fd_partials(self, R: np.ndarray) -> np.ndarray:
         out = np.zeros_like(R)
         deps = self.depends_on()
         for i in range(R.shape[0]):
@@ -79,14 +77,14 @@ class Denoiser:
             Rp[i] = R[i] + h
             Rm = R.copy()
             Rm[i] = R[i] - h
-            fp = self._apply(Rp, a)
-            fm = self._apply(Rm, a)
+            fp = self._apply(Rp)
+            fm = self._apply(Rm)
             out[i] = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h)
         return out
 
-    def divergences(self, R: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+    def divergences(self, R: np.ndarray) -> np.ndarray:
         """Empirical divergence row <d_i eta> (length t)."""
-        return self.partials(R, a).mean(axis=1)
+        return self.partials(R).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +105,25 @@ def _last(t: int, scale: float = 1.0) -> np.ndarray:
     p = np.zeros(t)
     p[-1] = scale
     return p
+
+
+def last_row_denoiser(den: Denoiser, t: int) -> Denoiser:
+    """The single-memory (arity-1) denoiser `den` as a memory-t one that
+    reads only the last history row r_t."""
+    if den.arity != 1:
+        raise ValidationError(
+            f"denoiser {den.name!r} is not single-memory: arity {den.arity}, expected 1")
+    if den.projection is not None:
+        return projection_denoiser(den.name, _last(t, den.projection[0]),
+                                   den.link, den.link_prime)
+
+    def partial(R):
+        out = np.zeros_like(R)
+        out[-1] = den.partials(R[-1:])[0]
+        return out
+
+    return Denoiser(den.name, t, lambda R: den.evaluate(R[-1:]), partial,
+                    lipschitz_bound=den.lipschitz_bound)
 
 
 def _identity(s):

@@ -1,8 +1,10 @@
 """Iterative algorithms: Gaussian AMP, RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP.
 
-All variants share the same bookkeeping: iterates r_t / u_t, the orthogonal
-(divergence-free) residuals ubar_t, the empirical divergence matrix Phi_hat,
-and the de-biasing coefficients actually used at each step.  The unfolding
+All variants run one loop, `_run_loop`, and differ only in a step hook that
+forms r_t from the matrix and the history.  The loop keeps the shared
+bookkeeping: iterates r_t / u_t, the orthogonal (divergence-free) residuals
+ubar_t, the empirical divergence matrix Phi_hat, and the de-biasing
+coefficients each hook subtracted at each step.  The unfolding
 verifier reconstructs every r_t as a triangular matrix of polynomials in the
 driving matrix applied to (ubar_1..ubar_t) — an exact algebraic identity when
 the de-biasing coefficients come from the realized eigenvalue grid.
@@ -11,14 +13,14 @@ the de-biasing coefficients come from the realized eigenvalue grid.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .denoisers import Denoiser
+from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, UnsupportedVariantError, ValidationError
-from .freeprob import build_poly_family, moments_to_cumulants
+from .freeprob import build_poly_family, moments_to_cumulants, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
 from .randmat import (HouseholderRotation, RotInvEnsemble, SpikedInstance, _eigh,
                       _map_eigenvalues)
@@ -93,7 +95,7 @@ class AmpRun:
     diagnostics: list
     operator: MatrixOperator
     debias_law: SpectralLaw
-    denoisers: list = field(default_factory=list)
+    denoisers: list  # denoisers[t-1] maps r_1..r_t to u_{t+1}
     f_schedule: list | None = None
     mode: str = "grid"
 
@@ -137,13 +139,17 @@ def _debias_law(mode: str, law: SpectralLaw | None, w_eigenvalues: np.ndarray) -
     raise ValidationError(f"unknown cumulant mode {mode!r} (use 'grid' or 'population')")
 
 
+def _subtract(v: np.ndarray, row: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
+    """v - sum_i row[i] basis[i], summed in index order."""
+    for i in range(row.size):
+        v = v - row[i] * basis[i]
+    return v
+
+
 def orthogonal_decompose(history: Sequence[np.ndarray], u_next: np.ndarray,
                          div_row: np.ndarray) -> np.ndarray:
     """ubar = u_next - sum_i <d_i u_next> r_i."""
-    ubar = u_next.copy()
-    for i, r_i in enumerate(history):
-        ubar -= div_row[i] * r_i
-    return ubar
+    return _subtract(u_next, div_row, history)
 
 
 def ri_amp_debias(kappa: Sequence[float], phi_hat: np.ndarray) -> np.ndarray:
@@ -153,10 +159,8 @@ def ri_amp_debias(kappa: Sequence[float], phi_hat: np.ndarray) -> np.ndarray:
     if np.any(np.abs(np.triu(phi_hat)) > 0):
         raise ValidationError("phi_hat must be strictly lower triangular")
     B = np.zeros((t, t))
-    P = np.eye(t)
-    for i in range(1, t + 1):
-        B += float(kappa[i - 1]) * P
-        P = P @ phi_hat
+    for i, P in enumerate(phi_powers(phi_hat, t)):
+        B += float(kappa[i]) * P
     return B
 
 
@@ -206,15 +210,21 @@ def _mp_debias_row(phi: np.ndarray, F: np.ndarray, E: np.ndarray,
         raise NumericalError(f"singular row system at row {n}") from exc
 
 
+def _f_minus_e(F: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """diag(F(lambda)) - E per node, shape (nodes, t, t); F[i] holds f_{i+1}
+    at the nodes."""
+    t, n = F.shape
+    FmE = np.broadcast_to(-E, (n, t, t)).copy()
+    idx = np.arange(t)
+    FmE[:, idx, idx] += F.T
+    return FmE
+
+
 def _neumann_factor(phi: np.ndarray, F: np.ndarray, E: np.ndarray) -> np.ndarray:
     """S(lambda) = sum_k (Phi (F(lambda) - E))^k per node, shape (nodes, t, t)."""
     t = phi.shape[0]
-    nA = F.shape[1]
-    FmE = np.broadcast_to(-E, (nA, t, t)).copy()
-    idx = np.arange(t)
-    FmE[:, idx, idx] += F.T
-    M = np.einsum("ij,ajk->aik", phi, FmE)
-    S = np.broadcast_to(np.eye(t), (nA, t, t)).copy()
+    M = np.einsum("ij,ajk->aik", phi, _f_minus_e(F, E))
+    S = np.broadcast_to(np.eye(t), (M.shape[0], t, t)).copy()
     P = M.copy()
     for _ in range(1, t):
         S += P
@@ -222,8 +232,20 @@ def _neumann_factor(phi: np.ndarray, F: np.ndarray, E: np.ndarray) -> np.ndarray
     return S
 
 
+def _prepare(M, law: SpectralLaw | None, mode: str, T: int):
+    """(T, operator, debias law) of a run: the checked horizon, the factored
+    matrix and the law whose cumulants debias it."""
+    T = _resolve_horizon(T)
+    operator, w_eigs = as_operator(M)
+    return T, operator, _debias_law(mode, law, w_eigs)
+
+
 def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, mode,
               f_schedule=None):
+    """The iteration every variant shares.  At step t the variant's hook
+    `r_step(t, u, ubar, phi[:t, :t])` returns r_t and the coefficient row it
+    subtracted; then u_{t+1} = denoisers[t-1](r_1..r_t), its divergence row
+    and the divergence-free residual ubar_{t+1} are recorded."""
     N = operator.N
     u1 = np.asarray(u1, dtype=float)
     if u1.shape != (N,):
@@ -262,18 +284,12 @@ def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, mode,
 def run_ri_amp(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
                u1: np.ndarray, T: int, mode: str = "grid") -> AmpRun:
     """r_t = W u_t - sum_i b_{t,i} u_i with B_t = sum kappa_i Phi_hat^{i-1}."""
-    T = _resolve_horizon(T)
-    operator, w_eigs = as_operator(M)
-    dlaw = _debias_law(mode, law, w_eigs)
+    T, operator, dlaw = _prepare(M, law, mode, T)
     kappa = [float(k) for k in moments_to_cumulants(dlaw.moments(T)).cumulants]
 
     def r_step(t, u, ubar, phi_t):
-        B = ri_amp_debias(kappa[:t], phi_t)
-        row = B[t - 1]
-        r_t = operator.apply(u[t - 1])
-        for i in range(t):
-            r_t = r_t - row[i] * u[i]
-        return r_t, row
+        row = ri_amp_debias(kappa[:t], phi_t)[t - 1]
+        return _subtract(operator.apply(u[t - 1]), row, u), row
 
     return _run_loop("RIAMP", operator, dlaw, denoisers, u1, T, r_step, mode)
 
@@ -282,18 +298,12 @@ def run_ri_amp_df(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
                   u1: np.ndarray, T: int, mode: str = "grid") -> AmpRun:
     """r_t = W u_t - sum_i c_{t,i} ubar_i with C_t = sum gamma_i Phi_hat^{i-1};
     gamma are the one-step centering constants of the H family."""
-    T = _resolve_horizon(T)
-    operator, w_eigs = as_operator(M)
-    dlaw = _debias_law(mode, law, w_eigs)
+    T, operator, dlaw = _prepare(M, law, mode, T)
     gamma = list(build_poly_family(dlaw, "H", T).centering)
 
     def r_step(t, u, ubar, phi_t):
-        C = ri_amp_debias(gamma[:t], phi_t)
-        row = C[t - 1]
-        r_t = operator.apply(u[t - 1])
-        for i in range(t):
-            r_t = r_t - row[i] * ubar[i]
-        return r_t, row
+        row = ri_amp_debias(gamma[:t], phi_t)[t - 1]
+        return _subtract(operator.apply(u[t - 1]), row, ubar), row
 
     return _run_loop("RIAMPDF", operator, dlaw, denoisers, u1, T, r_step, mode)
 
@@ -303,9 +313,7 @@ def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
     """r_t = f_t(M) u_t - sum_i e_{t,i} u_i; E_t solves the trace-free equation
     over the (grid or population) law of W.  M may be a spiked instance, in
     which case f_t acts on the eigenvalues of Y."""
-    T = _resolve_horizon(T)
-    operator, w_eigs = as_operator(M)
-    dlaw = _debias_law(mode, law, w_eigs)
+    T, operator, dlaw = _prepare(M, law, mode, T)
     f_schedule = list(f) if isinstance(f, (list, tuple)) else [f] * T
     if len(f_schedule) < T:
         raise ValidationError("f schedule shorter than horizon")
@@ -317,113 +325,52 @@ def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
     def r_step(t, u, ubar, phi_t):
         row = _mp_debias_row(phi_t, F[:t], E[:t, :t], w)
         E[t - 1, :t] = row
-        r_t = operator.apply_values(fvals[t - 1], u[t - 1])
-        for i in range(t):
-            r_t = r_t - row[i] * u[i]
-        return r_t, row
+        return _subtract(operator.apply_values(fvals[t - 1], u[t - 1]), row, u), row
 
     return _run_loop("RIAMPMP", operator, dlaw, denoisers, u1, T, r_step, mode,
                      f_schedule=f_schedule)
 
 
-def run_gaussian_amp(M, denoisers: Sequence[Denoiser], u0: np.ndarray, T: int) -> AmpRun:
+def run_gaussian_amp(M, denoisers: Sequence[Denoiser], u1: np.ndarray, T: int) -> AmpRun:
     """Single-memory AMP for Wigner-type matrices:
-    u_1 = eta_1(u_0); r_t = W u_t - <eta_t'> u_{t-1}; u_{t+1} = eta_{t+1}(r_t).
+    r_t = W u_t - <eta_t'> u_{t-1}; u_{t+1} = eta_{t+1}(r_t).
 
-    `denoisers` holds eta_1..eta_{T+1}; eta_1 acts on u_0.
+    `denoisers[t-1]` is eta_{t+1}, the arity-1 map from r_t to u_{t+1}.  This
+    is RI-AMP under the semicircle cumulants (0, 1, 0, ...): B_t = Phi_hat, so
+    the Onsager row of step t is the divergence row of u_t, whose only entry
+    is <eta_t'> at u_{t-1}.
     """
-    T = _resolve_horizon(T)
-    operator, w_eigs = as_operator(M)
-    if len(denoisers) < T + 1:
-        raise ValidationError(f"need {T + 1} denoisers (eta_1..eta_{T + 1})")
-    N = operator.N
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (N,):
-        raise ValidationError("u_0 must be a length-N vector")
-    eta1 = denoisers[0]
-    u1 = eta1.evaluate(u0[None, :])
-    onsager_prev = float(eta1.divergences(u0[None, :])[-1])  # <eta_1'(u_0)>
-    u = [u1]
-    ubar = [u1.copy()]
-    r: list = []
-    phi = np.zeros((T + 1, T + 1))
-    debias = np.zeros((T, T))
-    diagnostics = []
-    prev = u0
-    for t in range(1, T + 1):
-        r_t = operator.apply(u[t - 1]) - onsager_prev * prev
-        _check_finite(r_t, t, "r")
-        r.append(r_t)
-        if t >= 2:
-            debias[t - 1, t - 2] = onsager_prev
-        den = denoisers[t]
-        if den.arity != 1:
-            raise ValidationError("Gaussian AMP requires single-memory (arity-1) denoisers")
-        u_next = den.evaluate(r_t[None, :])
-        _check_finite(u_next, t, "u")
-        d_last = float(den.divergences(r_t[None, :])[-1])
-        phi[t, t - 1] = d_last
-        u.append(u_next)
-        ubar.append(u_next - d_last * r_t)
-        prev = u[t - 1]
-        onsager_prev = d_last
-        diagnostics.append({
-            "t": t,
-            "norm_r": float(np.linalg.norm(r_t) / np.sqrt(N)),
-            "norm_u": float(np.linalg.norm(u_next) / np.sqrt(N)),
-        })
-    dlaw = DiscreteGrid(atoms=np.sort(w_eigs))
-    return AmpRun(variant="GaussianAMP", r=r, u=u, ubar=ubar, phi=phi, debias=debias,
-                  diagnostics=diagnostics, operator=operator, debias_law=dlaw,
-                  denoisers=list(denoisers), mode="grid")
+    T, operator, dlaw = _prepare(M, None, "grid", T)
+    lifted = [last_row_denoiser(den, t) for t, den in enumerate(denoisers[:T], start=1)]
+
+    def r_step(t, u, ubar, phi_t):
+        row = phi_t[t - 1]
+        return _subtract(operator.apply(u[t - 1]), row, u), row
+
+    return _run_loop("GaussianAMP", operator, dlaw, lifted, u1, T, r_step, "grid")
 
 
 def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
-             xbar1: np.ndarray, T: int, side_info: np.ndarray | None = None) -> AmpRun:
+             xbar1: np.ndarray, T: int) -> AmpRun:
     """Orthogonal AMP: x_t = (f_t(W) - tr f_t(W)/N I) xbar_t;
-    xbar_{t+1} = g_{t+1}(x_1..x_t; a) - sum_i <d_i g> x_i.
+    xbar_{t+1} = g_{t+1}(x_1..x_t) - sum_i <d_i g> x_i.
 
-    Stored with x_t in the `r` slot and xbar_t in the `ubar` slot (the run
-    record shares the RI-AMP layout)."""
-    T = _resolve_horizon(T)
-    operator, w_eigs = as_operator(M)
-    N = operator.N
-    xbar1 = np.asarray(xbar1, dtype=float)
-    if xbar1.shape != (N,):
-        raise ValidationError("xbar_1 must be a length-N vector")
-    if len(f_schedule) < T or len(g_schedule) < T:
-        raise ValidationError("need T matrix denoisers and T iterate denoisers")
-    x: list = []
-    xbar = [xbar1]
-    u = [xbar1]
-    phi = np.zeros((T + 1, T + 1))
-    debias = np.zeros((T, T))
-    diagnostics = []
-    for t in range(1, T + 1):
-        fv = _map_eigenvalues(f_schedule[t - 1], operator.eigenvalues)
-        fv_centered = fv - fv.mean()  # exact trace-free centering
-        x_t = operator.apply_values(fv_centered, xbar[t - 1])
-        _check_finite(x_t, t, "x")
-        x.append(x_t)
-        den = g_schedule[t - 1]
-        R = np.vstack(x)
-        g_val = den.evaluate(R, side_info)
-        _check_finite(g_val, t, "xbar")
-        d = den.divergences(R, side_info)
-        phi[t, :t] = d
-        debias[t - 1, :t] = d
-        xbar_next = orthogonal_decompose(x, g_val, d)
-        xbar.append(xbar_next)
-        u.append(g_val)
-        diagnostics.append({
-            "t": t,
-            "norm_r": float(np.linalg.norm(x_t) / np.sqrt(N)),
-            "norm_u": float(np.linalg.norm(g_val) / np.sqrt(N)),
-        })
-    dlaw = DiscreteGrid(atoms=np.sort(w_eigs))
-    return AmpRun(variant="OAMP", r=x, u=u, ubar=xbar, phi=phi, debias=debias,
-                  diagnostics=diagnostics, operator=operator, debias_law=dlaw,
-                  f_schedule=list(f_schedule[:T]), mode="grid")
+    Stored in the shared run layout with x_t in the `r` slot, g_{t+1} in `u`
+    and xbar_t in `ubar`.  The x-step subtracts nothing, so the `debias`
+    rows are zero."""
+    T, operator, dlaw = _prepare(M, None, "grid", T)
+    if len(f_schedule) < T:
+        raise ValidationError(f"need {T} matrix denoisers for horizon T={T}")
+    centered = []
+    for f in f_schedule[:T]:
+        fv = _map_eigenvalues(f, operator.eigenvalues)
+        centered.append(fv - fv.mean())  # exact trace-free centering
+
+    def r_step(t, u, ubar, phi_t):
+        return operator.apply_values(centered[t - 1], ubar[t - 1]), np.zeros(t)
+
+    return _run_loop("OAMP", operator, dlaw, g_schedule, xbar1, T, r_step, "grid",
+                     f_schedule=list(f_schedule[:T]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +395,11 @@ def _poly_matrix_values(run: AmpRun, law: SpectralLaw, lam: np.ndarray) -> np.nd
         kind = "Q" if run.variant in ("RIAMP", "GaussianAMP") else "H"
         fam = build_poly_family(law, kind, T)
         vals = np.vstack([fam.evaluate(i, lam) for i in range(1, T + 1)])  # (T, n)
-        pows = np.empty((T, T, T))
-        P = np.eye(T)
-        for i in range(T):
-            pows[i] = P
-            P = P @ Phi
-        return np.einsum("isj,in->sjn", pows, vals)
+        return np.einsum("isj,in->sjn", phi_powers(Phi, T), vals)
     if run.variant == "RIAMPMP":
-        E = np.tril(run.debias)
         F = np.vstack([_map_eigenvalues(ft, lam) for ft in run.f_schedule])  # (T, n)
-        n = lam.size
-        FmE = np.broadcast_to(-E, (n, T, T)).copy()
-        idx = np.arange(T)
-        FmE[:, idx, idx] += F.T
-        A = np.broadcast_to(np.eye(T), (n, T, T)).copy() - FmE @ Phi
-        J = np.linalg.solve(A, FmE)
+        FmE = _f_minus_e(F, np.tril(run.debias))
+        J = np.linalg.solve(np.eye(T) - FmE @ Phi, FmE)
         return np.transpose(J, (1, 2, 0))
     raise UnsupportedVariantError(
         f"no unfolding representation for variant {run.variant!r}"
@@ -508,20 +445,9 @@ def ubar_divergences(run: AmpRun) -> float:
     """Max |empirical divergence of ubar_{t+1} w.r.t. r_i| — exactly zero by
     construction with analytic partials; recomputed here from scratch."""
     worst = 0.0
-    for t in range(1, run.T + 1):
-        if run.variant == "GaussianAMP":
-            if t >= len(run.denoisers):
-                continue
-            den = run.denoisers[t]  # eta_{t+1}, acts on r_t alone
-            d = den.divergences(run.r[t - 1][None, :])
-            resid = abs(float(d[-1]) - run.phi[t, t - 1])
-        else:
-            if t - 1 >= len(run.denoisers):
-                continue
-            den = run.denoisers[t - 1]
-            d = den.divergences(np.vstack(run.r[:t]))
-            resid = float(np.abs(d - run.phi[t, :t]).max())
-        worst = max(worst, resid)
+    for t, den in enumerate(run.denoisers[: run.T], start=1):
+        d = den.divergences(np.vstack(run.r[:t]))
+        worst = max(worst, float(np.abs(d - run.phi[t, :t]).max()))
     return worst
 
 

@@ -164,19 +164,10 @@ def moments_to_cumulants(moments: Sequence, order_cap: int = RECURSION_ORDER_CAP
         raise ValidationError("need at least one moment")
     if n_ord > order_cap:
         raise SizeLimitError(f"order {n_ord} exceeds the recursion cap {order_cap}")
-    one = moments[0] * 0 + 1  # unit in the input arithmetic
-    alpha = [[one]]  # row 0: Q_0 = 1
+    alpha = [[moments[0] * 0 + 1]]  # row 0: Q_0 = 1, in the input arithmetic
     kappas = [moments[0]]
     for n in range(1, n_ord):
-        row = []
-        for i in range(0, n):
-            prev = alpha[n - 1][i - 1] if i >= 1 else moments[0] * 0
-            acc = prev
-            for j in range(1, n - i + 1):
-                acc = acc - kappas[j - 1] * alpha[n - j][i]
-            row.append(acc)
-        row.append(one)
-        alpha.append(row)
+        alpha.append(_next_alpha_row(alpha, kappas))
         kappa_next = sum(alpha[n][j] * moments[j] for j in range(0, n + 1))
         kappas.append(kappa_next)
     return CumulantTable(
@@ -192,7 +183,8 @@ def cumulants_from_law(law: SpectralLaw, order: int) -> CumulantTable:
 
 
 def _next_alpha_row(alpha, kappas):
-    """Row n = len(alpha) of the coefficient recursion, given kappa_1..kappa_n."""
+    """Row n = len(alpha) of the coefficient recursion, given kappa_1..kappa_n
+    (the arithmetic of kappa_1 carries through, so Fractions stay exact)."""
     n = len(alpha)
     zero = kappas[0] * 0
     row = []
@@ -208,6 +200,20 @@ def _next_alpha_row(alpha, kappas):
 # ---------------------------------------------------------------------------
 # polynomial families (Q, H, K)
 # ---------------------------------------------------------------------------
+
+def phi_powers(Phi: np.ndarray, n: int) -> np.ndarray:
+    """Stack (n, t, t) of Phi^0..Phi^{n-1}, each the previous one times Phi.
+
+    Every polynomial in a divergence matrix Phi (debiasing matrices,
+    unfolding entries, SE covariance forms) is summed from this one stack."""
+    t = Phi.shape[0]
+    pows = np.empty((n, t, t))
+    P = np.eye(t)
+    for i in range(n):
+        pows[i] = P
+        P = P @ Phi
+    return pows
+
 
 @dataclass(frozen=True)
 class PolyFamily:

@@ -24,10 +24,19 @@ QUAD_TOL = 1e-12
 # first and largest Gauss-Legendre rule of `expect`; numpy's leggauss takes
 # about 1 s at 2048 nodes and 4 s at 4096, and its weights lose digits there
 EXPECT_NODES = (64, 2048)
+# bound on |lambda| over a law's support: below it every moment up to order
+# 20, the recursion cap of `freeprob`, is a finite float (1e15^20 = 1e300)
+SUPPORT_CAP = 1e15
 
 
 def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
+
+
+def _check_support(values, what: str) -> None:
+    """Reject values that are not finite or lie beyond +-SUPPORT_CAP."""
+    if not np.all(np.abs(np.asarray(values, dtype=float)) <= SUPPORT_CAP):
+        raise ValidationError(f"{what} must be finite and within +-{SUPPORT_CAP:g}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -153,8 +162,10 @@ class Semicircle(SpectralLaw):
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValidationError("semicircle variance must be positive")
+        if not self.variance > 0:
+            raise ValidationError(
+                f"semicircle variance must be positive and finite, got {self.variance!r}")
+        _check_support(2.0 * math.sqrt(self.variance), "semicircle radius 2 sqrt(var)")
 
     def support(self):
         r = 2.0 * math.sqrt(self.variance)
@@ -269,6 +280,7 @@ class DiscreteGrid(SpectralLaw):
         object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=float))
         if self.atoms.ndim != 1 or self.atoms.size == 0:
             raise ValidationError("atom list must be a nonempty 1-d array")
+        _check_support(self.atoms, "atoms")
 
     def support(self):
         return (float(self.atoms.min()), float(self.atoms.max()))
@@ -313,15 +325,18 @@ class ExternalDensity(SpectralLaw):
         d = np.asarray(self.density, dtype=float)
         if g.ndim != 1 or g.size < 2 or d.shape != g.shape:
             raise ValidationError("density table needs matching 1-d grid/density columns")
+        _check_support(g, "density grid")
         if np.any(np.diff(g) <= 0):
             raise ValidationError("density grid must be strictly increasing")
-        if np.any(d < 0):
-            raise ValidationError("density values must be nonnegative")
+        if not np.all(np.isfinite(d) & (d >= 0)):
+            raise ValidationError("density values must be finite and nonnegative")
         mass = np.trapezoid(d, g)
-        if mass <= 0:
-            raise ValidationError("density has zero total mass")
+        with np.errstate(all="ignore"):
+            d = d / mass
+        if not (0 < mass < np.inf and np.all(np.isfinite(d))):
+            raise ValidationError("density table needs a positive, finite total mass")
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "density", d / mass)
+        object.__setattr__(self, "density", d)
 
     def support(self):
         return (float(self.grid[0]), float(self.grid[-1]))
@@ -366,20 +381,24 @@ def load_law_file(path: str) -> SpectralLaw:
     """
     rows = []
     ncols = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if ncols is None:
-                ncols = len(parts)
-            if len(parts) != ncols or ncols not in (1, 2):
-                raise ValidationError(f"{path}:{lineno}: expected {ncols or '1 or 2'} columns")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if ncols is None:
+                    ncols = len(parts)
+                if len(parts) != ncols or ncols not in (1, 2):
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected {ncols or '1 or 2'} columns")
+                try:
+                    rows.append([float(p) for p in parts])
+                except ValueError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"law file {path!r}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     data = np.asarray(rows)

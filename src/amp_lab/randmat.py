@@ -218,29 +218,6 @@ def _map_eigenvalues(f: Callable, lam: np.ndarray) -> np.ndarray:
     return fv
 
 
-def matrix_function(W, f: Callable) -> np.ndarray:
-    """f(W) for symmetric W: eigendecompose once, map, reassemble."""
-    if isinstance(W, RotInvEnsemble):
-        lam, O = W.eigenvalues, _dense(W.eigenvectors)
-    else:
-        W = np.asarray(W, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValidationError("W must be square")
-        lam, O = _eigh(W)
-    fv = _map_eigenvalues(f, lam)
-    out = (O * fv[None, :]) @ O.T
-    return 0.5 * (out + out.T)
-
-
-def trace_free_center(A: np.ndarray) -> np.ndarray:
-    """A minus (tr A / N) times the identity."""
-    A = np.asarray(A, dtype=float)
-    N = A.shape[0]
-    out = A.copy()
-    out[np.diag_indices(N)] -= np.trace(A) / N
-    return out
-
-
 # ---------------------------------------------------------------------------
 # signal priors
 # ---------------------------------------------------------------------------

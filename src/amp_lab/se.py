@@ -24,7 +24,7 @@ import numpy as np
 
 from .denoisers import Denoiser, constant_denoiser
 from .errors import NumericalError, ValidationError
-from .freeprob import build_poly_family
+from .freeprob import build_poly_family, phi_powers
 from .laws import MarchenkoPastur, Semicircle, SpectralLaw
 from .randmat import Prior, build_rot_invariant, build_spiked, overlap_measure
 
@@ -325,19 +325,9 @@ def _family_gram(law: SpectralLaw, kind: str, t: int, f: Callable | None = None,
     return fam, gram_mu, mean_nu, gram_nu
 
 
-def _phi_powers(Phi: np.ndarray, t: int) -> np.ndarray:
-    pows = np.empty((t, t, t))
-    P = np.eye(t)
-    for i in range(t):
-        pows[i] = P
-        P = P @ Phi
-    return pows
-
-
 def theorem_sigma(gram: np.ndarray, Phi: np.ndarray, Delta: np.ndarray) -> np.ndarray:
     """Sigma = sum_{ij} gram_{ij} Phi^{i-1} Delta (Phi^{j-1})^T."""
-    t = Phi.shape[0]
-    pows = _phi_powers(Phi, t)
+    pows = phi_powers(Phi, Phi.shape[0])
     left = np.einsum("iab,bc->iac", pows, Delta)  # Phi^{i-1} Delta
     return np.einsum("ij,iac,jdc->ad", gram, left, pows)
 
@@ -351,9 +341,7 @@ def fan_se_form(kappa: Sequence[float], Phi: np.ndarray, Delta: np.ndarray) -> n
     jmax = 2 * t - 2
     if len(kappa) < jmax + 2:
         raise ValidationError(f"need kappa up to order {jmax + 2}")
-    pows = [np.eye(t)]
-    for _ in range(jmax):
-        pows.append(pows[-1] @ Phi)
+    pows = phi_powers(Phi, jmax + 1)
     Sigma = np.zeros((t, t))
     for j in range(jmax + 1):
         k = float(kappa[j + 1])
@@ -600,7 +588,7 @@ def spiked_se(law: SpectralLaw, theta: float, f: Callable, denoisers,
     states = []
     built = []
     for t in range(1, T + 1):
-        pows = _phi_powers(Phi, t)
+        pows = phi_powers(Phi, t)
         # beta = sum_i E_nu[K_i] Phi^{i-1} alpha
         Enu_J = np.einsum("i,iab->ab", mean_nu[:t], pows)
         beta = Enu_J @ alpha

@@ -290,6 +290,28 @@ def test_bad_law_spec_exits_1(spec, needle, capsys):
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--law", "file:"], ["--law", "file:/"], ["--law", "semicircle:var=nan"],
+    ["--law", "point:c=inf"], ["--law", "semicircle", "--mc", "--replicas", "0"],
+])
+def test_bad_cumulants_inputs_exit_1_with_one_line(args, capsys):
+    assert main(["cumulants", "--order", "2", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cumulants_mc_dim_beyond_physical_memory_exits_1(monkeypatch, capsys):
+    # one Haar ensemble holds 4 dim^2 bytes of reflectors, so dim=20000
+    # (1.6e9 bytes) does not fit 1 GiB; nothing large is allocated
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
+    argv = ["cumulants", "--law", "semicircle", "--order", "2", "--mc", "--replicas", "1"]
+    assert main(argv + ["--dim", "20000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "physical memory" in captured.err
+    assert main(argv + ["--dim", "300"]) == 0
+
+
 def test_run_aggregation_independent_of_worker_count(tmp_path, monkeypatch):
     cfg = _cfg(runs=3)
     monkeypatch.setenv("AMP_LAB_THREADS", "1")

@@ -63,7 +63,7 @@ def test_analytic_partials_match_finite_differences(factory):
     den = factory(t)
     R = _history(t, 50, seed=2)
     analytic = den.partials(R)
-    fd = den._fd_partials(R, None)
+    fd = den._fd_partials(R)
     assert np.max(np.abs(analytic - fd)) < 1e-5
 
 
@@ -72,7 +72,7 @@ def test_combining_denoiser_partials_match_fd():
     Sigma = np.diag([1.0, 0.5, 0.25])
     den = linear_mmse_combining_denoiser(beta, Sigma)
     R = _history(3, 50, seed=3)
-    assert np.max(np.abs(den.partials(R) - den._fd_partials(R, None))) < 1e-5
+    assert np.max(np.abs(den.partials(R) - den._fd_partials(R))) < 1e-5
 
 
 def test_combining_weights_solve_sigma():
@@ -115,4 +115,4 @@ def test_fd_fallback_used_without_partial_fn():
 def test_tanh_partials_property(scale, seed):
     den = tanh_denoiser(1, scale=scale)
     R = np.random.default_rng(seed).standard_normal((1, 20))
-    assert np.max(np.abs(den.partials(R) - den._fd_partials(R, None))) < 1e-5
+    assert np.max(np.abs(den.partials(R) - den._fd_partials(R))) < 1e-5

@@ -21,7 +21,7 @@ from amp_lab.engines import (
     ubar_divergences,
     verify_unfolding,
 )
-from amp_lab.errors import UnsupportedVariantError, ValidationError
+from amp_lab.errors import DomainError, UnsupportedVariantError, ValidationError
 from amp_lab.freeprob import cumulants_from_law
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
 from amp_lab.randmat import build_rot_invariant, build_spiked, goe_ensemble, make_prior
@@ -160,10 +160,8 @@ def test_gaussian_amp_unfolding_goe_only():
     ens = goe_ensemble(300, seed=6)
     rng = np.random.default_rng(7)
     u1 = rng.choice([-1.0, 1.0], size=300)
-    from amp_lab.denoisers import Denoiser
-    init_den = Denoiser("init", 1, lambda R, v=u1: v, lambda R: np.zeros_like(R))
-    dens = [init_den] + [tanh_denoiser(1) for _ in range(4)]
-    run = run_gaussian_amp(ens, dens, np.zeros(300), 4)
+    dens = [tanh_denoiser(1) for _ in range(4)]
+    run = run_gaussian_amp(ens, dens, u1, 4)
     # the realized GOE grid has cumulants close to but not exactly (0,1,0,..)
     with pytest.raises(UnsupportedVariantError):
         verify_unfolding(run)
@@ -248,10 +246,44 @@ def test_oamp_residuals_approximately_orthogonal():
 
 
 def test_gaussian_amp_requires_arity_one():
+    # only single-memory denoisers: eta_{t+1} reads r_t alone
     ens = goe_ensemble(100, seed=16)
     dens = [identity_denoiser(1)] + [random_lipschitz_denoiser(2, 0)] * 3
     with pytest.raises(ValidationError):
         run_gaussian_amp(ens, dens, np.zeros(100), 2)
+
+
+def test_gaussian_amp_is_ri_amp_under_semicircle_cumulants():
+    # the paper's reduction: with cumulants (0, 1, 0, ...) the RI-AMP debias
+    # matrix is Phi_hat, whose rows are the single-memory Onsager terms
+    ens = goe_ensemble(500, seed=21)
+    u1 = np.random.default_rng(22).choice([-1.0, 1.0], size=500)
+    T = 6
+    a = run_gaussian_amp(ens, [tanh_denoiser(1) for _ in range(T)], u1, T)
+    b = run_ri_amp(ens, Semicircle(), [tanh_denoiser(t) for t in range(1, T + 1)], u1, T,
+                   mode="population")
+    for name in ("r", "u", "ubar"):
+        assert all(np.array_equal(x, y) for x, y in zip(getattr(a, name), getattr(b, name)))
+    assert np.array_equal(a.phi, b.phi)
+    assert np.array_equal(a.debias, b.debias)
+
+
+def test_oamp_ubar_divergences_detect_tampered_phi():
+    law = MarchenkoPastur(alpha=0.3)
+    ens, u1 = _setup(law, 300, seed=19)
+    T = 3
+    run = run_oamp(ens, [lambda x: x] * T, _lip_dens(T, seed=130), u1, T)
+    assert ubar_divergences(run) < 1e-12
+    assert not np.any(run.debias)  # the x-step subtracts nothing
+    run.phi[2, :2] += 1.0
+    assert ubar_divergences(run) >= 0.5
+
+
+def test_ri_amp_mp_rejects_f_undefined_at_an_eigenvalue():
+    ens = build_rot_invariant(np.array([-1.0, 0.0, 1.0, 2.0]), seed=0)
+    dens = [identity_denoiser(1)]
+    with pytest.raises(DomainError):
+        run_ri_amp_mp(ens, None, lambda x: 1.0 / x, dens, np.ones(4), 1)
 
 
 def test_diagnostics_csv_columns(tmp_path):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amp_lab.errors import NumericalError, ValidationError
 from amp_lab.laws import (
@@ -190,6 +192,68 @@ def test_load_law_file_errors_carry_line_numbers(tmp_path):
     r.write_text("# nothing\n")
     with pytest.raises(ValidationError, match="no data"):
         load_law_file(str(r))
+
+
+@pytest.mark.parametrize("name", ["", "absent.txt", "."])
+def test_missing_or_unreadable_law_file_is_a_validation_error(tmp_path, name):
+    # "file:" names no file; "file:." names a directory
+    path = "" if name == "" else str(tmp_path / name)
+    with pytest.raises(ValidationError, match="law file"):
+        parse_law_spec("file:" + path)
+
+
+@pytest.mark.parametrize("spec", ["semicircle:var=nan", "semicircle:var=inf",
+                                  "semicircle:var=1e300", "point:c=inf", "point:c=nan",
+                                  "point:c=-1e100"])
+def test_non_finite_law_parameters_rejected(spec):
+    with pytest.raises(ValidationError):
+        parse_law_spec(spec)
+
+
+@pytest.mark.parametrize("table", ["1.0\ninf\n", "nan\n", "0 1\n1 nan\n2 1\n",
+                                   "0 1\ninf 1\n", "0 inf\n1 1\n",
+                                   "0 1\n5e-324 1\n"])
+def test_non_finite_law_tables_rejected(tmp_path, table):
+    p = tmp_path / "law.txt"
+    p.write_text(table)
+    with pytest.raises(ValidationError):
+        load_law_file(str(p))
+
+
+_LAW_HEADS = ["semicircle", "sc", "goe", "mp", "marchenko-pastur", "marchenkopastur",
+              "point", "point-mass"]
+_NUMBER_TEXT = st.floats().map(repr) | st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "1e300", "-0", "5e-324", "0.3", "1.5"])
+_PARAM_TEXT = st.text(max_size=12) | st.builds(
+    "{}={}".format, st.sampled_from(["var", "variance", "alpha", "c", "x"]),
+    _NUMBER_TEXT | st.text(max_size=6))
+_TABLE_ROWS = st.lists(st.lists(_NUMBER_TEXT, min_size=1, max_size=2), max_size=6)
+_DENSITY_ROWS = st.lists(st.floats(), min_size=2, max_size=6, unique=True).flatmap(
+    lambda xs: st.lists(_NUMBER_TEXT, min_size=len(xs), max_size=len(xs)).map(
+        lambda ds: [[repr(x), d] for x, d in zip(sorted(xs), ds)]))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.sampled_from(_LAW_HEADS) | st.text(max_size=8).filter(
+           lambda h: h.partition(":")[0].strip().lower() != "file"),
+       params=st.lists(_PARAM_TEXT, max_size=3),
+       table=st.none() | _TABLE_ROWS | _DENSITY_ROWS)
+def test_law_spec_gives_finite_law_or_validation_error(tmp_path, head, params, table):
+    # file: specs point only at the table written here
+    if table is None:
+        spec = head + (":" + ",".join(params) if params else "")
+    else:
+        path = tmp_path / "law.txt"
+        path.write_text("\n".join(" ".join(row) for row in table) + "\n")
+        spec = f"file:{path}"
+    try:
+        law = parse_law_spec(spec)
+    except ValidationError:
+        return
+    lo, hi = law.support()
+    assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi
+    assert all(math.isfinite(m) for m in law.moments(4))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 
 from amp_lab.cli import ExperimentConfig, compute_se, resolve_matrix_fn
 from amp_lab.engines import as_operator, run_ri_amp_mp
-from amp_lab.errors import DomainError, NumericalError, ValidationError
+from amp_lab.errors import NumericalError, ValidationError
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, parse_law_spec
 from amp_lab.randmat import (
     HouseholderRotation,
@@ -20,13 +20,11 @@ from amp_lab.randmat import (
     goe_ensemble,
     load_matrix,
     make_prior,
-    matrix_function,
     overlap_measure,
     sample_goe,
     sample_haar_orthogonal,
     sample_haar_rotation,
     save_matrix,
-    trace_free_center,
 )
 from amp_lab.se import mp_denoise_fn
 
@@ -211,32 +209,6 @@ def test_goe_ensemble_factored():
     ens = goe_ensemble(100, seed=5)
     recon = (ens.eigenvectors * ens.eigenvalues[None, :]) @ ens.eigenvectors.T
     assert np.max(np.abs(recon - ens.W)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# matrix functions
-# ---------------------------------------------------------------------------
-
-def test_matrix_function_polynomial():
-    W = sample_goe(60, seed=2)
-    f = lambda x: x**2 + 2 * x - 1
-    direct = W @ W + 2 * W - np.eye(60)
-    assert np.max(np.abs(matrix_function(W, f) - direct)) < 1e-10
-
-
-def test_matrix_function_domain_error():
-    grid = np.array([-1.0, 0.0, 1.0, 2.0])
-    ens = build_rot_invariant(grid, seed=0)
-    with pytest.raises(DomainError):
-        matrix_function(ens, lambda x: 1.0 / x)
-
-
-def test_trace_free_center():
-    A = np.random.default_rng(0).standard_normal((30, 30))
-    B = trace_free_center(A)
-    assert abs(np.trace(B)) < 1e-10
-    off = ~np.eye(30, dtype=bool)
-    assert np.array_equal(A[off], B[off])
 
 
 # ---------------------------------------------------------------------------
