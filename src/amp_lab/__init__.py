@@ -23,6 +23,7 @@ from .freeprob import (
     partial_moments,
 )
 from .randmat import (
+    RationalFn,
     SpikedInstance,
     build_rot_invariant,
     build_spiked,

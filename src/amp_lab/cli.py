@@ -32,7 +32,8 @@ from .freeprob import (build_poly_family, cumulants_from_law,
                        cumulants_to_moments_nc, mc_cumulants,
                        moments_to_cumulants, partial_moments)
 from .laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
-from .randmat import build_rot_invariant, build_spiked, goe_ensemble, make_prior
+from .randmat import (RationalFn, build_rot_invariant, build_spiked, goe_ensemble,
+                      make_prior)
 from .se import (DEFAULT_MC_SAMPLES, McConfig, SeInit, check_pole_free,
                  fan_se_form, gaussian_amp_se, mp_denoise_fn, oamp_se,
                  ri_amp_se, spiked_se, theorem_sigma, _family_gram)
@@ -62,14 +63,13 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
-def _seed_bytes(N: int, algo: str, spiked: bool) -> int:
+def _seed_bytes(N: int, algo: str) -> int:
     """Peak bytes one seed holds: the Haar eigenbasis as Householder
-    reflectors (half an N x N draw, 4 N^2) plus, on spiked configs, the
-    secular eigenvectors V and their temporaries (16 N^2); Gaussian AMP holds
-    a dense GOE draw, its symmetrization and its eigenvectors (24 N^2)."""
-    if algo == "gaussian-amp":
-        return 24 * N * N
-    return (4 + (16 if spiked else 0)) * N * N
+    reflectors (half an N x N draw, 4 N^2), spiked or not, since a spiked
+    instance is applied in the rotated frame without eigenvectors; Gaussian
+    AMP holds a dense GOE draw, its symmetrization and its eigenvectors
+    (24 N^2)."""
+    return (24 if algo == "gaussian-amp" else 4) * N * N
 
 
 def _check_fits_memory(need: int, what: str) -> None:
@@ -124,7 +124,7 @@ class ExperimentConfig:
             if make_prior(self.prior).second_moment != 1.0:
                 raise ValidationError("MMSE denoisers need a unit-second-moment prior")
         workers = _worker_count(self.runs)
-        _check_fits_memory(workers * _seed_bytes(self.N, self.algo, self.spiked),
+        _check_fits_memory(workers * _seed_bytes(self.N, self.algo),
                            f"N={self.N} with {workers} concurrent seed(s)")
 
     @property
@@ -173,9 +173,10 @@ class ExperimentConfig:
 
 def resolve_matrix_fn(spec: str, law: SpectralLaw, theta: float | None):
     """Matrix-denoiser specs: identity | mp-denoise | polynomial:c0,c1,... |
-    file:path (one coefficient per line, '#' comments)."""
+    file:path (one coefficient per line, '#' comments).  Each resolves to a
+    RationalFn, the form a spiked run applies without eigenvectors."""
     if spec == "identity":
-        return lambda x: x
+        return RationalFn(coeffs=(0.0, 1.0))
     if spec == "mp-denoise":
         if not isinstance(law, MarchenkoPastur):
             raise ValidationError("mp-denoise requires a Marchenko-Pastur law")
@@ -191,7 +192,7 @@ def resolve_matrix_fn(spec: str, law: SpectralLaw, theta: float | None):
             raise ValidationError(f"matrix_fn {spec!r}: {exc}") from exc
         if not coeffs:
             raise ValidationError("polynomial matrix_fn needs coefficients")
-        return np.polynomial.Polynomial(coeffs)
+        return RationalFn(coeffs=tuple(coeffs))
     if head == "file":
         coeffs = []
         try:
@@ -204,11 +205,11 @@ def resolve_matrix_fn(spec: str, law: SpectralLaw, theta: float | None):
                         coeffs.append(float(line))
                     except ValueError as exc:
                         raise ValidationError(f"{rest}:{lineno}: {exc}") from exc
-        except OSError as exc:
-            raise ValidationError(f"{rest}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"matrix_fn file {rest!r}: {exc}") from exc
         if not coeffs:
             raise ValidationError(f"{rest}: no coefficients")
-        return np.polynomial.Polynomial(coeffs)
+        return RationalFn(coeffs=tuple(coeffs))
     raise ValidationError(f"unknown matrix_fn spec {spec!r}")
 
 
@@ -481,8 +482,10 @@ def cmd_cumulants(args) -> int:
     if args.mc:
         if args.replicas < 1 or args.dim < 1:
             raise ValidationError("--replicas and --dim must be >= 1")
+        if args.seed < 0:
+            raise ValidationError("--seed must be >= 0")
         # the replicas run one after another, each on one Haar ensemble
-        _check_fits_memory(_seed_bytes(args.dim, "ri-amp", False), f"--dim {args.dim}")
+        _check_fits_memory(_seed_bytes(args.dim, "ri-amp"), f"--dim {args.dim}")
     table = cumulants_from_law(law, args.order)
     header = ["n", "m_n", "kappa_n"]
     extra = None

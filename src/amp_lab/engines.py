@@ -19,11 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .denoisers import Denoiser, last_row_denoiser
-from .errors import NumericalError, UnsupportedVariantError, ValidationError
+from .errors import DomainError, NumericalError, UnsupportedVariantError, ValidationError
 from .freeprob import build_poly_family, moments_to_cumulants, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
-from .randmat import (HouseholderRotation, RotInvEnsemble, SpikedInstance, _eigh,
-                      _map_eigenvalues)
+from .randmat import (HouseholderRotation, RationalFn, RotInvEnsemble, SpikedInstance,
+                      _eigh, _map_eigenvalues)
 
 HORIZON_CAP = 10
 MP_DEBIAS_NODES = 400  # quadrature nodes of the RI-AMP-MP trace-free solve
@@ -31,37 +31,88 @@ MP_DEBIAS_NODES = 400  # quadrature nodes of the RI-AMP-MP trace-free solve
 
 @dataclass
 class MatrixOperator:
-    """Factored symmetric matrix O V diag(eigenvalues) V^T O^T: O is the
-    ensemble's eigenbasis (a HouseholderRotation or a dense orthogonal
-    matrix) and V (None for the identity) the secular eigenbasis of a spiked
-    instance's diagonal-plus-rank-one core.  to_spectral and from_spectral
-    take a vector (N,) or a block of column vectors (N, k)."""
+    """Factored symmetric matrix O D O^T, where O is a HouseholderRotation or
+    a dense orthogonal matrix and D = diag(eigenvalues) + rho z z^T.  The
+    rank-one term is that of a spiked instance (eigenvalues and O are W's,
+    z = O^T x*, rho = theta/N) and is absent (z None) otherwise; Y's
+    eigenvectors are never formed.  to_spectral, from_spectral and the
+    functions of core_function take a vector (N,) or a block of column
+    vectors (N, k)."""
 
     eigenvalues: np.ndarray
     rotation: np.ndarray | HouseholderRotation
-    inner: np.ndarray | None = None
+    z: np.ndarray | None = None
+    rho: float = 0.0
 
     @property
     def N(self) -> int:
         return self.eigenvalues.shape[0]
 
     def to_spectral(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of v in the eigenbasis: V^T O^T v."""
-        s = self.rotation.T @ v
-        return s if self.inner is None else self.inner.T @ s
+        """Coordinates of v in W's eigenbasis: O^T v."""
+        return self.rotation.T @ v
 
     def from_spectral(self, s: np.ndarray) -> np.ndarray:
-        """The vector with eigenbasis coordinates s: O V s."""
-        if self.inner is not None:
-            s = self.inner @ s
+        """The vector with eigenbasis coordinates s: O s."""
         return self.rotation @ s
 
+    def _core(self, s: np.ndarray) -> np.ndarray:
+        """D s = lambda s + rho z (z^T s)."""
+        ds = _columns(self.eigenvalues, s) * s
+        return ds if self.z is None else ds + _columns(self.rho * self.z, s) * (self.z @ s)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.apply_values(self.eigenvalues, v)
+        return self.from_spectral(self._core(self.to_spectral(v)))
 
     def apply_values(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(O V diag(values) V^T O^T) v for precomputed spectral values."""
+        """(O diag(values) O^T) v for precomputed spectral values."""
         return self.from_spectral(values * self.to_spectral(v))
+
+    def core_function(self, f: Callable) -> Callable:
+        """s -> f(D) s.  Without a spike, f is taken at the eigenvalues
+        (DomainError where it is undefined there).  With one, f must be a
+        RationalFn (else ValidationError), applied in O(N) per column:
+        Horner's rule on D for the polynomial part and Sherman-Morrison,
+        D^-1 = L^-1 - rho L^-1 z z^T L^-1 / (1 + rho z^T L^-1 z) with
+        L = diag(eigenvalues), for the pole.  DomainError when the pole meets
+        the spectrum of W or of Y (det D = det L (1 + rho z^T L^-1 z))."""
+        if self.z is None:
+            values = _map_eigenvalues(f, self.eigenvalues)
+            return lambda s: _columns(values, s) * s
+        if not isinstance(f, RationalFn):
+            raise ValidationError("a spiked instance applies only rational matrix functions "
+                                  "(RationalFn: polynomial plus b/x), got " + repr(f))
+        coeffs = [float(c) for c in f.coeffs]
+        pole = float(f.pole)
+        lam, z, rho = self.eigenvalues, self.z, self.rho
+        if pole:
+            if np.any(lam == 0.0):
+                raise DomainError("f has a pole at 0, an eigenvalue of W")
+            zl = z / lam
+            denom = 1.0 + rho * (z @ zl)
+            if not (np.isfinite(denom) and denom != 0.0):
+                raise DomainError("f has a pole at 0, an eigenvalue of Y")
+
+        def fn(s):
+            y = coeffs[-1] * s
+            for c in reversed(coeffs[:-1]):
+                y = self._core(y) + c * s
+            if pole:
+                inv = s / _columns(lam, s) - _columns(zl, s) * (rho * (zl @ s) / denom)
+                y = y + pole * inv
+            return y
+
+        return fn
+
+    def function(self, f: Callable) -> Callable:
+        """v -> f(M) v (see core_function)."""
+        g = self.core_function(f)
+        return lambda v: self.from_spectral(g(self.to_spectral(v)))
+
+
+def _columns(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a as a column when s is a block of columns, so that a * s scales rows."""
+    return a if s.ndim == 1 else a[:, None]
 
 
 def as_operator(M) -> tuple[MatrixOperator, np.ndarray]:
@@ -71,8 +122,9 @@ def as_operator(M) -> tuple[MatrixOperator, np.ndarray]:
     of the underlying noise matrix W (used for grid-mode de-biasing; for a
     spiked instance this is W, not Y)."""
     if isinstance(M, SpikedInstance):
-        _, mu, V = M.spectrum
-        return MatrixOperator(mu, M.ensemble.eigenvectors, V), M.ensemble.eigenvalues
+        ens = M.ensemble
+        return (MatrixOperator(ens.eigenvalues, ens.eigenvectors, z=M.z, rho=M.theta / M.N),
+                ens.eigenvalues)
     if isinstance(M, RotInvEnsemble):
         return MatrixOperator(M.eigenvalues, M.eigenvectors), M.eigenvalues
     W = np.asarray(M, dtype=float)
@@ -312,20 +364,21 @@ def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
                   u1: np.ndarray, T: int, mode: str = "grid") -> AmpRun:
     """r_t = f_t(M) u_t - sum_i e_{t,i} u_i; E_t solves the trace-free equation
     over the (grid or population) law of W.  M may be a spiked instance, in
-    which case f_t acts on the eigenvalues of Y."""
+    which case f_t(Y) is applied in W's eigenbasis and each f_t must be a
+    RationalFn."""
     T, operator, dlaw = _prepare(M, law, mode, T)
     f_schedule = list(f) if isinstance(f, (list, tuple)) else [f] * T
     if len(f_schedule) < T:
         raise ValidationError("f schedule shorter than horizon")
     f_schedule = f_schedule[:T]
-    fvals = [_map_eigenvalues(ft, operator.eigenvalues) for ft in f_schedule]
+    f_ops = [operator.function(ft) for ft in f_schedule]
     F, w = _schedule_at_nodes(dlaw, f_schedule, MP_DEBIAS_NODES)
     E = np.zeros((T, T))
 
     def r_step(t, u, ubar, phi_t):
         row = _mp_debias_row(phi_t, F[:t], E[:t, :t], w)
         E[t - 1, :t] = row
-        return _subtract(operator.apply_values(fvals[t - 1], u[t - 1]), row, u), row
+        return _subtract(f_ops[t - 1](u[t - 1]), row, u), row
 
     return _run_loop("RIAMPMP", operator, dlaw, denoisers, u1, T, r_step, mode,
                      f_schedule=f_schedule)
@@ -357,7 +410,11 @@ def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
 
     Stored in the shared run layout with x_t in the `r` slot, g_{t+1} in `u`
     and xbar_t in `ubar`.  The x-step subtracts nothing, so the `debias`
-    rows are zero."""
+    rows are zero.  M is not a spiked instance: the trace-free centering
+    needs the spectrum of f_t(M)."""
+    if isinstance(M, SpikedInstance):
+        raise ValidationError("OAMP runs on a rotationally-invariant matrix, "
+                              "not on a spiked instance")
     T, operator, dlaw = _prepare(M, None, "grid", T)
     if len(f_schedule) < T:
         raise ValidationError(f"need {T} matrix denoisers for horizon T={T}")
@@ -406,6 +463,40 @@ def _poly_matrix_values(run: AmpRun, law: SpectralLaw, lam: np.ndarray) -> np.nd
     )
 
 
+def _unfold_by_products(run: AmpRun, law: SpectralLaw) -> np.ndarray:
+    """Columns sum_j [poly]_{t,j}(Y) ubar_j of a spiked run, by products with
+    the core D in W's eigenbasis, S = O^T [ubar_1..ubar_T], without D's
+    eigenvectors.  A scalar matrix A acts on a block of columns S as S A^T."""
+    T = run.T
+    op = run.operator
+    S = op.to_spectral(np.column_stack(run.ubar[:T]))
+    Phi = run.phi_matrix(T)
+    if run.variant in ("RIAMP", "GaussianAMP", "RIAMPDF"):
+        # [poly]_{t,j} = sum_i (Phi^{i-1})_{t,j} P_i, P_i the family's members
+        kind = "Q" if run.variant in ("RIAMP", "GaussianAMP") else "H"
+        fam = build_poly_family(law, kind, T)
+        out = np.zeros_like(S)
+        for i, P in enumerate(phi_powers(Phi, T), start=1):
+            out += op.core_function(RationalFn(coeffs=fam.coeffs[i]))(S @ P.T)
+        return op.from_spectral(out)
+    if run.variant == "RIAMPMP":
+        # J = (F - E) sum_k (Phi (F - E))^k, nilpotent: k < T
+        E = np.tril(run.debias)
+        fs = [op.core_function(ft) for ft in run.f_schedule]
+
+        def f_minus_e(X):
+            return np.column_stack([g(X[:, t]) for t, g in enumerate(fs)]) - X @ E.T
+
+        X = acc = S
+        for _ in range(1, T):
+            X = f_minus_e(X) @ Phi.T
+            acc = acc + X
+        return op.from_spectral(f_minus_e(acc))
+    raise UnsupportedVariantError(
+        f"no unfolding representation for variant {run.variant!r}"
+    )
+
+
 def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRepresentation:
     """Reconstruct each r_t as sum_j [poly]_{t,j}(M) ubar_j and report the
     relative errors plus the trace residuals E_law[poly entries]."""
@@ -421,10 +512,13 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
             )
     T = run.T
     op = run.operator
-    V = _poly_matrix_values(run, law, op.eigenvalues)  # (T, T, N)
-    V *= np.tri(T)[:, :, None]  # r_t uses ubar_1..ubar_t only
-    ub_spec = op.to_spectral(np.column_stack(run.ubar[:T]))  # (N, T)
-    r_hat = op.from_spectral(np.einsum("tjn,nj->nt", V, ub_spec))  # (N, T)
+    if op.z is not None:  # spiked: no eigenvalues of Y to evaluate at
+        r_hat = _unfold_by_products(run, law)
+    else:
+        V = _poly_matrix_values(run, law, op.eigenvalues)  # (T, T, N)
+        V *= np.tri(T)[:, :, None]  # r_t uses ubar_1..ubar_t only
+        ub_spec = op.to_spectral(np.column_stack(run.ubar[:T]))  # (N, T)
+        r_hat = op.from_spectral(np.einsum("tjn,nj->nt", V, ub_spec))  # (N, T)
     R = np.column_stack(run.r)
     denom = np.maximum(np.linalg.norm(R, axis=0), 1e-300)
     errors = np.linalg.norm(r_hat - R, axis=0) / denom

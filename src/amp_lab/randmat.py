@@ -5,9 +5,12 @@ Haar eigenvectors).  A Haar eigenbasis is sampled as N Householder
 reflectors in O(N^2) time and never formed: applying it, or its transpose,
 to a vector costs about one dense matrix-vector product, and the dense
 orthogonal and symmetric matrices are materialized only on request.  A
-spiked instance Y = O (Lambda + rho z z^T) O^T, z = O^T x*, is factored
-through the secular equation of its diagonal-plus-rank-one core, without
-forming Y.
+spiked instance Y = O (Lambda + rho z z^T) O^T, z = O^T x*, is never formed
+and never eigendecomposed: matrix functions of the form polynomial plus
+b/x (`RationalFn`) apply to its diagonal-plus-rank-one core exactly in
+O(N), and the secular equation of that core gives Y's eigenvalues and
+signal overlaps, without eigenvectors, when the overlap measure is asked
+for.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 
-DENSE_N_CAP = 8000
+OVERLAP_N_CAP = 8000  # the secular solver's root loop takes O(N^2) time
 WY_BLOCK = 64  # reflectors per compact-WY block
 
 
@@ -207,6 +210,27 @@ def _eigh(W: np.ndarray):
     return lam, O
 
 
+@dataclass(frozen=True)
+class RationalFn:
+    """Matrix function f(x) = sum_k coeffs[k] x^k + pole / x.
+
+    A spiked instance applies f(Y) from these coefficients alone, so every
+    matrix function of a spiked run has this form.  `expr`, when given,
+    evaluates f at points (the same function, written as its caller wrote
+    it); otherwise the polynomial is evaluated by Horner's rule.
+    """
+
+    coeffs: tuple
+    pole: float = 0.0
+    expr: Callable | None = field(default=None, compare=False, repr=False)
+
+    def __call__(self, x):
+        if self.expr is not None:
+            return self.expr(x)
+        y = np.polynomial.polynomial.polyval(x, self.coeffs)
+        return y + self.pole / x if self.pole else y
+
+
 def _map_eigenvalues(f: Callable, lam: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         fv = np.asarray(f(lam), dtype=float)
@@ -265,21 +289,22 @@ def make_prior(name: str, **params) -> Prior:
 
 def diag_rank_one_eigh(lam: np.ndarray, z: np.ndarray,
                        rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition diag(lam) + rho z z^T = V diag(mu) V^T for rho > 0,
-    with mu ascending and V orthogonal, in O(N^2) time.
+    """Eigenvalues mu (ascending) of diag(lam) + rho z z^T for rho > 0 and the
+    squared overlaps (z^T v_k)^2 of their unit eigenvectors v_k, in O(N^2)
+    time and O(N) memory; the eigenvectors are never formed.
 
     Entries of lam equal to within tol = 8 eps max(|lam|, rho |z|^2) are
-    grouped, and a Householder reflection within each group moves the
-    group's part of z onto one entry.  Entries whose coupling rho |z_i| is
-    below tol are deflated to the eigenpair (lam_i, e_i).  The K remaining
-    eigenvalues are the roots of the secular equation
-    1 + rho sum_i z_i^2 / (d_i - mu) = 0, one in each interval (d_j, d_j+1)
-    and the last above d_K.  LAPACK dlasd4 finds them, along with every
-    difference d_i - mu_j to high relative accuracy, after the map
-    d -> sqrt(d - d_1 + s).  z is then recomputed by the Loewner formula, so
-    that the roots are exact eigenvalues of a nearby problem, and the
-    eigenvectors (d - mu_j)^-1 z are orthogonal to working precision
-    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1994).
+    grouped, and a reflection within each group moves the group's part of z
+    onto one entry, so the group's other eigenvectors have overlap 0.
+    Entries whose coupling rho |z_i| is below tol are deflated to the
+    eigenpair (lam_i, e_i), of overlap z_i^2.  The K remaining eigenvalues
+    are the roots of the secular equation 1 + rho sum_i z_i^2 / (d_i - mu) = 0,
+    one in each interval (d_j, d_j+1) and the last above d_K.  The
+    eigenvector of root mu is proportional to (d - mu)^-1 z, so its overlap
+    is 1 / (rho^2 sum_i z_i^2 / (d_i - mu)^2).  LAPACK dlasd4 finds each root
+    with every difference d_i - mu to high relative accuracy, after the map
+    d -> sqrt(d - d_1 + s) (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15,
+    1994).
     """
     lam = np.asarray(lam, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -302,122 +327,46 @@ def diag_rank_one_eigh(lam: np.ndarray, z: np.ndarray,
     for i in range(1, N):
         if dl[i] - dl[starts[-1]] > tol:
             starts.append(i)
-    reflectors = []  # (first, stop, v): H = I - 2 v v^T / v^T v on rows first:stop
     for first, stop in zip(starts, starts[1:] + [N]):
-        if stop - first < 2:
-            continue
-        v = w[first:stop].copy()
-        nv = float(np.linalg.norm(v))
-        if nv == 0:
-            continue
-        sgn = 1.0 if v[0] >= 0 else -1.0
-        v[0] += sgn * nv
-        w[first:stop] = 0.0
-        w[first] = -sgn * nv
-        reflectors.append((first, stop, v))
+        if stop - first > 1:
+            nv = float(np.linalg.norm(w[first:stop]))
+            w[first:stop] = 0.0
+            w[first] = nv
 
-    keep = rho_n * np.abs(w) > tol
-    K = np.flatnonzero(keep)
-    mu_all = d.copy()
-    # V is built in the sorted frame (row i <-> d_i) and its rows are put
-    # in the order of lam at the end; the secular eigenvectors are formed in
-    # V's leading K x K block and moved out in place, so that V is the only
-    # N x N array.
-    V = np.zeros((N, N))
-    if K.size == 1:  # dlasd4 returns no differences d_i - mu for a single root
-        mu_all[K] = d[K] + rho_n * w[K] ** 2
-        V[0, 0] = 1.0
-    elif K.size > 1:
-        mu_all[K] = _secular_core(d[K], w[K], rho_n, V[:K.size, :K.size])
-
-    cols = np.argsort(mu_all, kind="stable")
-    col_of = np.empty(N, dtype=int)
-    col_of[cols] = np.arange(N)
-    # root j goes to column col_of[K[j]] >= j and row j to row K[j] >= j,
-    # both increasing in j, so moving the last first overwrites nothing
-    for j, c in reversed(list(enumerate(col_of[K]))):
-        if c != j:
-            V[:K.size, c] = V[:K.size, j]
-            V[:K.size, j] = 0.0
-    for i, r in reversed(list(enumerate(K))):
-        if r != i:
-            V[r] = V[i]
-            V[i] = 0.0
-    defl = np.flatnonzero(~keep)
-    V[defl, col_of[defl]] = 1.0
-    for first, stop, v in reflectors:
-        block = V[first:stop]
-        block -= np.outer(v, (2.0 / (v @ v)) * (v @ block))
-    _permute_rows(V, order)
-    return mu_all[cols], V
+    keep = np.flatnonzero(rho_n * np.abs(w) > tol)
+    mu = d.copy()
+    overlap = (znorm * w) ** 2
+    if keep.size == 1:  # one coupled entry: its 1 x 1 block is its own root
+        mu[keep] = d[keep] + rho_n * w[keep] ** 2
+    elif keep.size > 1:
+        mu[keep], overlap[keep] = _secular_roots(d[keep], w[keep], rho_n)
+        overlap[keep] *= znorm**2
+    cols = np.argsort(mu, kind="stable")
+    return mu[cols], overlap[cols]
 
 
-def _permute_rows(A: np.ndarray, order: np.ndarray) -> None:
-    """A[order] = A (A's row i moves to row order[i]) in place, one cycle
-    of the permutation at a time, with a single row as scratch."""
-    done = order == np.arange(order.size)
-    for start in np.flatnonzero(~done):
-        if done[start]:
-            continue
-        row = A[start].copy()
-        i = start
-        while not done[i]:
-            done[i] = True
-            row, A[order[i]] = A[order[i]].copy(), row
-            i = order[i]
-
-
-def _secular_core(d: np.ndarray, w: np.ndarray, rho_n: float, out: np.ndarray):
+def _secular_roots(d: np.ndarray, w: np.ndarray, rho_n: float):
     """Roots mu of diag(d) + rho_n w w^T for strictly increasing d and w
-    without negligible entries; the eigenvectors are written to the K x K
-    array `out`, column j for root j.  w is rescaled to unit length, as
-    dlasd4 assumes."""
+    without negligible entries, with the squared overlaps (w^T v)^2 of their
+    eigenvectors.  w is rescaled to unit length, as dlasd4 assumes."""
     from scipy.linalg import lapack  # the only scipy use; loaded on first call
 
     K = d.size
     wn = float(np.linalg.norm(w))
     rho_k = rho_n * wn**2
     w = w / wn
-    s = d[-1] - d[0]
-    dd = np.sqrt(d - d[0] + s)
-    # Loewner: zhat_i^2 = (mu_K - d_i)/rho prod_{j<i} (d_i - mu_j)/(d_i - d_j)
-    #                     prod_{i<=j<K-1} (mu_j - d_i)/(d_{j+1} - d_i),
-    # every ratio in (0, 1); differences of d taken in the shifted variable.
-    # The product is accumulated one root at a time, so that no K x K
-    # temporary is needed beside gaps, which is `out` itself.
-    gaps = out  # gaps[j, i] = d_i - mu_j
-    prod = np.ones(K)
-    idx = np.arange(K)
+    w2 = w * w
+    dd = np.sqrt(d - d[0] + (d[-1] - d[0]))
+    mu = np.empty(K)
+    overlap = np.empty(K)
     for j in range(K):
         delta, _, work, info = lapack.dlasd4(j, dd, w, rho_k)
         if info != 0:
             raise NumericalError(f"secular equation root {j} did not converge (info={info})")
-        gaps[j] = delta * work
-        if j < K - 1:
-            other = np.where(j < idx, dd[j], dd[j + 1])
-            prod *= np.abs(gaps[j]) / (np.abs(other - dd) * (other + dd))
-    mu = d - np.diagonal(gaps)
-    zhat = np.sqrt(np.abs(gaps[-1]) / rho_k * prod)
-    zhat = np.copysign(zhat, w)
-    np.divide(zhat, gaps, out=gaps)
-    # normalize the eigenvectors (rows of gaps) a block at a time, each norm
-    # summed along the row as np.linalg.norm(gaps.T, axis=0) would
-    for j0 in range(0, K, 64):
-        vecs = gaps[j0:j0 + 64].T
-        vecs /= np.sqrt(np.add.reduce(vecs * vecs, axis=0))
-    _transpose_in_place(out)
-    return mu
-
-
-def _transpose_in_place(A: np.ndarray, block: int = 256) -> None:
-    """A = A.T for a square A, swapping block x block tiles."""
-    n = A.shape[0]
-    for i in range(0, n, block):
-        A[i:i + block, i:i + block] = A[i:i + block, i:i + block].T.copy()
-        for j in range(i + block, n, block):
-            tile = A[i:i + block, j:j + block].copy()
-            A[i:i + block, j:j + block] = A[j:j + block, i:i + block].T
-            A[j:j + block, i:i + block] = tile.T
+        gaps = delta * work  # d_i - mu_j
+        mu[j] = d[j] - gaps[j]
+        overlap[j] = 1.0 / (rho_k**2 * np.sum(w2 / gaps**2))
+    return mu, wn**2 * overlap
 
 
 @dataclass
@@ -426,22 +375,16 @@ class SpikedInstance:
     x_star: np.ndarray
     ensemble: RotInvEnsemble
     _Y: np.ndarray | None = field(default=None, repr=False)
-    _spectrum: tuple | None = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
         return self.x_star.shape[0]
 
     @property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(z, mu, V) with z = O^T x*, mu ascending and
-        Y = O V diag(mu) V^T O^T: the secular factorization of
-        diag(lambda) + (theta/N) z z^T, computed once; Y is not formed."""
-        if self._spectrum is None:
-            z = self.ensemble.eigenvectors.T @ self.x_star
-            mu, V = diag_rank_one_eigh(self.ensemble.eigenvalues, z, self.theta / self.N)
-            self._spectrum = (z, mu, V)
-        return self._spectrum
+    def z(self) -> np.ndarray:
+        """The signal in W's eigenbasis, z = O^T x*, so that
+        Y = O (diag(lambda) + (theta/N) z z^T) O^T."""
+        return self.ensemble.eigenvectors.T @ self.x_star
 
     @property
     def Y(self) -> np.ndarray:
@@ -485,13 +428,13 @@ class OverlapMeasure:
         return float(self.weights @ np.asarray(f(self.eigenvalues)) / self.weights.sum())
 
 
-def overlap_measure(inst: SpikedInstance, n_cap: int = DENSE_N_CAP) -> OverlapMeasure:
+def overlap_measure(inst: SpikedInstance, n_cap: int = OVERLAP_N_CAP) -> OverlapMeasure:
     """Empirical eigen-overlap measure of the spiked matrix, eigenvalues
     ascending; the weight of eigenvector O v_k is (z^T v_k)^2 / N."""
     if inst.N > n_cap:
-        raise ValidationError(f"N={inst.N} exceeds the dense decomposition cap {n_cap}")
-    z, mu, V = inst.spectrum
-    return OverlapMeasure(eigenvalues=mu, weights=(z @ V) ** 2 / inst.N)
+        raise ValidationError(f"N={inst.N} exceeds the secular solver's cap {n_cap}")
+    mu, overlap = diag_rank_one_eigh(inst.ensemble.eigenvalues, inst.z, inst.theta / inst.N)
+    return OverlapMeasure(eigenvalues=mu, weights=overlap / inst.N)
 
 
 # ---------------------------------------------------------------------------

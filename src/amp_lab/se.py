@@ -26,7 +26,8 @@ from .denoisers import Denoiser, constant_denoiser
 from .errors import NumericalError, ValidationError
 from .freeprob import build_poly_family, phi_powers
 from .laws import MarchenkoPastur, Semicircle, SpectralLaw
-from .randmat import Prior, build_rot_invariant, build_spiked, overlap_measure
+from .randmat import (Prior, RationalFn, build_rot_invariant, build_spiked,
+                      overlap_measure)
 
 PSD_TOL = 1e-9
 DEFAULT_MC_SAMPLES = 2_000_000
@@ -550,14 +551,16 @@ def default_nu_mode(law: SpectralLaw) -> str:
     return "analytic" if isinstance(law, (Semicircle, MarchenkoPastur)) else "empirical"
 
 
-def mp_denoise_fn(theta: float, alpha: float) -> Callable:
+def mp_denoise_fn(theta: float, alpha: float) -> RationalFn:
     """The matrix-denoising map f(x) = (theta/alpha)(1 + (alpha-1)/x)
-    - theta^2/(alpha x), which has a pole at x = 0."""
+    - theta^2/(alpha x) = theta/alpha + theta (alpha - 1 - theta)/(alpha x),
+    which has a pole at x = 0."""
 
     def f(x):
         return (theta / alpha) * (1.0 + (alpha - 1.0) / x) - theta**2 / (alpha * x)
 
-    return f
+    return RationalFn(coeffs=(theta / alpha,), pole=theta * (alpha - 1.0 - theta) / alpha,
+                      expr=f)
 
 
 def check_pole_free(law: SpectralLaw, delta: float = 1e-6) -> None:

@@ -21,7 +21,7 @@ from amp_lab.cli import (
 from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
 from amp_lab.laws import MarchenkoPastur, Semicircle, parse_law_spec
-from amp_lab.randmat import HouseholderRotation, make_prior
+from amp_lab.randmat import HouseholderRotation, RationalFn, make_prior
 from amp_lab.se import McConfig, SeInit, spiked_se
 
 
@@ -113,17 +113,22 @@ def test_from_dict_gives_valid_config_or_validation_error(data, over_base):
 
 
 def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
-    # 2 seed workers hold 2 x (4 + 16) N^2 bytes on a spiked config, so
-    # N=6000 (1.44e9 bytes) does not fit 1 GiB; nothing large is allocated
+    # a seed holds 4 N^2 bytes of Householder reflectors, spiked or not, so 2
+    # seed workers at N=12000 (1.15e9 bytes) do not fit 1 GiB and at N=11000
+    # (0.97e9 bytes) do; nothing large is allocated
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     monkeypatch.setenv("AMP_LAB_THREADS", "2")
+    nonspiked = dict(theta=None, omega=None, algo="ri-amp", denoiser="tanh")
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=6000)
-    _cfg(N=5000)
-    _cfg(N=6000, theta=None, omega=None, algo="ri-amp", denoiser="tanh")
+        _cfg(N=12000)
+    _cfg(N=11000)
+    with pytest.raises(ValidationError, match="physical memory"):
+        _cfg(N=12000, **nonspiked)
+    _cfg(N=11000, **nonspiked)
     monkeypatch.setenv("AMP_LAB_THREADS", "1")
-    _cfg(N=6000)
-    _cfg(N=7000)  # 0.98e9 bytes
+    _cfg(N=16000)  # 1.02e9 bytes
+    with pytest.raises(ValidationError, match="physical memory"):
+        _cfg(N=17000)  # 1.16e9 bytes
     with pytest.raises(ValidationError, match="physical memory"):  # dense GOE: 24 N^2
         _cfg(N=7000, theta=None, omega=None, algo="gaussian-amp", denoiser="tanh",
              law="semicircle")
@@ -131,7 +136,7 @@ def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
     _cfg(N=100_000)
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({**BASE, "N": 9000}))
+    p.write_text(json.dumps({**BASE, "N": 20000}))
     assert main(["se", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "physical memory" in captured.err
@@ -171,6 +176,7 @@ def test_matrix_fn_specs(tmp_path):
     p.write_text("# constant\n1.0\n0.0\n2.0\n")
     file_poly = resolve_matrix_fn(f"file:{p}", mp, None)
     assert abs(file_poly(2.0) - 9.0) < 1e-12
+    assert all(isinstance(g, RationalFn) for g in (ident, f, poly, file_poly))
 
 
 def test_matrix_fn_spec_errors():
@@ -181,6 +187,21 @@ def test_matrix_fn_spec_errors():
         resolve_matrix_fn("polynomial:", sc, None)
     with pytest.raises(ValidationError):
         resolve_matrix_fn("wavelet", sc, None)
+
+
+def test_matrix_fn_file_not_utf8_exits_1(tmp_path, capsys):
+    bad = tmp_path / "coef.txt"
+    bad.write_bytes(b"\xff\xfe1\x00.\x00")
+    with pytest.raises(ValidationError, match="coef.txt"):
+        resolve_matrix_fn(f"file:{bad}", Semicircle(), None)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"law": "mp:alpha=0.3", "N": 64, "T": 2, "algo": "oamp",
+                             "denoiser": "tanh", "matrix_fn": f"file:{bad}"}))
+    for cmd in ("se", "run"):
+        assert main([cmd, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(bad) in captured.err
+        assert captured.err.count("\n") == 1
 
 
 def test_mp_denoise_rejects_pole_in_support():
@@ -293,6 +314,7 @@ def test_bad_law_spec_exits_1(spec, needle, capsys):
 @pytest.mark.parametrize("args", [
     ["--law", "file:"], ["--law", "file:/"], ["--law", "semicircle:var=nan"],
     ["--law", "point:c=inf"], ["--law", "semicircle", "--mc", "--replicas", "0"],
+    ["--law", "semicircle", "--mc", "--seed", "-1"],
 ])
 def test_bad_cumulants_inputs_exit_1_with_one_line(args, capsys):
     assert main(["cumulants", "--order", "2", *args]) == 1

@@ -2,6 +2,7 @@
 exactness, cross-variant consistency, and the run record."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from amp_lab.denoisers import identity_denoiser, random_lipschitz_denoiser, tanh_denoiser
 from amp_lab.engines import (
     HORIZON_CAP,
+    as_operator,
     orthogonality_residuals,
     diagnostics_csv,
     ri_amp_debias,
@@ -24,7 +26,8 @@ from amp_lab.engines import (
 from amp_lab.errors import DomainError, UnsupportedVariantError, ValidationError
 from amp_lab.freeprob import cumulants_from_law
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
-from amp_lab.randmat import build_rot_invariant, build_spiked, goe_ensemble, make_prior
+from amp_lab.randmat import (RationalFn, RotInvEnsemble, build_rot_invariant, build_spiked,
+                             goe_ensemble, make_prior)
 from amp_lab.se import mp_denoise_fn
 
 
@@ -131,6 +134,74 @@ def test_unfolding_exact_spiked_mp_denoise():
     rep = verify_unfolding(run)
     assert rep.max_error <= 1e-8
     assert np.max(rep.trace_residuals) <= 1e-9
+
+
+@pytest.mark.parametrize("variant", ["ri-amp", "ri-amp-df", "ri-amp-mp-cubic"])
+def test_unfolding_exact_spiked_by_products(variant):
+    # polynomial unfolding entries (and a polynomial RI-AMP-MP schedule) are
+    # applied to a spiked run by products with its core, without eigenvectors
+    law = MarchenkoPastur(alpha=0.3)
+    N, T = 400, 5
+    ens, u1 = _setup(law, N, seed=12)
+    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=13)
+    dens = _lip_dens(T, seed=120)
+    if variant == "ri-amp":
+        run = run_ri_amp(inst, law, dens, u1, T, mode="grid")
+    elif variant == "ri-amp-df":
+        run = run_ri_amp_df(inst, law, dens, u1, T, mode="grid")
+    else:
+        cubics = [RationalFn(coeffs=(0.1 * t, 1.0, -0.3, 0.05 * t)) for t in range(1, T + 1)]
+        run = run_ri_amp_mp(inst, law, cubics, dens, u1, T, mode="grid")
+    rep = verify_unfolding(run)
+    assert rep.max_error <= 1e-8
+    assert np.max(rep.trace_residuals) <= 1e-9
+
+
+def test_spiked_run_allocates_no_n_by_n_array():
+    # after the instance is built, a spiked RI-AMP-MP run holds O(N T^2)
+    # numbers: Y's eigenvector matrix alone would be 8 N^2 bytes
+    law = MarchenkoPastur(alpha=0.2)
+    N, T, theta = 1000, 4, 1.5
+    ens, _ = _setup(law, N, seed=14)
+    inst = build_spiked(theta, make_prior("rademacher"), ens, seed=15)
+    u1 = 0.5 * inst.x_star + np.random.default_rng(16).standard_normal(N)
+    dens, f = _lip_dens(T, seed=140), mp_denoise_fn(theta, 0.2)
+    tracemalloc.start()
+    try:
+        run_ri_amp_mp(inst, law, f, dens, u1, T, mode="grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 8 * N * N
+
+
+def test_spiked_runs_need_rational_matrix_functions():
+    law = MarchenkoPastur(alpha=0.3)
+    ens, u1 = _setup(law, 100, seed=17)
+    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=18)
+    dens = _lip_dens(2, seed=170)
+    with pytest.raises(ValidationError, match="rational"):
+        run_ri_amp_mp(inst, law, lambda x: x + 0.3 * x**2, dens, u1, 2, mode="grid")
+    with pytest.raises(ValidationError, match="spiked"):
+        run_oamp(inst, [RationalFn(coeffs=(0.0, 1.0))] * 2, dens, u1, 2)
+
+
+def test_spiked_pole_check_on_w_and_y():
+    # a pole at 0 fails when 0 is an eigenvalue of W or of Y; Y is singular
+    # here although W is not: D = diag(-1, 1) + e_1 e_1^T = diag(0, 1)
+    pole = RationalFn(coeffs=(1.0,), pole=2.0)
+    sing_y = build_spiked(2.0, make_prior("rademacher"),
+                          RotInvEnsemble(eigenvalues=np.array([-1.0, 1.0]),
+                                         eigenvectors=np.eye(2)), seed=0)
+    sing_y.x_star[:] = [1.0, 0.0]
+    with pytest.raises(DomainError, match="eigenvalue of Y"):
+        as_operator(sing_y)[0].function(pole)
+    sing_w = build_spiked(1.0, make_prior("rademacher"),
+                          RotInvEnsemble(eigenvalues=np.array([0.0, 1.0]),
+                                         eigenvectors=np.eye(2)), seed=0)
+    with pytest.raises(DomainError, match="eigenvalue of W"):
+        as_operator(sing_w)[0].function(pole)
+    as_operator(sing_w)[0].function(RationalFn(coeffs=(1.0, 2.0)))  # no pole: fine
 
 
 def test_unfolding_population_mode_approximate():

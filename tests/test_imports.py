@@ -1,6 +1,7 @@
-"""Import footprint: numpy is the only heavy dependency that `import amp_lab`
-and the non-spiked paths load; scipy.linalg (for LAPACK dlasd4) loads only
-when a spiked instance is factored."""
+"""Import footprint: numpy is the only heavy dependency that `import amp_lab`,
+the non-spiked paths and spiked runs load; scipy.linalg (for LAPACK dlasd4)
+loads only when the secular solver runs, for the overlap measure or the
+empirical nu."""
 
 import json
 import os
@@ -54,7 +55,7 @@ assert verify_unfolding(run).max_error < 1e-8
     assert _scipy_modules(code, cfg, str(tmp_path / "out")) == set()
 
 
-def test_spiked_run_loads_only_scipy_linalg(tmp_path):
+def test_spiked_run_loads_no_scipy(tmp_path):
     cfg = _write_config(tmp_path, law="mp:alpha=0.2", N=64, T=2, theta=1.5, omega=0.3,
                         algo="ri-amp-mp", denoiser="linear-mmse-combining",
                         matrix_fn="mp-denoise", runs=1)
@@ -62,6 +63,28 @@ def test_spiked_run_loads_only_scipy_linalg(tmp_path):
 from amp_lab.cli import main
 assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 """
-    mods = _scipy_modules(code, cfg, str(tmp_path / "out"))
+    assert _scipy_modules(code, cfg, str(tmp_path / "out")) == set()
+
+
+def test_scipy_loads_only_for_the_secular_solver():
+    # a spiked library run and its verification load no scipy; the empirical
+    # nu, through overlap_measure, loads scipy.linalg and nothing else
+    code = """
+import numpy as np
+from amp_lab.denoisers import tanh_denoiser
+from amp_lab.engines import run_ri_amp_mp, verify_unfolding
+from amp_lab.laws import MarchenkoPastur
+from amp_lab.randmat import build_rot_invariant, build_spiked, make_prior
+from amp_lab.se import mp_denoise_fn, nu_measure
+law = MarchenkoPastur(alpha=0.2)
+ens = build_rot_invariant(law.quantile_grid(64).atoms, seed=1)
+inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=2)
+run = run_ri_amp_mp(inst, law, mp_denoise_fn(1.5, 0.2), [tanh_denoiser(t) for t in (1, 2)],
+                    inst.x_star, 2, mode="grid")
+assert verify_unfolding(run).max_error < 1e-8
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+nu_measure(law, 1.5, mode="empirical", N=64, seeds=1)
+"""
+    mods = _scipy_modules(code)
     assert "scipy.linalg" in mods
     assert not mods & {"scipy.integrate", "scipy.special", "scipy.optimize"}

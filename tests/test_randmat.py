@@ -13,6 +13,7 @@ from amp_lab.errors import NumericalError, ValidationError
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, parse_law_spec
 from amp_lab.randmat import (
     HouseholderRotation,
+    RationalFn,
     RotInvEnsemble,
     build_rot_invariant,
     build_spiked,
@@ -317,41 +318,41 @@ def _secular_case(name, N):
 @pytest.mark.parametrize("name", ["mp", "semicircle-subcritical", "point-mass",
                                   "repeated-atoms", "sparse-identity"])
 def test_secular_factorization_matches_dense_eigh(name, N):
+    # the secular roots and closed-form overlap weights, and the spiked
+    # operator's products, against a dense eigendecomposition of Y
     inst, scale = _secular_case(name, N)
-    z, mu, V = inst.spectrum
     lam, U = np.linalg.eigh(inst.Y)
-    assert np.max(np.abs(mu - lam)) <= 1e-12 * scale
-    assert np.max(np.abs(V.T @ V - np.eye(N))) <= 1e-10
+    om = overlap_measure(inst)
+    assert np.max(np.abs(om.eigenvalues - lam)) <= 1e-12 * scale
+    assert np.max(np.abs(om.weights - (inst.x_star @ U) ** 2 / N)) <= 1e-12
     op, _ = as_operator(inst)
     v = np.random.default_rng(N).standard_normal(N)
-    for f in (mp_denoise_fn(1.5, 0.2), np.polynomial.Polynomial([1.0, -1.0, 0.0, 0.5])):
+    assert np.linalg.norm(op.apply(v) - inst.Y @ v) <= 1e-12 * np.linalg.norm(inst.Y @ v)
+    for f in (mp_denoise_fn(1.5, 0.2), RationalFn(coeffs=(1.0, -1.0, 0.0, 0.5))):
         dense = U @ (f(lam) * (U.T @ v))
-        assert np.linalg.norm(op.apply_values(f(mu), v) - dense) <= 1e-10 * np.linalg.norm(dense)
-    om = overlap_measure(inst)
-    assert np.array_equal(om.eigenvalues, mu)
-    assert np.max(np.abs(om.weights - (inst.x_star @ U) ** 2 / N)) <= 1e-12
+        assert np.linalg.norm(op.function(f)(v) - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_diag_rank_one_eigh_peak_memory():
-    # the Loewner product is accumulated per root: no K x K temporaries
-    # beyond the root differences and V itself
-    N = 1000
+    # roots and weights need O(N) memory; the N x N eigenvector matrix
+    # alone would be N length-N arrays
+    N = 3000
     rng = np.random.default_rng(0)
     lam, z = np.sort(rng.standard_normal(N)), rng.standard_normal(N)
     tracemalloc.start()
     try:
-        _, V = diag_rank_one_eigh(lam, z, 1.5 / N)
+        diag_rank_one_eigh(lam, z, 1.5 / N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * V.nbytes
+    assert peak <= 64 * 8 * N
 
 
 @pytest.mark.parametrize("case", ["sorted", "unsorted-with-ties"])
-def test_diag_rank_one_eigh_builds_eigenvectors_in_place(case):
-    # the secular eigenvectors are formed in V's own storage: V is the only
-    # N x N array, in the sorted case the CLI takes and with grouping,
-    # deflation and a row permutation
+def test_diag_rank_one_eigh_roots_and_weights(case):
+    # in the sorted case the CLI takes, and with grouping, deflation and an
+    # unsorted diagonal: roots against eigvalsh, and the weights (z^T v_k)^2
+    # against the dense eigenvectors
     N = 1000
     rng = np.random.default_rng(1)
     lam, z = np.sort(rng.standard_normal(N)), rng.standard_normal(N)
@@ -360,25 +361,24 @@ def test_diag_rank_one_eigh_builds_eigenvectors_in_place(case):
         z[500:520] = 0.0
         perm = rng.permutation(N)
         lam, z = lam[perm], z[perm]
-    tracemalloc.start()
-    try:
-        mu, V = diag_rank_one_eigh(lam, z, 1.5 / N)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * V.nbytes
-    assert np.max(np.abs(V.T @ V - np.eye(N))) <= 1e-12
-    assert np.max(np.abs((V * mu) @ V.T - (np.diag(lam) + 1.5 / N * np.outer(z, z)))) <= 1e-12
+    mu, w = diag_rank_one_eigh(lam, z, 1.5 / N)
+    ev, U = np.linalg.eigh(np.diag(lam) + 1.5 / N * np.outer(z, z))
+    assert np.max(np.abs(mu - ev)) <= 1e-12
+    assert np.max(np.abs(w - (z @ U) ** 2)) <= 1e-12 * (z @ z)
 
 
 def test_diag_rank_one_eigh_reconstructs():
-    # unsorted diagonal with a tie and a zero coupling
+    # unsorted diagonal with a tie and a zero coupling: the roots are D's
+    # eigenvalues, and roots and weights reproduce z^T D^p z
     lam = np.array([3.0, -1.0, 2.0, -1.0, 0.5])
     z = np.array([0.3, 1.0, 0.0, -2.0, 0.7])
-    mu, V = diag_rank_one_eigh(lam, z, 0.8)
+    D = np.diag(lam) + 0.8 * np.outer(z, z)
+    mu, w = diag_rank_one_eigh(lam, z, 0.8)
     assert np.all(np.diff(mu) >= 0)
-    recon = (V * mu) @ V.T
-    assert np.max(np.abs(recon - (np.diag(lam) + 0.8 * np.outer(z, z)))) < 1e-14
+    assert np.max(np.abs(mu - np.linalg.eigvalsh(D))) < 1e-14
+    for p in range(4):
+        quad = z @ np.linalg.matrix_power(D, p) @ z
+        assert abs(w @ mu**p - quad) < 1e-14 * (z @ z) * np.linalg.norm(D, 2) ** p
     with pytest.raises(ValidationError):
         diag_rank_one_eigh(lam, z, 0.0)
 

@@ -10,7 +10,7 @@ from amp_lab.denoisers import linear_mmse_combining_denoiser, tanh_denoiser
 from amp_lab.errors import ValidationError
 from amp_lab.freeprob import cumulants_from_law
 from amp_lab.laws import MarchenkoPastur, Semicircle
-from amp_lab.randmat import make_prior
+from amp_lab.randmat import RationalFn, make_prior
 from amp_lab.se import (
     DEFAULT_GH_POINTS,
     McConfig,
@@ -224,6 +224,15 @@ def test_check_pole_free():
 # ---------------------------------------------------------------------------
 # spiked recursion
 # ---------------------------------------------------------------------------
+
+def test_mp_denoise_fn_coefficients_match_its_expression():
+    # the spiked operator applies f from its coefficients; SE evaluates the
+    # expression
+    f = mp_denoise_fn(1.5, 0.2)
+    x = np.linspace(0.3, 2.5, 50)
+    plain = RationalFn(coeffs=f.coeffs, pole=f.pole)
+    assert np.max(np.abs(plain(x) - f(x))) <= 1e-14 * np.max(np.abs(f(x)))
+
 
 def test_spiked_se_first_step_closed_form():
     # beta_1 = sqrt(omega) E_nu[f]; alpha_1 = sqrt(omega)
