@@ -34,7 +34,8 @@ from .randmat import (
     sample_haar_orthogonal,
     save_matrix,
 )
-from .denoisers import linear_mmse_combining_denoiser, tanh_denoiser
+from .denoisers import (linear_mmse_combining_denoiser, random_lipschitz_denoiser,
+                        tanh_denoiser)
 from .engines import (
     orthogonality_residuals,
     run_gaussian_amp,

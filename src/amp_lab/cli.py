@@ -63,13 +63,19 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
-def _seed_bytes(N: int, algo: str) -> int:
-    """Peak bytes one seed holds: the Haar eigenbasis as Householder
-    reflectors (half an N x N draw, 4 N^2), spiked or not, since a spiked
-    instance is applied in the rotated frame without eigenvectors; Gaussian
-    AMP holds a dense GOE draw, its symmetrization and its eigenvectors
-    (24 N^2)."""
-    return (24 if algo == "gaussian-amp" else 4) * N * N
+def _seed_bytes(N: int, algo: str, T: int) -> int:
+    """Peak bytes one seed holds.  Gaussian AMP holds a dense GOE draw, its
+    symmetrization and its eigenvectors (24 N^2).  The others hold only
+    length-N vectors, 32 (T + 2) of them: the revealed pairs of the lazy
+    Haar rotation (at most 2T + 2 pairs of two vectors, in storage of at
+    least 16 pairs that doubles as it fills, old and new storage both alive
+    while it grows), and the iterates with their temporaries.  RI-AMP-MP
+    adds 5 T^2 for the T x T Neumann factors its grid-mode debias solve
+    keeps at each of the N eigenvalues."""
+    if algo == "gaussian-amp":
+        return 24 * N * N
+    vectors = 32 * (T + 2) + (5 * T * T if algo == "ri-amp-mp" else 0)
+    return 8 * N * vectors
 
 
 def _check_fits_memory(need: int, what: str) -> None:
@@ -124,7 +130,7 @@ class ExperimentConfig:
             if make_prior(self.prior).second_moment != 1.0:
                 raise ValidationError("MMSE denoisers need a unit-second-moment prior")
         workers = _worker_count(self.runs)
-        _check_fits_memory(workers * _seed_bytes(self.N, self.algo),
+        _check_fits_memory(workers * _seed_bytes(self.N, self.algo, self.T),
                            f"N={self.N} with {workers} concurrent seed(s)")
 
     @property
@@ -484,8 +490,9 @@ def cmd_cumulants(args) -> int:
             raise ValidationError("--replicas and --dim must be >= 1")
         if args.seed < 0:
             raise ValidationError("--seed must be >= 0")
-        # the replicas run one after another, each on one Haar ensemble
-        _check_fits_memory(_seed_bytes(args.dim, "ri-amp"), f"--dim {args.dim}")
+        # the replicas run one after another, each on one Haar ensemble that
+        # answers the order + 1 products of the cumulant recursion
+        _check_fits_memory(_seed_bytes(args.dim, "ri-amp", args.order), f"--dim {args.dim}")
     table = cumulants_from_law(law, args.order)
     header = ["n", "m_n", "kappa_n"]
     extra = None

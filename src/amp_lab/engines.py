@@ -22,7 +22,7 @@ from .denoisers import Denoiser, last_row_denoiser
 from .errors import DomainError, NumericalError, UnsupportedVariantError, ValidationError
 from .freeprob import build_poly_family, moments_to_cumulants, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
-from .randmat import (HouseholderRotation, RationalFn, RotInvEnsemble, SpikedInstance,
+from .randmat import (LazyHaarRotation, RationalFn, RotInvEnsemble, SpikedInstance,
                       _eigh, _map_eigenvalues)
 
 HORIZON_CAP = 10
@@ -31,8 +31,8 @@ MP_DEBIAS_NODES = 400  # quadrature nodes of the RI-AMP-MP trace-free solve
 
 @dataclass
 class MatrixOperator:
-    """Factored symmetric matrix O D O^T, where O is a HouseholderRotation or
-    a dense orthogonal matrix and D = diag(eigenvalues) + rho z z^T.  The
+    """Factored symmetric matrix O D O^T, where O is a LazyHaarRotation or a
+    dense orthogonal matrix and D = diag(eigenvalues) + rho z z^T.  The
     rank-one term is that of a spiked instance (eigenvalues and O are W's,
     z = O^T x*, rho = theta/N) and is absent (z None) otherwise; Y's
     eigenvectors are never formed.  to_spectral, from_spectral and the
@@ -40,7 +40,7 @@ class MatrixOperator:
     vectors (N, k)."""
 
     eigenvalues: np.ndarray
-    rotation: np.ndarray | HouseholderRotation
+    rotation: np.ndarray | LazyHaarRotation
     z: np.ndarray | None = None
     rho: float = 0.0
 

@@ -335,6 +335,12 @@ class ExternalDensity(SpectralLaw):
             d = d / mass
         if not (0 < mass < np.inf and np.all(np.isfinite(d))):
             raise ValidationError("density table needs a positive, finite total mass")
+        # np.interp divides by the segment widths; an overflowing slope makes it inf/nan
+        with np.errstate(all="ignore"):
+            slopes = np.diff(d) / np.diff(g)
+        if not np.all(np.isfinite(slopes)):
+            raise ValidationError("density table is too steep to interpolate "
+                                  "(a segment is too narrow for its density jump)")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "density", d)
 

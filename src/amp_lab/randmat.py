@@ -1,10 +1,14 @@
 """Rotationally-invariant ensembles, spiked instances, and signal priors.
 
 Matrices with prescribed spectra are kept in factored form (eigenvalues,
-Haar eigenvectors).  A Haar eigenbasis is sampled as N Householder
-reflectors in O(N^2) time and never formed: applying it, or its transpose,
-to a vector costs about one dense matrix-vector product, and the dense
-orthogonal and symmetric matrices are materialized only on request.  A
+Haar eigenvectors).  A Haar eigenbasis is a `LazyHaarRotation`: it is drawn
+only on the vectors it is applied to, each answer from the Haar law
+conditioned on the earlier ones, in O(N k) time after k earlier answers,
+and the dense orthogonal and symmetric matrices are materialized only on
+request.  Such an ensemble carries state.  Two ensembles built from the
+same seed and given the same calls in the same order agree bit for bit; a
+repeated call on one ensemble agrees with its first answer to rounding,
+not bit for bit.  An ensemble must not be shared across threads.  A
 spiked instance Y = O (Lambda + rho z z^T) O^T, z = O^T x*, is never formed
 and never eigendecomposed: matrix functions of the form polynomial plus
 b/x (`RationalFn`) apply to its diagonal-plus-rank-one core exactly in
@@ -24,117 +28,134 @@ import numpy as np
 from .errors import DomainError, NumericalError, ValidationError
 
 OVERLAP_N_CAP = 8000  # the secular solver's root loop takes O(N^2) time
-WY_BLOCK = 64  # reflectors per compact-WY block
+# A query's residual off the revealed span is new only above this multiple
+# of the query's norm; below it, it is rounding left by the projection.
+RANK_TOL = 64 * np.finfo(float).eps
+
+
+class _RevealedPairs:
+    """Orthonormal rows a_1..a_k and b_1..b_k with O a_i = b_i, and the
+    generator that reveals the rest of O.  Storage doubles as pairs are
+    added."""
+
+    def __init__(self, N: int, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.rows = np.empty((2, min(N, 16), N))  # rows[0, i] = a_i, rows[1, i] = b_i
+        self.k = 0
+
+    def append(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Record the pairs a[j] -> b[j] (arrays of shape (m, N))."""
+        k, m = self.k, a.shape[0]
+        if k + m > self.rows.shape[1]:
+            grown = np.empty((2, min(max(2 * self.rows.shape[1], k + m), self.rows.shape[2]),
+                              self.rows.shape[2]))
+            grown[:, :k] = self.rows[:, :k]
+            self.rows = grown
+        self.rows[0, k:k + m] = a
+        self.rows[1, k:k + m] = b
+        self.k = k + m
+
+
+def _project_off(v: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, r) with v = Q^T c + r and r orthogonal to the orthonormal rows of
+    Q: classical Gram-Schmidt, twice (CGS2)."""
+    c = Q @ v
+    r = v - c @ Q
+    c2 = Q @ r
+    r -= c2 @ Q
+    return c + c2, r
 
 
 @dataclass(frozen=True)
-class HouseholderRotation:
-    """Orthogonal O = H_1 ... H_N diag(signs), H_k = I - tau_k v_k v_k^T,
-    where v_k is zero before entry k and one at entry k; O is never formed.
+class LazyHaarRotation:
+    """Haar orthogonal O, revealed only on the vectors it is applied to.
 
-    The reflectors are kept in consecutive blocks (k0, V, T): row i of V is
-    v_{k0+i} from entry k0 on, and H_k0 ... H_k0+nb-1 = I - V^T T V in
-    compact WY form with T upper triangular (Schreiber & Van Loan, SIAM J.
-    Sci. Stat. Comput. 10, 1989).  O @ x and O.T @ x cost three BLAS-2
-    calls per block, about one dense matrix-vector product, and the blocks
-    hold about N^2/2 numbers.
+    The rotation keeps orthonormal pairs (a_i, b_i) with O a_i = b_i.  A
+    query O @ x splits x = A^T c + rho e with e a unit vector orthogonal to
+    the a_i (CGS2) and returns B^T c + rho g, where g is a fresh standard
+    normal vector projected off the b_i and normalized; the pair (e, g) is
+    recorded.  Given the pairs, O maps the complement of span(a) onto that of
+    span(b) as a Haar isometry, so O e is uniform on the unit sphere of the
+    latter: every answer has the Haar law conditioned on the earlier ones
+    (Rangan, Schniter & Fletcher, IEEE TIT 65, 2019; Takeuchi, IEEE TIT 66,
+    2020).  O.T @ y is the same query with the roles of a and b swapped.  A
+    query costs O(N k) for k pairs.
+
+    A residual rho <= RANK_TOL |x| is rounding, not a new direction: it is
+    dropped and no pair is recorded.  Recording such noise would break the
+    orthonormality of the pairs and, with it, every later answer.
+
+    The answers depend on the rotation's seed and on the sequence of queries
+    made so far: two rotations of the same seed given the same queries agree
+    bit for bit, and a repeated query agrees with its first answer to
+    rounding.  The revealed state is not locked, so a rotation must not be
+    queried from two threads.
     """
 
-    blocks: tuple  # ((k0, V, T), ...) in reflector order
-    signs: np.ndarray  # (N,), entries +-1
+    pairs: _RevealedPairs
     transposed: bool = False
-
-    @classmethod
-    def from_gaussian_rows(cls, row_blocks) -> "HouseholderRotation":
-        """Rotation whose reflector k is built from row k, columns k on, of
-        the N x N matrix stacked from `row_blocks`, by the LAPACK dlarfg
-        convention (beta = -sign(alpha) |x|), with signs = sign(beta).  Each
-        block of rows becomes one compact-WY block.
-
-        For iid standard normal rows the rotation is Haar: the reflectors of
-        a Householder QR of a Gaussian matrix are built from independent
-        Gaussian vectors of lengths N, N-1, ..., 1, and sign(diag R) makes
-        Q Haar (Stewart, SIAM J. Numer. Anal. 17, 1980; Mezzadri, Notices
-        AMS 54, 2007).
-        """
-        blocks, signs = [], []
-        k0, N = 0, None
-        for rows in row_blocks:
-            nb = rows.shape[0]
-            N = rows.shape[1] if N is None else N
-            if rows.shape[1] != N or k0 + nb > N:
-                raise ValidationError("row blocks must stack to a square matrix")
-            V = np.array(rows[:, k0:], dtype=float)
-            V[:, :nb][np.tril_indices(nb, -1)] = 0.0
-            diag = np.arange(nb)
-            alpha = V[diag, diag].copy()
-            V[diag, diag] = 0.0
-            xnorm = np.linalg.norm(V, axis=1)
-            beta = -np.copysign(np.hypot(alpha, xnorm), alpha)
-            if np.any(beta == 0.0):
-                raise NumericalError(f"zero-norm Householder row at reflector "
-                                     f"{k0 + int(np.argmax(beta == 0.0))}")
-            reflect = xnorm > 0.0  # otherwise H_k = I and beta = alpha
-            tau = np.where(reflect, (beta - alpha) / beta, 0.0)
-            V *= np.where(reflect, 1.0 / (alpha - beta), 0.0)[:, None]
-            V[diag, diag] = 1.0
-            signs.append(np.sign(np.where(reflect, beta, alpha)))
-            # forward columnwise T (LAPACK dlarft):
-            # T[:i, i] = -tau_i T[:i, :i] V[:i] v_i
-            S = V @ V.T
-            T = np.zeros((nb, nb))
-            for i in range(nb):
-                T[:i, i] = -tau[i] * (T[:i, :i] @ S[:i, i])
-                T[i, i] = tau[i]
-            blocks.append((k0, V, T))
-            k0 += nb
-        if N is None or k0 != N:
-            raise ValidationError("row blocks must stack to a square matrix")
-        return cls(blocks=tuple(blocks), signs=np.concatenate(signs))
 
     @property
     def N(self) -> int:
-        return self.signs.shape[0]
+        return self.pairs.rows.shape[2]
 
     @property
-    def T(self) -> "HouseholderRotation":
-        """The transpose (and inverse), sharing the reflectors."""
+    def T(self) -> "LazyHaarRotation":
+        """The transpose (and inverse), sharing the revealed pairs."""
         return replace(self, transposed=not self.transposed)
 
     def __matmul__(self, x) -> np.ndarray:
-        """O @ x (O.T @ x when transposed) for x of shape (N,) or (N, k)."""
-        y = np.array(x, dtype=float)
-        if y.ndim not in (1, 2) or y.shape[0] != self.N:
+        """O @ x (O.T @ x when transposed) for x of shape (N,) or (N, m);
+        the m columns are queried in order."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.N:
             raise ValidationError(f"cannot apply an {self.N}x{self.N} rotation "
-                                  f"to shape {y.shape}")
-        d = self.signs if y.ndim == 1 else self.signs[:, None]
-        if self.transposed:  # diag(d) Q_B^T ... Q_1^T x, Q_b^T = I - V^T T^T V
-            for k0, V, T in self.blocks:
-                seg = y[k0:]
-                seg -= V.T @ (T.T @ (V @ seg))
-            y *= d
-        else:  # Q_1 ... Q_B diag(d) x, Q_b = I - V^T T V
-            y *= d
-            for k0, V, T in reversed(self.blocks):
-                seg = y[k0:]
-                seg -= V.T @ (T @ (V @ seg))
+                                  f"to shape {x.shape}")
+        if x.ndim == 1:
+            return self._query(x)
+        y = np.empty_like(x)
+        for j in range(x.shape[1]):
+            y[:, j] = self._query(x[:, j])
+        return y
+
+    def _query(self, x: np.ndarray) -> np.ndarray:
+        P = self.pairs
+        src, dst = P.rows[int(self.transposed), :P.k], P.rows[1 - int(self.transposed), :P.k]
+        c, r = _project_off(x, src)
+        y = c @ dst
+        rho = float(np.linalg.norm(r))
+        if P.k < self.N and rho > RANK_TOL * float(np.linalg.norm(x)):
+            _, g = _project_off(P.rng.standard_normal(self.N), dst)
+            g /= np.linalg.norm(g)
+            y += rho * g
+            e = r / rho
+            a, b = (g, e) if self.transposed else (e, g)
+            P.append(a[None, :], b[None, :])
         return y
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix, formed in O(N^3)."""
-        return self @ np.eye(self.N)
+        """The N x N matrix, in O(N^3).  The unrevealed part is revealed at
+        once: with orthonormal bases Qa, Qb of the complements of span(a) and
+        span(b), O Qa = Qb H for a Haar H, drawn as the sign-corrected Q
+        factor of a Gaussian matrix (Mezzadri, Notices AMS 54, 2007)."""
+        P, N = self.pairs, self.N
+        k = P.k
+        if k < N:
+            Qa, Qb = (np.linalg.qr(P.rows[i, :k].T, mode="complete")[0][:, k:]
+                      for i in (0, 1))
+            H, R = np.linalg.qr(P.rng.standard_normal((N - k, N - k)))
+            H *= np.where(np.diag(R) < 0, -1.0, 1.0)
+            P.append(Qa.T, (Qb @ H).T)
+        A, B = P.rows[0, :N], P.rows[1, :N]
+        return A.T @ B if self.transposed else B.T @ A
 
 
-def sample_haar_rotation(N: int, seed: int) -> HouseholderRotation:
-    """Haar-distributed orthogonal matrix in factored form, in O(N^2): row k
-    of one N x N standard-normal draw supplies reflector k.  The draw is
-    taken WY_BLOCK rows at a time (the same numbers as one N x N draw), so
-    only the reflectors' half of it is kept."""
+def sample_haar_rotation(N: int, seed: int) -> LazyHaarRotation:
+    """Haar-distributed orthogonal matrix, revealed lazily (see
+    LazyHaarRotation); nothing is drawn until it is applied."""
     if N < 1:
         raise ValidationError("N must be >= 1")
-    rng = np.random.default_rng(seed)
-    return HouseholderRotation.from_gaussian_rows(
-        rng.standard_normal((min(WY_BLOCK, N - k0), N)) for k0 in range(0, N, WY_BLOCK))
+    return LazyHaarRotation(_RevealedPairs(N, seed))
 
 
 def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
@@ -144,17 +165,18 @@ def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
 
 def _dense(O) -> np.ndarray:
     """An eigenbasis as a dense matrix (formed if it is a rotation)."""
-    return O.dense() if isinstance(O, HouseholderRotation) else O
+    return O.dense() if isinstance(O, LazyHaarRotation) else O
 
 
 @dataclass
 class RotInvEnsemble:
     """W = O diag(eigenvalues) O^T; dense W built on demand.  The
-    eigenbasis O is a HouseholderRotation (Haar) or a dense orthogonal
-    matrix (GOE)."""
+    eigenbasis O is a LazyHaarRotation (Haar) or a dense orthogonal matrix
+    (GOE).  A Haar ensemble carries the state of its rotation: see
+    LazyHaarRotation for what that means for determinism and threads."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | HouseholderRotation
+    eigenvectors: np.ndarray | LazyHaarRotation
     _W: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -371,20 +393,22 @@ def _secular_roots(d: np.ndarray, w: np.ndarray, rho_n: float):
 
 @dataclass
 class SpikedInstance:
+    """Y = (theta/N) x* x*^T + W.  z = O^T x*, the signal in W's eigenbasis,
+    is computed once, when the instance is built, so that
+    Y = O (diag(lambda) + (theta/N) z z^T) O^T with one fixed z."""
+
     theta: float
     x_star: np.ndarray
     ensemble: RotInvEnsemble
+    z: np.ndarray = field(init=False, repr=False)
     _Y: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.z = self.ensemble.eigenvectors.T @ self.x_star
 
     @property
     def N(self) -> int:
         return self.x_star.shape[0]
-
-    @property
-    def z(self) -> np.ndarray:
-        """The signal in W's eigenbasis, z = O^T x*, so that
-        Y = O (diag(lambda) + (theta/N) z z^T) O^T."""
-        return self.ensemble.eigenvectors.T @ self.x_star
 
     @property
     def Y(self) -> np.ndarray:

@@ -16,6 +16,7 @@ alpha = E[X* Ubar].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -66,13 +67,22 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite nodes and weights normalized to sum 1.
 
     Nodes of weight below 1e-30 are dropped (about half of them at 192
-    nodes): their total mass, even against z^4, is below 1e-26.
+    nodes): their total mass, even against z^4, is below 1e-26.  The rule is
+    computed once per n and shared read-only.
     """
     _check_gh_points(n)
+    return _hermite_rule(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     z, w = np.polynomial.hermite_e.hermegauss(n)
     w = w / w.sum()
     keep = w > 1e-30
-    return z[keep], w[keep]
+    z, w = z[keep], w[keep]
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
 
 
 @dataclass

@@ -21,7 +21,7 @@ from amp_lab.cli import (
 from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
 from amp_lab.laws import MarchenkoPastur, Semicircle, parse_law_spec
-from amp_lab.randmat import HouseholderRotation, RationalFn, make_prior
+from amp_lab.randmat import LazyHaarRotation, RationalFn, make_prior
 from amp_lab.se import McConfig, SeInit, spiked_se
 
 
@@ -113,22 +113,23 @@ def test_from_dict_gives_valid_config_or_validation_error(data, over_base):
 
 
 def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
-    # a seed holds 4 N^2 bytes of Householder reflectors, spiked or not, so 2
-    # seed workers at N=12000 (1.15e9 bytes) do not fit 1 GiB and at N=11000
-    # (0.97e9 bytes) do; nothing large is allocated
+    # a seed holds 8 N (32 (T + 2) + 5 T^2) bytes for RI-AMP-MP and
+    # 8 N 32 (T + 2) for RI-AMP (T = 3 here), so 2 spiked RI-AMP-MP seed
+    # workers at N=330000 (1.08e9 bytes) do not fit 1 GiB and at N=320000
+    # (1.05e9 bytes) do; nothing large is allocated
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     monkeypatch.setenv("AMP_LAB_THREADS", "2")
     nonspiked = dict(theta=None, omega=None, algo="ri-amp", denoiser="tanh")
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=12000)
-    _cfg(N=11000)
+        _cfg(N=330000)
+    _cfg(N=320000)
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=12000, **nonspiked)
-    _cfg(N=11000, **nonspiked)
+        _cfg(N=420000, **nonspiked)  # 1.08e9 bytes
+    _cfg(N=410000, **nonspiked)  # 1.05e9 bytes
     monkeypatch.setenv("AMP_LAB_THREADS", "1")
-    _cfg(N=16000)  # 1.02e9 bytes
+    _cfg(N=650000)  # 1.07e9 bytes
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=17000)  # 1.16e9 bytes
+        _cfg(N=660000)  # 1.08e9 bytes
     with pytest.raises(ValidationError, match="physical memory"):  # dense GOE: 24 N^2
         _cfg(N=7000, theta=None, omega=None, algo="gaussian-amp", denoiser="tanh",
              law="semicircle")
@@ -136,7 +137,7 @@ def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
     _cfg(N=100_000)
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({**BASE, "N": 20000}))
+    p.write_text(json.dumps({**BASE, "N": 700_000}))
     assert main(["se", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "physical memory" in captured.err
@@ -288,7 +289,7 @@ def test_run_samples_haar_without_qr_or_dense_rotation(tmp_path, monkeypatch):
         raise AssertionError("dense Haar sampling path used")
 
     monkeypatch.setattr(np.linalg, "qr", forbidden)
-    monkeypatch.setattr(HouseholderRotation, "dense", forbidden)
+    monkeypatch.setattr(LazyHaarRotation, "dense", forbidden)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(BASE)))
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
@@ -324,11 +325,12 @@ def test_bad_cumulants_inputs_exit_1_with_one_line(args, capsys):
 
 
 def test_cumulants_mc_dim_beyond_physical_memory_exits_1(monkeypatch, capsys):
-    # one Haar ensemble holds 4 dim^2 bytes of reflectors, so dim=20000
-    # (1.6e9 bytes) does not fit 1 GiB; nothing large is allocated
+    # one Haar ensemble answering an order-2 recursion is budgeted 8 dim 128
+    # bytes, so dim=2000000 (2.0e9 bytes) does not fit 1 GiB; nothing large
+    # is allocated
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     argv = ["cumulants", "--law", "semicircle", "--order", "2", "--mc", "--replicas", "1"]
-    assert main(argv + ["--dim", "20000"]) == 1
+    assert main(argv + ["--dim", "2000000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "physical memory" in captured.err
     assert main(argv + ["--dim", "300"]) == 0

@@ -26,8 +26,8 @@ from amp_lab.engines import (
 from amp_lab.errors import DomainError, UnsupportedVariantError, ValidationError
 from amp_lab.freeprob import cumulants_from_law
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
-from amp_lab.randmat import (RationalFn, RotInvEnsemble, build_rot_invariant, build_spiked,
-                             goe_ensemble, make_prior)
+from amp_lab.randmat import (RationalFn, RotInvEnsemble, SpikedInstance, build_rot_invariant,
+                             build_spiked, goe_ensemble, make_prior)
 from amp_lab.se import mp_denoise_fn
 
 
@@ -175,6 +175,25 @@ def test_spiked_run_allocates_no_n_by_n_array():
     assert peak <= 0.25 * 8 * N * N
 
 
+def test_ri_amp_run_allocates_no_n_by_n_array():
+    # building the ensemble and running RI-AMP at the horizon cap holds the
+    # rotation's revealed pairs and the iterates, O(N T) numbers; the N x N
+    # Householder reflectors of a full Haar draw were 0.5 of 8 N^2 bytes
+    law = MarchenkoPastur(alpha=0.3)
+    N, T = 20000, HORIZON_CAP
+    grid = law.quantile_grid(N).atoms
+    u1 = np.random.default_rng(21).choice([-1.0, 1.0], size=N)
+    dens = [tanh_denoiser(t) for t in range(1, T + 1)]
+    tracemalloc.start()
+    try:
+        ens = build_rot_invariant(grid, seed=20)
+        run_ri_amp(ens, law, dens, u1, T, mode="grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.02 * 8 * N * N
+
+
 def test_spiked_runs_need_rational_matrix_functions():
     law = MarchenkoPastur(alpha=0.3)
     ens, u1 = _setup(law, 100, seed=17)
@@ -190,10 +209,9 @@ def test_spiked_pole_check_on_w_and_y():
     # a pole at 0 fails when 0 is an eigenvalue of W or of Y; Y is singular
     # here although W is not: D = diag(-1, 1) + e_1 e_1^T = diag(0, 1)
     pole = RationalFn(coeffs=(1.0,), pole=2.0)
-    sing_y = build_spiked(2.0, make_prior("rademacher"),
-                          RotInvEnsemble(eigenvalues=np.array([-1.0, 1.0]),
-                                         eigenvectors=np.eye(2)), seed=0)
-    sing_y.x_star[:] = [1.0, 0.0]
+    sing_y = SpikedInstance(theta=2.0, x_star=np.array([1.0, 0.0]),
+                            ensemble=RotInvEnsemble(eigenvalues=np.array([-1.0, 1.0]),
+                                                    eigenvectors=np.eye(2)))
     with pytest.raises(DomainError, match="eigenvalue of Y"):
         as_operator(sing_y)[0].function(pole)
     sing_w = build_spiked(1.0, make_prior("rademacher"),
@@ -276,14 +294,30 @@ def test_goe_population_debias_equals_divergence_matrix():
 
 
 def test_determinism_bit_identical():
+    # an ensemble carries the revealed part of its rotation, so each run gets
+    # its own ensemble, built from the same seed
+    law = Semicircle()
+    dens = _lip_dens(3, seed=100)
+    runs = []
+    for _ in range(2):
+        ens, u1 = _setup(law, 150, seed=12)
+        runs.append(run_ri_amp(ens, law, dens, u1, 3, mode="grid"))
+    a, b = runs
+    for t in range(3):
+        assert np.array_equal(a.r[t], b.r[t])
+        assert np.array_equal(a.u[t + 1], b.u[t + 1])
+
+
+def test_repeat_run_on_one_ensemble_agrees():
+    # the second run queries only revealed directions of the rotation
     law = Semicircle()
     ens, u1 = _setup(law, 150, seed=12)
     dens = _lip_dens(3, seed=100)
     a = run_ri_amp(ens, law, dens, u1, 3, mode="grid")
     b = run_ri_amp(ens, law, dens, u1, 3, mode="grid")
     for t in range(3):
-        assert np.array_equal(a.r[t], b.r[t])
-        assert np.array_equal(a.u[t + 1], b.u[t + 1])
+        assert np.max(np.abs(a.r[t] - b.r[t])) <= 1e-12
+        assert np.max(np.abs(a.u[t + 1] - b.u[t + 1])) <= 1e-12
 
 
 def test_horizon_cap():

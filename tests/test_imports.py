@@ -1,12 +1,18 @@
 """Import footprint: numpy is the only heavy dependency that `import amp_lab`,
 the non-spiked paths and spiked runs load; scipy.linalg (for LAPACK dlasd4)
 loads only when the secular solver runs, for the overlap measure or the
-empirical nu."""
+empirical nu.  Every name the benchmark and the demos import from amp_lab
+exists."""
 
+import ast
+import glob
+import importlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import amp_lab
 
@@ -88,3 +94,23 @@ nu_measure(law, 1.5, mode="empirical", N=64, seeds=1)
     mods = _scipy_modules(code)
     assert "scipy.linalg" in mods
     assert not mods & {"scipy.integrate", "scipy.special", "scipy.optimize"}
+
+
+def _amp_lab_imports(path: str) -> list:
+    """(module, name) for each name `path` imports from amp_lab or a submodule."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "amp_lab" for alias in node.names]
+
+
+@pytest.mark.parametrize("folder", ["perfbench", "demos"])
+def test_names_imported_from_amp_lab_resolve(folder):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = sorted(glob.glob(os.path.join(root, folder, "*.py")))
+    pairs = [pair for path in files for pair in _amp_lab_imports(path)]
+    assert pairs, f"no amp_lab imports found under {folder}/"
+    missing = [f"{mod}.{name}" for mod, name in pairs
+               if not hasattr(importlib.import_module(mod), name)]
+    assert not missing, missing

@@ -212,7 +212,7 @@ def test_non_finite_law_parameters_rejected(spec):
 
 @pytest.mark.parametrize("table", ["1.0\ninf\n", "nan\n", "0 1\n1 nan\n2 1\n",
                                    "0 1\ninf 1\n", "0 inf\n1 1\n",
-                                   "0 1\n5e-324 1\n"])
+                                   "0 1\n5e-324 1\n", "0 0\n1.8826534973161846e-171 1\n"])
 def test_non_finite_law_tables_rejected(tmp_path, table):
     p = tmp_path / "law.txt"
     p.write_text(table)

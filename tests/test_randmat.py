@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import lapack
 
 from amp_lab.cli import ExperimentConfig, compute_se, resolve_matrix_fn
-from amp_lab.engines import as_operator, run_ri_amp_mp
-from amp_lab.errors import NumericalError, ValidationError
+from amp_lab.denoisers import tanh_denoiser
+from amp_lab.engines import HORIZON_CAP, as_operator, run_ri_amp, run_ri_amp_mp
+from amp_lab.errors import ValidationError
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, parse_law_spec
 from amp_lab.randmat import (
-    HouseholderRotation,
     RationalFn,
     RotInvEnsemble,
     build_rot_invariant,
@@ -73,71 +72,107 @@ def _qr_haar(N, seed):
     return Q * d[None, :]
 
 
-@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 130])
-def test_householder_rotation_matches_dense_form(N):
-    rot = sample_haar_rotation(N, seed=N)
-    # dense form built independently: LAPACK dorgqr on the stored reflectors
-    A = np.zeros((N, N))
-    for k0, V, _ in rot.blocks:
-        A[k0:k0 + V.shape[0], k0:] = V
-    tau = np.concatenate([np.diag(T) for _, _, T in rot.blocks])
-    Q, _, info = lapack.dorgqr(A.T.copy(), tau)
-    assert info == 0
-    O = Q * rot.signs[None, :]
-    assert np.max(np.abs(O.T @ O - np.eye(N))) < 1e-12
+@pytest.mark.parametrize("N", [1, 2, 50, 63, 64, 65, 130, 400])
+def test_lazy_haar_rotation_dense_form(N):
+    # answers given before dense() agree with it, dense() is orthogonal, and
+    # the same seed given the same calls gives the same bits.  The pair
+    # storage starts at min(N, 16) and dense() grows it to N in one step;
+    # after that every query is in-span
     rng = np.random.default_rng(N + 1)
-    for v in (rng.standard_normal(N), rng.standard_normal((N, 3))):
-        assert np.max(np.abs(rot @ v - O @ v)) < 1e-12
-        assert np.max(np.abs(rot.T @ v - O.T @ v)) < 1e-12
-        assert np.max(np.abs(rot.T @ (rot @ v) - v)) < 1e-12
-        assert np.array_equal(sample_haar_rotation(N, seed=N) @ v, rot @ v)
-    assert np.max(np.abs(rot.dense() - O)) < 1e-12
-    assert np.max(np.abs(rot.T.dense() - O.T)) < 1e-12
-    with pytest.raises(ValidationError):
-        rot @ np.ones(N + 1)
+    calls = (rng.standard_normal(N), rng.standard_normal((N, 3)))
+
+    def answers(rot):
+        out = [rot @ calls[0], rot.T @ calls[1], rot @ calls[1]]
+        return out + [rot.dense(), rot.T.dense()]
+
+    rot = sample_haar_rotation(N, seed=N)
+    got = answers(rot)
+    O = got[3]
+    assert np.max(np.abs(O.T @ O - np.eye(N))) < 1e-13
+    assert np.max(np.abs(O @ O.T - np.eye(N))) < 1e-13
+    assert np.max(np.abs(got[4] - O.T)) < 1e-13
+    for answer, want in zip(got[:3], (O @ calls[0], O.T @ calls[1], O @ calls[1])):
+        assert np.max(np.abs(answer - want)) < 1e-13
+    assert np.max(np.abs(rot.T @ (rot @ calls[1]) - calls[1])) < 1e-13
+    for a, b in zip(got, answers(sample_haar_rotation(N, seed=N))):
+        assert np.array_equal(a, b)
 
 
-def test_householder_rotation_guards():
+def test_lazy_haar_rotation_round_trip():
+    # O^T (O x) returns x on a fresh rotation, and O (O^T y) returns y
+    N = 300
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal(N), rng.standard_normal((N, 4))
+    rot = sample_haar_rotation(N, seed=6)
+    assert np.max(np.abs(rot.T @ (rot @ x) - x)) < 1e-13
+    assert np.max(np.abs(rot @ (rot.T @ y) - y)) < 1e-13
+
+
+@pytest.mark.parametrize("law", ["semicircle", "mp:alpha=0.3", "point:c=1.5",
+                                 "five-atoms"])
+def test_lazy_haar_w_powers_match_dense(law):
+    # W^k x by alternating O^T and O, k up to twice the horizon cap, against
+    # O Lambda^k O^T x with O completed densely afterwards.  A residual at
+    # rounding level must not become a pair: a W with few distinct
+    # eigenvalues reveals only that many
+    N = 400
+    if law == "five-atoms":
+        grid, distinct = np.repeat([0.5, 1.0, 1.5, 2.0, 3.0], N // 5), 5
+    else:
+        grid = parse_law_spec(law).quantile_grid(N).atoms
+        distinct = np.unique(grid).size
+    rot = sample_haar_rotation(N, seed=7)
+    x = np.random.default_rng(8).standard_normal(N)
+    powers = [x]
+    for _ in range(2 * HORIZON_CAP):
+        powers.append(rot @ (grid * (rot.T @ powers[-1])))
+    assert rot.pairs.k <= min(distinct, 2 * HORIZON_CAP + 1)
+    O = rot.dense()
+    ref = x
+    for k in range(1, 2 * HORIZON_CAP + 1):
+        ref = O @ (grid * (O.T @ ref))
+        assert np.linalg.norm(powers[k] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_lazy_haar_rotation_guards():
     with pytest.raises(ValidationError):
         sample_haar_rotation(0, seed=0)
-    G = np.random.default_rng(0).standard_normal((8, 8))
-    with pytest.raises(ValidationError):
-        HouseholderRotation.from_gaussian_rows([G[:5], G[:5]])  # 10 rows of length 8
-    with pytest.raises(ValidationError):
-        HouseholderRotation.from_gaussian_rows([G[:5]])  # 5 rows of length 8
-    with pytest.raises(ValidationError):
-        HouseholderRotation.from_gaussian_rows([G[:4], G[4:, :6]])  # ragged
-    with pytest.raises(ValidationError):
-        HouseholderRotation.from_gaussian_rows([])
-    for row in (3, 7):  # a zero row tail mid-way, and the last entry
-        Z = G.copy()
-        Z[row, row:] = 0.0
-        with pytest.raises(NumericalError, match="zero-norm"):
-            HouseholderRotation.from_gaussian_rows([Z[:4], Z[4:]])
+    rot = sample_haar_rotation(8, seed=0)
+    for bad in (np.ones(9), np.ones((9, 2)), np.ones((8, 2, 2)), np.ones(())):
+        with pytest.raises(ValidationError):
+            rot @ bad
+        with pytest.raises(ValidationError):
+            rot.T @ bad
+    assert rot.pairs.k == 0
 
 
-def test_householder_rotation_keeps_half_the_draw():
-    # the reflectors fill only the upper triangle of the N x N draw
-    N = 1000
+def test_lazy_haar_rotation_holds_only_its_pairs():
+    # a rotation answering 2T queries holds O(N T) numbers, not an N x N draw
+    N = 3000
+    grid = np.linspace(-1.0, 2.0, N)
+    x = np.random.default_rng(0).standard_normal(N)
     tracemalloc.start()
     try:
-        sample_haar_rotation(N, seed=0)
+        rot = sample_haar_rotation(N, seed=0)
+        for _ in range(HORIZON_CAP):
+            x = rot @ (grid * (rot.T @ x))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.8 * 8 * N * N  # a full draw alone would be 1.0
+    assert rot.pairs.k == HORIZON_CAP + 1
+    assert peak <= 0.02 * 8 * N * N  # Householder reflectors alone were 0.5
 
 
-def test_householder_haar_law_matches_qr_reference():
-    # two-sample KS between the factored sampler and QR with sign correction,
+def test_lazy_haar_law_matches_qr_reference():
+    # two-sample KS between the lazy sampler and QR with sign correction,
     # on disjoint seeds: sqrt(N) O[0, 0] and a fixed bilinear form u^T O v
     N, seeds = 50, 4000
     rng = np.random.default_rng(99)
     u, v = rng.standard_normal(N), rng.standard_normal(N)
     u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-    rots = [sample_haar_rotation(N, seed=s) for s in range(seeds)]
-    new = np.array([np.sqrt(N) * (rot @ np.eye(N)[0])[0] for rot in rots])
-    new_uv = np.array([u @ (rot @ v) for rot in rots])
+    new = np.array([np.sqrt(N) * (sample_haar_rotation(N, seed=s) @ np.eye(N)[0])[0]
+                    for s in range(seeds)])
+    new_uv = np.array([u @ (sample_haar_rotation(N, seed=s) @ v) for s in range(seeds)])
     refs = [_qr_haar(N, seed=10**6 + s) for s in range(seeds)]
     ref = np.array([O[0, 0] * np.sqrt(N) for O in refs])
     ref_uv = np.array([u @ O @ v for O in refs])
@@ -145,8 +180,47 @@ def test_householder_haar_law_matches_qr_reference():
     assert stats.ks_2samp(new_uv, ref_uv).pvalue > 0.01
 
 
+def _trajectories(ensembles, spiked):
+    """Per-seed RI-AMP trajectories with tanh denoisers on MP(0.3) quantile
+    grids: |r_t|^2 / N without a spike, x*^T u_{t+1} / N with one."""
+    N, T, theta, omega = 400, 4, 1.5, 0.3
+    law = MarchenkoPastur(alpha=0.3)
+    dens = [tanh_denoiser(t) for t in range(1, T + 1)]
+    out = []
+    for seed, ens in ensembles:
+        rng = np.random.default_rng(seed)
+        if spiked:
+            inst = build_spiked(theta, make_prior("rademacher"), ens, seed=seed + 1)
+            x = inst.x_star
+            u1 = np.sqrt(omega) * x + np.sqrt(1.0 - omega) * rng.standard_normal(N)
+            run = run_ri_amp(inst, law, dens, u1, T, mode="grid")
+            out.append([x @ run.u[t + 1] / N for t in range(T)])
+        else:
+            u1 = rng.choice([-1.0, 1.0], size=N)
+            run = run_ri_amp(ens, law, dens, u1, T, mode="grid")
+            out.append([r @ r / N for r in run.r])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("spiked", [False, True], ids=["r2", "overlap"])
+def test_trajectories_same_law_under_qr_reference(spiked):
+    # RI-AMP on MP(0.3) with tanh denoisers: per-seed |r_t|^2 / N (no spike)
+    # and signal overlaps x*^T u_{t+1} / N (theta = 1.5) with the lazy
+    # sampler and with dense QR eigenvectors, on disjoint seeds: two-sample
+    # KS on each t
+    N, seeds = 400, 150
+    grid = MarchenkoPastur(alpha=0.3).quantile_grid(N).atoms
+    new = _trajectories([(2000 + s, build_rot_invariant(grid, seed=3000 + s))
+                         for s in range(seeds)], spiked)
+    ref = _trajectories([(4000 + s, RotInvEnsemble(eigenvalues=grid.copy(),
+                                                   eigenvectors=_qr_haar(N, seed=5000 + s)))
+                         for s in range(seeds)], spiked)
+    for t in range(new.shape[1]):
+        assert stats.ks_2samp(new[:, t], ref[:, t]).pvalue > 0.01
+
+
 def test_spiked_mse_same_law_under_qr_reference():
-    # per-seed MSE of spiked RI-AMP-MP at t = 1, 2 with the factored sampler
+    # per-seed MSE of spiked RI-AMP-MP at t = 1, 2 with the lazy sampler
     # and with dense QR eigenvectors: two-sample KS on each t
     cfg = ExperimentConfig.from_dict({
         "law": "mp:alpha=0.2", "N": 1000, "T": 2, "theta": 1.5, "omega": 0.3,
