@@ -70,11 +70,12 @@ def _seed_bytes(N: int, algo: str, T: int) -> int:
     Haar rotation (at most 2T + 2 pairs of two vectors, in storage of at
     least 16 pairs that doubles as it fills, old and new storage both alive
     while it grows), and the iterates with their temporaries.  RI-AMP-MP
-    adds 5 T^2 for the T x T Neumann factors its grid-mode debias solve
-    keeps at each of the N eigenvalues."""
+    adds T (T + 3): its grid-mode debias solve keeps the lower-triangular
+    rows of S and J at each of the N eigenvalues, T (T + 1) vectors, and
+    forms the next row in up to 2 T more."""
     if algo == "gaussian-amp":
         return 24 * N * N
-    vectors = 32 * (T + 2) + (5 * T * T if algo == "ri-amp-mp" else 0)
+    vectors = 32 * (T + 2) + (T * (T + 3) if algo == "ri-amp-mp" else 0)
     return 8 * N * vectors
 
 

@@ -7,7 +7,11 @@ ubar_t, the empirical divergence matrix Phi_hat, and the de-biasing
 coefficients each hook subtracted at each step.  The unfolding
 verifier reconstructs every r_t as a triangular matrix of polynomials in the
 driving matrix applied to (ubar_1..ubar_t) — an exact algebraic identity when
-the de-biasing coefficients come from the realized eigenvalue grid.
+the de-biasing coefficients come from the realized eigenvalue grid.  It
+applies that matrix by products with the operator's core in W's eigenbasis,
+one path for spiked and non-spiked runs alike.  RI-AMP-MP's trace-free
+de-biasing rows, in the run and in the verifier, come from one row
+recursion at the law's quadrature nodes (`_TraceFreeRows`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from .randmat import (LazyHaarRotation, RationalFn, RotInvEnsemble, SpikedInstan
                       _eigh, _map_eigenvalues)
 
 HORIZON_CAP = 10
-MP_DEBIAS_NODES = 400  # quadrature nodes of the RI-AMP-MP trace-free solve
+# quadrature nodes of the RI-AMP-MP trace-free solve under a population law;
+# no effect in grid mode, where DiscreteGrid.quad_nodes returns every atom
+MP_DEBIAS_NODES = 400
 
 
 @dataclass
@@ -221,7 +227,7 @@ def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
     """Unique lower-triangular E_t with E_mu[J(Lambda)] = 0, where
     J = (F - E)(I - Phi_hat (F - E))^{-1}, F(lambda) = diag(f_1..f_t)(lambda).
 
-    Solved row by row (`_mp_debias_row`): row n depends only on the leading
+    Solved row by row (`_TraceFreeRows`): row n depends only on the leading
     n x n blocks of Phi_hat and E, so the rows of E_t are those of E_{t-1}
     with one row appended.
     """
@@ -231,57 +237,49 @@ def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
         raise ValidationError("f schedule length must match phi_hat size")
     if np.any(np.abs(np.triu(phi_hat)) > 0):
         raise ValidationError("phi_hat must be strictly lower triangular")
-    F, w = _schedule_at_nodes(law, f_schedule, n_nodes)
+    rows = _TraceFreeRows(law, f_schedule, n_nodes)
     E = np.zeros((t, t))
     for n in range(1, t + 1):
-        E[n - 1, :n] = _mp_debias_row(phi_hat[:n, :n], F[:n], E[:n, :n], w)
+        E[n - 1, :n] = rows.append(phi_hat[n - 1, : n - 1])
     return E
 
 
-def _schedule_at_nodes(law: SpectralLaw, f_schedule: Sequence[Callable],
-                       n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(F, w): F[i] = f_{i+1} at the law's quadrature nodes, w their weights."""
-    nodes, w = law.quad_nodes(n_nodes)
-    return np.vstack([_map_eigenvalues(f, nodes) for f in f_schedule]), w
+class _TraceFreeRows:
+    """Rows of S = (I - Phi (F - E))^{-1} and J = (F - E) S at a law's
+    quadrature nodes, appended one per step.
 
+    S is unit lower triangular and S = I + Phi J, so row n of S needs only
+    the earlier rows of J: S_n = e_n + sum_{k<n} Phi_{n,k} J_k.  Row n of J
+    is J_n = f_n S_n - sum_{m<=n} E_{n,m} S_m, and E_mu[J_n] = 0 is the
+    unit-triangular system E_mu[S]^T e = E_mu[f_n S_n] for row n of E.  Each
+    row costs O(nodes n^2); S_n and J_n are kept as (n, nodes) arrays."""
 
-def _mp_debias_row(phi: np.ndarray, F: np.ndarray, E: np.ndarray,
-                   w: np.ndarray) -> np.ndarray:
-    """Last row of E for the n x n system (phi, F = f_1..f_n at the nodes, E
-    with rows < n final).  Row n of the Neumann factor
-    S = (I - Phi(F-E))^{-1} depends only on earlier rows of E, so the row
-    satisfies a unit-diagonal triangular linear system."""
-    n = phi.shape[0]
-    S = _neumann_factor(phi, F, E)  # (nA, n, n); rows < n are final
-    # A[j, m] = E_mu[S_{m,j}], b[j] = E_mu[f_n S_{n,j}]
-    A = np.einsum("a,amj->jm", w, S)
-    b = np.einsum("a,a,aj->j", w, F[n - 1], S[:, n - 1])
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"singular row system at row {n}") from exc
+    def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable],
+                 n_nodes: int = MP_DEBIAS_NODES):
+        self.nodes, self.w = law.quad_nodes(n_nodes)
+        self.f_schedule = f_schedule
+        T = len(f_schedule)
+        self.S: list = []
+        self.J: list = []
+        self.S_mean = np.zeros((T, T))  # row m-1: E_mu[S_m]
 
-
-def _f_minus_e(F: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """diag(F(lambda)) - E per node, shape (nodes, t, t); F[i] holds f_{i+1}
-    at the nodes."""
-    t, n = F.shape
-    FmE = np.broadcast_to(-E, (n, t, t)).copy()
-    idx = np.arange(t)
-    FmE[:, idx, idx] += F.T
-    return FmE
-
-
-def _neumann_factor(phi: np.ndarray, F: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """S(lambda) = sum_k (Phi (F(lambda) - E))^k per node, shape (nodes, t, t)."""
-    t = phi.shape[0]
-    M = np.einsum("ij,ajk->aik", phi, _f_minus_e(F, E))
-    S = np.broadcast_to(np.eye(t), (M.shape[0], t, t)).copy()
-    P = M.copy()
-    for _ in range(1, t):
-        S += P
-        P = P @ M
-    return S
+    def append(self, phi_row: np.ndarray, e_row: np.ndarray | None = None) -> np.ndarray:
+        """Append row n = len(S) + 1 from phi_row = Phi[n-1, :n-1] and return
+        row n of E: e_row when given, else the trace-free solution."""
+        n = len(self.S) + 1
+        s = np.zeros((n, self.w.size))
+        s[n - 1] = 1.0
+        for k, j_k in enumerate(self.J):
+            s[: k + 1] += phi_row[k] * j_k
+        j = _map_eigenvalues(self.f_schedule[n - 1], self.nodes) * s
+        self.S.append(s)
+        self.S_mean[n - 1, :n] = s @ self.w
+        if e_row is None:  # E_mu[S] is lower triangular, diagonal sum(w)
+            e_row = np.linalg.solve(self.S_mean[:n, :n].T, j @ self.w)
+        for m, s_m in enumerate(self.S):
+            j[: m + 1] -= e_row[m] * s_m
+        self.J.append(j)
+        return e_row
 
 
 def _prepare(M, law: SpectralLaw | None, mode: str, T: int):
@@ -372,12 +370,10 @@ def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
         raise ValidationError("f schedule shorter than horizon")
     f_schedule = f_schedule[:T]
     f_ops = [operator.function(ft) for ft in f_schedule]
-    F, w = _schedule_at_nodes(dlaw, f_schedule, MP_DEBIAS_NODES)
-    E = np.zeros((T, T))
+    rows = _TraceFreeRows(dlaw, f_schedule)
 
     def r_step(t, u, ubar, phi_t):
-        row = _mp_debias_row(phi_t, F[:t], E[:t, :t], w)
-        E[t - 1, :t] = row
+        row = rows.append(phi_t[t - 1, : t - 1])
         return _subtract(f_ops[t - 1](u[t - 1]), row, u), row
 
     return _run_loop("RIAMPMP", operator, dlaw, denoisers, u1, T, r_step, mode,
@@ -444,57 +440,55 @@ class UnfoldedRepresentation:
     max_error: float
 
 
-def _poly_matrix_values(run: AmpRun, law: SpectralLaw, lam: np.ndarray) -> np.ndarray:
-    """Entries of the unfolding matrix evaluated at the points lam: (T, T, len(lam))."""
-    T = run.T
-    Phi = run.phi_matrix(T)
-    if run.variant in ("RIAMP", "GaussianAMP", "RIAMPDF"):
-        kind = "Q" if run.variant in ("RIAMP", "GaussianAMP") else "H"
-        fam = build_poly_family(law, kind, T)
-        vals = np.vstack([fam.evaluate(i, lam) for i in range(1, T + 1)])  # (T, n)
-        return np.einsum("isj,in->sjn", phi_powers(Phi, T), vals)
-    if run.variant == "RIAMPMP":
-        F = np.vstack([_map_eigenvalues(ft, lam) for ft in run.f_schedule])  # (T, n)
-        FmE = _f_minus_e(F, np.tril(run.debias))
-        J = np.linalg.solve(np.eye(T) - FmE @ Phi, FmE)
-        return np.transpose(J, (1, 2, 0))
-    raise UnsupportedVariantError(
-        f"no unfolding representation for variant {run.variant!r}"
-    )
+_FAMILY_KIND = {"RIAMP": "Q", "GaussianAMP": "Q", "RIAMPDF": "H"}
 
 
-def _unfold_by_products(run: AmpRun, law: SpectralLaw) -> np.ndarray:
-    """Columns sum_j [poly]_{t,j}(Y) ubar_j of a spiked run, by products with
-    the core D in W's eigenbasis, S = O^T [ubar_1..ubar_T], without D's
-    eigenvectors.  A scalar matrix A acts on a block of columns S as S A^T."""
+def _unfold_by_products(run: AmpRun, fam) -> np.ndarray:
+    """Columns O^T sum_j [poly]_{t,j}(M) ubar_j, W's eigenbasis coordinates
+    of the reconstruction, by products with the core D on
+    S = O^T [ubar_1..ubar_T]: diagonal without a spike, and without D's
+    eigenvectors with one.  fam is the run's polynomial family (None for
+    RI-AMP-MP).  A scalar matrix A acts on a block of columns S as S A^T."""
     T = run.T
     op = run.operator
     S = op.to_spectral(np.column_stack(run.ubar[:T]))
     Phi = run.phi_matrix(T)
-    if run.variant in ("RIAMP", "GaussianAMP", "RIAMPDF"):
+    if fam is not None:
         # [poly]_{t,j} = sum_i (Phi^{i-1})_{t,j} P_i, P_i the family's members
-        kind = "Q" if run.variant in ("RIAMP", "GaussianAMP") else "H"
-        fam = build_poly_family(law, kind, T)
         out = np.zeros_like(S)
         for i, P in enumerate(phi_powers(Phi, T), start=1):
             out += op.core_function(RationalFn(coeffs=fam.coeffs[i]))(S @ P.T)
-        return op.from_spectral(out)
-    if run.variant == "RIAMPMP":
-        # J = (F - E) sum_k (Phi (F - E))^k, nilpotent: k < T
-        E = np.tril(run.debias)
-        fs = [op.core_function(ft) for ft in run.f_schedule]
+        return out
+    # RI-AMP-MP: J = (F - E) sum_k (Phi (F - E))^k, nilpotent: k < T
+    E = np.tril(run.debias)
+    fs = [op.core_function(ft) for ft in run.f_schedule]
 
-        def f_minus_e(X):
-            return np.column_stack([g(X[:, t]) for t, g in enumerate(fs)]) - X @ E.T
+    def f_minus_e(X):
+        return np.column_stack([g(X[:, t]) for t, g in enumerate(fs)]) - X @ E.T
 
-        X = acc = S
-        for _ in range(1, T):
-            X = f_minus_e(X) @ Phi.T
-            acc = acc + X
-        return op.from_spectral(f_minus_e(acc))
-    raise UnsupportedVariantError(
-        f"no unfolding representation for variant {run.variant!r}"
-    )
+    X = acc = S
+    for _ in range(1, T):
+        X = f_minus_e(X) @ Phi.T
+        acc = acc + X
+    return f_minus_e(acc)
+
+
+def _trace_residuals(run: AmpRun, fam) -> np.ndarray:
+    """|E[poly entries]| over the run's realized eigenvalue law, T x T.  A
+    family's entries average to sum_i Phi^{i-1} E[P_i]; RI-AMP-MP's are the
+    averages of the rows of J, rebuilt from the recorded E."""
+    T = run.T
+    Phi = run.phi_matrix(T)
+    if fam is not None:
+        nodes, w = run.debias_law.quad_nodes()
+        means = [w @ fam.evaluate(i, nodes) for i in range(1, T + 1)]
+        return np.abs(np.einsum("i,isj->sj", means, phi_powers(Phi, T)))
+    rows = _TraceFreeRows(run.debias_law, run.f_schedule)
+    out = np.zeros((T, T))
+    for n in range(1, T + 1):
+        rows.append(Phi[n - 1, : n - 1], run.debias[n - 1, :n])
+        out[n - 1, :n] = np.abs(rows.J[-1] @ rows.w)
+    return out
 
 
 def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRepresentation:
@@ -510,27 +504,27 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
             raise UnsupportedVariantError(
                 "Gaussian AMP unfolds only under a law with cumulants (0, 1, 0, ...)"
             )
-    T = run.T
-    op = run.operator
-    if op.z is not None:  # spiked: no eigenvalues of Y to evaluate at
-        r_hat = _unfold_by_products(run, law)
+    if run.variant in _FAMILY_KIND:
+        fam = build_poly_family(law, _FAMILY_KIND[run.variant], run.T)
+    elif run.variant == "RIAMPMP":
+        fam = None
     else:
-        V = _poly_matrix_values(run, law, op.eigenvalues)  # (T, T, N)
-        V *= np.tri(T)[:, :, None]  # r_t uses ubar_1..ubar_t only
-        ub_spec = op.to_spectral(np.column_stack(run.ubar[:T]))  # (N, T)
-        r_hat = op.from_spectral(np.einsum("tjn,nj->nt", V, ub_spec))  # (N, T)
-    R = np.column_stack(run.r)
+        raise UnsupportedVariantError(
+            f"no unfolding representation for variant {run.variant!r}"
+        )
+    # compared in W's eigenbasis: each r_t lies in the span a lazy rotation
+    # has revealed, so O^T r reveals nothing, while O applied to the
+    # reconstruction would record its rounding as new directions of O
+    r_hat = _unfold_by_products(run, fam)
+    R = run.operator.to_spectral(np.column_stack(run.r))
     denom = np.maximum(np.linalg.norm(R, axis=0), 1e-300)
     errors = np.linalg.norm(r_hat - R, axis=0) / denom
     # trace residuals average the polynomial entries over the run's realized
     # eigenvalue law, so a mismatched `law` (wrong cumulants) shows up here
-    nodes, w = run.debias_law.quad_nodes()
-    Vq = _poly_matrix_values(run, law, nodes)
-    trace_res = np.abs(np.einsum("a,sja->sj", w, Vq))
     return UnfoldedRepresentation(
         variant=run.variant,
         per_t_errors=errors,
-        trace_residuals=trace_res,
+        trace_residuals=_trace_residuals(run, fam),
         max_error=float(errors.max()),
     )
 

@@ -113,23 +113,23 @@ def test_from_dict_gives_valid_config_or_validation_error(data, over_base):
 
 
 def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
-    # a seed holds 8 N (32 (T + 2) + 5 T^2) bytes for RI-AMP-MP and
+    # a seed holds 8 N (32 (T + 2) + T (T + 3)) bytes for RI-AMP-MP and
     # 8 N 32 (T + 2) for RI-AMP (T = 3 here), so 2 spiked RI-AMP-MP seed
-    # workers at N=330000 (1.08e9 bytes) do not fit 1 GiB and at N=320000
+    # workers at N=380000 (1.08e9 bytes) do not fit 1 GiB and at N=370000
     # (1.05e9 bytes) do; nothing large is allocated
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     monkeypatch.setenv("AMP_LAB_THREADS", "2")
     nonspiked = dict(theta=None, omega=None, algo="ri-amp", denoiser="tanh")
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=330000)
-    _cfg(N=320000)
+        _cfg(N=380000)
+    _cfg(N=370000)
     with pytest.raises(ValidationError, match="physical memory"):
         _cfg(N=420000, **nonspiked)  # 1.08e9 bytes
     _cfg(N=410000, **nonspiked)  # 1.05e9 bytes
     monkeypatch.setenv("AMP_LAB_THREADS", "1")
-    _cfg(N=650000)  # 1.07e9 bytes
+    _cfg(N=750000)  # 1.07e9 bytes
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=660000)  # 1.08e9 bytes
+        _cfg(N=760000)  # 1.08e9 bytes
     with pytest.raises(ValidationError, match="physical memory"):  # dense GOE: 24 N^2
         _cfg(N=7000, theta=None, omega=None, algo="gaussian-amp", denoiser="tanh",
              law="semicircle")
@@ -137,7 +137,7 @@ def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
     _cfg(N=100_000)
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({**BASE, "N": 700_000}))
+    p.write_text(json.dumps({**BASE, "N": 800_000}))
     assert main(["se", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "physical memory" in captured.err

@@ -10,6 +10,9 @@ import pytest
 from amp_lab.denoisers import identity_denoiser, random_lipschitz_denoiser, tanh_denoiser
 from amp_lab.engines import (
     HORIZON_CAP,
+    MP_DEBIAS_NODES,
+    _TraceFreeRows,
+    _unfold_by_products,
     as_operator,
     orthogonality_residuals,
     diagnostics_csv,
@@ -24,7 +27,7 @@ from amp_lab.engines import (
     verify_unfolding,
 )
 from amp_lab.errors import DomainError, UnsupportedVariantError, ValidationError
-from amp_lab.freeprob import cumulants_from_law
+from amp_lab.freeprob import build_poly_family, cumulants_from_law
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
 from amp_lab.randmat import (RationalFn, RotInvEnsemble, SpikedInstance, build_rot_invariant,
                              build_spiked, goe_ensemble, make_prior)
@@ -100,6 +103,39 @@ def test_mp_debias_rows_appended_per_step_match_full_solve():
     assert np.max(np.abs(run.debias - E)) <= 1e-12 * np.max(np.abs(E))
 
 
+def _dense_j(F, E, Phi):
+    """J = (F - E)(I - Phi (F - E))^{-1} at each node by a dense solve, with
+    F[:, a] = f_1..f_T at node a: (nodes, T, T)."""
+    T = Phi.shape[0]
+    FmE = np.broadcast_to(-E, (F.shape[1], T, T)).copy()
+    FmE[:, np.arange(T), np.arange(T)] += F.T
+    return np.linalg.solve(np.eye(T) - FmE @ Phi, FmE)
+
+
+@pytest.mark.parametrize("mode", ["grid", "population"])
+def test_trace_free_rows_match_dense_solve_per_node(mode):
+    # the row recursion against its definition: at every node, J from one
+    # dense T x T solve with the returned E; the rows match J and the E they
+    # return makes E_mu[J] vanish
+    mp = MarchenkoPastur(alpha=0.3)
+    law = mp.quantile_grid(300) if mode == "grid" else mp
+    T = 6
+    quad = lambda x: 0.5 - x + 0.3 * x**2
+    fs = [mp_denoise_fn(1.2, 0.3) if t % 2 else quad for t in range(T)]
+    Phi = np.tril(np.random.default_rng(3).uniform(-0.5, 0.5, (T, T)), k=-1)
+    rows = _TraceFreeRows(law, fs)
+    E = np.zeros((T, T))
+    for n in range(1, T + 1):
+        E[n - 1, :n] = rows.append(Phi[n - 1, : n - 1])
+    assert np.array_equal(E, ri_amp_mp_debias(law, fs, Phi))
+    nodes, w = law.quad_nodes(MP_DEBIAS_NODES)
+    J = _dense_j(np.vstack([f(nodes) for f in fs]), E, Phi)
+    scale = np.max(np.abs(J))
+    for n in range(1, T + 1):
+        assert np.max(np.abs(rows.J[n - 1].T - J[:, n - 1, :n])) <= 1e-12 * scale
+    assert np.max(np.abs(np.einsum("a,ast->st", w, J))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # exact unfolding (grid mode)
 # ---------------------------------------------------------------------------
@@ -120,6 +156,39 @@ def test_unfolding_exact(variant):
     assert rep.max_error < 1e-10
     assert np.max(rep.trace_residuals) < 1e-9
     assert ubar_divergences(run) < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["ri-amp", "ri-amp-df", "ri-amp-mp-poly",
+                                     "ri-amp-mp-denoise"])
+def test_unfolding_by_products_matches_dense_reference(variant):
+    # the product form on a non-spiked run against O diag(V(lambda)) O^T
+    # with V the unfolding matrix at every eigenvalue, O formed densely
+    law = MarchenkoPastur(alpha=0.3)
+    N, T = 200, 5
+    ens, u1 = _setup(law, N, seed=22)
+    dens = _lip_dens(T, seed=220)
+    if variant == "ri-amp":
+        run = run_ri_amp(ens, law, dens, u1, T, mode="grid")
+    elif variant == "ri-amp-df":
+        run = run_ri_amp_df(ens, law, dens, u1, T, mode="grid")
+    else:
+        f = (lambda x: x + 0.3 * x**2) if variant == "ri-amp-mp-poly" else mp_denoise_fn(1.2, 0.3)
+        run = run_ri_amp_mp(ens, law, f, dens, u1, T, mode="grid")
+    lam, Phi = ens.eigenvalues, run.phi_matrix(T)
+    if run.variant == "RIAMPMP":
+        fam = None
+        F = np.vstack([f(lam) for f in run.f_schedule])
+        V = np.transpose(_dense_j(F, np.tril(run.debias), Phi), (1, 2, 0))
+    else:
+        fam = build_poly_family(run.debias_law, "Q" if run.variant == "RIAMP" else "H", T)
+        vals = [np.polynomial.polynomial.polyval(lam, fam.coeffs[i]) for i in range(1, T + 1)]
+        V = sum(np.linalg.matrix_power(Phi, i)[:, :, None] * vals[i] for i in range(T))
+    O = ens.eigenvectors.dense()
+    products = O @ _unfold_by_products(run, fam)
+    spec = O.T @ np.column_stack(run.ubar[:T])
+    dense = O @ np.einsum("tjn,nj->nt", V * np.tri(T)[:, :, None], spec)
+    err = np.linalg.norm(products - dense, axis=0) / np.linalg.norm(dense, axis=0)
+    assert np.max(err) <= 1e-12
 
 
 def test_unfolding_exact_spiked_mp_denoise():
@@ -194,6 +263,33 @@ def test_ri_amp_run_allocates_no_n_by_n_array():
     assert peak <= 0.02 * 8 * N * N
 
 
+def test_grid_mp_run_and_verify_hold_no_t_by_t_matrix_per_eigenvalue():
+    # tracemalloc peaks, in length-N vectors, of a grid-mode RI-AMP-MP run at
+    # the horizon cap (ensemble build included) and of verify_unfolding above
+    # what the run left allocated: the debias rows of S and J at the N atoms
+    # are T (T + 1) = 110 vectors, and neither side forms a T x T matrix per
+    # eigenvalue (100 vectors each)
+    law = MarchenkoPastur(alpha=0.3)
+    N, T = 20000, HORIZON_CAP
+    grid = law.quantile_grid(N).atoms
+    u1 = np.random.default_rng(23).choice([-1.0, 1.0], size=N)
+    dens = [tanh_denoiser(t) for t in range(1, T + 1)]
+    tracemalloc.start()
+    try:
+        ens = build_rot_invariant(grid, seed=24)
+        run = run_ri_amp_mp(ens, law, mp_denoise_fn(1.2, 0.3), dens, u1, T, mode="grid")
+        run_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rep = verify_unfolding(run)
+        verify_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert rep.max_error <= 1e-8
+    assert run_peak <= 400 * 8 * N
+    assert verify_peak <= 400 * 8 * N
+
+
 def test_spiked_runs_need_rational_matrix_functions():
     law = MarchenkoPastur(alpha=0.3)
     ens, u1 = _setup(law, 100, seed=17)
@@ -220,6 +316,20 @@ def test_spiked_pole_check_on_w_and_y():
     with pytest.raises(DomainError, match="eigenvalue of W"):
         as_operator(sing_w)[0].function(pole)
     as_operator(sing_w)[0].function(RationalFn(coeffs=(1.0, 2.0)))  # no pole: fine
+
+
+def test_verify_unfolding_reveals_no_direction_of_the_rotation():
+    # every r_t lies in the span the run revealed, so the verifier compares
+    # in W's eigenbasis and its queries record no pair: verifying a run does
+    # not change the draws of later runs on the same ensemble
+    law = MarchenkoPastur(alpha=0.3)
+    N, T = 500, HORIZON_CAP
+    for seed in range(8):
+        ens, u1 = _setup(law, N, seed)
+        run = run_ri_amp(ens, law, _lip_dens(T, seed), u1, T, mode="grid")
+        revealed = ens.eigenvectors.pairs.k
+        verify_unfolding(run)
+        assert ens.eigenvectors.pairs.k == revealed
 
 
 def test_unfolding_population_mode_approximate():
