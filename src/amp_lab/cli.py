@@ -307,14 +307,17 @@ def _seed(base: int, run_idx: int, stream: int) -> int:
     return base + 1_000_003 * run_idx + stream
 
 
-def _single_run(cfg: ExperimentConfig, law, f, states, run_idx: int):
-    """One seeded instance; returns per-iteration metric rows."""
+def _single_run(cfg: ExperimentConfig, law, f, states, grid, run_idx: int):
+    """One seeded instance; returns per-iteration metric rows.
+
+    `grid` holds the law's N quantile atoms, built once per run before the
+    worker pool and shared read-only by every seed (each ensemble copies
+    it); it is None for gaussian-amp, whose seeds draw a GOE matrix."""
     rng = np.random.default_rng(_seed(cfg.seed_base, run_idx, 0))
     prior = make_prior(cfg.prior)
     if cfg.algo == "gaussian-amp":
         ens = goe_ensemble(cfg.N, seed=_seed(cfg.seed_base, run_idx, 1))
     else:
-        grid = law.quantile_grid(cfg.N).atoms
         ens = build_rot_invariant(grid, seed=_seed(cfg.seed_base, run_idx, 1))
     if cfg.spiked:
         inst = build_spiked(cfg.theta, prior, ens, seed=_seed(cfg.seed_base, run_idx, 2))
@@ -359,10 +362,14 @@ def run_experiment(cfg: ExperimentConfig):
     elif cfg.algo == "oamp":
         f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
     states, se_rows = compute_se(cfg)
+    grid = None
+    if cfg.algo != "gaussian-amp":
+        grid = law.quantile_grid(cfg.N).atoms
+        grid.flags.writeable = False
 
     def task(run_idx):
         try:
-            return _single_run(cfg, law, f, states, run_idx)
+            return _single_run(cfg, law, f, states, grid, run_idx)
         except NumericalError as exc:
             print(f"warning: seed {run_idx} diverged and was excluded: {exc}",
                   file=sys.stderr)
@@ -499,8 +506,8 @@ def cmd_cumulants(args) -> int:
     extra = None
     if args.mc:
         reps = []
+        grid = law.quantile_grid(args.dim).atoms
         for rep in range(args.replicas):
-            grid = law.quantile_grid(args.dim).atoms
             ens = build_rot_invariant(grid, seed=args.seed + 101 * rep)
             reps.append(mc_cumulants(ens, args.order, seed=args.seed + 101 * rep + 1))
         reps = np.array(reps)
@@ -587,10 +594,11 @@ def _suite_unfolding():
     checks = []
     law = Semicircle()
     N, T = 300, 4
+    grid = law.quantile_grid(N).atoms
     for variant, runner in (("ri-amp", run_ri_amp), ("ri-amp-df", run_ri_amp_df)):
         worst_rec = worst_tr = 0.0
         for s in range(3):
-            ens = build_rot_invariant(law.quantile_grid(N).atoms, seed=10 + s)
+            ens = build_rot_invariant(grid, seed=10 + s)
             rng = np.random.default_rng(100 + s)
             u1 = rng.choice([-1.0, 1.0], size=N)
             dens = [random_lipschitz_denoiser(t, seed=7 * s + t) for t in range(1, T + 1)]
@@ -603,8 +611,9 @@ def _suite_unfolding():
     worst_rec = worst_tr = 0.0
     mp = MarchenkoPastur(alpha=0.3)
     f = mp_denoise_fn(1.2, 0.3)
+    grid = mp.quantile_grid(N).atoms
     for s in range(3):
-        ens = build_rot_invariant(mp.quantile_grid(N).atoms, seed=20 + s)
+        ens = build_rot_invariant(grid, seed=20 + s)
         rng = np.random.default_rng(200 + s)
         u1 = rng.choice([-1.0, 1.0], size=N)
         dens = [random_lipschitz_denoiser(t, seed=11 * s + t) for t in range(1, T + 1)]
@@ -648,8 +657,9 @@ def _suite_orthogonality():
     N, T, seeds = 2000, 4, 5
     acc = None
     worst_div = 0.0
+    grid = law.quantile_grid(N).atoms
     for s in range(seeds):
-        ens = build_rot_invariant(law.quantile_grid(N).atoms, seed=40 + s)
+        ens = build_rot_invariant(grid, seed=40 + s)
         rng = np.random.default_rng(400 + s)
         u1 = rng.choice([-1.0, 1.0], size=N)
         dens = [tanh_denoiser(t) for t in range(1, T + 1)]

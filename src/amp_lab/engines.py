@@ -473,20 +473,22 @@ def _unfold_by_products(run: AmpRun, fam) -> np.ndarray:
     return f_minus_e(acc)
 
 
-def _trace_residuals(run: AmpRun, fam) -> np.ndarray:
-    """|E[poly entries]| over the run's realized eigenvalue law, T x T.  A
-    family's entries average to sum_i Phi^{i-1} E[P_i]; RI-AMP-MP's are the
-    averages of the rows of J, rebuilt from the recorded E."""
+def _trace_residuals(run: AmpRun, fam, law: SpectralLaw) -> np.ndarray:
+    """|E[poly entries]| over the run's realized eigenvalue law, T x T, for
+    the entries that `law` defines.  A family's entries average to
+    sum_i Phi^{i-1} E[P_i], the family built from `law`; RI-AMP-MP's are the
+    averages of the rows of J, built from the E that `law` solves for."""
     T = run.T
     Phi = run.phi_matrix(T)
     if fam is not None:
         nodes, w = run.debias_law.quad_nodes()
         means = [w @ fam.evaluate(i, nodes) for i in range(1, T + 1)]
         return np.abs(np.einsum("i,isj->sj", means, phi_powers(Phi, T)))
+    E = ri_amp_mp_debias(law, run.f_schedule, Phi)
     rows = _TraceFreeRows(run.debias_law, run.f_schedule)
     out = np.zeros((T, T))
     for n in range(1, T + 1):
-        rows.append(Phi[n - 1, : n - 1], run.debias[n - 1, :n])
+        rows.append(Phi[n - 1, : n - 1], E[n - 1, :n])
         out[n - 1, :n] = np.abs(rows.J[-1] @ rows.w)
     return out
 
@@ -524,7 +526,7 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
     return UnfoldedRepresentation(
         variant=run.variant,
         per_t_errors=errors,
-        trace_residuals=_trace_residuals(run, fam),
+        trace_residuals=_trace_residuals(run, fam, law),
         max_error=float(errors.max()),
     )
 

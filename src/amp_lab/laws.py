@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ValidationError
 
 QUAD_TOL = 1e-12
-# first and largest Gauss-Legendre rule of `expect`; numpy's leggauss takes
-# about 1 s at 2048 nodes and 4 s at 4096, and its weights lose digits there
+# first and largest Gauss-Legendre rule of `expect`
 EXPECT_NODES = (64, 2048)
 # bound on |lambda| over a law's support: below it every moment up to order
 # 20, the recursion cap of `freeprob`, is a finite float (1e15^20 = 1e300)
@@ -39,10 +38,47 @@ def _check_support(values, what: str) -> None:
         raise ValidationError(f"{what} must be finite and within +-{SUPPORT_CAP:g}")
 
 
+def _legendre_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_{n-1}(x)) by the three-term recurrence, in the form
+    P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1})."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        xp = x * p
+        p_prev, p = p, xp + (j / (j + 1)) * (xp - p_prev)
+    return p, p_prev
+
+
 @functools.lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], computed once."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1],
+    computed once in O(n) memory.
+
+    The nodes in (0, 1] are the roots of P_n(cos theta), found by Newton's
+    method in theta from Tricomi's asymptotic guesses; the rule is their
+    mirror image on [-1, 0).  With g = n (P_{n-1} - x P_n) = (1 - x^2) P_n',
+    the weight 2 (1 - x^2) / g^2 is taken at the rounded node x: g is
+    stationary at a root, and the factor 1 + 2 x P_n / g moves 1 - x^2 to
+    the true root, whose distance from x is, relative to 1 - x^2, of order
+    eps n^2 near the edges."""
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = np.pi * (4 * k - 1) / (4 * n + 2)
+    theta = theta + (n - 1) / (8.0 * n**3) / np.tan(theta)
+    for _ in range(20):  # three or four steps from these guesses
+        x = np.cos(theta)
+        p, q = _legendre_pair(x, n)
+        step = np.sin(theta) * p / (n * (q - x * p))
+        theta = theta + step
+        if np.all(np.abs(step * np.sin(theta)) <= 1e-13):
+            break
+    x = np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0  # the middle root; cos(pi/2) rounds to 6e-17
+    p, q = _legendre_pair(x, n)
+    g = n * (q - x * p)
+    w = 2.0 * (1.0 - x) * (1.0 + x) * (1.0 + 2.0 * x * p / g) / g**2
+    keep = n % 2  # the middle node of an odd rule is not mirrored
+    x = np.concatenate((-x, x[::-1][keep:]))
+    w = np.concatenate((w, w[::-1][keep:]))
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -78,7 +114,9 @@ class SpectralLaw:
                 fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
             if not np.all(np.isfinite(fx)):
                 raise NumericalError(f"integrand is not finite at {n} quadrature nodes")
-            val = float(w @ fx)
+            # the products are summed without rounding, so terms that cancel
+            # (an odd f on a symmetric rule) add no error of their own
+            val = math.fsum((w * fx).tolist())
             if prev is not None:
                 change = abs(val - prev)
                 # an integrand whose values cancel, e.g. an odd one, is

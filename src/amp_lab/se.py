@@ -543,9 +543,9 @@ def nu_measure(law: SpectralLaw, theta: float, mode: str = "analytic",
             prior = Prior("rademacher", lambda rng, n: rng.choice([-1.0, 1.0], size=n), 1.0)
         all_nodes = []
         all_w = []
+        grid = law.quantile_grid(N).atoms
         for s in range(seeds):
-            grid = law.quantile_grid(N)
-            ens = build_rot_invariant(grid.atoms, seed=seed_base + 17 * s + 1)
+            ens = build_rot_invariant(grid, seed=seed_base + 17 * s + 1)
             inst = build_spiked(theta, prior, ens, seed=seed_base + 17 * s + 2)
             om = overlap_measure(inst)
             all_nodes.append(om.eigenvalues)

@@ -20,7 +20,7 @@ from amp_lab.cli import (
 )
 from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
-from amp_lab.laws import MarchenkoPastur, Semicircle, parse_law_spec
+from amp_lab.laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
 from amp_lab.randmat import LazyHaarRotation, RationalFn, make_prior
 from amp_lab.se import McConfig, SeInit, spiked_se
 
@@ -344,6 +344,37 @@ def test_run_aggregation_independent_of_worker_count(tmp_path, monkeypatch):
     rows3, *_ = run_experiment(cfg)
     assert np.allclose(np.asarray(rows1, dtype=float),
                        np.asarray(rows3, dtype=float), atol=0)
+
+
+def _count_quantile_grids(monkeypatch) -> list:
+    """Record the N of every quantile grid a continuous law builds."""
+    built = []
+    orig = SpectralLaw.quantile_grid
+
+    def counted(self, N):
+        built.append(N)
+        return orig(self, N)
+
+    monkeypatch.setattr(SpectralLaw, "quantile_grid", counted)
+    return built
+
+
+def test_run_builds_one_quantile_grid_shared_read_only(monkeypatch):
+    built = _count_quantile_grids(monkeypatch)
+    grids = []
+    orig = cli._single_run
+
+    def recorded(cfg, law, f, states, grid, run_idx):
+        grids.append(grid)
+        return orig(cfg, law, f, states, grid, run_idx)
+
+    monkeypatch.setattr(cli, "_single_run", recorded)
+    run_experiment(_cfg(runs=4))
+    assert built == [BASE["N"]]
+    assert len(grids) == 4 and all(g is grids[0] for g in grids)
+    assert not grids[0].flags.writeable
+    with pytest.raises(ValueError):
+        grids[0][0] = 0.0
 
 
 def test_se_command(tmp_path, capsys):

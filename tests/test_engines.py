@@ -353,6 +353,16 @@ def test_unfolding_breaks_with_tampered_cumulants():
     tampered = DiscreteGrid(atoms=np.sort(ens.eigenvalues) + 1e-3)
     bad = verify_unfolding(run, law=tampered)
     assert np.max(bad.trace_residuals) > 1e-5
+    # RI-AMP-MP: the debias rows are solved from the given law
+    mp = MarchenkoPastur(alpha=0.3)
+    ens, u1 = _setup(mp, 300, seed=5)
+    run = run_ri_amp_mp(ens, mp, mp_denoise_fn(1.2, 0.3), _lip_dens(4, seed=70), u1, 4,
+                        mode="grid")
+    good = verify_unfolding(run)
+    assert np.max(good.trace_residuals) < 1e-9
+    tampered = DiscreteGrid(atoms=np.sort(ens.eigenvalues) + 1e-3)
+    bad = verify_unfolding(run, law=tampered)
+    assert np.max(bad.trace_residuals) > 1e-5
 
 
 def test_gaussian_amp_unfolding_goe_only():

@@ -15,6 +15,7 @@ from amp_lab.laws import (
     ExternalDensity,
     MarchenkoPastur,
     Semicircle,
+    _leggauss,
     catalan,
     load_law_file,
     parse_law_spec,
@@ -352,3 +353,38 @@ def test_cdf_grid_equals_scipy_cumulative_trapezoid(law):
     lam, cdf = law.cdf_grid(5001)
     ref = cumulative_trapezoid(law._density_vector(lam), lam, initial=0.0)
     assert np.array_equal(cdf, ref / ref[-1])
+
+
+def _leggauss_reference(n: int, x0: float) -> tuple:
+    """The root of P_n next to x0 and its Gauss-Legendre weight, by Newton's
+    method at 40 decimal digits."""
+    from decimal import Decimal, localcontext
+
+    def pair(x):
+        p_prev, p = Decimal(1), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        return p, p_prev
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(x0)
+        for _ in range(5):
+            p, q = pair(x)
+            x -= p * (1 - x * x) / (n * (q - x * p))
+        p, q = pair(x)
+        g = n * (q - x * p)  # (1 - x^2) P_n'(x)
+        return x, 2 * (1 - x * x) / (g * g)
+
+
+@pytest.mark.parametrize("n, weight_tol", [(17, 1e-12), (64, 1e-12), (400, 1e-12),
+                                           (2048, 1e-9)])
+def test_leggauss_matches_decimal_reference(n, weight_tol):
+    from decimal import Decimal
+
+    x, w = _leggauss(n)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    for i in (0, 1, n // 2, n - 2, n - 1):  # both edges and the centre
+        ref_x, ref_w = _leggauss_reference(n, float(x[i]))
+        assert abs(float(ref_x) - x[i]) <= np.finfo(float).eps
+        assert abs(float((Decimal(float(w[i])) - ref_w) / ref_w)) <= weight_tol

@@ -9,7 +9,7 @@ import pytest
 from amp_lab.denoisers import linear_mmse_combining_denoiser, tanh_denoiser
 from amp_lab.errors import ValidationError
 from amp_lab.freeprob import cumulants_from_law
-from amp_lab.laws import MarchenkoPastur, Semicircle
+from amp_lab.laws import MarchenkoPastur, Semicircle, SpectralLaw
 from amp_lab.randmat import RationalFn, make_prior
 from amp_lab.se import (
     DEFAULT_GH_POINTS,
@@ -213,6 +213,19 @@ def test_nu_empirical_matches_analytic_mean():
     emp = nu_measure(Semicircle(), theta, mode="empirical", N=1200, seeds=6)
     assert abs(emp.total_mass() - 1.0) < 1e-8
     assert abs(emp.mean() - ana.mean()) < 0.1
+
+
+def test_nu_empirical_builds_one_quantile_grid(monkeypatch):
+    built = []
+    orig = SpectralLaw.quantile_grid
+
+    def counted(self, N):
+        built.append(N)
+        return orig(self, N)
+
+    monkeypatch.setattr(SpectralLaw, "quantile_grid", counted)
+    nu_measure(Semicircle(), 1.5, mode="empirical", seeds=3, N=64)
+    assert built == [64]
 
 
 def test_check_pole_free():
