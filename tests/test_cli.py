@@ -346,28 +346,19 @@ def test_run_aggregation_independent_of_worker_count(tmp_path, monkeypatch):
                        np.asarray(rows3, dtype=float), atol=0)
 
 
-def _count_quantile_grids(monkeypatch) -> list:
-    """Record the N of every quantile grid a continuous law builds."""
-    built = []
-    orig = SpectralLaw.quantile_grid
+def test_run_builds_one_quantile_grid_shared_read_only(monkeypatch):
+    built, grids = [], []
+    orig_grid, orig_run = SpectralLaw.quantile_grid, cli._single_run
 
     def counted(self, N):
         built.append(N)
-        return orig(self, N)
-
-    monkeypatch.setattr(SpectralLaw, "quantile_grid", counted)
-    return built
-
-
-def test_run_builds_one_quantile_grid_shared_read_only(monkeypatch):
-    built = _count_quantile_grids(monkeypatch)
-    grids = []
-    orig = cli._single_run
+        return orig_grid(self, N)
 
     def recorded(cfg, law, f, states, grid, run_idx):
         grids.append(grid)
-        return orig(cfg, law, f, states, grid, run_idx)
+        return orig_run(cfg, law, f, states, grid, run_idx)
 
+    monkeypatch.setattr(SpectralLaw, "quantile_grid", counted)
     monkeypatch.setattr(cli, "_single_run", recorded)
     run_experiment(_cfg(runs=4))
     assert built == [BASE["N"]]
