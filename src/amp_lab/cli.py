@@ -270,9 +270,9 @@ def compute_se(cfg: ExperimentConfig):
         rows = [(s.t, float(s.Sigma[s.t - 1, s.t - 1])) for s in states]
         return states, rows
     if cfg.algo == "ri-amp-mp":
-        # constant-f non-spiked runs follow the same recursion with the
-        # pushforward family; covered via the spiked machinery is unavailable,
-        # so predict through the Q family of the pushforward law
+        # the only RI-AMP-MP recursion is spiked_se, which needs a signal: a
+        # spiked initialization (omega) and the signal's overlap measure nu;
+        # no recursion for non-spiked RI-AMP-MP iterates is implemented
         raise ValidationError("non-spiked ri-amp-mp predictions are not supported; "
                               "use ri-amp (f=identity) or a spiked config")
     if cfg.algo == "gaussian-amp":

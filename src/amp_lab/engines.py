@@ -1,7 +1,10 @@
 """Iterative algorithms: Gaussian AMP, RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP.
 
 All variants run one loop, `_run_loop`, and differ only in a step hook that
-forms r_t from the matrix and the history.  The loop keeps the shared
+forms r_t from the matrix and the history.  The matrix is always a
+`randmat.SpectralOperator`: `as_operator` takes a spiked instance's
+operator, an operator as it is, or the eigendecomposition of a dense
+symmetric array.  The loop keeps the shared
 bookkeeping: iterates r_t / u_t, the orthogonal (divergence-free) residuals
 ubar_t, the empirical divergence matrix Phi_hat, and the de-biasing
 coefficients each hook subtracted at each step.  The unfolding
@@ -23,121 +26,39 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .denoisers import Denoiser, last_row_denoiser
-from .errors import DomainError, NumericalError, UnsupportedVariantError, ValidationError
+from .errors import NumericalError, UnsupportedVariantError, ValidationError
 from .freeprob import build_poly_family, moments_to_cumulants, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
-from .randmat import (LazyHaarRotation, RationalFn, RotInvEnsemble, SpikedInstance,
-                      _eigh, _map_eigenvalues)
+from .randmat import RationalFn, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues
 
 HORIZON_CAP = 10
 # quadrature nodes of the RI-AMP-MP trace-free solve under a population law;
 # no effect in grid mode, where DiscreteGrid.quad_nodes returns every atom
 MP_DEBIAS_NODES = 400
+# largest relative asymmetry max|M - M^T| / max|M| of a dense matrix input
+SYMMETRY_RTOL = 1e-10
 
 
-@dataclass
-class MatrixOperator:
-    """Factored symmetric matrix O D O^T, where O is a LazyHaarRotation or a
-    dense orthogonal matrix and D = diag(eigenvalues) + rho z z^T.  The
-    rank-one term is that of a spiked instance (eigenvalues and O are W's,
-    z = O^T x*, rho = theta/N) and is absent (z None) otherwise; Y's
-    eigenvectors are never formed.  to_spectral, from_spectral and the
-    functions of core_function take a vector (N,) or a block of column
-    vectors (N, k)."""
-
-    eigenvalues: np.ndarray
-    rotation: np.ndarray | LazyHaarRotation
-    z: np.ndarray | None = None
-    rho: float = 0.0
-
-    @property
-    def N(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def to_spectral(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of v in W's eigenbasis: O^T v."""
-        return self.rotation.T @ v
-
-    def from_spectral(self, s: np.ndarray) -> np.ndarray:
-        """The vector with eigenbasis coordinates s: O s."""
-        return self.rotation @ s
-
-    def _core(self, s: np.ndarray) -> np.ndarray:
-        """D s = lambda s + rho z (z^T s)."""
-        ds = _columns(self.eigenvalues, s) * s
-        return ds if self.z is None else ds + _columns(self.rho * self.z, s) * (self.z @ s)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.from_spectral(self._core(self.to_spectral(v)))
-
-    def apply_values(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(O diag(values) O^T) v for precomputed spectral values."""
-        return self.from_spectral(values * self.to_spectral(v))
-
-    def core_function(self, f: Callable) -> Callable:
-        """s -> f(D) s.  Without a spike, f is taken at the eigenvalues
-        (DomainError where it is undefined there).  With one, f must be a
-        RationalFn (else ValidationError), applied in O(N) per column:
-        Horner's rule on D for the polynomial part and Sherman-Morrison,
-        D^-1 = L^-1 - rho L^-1 z z^T L^-1 / (1 + rho z^T L^-1 z) with
-        L = diag(eigenvalues), for the pole.  DomainError when the pole meets
-        the spectrum of W or of Y (det D = det L (1 + rho z^T L^-1 z))."""
-        if self.z is None:
-            values = _map_eigenvalues(f, self.eigenvalues)
-            return lambda s: _columns(values, s) * s
-        if not isinstance(f, RationalFn):
-            raise ValidationError("a spiked instance applies only rational matrix functions "
-                                  "(RationalFn: polynomial plus b/x), got " + repr(f))
-        coeffs = [float(c) for c in f.coeffs]
-        pole = float(f.pole)
-        lam, z, rho = self.eigenvalues, self.z, self.rho
-        if pole:
-            if np.any(lam == 0.0):
-                raise DomainError("f has a pole at 0, an eigenvalue of W")
-            zl = z / lam
-            denom = 1.0 + rho * (z @ zl)
-            if not (np.isfinite(denom) and denom != 0.0):
-                raise DomainError("f has a pole at 0, an eigenvalue of Y")
-
-        def fn(s):
-            y = coeffs[-1] * s
-            for c in reversed(coeffs[:-1]):
-                y = self._core(y) + c * s
-            if pole:
-                inv = s / _columns(lam, s) - _columns(zl, s) * (rho * (zl @ s) / denom)
-                y = y + pole * inv
-            return y
-
-        return fn
-
-    def function(self, f: Callable) -> Callable:
-        """v -> f(M) v (see core_function)."""
-        g = self.core_function(f)
-        return lambda v: self.from_spectral(g(self.to_spectral(v)))
-
-
-def _columns(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """a as a column when s is a block of columns, so that a * s scales rows."""
-    return a if s.ndim == 1 else a[:, None]
-
-
-def as_operator(M) -> tuple[MatrixOperator, np.ndarray]:
-    """Normalize a matrix input to a factored operator.
-
-    Returns (operator, w_eigenvalues) where w_eigenvalues are the eigenvalues
-    of the underlying noise matrix W (used for grid-mode de-biasing; for a
-    spiked instance this is W, not Y)."""
+def as_operator(M) -> SpectralOperator:
+    """The factored operator a run acts on: a spiked instance's operator, a
+    SpectralOperator as it is, or `eigh` of a dense symmetric array (finite,
+    and symmetric within SYMMETRY_RTOL, else ValidationError).  Its
+    eigenvalues are those of W, not Y, for a spiked instance."""
     if isinstance(M, SpikedInstance):
-        ens = M.ensemble
-        return (MatrixOperator(ens.eigenvalues, ens.eigenvectors, z=M.z, rho=M.theta / M.N),
-                ens.eigenvalues)
-    if isinstance(M, RotInvEnsemble):
-        return MatrixOperator(M.eigenvalues, M.eigenvectors), M.eigenvalues
+        return M.operator
+    if isinstance(M, SpectralOperator):
+        return M
     W = np.asarray(M, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValidationError("matrix input must be square")
+    if not np.all(np.isfinite(W)):
+        raise ValidationError("matrix input has non-finite entries")
+    asym = float(np.max(np.abs(W - W.T), initial=0.0))
+    if asym > SYMMETRY_RTOL * float(np.max(np.abs(W), initial=0.0)):
+        raise ValidationError(f"matrix input is not symmetric: max|M - M^T| = {asym:.3g} "
+                              f"exceeds {SYMMETRY_RTOL:g} of max|M|")
     lam, O = _eigh(W)
-    return MatrixOperator(lam, O), lam
+    return SpectralOperator(lam, O)
 
 
 @dataclass
@@ -151,7 +72,7 @@ class AmpRun:
     phi: np.ndarray  # (T+1)x(T+1); phi[j-1, i-1] = <d_i u_j>, strictly lower
     debias: np.ndarray  # (T, T); row t-1 = de-biasing coefficients of step t
     diagnostics: list
-    operator: MatrixOperator
+    operator: SpectralOperator
     debias_law: SpectralLaw
     denoisers: list  # denoisers[t-1] maps r_1..r_t to u_{t+1}
     f_schedule: list | None = None
@@ -286,8 +207,8 @@ def _prepare(M, law: SpectralLaw | None, mode: str, T: int):
     """(T, operator, debias law) of a run: the checked horizon, the factored
     matrix and the law whose cumulants debias it."""
     T = _resolve_horizon(T)
-    operator, w_eigs = as_operator(M)
-    return T, operator, _debias_law(mode, law, w_eigs)
+    operator = as_operator(M)
+    return T, operator, _debias_law(mode, law, operator.eigenvalues)
 
 
 def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, mode,
@@ -408,19 +329,19 @@ def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
     and xbar_t in `ubar`.  The x-step subtracts nothing, so the `debias`
     rows are zero.  M is not a spiked instance: the trace-free centering
     needs the spectrum of f_t(M)."""
-    if isinstance(M, SpikedInstance):
+    T, operator, dlaw = _prepare(M, None, "grid", T)
+    if operator.z is not None:
         raise ValidationError("OAMP runs on a rotationally-invariant matrix, "
                               "not on a spiked instance")
-    T, operator, dlaw = _prepare(M, None, "grid", T)
     if len(f_schedule) < T:
         raise ValidationError(f"need {T} matrix denoisers for horizon T={T}")
     centered = []
     for f in f_schedule[:T]:
-        fv = _map_eigenvalues(f, operator.eigenvalues)
-        centered.append(fv - fv.mean())  # exact trace-free centering
+        mean = _map_eigenvalues(f, operator.eigenvalues).mean()  # exact trace-free centering
+        centered.append(operator.function(lambda x, f=f, mean=mean: f(x) - mean))
 
     def r_step(t, u, ubar, phi_t):
-        return operator.apply_values(centered[t - 1], ubar[t - 1]), np.zeros(t)
+        return centered[t - 1](ubar[t - 1]), np.zeros(t)
 
     return _run_loop("OAMP", operator, dlaw, g_schedule, xbar1, T, r_step, "grid",
                      f_schedule=list(f_schedule[:T]))

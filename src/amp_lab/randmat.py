@@ -1,20 +1,21 @@
-"""Rotationally-invariant ensembles, spiked instances, and signal priors.
+"""Rotationally-invariant matrices, spiked instances, and signal priors.
 
-Matrices with prescribed spectra are kept in factored form (eigenvalues,
-Haar eigenvectors).  A Haar eigenbasis is a `LazyHaarRotation`: it is drawn
+Every matrix a run acts on is one `SpectralOperator`: O D O^T with
+D = diag(eigenvalues) + rho z z^T, the rank-one term present only for a
+spiked instance.  A Haar eigenbasis is a `LazyHaarRotation`: it is drawn
 only on the vectors it is applied to, each answer from the Haar law
 conditioned on the earlier ones, in O(N k) time after k earlier answers,
 and the dense orthogonal and symmetric matrices are materialized only on
-request.  Such an ensemble carries state.  Two ensembles built from the
-same seed and given the same calls in the same order agree bit for bit; a
-repeated call on one ensemble agrees with its first answer to rounding,
-not bit for bit.  An ensemble must not be shared across threads.  A
-spiked instance Y = O (Lambda + rho z z^T) O^T, z = O^T x*, is never formed
-and never eigendecomposed: matrix functions of the form polynomial plus
-b/x (`RationalFn`) apply to its diagonal-plus-rank-one core exactly in
-O(N), and the secular equation of that core gives Y's eigenvalues and
-signal overlaps, without eigenvectors, when the overlap measure is asked
-for.
+request (`dense()`).  Such an operator carries state.  Two operators built
+from the same seed and given the same calls in the same order agree bit
+for bit; a repeated call on one agrees with its first answer to rounding,
+not bit for bit.  An operator must not be shared across threads.  A spiked
+instance Y = O (Lambda + rho z z^T) O^T, z = O^T x*, is the operator of W
+with the rank-one term added; it shares W's rotation, is never formed and
+never eigendecomposed: matrix functions of the form polynomial plus b/x
+(`RationalFn`) apply to its diagonal-plus-rank-one core exactly in O(N),
+and the secular equation of that core gives Y's eigenvalues and signal
+overlaps, without eigenvectors, when the overlap measure is asked for.
 """
 
 from __future__ import annotations
@@ -163,49 +164,110 @@ def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
     return sample_haar_rotation(N, seed).dense()
 
 
-def _dense(O) -> np.ndarray:
-    """An eigenbasis as a dense matrix (formed if it is a rotation)."""
-    return O.dense() if isinstance(O, LazyHaarRotation) else O
-
-
 @dataclass
-class RotInvEnsemble:
-    """W = O diag(eigenvalues) O^T; dense W built on demand.  The
-    eigenbasis O is a LazyHaarRotation (Haar) or a dense orthogonal matrix
-    (GOE).  A Haar ensemble carries the state of its rotation: see
-    LazyHaarRotation for what that means for determinism and threads."""
+class SpectralOperator:
+    """Factored symmetric matrix M = O D O^T with D = diag(eigenvalues) +
+    rho z z^T.  The eigenbasis O is a LazyHaarRotation (Haar) or a dense
+    orthogonal matrix (GOE, or `eigh` of a dense input).  The rank-one term
+    is that of a spiked instance (eigenvalues and O are W's, z = O^T x*,
+    rho = theta/N) and is absent (z None) otherwise; Y's eigenvectors are
+    never formed.  A Haar operator carries the state of its rotation: see
+    LazyHaarRotation for what that means for determinism and threads.
+    to_spectral, from_spectral and the functions of core_function take a
+    vector (N,) or a block of column vectors (N, k)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | LazyHaarRotation
-    _W: np.ndarray | None = field(default=None, repr=False)
+    rotation: np.ndarray | LazyHaarRotation
+    z: np.ndarray | None = None
+    rho: float = 0.0
 
     @property
     def N(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def W(self) -> np.ndarray:
-        if self._W is None:
-            O = _dense(self.eigenvectors)
-            self._W = (O * self.eigenvalues[None, :]) @ O.T
-            self._W = 0.5 * (self._W + self._W.T)
-        return self._W
+    def to_spectral(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates of v in W's eigenbasis: O^T v."""
+        return self.rotation.T @ v
+
+    def from_spectral(self, s: np.ndarray) -> np.ndarray:
+        """The vector with eigenbasis coordinates s: O s."""
+        return self.rotation @ s
+
+    def _core(self, s: np.ndarray) -> np.ndarray:
+        """D s = lambda s + rho z (z^T s)."""
+        ds = _columns(self.eigenvalues, s) * s
+        return ds if self.z is None else ds + _columns(self.rho * self.z, s) * (self.z @ s)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """W @ v without materializing W."""
-        O = self.eigenvectors
-        return O @ (self.eigenvalues * (O.T @ v))
+        """M v without materializing M."""
+        return self.from_spectral(self._core(self.to_spectral(v)))
+
+    def core_function(self, f: Callable) -> Callable:
+        """s -> f(D) s.  Without a spike, f is taken at the eigenvalues
+        (DomainError where it is undefined there).  With one, f must be a
+        RationalFn (else ValidationError), applied in O(N) per column:
+        Horner's rule on D for the polynomial part and Sherman-Morrison,
+        D^-1 = L^-1 - rho L^-1 z z^T L^-1 / (1 + rho z^T L^-1 z) with
+        L = diag(eigenvalues), for the pole.  DomainError when the pole meets
+        the spectrum of W or of Y (det D = det L (1 + rho z^T L^-1 z))."""
+        if self.z is None:
+            values = _map_eigenvalues(f, self.eigenvalues)
+            return lambda s: _columns(values, s) * s
+        if not isinstance(f, RationalFn):
+            raise ValidationError("a spiked instance applies only rational matrix functions "
+                                  "(RationalFn: polynomial plus b/x), got " + repr(f))
+        coeffs = [float(c) for c in f.coeffs]
+        pole = float(f.pole)
+        lam, z, rho = self.eigenvalues, self.z, self.rho
+        if pole:
+            if np.any(lam == 0.0):
+                raise DomainError("f has a pole at 0, an eigenvalue of W")
+            zl = z / lam
+            denom = 1.0 + rho * (z @ zl)
+            if not (np.isfinite(denom) and denom != 0.0):
+                raise DomainError("f has a pole at 0, an eigenvalue of Y")
+
+        def fn(s):
+            y = coeffs[-1] * s
+            for c in reversed(coeffs[:-1]):
+                y = self._core(y) + c * s
+            if pole:
+                inv = s / _columns(lam, s) - _columns(zl, s) * (rho * (zl @ s) / denom)
+                y = y + pole * inv
+            return y
+
+        return fn
+
+    def function(self, f: Callable) -> Callable:
+        """v -> f(M) v (see core_function)."""
+        g = self.core_function(f)
+        return lambda v: self.from_spectral(g(self.to_spectral(v)))
+
+    def dense(self) -> np.ndarray:
+        """M = O D O^T as an N x N array, in O(N^3); a lazy rotation is
+        revealed in full."""
+        O = self.rotation.dense() if isinstance(self.rotation, LazyHaarRotation) else self.rotation
+        M = (O * self.eigenvalues[None, :]) @ O.T
+        if self.z is not None:
+            Oz = O @ self.z
+            M += self.rho * np.outer(Oz, Oz)
+        return 0.5 * (M + M.T)
 
 
-def build_rot_invariant(grid: np.ndarray, seed: int) -> RotInvEnsemble:
-    """Ensemble with the given eigenvalues and a fresh Haar eigenbasis."""
+def _columns(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a as a column when s is a block of columns, so that a * s scales rows."""
+    return a if s.ndim == 1 else a[:, None]
+
+
+def build_rot_invariant(grid: np.ndarray, seed: int) -> SpectralOperator:
+    """O diag(grid) O^T with a fresh Haar eigenbasis O."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValidationError("grid must be a nonempty 1-d array")
     if not np.all(np.isfinite(grid)):
         raise ValidationError("grid contains non-finite entries")
     O = sample_haar_rotation(grid.size, seed)
-    return RotInvEnsemble(eigenvalues=grid.copy(), eigenvectors=O)
+    return SpectralOperator(eigenvalues=grid.copy(), rotation=O)
 
 
 def sample_goe(N: int, seed: int) -> np.ndarray:
@@ -217,11 +279,10 @@ def sample_goe(N: int, seed: int) -> np.ndarray:
     return (G + G.T) / np.sqrt(2 * N)
 
 
-def goe_ensemble(N: int, seed: int) -> RotInvEnsemble:
-    """GOE sample stored in factored form (eigendecomposed once)."""
-    W = sample_goe(N, seed)
-    lam, O = _eigh(W)
-    return RotInvEnsemble(eigenvalues=lam, eigenvectors=O, _W=W)
+def goe_ensemble(N: int, seed: int) -> SpectralOperator:
+    """`sample_goe(N, seed)` in factored form (eigendecomposed once)."""
+    lam, O = _eigh(sample_goe(N, seed))
+    return SpectralOperator(eigenvalues=lam, rotation=O)
 
 
 def _eigh(W: np.ndarray):
@@ -391,20 +452,15 @@ def _secular_roots(d: np.ndarray, w: np.ndarray, rho_n: float):
     return mu, wn**2 * overlap
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpikedInstance:
-    """Y = (theta/N) x* x*^T + W.  z = O^T x*, the signal in W's eigenbasis,
-    is computed once, when the instance is built, so that
-    Y = O (diag(lambda) + (theta/N) z z^T) O^T with one fixed z."""
+    """Y = (theta/N) x* x*^T + W.  `operator` is Y in W's eigenbasis,
+    O (diag(lambda) + (theta/N) z z^T) O^T with z = O^T x* fixed when the
+    instance is built; it shares W's rotation and its revealed state."""
 
     theta: float
     x_star: np.ndarray
-    ensemble: RotInvEnsemble
-    z: np.ndarray = field(init=False, repr=False)
-    _Y: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.z = self.ensemble.eigenvectors.T @ self.x_star
+    operator: SpectralOperator
 
     @property
     def N(self) -> int:
@@ -412,27 +468,29 @@ class SpikedInstance:
 
     @property
     def Y(self) -> np.ndarray:
-        if self._Y is None:
-            x = self.x_star
-            self._Y = (self.theta / self.N) * np.outer(x, x) + self.ensemble.W
-        return self._Y
-
-    def apply_Y(self, v: np.ndarray) -> np.ndarray:
-        x = self.x_star
-        return (self.theta / self.N) * x * (x @ v) + self.ensemble.apply(v)
+        """Y formed densely from its definition, in O(N^3): a reference for
+        the factored operator, never used by a run."""
+        W = replace(self.operator, z=None, rho=0.0).dense()
+        return (self.theta / self.N) * np.outer(self.x_star, self.x_star) + W
 
 
-def build_spiked(theta: float, prior: Prior, ensemble: RotInvEnsemble, seed: int) -> SpikedInstance:
-    """Y = (theta/N) x* x*^T + W with x* iid from a unit-second-moment prior."""
+def build_spiked(theta: float, prior: Prior, ensemble: SpectralOperator,
+                 seed: int) -> SpikedInstance:
+    """Y = (theta/N) x* x*^T + W with x* iid from a unit-second-moment prior
+    and W = ensemble, which must not carry a rank-one term already."""
     if theta <= 0:
         raise ValidationError("theta must be > 0")
     if abs(prior.second_moment - 1.0) > 1e-12:
         raise ValidationError(
             f"prior {prior.name!r} has second moment {prior.second_moment}, expected 1"
         )
+    if ensemble.z is not None:
+        raise ValidationError("the ensemble already carries a rank-one spike")
     rng = np.random.default_rng(seed)
     x = prior.sample(ensemble.N, rng)
-    return SpikedInstance(theta=float(theta), x_star=x, ensemble=ensemble)
+    theta = float(theta)
+    operator = replace(ensemble, z=ensemble.to_spectral(x), rho=theta / ensemble.N)
+    return SpikedInstance(theta=theta, x_star=x, operator=operator)
 
 
 @dataclass(frozen=True)
@@ -457,7 +515,8 @@ def overlap_measure(inst: SpikedInstance, n_cap: int = OVERLAP_N_CAP) -> Overlap
     ascending; the weight of eigenvector O v_k is (z^T v_k)^2 / N."""
     if inst.N > n_cap:
         raise ValidationError(f"N={inst.N} exceeds the secular solver's cap {n_cap}")
-    mu, overlap = diag_rank_one_eigh(inst.ensemble.eigenvalues, inst.z, inst.theta / inst.N)
+    op = inst.operator
+    mu, overlap = diag_rank_one_eigh(op.eigenvalues, op.z, op.rho)
     return OverlapMeasure(eigenvalues=mu, weights=overlap / inst.N)
 
 

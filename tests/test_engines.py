@@ -29,8 +29,8 @@ from amp_lab.engines import (
 from amp_lab.errors import DomainError, UnsupportedVariantError, ValidationError
 from amp_lab.freeprob import build_poly_family, cumulants_from_law
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
-from amp_lab.randmat import (RationalFn, RotInvEnsemble, SpikedInstance, build_rot_invariant,
-                             build_spiked, goe_ensemble, make_prior)
+from amp_lab.randmat import (RationalFn, SpectralOperator, build_rot_invariant, build_spiked,
+                             goe_ensemble, make_prior, sample_goe)
 from amp_lab.se import mp_denoise_fn
 
 
@@ -183,7 +183,7 @@ def test_unfolding_by_products_matches_dense_reference(variant):
         fam = build_poly_family(run.debias_law, "Q" if run.variant == "RIAMP" else "H", T)
         vals = [np.polynomial.polynomial.polyval(lam, fam.coeffs[i]) for i in range(1, T + 1)]
         V = sum(np.linalg.matrix_power(Phi, i)[:, :, None] * vals[i] for i in range(T))
-    O = ens.eigenvectors.dense()
+    O = ens.rotation.dense()
     products = O @ _unfold_by_products(run, fam)
     spec = O.T @ np.column_stack(run.ubar[:T])
     dense = O @ np.einsum("tjn,nj->nt", V * np.tri(T)[:, :, None], spec)
@@ -305,17 +305,16 @@ def test_spiked_pole_check_on_w_and_y():
     # a pole at 0 fails when 0 is an eigenvalue of W or of Y; Y is singular
     # here although W is not: D = diag(-1, 1) + e_1 e_1^T = diag(0, 1)
     pole = RationalFn(coeffs=(1.0,), pole=2.0)
-    sing_y = SpikedInstance(theta=2.0, x_star=np.array([1.0, 0.0]),
-                            ensemble=RotInvEnsemble(eigenvalues=np.array([-1.0, 1.0]),
-                                                    eigenvectors=np.eye(2)))
+    sing_y = SpectralOperator(eigenvalues=np.array([-1.0, 1.0]), rotation=np.eye(2),
+                              z=np.array([1.0, 0.0]), rho=1.0)
     with pytest.raises(DomainError, match="eigenvalue of Y"):
-        as_operator(sing_y)[0].function(pole)
+        sing_y.function(pole)
     sing_w = build_spiked(1.0, make_prior("rademacher"),
-                          RotInvEnsemble(eigenvalues=np.array([0.0, 1.0]),
-                                         eigenvectors=np.eye(2)), seed=0)
+                          SpectralOperator(eigenvalues=np.array([0.0, 1.0]),
+                                           rotation=np.eye(2)), seed=0)
     with pytest.raises(DomainError, match="eigenvalue of W"):
-        as_operator(sing_w)[0].function(pole)
-    as_operator(sing_w)[0].function(RationalFn(coeffs=(1.0, 2.0)))  # no pole: fine
+        as_operator(sing_w).function(pole)
+    as_operator(sing_w).function(RationalFn(coeffs=(1.0, 2.0)))  # no pole: fine
 
 
 def test_verify_unfolding_reveals_no_direction_of_the_rotation():
@@ -327,9 +326,9 @@ def test_verify_unfolding_reveals_no_direction_of_the_rotation():
     for seed in range(8):
         ens, u1 = _setup(law, N, seed)
         run = run_ri_amp(ens, law, _lip_dens(T, seed), u1, T, mode="grid")
-        revealed = ens.eigenvectors.pairs.k
+        revealed = ens.rotation.pairs.k
         verify_unfolding(run)
-        assert ens.eigenvectors.pairs.k == revealed
+        assert ens.rotation.pairs.k == revealed
 
 
 def test_unfolding_population_mode_approximate():
@@ -509,6 +508,28 @@ def test_ri_amp_mp_rejects_f_undefined_at_an_eigenvalue():
     dens = [identity_denoiser(1)]
     with pytest.raises(DomainError):
         run_ri_amp_mp(ens, None, lambda x: 1.0 / x, dens, np.ones(4), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_input_with_non_finite_entries_rejected(bad):
+    W = sample_goe(50, seed=1)
+    W[3, 7] = W[7, 3] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        run_ri_amp(W, None, _lip_dens(1, seed=0), np.ones(50), 1)
+
+
+def test_dense_input_must_be_symmetric():
+    # a non-symmetric A is refused rather than run as the matrix eigh builds
+    # from its lower triangle; asymmetry at rounding level is accepted
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((50, 50)) / np.sqrt(50)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        run_ri_amp(A, None, _lip_dens(1, seed=0), np.ones(50), 1)
+    W = sample_goe(50, seed=3)
+    noise = rng.standard_normal((50, 50))
+    W_rounded = W + 1e-14 * np.max(np.abs(W)) * (noise - noise.T)
+    v = rng.standard_normal(50)
+    assert np.linalg.norm(as_operator(W_rounded).apply(v) - W @ v) <= 1e-12 * np.linalg.norm(W @ v)
 
 
 def test_diagnostics_csv_columns(tmp_path):

@@ -256,7 +256,7 @@ def test_mc_cumulants_factored_matches_dense():
     mp = MarchenkoPastur(alpha=0.5)
     ens = build_rot_invariant(mp.quantile_grid(300).atoms, seed=9)
     k_fac = mc_cumulants(ens, 4, seed=10)
-    k_dense = mc_cumulants(ens.W, 4, seed=10)
+    k_dense = mc_cumulants(ens.dense(), 4, seed=10)
     assert np.max(np.abs(k_fac - k_dense)) < 1e-10
 
 

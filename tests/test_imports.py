@@ -1,8 +1,8 @@
 """Import footprint: numpy is the only heavy dependency that `import amp_lab`,
 the non-spiked paths and spiked runs load; scipy.linalg (for LAPACK dlasd4)
 loads only when the secular solver runs, for the overlap measure or the
-empirical nu.  Every name the benchmark and the demos import from amp_lab
-exists."""
+empirical nu.  Every name the benchmark and the demos import from amp_lab,
+and every attribute the benchmark's tracer wraps, exists."""
 
 import ast
 import glob
@@ -105,12 +105,38 @@ def _amp_lab_imports(path: str) -> list:
             and node.module.split(".")[0] == "amp_lab" for alias in node.names]
 
 
+def _layer_calls(path: str) -> list:
+    """(module, dotted attribute) for each entry of the LAYER_CALLS tuple in
+    `path`: the amp_lab callables a traced benchmark run wraps by name."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYER_CALLS" for t in node.targets):
+            return [("amp_lab." + mod, attr) for mod, attr, _ in ast.literal_eval(node.value)]
+    return []
+
+
+def _resolves(module: str, dotted: str) -> bool:
+    obj = importlib.import_module(module)
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
 @pytest.mark.parametrize("folder", ["perfbench", "demos"])
 def test_names_imported_from_amp_lab_resolve(folder):
+    # in perfbench, also every attribute the tracer wraps (child.py's
+    # LAYER_CALLS): a renamed one would crash a traced benchmark run
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     files = sorted(glob.glob(os.path.join(root, folder, "*.py")))
     pairs = [pair for path in files for pair in _amp_lab_imports(path)]
     assert pairs, f"no amp_lab imports found under {folder}/"
-    missing = [f"{mod}.{name}" for mod, name in pairs
-               if not hasattr(importlib.import_module(mod), name)]
+    if folder == "perfbench":
+        layer_calls = _layer_calls(os.path.join(root, folder, "child.py"))
+        assert layer_calls, "no LAYER_CALLS found in perfbench/child.py"
+        pairs += layer_calls
+    missing = [f"{mod}.{name}" for mod, name in pairs if not _resolves(mod, name)]
     assert not missing, missing

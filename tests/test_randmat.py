@@ -13,7 +13,7 @@ from amp_lab.errors import ValidationError
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, parse_law_spec
 from amp_lab.randmat import (
     RationalFn,
-    RotInvEnsemble,
+    SpectralOperator,
     build_rot_invariant,
     build_spiked,
     diag_rank_one_eigh,
@@ -212,8 +212,8 @@ def test_trajectories_same_law_under_qr_reference(spiked):
     grid = MarchenkoPastur(alpha=0.3).quantile_grid(N).atoms
     new = _trajectories([(2000 + s, build_rot_invariant(grid, seed=3000 + s))
                          for s in range(seeds)], spiked)
-    ref = _trajectories([(4000 + s, RotInvEnsemble(eigenvalues=grid.copy(),
-                                                   eigenvectors=_qr_haar(N, seed=5000 + s)))
+    ref = _trajectories([(4000 + s, SpectralOperator(eigenvalues=grid.copy(),
+                                                     rotation=_qr_haar(N, seed=5000 + s)))
                          for s in range(seeds)], spiked)
     for t in range(new.shape[1]):
         assert stats.ks_2samp(new[:, t], ref[:, t]).pvalue > 0.01
@@ -243,8 +243,8 @@ def test_spiked_mse_same_law_under_qr_reference():
 
     new = np.array([mse(build_rot_invariant(grid, seed=500 + s), 600 + s)
                     for s in range(cfg.runs)])
-    ref = np.array([mse(RotInvEnsemble(eigenvalues=grid.copy(),
-                                       eigenvectors=_qr_haar(cfg.N, seed=700 + s)), 800 + s)
+    ref = np.array([mse(SpectralOperator(eigenvalues=grid.copy(),
+                                         rotation=_qr_haar(cfg.N, seed=700 + s)), 800 + s)
                     for s in range(cfg.runs)])
     for t in range(2):
         assert stats.ks_2samp(new[:, t], ref[:, t]).pvalue > 0.01
@@ -257,10 +257,11 @@ def test_spiked_mse_same_law_under_qr_reference():
 def test_rot_invariant_spectrum_and_apply():
     grid = np.linspace(-1, 2, 64)
     ens = build_rot_invariant(grid, seed=0)
-    lam = np.sort(np.linalg.eigvalsh(ens.W))
+    W = ens.dense()
+    lam = np.sort(np.linalg.eigvalsh(W))
     assert np.max(np.abs(lam - np.sort(grid))) < 1e-10
     v = np.random.default_rng(1).standard_normal(64)
-    assert np.max(np.abs(ens.apply(v) - ens.W @ v)) < 1e-10
+    assert np.max(np.abs(ens.apply(v) - W @ v)) < 1e-10
 
 
 def test_build_rot_invariant_validates():
@@ -281,9 +282,12 @@ def test_goe_symmetric_with_semicircle_moments():
 
 
 def test_goe_ensemble_factored():
+    # the factors rebuild the GOE draw of the same seed
     ens = goe_ensemble(100, seed=5)
-    recon = (ens.eigenvectors * ens.eigenvalues[None, :]) @ ens.eigenvectors.T
-    assert np.max(np.abs(recon - ens.W)) < 1e-10
+    W = sample_goe(100, seed=5)
+    recon = (ens.rotation * ens.eigenvalues[None, :]) @ ens.rotation.T
+    assert np.max(np.abs(recon - W)) < 1e-10
+    assert np.max(np.abs(ens.dense() - W)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +325,35 @@ def test_build_spiked_shape_and_symmetry():
     mp = MarchenkoPastur(alpha=0.3)
     ens = build_rot_invariant(mp.quantile_grid(128).atoms, seed=0)
     inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=1)
-    assert inst.Y.shape == (128, 128)
-    assert np.max(np.abs(inst.Y - inst.Y.T)) < 1e-12
+    Y = inst.Y
+    assert Y.shape == (128, 128)
+    assert np.max(np.abs(Y - Y.T)) < 1e-12
     v = np.random.default_rng(2).standard_normal(128)
-    assert np.max(np.abs(inst.apply_Y(v) - inst.Y @ v)) < 1e-9
+    assert np.max(np.abs(inst.operator.apply(v) - Y @ v)) < 1e-9
+
+
+@pytest.mark.parametrize("rotation", ["lazy-haar", "dense"])
+def test_spiked_operator_dense_matches_y(rotation):
+    # O (Lambda + (theta/N) z z^T) O^T formed from the factors against Y
+    # formed from its definition, (theta/N) x* x*^T + W
+    N = 200
+    grid = MarchenkoPastur(alpha=0.3).quantile_grid(N).atoms
+    ens = (build_rot_invariant(grid, seed=3) if rotation == "lazy-haar"
+           else SpectralOperator(eigenvalues=grid.copy(), rotation=_qr_haar(N, seed=3)))
+    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=4)
+    Y = inst.Y
+    assert np.linalg.norm(inst.operator.dense() - Y) <= 1e-12 * np.linalg.norm(Y)
+
+
+def test_build_spiked_shares_the_rotation_and_refuses_a_second_spike():
+    ens = build_rot_invariant(np.linspace(-1, 1, 32), seed=0)
+    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=1)
+    assert inst.operator.rotation is ens.rotation
+    assert ens.z is None
+    assert np.array_equal(inst.operator.z, ens.to_spectral(inst.x_star))
+    assert inst.operator.rho == 1.5 / 32
+    with pytest.raises(ValidationError, match="rank-one"):
+        build_spiked(1.0, make_prior("rademacher"), inst.operator, seed=2)
 
 
 def test_build_spiked_validates_theta():
@@ -382,7 +411,7 @@ def _secular_case(name, N):
         prior = make_prior("sparse", rho=0.1)
     grid = law.quantile_grid(N).atoms
     if name == "sparse-identity":
-        ens = RotInvEnsemble(eigenvalues=grid.copy(), eigenvectors=np.eye(N))
+        ens = SpectralOperator(eigenvalues=grid.copy(), rotation=np.eye(N))
     else:
         ens = build_rot_invariant(grid, seed=N + 1)
     return build_spiked(theta, prior, ens, seed=N + 2), float(np.max(np.abs(grid)))
@@ -395,13 +424,15 @@ def test_secular_factorization_matches_dense_eigh(name, N):
     # the secular roots and closed-form overlap weights, and the spiked
     # operator's products, against a dense eigendecomposition of Y
     inst, scale = _secular_case(name, N)
-    lam, U = np.linalg.eigh(inst.Y)
+    Y = inst.Y
+    lam, U = np.linalg.eigh(Y)
     om = overlap_measure(inst)
     assert np.max(np.abs(om.eigenvalues - lam)) <= 1e-12 * scale
     assert np.max(np.abs(om.weights - (inst.x_star @ U) ** 2 / N)) <= 1e-12
-    op, _ = as_operator(inst)
+    op = as_operator(inst)
+    assert op is inst.operator
     v = np.random.default_rng(N).standard_normal(N)
-    assert np.linalg.norm(op.apply(v) - inst.Y @ v) <= 1e-12 * np.linalg.norm(inst.Y @ v)
+    assert np.linalg.norm(op.apply(v) - Y @ v) <= 1e-12 * np.linalg.norm(Y @ v)
     for f in (mp_denoise_fn(1.5, 0.2), RationalFn(coeffs=(1.0, -1.0, 0.0, 0.5))):
         dense = U @ (f(lam) * (U.T @ v))
         assert np.linalg.norm(op.function(f)(v) - dense) <= 1e-10 * np.linalg.norm(dense)
