@@ -66,17 +66,16 @@ def _physical_memory_bytes() -> int | None:
 def _seed_bytes(N: int, algo: str, T: int) -> int:
     """Peak bytes one seed holds.  Gaussian AMP holds a dense GOE draw, its
     symmetrization and its eigenvectors (24 N^2).  The others hold only
-    length-N vectors, 32 (T + 2) of them: the revealed pairs of the lazy
-    Haar rotation (at most 2T + 2 pairs of two vectors, in storage of at
-    least 16 pairs that doubles as it fills, old and new storage both alive
-    while it grows), and the iterates with their temporaries.  RI-AMP-MP
-    adds T (T + 3): its grid-mode debias solve keeps the lower-triangular
-    rows of S and J at each of the N eigenvalues, T (T + 1) vectors, and
-    forms the next row in up to 2 T more."""
+    length-N vectors, 16 (T + 2) of them: the revealed pairs of the lazy
+    Haar rotation, the iterates and their temporaries.  One-worker peaks of
+    whole `run` processes at N = 10^6 (ri-amp, ri-amp-df, ri-amp-mp and
+    oamp; ri-amp and ri-amp-mp also spiked) were at most 27, 49, 82 and 126
+    vectors at T = 1, 3, 6 and 10, so the budget is at least 1.5 times the
+    measured peak.  RI-AMP-MP's trace-free rows add nothing of length N in
+    grid mode: they live on a Lanczos rule of T // 2 + 1 points."""
     if algo == "gaussian-amp":
         return 24 * N * N
-    vectors = 32 * (T + 2) + (T * (T + 3) if algo == "ri-amp-mp" else 0)
-    return 8 * N * vectors
+    return 8 * N * 16 * (T + 2)
 
 
 def _check_fits_memory(need: int, what: str) -> None:

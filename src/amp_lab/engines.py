@@ -14,7 +14,10 @@ the de-biasing coefficients come from the realized eigenvalue grid.  It
 applies that matrix by products with the operator's core in W's eigenbasis,
 one path for spiked and non-spiked runs alike.  RI-AMP-MP's trace-free
 de-biasing rows, in the run and in the verifier, come from one row
-recursion at the law's quadrature nodes (`_TraceFreeRows`).
+recursion (`_TraceFreeRows`).  Over a grid with one f it runs on a
+Lanczos (Gauss) rule of the grid's pushforward under f with T // 2 + 1
+points, exact for the rows' polynomial degree; otherwise, and for the
+verifier's all-atom trace residuals, it runs at the law's quadrature nodes.
 """
 
 from __future__ import annotations
@@ -29,35 +32,26 @@ from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, UnsupportedVariantError, ValidationError
 from .freeprob import build_poly_family, moments_to_cumulants, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
-from .randmat import RationalFn, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues
+from .randmat import (RationalFn, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
+                      dense_symmetric)
 
 HORIZON_CAP = 10
 # quadrature nodes of the RI-AMP-MP trace-free solve under a population law;
-# no effect in grid mode, where DiscreteGrid.quad_nodes returns every atom
+# no effect in grid mode, which uses the Lanczos rule of the grid's
+# pushforward with one f and every atom (DiscreteGrid.quad_nodes) otherwise
 MP_DEBIAS_NODES = 400
-# largest relative asymmetry max|M - M^T| / max|M| of a dense matrix input
-SYMMETRY_RTOL = 1e-10
 
 
 def as_operator(M) -> SpectralOperator:
     """The factored operator a run acts on: a spiked instance's operator, a
-    SpectralOperator as it is, or `eigh` of a dense symmetric array (finite,
-    and symmetric within SYMMETRY_RTOL, else ValidationError).  Its
-    eigenvalues are those of W, not Y, for a spiked instance."""
+    SpectralOperator as it is, or `eigh` of a dense symmetric array (checked
+    by `randmat.dense_symmetric`).  Its eigenvalues are those of W, not Y,
+    for a spiked instance."""
     if isinstance(M, SpikedInstance):
         return M.operator
     if isinstance(M, SpectralOperator):
         return M
-    W = np.asarray(M, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValidationError("matrix input must be square")
-    if not np.all(np.isfinite(W)):
-        raise ValidationError("matrix input has non-finite entries")
-    asym = float(np.max(np.abs(W - W.T), initial=0.0))
-    if asym > SYMMETRY_RTOL * float(np.max(np.abs(W), initial=0.0)):
-        raise ValidationError(f"matrix input is not symmetric: max|M - M^T| = {asym:.3g} "
-                              f"exceeds {SYMMETRY_RTOL:g} of max|M|")
-    lam, O = _eigh(W)
+    lam, O = _eigh(dense_symmetric(M))
     return SpectralOperator(lam, O)
 
 
@@ -150,7 +144,8 @@ def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
 
     Solved row by row (`_TraceFreeRows`): row n depends only on the leading
     n x n blocks of Phi_hat and E, so the rows of E_t are those of E_{t-1}
-    with one row appended.
+    with one row appended.  Over a DiscreteGrid with one f (every f_t the
+    same object) the rows live on a Lanczos rule of T // 2 + 1 points.
     """
     phi_hat = np.atleast_2d(np.asarray(phi_hat, dtype=float))
     t = phi_hat.shape[0]
@@ -165,21 +160,73 @@ def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
     return E
 
 
+def _jacobi_matrix(values: np.ndarray, k: int) -> np.ndarray:
+    """Jacobi matrix of the equal-weight law of `values`, at most k x k.
+
+    k steps of Lanczos on diag(values) from the normalized ones vector, with
+    full reorthogonalization (twice against every earlier vector), stopped
+    early when the new vector vanishes: then the law has as many distinct
+    values as steps taken and the rule reproduces it.  With Jac the result,
+    e_1^T p(Jac) e_1 = mean(p(values)) for every polynomial p of degree
+    <= 2 k - 1 (Golub & Welsch, Math. Comp. 23, 1969), and no
+    eigendecomposition is needed to use it."""
+    N = values.size
+    k = min(k, N)
+    Q = np.empty((k, N))
+    Q[0] = 1.0 / np.sqrt(N)
+    alpha = np.zeros(k)
+    beta = np.zeros(k - 1)
+    # a vanishing vector is rounding of the values, relative to their size
+    tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(values)))
+    for j in range(k):
+        w = values * Q[j]
+        alpha[j] = Q[j] @ w
+        for _ in range(2):
+            w -= (Q[: j + 1] @ w) @ Q[: j + 1]
+        if j == k - 1:
+            break
+        b = float(np.linalg.norm(w))
+        if b <= tol:
+            k = j + 1
+            break
+        beta[j] = b
+        Q[j + 1] = w / b
+    return np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+
+
 class _TraceFreeRows:
-    """Rows of S = (I - Phi (F - E))^{-1} and J = (F - E) S at a law's
-    quadrature nodes, appended one per step.
+    """Rows of S = (I - Phi (F - E))^{-1} and J = (F - E) S over a law,
+    appended one per step.
 
     S is unit lower triangular and S = I + Phi J, so row n of S needs only
     the earlier rows of J: S_n = e_n + sum_{k<n} Phi_{n,k} J_k.  Row n of J
     is J_n = f_n S_n - sum_{m<=n} E_{n,m} S_m, and E_mu[J_n] = 0 is the
     unit-triangular system E_mu[S]^T e = E_mu[f_n S_n] for row n of E.  Each
-    row costs O(nodes n^2); S_n and J_n are kept as (n, nodes) arrays."""
+    row costs O(width n^2); S_n and J_n are kept as (n, width) arrays, and
+    E_mu of an entry is its product with `w`.
+
+    Each entry is a polynomial of degree <= T in f_1..f_T.  Over a
+    DiscreteGrid with one f (all f_t the same object) an entry p is kept as
+    p(Jac) e_1, Jac the Jacobi matrix of the grid's pushforward under f with
+    k = T // 2 + 1 rows: multiplying by f is a product with Jac, the
+    constant 1 is e_1, and E_mu is the first component (w = e_1), exact for
+    degree <= 2 k - 1 >= T.  Otherwise, or with all_nodes, the entries are
+    kept at the law's quadrature nodes (every atom of a grid, n_nodes
+    Gauss-Legendre nodes of a population law) with their weights."""
 
     def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable],
-                 n_nodes: int = MP_DEBIAS_NODES):
-        self.nodes, self.w = law.quad_nodes(n_nodes)
-        self.f_schedule = f_schedule
+                 n_nodes: int = MP_DEBIAS_NODES, all_nodes: bool = False):
         T = len(f_schedule)
+        if (not all_nodes and isinstance(law, DiscreteGrid)
+                and all(ft is f_schedule[0] for ft in f_schedule)):
+            jac = _jacobi_matrix(_map_eigenvalues(f_schedule[0], law.atoms), T // 2 + 1)
+            self.w = self.one = np.zeros(jac.shape[0])
+            self.one[0] = 1.0
+            self._times_f = lambda n, s: s @ jac
+        else:
+            nodes, self.w = law.quad_nodes(n_nodes)
+            self.one = np.ones(self.w.size)
+            self._times_f = lambda n, s: _map_eigenvalues(f_schedule[n - 1], nodes) * s
         self.S: list = []
         self.J: list = []
         self.S_mean = np.zeros((T, T))  # row m-1: E_mu[S_m]
@@ -189,10 +236,10 @@ class _TraceFreeRows:
         row n of E: e_row when given, else the trace-free solution."""
         n = len(self.S) + 1
         s = np.zeros((n, self.w.size))
-        s[n - 1] = 1.0
+        s[n - 1] = self.one
         for k, j_k in enumerate(self.J):
             s[: k + 1] += phi_row[k] * j_k
-        j = _map_eigenvalues(self.f_schedule[n - 1], self.nodes) * s
+        j = self._times_f(n, s)
         self.S.append(s)
         self.S_mean[n - 1, :n] = s @ self.w
         if e_row is None:  # E_mu[S] is lower triangular, diagonal sum(w)
@@ -398,7 +445,9 @@ def _trace_residuals(run: AmpRun, fam, law: SpectralLaw) -> np.ndarray:
     """|E[poly entries]| over the run's realized eigenvalue law, T x T, for
     the entries that `law` defines.  A family's entries average to
     sum_i Phi^{i-1} E[P_i], the family built from `law`; RI-AMP-MP's are the
-    averages of the rows of J, built from the E that `law` solves for."""
+    averages of the rows of J over every node of the run's law (every atom
+    in grid mode), built from the E that `law` solves for, so they check the
+    Lanczos rule's E against the all-atom averages."""
     T = run.T
     Phi = run.phi_matrix(T)
     if fam is not None:
@@ -406,7 +455,7 @@ def _trace_residuals(run: AmpRun, fam, law: SpectralLaw) -> np.ndarray:
         means = [w @ fam.evaluate(i, nodes) for i in range(1, T + 1)]
         return np.abs(np.einsum("i,isj->sj", means, phi_powers(Phi, T)))
     E = ri_amp_mp_debias(law, run.f_schedule, Phi)
-    rows = _TraceFreeRows(run.debias_law, run.f_schedule)
+    rows = _TraceFreeRows(run.debias_law, run.f_schedule, all_nodes=True)
     out = np.zeros((T, T))
     for n in range(1, T + 1):
         rows.append(Phi[n - 1, : n - 1], E[n - 1, :n])

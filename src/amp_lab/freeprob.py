@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import SizeLimitError, ValidationError
 from .laws import SpectralLaw, catalan  # noqa: F401 (re-exported)
+from .randmat import dense_symmetric
 
 NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
@@ -370,7 +371,7 @@ def mc_cumulants(W, order: int, seed: int) -> np.ndarray:
     Runs the centered vector recursion z_n = W z_{n-1} - sum_i k_i z_{n-i}
     with k_n = h^T z_{n-1} / N and h = W g; the estimated cumulants feed the
     subsequent updates on the fly.  Never materializes polynomial matrices.
-    W may be dense or expose `apply(v)`.
+    W may be a dense symmetric array or expose `apply(v)`.
     """
     apply, N = _as_matvec(W)
     rng = np.random.default_rng(seed)
@@ -388,9 +389,9 @@ def mc_cumulants(W, order: int, seed: int) -> np.ndarray:
 
 
 def _as_matvec(W):
+    """(v -> W v, N) of an object with `apply` and `N`, or of a dense array
+    that `randmat.dense_symmetric` accepts."""
     if hasattr(W, "apply") and hasattr(W, "N"):
         return W.apply, int(W.N)
-    W = np.asarray(W)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValidationError("W must be square")
+    W = dense_symmetric(W)
     return (lambda v: W @ v), W.shape[0]

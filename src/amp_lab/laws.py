@@ -26,6 +26,8 @@ EXPECT_NODES = (64, 2048)
 # bound on |lambda| over a law's support: below it every moment up to order
 # 20, the recursion cap of `freeprob`, is a finite float (1e15^20 = 1e300)
 SUPPORT_CAP = 1e15
+# points per block of `cdf_grid`'s density and of `quantile_grid`'s compaction
+CDF_BLOCK = 4096
 
 
 def catalan(k: int) -> int:
@@ -154,13 +156,30 @@ class SpectralLaw:
         return complex(re, im)
 
     def cdf_grid(self, resolution: int = 60_000) -> tuple[np.ndarray, np.ndarray]:
-        """(lambda values, CDF values) on an edge-clustered grid."""
+        """(lambda values, CDF values) on an edge-clustered grid.
+
+        The two returned arrays are the only ones of the grid's length: lam is
+        formed in place and the density and trapezoid increments in blocks of
+        CDF_BLOCK points, so no table-sized temporary is made."""
         lo, hi = self.support()
-        s = np.linspace(0.0, 1.0, resolution)
-        lam = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * s))
-        dens = self._density_vector(lam)
-        # cumulative trapezoid, summed in scipy.integrate's operation order
-        cdf = np.concatenate(([0.0], np.cumsum(np.diff(lam) * (dens[1:] + dens[:-1]) / 2.0)))
+        # lo + (hi - lo) 0.5 (1 - cos(pi s)), s = linspace(0, 1), in place
+        lam = np.linspace(0.0, 1.0, resolution)
+        lam *= np.pi
+        np.cos(lam, out=lam)
+        np.subtract(1.0, lam, out=lam)
+        lam *= (hi - lo) * 0.5
+        lam += lo
+        # cumulative trapezoid, summed in scipy.integrate's operation order:
+        # cumsum is a running sum, so starting each block's first increment
+        # from the carry adds the terms in the same order as one cumsum
+        cdf = np.empty_like(lam)
+        cdf[0] = 0.0
+        for a in range(0, resolution - 1, CDF_BLOCK):
+            seg = lam[a : a + CDF_BLOCK + 1]
+            dens = self._density_vector(seg)
+            inc = np.diff(seg) * (dens[1:] + dens[:-1]) / 2.0
+            inc[0] += cdf[a]
+            np.cumsum(inc, out=cdf[a + 1 : a + 1 + inc.size])
         if cdf[-1] <= 0:
             raise NumericalError("degenerate CDF (zero total mass)")
         cdf /= cdf[-1]
@@ -174,13 +193,28 @@ class SpectralLaw:
         if N < 1:
             raise ValidationError("grid size must be >= 1")
         lam, cdf = self.cdf_grid()
-        p = (np.arange(N) + 0.5) / N
-        # make cdf strictly increasing for interpolation
-        cdf_u, idx = np.unique(cdf, return_index=True)
-        if len(cdf_u) < 2:
+        # make cdf strictly increasing for interpolation: cdf does not
+        # decrease, so the first point of each run of equal values is where
+        # it strictly increases; those points are moved to the front in place,
+        # block by block (a point only moves to a lower index)
+        keep = np.empty(cdf.size, dtype=bool)
+        keep[0] = True
+        np.greater(cdf[1:], cdf[:-1], out=keep[1:])
+        n = 0
+        for a in range(0, cdf.size, CDF_BLOCK):
+            sel = keep[a : a + CDF_BLOCK]
+            m = np.count_nonzero(sel)
+            cdf[n : n + m] = cdf[a : a + CDF_BLOCK][sel]
+            lam[n : n + m] = lam[a : a + CDF_BLOCK][sel]
+            n += m
+        if n < 2:
             raise NumericalError("inverse-CDF bracketing failed: flat CDF")
-        atoms = np.interp(p, cdf_u, lam[idx])
-        return DiscreteGrid(atoms=np.sort(atoms))
+        p = np.arange(N, dtype=float)
+        p += 0.5
+        p /= N
+        atoms = np.interp(p, cdf[:n], lam[:n])
+        atoms.sort()
+        return DiscreteGrid(atoms=atoms)
 
     def total_mass(self) -> float:
         return self.expect(lambda lam: np.ones_like(np.asarray(lam, dtype=float)))

@@ -32,6 +32,8 @@ OVERLAP_N_CAP = 8000  # the secular solver's root loop takes O(N^2) time
 # A query's residual off the revealed span is new only above this multiple
 # of the query's norm; below it, it is rounding left by the projection.
 RANK_TOL = 64 * np.finfo(float).eps
+# largest relative asymmetry max|M - M^T| / max|M| of a dense matrix input
+SYMMETRY_RTOL = 1e-10
 
 
 class _RevealedPairs:
@@ -283,6 +285,21 @@ def goe_ensemble(N: int, seed: int) -> SpectralOperator:
     """`sample_goe(N, seed)` in factored form (eigendecomposed once)."""
     lam, O = _eigh(sample_goe(N, seed))
     return SpectralOperator(eigenvalues=lam, rotation=O)
+
+
+def dense_symmetric(M) -> np.ndarray:
+    """M as a float array; ValidationError unless it is square, finite and
+    symmetric within SYMMETRY_RTOL of max|M|."""
+    W = np.asarray(M, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValidationError("matrix input must be square")
+    if not np.all(np.isfinite(W)):
+        raise ValidationError("matrix input has non-finite entries")
+    asym = float(np.max(np.abs(W - W.T), initial=0.0))
+    if asym > SYMMETRY_RTOL * float(np.max(np.abs(W), initial=0.0)):
+        raise ValidationError(f"matrix input is not symmetric: max|M - M^T| = {asym:.3g} "
+                              f"exceeds {SYMMETRY_RTOL:g} of max|M|")
+    return W
 
 
 def _eigh(W: np.ndarray):

@@ -113,23 +113,23 @@ def test_from_dict_gives_valid_config_or_validation_error(data, over_base):
 
 
 def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
-    # a seed holds 8 N (32 (T + 2) + T (T + 3)) bytes for RI-AMP-MP and
-    # 8 N 32 (T + 2) for RI-AMP (T = 3 here), so 2 spiked RI-AMP-MP seed
-    # workers at N=380000 (1.08e9 bytes) do not fit 1 GiB and at N=370000
-    # (1.05e9 bytes) do; nothing large is allocated
+    # a seed holds 8 N 16 (T + 2) bytes for every algo but gaussian-amp
+    # (T = 3 here), so 2 seed workers at N=839000 (1.0739e9 bytes) do not
+    # fit 1 GiB (1.0737e9) and at N=838000 (1.0726e9 bytes) do, spiked
+    # RI-AMP-MP and RI-AMP alike; nothing large is allocated
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     monkeypatch.setenv("AMP_LAB_THREADS", "2")
     nonspiked = dict(theta=None, omega=None, algo="ri-amp", denoiser="tanh")
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=380000)
-    _cfg(N=370000)
+        _cfg(N=839000)
+    _cfg(N=838000)
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=420000, **nonspiked)  # 1.08e9 bytes
-    _cfg(N=410000, **nonspiked)  # 1.05e9 bytes
+        _cfg(N=839000, **nonspiked)
+    _cfg(N=838000, **nonspiked)
     monkeypatch.setenv("AMP_LAB_THREADS", "1")
-    _cfg(N=750000)  # 1.07e9 bytes
+    _cfg(N=1677000)  # 1.0733e9 bytes
     with pytest.raises(ValidationError, match="physical memory"):
-        _cfg(N=760000)  # 1.08e9 bytes
+        _cfg(N=1678000)  # 1.0739e9 bytes
     with pytest.raises(ValidationError, match="physical memory"):  # dense GOE: 24 N^2
         _cfg(N=7000, theta=None, omega=None, algo="gaussian-amp", denoiser="tanh",
              law="semicircle")
@@ -137,7 +137,7 @@ def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
     _cfg(N=100_000)
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({**BASE, "N": 800_000}))
+    p.write_text(json.dumps({**BASE, "N": 1_700_000}))
     assert main(["se", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "physical memory" in captured.err
@@ -325,12 +325,12 @@ def test_bad_cumulants_inputs_exit_1_with_one_line(args, capsys):
 
 
 def test_cumulants_mc_dim_beyond_physical_memory_exits_1(monkeypatch, capsys):
-    # one Haar ensemble answering an order-2 recursion is budgeted 8 dim 128
-    # bytes, so dim=2000000 (2.0e9 bytes) does not fit 1 GiB; nothing large
+    # one Haar ensemble answering an order-2 recursion is budgeted 8 dim 64
+    # bytes, so dim=2200000 (1.13e9 bytes) does not fit 1 GiB; nothing large
     # is allocated
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     argv = ["cumulants", "--law", "semicircle", "--order", "2", "--mc", "--replicas", "1"]
-    assert main(argv + ["--dim", "2000000"]) == 1
+    assert main(argv + ["--dim", "2200000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "physical memory" in captured.err
     assert main(argv + ["--dim", "300"]) == 0

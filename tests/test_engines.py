@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from amp_lab import engines
 from amp_lab.denoisers import identity_denoiser, random_lipschitz_denoiser, tanh_denoiser
 from amp_lab.engines import (
     HORIZON_CAP,
@@ -134,6 +135,73 @@ def test_trace_free_rows_match_dense_solve_per_node(mode):
     for n in range(1, T + 1):
         assert np.max(np.abs(rows.J[n - 1].T - J[:, n - 1, :n])) <= 1e-12 * scale
     assert np.max(np.abs(np.einsum("a,ast->st", w, J))) <= 1e-12
+
+
+def _rows_e(law, fs, Phi, **kw):
+    """E from the row recursion, and the recursion itself."""
+    rows = _TraceFreeRows(law, fs, **kw)
+    T = len(fs)
+    E = np.zeros((T, T))
+    for n in range(1, T + 1):
+        E[n - 1, :n] = rows.append(Phi[n - 1, : n - 1])
+    return E, rows
+
+
+@pytest.mark.parametrize("N", [2000, 100_000])
+@pytest.mark.parametrize("case", ["semicircle", "mp"])
+def test_lanczos_rule_rows_match_all_atom_rows(case, N):
+    # one f over a grid: the rows live on a k = T // 2 + 1 point rule of the
+    # pushforward, exact for every entry's degree <= T, so E matches the
+    # all-atom solve to the rounding of the latter's N-term sums
+    if case == "semicircle":
+        grid, f = Semicircle().quantile_grid(N), lambda x: x + 0.3 * x**2
+    else:
+        grid, f = MarchenkoPastur(alpha=0.3).quantile_grid(N), mp_denoise_fn(1.2, 0.3)
+    T = 10
+    Phi = np.tril(np.random.default_rng(4).uniform(-0.5, 0.5, (T, T)), k=-1)
+    E_rule, rows = _rows_e(grid, [f] * T, Phi)
+    E_all, _ = _rows_e(grid, [f] * T, Phi, all_nodes=True)
+    assert rows.w.size == T // 2 + 1
+    assert np.array_equal(E_rule, ri_amp_mp_debias(grid, [f] * T, Phi))
+    assert np.max(np.abs(E_rule - E_all)) <= 1e-13 * np.max(np.abs(E_all))
+
+
+@pytest.mark.parametrize("N,kind,width", [(1, "quadratic", 1), (2, "quadratic", 2),
+                                          (3, "quadratic", 3), (500, "constant", 1)])
+def test_lanczos_rule_breakdown_matches_all_atom_solve(N, kind, width):
+    # fewer distinct values of f than the T // 2 + 1 = 6 rule points: Lanczos
+    # stops early, and its smaller rule reproduces the law
+    grid = DiscreteGrid(atoms=np.linspace(-1.0, 1.5, N))
+    f = (lambda x: np.full_like(x, 0.7)) if kind == "constant" else (lambda x: x + 0.3 * x**2)
+    T = 10
+    Phi = np.tril(np.random.default_rng(5).uniform(-0.5, 0.5, (T, T)), k=-1)
+    E_rule, rows = _rows_e(grid, [f] * T, Phi)
+    E_all, _ = _rows_e(grid, [f] * T, Phi, all_nodes=True)
+    assert rows.w.size == width
+    assert np.max(np.abs(E_rule - E_all)) <= 1e-13 * np.max(np.abs(E_all))
+
+
+def test_grid_mode_trace_free_rows_are_not_n_wide(monkeypatch):
+    # the run and ri_amp_mp_debias keep no row at every atom; only the
+    # verifier's trace residuals average J over all of them
+    made = []
+
+    class Recording(_TraceFreeRows):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append((kwargs.get("all_nodes", False), self))
+
+    monkeypatch.setattr(engines, "_TraceFreeRows", Recording)
+    law, N, T = Semicircle(), 300, 6
+    ens, u1 = _setup(law, N, seed=8)
+    f = lambda x: x + 0.3 * x**2
+    run = run_ri_amp_mp(ens, law, f, _lip_dens(T, seed=80), u1, T, mode="grid")
+    ri_amp_mp_debias(run.debias_law, [f] * T, run.phi_matrix(T))
+    verify_unfolding(run)
+    assert [all_nodes for all_nodes, _ in made] == [False, False, False, True]
+    for all_nodes, rows in made:
+        widths = {a.shape[1] for a in rows.S + rows.J}
+        assert widths == ({N} if all_nodes else {T // 2 + 1})
 
 
 # ---------------------------------------------------------------------------

@@ -263,3 +263,20 @@ def test_mc_cumulants_factored_matches_dense():
 def test_mc_rejects_nonsquare():
     with pytest.raises(ValidationError):
         mc_cumulants(np.ones((3, 4)), 2, seed=0)
+
+
+@pytest.mark.parametrize("estimator", [mc_moments, mc_cumulants], ids=lambda f: f.__name__)
+def test_mc_rejects_non_finite_dense_input(estimator):
+    W = sample_goe(50, seed=11)
+    W[4, 9] = W[9, 4] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        estimator(W, 3, seed=0)
+
+
+@pytest.mark.parametrize("estimator", [mc_moments, mc_cumulants], ids=lambda f: f.__name__)
+def test_mc_rejects_non_symmetric_dense_input(estimator):
+    # a Gaussian A is not a symmetric matrix; its products would estimate
+    # nothing the estimators define
+    A = np.random.default_rng(12).standard_normal((50, 50)) / np.sqrt(50)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        estimator(A, 3, seed=0)
