@@ -55,6 +55,7 @@ from .se import (
     nu_measure,
     oamp_se,
     ri_amp_df_se,
+    ri_amp_mp_se,
     ri_amp_se,
     spiked_se,
 )

@@ -33,10 +33,10 @@ from .freeprob import (build_poly_family, cumulants_from_law,
                        moments_to_cumulants, partial_moments)
 from .laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
 from .randmat import (RationalFn, build_rot_invariant, build_spiked, goe_ensemble,
-                      make_prior)
+                      parse_prior_spec)
 from .se import (DEFAULT_MC_SAMPLES, McConfig, SeInit, check_pole_free,
                  fan_se_form, gaussian_amp_se, mp_denoise_fn, oamp_se,
-                 ri_amp_se, spiked_se, theorem_sigma, _family_gram)
+                 ri_amp_mp_se, ri_amp_se, spiked_se, theorem_sigma, _family_gram)
 
 FLOAT_FMT = "{:.17g}"
 SPIKED_ALGOS = ("ri-amp", "ri-amp-mp")
@@ -123,11 +123,12 @@ class ExperimentConfig:
         if self.spiked and self.algo not in SPIKED_ALGOS:
             raise ValidationError(
                 f"spiked experiments support algos {SPIKED_ALGOS}, got {self.algo!r}")
+        prior = parse_prior_spec(self.prior)
         name = self.denoiser.partition(":")[0]
         if name in ("mmse-rademacher", "linear-mmse-combining"):
             if not self.spiked:
                 raise ValidationError(f"denoiser {self.denoiser!r} needs a spiked config")
-            if make_prior(self.prior).second_moment != 1.0:
+            if prior.second_moment != 1.0:
                 raise ValidationError("MMSE denoisers need a unit-second-moment prior")
         workers = _worker_count(self.runs)
         _check_fits_memory(workers * _seed_bytes(self.N, self.algo, self.T),
@@ -252,7 +253,7 @@ def compute_se(cfg: ExperimentConfig):
     """Return (states_or_None, prediction rows).  Spiked rows are
     (t, mse_se_pred); non-spiked rows are (t, r2_se_pred = E[R_t^2])."""
     law = parse_law_spec(cfg.law)
-    prior = make_prior(cfg.prior)
+    prior = parse_prior_spec(cfg.prior)
     factory = resolve_denoiser_factory(cfg.denoiser, cfg.spiked)
     mc_cfg = McConfig(samples=cfg.mc_samples)
     if cfg.spiked:
@@ -263,17 +264,15 @@ def compute_se(cfg: ExperimentConfig):
         rows = [(s.t, s.mse_pred) for s in states]
         return states, rows
     init = SeInit(prior=prior)
-    if cfg.algo in ("ri-amp", "ri-amp-df"):
-        kind = "Q" if cfg.algo == "ri-amp" else "H"
-        states = ri_amp_se(law, factory, init, cfg.T, cfg=mc_cfg, kind=kind)
+    if cfg.algo in ("ri-amp", "ri-amp-df", "ri-amp-mp"):
+        if cfg.algo == "ri-amp-mp":
+            f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
+            states = ri_amp_mp_se(law, f, factory, init, cfg.T, cfg=mc_cfg)
+        else:
+            kind = "Q" if cfg.algo == "ri-amp" else "H"
+            states = ri_amp_se(law, factory, init, cfg.T, cfg=mc_cfg, kind=kind)
         rows = [(s.t, float(s.Sigma[s.t - 1, s.t - 1])) for s in states]
         return states, rows
-    if cfg.algo == "ri-amp-mp":
-        # the only RI-AMP-MP recursion is spiked_se, which needs a signal: a
-        # spiked initialization (omega) and the signal's overlap measure nu;
-        # no recursion for non-spiked RI-AMP-MP iterates is implemented
-        raise ValidationError("non-spiked ri-amp-mp predictions are not supported; "
-                              "use ri-amp (f=identity) or a spiked config")
     if cfg.algo == "gaussian-amp":
         if not isinstance(law, Semicircle):
             raise ValidationError("gaussian-amp requires the semicircle law (GOE)")
@@ -313,7 +312,7 @@ def _single_run(cfg: ExperimentConfig, law, f, states, grid, run_idx: int):
     worker pool and shared read-only by every seed (each ensemble copies
     it); it is None for gaussian-amp, whose seeds draw a GOE matrix."""
     rng = np.random.default_rng(_seed(cfg.seed_base, run_idx, 0))
-    prior = make_prior(cfg.prior)
+    prior = parse_prior_spec(cfg.prior)
     if cfg.algo == "gaussian-amp":
         ens = goe_ensemble(cfg.N, seed=_seed(cfg.seed_base, run_idx, 1))
     else:
@@ -332,18 +331,19 @@ def _single_run(cfg: ExperimentConfig, law, f, states, grid, run_idx: int):
         ovl = np.array([1.0 - (run.u[t] @ x / cfg.N) ** 2 for t in range(1, cfg.T + 1)])
         return np.column_stack([mse, ovl])
     u1 = prior.sample(cfg.N, rng)
-    if cfg.algo in ("ri-amp", "ri-amp-df"):
-        dens = [states[t - 1].denoiser for t in range(1, cfg.T + 1)]
-        runner = run_ri_amp if cfg.algo == "ri-amp" else run_ri_amp_df
-        run = runner(ens, law, dens, u1, cfg.T, mode="grid")
-    elif cfg.algo == "gaussian-amp":
+    if cfg.algo == "gaussian-amp":
         run = run_gaussian_amp(ens, states, u1, cfg.T)
     elif cfg.algo == "oamp":
         factory = resolve_denoiser_factory(cfg.denoiser, False)
         g_sched = [factory(t, None, states[t - 1]) for t in range(1, cfg.T + 1)]
         run = run_oamp(ens, [f] * cfg.T, g_sched, u1, cfg.T)
     else:
-        raise ValidationError(f"unknown algo {cfg.algo!r}")
+        dens = [states[t - 1].denoiser for t in range(1, cfg.T + 1)]
+        if cfg.algo == "ri-amp-mp":
+            run = run_ri_amp_mp(ens, law, f, dens, u1, cfg.T, mode="grid")
+        else:
+            runner = run_ri_amp if cfg.algo == "ri-amp" else run_ri_amp_df
+            run = runner(ens, law, dens, u1, cfg.T, mode="grid")
     r2 = np.array([d["norm_r"] ** 2 for d in run.diagnostics])
     return r2[:, None]
 
@@ -356,9 +356,7 @@ def run_experiment(cfg: ExperimentConfig):
     workers = _worker_count(cfg.runs)
     law = parse_law_spec(cfg.law)
     f = None
-    if cfg.spiked and cfg.algo == "ri-amp-mp":
-        f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
-    elif cfg.algo == "oamp":
+    if cfg.algo in ("ri-amp-mp", "oamp"):
         f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
     states, se_rows = compute_se(cfg)
     grid = None

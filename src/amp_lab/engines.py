@@ -14,10 +14,11 @@ the de-biasing coefficients come from the realized eigenvalue grid.  It
 applies that matrix by products with the operator's core in W's eigenbasis,
 one path for spiked and non-spiked runs alike.  RI-AMP-MP's trace-free
 de-biasing rows, in the run and in the verifier, come from one row
-recursion (`_TraceFreeRows`).  Over a grid with one f it runs on a
-Lanczos (Gauss) rule of the grid's pushforward under f with T // 2 + 1
-points, exact for the rows' polynomial degree; otherwise, and for the
-verifier's all-atom trace residuals, it runs at the law's quadrature nodes.
+recursion (`freeprob._TraceFreeRows`, which state evolution shares).  Over
+a grid with one f it runs on a Lanczos (Gauss) rule of the grid's
+pushforward under f with T // 2 + 1 points, exact for the rows' polynomial
+degree; otherwise, and for the verifier's all-atom trace residuals, it runs
+at the law's quadrature nodes.
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ import numpy as np
 
 from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, UnsupportedVariantError, ValidationError
-from .freeprob import build_poly_family, moments_to_cumulants, phi_powers
+from .freeprob import (MP_DEBIAS_NODES, _TraceFreeRows, build_poly_family,
+                       moments_to_cumulants, phi_powers)
 from .laws import DiscreteGrid, SpectralLaw
 from .randmat import (RationalFn, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
                       dense_symmetric)
 
 HORIZON_CAP = 10
-# quadrature nodes of the RI-AMP-MP trace-free solve under a population law;
-# no effect in grid mode, which uses the Lanczos rule of the grid's
-# pushforward with one f and every atom (DiscreteGrid.quad_nodes) otherwise
-MP_DEBIAS_NODES = 400
 
 
 def as_operator(M) -> SpectralOperator:
@@ -119,12 +117,6 @@ def _subtract(v: np.ndarray, row: np.ndarray, basis: Sequence[np.ndarray]) -> np
     return v
 
 
-def orthogonal_decompose(history: Sequence[np.ndarray], u_next: np.ndarray,
-                         div_row: np.ndarray) -> np.ndarray:
-    """ubar = u_next - sum_i <d_i u_next> r_i."""
-    return _subtract(u_next, div_row, history)
-
-
 def ri_amp_debias(kappa: Sequence[float], phi_hat: np.ndarray) -> np.ndarray:
     """B_t = sum_{i=1}^t kappa_i Phi_hat^{i-1} (lower triangular, diag kappa_1)."""
     phi_hat = np.atleast_2d(np.asarray(phi_hat, dtype=float))
@@ -158,96 +150,6 @@ def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
     for n in range(1, t + 1):
         E[n - 1, :n] = rows.append(phi_hat[n - 1, : n - 1])
     return E
-
-
-def _jacobi_matrix(values: np.ndarray, k: int) -> np.ndarray:
-    """Jacobi matrix of the equal-weight law of `values`, at most k x k.
-
-    k steps of Lanczos on diag(values) from the normalized ones vector, with
-    full reorthogonalization (twice against every earlier vector), stopped
-    early when the new vector vanishes: then the law has as many distinct
-    values as steps taken and the rule reproduces it.  With Jac the result,
-    e_1^T p(Jac) e_1 = mean(p(values)) for every polynomial p of degree
-    <= 2 k - 1 (Golub & Welsch, Math. Comp. 23, 1969), and no
-    eigendecomposition is needed to use it."""
-    N = values.size
-    k = min(k, N)
-    Q = np.empty((k, N))
-    Q[0] = 1.0 / np.sqrt(N)
-    alpha = np.zeros(k)
-    beta = np.zeros(k - 1)
-    # a vanishing vector is rounding of the values, relative to their size
-    tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(values)))
-    for j in range(k):
-        w = values * Q[j]
-        alpha[j] = Q[j] @ w
-        for _ in range(2):
-            w -= (Q[: j + 1] @ w) @ Q[: j + 1]
-        if j == k - 1:
-            break
-        b = float(np.linalg.norm(w))
-        if b <= tol:
-            k = j + 1
-            break
-        beta[j] = b
-        Q[j + 1] = w / b
-    return np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
-
-
-class _TraceFreeRows:
-    """Rows of S = (I - Phi (F - E))^{-1} and J = (F - E) S over a law,
-    appended one per step.
-
-    S is unit lower triangular and S = I + Phi J, so row n of S needs only
-    the earlier rows of J: S_n = e_n + sum_{k<n} Phi_{n,k} J_k.  Row n of J
-    is J_n = f_n S_n - sum_{m<=n} E_{n,m} S_m, and E_mu[J_n] = 0 is the
-    unit-triangular system E_mu[S]^T e = E_mu[f_n S_n] for row n of E.  Each
-    row costs O(width n^2); S_n and J_n are kept as (n, width) arrays, and
-    E_mu of an entry is its product with `w`.
-
-    Each entry is a polynomial of degree <= T in f_1..f_T.  Over a
-    DiscreteGrid with one f (all f_t the same object) an entry p is kept as
-    p(Jac) e_1, Jac the Jacobi matrix of the grid's pushforward under f with
-    k = T // 2 + 1 rows: multiplying by f is a product with Jac, the
-    constant 1 is e_1, and E_mu is the first component (w = e_1), exact for
-    degree <= 2 k - 1 >= T.  Otherwise, or with all_nodes, the entries are
-    kept at the law's quadrature nodes (every atom of a grid, n_nodes
-    Gauss-Legendre nodes of a population law) with their weights."""
-
-    def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable],
-                 n_nodes: int = MP_DEBIAS_NODES, all_nodes: bool = False):
-        T = len(f_schedule)
-        if (not all_nodes and isinstance(law, DiscreteGrid)
-                and all(ft is f_schedule[0] for ft in f_schedule)):
-            jac = _jacobi_matrix(_map_eigenvalues(f_schedule[0], law.atoms), T // 2 + 1)
-            self.w = self.one = np.zeros(jac.shape[0])
-            self.one[0] = 1.0
-            self._times_f = lambda n, s: s @ jac
-        else:
-            nodes, self.w = law.quad_nodes(n_nodes)
-            self.one = np.ones(self.w.size)
-            self._times_f = lambda n, s: _map_eigenvalues(f_schedule[n - 1], nodes) * s
-        self.S: list = []
-        self.J: list = []
-        self.S_mean = np.zeros((T, T))  # row m-1: E_mu[S_m]
-
-    def append(self, phi_row: np.ndarray, e_row: np.ndarray | None = None) -> np.ndarray:
-        """Append row n = len(S) + 1 from phi_row = Phi[n-1, :n-1] and return
-        row n of E: e_row when given, else the trace-free solution."""
-        n = len(self.S) + 1
-        s = np.zeros((n, self.w.size))
-        s[n - 1] = self.one
-        for k, j_k in enumerate(self.J):
-            s[: k + 1] += phi_row[k] * j_k
-        j = self._times_f(n, s)
-        self.S.append(s)
-        self.S_mean[n - 1, :n] = s @ self.w
-        if e_row is None:  # E_mu[S] is lower triangular, diagonal sum(w)
-            e_row = np.linalg.solve(self.S_mean[:n, :n].T, j @ self.w)
-        for m, s_m in enumerate(self.S):
-            j[: m + 1] -= e_row[m] * s_m
-        self.J.append(j)
-        return e_row
 
 
 def _prepare(M, law: SpectralLaw | None, mode: str, T: int):
@@ -288,7 +190,7 @@ def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, mode,
         d = den.divergences(R)
         phi[t, :t] = d
         u.append(u_next)
-        ubar.append(orthogonal_decompose(r, u_next, d))
+        ubar.append(_subtract(u_next, d, r))  # u_{t+1} - sum_i <d_i u_{t+1}> r_i
         diagnostics.append({
             "t": t,
             "norm_r": float(np.linalg.norm(r_t) / np.sqrt(N)),
@@ -459,7 +361,7 @@ def _trace_residuals(run: AmpRun, fam, law: SpectralLaw) -> np.ndarray:
     out = np.zeros((T, T))
     for n in range(1, T + 1):
         rows.append(Phi[n - 1, : n - 1], E[n - 1, :n])
-        out[n - 1, :n] = np.abs(rows.J[-1] @ rows.w)
+        out[n - 1, :n] = np.abs(rows.mean(rows.J[-1]))
     return out
 
 

@@ -20,11 +20,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .laws import SpectralLaw, catalan  # noqa: F401 (re-exported)
-from .randmat import dense_symmetric
+from .laws import DiscreteGrid, SpectralLaw, catalan  # noqa: F401 (re-exported)
+from .randmat import _map_eigenvalues, dense_symmetric
 
 NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
+# quadrature nodes of trace-free rows under a population law; no effect on a
+# grid, whose rows use every atom or the Lanczos rule of its pushforward
+MP_DEBIAS_NODES = 400
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +236,11 @@ class PolyFamily:
     centering: tuple
     base_fn: Callable | None = None
 
-    def member(self, n: int) -> np.ndarray:
-        return np.asarray(self.coeffs[n], dtype=float)
-
     def evaluate(self, n: int, lam):
         x = np.asarray(lam, dtype=float)
         if self.base_fn is not None:
             x = np.asarray(self.base_fn(x), dtype=float)
-        return np.polynomial.polynomial.polyval(x, self.member(n))
+        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs[n], dtype=float))
 
 
 def build_poly_family(
@@ -307,6 +307,104 @@ def build_poly_family(
         coeffs=tuple(tuple(float(c) for c in r) for r in coeffs),
         centering=tuple(float(c) for c in centering),
     )
+
+
+# ---------------------------------------------------------------------------
+# trace-free rows (the long-memory OAMP form of every variant)
+# ---------------------------------------------------------------------------
+
+def _jacobi_matrix(values: np.ndarray, k: int) -> np.ndarray:
+    """Jacobi matrix of the equal-weight law of `values`, at most k x k.
+
+    k steps of Lanczos on diag(values) from the normalized ones vector, with
+    full reorthogonalization (twice against every earlier vector), stopped
+    early when the new vector vanishes: then the law has as many distinct
+    values as steps taken and the rule reproduces it.  With Jac the result,
+    e_1^T p(Jac) e_1 = mean(p(values)) for every polynomial p of degree
+    <= 2 k - 1 (Golub & Welsch, Math. Comp. 23, 1969), and no
+    eigendecomposition is needed to use it."""
+    N = values.size
+    k = min(k, N)
+    Q = np.empty((k, N))
+    Q[0] = 1.0 / np.sqrt(N)
+    alpha = np.zeros(k)
+    beta = np.zeros(k - 1)
+    # a vanishing vector is rounding of the values, relative to their size
+    tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(values)))
+    for j in range(k):
+        w = values * Q[j]
+        alpha[j] = Q[j] @ w
+        for _ in range(2):
+            w -= (Q[: j + 1] @ w) @ Q[: j + 1]
+        if j == k - 1:
+            break
+        b = float(np.linalg.norm(w))
+        if b <= tol:
+            k = j + 1
+            break
+        beta[j] = b
+        Q[j + 1] = w / b
+    return np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+
+
+class _TraceFreeRows:
+    """Rows of S = (I - Phi (F - E))^{-1} and J = (F - E) S over a law,
+    appended one per step.
+
+    S is unit lower triangular and S = I + Phi J, so row n of S needs only
+    the earlier rows of J: S_n = e_n + sum_{k<n} Phi_{n,k} J_k.  Row n of J
+    is J_n = f_n S_n - sum_{m<=n} E_{n,m} S_m, and E_mu[J_n] = 0 is the
+    unit-triangular system E_mu[S]^T e = E_mu[f_n S_n] for row n of E.  Each
+    row costs O(width n^2); S_n and J_n are kept as (n, width) arrays, and
+    `mean` takes E_mu of their entries.
+
+    Each entry is a polynomial of degree <= T in f_1..f_T.  Over a
+    DiscreteGrid with one f (all f_t the same object) an entry p is kept as
+    p(Jac) e_1, Jac the Jacobi matrix of the grid's pushforward under f with
+    k = T // 2 + 1 rows: multiplying by f is a product with Jac, the
+    constant 1 is e_1, and E_mu is the first component (w = e_1), exact for
+    degree <= 2 k - 1 >= T.  Otherwise, or with all_nodes, the entries are
+    kept at the law's `quad_nodes` (every atom of a grid, n_nodes of a
+    population law, nu's nodes) and E_mu is a pairwise sum, whose rounding
+    grows with log(width) rather than width."""
+
+    def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable],
+                 n_nodes: int = MP_DEBIAS_NODES, all_nodes: bool = False):
+        T = len(f_schedule)
+        if (not all_nodes and isinstance(law, DiscreteGrid)
+                and all(ft is f_schedule[0] for ft in f_schedule)):
+            jac = _jacobi_matrix(_map_eigenvalues(f_schedule[0], law.atoms), T // 2 + 1)
+            w = one = np.zeros(jac.shape[0])
+            one[0] = 1.0
+            self._times_f = lambda n, s: s @ jac
+            self.mean = lambda a: a @ w
+        else:
+            nodes, w = law.quad_nodes(n_nodes)
+            one = np.ones(w.size)
+            self._times_f = lambda n, s: _map_eigenvalues(f_schedule[n - 1], nodes) * s
+            self.mean = lambda a: (a * w).sum(axis=1)
+        self.w, self.one = w, one  # the closures hold w, not self: no reference cycle
+        self.S: list = []
+        self.J: list = []
+        self.S_mean = np.zeros((T, T))  # row m-1: E_mu[S_m]
+
+    def append(self, phi_row: np.ndarray, e_row: np.ndarray | None = None) -> np.ndarray:
+        """Append row n = len(S) + 1 from phi_row = Phi[n-1, :n-1] and return
+        row n of E: e_row when given, else the trace-free solution."""
+        n = len(self.S) + 1
+        s = np.zeros((n, self.w.size))
+        s[n - 1] = self.one
+        for k, j_k in enumerate(self.J):
+            s[: k + 1] += phi_row[k] * j_k
+        j = self._times_f(n, s)
+        self.S.append(s)
+        self.S_mean[n - 1, :n] = self.mean(s)
+        if e_row is None:  # E_mu[S] is lower triangular, diagonal sum(w)
+            e_row = np.linalg.solve(self.S_mean[:n, :n].T, self.mean(j))
+        for m, s_m in enumerate(self.S):
+            j[: m + 1] -= e_row[m] * s_m
+        self.J.append(j)
+        return e_row
 
 
 # ---------------------------------------------------------------------------

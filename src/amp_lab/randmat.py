@@ -34,6 +34,7 @@ OVERLAP_N_CAP = 8000  # the secular solver's root loop takes O(N^2) time
 RANK_TOL = 64 * np.finfo(float).eps
 # largest relative asymmetry max|M - M^T| / max|M| of a dense matrix input
 SYMMETRY_RTOL = 1e-10
+GOE_MIRROR_BLOCK = 256  # rows per block when sample_goe mirrors its upper triangle
 
 
 class _RevealedPairs:
@@ -273,12 +274,22 @@ def build_rot_invariant(grid: np.ndarray, seed: int) -> SpectralOperator:
 
 
 def sample_goe(N: int, seed: int) -> np.ndarray:
-    """W = (G + G^T)/sqrt(2N) with G iid standard normal."""
+    """Symmetric W with independent N(0, 1/N) entries above the diagonal and
+    N(0, 2/N) on it, drawn row by row over the upper triangle: N(N+1)/2
+    normals, the entries' count."""
     if N < 1:
         raise ValidationError("N must be >= 1")
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((N, N))
-    return (G + G.T) / np.sqrt(2 * N)
+    W = np.zeros((N, N))
+    for i in range(N):
+        rng.standard_normal(out=W[i, i:])
+    W[np.diag_indices(N)] *= np.sqrt(2.0)
+    W /= np.sqrt(N)
+    for j in range(0, N, GOE_MIRROR_BLOCK):  # mirror in blocks: a transposed add is slow
+        k = j + GOE_MIRROR_BLOCK
+        W[j:k, :j] = W[:j, j:k].T
+        W[j:k, j:k] = np.triu(W[j:k, j:k]) + np.triu(W[j:k, j:k], 1).T
+    return W
 
 
 def goe_ensemble(N: int, seed: int) -> SpectralOperator:
@@ -359,9 +370,31 @@ class Prior:
         return self.sampler(rng, N)
 
 
-def make_prior(name: str, **params) -> Prior:
+_PRIOR_PARAMS = {"rademacher": (), "gaussian": (), "sparse": ("rho",)}
+
+
+def parse_prior_spec(spec: str) -> Prior:
+    """The prior of a spec 'name[:key=value,...]', e.g. 'sparse:rho=0.2'."""
+    name, _, rest = spec.partition(":")
+    params = {}
+    for item in rest.split(",") if rest else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise ValidationError(f"prior {spec!r}: {key}={val!r} is not a number") from None
+    return make_prior(name.strip(), **params)
+
+
+def make_prior(name: str, /, **params) -> Prior:
     """Priors: 'rademacher' (default choice), 'sparse' (three-point, param
-    rho = nonzero fraction), 'gaussian'."""
+    rho = nonzero fraction in (0, 1], default 0.1), 'gaussian'."""
+    if name not in _PRIOR_PARAMS:
+        raise ValidationError(f"unknown prior {name!r}; choose from {sorted(_PRIOR_PARAMS)}")
+    unknown = sorted(set(params) - set(_PRIOR_PARAMS[name]))
+    if unknown:
+        raise ValidationError(f"prior {name!r}: unknown parameter(s) {unknown}; "
+                              f"it takes {list(_PRIOR_PARAMS[name]) or 'none'}")
     if name == "rademacher":
         return Prior("rademacher", lambda rng, n: rng.choice([-1.0, 1.0], size=n), 1.0)
     if name == "gaussian":
@@ -380,7 +413,6 @@ def make_prior(name: str, **params) -> Prior:
             return x
 
         return Prior("sparse", sampler, 1.0, params=(("rho", rho),))
-    raise ValidationError(f"unknown prior {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Deterministic state-evolution recursions for every algorithm variant.
+"""Deterministic state evolution (SE) for every algorithm variant.
 
-The multivariate expectations over the Gaussian iterate limits are computed
-by Gauss-Hermite quadrature whenever every denoiser is a projection
-denoiser, eta(R) = g(p^T R) (tanh, mmse-rademacher, linear-mmse-combining,
-identity, linear, constant), and the prior is rademacher or gaussian.  Each
-moment the recursion needs then involves at most two projections of the
-iterates plus the signal, so one rule of DEFAULT_GH_POINTS nodes per
-coordinate gives it to quadrature accuracy with no sampling error.  Other
-denoisers (random-lipschitz) and priors (sparse) fall back to seeded Monte
-Carlo with `McConfig.samples` draws (default 2e6).  Each emitted state
-carries the covariance of (R_1..R_t), the population divergence matrix, and
-the residual covariances; spiked states add the overlap vector beta and
-alpha = E[X* Ubar].
+One recursion, `_evolve`, serves RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP and the
+spiked model.  Every variant is long-memory OAMP, r_t = sum_s V_{t,s}(W)
+ubar_s with V trace-free, and the recursion appends row t of V at the law's
+quadrature nodes (and at nu's, with a spike) from the rows the runs use
+(`freeprob._TraceFreeRows`; RI-AMP-DF's H family), then integrates Sigma_t.
+`theorem_sigma`, `fan_se_form` and `gaussian_amp_se` stay as closed forms.
+
+The expectations over the Gaussian iterate limits use Gauss-Hermite
+quadrature when every denoiser is a projection denoiser, eta(R) = g(p^T R),
+and the prior is rademacher or gaussian: each moment then involves at most
+two projections plus the signal.  Other denoisers (random-lipschitz) and
+priors (sparse) fall back to seeded Monte Carlo with `McConfig.samples`
+draws.  Spiked states add the overlap vector beta and alpha = E[X* Ubar].
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from .denoisers import Denoiser, constant_denoiser
 from .errors import NumericalError, ValidationError
-from .freeprob import build_poly_family, phi_powers
+from .freeprob import _TraceFreeRows, build_poly_family, phi_powers
 from .laws import MarchenkoPastur, Semicircle, SpectralLaw
-from .randmat import (Prior, RationalFn, build_rot_invariant, build_spiked,
+from .randmat import (Prior, RationalFn, build_rot_invariant, build_spiked, make_prior,
                       overlap_measure)
 
 PSD_TOL = 1e-9
@@ -36,6 +37,7 @@ DEFAULT_MC_SAMPLES = 2_000_000
 # 256-node value; from about 372 nodes `hermegauss` returns non-finite weights.
 DEFAULT_GH_POINTS = 192
 GH_POINTS_RANGE = (2, 256)
+GH_BLOCK_ROWS = 32  # pair-rule rows per block: <= 32 x 116 kept nodes, 30 KB a temporary
 
 
 def _is_int(x) -> bool:
@@ -63,6 +65,7 @@ def _check_gh_points(n) -> None:
         raise ValidationError(f"gh_points must be an integer in [{lo}, {hi}], got {n!r}")
 
 
+@functools.lru_cache(maxsize=8, typed=True)  # typed: 192.0 is validated, not served
 def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite nodes and weights normalized to sum 1.
 
@@ -71,11 +74,6 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     computed once per n and shared read-only.
     """
     _check_gh_points(n)
-    return _hermite_rule(n)
-
-
-@functools.lru_cache(maxsize=8)
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     z, w = np.polynomial.hermite_e.hermegauss(n)
     w = w / w.sum()
     keep = w > 1e-30
@@ -231,9 +229,9 @@ def _population_moments_gh(denoisers, Sigma, beta, init, cfg):
     """
     t = Sigma.shape[0]
     z, wz = _gh_rule(cfg.gh_points)
-    rules = {1: (z[None, :], wz),
-             2: (np.stack(np.meshgrid(z, z, indexing="ij")).reshape(2, -1),
-                 np.outer(wz, wz).ravel())}
+    # pairs take the tensor rule in row blocks, every temporary far below glibc's
+    # 128 KB mmap threshold, so the time does not depend on allocation history
+    blocks = [slice(i, i + GH_BLOCK_ROWS) for i in range(0, z.size, GH_BLOCK_ROWS)]
     spiked = init.spiked
     # the signal as values xv with probabilities xw
     if not spiked:
@@ -256,10 +254,13 @@ def _population_moments_gh(denoisers, Sigma, beta, init, cfg):
         """E[h(*(Q R), X)] over the one or two projections in the rows of Q,
         given each signal value (conditioning on X keeps the Gaussian part
         narrow, which the quadrature resolves far better)."""
-        nodes, w = rules[len(Q)]
-        S = _gauss_factor(Q @ Sigma @ Q.T) @ nodes
-        m = (Q @ b)[:, None]
-        return sum(px * float(w @ h(*(m * x + S), x)) for x, px in zip(xv, xw))
+        L = _gauss_factor(Q @ Sigma @ Q.T)
+        m = Q @ b
+        if len(Q) == 1:
+            return sum(px * float(wz @ h(m[0] * x + L[0, 0] * z, x)) for x, px in zip(xv, xw))
+        return sum(px * float(wz[k] @ h(m[0] * x + L[0, 0] * z[k, None] + L[0, 1] * z,
+                                        m[1] * x + L[1, 0] * z[k, None] + L[1, 1] * z, x) @ wz)
+                   for x, px in zip(xv, xw) for k in blocks)
 
     Phi = np.zeros((t + 1, t + 1))
     alpha = np.zeros(t + 1)
@@ -298,9 +299,7 @@ def gaussian_expectations(denoiser: Denoiser, Sigma: np.ndarray,
     cfg = cfg or McConfig()
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
     t = Sigma.shape[0]
-    if init is None:
-        init = SeInit(prior=Prior("rademacher",
-                                  lambda rng, n: rng.choice([-1.0, 1.0], size=n), 1.0))
+    init = init or SeInit(prior=make_prior("rademacher"))
     if denoiser.arity != t:
         raise ValidationError("denoiser arity must equal the Sigma dimension")
     schedule = [denoiser if j == t else constant_denoiser(j, 0.0) for j in range(1, t + 1)]
@@ -329,7 +328,7 @@ def _family_gram(law: SpectralLaw, kind: str, t: int, f: Callable | None = None,
     gram_mu = np.einsum("a,ia,ja->ij", w, vals, vals)
     if nu is None:
         return fam, gram_mu, None, None
-    nu_nodes, nu_w = nu.nodes_weights()
+    nu_nodes, nu_w = nu.quad_nodes()
     nvals = np.vstack([fam.evaluate(i, nu_nodes) for i in range(1, t + 1)])
     mean_nu = nvals @ nu_w
     gram_nu = np.einsum("a,ia,ja->ij", nu_w, nvals, nvals)
@@ -364,51 +363,92 @@ def fan_se_form(kappa: Sequence[float], Phi: np.ndarray, Delta: np.ndarray) -> n
 
 
 # ---------------------------------------------------------------------------
-# SE recursions
+# the SE core: every variant in the long-memory OAMP form
 # ---------------------------------------------------------------------------
 
-def _init_state(init: SeInit):
-    Phi1 = np.zeros((1, 1))
-    DeltaBar1 = np.array([[1.0]])
-    alpha1 = np.array([math.sqrt(init.omega)]) if init.spiked else None
-    return Phi1, DeltaBar1, alpha1
+class _FamilyRows:
+    """Rows of V = sum_i P_i(Lambda) Phi^{i-1} at the law's nodes, appended
+    like `_TraceFreeRows` rows, for a polynomial family P (RI-AMP-DF's H):
+    row n takes rows n of Phi^0..Phi^{n-1} against P_1..P_n."""
+
+    def __init__(self, law: SpectralLaw, kind: str, T: int):
+        fam = build_poly_family(law, kind, T)
+        nodes, self.w = law.quad_nodes()
+        self.vals = np.vstack([fam.evaluate(i, nodes) for i in range(1, T + 1)])
+        self.Phi, self.J = np.zeros((T, T)), []
+
+    def append(self, phi_row: np.ndarray, e_row=None) -> None:
+        n = len(self.J) + 1
+        self.Phi[n - 1, : n - 1] = phi_row
+        self.J.append(phi_powers(self.Phi[:n, :n], n)[:, n - 1].T @ self.vals[:n])
 
 
-def _resolve_denoiser(denoisers, t, beta, Sigma):
-    item = denoisers[t - 1] if isinstance(denoisers, (list, tuple)) else denoisers
-    if isinstance(item, Denoiser):
-        return item
-    return item(t, beta, Sigma)  # factory(t, beta_t, Sigma_t) -> Denoiser
+def _weighted_gram(V: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """sum_x w_x V(x) D V(x)^T for V of shape (t, t, nodes)."""
+    return np.einsum("anx,bnx,x->ab", np.einsum("amx,mn->anx", V, D), V, w)
+
+
+def _evolve(rows, denoisers, init: SeInit, T: int, cfg: McConfig | None,
+            nu_rows=None, centered: bool = False) -> list[SeState]:
+    """The one SE recursion.  At each t it appends row t of V at the law's
+    nodes (`rows`) and, with a spike, at nu's nodes with mu's E (`nu_rows`):
+    Sigma_t = E_mu[V (DeltaBar - a a^T) V^T] + E_nu[V a a^T V^T] - b b^T with
+    a = alpha_t (0 unspiked), b = beta_t = E_nu[V] a.  `centered` (OAMP) puts
+    Phi = 0 in the rows.  `denoisers`: Denoisers or factory(t, beta, Sigma)."""
+    cfg = cfg or McConfig()
+    spiked = init.spiked
+    if spiked and nu_rows is None:
+        raise ValidationError("use spiked_se for spiked initializations")
+    Phi, DeltaBar = np.zeros((1, 1)), np.ones((1, 1))
+    alpha = np.array([math.sqrt(init.omega)]) if spiked else None
+    resid = DeltaBar - alpha**2 if spiked else DeltaBar
+    V = np.zeros((T, T, rows.w.size))
+    Vnu = np.zeros((T, T, nu_rows.w.size)) if spiked else None
+    states, built, beta = [], [], None
+    for t in range(1, T + 1):
+        phi_row = np.zeros(t - 1) if centered else Phi[t - 1, : t - 1]
+        e_row = rows.append(phi_row)
+        V[t - 1, :t] = rows.J[-1]
+        _psd_check(resid, f"DeltaBar_{t} - alpha alpha^T" if spiked else f"DeltaBar_{t}")
+        Sigma = _weighted_gram(V[:t, :t], rows.w, resid)
+        if spiked:
+            nu_rows.append(phi_row, e_row)
+            Vnu[t - 1, :t] = nu_rows.J[-1]
+            beta = np.einsum("amx,m,x->a", Vnu[:t, :t], alpha, nu_rows.w)
+            Sigma += (_weighted_gram(Vnu[:t, :t], nu_rows.w, np.outer(alpha, alpha))
+                      - np.outer(beta, beta))
+        _psd_check(Sigma, f"Sigma_{t}", tol=1e-7 if spiked else PSD_TOL)
+        item = denoisers[t - 1] if isinstance(denoisers, (list, tuple)) else denoisers
+        den = item if isinstance(item, Denoiser) else item(t, beta, Sigma)
+        built.append(den)
+        pm = population_moments(built, Sigma, beta, init, cfg, step_seed=t)
+        states.append(SeState(t=t, Sigma=Sigma, Phi=Phi, DeltaBar=DeltaBar,
+                              Delta=DeltaBar + Phi @ Sigma @ Phi.T, beta=beta, alpha=alpha,
+                              mse_pred=pm.mse, mse_stderr=pm.mse_stderr, denoiser=den))
+        Phi, DeltaBar, alpha = pm.Phi, pm.DeltaBar, pm.alpha
+        resid = pm.resid if spiked else DeltaBar
+    return states
 
 
 def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int,
               cfg: McConfig | None = None, kind: str = "Q") -> list[SeState]:
-    """State evolution of RI-AMP (kind='Q') or RI-AMP-DF (kind='H'):
-    Sigma_t = E_mu[P_t(Lambda) DeltaBar_t P_t(Lambda)^T]."""
-    cfg = cfg or McConfig()
-    if init.spiked:
-        raise ValidationError("use spiked_se for spiked initializations")
-    _, gram, _, _ = _family_gram(law, kind, T)
-    Phi, DeltaBar, _ = _init_state(init)
-    states = []
-    built = []
-    for t in range(1, T + 1):
-        Sigma = theorem_sigma(gram[:t, :t], Phi, DeltaBar)
-        _psd_check(Sigma, f"Sigma_{t}")
-        den = _resolve_denoiser(denoisers, t, None, Sigma)
-        built.append(den)
-        pm = population_moments(built, Sigma, None, init, cfg, step_seed=t)
-        Delta = DeltaBar + Phi @ Sigma @ Phi.T
-        states.append(SeState(t=t, Sigma=Sigma, Phi=Phi.copy(), DeltaBar=DeltaBar.copy(),
-                              Delta=Delta, denoiser=den))
-        Phi, DeltaBar = pm.Phi, pm.DeltaBar
-        _psd_check(DeltaBar, f"DeltaBar_{t + 1}")
-    return states
+    """State evolution of RI-AMP (kind='Q'), the trace-free rows of f = identity
+    (their E is its free-cumulant Onsager matrix), or RI-AMP-DF (kind='H')."""
+    if kind == "Q":
+        return ri_amp_mp_se(law, lambda x: x, denoisers, init, T, cfg)
+    return _evolve(_FamilyRows(law, kind, T), denoisers, init, T, cfg)
 
 
 def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int,
                  cfg: McConfig | None = None) -> list[SeState]:
     return ri_amp_se(law, denoisers, init, T, cfg=cfg, kind="H")
+
+
+def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit, T: int,
+                 cfg: McConfig | None = None) -> list[SeState]:
+    """State evolution of non-spiked RI-AMP-MP with one matrix function f:
+    the trace-free rows of f."""
+    return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T, cfg)
 
 
 def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int,
@@ -433,25 +473,10 @@ def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int,
 
 def oamp_se(law: SpectralLaw, f_schedule: Sequence[Callable], g_schedule,
             init: SeInit, T: int, cfg: McConfig | None = None) -> list[np.ndarray]:
-    """Omega_t = [Cov_mu(f_i, f_j)] o [E[Xbar_i Xbar_j]] (Hadamard product)."""
-    cfg = cfg or McConfig()
-    nodes, w = law.quad_nodes()
-    fv = np.vstack([np.asarray(f(nodes), dtype=float) * np.ones_like(nodes)
-                    for f in f_schedule[:T]])
-    means = fv @ w
-    covf = np.einsum("a,ia,ja->ij", w, fv, fv) - np.outer(means, means)
-    Phi, Xbar2, _ = _init_state(init)
-    omegas = []
-    built = []
-    for t in range(1, T + 1):
-        Omega = covf[:t, :t] * Xbar2[:t, :t]
-        _psd_check(Omega, f"Omega_{t}")
-        omegas.append(Omega)
-        den = _resolve_denoiser(g_schedule, t, None, Omega)
-        built.append(den)
-        pm = population_moments(built, Omega, None, init, cfg, step_seed=t)
-        Phi, Xbar2 = pm.Phi, pm.DeltaBar
-    return omegas
+    """Omega_1..Omega_T of OAMP.  Its rows have Phi = 0, so row t of V is the
+    one entry f_t - E_mu f_t, and Omega_t = [Cov_mu(f_i, f_j)] o [E[Xbar_i Xbar_j]]."""
+    rows = _TraceFreeRows(law, list(f_schedule[:T]), all_nodes=True)
+    return [s.Sigma for s in _evolve(rows, g_schedule, init, T, cfg, centered=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +493,18 @@ class NuMeasure:
     atom: tuple | None = None  # (z_star, weight)
     mode: str = "analytic"
 
-    def nodes_weights(self):
+    def quad_nodes(self, n: int | None = None):
+        """Nodes and weights, the continuous part's and then the atom's."""
         if self.atom is None:
             return self.nodes, self.weights
         return (np.append(self.nodes, self.atom[0]),
                 np.append(self.weights, self.atom[1]))
 
     def total_mass(self) -> float:
-        _, w = self.nodes_weights()
-        return float(w.sum())
+        return float(self.quad_nodes()[1].sum())
 
     def expect(self, g: Callable) -> float:
-        x, w = self.nodes_weights()
+        x, w = self.quad_nodes()
         return float(w @ (np.asarray(g(x), dtype=float) * np.ones_like(x)))
 
     def mean(self) -> float:
@@ -539,8 +564,7 @@ def nu_measure(law: SpectralLaw, theta: float, mode: str = "analytic",
         return NuMeasure(nodes=nodes, weights=w * ratio,
                          atom=find_outlier(law, theta), mode="analytic")
     if mode == "empirical":
-        if prior is None:
-            prior = Prior("rademacher", lambda rng, n: rng.choice([-1.0, 1.0], size=n), 1.0)
+        prior = prior or make_prior("rademacher")
         all_nodes = []
         all_w = []
         grid = law.quantile_grid(N).atoms
@@ -587,36 +611,11 @@ def check_pole_free(law: SpectralLaw, delta: float = 1e-6) -> None:
 def spiked_se(law: SpectralLaw, theta: float, f: Callable, denoisers,
               init: SeInit, T: int, cfg: McConfig | None = None,
               nu: NuMeasure | None = None) -> list[SeState]:
-    """Spiked-model state evolution for constant-f matrix processing:
-    beta_t = E_nu[J_t] alpha_t;
-    Sigma_t = (E_nu[J aa^T J^T] - bb^T) + E_mu[J (DeltaBar - aa^T) J^T]."""
-    cfg = cfg or McConfig()
+    """Spiked-model state evolution for constant-f matrix processing: the
+    trace-free rows of f on mu, and on nu with the E solved on mu."""
     if not init.spiked:
         raise ValidationError("spiked_se requires a spiked initialization (omega set)")
     if nu is None:
         nu = nu_measure(law, theta, mode=default_nu_mode(law))
-    _, gram_mu, mean_nu, gram_nu = _family_gram(law, "K", T, f=f, nu=nu)
-    Phi, DeltaBar, alpha = _init_state(init)
-    resid = DeltaBar - np.outer(alpha, alpha)
-    states = []
-    built = []
-    for t in range(1, T + 1):
-        pows = phi_powers(Phi, t)
-        # beta = sum_i E_nu[K_i] Phi^{i-1} alpha
-        Enu_J = np.einsum("i,iab->ab", mean_nu[:t], pows)
-        beta = Enu_J @ alpha
-        Sigma1 = theorem_sigma(gram_nu[:t, :t], Phi, np.outer(alpha, alpha)) - np.outer(beta, beta)
-        _psd_check(resid, f"DeltaBar_{t} - alpha alpha^T")
-        Sigma2 = theorem_sigma(gram_mu[:t, :t], Phi, resid)
-        Sigma = Sigma1 + Sigma2
-        _psd_check(Sigma, f"Sigma_{t}", tol=1e-7)
-        den = _resolve_denoiser(denoisers, t, beta, Sigma)
-        built.append(den)
-        pm = population_moments(built, Sigma, beta, init, cfg, step_seed=t)
-        Delta = DeltaBar + Phi @ Sigma @ Phi.T
-        states.append(SeState(t=t, Sigma=Sigma, Phi=Phi.copy(), DeltaBar=DeltaBar.copy(),
-                              Delta=Delta, beta=beta, alpha=alpha.copy(),
-                              mse_pred=float(pm.mse), mse_stderr=float(pm.mse_stderr),
-                              denoiser=den))
-        Phi, DeltaBar, alpha, resid = pm.Phi, pm.DeltaBar, pm.alpha, pm.resid
-    return states
+    return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T, cfg,
+                   nu_rows=_TraceFreeRows(nu, [f] * T, all_nodes=True))

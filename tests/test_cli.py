@@ -212,6 +212,45 @@ def test_mp_denoise_rejects_pole_in_support():
         resolve_matrix_fn("mp-denoise", mp, 1.5)
 
 
+@pytest.mark.parametrize("prior,ok", [
+    ("rademacher", True), ("gaussian", True), ("sparse", True), ("sparse:rho=0.2", True),
+    ("sparse: rho = 1", True), ("sparse:eps=0.2", False), ("sparse:rho=abc", False),
+    ("sparse:rho=", False), ("sparse:rho=0", False), ("sparse:rho=1.5", False),
+    ("sparse:rho=nan", False), ("sparse:name=0.2", False), ("rademacher:rho=0.5", False),
+    ("gaussian:rho=0.5", False), ("laplace", False),
+])
+def test_prior_specs_through_se(prior, ok, tmp_path, capsys):
+    # one parser for name[:key=value]: a bad key, value or name exits 1 at
+    # config load, before any prediction
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"law": "semicircle", "N": 64, "T": 2, "algo": "ri-amp",
+                             "denoiser": "tanh", "prior": prior, "mc_samples": 20_000}))
+    rc = main(["se", "--config", str(p)])
+    captured = capsys.readouterr()
+    if ok:
+        assert rc == 0 and captured.out.startswith("t,r2_se_pred\n")
+    else:
+        assert rc == 1 and captured.out == ""
+        assert "prior" in captured.err and captured.err.count("\n") == 1
+
+
+def test_nonspiked_ri_amp_mp_predictions_match_runs(tmp_path, capsys):
+    # MP(0.3), f = -0.3 + 0.6x + 0.25x^2, tanh, N=2000, 12 seeds: the bound
+    # |r2_emp_mean - r2_se_pred| <= 3 r2_emp_stderr at every t was fixed
+    # before the first run
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"law": "mp:alpha=0.3", "N": 2000, "T": 5, "runs": 12,
+                             "algo": "ri-amp-mp", "denoiser": "tanh",
+                             "matrix_fn": "polynomial:-0.3,0.6,0.25"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    assert main(["se", "--config", str(p)]) == 0
+    assert capsys.readouterr().out.endswith((out / "se.csv").read_text())
+    rows = np.loadtxt(out / "mse.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (5, 4)
+    assert np.all(np.abs(rows[:, 1] - rows[:, 3]) <= 3.0 * rows[:, 2])
+
+
 def test_denoiser_specs():
     fac = resolve_denoiser_factory("tanh:scale=2", False)
     den = fac(2, None, None)

@@ -12,7 +12,6 @@ from amp_lab.denoisers import identity_denoiser, random_lipschitz_denoiser, tanh
 from amp_lab.engines import (
     HORIZON_CAP,
     MP_DEBIAS_NODES,
-    _TraceFreeRows,
     _unfold_by_products,
     as_operator,
     orthogonality_residuals,
@@ -28,7 +27,7 @@ from amp_lab.engines import (
     verify_unfolding,
 )
 from amp_lab.errors import DomainError, UnsupportedVariantError, ValidationError
-from amp_lab.freeprob import build_poly_family, cumulants_from_law
+from amp_lab.freeprob import _TraceFreeRows, build_poly_family, cumulants_from_law
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
 from amp_lab.randmat import (RationalFn, SpectralOperator, build_rot_invariant, build_spiked,
                              goe_ensemble, make_prior, sample_goe)
@@ -164,6 +163,47 @@ def test_lanczos_rule_rows_match_all_atom_rows(case, N):
     assert rows.w.size == T // 2 + 1
     assert np.array_equal(E_rule, ri_amp_mp_debias(grid, [f] * T, Phi))
     assert np.max(np.abs(E_rule - E_all)) <= 1e-13 * np.max(np.abs(E_all))
+
+
+def _long_double_e(F, w, Phi):
+    """E of the row recursion in long double: S_n = e_n + sum_k Phi_{n,k} J_k,
+    J_n = F S_n - sum_m E_{n,m} S_m, row n of E by back substitution in
+    E_mu[S]^T e = E_mu[F S_n]."""
+    T = Phi.shape[0]
+    S, J = [], []
+    S_mean = np.zeros((T, T), dtype=np.longdouble)
+    E = np.zeros((T, T), dtype=np.longdouble)
+    for n in range(1, T + 1):
+        s = np.zeros((n, F.size), dtype=np.longdouble)
+        s[n - 1] = 1
+        for k, j_k in enumerate(J):
+            s[: k + 1] += Phi[n - 1, k] * j_k
+        j = F * s
+        S.append(s)
+        S_mean[n - 1, :n] = (s * w).sum(axis=1)
+        rhs = (j * w).sum(axis=1)
+        for m in reversed(range(n)):
+            E[n - 1, m] = (rhs[m] - S_mean[m + 1 : n, m] @ E[n - 1, m + 1 : n]) / S_mean[m, m]
+        for m, s_m in enumerate(S):
+            j[: m + 1] -= E[n - 1, m] * s_m
+        J.append(j)
+    return E
+
+
+def test_node_path_mean_is_a_pairwise_sum():
+    # at every atom of a 10^5-point grid, E from the float64 rows agrees with
+    # a long-double run of the same recursion on the same float64 inputs
+    grid = MarchenkoPastur(alpha=0.3).quantile_grid(100_000)
+    f = mp_denoise_fn(1.2, 0.3)
+    T = 10
+    Phi = np.tril(np.random.default_rng(6).uniform(-0.5, 0.5, (T, T)), k=-1)
+    E, rows = _rows_e(grid, [f] * T, Phi, all_nodes=True)
+    assert rows.w.size == grid.atoms.size
+    del rows
+    nodes, w = grid.quad_nodes()
+    ref = _long_double_e(np.asarray(f(nodes), dtype=np.longdouble),
+                         w.astype(np.longdouble), Phi.astype(np.longdouble))
+    assert float(np.max(np.abs(E - ref)) / np.max(np.abs(ref))) <= 1e-15
 
 
 @pytest.mark.parametrize("N,kind,width", [(1, "quadratic", 1), (2, "quadratic", 2),

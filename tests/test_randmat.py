@@ -281,6 +281,28 @@ def test_goe_symmetric_with_semicircle_moments():
     assert abs(m4 - 2.0) < 0.25
 
 
+def _goe_full_square(N, seed):
+    """The earlier GOE sampler: N^2 normals G, then (G + G^T) / sqrt(2N)."""
+    G = np.random.default_rng(seed).standard_normal((N, N))
+    return (G + G.T) / np.sqrt(2 * N)
+
+
+def test_goe_triangle_draw_matches_full_square_draw():
+    # two-sample KS, 10 draws each at N=400 on disjoint seeds: the entries
+    # above the diagonal (times sqrt(N)), the diagonal (times sqrt(N/2)) and
+    # the pooled eigenvalues
+    N, draws = 400, 10
+    iu = np.triu_indices(N, 1)
+    stats_of = {"upper": [[], []], "diagonal": [[], []], "eigenvalues": [[], []]}
+    for s in range(draws):
+        for k, W in enumerate((sample_goe(N, seed=s), _goe_full_square(N, seed=1000 + s))):
+            stats_of["upper"][k].append(np.sqrt(N) * W[iu])
+            stats_of["diagonal"][k].append(np.sqrt(N / 2) * np.diag(W))
+            stats_of["eigenvalues"][k].append(np.linalg.eigvalsh(W))
+    for name, (new, old) in stats_of.items():
+        assert stats.ks_2samp(np.concatenate(new), np.concatenate(old)).pvalue > 0.01, name
+
+
 def test_goe_ensemble_factored():
     # the factors rebuild the GOE draw of the same seed
     ens = goe_ensemble(100, seed=5)

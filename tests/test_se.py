@@ -2,14 +2,16 @@
 measure, and the spiked recursion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from amp_lab import se
 from amp_lab.denoisers import linear_mmse_combining_denoiser, tanh_denoiser
 from amp_lab.errors import ValidationError
-from amp_lab.freeprob import cumulants_from_law
-from amp_lab.laws import MarchenkoPastur, Semicircle, SpectralLaw
+from amp_lab.freeprob import _TraceFreeRows, cumulants_from_law, phi_powers
+from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
 from amp_lab.randmat import RationalFn, make_prior
 from amp_lab.se import (
     DEFAULT_GH_POINTS,
@@ -22,8 +24,10 @@ from amp_lab.se import (
     gaussian_expectations,
     mp_denoise_fn,
     nu_measure,
+    oamp_se,
     population_moments,
     ri_amp_df_se,
+    ri_amp_mp_se,
     ri_amp_se,
     spiked_se,
     theorem_sigma,
@@ -293,3 +297,118 @@ def test_gaussian_amp_se_values():
     w = w / w.sum()
     ref = float(w @ np.tanh(z) ** 2)
     assert abs(out[1] - ref) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the one SE core against the closed forms
+# ---------------------------------------------------------------------------
+
+def _rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b)))
+
+
+def _gram_form_gap(states, law, kind, f=None):
+    """Largest relative gap of each state's Sigma from the Gram form
+    theorem_sigma(E[P_i P_j], Phi, DeltaBar) at the state's own Phi, DeltaBar."""
+    _, gram, _, _ = _family_gram(law, kind, len(states), f=f)
+    return max(_rel(s.Sigma, theorem_sigma(gram[: s.t, : s.t], s.Phi, s.DeltaBar))
+               for s in states)
+
+
+QUAD = lambda x: -0.3 + 0.6 * x + 0.25 * x**2
+
+
+@pytest.mark.parametrize("law", [Semicircle(), MarchenkoPastur(alpha=0.3)])
+def test_se_core_matches_q_h_and_k_gram_forms(law):
+    # RI-AMP: the trace-free rows of f = identity; RI-AMP-DF: the H family;
+    # non-spiked RI-AMP-MP: the trace-free rows of f, the K family's Gram form
+    T = 6
+    init = SeInit(prior=make_prior("rademacher"))
+    dens = [tanh_denoiser(t) for t in range(1, T + 1)]
+    assert _gram_form_gap(ri_amp_se(law, dens, init, T), law, "Q") <= 1e-13
+    assert _gram_form_gap(ri_amp_df_se(law, dens, init, T), law, "H") <= 1e-13
+    assert _gram_form_gap(ri_amp_mp_se(law, QUAD, dens, init, T), law, "K", f=QUAD) <= 1e-13
+
+
+def test_se_core_gram_form_on_a_one_column_file_law(tmp_path):
+    # a one-column file is a DiscreteGrid: the core keeps its rows at every
+    # atom (a Lanczos rule is exact only to degree T, Sigma needs 2T)
+    path = tmp_path / "atoms.txt"
+    path.write_text("\n".join(repr(float(x)) for x in Semicircle().quantile_grid(300).atoms) + "\n")
+    law = parse_law_spec(f"file:{path}")
+    assert isinstance(law, DiscreteGrid)
+    T = 6
+    init = SeInit(prior=make_prior("rademacher"))
+    dens = [tanh_denoiser(t) for t in range(1, T + 1)]
+    assert _TraceFreeRows(law, [QUAD] * T, all_nodes=True).w.size == 300
+    assert _gram_form_gap(ri_amp_se(law, dens, init, T), law, "Q") <= 1e-13
+    assert _gram_form_gap(ri_amp_mp_se(law, QUAD, dens, init, T), law, "K", f=QUAD) <= 1e-13
+
+
+@pytest.mark.parametrize("law", [Semicircle(), MarchenkoPastur(alpha=0.3)])
+def test_se_core_matches_oamp_hadamard_form(law):
+    # Phi = 0 in the rows: row t of V is f_t - E f_t alone, so
+    # Omega_t = [Cov_mu(f_i, f_j)] o [E Xbar_i Xbar_j]
+    T = 5
+    fs = [QUAD, lambda x: np.sin(x), lambda x: x**3, QUAD, lambda x: np.exp(-x)]
+    init = SeInit(prior=make_prior("rademacher"))
+    g = lambda t, beta, Sigma: tanh_denoiser(t)
+    states = se._evolve(_TraceFreeRows(law, fs, all_nodes=True), g, init, T, None,
+                        centered=True)
+    nodes, w = law.quad_nodes()
+    F = np.vstack([f(nodes) for f in fs])
+    cov = (F * w) @ F.T - np.outer(F @ w, F @ w)
+    for s, omega in zip(states, oamp_se(law, fs, g, init, T)):
+        assert np.array_equal(omega, s.Sigma)
+        assert _rel(s.Sigma, cov[: s.t, : s.t] * s.DeltaBar) <= 1e-13
+
+
+@pytest.mark.parametrize("f_name", ["mp-denoise", "identity"])
+def test_spiked_se_core_matches_k_family_plus_nu(f_name):
+    # the spiked-mp config: the rows of f on mu, and on nu with mu's E, give
+    # the K-family form beta = sum_i E_nu[K_i] Phi^{i-1} alpha and
+    # Sigma = E_nu[J aa^T J^T] - bb^T + E_mu[J (DeltaBar - aa^T) J^T]
+    theta, T = 1.5, 6
+    mp = MarchenkoPastur(alpha=0.2)
+    f = mp_denoise_fn(theta, 0.2) if f_name == "mp-denoise" else RationalFn(coeffs=(0.0, 1.0))
+    init = SeInit(prior=make_prior("rademacher"), omega=0.3)
+    fac = lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
+    nu = nu_measure(mp, theta)
+    states = spiked_se(mp, theta, f, fac, init, T, nu=nu)
+    _, gram_mu, mean_nu, gram_nu = _family_gram(mp, "K", T, f=f, nu=nu)
+    for s in states:
+        t, a = s.t, s.alpha
+        beta = np.einsum("i,iab->ab", mean_nu[:t], phi_powers(s.Phi, t)) @ a
+        Sigma = (theorem_sigma(gram_nu[:t, :t], s.Phi, np.outer(a, a)) - np.outer(beta, beta)
+                 + theorem_sigma(gram_mu[:t, :t], s.Phi, s.DeltaBar - np.outer(a, a)))
+        assert _rel(s.beta, beta) <= 1e-12
+        assert _rel(s.Sigma, Sigma) <= 1e-12
+
+
+def test_se_core_rejects_mismatched_spike():
+    dens = [tanh_denoiser(t) for t in range(1, 3)]
+    spiked = SeInit(prior=make_prior("rademacher"), omega=0.3)
+    for call in (lambda: ri_amp_se(Semicircle(), dens, spiked, 2),
+                 lambda: ri_amp_mp_se(Semicircle(), QUAD, dens, spiked, 2),
+                 lambda: oamp_se(Semicircle(), [QUAD] * 2, dens, spiked, 2)):
+        with pytest.raises(ValidationError, match="spiked_se"):
+            call()
+
+
+def test_pair_quadrature_temporaries_stay_small():
+    # the pair expectations take the tensor Gauss-Hermite rule in row blocks,
+    # so one population_moments call at the last spiked-mp step peaks far
+    # below the 128 KB mmap threshold times two
+    mp = MarchenkoPastur(alpha=0.2)
+    init = SeInit(prior=make_prior("rademacher"), omega=0.3)
+    fac = lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
+    states = spiked_se(mp, 1.5, mp_denoise_fn(1.5, 0.2), fac, init, 6)
+    dens, last = [s.denoiser for s in states], states[-1]
+    population_moments(dens, last.Sigma, last.beta, init, McConfig(), step_seed=6)
+    tracemalloc.start()
+    try:
+        population_moments(dens, last.Sigma, last.beta, init, McConfig(), step_seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
