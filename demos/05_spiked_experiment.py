@@ -5,7 +5,7 @@ applies a scalar eigenvalue shrinker f to the observation and iterates with
 a linear combining denoiser whose weights come from the state-evolution
 prediction itself.  The predicted MSE tracks the simulated one.
 
-Run with:  python3 demos/05_spiked_experiment.py  (about 20 s)
+Run with:  python3 demos/05_spiked_experiment.py  (under a second)
 """
 
 import math
@@ -14,7 +14,6 @@ import numpy as np
 
 from amp_lab import (
     MarchenkoPastur,
-    McConfig,
     SeInit,
     build_rot_invariant,
     build_spiked,
@@ -37,8 +36,7 @@ prior = make_prior("rademacher")
 # Sigma_t, the MSE prediction, and the denoiser the prediction was built for.
 init = SeInit(prior=prior, omega=omega)
 factory = lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
-states = spiked_se(mp, theta, f, factory, init, T,
-                   cfg=McConfig(samples=400_000))
+states = spiked_se(mp, theta, f, factory, init, T)
 pred = [s.mse_pred for s in states]
 
 # --- simulation --------------------------------------------------------------

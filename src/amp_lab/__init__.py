@@ -47,7 +47,6 @@ from .engines import (
     verify_unfolding,
 )
 from .se import (
-    McConfig,
     SeInit,
     find_outlier,
     gaussian_amp_se,

@@ -34,12 +34,13 @@ from .freeprob import (build_poly_family, cumulants_from_law,
 from .laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
 from .randmat import (RationalFn, build_rot_invariant, build_spiked, goe_ensemble,
                       parse_prior_spec)
-from .se import (DEFAULT_MC_SAMPLES, McConfig, SeInit, check_pole_free,
+from .se import (SeInit, check_pole_free,
                  fan_se_form, gaussian_amp_se, mp_denoise_fn, oamp_se,
                  ri_amp_mp_se, ri_amp_se, spiked_se, theorem_sigma, _family_gram)
 
 FLOAT_FMT = "{:.17g}"
 SPIKED_ALGOS = ("ri-amp", "ri-amp-mp")
+MATRIX_FN_ALGOS = ("ri-amp-mp", "oamp")  # the others run on the matrix itself
 ALL_ALGOS = ("ri-amp", "ri-amp-df", "ri-amp-mp", "gaussian-amp", "oamp")
 
 
@@ -64,17 +65,19 @@ def _physical_memory_bytes() -> int | None:
 
 
 def _seed_bytes(N: int, algo: str, T: int) -> int:
-    """Peak bytes one seed holds.  Gaussian AMP holds a dense GOE draw, its
-    symmetrization and its eigenvectors (24 N^2).  The others hold only
-    length-N vectors, 16 (T + 2) of them: the revealed pairs of the lazy
-    Haar rotation, the iterates and their temporaries.  One-worker peaks of
-    whole `run` processes at N = 10^6 (ri-amp, ri-amp-df, ri-amp-mp and
-    oamp; ri-amp and ri-amp-mp also spiked) were at most 27, 49, 82 and 126
-    vectors at T = 1, 3, 6 and 10, so the budget is at least 1.5 times the
-    measured peak.  RI-AMP-MP's trace-free rows add nothing of length N in
-    grid mode: they live on a Lanczos rule of T // 2 + 1 points."""
+    """Peak bytes one seed holds.  Gaussian AMP holds a dense GOE draw and
+    its eigendecomposition: a seed (draw and a T = 6 run) peaked at 43.6 and
+    41.9 N^2 bytes above the import at N = 2000 and 3000, so it is budgeted
+    66 N^2.  The others hold only length-N vectors, 16 (T + 2) of them: the
+    revealed pairs of the lazy Haar rotation, the iterates and their
+    temporaries.  One-worker peaks of whole `run` processes at N = 10^6
+    (ri-amp, ri-amp-df, ri-amp-mp and oamp; ri-amp and ri-amp-mp also
+    spiked) were at most 27, 49, 82 and 126 vectors at T = 1, 3, 6 and 10.
+    Every budget is at least 1.5 times the measured peak.  RI-AMP-MP's
+    trace-free rows add nothing of length N in grid mode: they live on a
+    Lanczos rule of T // 2 + 1 points."""
     if algo == "gaussian-amp":
-        return 24 * N * N
+        return 66 * N * N
     return 8 * N * 16 * (T + 2)
 
 
@@ -98,7 +101,7 @@ class ExperimentConfig:
     denoiser: str = "linear-mmse-combining"
     matrix_fn: str = "identity"
     prior: str = "rademacher"
-    mc_samples: int = DEFAULT_MC_SAMPLES
+    mc_samples: int = 2_000_000  # accepted and validated; SE samples nothing
     output: str | None = None
 
     def __post_init__(self):
@@ -123,6 +126,9 @@ class ExperimentConfig:
         if self.spiked and self.algo not in SPIKED_ALGOS:
             raise ValidationError(
                 f"spiked experiments support algos {SPIKED_ALGOS}, got {self.algo!r}")
+        if self.matrix_fn != "identity" and self.algo not in MATRIX_FN_ALGOS:
+            raise ValidationError(f"matrix_fn {self.matrix_fn!r} applies only to algos "
+                                  f"{MATRIX_FN_ALGOS}; {self.algo!r} needs 'identity'")
         prior = parse_prior_spec(self.prior)
         name = self.denoiser.partition(":")[0]
         if name in ("mmse-rademacher", "linear-mmse-combining"):
@@ -255,22 +261,20 @@ def compute_se(cfg: ExperimentConfig):
     law = parse_law_spec(cfg.law)
     prior = parse_prior_spec(cfg.prior)
     factory = resolve_denoiser_factory(cfg.denoiser, cfg.spiked)
-    mc_cfg = McConfig(samples=cfg.mc_samples)
     if cfg.spiked:
-        fn_spec = "identity" if cfg.algo == "ri-amp" else cfg.matrix_fn
-        f = resolve_matrix_fn(fn_spec, law, cfg.theta)
+        f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
         init = SeInit(prior=prior, omega=cfg.omega)
-        states = spiked_se(law, cfg.theta, f, factory, init, cfg.T, cfg=mc_cfg)
+        states = spiked_se(law, cfg.theta, f, factory, init, cfg.T)
         rows = [(s.t, s.mse_pred) for s in states]
         return states, rows
     init = SeInit(prior=prior)
     if cfg.algo in ("ri-amp", "ri-amp-df", "ri-amp-mp"):
         if cfg.algo == "ri-amp-mp":
             f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
-            states = ri_amp_mp_se(law, f, factory, init, cfg.T, cfg=mc_cfg)
+            states = ri_amp_mp_se(law, f, factory, init, cfg.T)
         else:
             kind = "Q" if cfg.algo == "ri-amp" else "H"
-            states = ri_amp_se(law, factory, init, cfg.T, cfg=mc_cfg, kind=kind)
+            states = ri_amp_se(law, factory, init, cfg.T, kind=kind)
         rows = [(s.t, float(s.Sigma[s.t - 1, s.t - 1])) for s in states]
         return states, rows
     if cfg.algo == "gaussian-amp":
@@ -281,7 +285,7 @@ def compute_se(cfg: ExperimentConfig):
         return dens, [(t, float(sig2[t - 1])) for t in range(1, cfg.T + 1)]
     if cfg.algo == "oamp":
         f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
-        omegas = oamp_se(law, [f] * cfg.T, factory, init, cfg.T, cfg=mc_cfg)
+        omegas = oamp_se(law, [f] * cfg.T, factory, init, cfg.T)
         return omegas, [(t, float(omegas[t - 1][t - 1, t - 1])) for t in range(1, cfg.T + 1)]
     raise ValidationError(f"unknown algo {cfg.algo!r}")
 

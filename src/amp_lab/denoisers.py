@@ -1,9 +1,11 @@
-"""Rowwise-separable iterate denoisers with analytic or finite-difference partials.
+"""Rowwise-separable iterate denoisers in one additive form.
 
 A denoiser at step t maps the history rows (r_1[n], ..., r_t[n]) to a
-scalar.  Most denoisers are projections, eta(R) = g(p^T R) for a fixed vector
-p and a scalar link g; state evolution integrates those exactly by quadrature
-over at most two projections.
+scalar, eta(R) = sum_k c_k g(p_k^T R + b_k): K terms, each a scalar link g of
+one projection p_k of the history.  A projection denoiser g(p^T R) is the
+one-term case; `random_lipschitz_denoiser` has one term per history row.
+State evolution integrates every term exactly by quadrature over at most two
+projections.
 """
 
 from __future__ import annotations
@@ -15,39 +17,36 @@ import numpy as np
 
 from .errors import ValidationError
 
-FD_STEP = 1e-5
 
-
-@dataclass(frozen=True, eq=False)  # identity equality and hash: `projection` is an array
+@dataclass(frozen=True, eq=False)  # identity equality and hash: the fields are arrays
 class Denoiser:
-    """eta: (t, N) history array -> (N,) output.
+    """eta: (t, N) history array -> (N,) output, eta(R) = sum_k c_k g(p_k^T R + b_k).
 
-    A projection denoiser sets `projection` p (length `arity`, zero entries
-    for unread rows), an elementwise `link` g and its derivative `link_prime`:
-    eta(R) = g(p^T R) and d eta / d r_i = p_i g'(p^T R).  Otherwise `fn(R)`
-    and optional `partial_fn(R) -> (t, N)` operate on the full history;
-    partials w.r.t. unused inputs must be zero.
+    Row k of `projection` (K, arity) is p_k, with zero entries for unread
+    rows; `weights` c and `offsets` b have length K; `link` g and
+    `link_prime` g' act elementwise on arrays of any shape.  The partials are
+    d eta / d r_i = sum_k c_k p_{k,i} g'(p_k^T R + b_k).
     """
 
     name: str
-    arity: int
-    fn: Callable | None = None
-    partial_fn: Callable | None = None
-    lipschitz_bound: float = float("inf")
-    projection: np.ndarray | None = None
-    link: Callable | None = None
-    link_prime: Callable | None = None
+    projection: np.ndarray
+    link: Callable
+    link_prime: Callable
+    weights: np.ndarray
+    offsets: np.ndarray
+    lipschitz_bound: float
+
+    @property
+    def arity(self) -> int:
+        return self.projection.shape[1]
 
     def depends_on(self) -> frozenset:
         """1-based history indices the map reads."""
-        if self.projection is None:
-            return frozenset(range(1, self.arity + 1))
-        return frozenset(int(i) + 1 for i in np.flatnonzero(self.projection))
+        return frozenset(int(i) + 1 for i in np.flatnonzero(self.projection.any(axis=0)))
 
-    def _apply(self, R: np.ndarray) -> np.ndarray:
-        if self.projection is not None:
-            return self.link(self.projection @ R)
-        return self.fn(R)
+    def _args(self, R: np.ndarray) -> np.ndarray:
+        """(K, N) link arguments p_k^T R + b_k."""
+        return self.projection @ R + self.offsets[:, None]
 
     def evaluate(self, R: np.ndarray) -> np.ndarray:
         R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -55,32 +54,12 @@ class Denoiser:
             raise ValidationError(
                 f"denoiser {self.name!r} expects {self.arity} history rows, got {R.shape[0]}"
             )
-        return np.asarray(self._apply(R), dtype=float)
+        return np.sum(self.weights[:, None] * self.link(self._args(R)), axis=0)
 
     def partials(self, R: np.ndarray) -> np.ndarray:
-        """(t, N) array of partial derivatives; finite differences as fallback."""
+        """(t, N) array of partial derivatives."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
-        if self.projection is not None:
-            return self.projection[:, None] * self.link_prime(self.projection @ R)[None, :]
-        if self.partial_fn is not None:
-            return np.asarray(self.partial_fn(R), dtype=float)
-        return self._fd_partials(R)
-
-    def _fd_partials(self, R: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(R)
-        deps = self.depends_on()
-        for i in range(R.shape[0]):
-            if (i + 1) not in deps:
-                continue
-            h = FD_STEP * (1.0 + np.abs(R[i]))
-            Rp = R.copy()
-            Rp[i] = R[i] + h
-            Rm = R.copy()
-            Rm[i] = R[i] - h
-            fp = self._apply(Rp)
-            fm = self._apply(Rm)
-            out[i] = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h)
-        return out
+        return (self.weights[:, None] * self.projection).T @ self.link_prime(self._args(R))
 
     def divergences(self, R: np.ndarray) -> np.ndarray:
         """Empirical divergence row <d_i eta> (length t)."""
@@ -91,13 +70,24 @@ class Denoiser:
 # factories
 # ---------------------------------------------------------------------------
 
+def additive_denoiser(name: str, P, link: Callable, link_prime: Callable,
+                      weights=None, offsets=None) -> Denoiser:
+    """eta(R) = sum_k weights_k link(P[k] @ R + offsets_k) with arity
+    P.shape[1] (weights default to 1, offsets to 0).  Every link used here is
+    1-Lipschitz, so sum_k |weights_k| sum_i |P[k, i]| bounds the Lipschitz
+    constant."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    K = P.shape[0]
+    c = np.ones(K) if weights is None else np.asarray(weights, dtype=float)
+    b = np.zeros(K) if offsets is None else np.asarray(offsets, dtype=float)
+    return Denoiser(name, P, link, link_prime, c, b,
+                    lipschitz_bound=float((np.abs(c) * np.abs(P).sum(axis=1)).sum()))
+
+
 def projection_denoiser(name: str, p, link: Callable, link_prime: Callable) -> Denoiser:
-    """eta(R) = link(p^T R) with arity len(p).  `link` and `link_prime` act
-    elementwise on arrays of any shape; every link used here is 1-Lipschitz,
-    so sum |p_i| bounds the Lipschitz constant."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return Denoiser(name, p.size, projection=p, link=link, link_prime=link_prime,
-                    lipschitz_bound=float(np.abs(p).sum()))
+    """eta(R) = link(p^T R) with arity len(p): the one-term case."""
+    return additive_denoiser(name, np.atleast_1d(np.asarray(p, dtype=float))[None, :],
+                             link, link_prime)
 
 
 def _last(t: int, scale: float = 1.0) -> np.ndarray:
@@ -113,17 +103,9 @@ def last_row_denoiser(den: Denoiser, t: int) -> Denoiser:
     if den.arity != 1:
         raise ValidationError(
             f"denoiser {den.name!r} is not single-memory: arity {den.arity}, expected 1")
-    if den.projection is not None:
-        return projection_denoiser(den.name, _last(t, den.projection[0]),
-                                   den.link, den.link_prime)
-
-    def partial(R):
-        out = np.zeros_like(R)
-        out[-1] = den.partials(R[-1:])[0]
-        return out
-
-    return Denoiser(den.name, t, lambda R: den.evaluate(R[-1:]), partial,
-                    lipschitz_bound=den.lipschitz_bound)
+    P = np.zeros((den.projection.shape[0], t))
+    P[:, -1] = den.projection[:, 0]
+    return additive_denoiser(den.name, P, den.link, den.link_prime, den.weights, den.offsets)
 
 
 def _identity(s):
@@ -132,10 +114,6 @@ def _identity(s):
 
 def _one(s):
     return np.ones_like(s)
-
-
-def _zero(s):
-    return np.zeros_like(s)
 
 
 def _tanh_prime(s):
@@ -148,9 +126,9 @@ def identity_denoiser(t: int) -> Denoiser:
 
 
 def constant_denoiser(t: int, c: float) -> Denoiser:
-    value = float(c)
-    return projection_denoiser(f"constant({c})", np.zeros(t),
-                               lambda s: np.full(np.shape(s), value), _zero)
+    """eta = c: the identity link of the zero projection, offset by c."""
+    return additive_denoiser(f"constant({c})", np.zeros((1, t)), _identity, _one,
+                             offsets=[float(c)])
 
 
 def linear_denoiser(weights) -> Denoiser:
@@ -165,22 +143,15 @@ def tanh_denoiser(t: int, scale: float = 1.0) -> Denoiser:
 
 
 def random_lipschitz_denoiser(t: int, seed: int) -> Denoiser:
-    """eta = sum_i w_i tanh(s_i r_i + b_i): Lipschitz, analytic partials, and
-    generically nonzero divergence w.r.t. every history index (exercises the
-    full lower-triangular de-biasing path).  Not a projection denoiser."""
+    """eta = sum_i w_i tanh(s_i r_i + b_i): t terms, p_i = s_i e_i, so the
+    divergence w.r.t. every history index is generically nonzero (exercises
+    the full lower-triangular de-biasing path)."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.3, 1.0, size=t) * rng.choice([-1.0, 1.0], size=t)
     s = rng.uniform(0.5, 1.5, size=t)
     b = rng.uniform(-0.5, 0.5, size=t)
-
-    def fn(R):
-        return np.sum(w[:, None] * np.tanh(s[:, None] * R + b[:, None]), axis=0)
-
-    def partial(R):
-        return (w * s)[:, None] * (1.0 - np.tanh(s[:, None] * R + b[:, None]) ** 2)
-
-    return Denoiser(f"random-lipschitz(seed={seed})", t, fn, partial,
-                    lipschitz_bound=float(np.abs(w * s).sum()))
+    return additive_denoiser(f"random-lipschitz(seed={seed})", np.diag(s), np.tanh,
+                             _tanh_prime, weights=w, offsets=b)
 
 
 def mmse_rademacher_denoiser(t: int, beta: float, sigma2: float) -> Denoiser:
@@ -209,5 +180,5 @@ def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
     # least-squares solve tolerates the near-singular Sigma of late iterations
     c, *_ = np.linalg.lstsq(Sigma, beta, rcond=1e-12)
     den = projection_denoiser("linear-mmse-combining", c, np.tanh, _tanh_prime)
-    object.__setattr__(den, "combining_weights", den.projection)
+    object.__setattr__(den, "combining_weights", den.projection[0])
     return den

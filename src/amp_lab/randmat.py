@@ -34,7 +34,7 @@ OVERLAP_N_CAP = 8000  # the secular solver's root loop takes O(N^2) time
 RANK_TOL = 64 * np.finfo(float).eps
 # largest relative asymmetry max|M - M^T| / max|M| of a dense matrix input
 SYMMETRY_RTOL = 1e-10
-GOE_MIRROR_BLOCK = 256  # rows per block when sample_goe mirrors its upper triangle
+GOE_MIRROR_BLOCK = 256  # rows per block when a dense N x N matrix is mirrored or checked
 
 
 class _RevealedPairs:
@@ -304,10 +304,14 @@ def dense_symmetric(M) -> np.ndarray:
     W = np.asarray(M, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValidationError("matrix input must be square")
-    if not np.all(np.isfinite(W)):
+    # in row blocks, so no check makes an N^2 temporary
+    blocks = [slice(j, j + GOE_MIRROR_BLOCK) for j in range(0, len(W), GOE_MIRROR_BLOCK)]
+    if not all(np.isfinite(W[b]).all() for b in blocks):
         raise ValidationError("matrix input has non-finite entries")
-    asym = float(np.max(np.abs(W - W.T), initial=0.0))
-    if asym > SYMMETRY_RTOL * float(np.max(np.abs(W), initial=0.0)):
+    big = max((float(np.max(np.abs(W[b]))) for b in blocks), default=0.0)
+    asym = max((float(np.max(np.abs(W[b, b.start:] - W[b.start:, b].T))) for b in blocks),
+               default=0.0)
+    if asym > SYMMETRY_RTOL * big:
         raise ValidationError(f"matrix input is not symmetric: max|M - M^T| = {asym:.3g} "
                               f"exceeds {SYMMETRY_RTOL:g} of max|M|")
     return W
@@ -359,12 +363,15 @@ def _map_eigenvalues(f: Callable, lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Prior:
-    """Scalar signal prior with unit second moment (validated)."""
+    """Scalar signal prior with unit second moment (validated).  `atoms`
+    (values, probabilities) is the law of a discrete prior, which state
+    evolution integrates against; None for the gaussian prior."""
 
     name: str
     sampler: Callable  # (rng, size) -> array
     second_moment: float
     params: tuple = ()
+    atoms: tuple | None = None
 
     def sample(self, N: int, rng: np.random.Generator) -> np.ndarray:
         return self.sampler(rng, N)
@@ -396,7 +403,8 @@ def make_prior(name: str, /, **params) -> Prior:
         raise ValidationError(f"prior {name!r}: unknown parameter(s) {unknown}; "
                               f"it takes {list(_PRIOR_PARAMS[name]) or 'none'}")
     if name == "rademacher":
-        return Prior("rademacher", lambda rng, n: rng.choice([-1.0, 1.0], size=n), 1.0)
+        return Prior("rademacher", lambda rng, n: rng.choice([-1.0, 1.0], size=n), 1.0,
+                     atoms=((-1.0, 1.0), (0.5, 0.5)))
     if name == "gaussian":
         return Prior("gaussian", lambda rng, n: rng.standard_normal(n), 1.0)
     if name == "sparse":
@@ -412,7 +420,8 @@ def make_prior(name: str, /, **params) -> Prior:
             x[(u >= rho / 2) & (u < rho)] = -a
             return x
 
-        return Prior("sparse", sampler, 1.0, params=(("rho", rho),))
+        return Prior("sparse", sampler, 1.0, params=(("rho", rho),),
+                     atoms=((-a, 0.0, a), (rho / 2, 1.0 - rho, rho / 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ quadrature nodes (and at nu's, with a spike) from the rows the runs use
 (`freeprob._TraceFreeRows`; RI-AMP-DF's H family), then integrates Sigma_t.
 `theorem_sigma`, `fan_se_form` and `gaussian_amp_se` stay as closed forms.
 
-The expectations over the Gaussian iterate limits use Gauss-Hermite
-quadrature when every denoiser is a projection denoiser, eta(R) = g(p^T R),
-and the prior is rademacher or gaussian: each moment then involves at most
-two projections plus the signal.  Other denoisers (random-lipschitz) and
-priors (sparse) fall back to seeded Monte Carlo with `McConfig.samples`
-draws.  Spiked states add the overlap vector beta and alpha = E[X* Ubar].
+The expectations over the Gaussian iterate limits use one engine,
+Gauss-Hermite quadrature, for every denoiser and prior: each denoiser is a
+sum of terms g(p_k^T R + b_k), so each moment is a sum of integrals over at
+most two projections plus the signal, which enters through the prior's
+atoms (Gauss-Hermite nodes for a gaussian prior).  SE samples nothing.
+Spiked states add the overlap vector beta and alpha = E[X* Ubar].
 """
 
 from __future__ import annotations
@@ -32,40 +32,13 @@ from .randmat import (Prior, RationalFn, build_rot_invariant, build_spiked, make
                       overlap_measure)
 
 PSD_TOL = 1e-9
-DEFAULT_MC_SAMPLES = 2_000_000
 # At 192 nodes every spiked-mp prediction is within 3e-4 relative of the
 # 256-node value; from about 372 nodes `hermegauss` returns non-finite weights.
-DEFAULT_GH_POINTS = 192
-GH_POINTS_RANGE = (2, 256)
+GH_POINTS = 192
 GH_BLOCK_ROWS = 32  # pair-rule rows per block: <= 32 x 116 kept nodes, 30 KB a temporary
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-@dataclass
-class McConfig:
-    """Expectation-engine configuration."""
-
-    samples: int = DEFAULT_MC_SAMPLES
-    seed: int = 20240
-    method: str = "auto"  # auto | mc | gh
-    gh_points: int = DEFAULT_GH_POINTS
-
-    def __post_init__(self):
-        _check_gh_points(self.gh_points)
-        if not (_is_int(self.samples) and self.samples >= 2):
-            raise ValidationError(f"samples must be an integer >= 2, got {self.samples!r}")
-
-
-def _check_gh_points(n) -> None:
-    lo, hi = GH_POINTS_RANGE
-    if not (_is_int(n) and lo <= n <= hi):
-        raise ValidationError(f"gh_points must be an integer in [{lo}, {hi}], got {n!r}")
-
-
-@functools.lru_cache(maxsize=8, typed=True)  # typed: 192.0 is validated, not served
+@functools.lru_cache(maxsize=4)
 def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite nodes and weights normalized to sum 1.
 
@@ -73,7 +46,6 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes): their total mass, even against z^4, is below 1e-26.  The rule is
     computed once per n and shared read-only.
     """
-    _check_gh_points(n)
     z, w = np.polynomial.hermite_e.hermegauss(n)
     w = w / w.sum()
     keep = w > 1e-30
@@ -116,7 +88,6 @@ class SeState:
     beta: np.ndarray | None = None
     alpha: np.ndarray | None = None
     mse_pred: float | None = None
-    mse_stderr: float | None = None
     denoiser: Denoiser | None = None
 
 
@@ -147,108 +118,42 @@ class PopMoments:
     alpha: np.ndarray | None  # (t+1,)
     resid: np.ndarray | None = None  # DeltaBar - alpha alpha^T, computed stably
     mse: float | None = None
-    mse_stderr: float | None = None
 
 
 def population_moments(denoisers: Sequence[Denoiser], Sigma: np.ndarray,
-                       beta: np.ndarray | None, init: SeInit,
-                       cfg: McConfig, step_seed: int) -> PopMoments:
+                       beta: np.ndarray | None, init: SeInit) -> PopMoments:
     """Moments of U_1..U_{t+1} (t = Sigma size) in the population limit:
-    R = beta X* + Z, Z ~ N(0, Sigma), U_{j+1} = eta_{j+1}(R_1..R_j)."""
+    R = beta X* + Z, Z ~ N(0, Sigma), U_{j+1} = eta_{j+1}(R_1..R_j).
+
+    Each eta_{j+1} = sum_k c_k g(s_k + b_k), s_k = p_k^T R.  With
+    d_k = c_k E[g'(s_k + b_k)] the divergence row is sum_k d_k p_k, so the
+    divergence-free residual Ubar_{j+1} = sum_k (c_k g(s_k + b_k) - d_k s_k)
+    is a sum of one-projection terms.  Every moment is then a sum of
+    expectations over one or two projections of R and the signal X, taken by
+    tensorized Gauss-Hermite quadrature given each signal value (the prior's
+    atoms; Gauss-Hermite nodes for a gaussian prior).  The residuals about the
+    signal, Ubar - alpha X, are integrated directly so that
+    DeltaBar - alpha alpha^T stays accurate when it is tiny.
+    """
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
     t = Sigma.shape[0]
     if len(denoisers) < t:
         raise ValidationError("denoiser schedule shorter than the horizon")
     _psd_check(Sigma, "Sigma")
-    method = cfg.method
-    if method == "auto":
-        method = "gh" if (all(d.projection is not None for d in denoisers[:t])
-                          and init.prior.name in ("rademacher", "gaussian")) else "mc"
-    if method == "gh":
-        return _population_moments_gh(denoisers[:t], Sigma, beta, init, cfg)
-    if method == "mc":
-        return _population_moments_mc(denoisers, Sigma, beta, init, cfg, step_seed)
-    raise ValidationError(f"unknown expectation method {cfg.method!r}")
-
-
-def _population_moments_mc(denoisers, Sigma, beta, init, cfg, step_seed):
-    t = Sigma.shape[0]
-    M = int(cfg.samples)
-    rng = np.random.default_rng(cfg.seed + 7919 * step_seed)
-    L = _gauss_factor(Sigma)
-    Z = L @ rng.standard_normal((t, M))
-    spiked = init.spiked
-    if spiked:
-        X = init.prior.sample(M, rng)
-        b = np.zeros(t) if beta is None else np.asarray(beta, dtype=float)
-        R = b[:, None] * X[None, :] + Z
-        G0 = rng.standard_normal(M)
-        U1 = math.sqrt(init.omega) * X + math.sqrt(1.0 - init.omega) * G0
-    else:
-        X = None
-        R = Z
-        U1 = init.prior.sample(M, rng)
-    U = [U1]
-    Phi = np.zeros((t + 1, t + 1))
-    for j in range(1, t + 1):
-        den = denoisers[j - 1]
-        U.append(den.evaluate(R[:j]))
-        Phi[j, :j] = den.partials(R[:j]).mean(axis=1)
-    Ubar = [U[0]]
-    for j in range(1, t + 1):
-        Ubar.append(U[j] - Phi[j, :j] @ R[:j])
-    Ub = np.vstack(Ubar)
-    mse = mse_err = None
-    if spiked:
-        # estimate DeltaBar - alpha alpha^T from signal-centered samples so its
-        # Monte Carlo error stays relative even when the residual is tiny
-        alpha = Ub @ X / M
-        V = Ub - alpha[:, None] * X[None, :]
-        resid = V @ V.T / M
-        DeltaBar = resid + np.outer(alpha, alpha)
-        sq = (U[t] - X) ** 2
-        mse = float(sq.mean())
-        mse_err = float(sq.std(ddof=1) / math.sqrt(M))
-    else:
-        alpha = resid = None
-        DeltaBar = Ub @ Ub.T / M
-    return PopMoments(Phi=Phi, DeltaBar=DeltaBar, alpha=alpha, resid=resid,
-                      mse=mse, mse_stderr=mse_err)
-
-
-def _population_moments_gh(denoisers, Sigma, beta, init, cfg):
-    """Quadrature path for projection denoisers U_{j+1} = g_j(s_j), s_j = p_j^T R.
-
-    With d_j = E[g_j'(s_j)] the divergence row is p_j d_j, so the
-    divergence-free residual Ubar_{j+1} = g_j(s_j) - d_j s_j is a function of
-    s_j alone.  Every moment is then an expectation over one or two
-    projections of R = beta X + Z and the signal X, taken by tensorized
-    Gauss-Hermite quadrature.  The residuals about the signal,
-    Ubar - alpha X, are integrated directly so that DeltaBar - alpha alpha^T
-    stays accurate when it is tiny.
-    """
-    t = Sigma.shape[0]
-    z, wz = _gh_rule(cfg.gh_points)
+    z, wz = _gh_rule(GH_POINTS)
     # pairs take the tensor rule in row blocks, every temporary far below glibc's
     # 128 KB mmap threshold, so the time does not depend on allocation history
     blocks = [slice(i, i + GH_BLOCK_ROWS) for i in range(0, z.size, GH_BLOCK_ROWS)]
     spiked = init.spiked
-    # the signal as values xv with probabilities xw
+    # the signal as values xv with probabilities xw; without a spike it is never
+    # read (U_1's unit second moment is all SE needs)
     if not spiked:
         xv, xw = np.zeros(1), np.ones(1)
-    elif init.prior.name == "rademacher":
-        xv, xw = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    elif init.prior.name == "gaussian":
+    elif init.prior.atoms is None:
         xv, xw = z, wz
     else:
-        raise ValidationError("quadrature supports rademacher/gaussian priors only")
+        xv, xw = init.prior.atoms
     b = np.asarray(beta, dtype=float) if spiked and beta is not None else np.zeros(t)
-    P = np.zeros((t, t))  # row j: projection of denoiser j+1, zero-padded
-    for j, den in enumerate(denoisers):
-        if den.projection is None:
-            raise ValidationError(f"quadrature needs projection denoisers; "
-                                  f"{den.name!r} has none")
-        P[j, : j + 1] = den.projection
 
     def expect(Q, h):
         """E[h(*(Q R), X)] over the one or two projections in the rows of Q,
@@ -262,48 +167,58 @@ def _population_moments_gh(denoisers, Sigma, beta, init, cfg):
                                         m[1] * x + L[1, 0] * z[k, None] + L[1, 1] * z, x) @ wz)
                    for x, px in zip(xv, xw) for k in blocks)
 
+    def cross(A, B):
+        """E[(sum_k A_k)(sum_l B_l)] for terms (p, h), h a function of (p^T R, X)."""
+        return sum(expect(pa[None], lambda s, x: ha(s, x) ** 2) if ha is hb else
+                   expect(np.vstack([pa, pb]), lambda sa, sb, x: ha(sa, x) * hb(sb, x))
+                   for pa, ha in A for pb, hb in B)
+
     Phi = np.zeros((t + 1, t + 1))
     alpha = np.zeros(t + 1)
     if spiked:
         alpha[0] = math.sqrt(init.omega)
     resid = np.zeros((t + 1, t + 1))  # E[(Ubar_m - alpha_m X)(Ubar_n - alpha_n X)]
     resid[0, 0] = 1.0 - alpha[0] ** 2  # the U_1 noise is independent of the rest
-    res = []
-    for j, den in enumerate(denoisers):
-        Pj, g = P[j : j + 1], den.link
-        d = expect(Pj, lambda s, x: den.link_prime(s))
-        Phi[j + 1, : j + 1] = den.projection * d
-        if spiked:
-            alpha[j + 1] = expect(Pj, lambda s, x: x * (g(s) - d * s))
-        res.append(lambda s, x, g=g, d=d, a=alpha[j + 1]: g(s) - d * s - a * x)
-        resid[j + 1, j + 1] = expect(Pj, lambda s, x: res[j](s, x) ** 2)
-        for i in range(j):
-            resid[i + 1, j + 1] = resid[j + 1, i + 1] = expect(
-                P[[i, j]], lambda sa, sb, x: res[i](sa, x) * res[j](sb, x))
+    res = []  # res[j]: the terms of Ubar_{j+1} - alpha_{j+1} X
+    for j, den in enumerate(denoisers[:t]):
+        P = np.zeros((den.projection.shape[0], t))  # the terms' p_k, zero-padded
+        P[:, : j + 1] = den.projection
+        g, gp = den.link, den.link_prime
+        terms = []
+        for p, c, o in zip(P, den.weights, den.offsets):
+            d = c * expect(p[None], lambda s, x: gp(s + o))
+            Phi[j + 1, : j + 1] += d * p[: j + 1]
+            u = lambda s, x, c=c, o=o, d=d: c * g(s + o) - d * s
+            a = expect(p[None], lambda s, x: x * u(s, x)) if spiked else 0.0
+            alpha[j + 1] += a
+            terms.append((p, lambda s, x, u=u, a=a: u(s, x) - a * x))
+        res.append(terms)
+        for i in range(j + 1):
+            resid[i + 1, j + 1] = resid[j + 1, i + 1] = cross(res[i], terms)
     DeltaBar = resid + np.outer(alpha, alpha)
     if not spiked:
         return PopMoments(Phi=Phi, DeltaBar=DeltaBar, alpha=None)
-    g = denoisers[-1].link
-    mse = expect(P[-1:], lambda s, x: (g(s) - x) ** 2)
-    return PopMoments(Phi=Phi, DeltaBar=DeltaBar, alpha=alpha, resid=resid,
-                      mse=mse, mse_stderr=0.0)
+    # E[(eta_t - X)^2], the signal split evenly over the last denoiser's terms
+    last = denoisers[t - 1]
+    K = len(last.weights)
+    err = [(p, lambda s, x, c=c, o=o: c * last.link(s + o) - x / K)
+           for (p, _), c, o in zip(res[-1], last.weights, last.offsets)]
+    mse = cross(err, err)
+    return PopMoments(Phi=Phi, DeltaBar=DeltaBar, alpha=alpha, resid=resid, mse=mse)
 
 
 def gaussian_expectations(denoiser: Denoiser, Sigma: np.ndarray,
                           init: SeInit | None = None,
-                          beta: np.ndarray | None = None,
-                          cfg: McConfig | None = None,
-                          step_seed: int = 0) -> dict:
+                          beta: np.ndarray | None = None) -> dict:
     """One-denoiser expectation helper: divergence row E[d_i eta], the
     divergence-free residual second moment E[Ubar^2], and (spiked) E[X* Ubar]."""
-    cfg = cfg or McConfig()
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
     t = Sigma.shape[0]
     init = init or SeInit(prior=make_prior("rademacher"))
     if denoiser.arity != t:
         raise ValidationError("denoiser arity must equal the Sigma dimension")
     schedule = [denoiser if j == t else constant_denoiser(j, 0.0) for j in range(1, t + 1)]
-    pm = population_moments(schedule, Sigma, beta, init, cfg, step_seed)
+    pm = population_moments(schedule, Sigma, beta, init)
     out = {
         "divergences": pm.Phi[t, :t].copy(),
         "ubar_second_moment": float(pm.DeltaBar[t, t]),
@@ -388,14 +303,12 @@ def _weighted_gram(V: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.einsum("anx,bnx,x->ab", np.einsum("amx,mn->anx", V, D), V, w)
 
 
-def _evolve(rows, denoisers, init: SeInit, T: int, cfg: McConfig | None,
-            nu_rows=None, centered: bool = False) -> list[SeState]:
+def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool = False) -> list[SeState]:
     """The one SE recursion.  At each t it appends row t of V at the law's
     nodes (`rows`) and, with a spike, at nu's nodes with mu's E (`nu_rows`):
     Sigma_t = E_mu[V (DeltaBar - a a^T) V^T] + E_nu[V a a^T V^T] - b b^T with
     a = alpha_t (0 unspiked), b = beta_t = E_nu[V] a.  `centered` (OAMP) puts
     Phi = 0 in the rows.  `denoisers`: Denoisers or factory(t, beta, Sigma)."""
-    cfg = cfg or McConfig()
     spiked = init.spiked
     if spiked and nu_rows is None:
         raise ValidationError("use spiked_se for spiked initializations")
@@ -421,45 +334,42 @@ def _evolve(rows, denoisers, init: SeInit, T: int, cfg: McConfig | None,
         item = denoisers[t - 1] if isinstance(denoisers, (list, tuple)) else denoisers
         den = item if isinstance(item, Denoiser) else item(t, beta, Sigma)
         built.append(den)
-        pm = population_moments(built, Sigma, beta, init, cfg, step_seed=t)
+        pm = population_moments(built, Sigma, beta, init)
         states.append(SeState(t=t, Sigma=Sigma, Phi=Phi, DeltaBar=DeltaBar,
                               Delta=DeltaBar + Phi @ Sigma @ Phi.T, beta=beta, alpha=alpha,
-                              mse_pred=pm.mse, mse_stderr=pm.mse_stderr, denoiser=den))
+                              mse_pred=pm.mse, denoiser=den))
         Phi, DeltaBar, alpha = pm.Phi, pm.DeltaBar, pm.alpha
         resid = pm.resid if spiked else DeltaBar
     return states
 
 
-def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int,
-              cfg: McConfig | None = None, kind: str = "Q") -> list[SeState]:
+def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int, kind: str = "Q") -> list[SeState]:
     """State evolution of RI-AMP (kind='Q'), the trace-free rows of f = identity
     (their E is its free-cumulant Onsager matrix), or RI-AMP-DF (kind='H')."""
     if kind == "Q":
-        return ri_amp_mp_se(law, lambda x: x, denoisers, init, T, cfg)
-    return _evolve(_FamilyRows(law, kind, T), denoisers, init, T, cfg)
+        return ri_amp_mp_se(law, lambda x: x, denoisers, init, T)
+    return _evolve(_FamilyRows(law, kind, T), denoisers, init, T)
 
 
-def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int,
-                 cfg: McConfig | None = None) -> list[SeState]:
-    return ri_amp_se(law, denoisers, init, T, cfg=cfg, kind="H")
+def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
+    return ri_amp_se(law, denoisers, init, T, kind="H")
 
 
-def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit, T: int,
-                 cfg: McConfig | None = None) -> list[SeState]:
+def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,
+                 T: int) -> list[SeState]:
     """State evolution of non-spiked RI-AMP-MP with one matrix function f:
     the trace-free rows of f."""
-    return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T, cfg)
+    return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T)
 
 
 def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int,
-                    u1_second_moment: float = 1.0,
-                    gh_points: int = DEFAULT_GH_POINTS) -> np.ndarray:
+                    u1_second_moment: float = 1.0) -> np.ndarray:
     """Scalar recursion sigma_t^2 = Var(R_t) of single-memory Gaussian AMP:
     sigma_1^2 = E[U_1^2]; sigma_{t+1}^2 = E[eta_{t+1}(sigma_t Z)^2].
 
     `denoisers[t-1]` is eta_{t+1} (the map from r_t to u_{t+1}); only the
     last history row is read."""
-    z, wz = _gh_rule(gh_points)
+    z, wz = _gh_rule(GH_POINTS)
     out = np.empty(T)
     out[0] = float(u1_second_moment)
     for t in range(1, T):
@@ -472,11 +382,11 @@ def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int,
 
 
 def oamp_se(law: SpectralLaw, f_schedule: Sequence[Callable], g_schedule,
-            init: SeInit, T: int, cfg: McConfig | None = None) -> list[np.ndarray]:
+            init: SeInit, T: int) -> list[np.ndarray]:
     """Omega_1..Omega_T of OAMP.  Its rows have Phi = 0, so row t of V is the
     one entry f_t - E_mu f_t, and Omega_t = [Cov_mu(f_i, f_j)] o [E[Xbar_i Xbar_j]]."""
     rows = _TraceFreeRows(law, list(f_schedule[:T]), all_nodes=True)
-    return [s.Sigma for s in _evolve(rows, g_schedule, init, T, cfg, centered=True)]
+    return [s.Sigma for s in _evolve(rows, g_schedule, init, T, centered=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +519,12 @@ def check_pole_free(law: SpectralLaw, delta: float = 1e-6) -> None:
 
 
 def spiked_se(law: SpectralLaw, theta: float, f: Callable, denoisers,
-              init: SeInit, T: int, cfg: McConfig | None = None,
-              nu: NuMeasure | None = None) -> list[SeState]:
+              init: SeInit, T: int, nu: NuMeasure | None = None) -> list[SeState]:
     """Spiked-model state evolution for constant-f matrix processing: the
     trace-free rows of f on mu, and on nu with the E solved on mu."""
     if not init.spiked:
         raise ValidationError("spiked_se requires a spiked initialization (omega set)")
     if nu is None:
         nu = nu_measure(law, theta, mode=default_nu_mode(law))
-    return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T, cfg,
+    return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T,
                    nu_rows=_TraceFreeRows(nu, [f] * T, all_nodes=True))

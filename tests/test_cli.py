@@ -22,7 +22,8 @@ from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
 from amp_lab.laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
 from amp_lab.randmat import LazyHaarRotation, RationalFn, make_prior
-from amp_lab.se import McConfig, SeInit, spiked_se
+from amp_lab import se
+from amp_lab.se import SeInit, spiked_se
 
 
 BASE = {"law": "mp:alpha=0.2", "N": 200, "T": 3, "theta": 1.5, "omega": 0.3,
@@ -119,7 +120,8 @@ def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
     # RI-AMP-MP and RI-AMP alike; nothing large is allocated
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
     monkeypatch.setenv("AMP_LAB_THREADS", "2")
-    nonspiked = dict(theta=None, omega=None, algo="ri-amp", denoiser="tanh")
+    nonspiked = dict(theta=None, omega=None, algo="ri-amp", denoiser="tanh",
+                     matrix_fn="identity")
     with pytest.raises(ValidationError, match="physical memory"):
         _cfg(N=839000)
     _cfg(N=838000)
@@ -130,9 +132,13 @@ def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
     _cfg(N=1677000)  # 1.0733e9 bytes
     with pytest.raises(ValidationError, match="physical memory"):
         _cfg(N=1678000)  # 1.0739e9 bytes
-    with pytest.raises(ValidationError, match="physical memory"):  # dense GOE: 24 N^2
-        _cfg(N=7000, theta=None, omega=None, algo="gaussian-amp", denoiser="tanh",
-             law="semicircle")
+    # dense GOE: 66 N^2, so one seed at N=4033 (1.07350e9 bytes) fits and at
+    # N=4034 (1.07403e9) does not
+    goe = dict(theta=None, omega=None, algo="gaussian-amp", denoiser="tanh",
+               law="semicircle", matrix_fn="identity")
+    _cfg(N=4033, **goe)
+    with pytest.raises(ValidationError, match="physical memory"):
+        _cfg(N=4034, **goe)
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: None)
     _cfg(N=100_000)
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**30)
@@ -141,6 +147,24 @@ def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
     assert main(["se", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "physical memory" in captured.err
+
+
+@pytest.mark.parametrize("algo,spiked", [("ri-amp", False), ("ri-amp-df", False),
+                                         ("gaussian-amp", False), ("ri-amp", True)])
+def test_matrix_fn_other_than_identity_exits_1(algo, spiked, tmp_path, capsys):
+    # ri-amp, ri-amp-df and gaussian-amp iterate with the matrix itself, so a
+    # matrix_fn there is a config error, not a silently ignored key
+    cfg = {"law": "semicircle", "N": 200, "T": 3, "algo": algo, "denoiser": "tanh",
+           "matrix_fn": "polynomial:0.5,2.0,1.0"}
+    if spiked:
+        cfg.update(theta=3.0, omega=0.3)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["se", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "matrix_fn 'polynomial:0.5,2.0,1.0'" in captured.err
+    p.write_text(json.dumps({**cfg, "matrix_fn": "identity"}))
+    assert main(["se", "--config", str(p)]) == 0
 
 
 def test_mmse_denoiser_requires_spiked():
@@ -427,14 +451,15 @@ def test_spiked_se_rows_do_not_depend_on_mc_samples():
     assert rows_small == rows_big
 
 
-def test_spiked_se_converged_in_quadrature_nodes():
+def test_spiked_se_converged_in_quadrature_nodes(monkeypatch):
     cfg = ExperimentConfig.from_dict({**BASE, "T": 6})
     law = parse_law_spec(cfg.law)
     f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
     fac = resolve_denoiser_factory(cfg.denoiser, True)
     init = SeInit(prior=make_prior(cfg.prior), omega=cfg.omega)
-    ref = spiked_se(law, cfg.theta, f, fac, init, cfg.T, cfg=McConfig(gh_points=256))
     pred = np.array([v for _, v in compute_se(cfg)[1]])
+    monkeypatch.setattr(se, "GH_POINTS", 256)
+    ref = spiked_se(law, cfg.theta, f, fac, init, cfg.T)
     ref = np.array([s.mse_pred for s in ref])
     assert np.all(np.abs(pred - ref) <= 1e-3 * ref)
 
@@ -467,6 +492,19 @@ def test_verify_exit_codes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert main(["verify", "--suite", "nonsense"]) == 1
+
+
+def test_random_lipschitz_se_matches_runs():
+    # the term-wise quadrature against runs: semicircle RI-AMP with a
+    # random-lipschitz schedule, 12 seeds at N=2000, every t within 3 standard
+    # errors (bound fixed before this prediction was first compared)
+    cfg = ExperimentConfig.from_dict({"law": "semicircle", "N": 2000, "T": 5, "runs": 12,
+                                      "seed_base": 5000, "algo": "ri-amp",
+                                      "denoiser": "random-lipschitz:seed=3"})
+    rows, _, n_ok, n_div = run_experiment(cfg)
+    assert (n_ok, n_div) == (12, 0)
+    for t, mean, stderr, pred in rows:
+        assert abs(mean - pred) <= 3.0 * stderr, (t, mean, stderr, pred)
 
 
 def test_nonspiked_run_header(tmp_path):

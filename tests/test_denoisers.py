@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amp_lab.denoisers import (
-    Denoiser,
+    additive_denoiser,
     constant_denoiser,
     identity_denoiser,
     linear_denoiser,
@@ -18,8 +18,28 @@ from amp_lab.denoisers import (
 from amp_lab.errors import ValidationError
 
 
+FD_STEP = 1e-5
+
+
 def _history(t, n, seed=0):
     return np.random.default_rng(seed).standard_normal((t, n))
+
+
+def _fd_partials(den, R):
+    """Central finite differences of den.evaluate, the independent check of
+    the analytic partials; zero for the rows den does not read."""
+    out = np.zeros_like(R)
+    deps = den.depends_on()
+    for i in range(R.shape[0]):
+        if (i + 1) not in deps:
+            continue
+        h = FD_STEP * (1.0 + np.abs(R[i]))
+        Rp = R.copy()
+        Rp[i] = R[i] + h
+        Rm = R.copy()
+        Rm[i] = R[i] - h
+        out[i] = (den.evaluate(Rp) - den.evaluate(Rm)) / (2.0 * h)
+    return out
 
 
 def test_identity_denoiser():
@@ -57,13 +77,17 @@ def test_arity_mismatch_raises():
     lambda t: tanh_denoiser(t, scale=1.3),
     lambda t: random_lipschitz_denoiser(t, seed=5),
     lambda t: mmse_rademacher_denoiser(t, beta=1.2, sigma2=0.8),
+    # two terms reading overlapping projections of the history
+    lambda t: additive_denoiser("two-term", [[0.5, -1.0, 0.0], [0.2, 0.3, 1.1]], np.tanh,
+                                lambda s: 1.0 - np.tanh(s) ** 2, weights=[0.7, -1.3],
+                                offsets=[0.1, -0.4]),
 ])
 def test_analytic_partials_match_finite_differences(factory):
     t = 3
     den = factory(t)
     R = _history(t, 50, seed=2)
     analytic = den.partials(R)
-    fd = den._fd_partials(R)
+    fd = _fd_partials(den, R)
     assert np.max(np.abs(analytic - fd)) < 1e-5
 
 
@@ -72,7 +96,7 @@ def test_combining_denoiser_partials_match_fd():
     Sigma = np.diag([1.0, 0.5, 0.25])
     den = linear_mmse_combining_denoiser(beta, Sigma)
     R = _history(3, 50, seed=3)
-    assert np.max(np.abs(den.partials(R) - den._fd_partials(R))) < 1e-5
+    assert np.max(np.abs(den.partials(R) - _fd_partials(den, R))) < 1e-5
 
 
 def test_combining_weights_solve_sigma():
@@ -101,12 +125,20 @@ def test_random_lipschitz_bound_holds():
     assert np.all(lhs <= rhs + 1e-12)
 
 
-def test_fd_fallback_used_without_partial_fn():
-    den = Denoiser("cube", 2, lambda R: R[-1] ** 3)
-    R = _history(2, 40, seed=6)
-    p = den.partials(R)
-    assert np.max(np.abs(p[1] - 3 * R[-1] ** 2)) < 1e-6
-    assert np.max(np.abs(p[0])) < 1e-12
+def test_random_lipschitz_is_one_term_per_history_row():
+    # eta = sum_i w_i tanh(s_i r_i + b_i): the additive form with p_i = s_i e_i,
+    # evaluated and differentiated in the order of the explicit sum
+    t = 4
+    den = random_lipschitz_denoiser(t, seed=11)
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.3, 1.0, size=t) * rng.choice([-1.0, 1.0], size=t)
+    s = rng.uniform(0.5, 1.5, size=t)
+    b = rng.uniform(-0.5, 0.5, size=t)
+    R = _history(t, 64, seed=12)
+    th = np.tanh(s[:, None] * R + b[:, None])
+    assert np.array_equal(den.evaluate(R), np.sum(w[:, None] * th, axis=0))
+    assert np.array_equal(den.partials(R), (w * s)[:, None] * (1.0 - th**2))
+    assert den.depends_on() == frozenset(range(1, t + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,4 +147,4 @@ def test_fd_fallback_used_without_partial_fn():
 def test_tanh_partials_property(scale, seed):
     den = tanh_denoiser(1, scale=scale)
     R = np.random.default_rng(seed).standard_normal((1, 20))
-    assert np.max(np.abs(den.partials(R) - den._fd_partials(R))) < 1e-5
+    assert np.max(np.abs(den.partials(R) - _fd_partials(den, R))) < 1e-5

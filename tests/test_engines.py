@@ -658,8 +658,8 @@ def test_diagnostics_csv_columns(tmp_path):
 def test_nonfinite_denoiser_output_raises():
     law = Semicircle()
     ens, u1 = _setup(law, 64, seed=18)
-    from amp_lab.denoisers import Denoiser
-    bad = Denoiser("bad", 1, lambda R: R[-1] * np.inf, lambda R: np.zeros_like(R))
+    from amp_lab.denoisers import projection_denoiser
+    bad = projection_denoiser("bad", [1.0], lambda s: s * np.inf, np.zeros_like)
     from amp_lab.errors import NumericalError
     with pytest.raises(NumericalError):
         run_ri_amp(ens, law, [bad], u1, 1, mode="grid")

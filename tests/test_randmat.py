@@ -12,10 +12,12 @@ from amp_lab.engines import HORIZON_CAP, as_operator, run_ri_amp, run_ri_amp_mp
 from amp_lab.errors import ValidationError
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, parse_law_spec
 from amp_lab.randmat import (
+    SYMMETRY_RTOL,
     RationalFn,
     SpectralOperator,
     build_rot_invariant,
     build_spiked,
+    dense_symmetric,
     diag_rank_one_eigh,
     goe_ensemble,
     load_matrix,
@@ -301,6 +303,65 @@ def test_goe_triangle_draw_matches_full_square_draw():
             stats_of["eigenvalues"][k].append(np.linalg.eigvalsh(W))
     for name, (new, old) in stats_of.items():
         assert stats.ks_2samp(np.concatenate(new), np.concatenate(old)).pvalue > 0.01, name
+
+
+def _dense_symmetric_reference(M):
+    """The whole-matrix form of the check: max|W - W^T|, isfinite and max|W|
+    each over all N^2 entries."""
+    W = np.asarray(M, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValidationError("matrix input must be square")
+    if not np.all(np.isfinite(W)):
+        raise ValidationError("matrix input has non-finite entries")
+    asym = float(np.max(np.abs(W - W.T), initial=0.0))
+    if asym > SYMMETRY_RTOL * float(np.max(np.abs(W), initial=0.0)):
+        raise ValidationError(f"matrix input is not symmetric: max|M - M^T| = {asym:.3g} "
+                              f"exceeds {SYMMETRY_RTOL:g} of max|M|")
+    return W
+
+
+def _asym(N, rel):
+    # a symmetric draw with one mirrored pair apart by rel * max|W|, past the
+    # first row block
+    W = sample_goe(N, seed=4)
+    W[N - 1, 2] += rel * np.max(np.abs(W))
+    return W
+
+
+@pytest.mark.parametrize("case", ["symmetric", "above-rtol", "below-rtol", "nan", "inf",
+                                  "non-square", "empty", "one-block"])
+def test_dense_symmetric_decisions_match_whole_matrix_check(case):
+    N = 600
+    M = {"symmetric": lambda: sample_goe(N, seed=4),
+         "above-rtol": lambda: _asym(N, 1.01 * SYMMETRY_RTOL),
+         "below-rtol": lambda: _asym(N, 0.99 * SYMMETRY_RTOL),
+         "nan": lambda: np.where(np.eye(N, k=-400) > 0, np.nan, sample_goe(N, seed=4)),
+         "inf": lambda: np.where(np.eye(N, k=3) > 0, -np.inf, sample_goe(N, seed=4)),
+         "non-square": lambda: np.ones((N, N - 1)),
+         "empty": lambda: np.zeros((0, 0)),
+         "one-block": lambda: _asym(8, 2 * SYMMETRY_RTOL)}[case]()
+    outcomes = []
+    for check in (dense_symmetric, _dense_symmetric_reference):
+        try:
+            outcomes.append(("ok", check(M).tobytes()))
+        except ValidationError as exc:
+            outcomes.append(("error", str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == ("ok" if case in ("symmetric", "below-rtol", "empty") else "error")
+
+
+def test_dense_symmetric_makes_no_n2_temporary():
+    # the whole-matrix check holds at least two N^2 temporaries (64 MB here);
+    # the row-blocked one stays below half of one N x N array
+    N = 2000
+    W = sample_goe(N, seed=5)
+    tracemalloc.start()
+    try:
+        dense_symmetric(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * N * N // 2
 
 
 def test_goe_ensemble_factored():

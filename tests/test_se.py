@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from amp_lab import se
-from amp_lab.denoisers import linear_mmse_combining_denoiser, tanh_denoiser
+from amp_lab.cli import ALL_ALGOS, SPIKED_ALGOS, ExperimentConfig, compute_se
+from amp_lab.denoisers import (constant_denoiser, linear_mmse_combining_denoiser,
+                               random_lipschitz_denoiser, tanh_denoiser)
 from amp_lab.errors import ValidationError
 from amp_lab.freeprob import _TraceFreeRows, cumulants_from_law, phi_powers
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
-from amp_lab.randmat import RationalFn, make_prior
+from amp_lab.randmat import Prior, RationalFn, make_prior, parse_prior_spec
 from amp_lab.se import (
-    DEFAULT_GH_POINTS,
-    McConfig,
+    GH_POINTS,
+    PopMoments,
     SeInit,
     check_pole_free,
     fan_se_form,
@@ -70,8 +72,52 @@ def test_theorem_sigma_t1_is_variance():
 
 
 # ---------------------------------------------------------------------------
-# expectation engines
+# the quadrature engine against an independent Monte-Carlo reference
 # ---------------------------------------------------------------------------
+
+def _population_moments_mc(denoisers, Sigma, beta, init, samples, seed, step_seed):
+    """Seeded Monte Carlo for the moments `population_moments` integrates:
+    `samples` draws of (X*, Z), every denoiser evaluated on them."""
+    t = Sigma.shape[0]
+    M = int(samples)
+    rng = np.random.default_rng(seed + 7919 * step_seed)
+    L = se._gauss_factor(Sigma)
+    Z = L @ rng.standard_normal((t, M))
+    spiked = init.spiked
+    if spiked:
+        X = init.prior.sample(M, rng)
+        b = np.zeros(t) if beta is None else np.asarray(beta, dtype=float)
+        R = b[:, None] * X[None, :] + Z
+        G0 = rng.standard_normal(M)
+        U1 = math.sqrt(init.omega) * X + math.sqrt(1.0 - init.omega) * G0
+    else:
+        X = None
+        R = Z
+        U1 = init.prior.sample(M, rng)
+    U = [U1]
+    Phi = np.zeros((t + 1, t + 1))
+    for j in range(1, t + 1):
+        den = denoisers[j - 1]
+        U.append(den.evaluate(R[:j]))
+        Phi[j, :j] = den.partials(R[:j]).mean(axis=1)
+    Ubar = [U[0]]
+    for j in range(1, t + 1):
+        Ubar.append(U[j] - Phi[j, :j] @ R[:j])
+    Ub = np.vstack(Ubar)
+    mse = None
+    if spiked:
+        # estimate DeltaBar - alpha alpha^T from signal-centered samples so its
+        # Monte Carlo error stays relative even when the residual is tiny
+        alpha = Ub @ X / M
+        V = Ub - alpha[:, None] * X[None, :]
+        resid = V @ V.T / M
+        DeltaBar = resid + np.outer(alpha, alpha)
+        mse = float(((U[t] - X) ** 2).mean())
+    else:
+        alpha = resid = None
+        DeltaBar = Ub @ Ub.T / M
+    return PopMoments(Phi=Phi, DeltaBar=DeltaBar, alpha=alpha, resid=resid, mse=mse)
+
 
 def test_gaussian_expectation_tanh_derivative():
     # E[1 - tanh^2(Z)], Z ~ N(0,1): quadrature-grade reference value
@@ -83,33 +129,54 @@ def test_gh_and_mc_engines_agree():
     den = tanh_denoiser(2, scale=1.1)
     Sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
     init = SeInit(prior=make_prior("rademacher"))
-    gh = gaussian_expectations(den, Sigma, init=init, cfg=McConfig(method="gh"))
-    mc = gaussian_expectations(den, Sigma, init=init,
-                               cfg=McConfig(method="mc", samples=2_000_000, seed=5))
-    assert abs(gh["divergences"][1] - mc["divergences"][1]) < 5e-3
-    assert abs(gh["ubar_second_moment"] - mc["ubar_second_moment"]) < 5e-3
+    gh = gaussian_expectations(den, Sigma, init=init)
+    mc = _population_moments_mc([constant_denoiser(1, 0.0), den], Sigma, None, init,
+                                samples=2_000_000, seed=5, step_seed=0)
+    assert abs(gh["divergences"][1] - mc.Phi[2, 1]) < 5e-3
+    assert abs(gh["ubar_second_moment"] - mc.DeltaBar[2, 2]) < 5e-3
+
+
+SIGMA3 = np.array([[1.0, 0.3, 0.2], [0.3, 0.8, 0.25], [0.2, 0.25, 0.6]])
+BETA3 = np.array([0.6, 0.9, 1.2])
+
+
+def _assert_quadrature_matches_mc(dens, Sigma, beta, init):
+    """The quadrature moments against 16 Monte-Carlo batches of 125k samples,
+    every entry within 4 standard errors of the batch mean."""
+    spiked = init.spiked
+
+    def flat(pm):
+        parts = [pm.Phi.ravel(), pm.DeltaBar.ravel()]
+        return np.concatenate(parts + [pm.alpha, [pm.mse]] if spiked else parts)
+
+    quad = flat(population_moments(dens, Sigma, beta, init))
+    batches = np.array([
+        flat(_population_moments_mc(dens, Sigma, beta, init, samples=125_000, seed=s,
+                                    step_seed=3))
+        for s in range(16)])
+    stderr = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
+    diff = np.abs(quad - batches.mean(axis=0))
+    assert np.all(diff <= 4.0 * stderr + 1e-12)
 
 
 def test_quadrature_and_mc_agree_for_combining_schedule():
-    # a fixed multi-memory linear-mmse-combining schedule at t=3: the
-    # quadrature path against 16 Monte-Carlo batches of 125k samples
-    Sigma = np.array([[1.0, 0.3, 0.2], [0.3, 0.8, 0.25], [0.2, 0.25, 0.6]])
-    beta = np.array([0.6, 0.9, 1.2])
-    dens = [linear_mmse_combining_denoiser(beta[:j], Sigma[:j, :j]) for j in range(1, 4)]
+    # a fixed multi-memory linear-mmse-combining schedule at t=3
+    dens = [linear_mmse_combining_denoiser(BETA3[:j], SIGMA3[:j, :j]) for j in range(1, 4)]
     init = SeInit(prior=make_prior("rademacher"), omega=0.3)
-    quad = population_moments(dens, Sigma, beta, init, McConfig(), step_seed=3)
-    assert quad.mse_stderr == 0.0  # method="auto" took the quadrature path
+    _assert_quadrature_matches_mc(dens, SIGMA3, BETA3, init)
 
-    def flat(pm):
-        return np.concatenate([pm.Phi.ravel(), pm.DeltaBar.ravel(), pm.alpha, [pm.mse]])
 
-    batches = np.array([
-        flat(population_moments(dens, Sigma, beta, init,
-                                 McConfig(method="mc", samples=125_000, seed=s), step_seed=3))
-        for s in range(16)])
-    stderr = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
-    diff = np.abs(flat(quad) - batches.mean(axis=0))
-    assert np.all(diff <= 4.0 * stderr + 1e-12)
+@pytest.mark.parametrize("case", ["random-lipschitz", "sparse-tanh"])
+def test_quadrature_and_mc_agree_beyond_one_term_and_two_atoms(case):
+    # a non-spiked random-lipschitz schedule (j terms at step j, pairs of
+    # terms reading one history row) and a spiked three-atom sparse prior
+    if case == "random-lipschitz":
+        dens = [random_lipschitz_denoiser(j, seed=40 + j) for j in range(1, 4)]
+        init, beta = SeInit(prior=make_prior("rademacher")), None
+    else:
+        dens = [tanh_denoiser(j, scale=1.2) for j in range(1, 4)]
+        init, beta = SeInit(prior=parse_prior_spec("sparse:rho=0.3"), omega=0.3), BETA3
+    _assert_quadrature_matches_mc(dens, SIGMA3, beta, init)
 
 
 def test_projection_quadrature_matches_explicit_1d_tanh():
@@ -118,7 +185,7 @@ def test_projection_quadrature_matches_explicit_1d_tanh():
     beta = np.array([0.6, 0.9, 1.2])
     init = SeInit(prior=make_prior("rademacher"), omega=0.3)
     out = gaussian_expectations(tanh_denoiser(3, scale=1.1), Sigma, init=init, beta=beta)
-    z, w = np.polynomial.hermite_e.hermegauss(DEFAULT_GH_POINTS)
+    z, w = np.polynomial.hermite_e.hermegauss(GH_POINTS)
     w = w / w.sum()
     r = np.array([-1.0, 1.0])[:, None] * beta[2] + math.sqrt(Sigma[2, 2]) * z[None, :]
     x = np.array([-1.0, 1.0])[:, None]
@@ -134,17 +201,24 @@ def test_projection_quadrature_matches_explicit_1d_tanh():
     assert abs(out["ubar_second_moment"] - expect(ubar**2)) < 1e-12
 
 
-@pytest.mark.parametrize("kw", [{"gh_points": 1}, {"gh_points": 257}, {"gh_points": 400},
-                                {"gh_points": 96.0}, {"samples": 1}, {"samples": 0},
-                                {"samples": True}])
+# the `mc_samples` config key: SE samples nothing, so it has no effect, but
+# old configs carry it and it keeps its validation (an integer >= 2)
+MC_CFG = {"law": "mp:alpha=0.3", "N": 200, "T": 3, "algo": "ri-amp",
+          "denoiser": "random-lipschitz:seed=3", "prior": "sparse:rho=0.2"}
+
+
+@pytest.mark.parametrize("kw", [{"mc_samples": 1}, {"mc_samples": 0}, {"mc_samples": -5},
+                                {"mc_samples": 96.5}, {"mc_samples": True},
+                                {"mc_samples": "many"}, {"mc_samples": None}])
 def test_mc_config_rejects_bad_sizes(kw):
     with pytest.raises(ValidationError):
-        McConfig(**kw)
+        ExperimentConfig.from_dict({**MC_CFG, **kw})
 
 
 def test_mc_config_accepts_range_ends():
-    assert McConfig(gh_points=2, samples=2).gh_points == 2
-    assert McConfig(gh_points=256).gh_points == 256
+    rows = [compute_se(ExperimentConfig.from_dict({**MC_CFG, "mc_samples": n}))[1]
+            for n in (2, 2_000_000, 10**12)]
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_ri_amp_se_goe_matches_scalar_recursion():
@@ -258,7 +332,7 @@ def test_spiked_se_first_step_closed_form():
     f = mp_denoise_fn(theta, alpha)
     init = SeInit(prior=make_prior("rademacher"), omega=omega)
     fac = lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
-    states = spiked_se(mp, theta, f, fac, init, 2, cfg=McConfig(samples=200_000))
+    states = spiked_se(mp, theta, f, fac, init, 2)
     nu = nu_measure(mp, theta)
     k1 = nu.expect(f) - mp.expect(f)  # K_1 = f - E_mu[f]
     assert abs(states[0].beta[0] - math.sqrt(omega) * k1) < 1e-8
@@ -271,7 +345,7 @@ def test_spiked_se_mse_decreases_supercritical():
     f = mp_denoise_fn(theta, alpha)
     init = SeInit(prior=make_prior("rademacher"), omega=omega)
     fac = lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
-    states = spiked_se(mp, theta, f, fac, init, 5, cfg=McConfig(samples=400_000))
+    states = spiked_se(mp, theta, f, fac, init, 5)
     mses = [s.mse_pred for s in states]
     assert all(b <= a + 1e-6 for a, b in zip(mses, mses[1:]))
     assert mses[-1] < 0.01
@@ -353,8 +427,7 @@ def test_se_core_matches_oamp_hadamard_form(law):
     fs = [QUAD, lambda x: np.sin(x), lambda x: x**3, QUAD, lambda x: np.exp(-x)]
     init = SeInit(prior=make_prior("rademacher"))
     g = lambda t, beta, Sigma: tanh_denoiser(t)
-    states = se._evolve(_TraceFreeRows(law, fs, all_nodes=True), g, init, T, None,
-                        centered=True)
+    states = se._evolve(_TraceFreeRows(law, fs, all_nodes=True), g, init, T, centered=True)
     nodes, w = law.quad_nodes()
     F = np.vstack([f(nodes) for f in fs])
     cov = (F * w) @ F.T - np.outer(F @ w, F @ w)
@@ -404,11 +477,53 @@ def test_pair_quadrature_temporaries_stay_small():
     fac = lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
     states = spiked_se(mp, 1.5, mp_denoise_fn(1.5, 0.2), fac, init, 6)
     dens, last = [s.denoiser for s in states], states[-1]
-    population_moments(dens, last.Sigma, last.beta, init, McConfig(), step_seed=6)
+    population_moments(dens, last.Sigma, last.beta, init)
     tracemalloc.start()
     try:
-        population_moments(dens, last.Sigma, last.beta, init, McConfig(), step_seed=6)
+        population_moments(dens, last.Sigma, last.beta, init)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 256 * 1024
+
+
+# ---------------------------------------------------------------------------
+# one expectation engine: SE samples nothing
+# ---------------------------------------------------------------------------
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("state evolution drew a random sample")
+
+
+class _NoSampleGenerator(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        _no_sampling()
+
+
+ANALYTIC_SETTINGS = (
+    [(algo, den, prior, False) for algo in ALL_ALGOS
+     for den in ("tanh", "identity", "random-lipschitz:seed=3")
+     for prior in ("rademacher", "gaussian", "sparse:rho=0.2")]
+    + [(algo, den, prior, True) for algo in SPIKED_ALGOS
+       for den in ("mmse-rademacher", "linear-mmse-combining", "tanh", "identity",
+                   "random-lipschitz:seed=3")
+       for prior in ("rademacher", "gaussian", "sparse:rho=0.2")])
+
+
+@pytest.mark.parametrize("algo,den,prior,spiked", ANALYTIC_SETTINGS,
+                         ids=lambda v: str(v) if not isinstance(v, bool) else
+                         ("spiked" if v else "plain"))
+def test_se_samples_nothing(monkeypatch, algo, den, prior, spiked):
+    # every generator standard_normal-s into an error, and so does every prior
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: _NoSampleGenerator(np.random.PCG64(seed)))
+    monkeypatch.setattr(Prior, "sample", _no_sampling)
+    cfg = {"law": "semicircle" if algo == "gaussian-amp" else "mp:alpha=0.2", "N": 200,
+           "T": 3, "algo": algo, "denoiser": den, "prior": prior}
+    if spiked:
+        cfg.update(theta=1.5, omega=0.3,
+                   matrix_fn="mp-denoise" if algo == "ri-amp-mp" else "identity")
+    elif algo in ("ri-amp-mp", "oamp"):
+        cfg["matrix_fn"] = "polynomial:-0.3,0.6,0.25"
+    _, rows = compute_se(ExperimentConfig.from_dict(cfg))
+    assert len(rows) == 3 and all(math.isfinite(v) for _, v in rows)
