@@ -37,7 +37,7 @@ inst = build_spiked(theta, prior, ens, seed=3)
 # Above the transition (theta > 1 for the semicircle) the top eigenvalue
 # detaches from the bulk edge and lands at theta + 1/theta.
 om = overlap_measure(inst)
-print("top eigenvalue:", om.eigenvalues.max(),
+print("top eigenvalue:", om.nodes.max(),
       " predicted outlier:", theta + 1 / theta)
 
 # The eigen-overlap measure nu weights each eigenvalue by its squared

@@ -6,6 +6,12 @@ Supported families:
   * discrete grid (equal-weight atoms)
   * external tabulated density (piecewise linear, renormalized on load)
 
+Every family has its Stieltjes transform in closed form: the semicircle's
+and MP's quadratic roots, a mean over a grid's atoms, and a sum of one
+logarithm per segment for a tabulated density.  So m(x - i0) on the
+support, which the spiked model's overlap measure needs, is
+`stieltjes(complex(x, -1e-10))` for every continuous law.
+
 All laws are immutable after construction and safe to share across workers.
 """
 
@@ -145,15 +151,14 @@ class SpectralLaw:
         m1 = self.moment(1)
         return self.moment(2) - m1 * m1
 
-    def stieltjes(self, z: complex) -> complex:
-        """m(z) = E[1/(z - Lambda)] for Im z != 0 or real z off the support."""
+    def _off_support(self, z: complex) -> complex:
+        """z as a complex number; DomainError when it lies on the support.
+        Each law's `stieltjes(z)`, m(z) = E[1/(z - Lambda)], takes such a z."""
         z = complex(z)
         lo, hi = self.support()
         if z.imag == 0.0 and lo <= z.real <= hi:
             raise DomainError(f"z={z} lies on the support [{lo}, {hi}]")
-        re = self.expect(lambda lam: ((z - lam).conjugate() / abs(z - lam) ** 2).real)
-        im = self.expect(lambda lam: ((z - lam).conjugate() / abs(z - lam) ** 2).imag)
-        return complex(re, im)
+        return z
 
     def cdf_grid(self, resolution: int = 60_000) -> tuple[np.ndarray, np.ndarray]:
         """(lambda values, CDF values) on an edge-clustered grid.
@@ -256,10 +261,7 @@ class Semicircle(SpectralLaw):
         return float(catalan(k)) * self.variance**k
 
     def stieltjes(self, z: complex) -> complex:
-        z = complex(z)
-        lo, hi = self.support()
-        if z.imag == 0.0 and lo <= z.real <= hi:
-            raise DomainError(f"z={z} lies on the support [{lo}, {hi}]")
+        z = self._off_support(z)
         v = self.variance
         root = cmath.sqrt(z * z - 4.0 * v)
         # branch with sqrt(z^2 - 4v) ~ z at large |z|, so m ~ 1/z
@@ -313,10 +315,7 @@ class MarchenkoPastur(SpectralLaw):
                          for k in range(n)))
 
     def stieltjes(self, z: complex) -> complex:
-        z = complex(z)
-        lo, hi = self.support()
-        if z.imag == 0.0 and lo <= z.real <= hi:
-            raise DomainError(f"z={z} lies on the support [{lo}, {hi}]")
+        z = self._off_support(z)
         a = self.alpha
         # a z m^2 - (z - 1 + a) m + 1 = 0, branch with m ~ 1/z at infinity
         b = z - 1.0 + a
@@ -421,6 +420,16 @@ class ExternalDensity(SpectralLaw):
 
     def _density_vector(self, lam):
         return np.interp(lam, self.grid, self.density, left=0.0, right=0.0)
+
+    def stieltjes(self, z: complex) -> complex:
+        """Closed form for the density d_k + q_k (lambda - a_k) on each
+        segment [a_k, b_k]: m(z) = sum_k (d_k + q_k (z - a_k)) log((z - a_k) /
+        (z - b_k)) - q_k (b_k - a_k), the principal logarithm being analytic
+        off the segment."""
+        z = self._off_support(z)
+        a, b, d = self.grid[:-1], self.grid[1:], self.density[:-1]
+        q = np.diff(self.density) / (b - a)
+        return complex(np.sum((d + q * (z - a)) * np.log((z - a) / (z - b)) - q * (b - a)))
 
     def expect(self, f):
         # per-segment Gauss-Legendre on f * (linear density)

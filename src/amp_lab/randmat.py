@@ -553,29 +553,41 @@ def build_spiked(theta: float, prior: Prior, ensemble: SpectralOperator,
 
 @dataclass(frozen=True)
 class OverlapMeasure:
-    """Atoms (lambda_i(Y), (x*^T u_i)^2 / N) over all eigenpairs of Y."""
+    """A weighted discrete measure: atoms `nodes` of weight `weights`, and
+    optionally one more atom `atom` = (location, weight).  `overlap_measure`
+    gives the eigen-overlap measure of a spiked instance; `se.nu_measure`
+    gives its limit nu, whose outlier is `atom` for a continuous law."""
 
-    eigenvalues: np.ndarray
+    nodes: np.ndarray
     weights: np.ndarray
+    atom: tuple | None = None
+
+    def quad_nodes(self, n: int | None = None):
+        """Nodes and weights, `nodes`' and then the atom's."""
+        if self.atom is None:
+            return self.nodes, self.weights
+        return (np.append(self.nodes, self.atom[0]),
+                np.append(self.weights, self.atom[1]))
 
     def total_mass(self) -> float:
-        return float(self.weights.sum())
+        return float(self.quad_nodes()[1].sum())
+
+    def expect(self, g: Callable) -> float:
+        x, w = self.quad_nodes()
+        return float(w @ (np.asarray(g(x), dtype=float) * np.ones_like(x)))
 
     def mean(self) -> float:
-        return float(self.weights @ self.eigenvalues / self.weights.sum())
-
-    def expect(self, f: Callable) -> float:
-        return float(self.weights @ np.asarray(f(self.eigenvalues)) / self.weights.sum())
+        return self.expect(lambda x: x)
 
 
 def overlap_measure(inst: SpikedInstance, n_cap: int = OVERLAP_N_CAP) -> OverlapMeasure:
-    """Empirical eigen-overlap measure of the spiked matrix, eigenvalues
-    ascending; the weight of eigenvector O v_k is (z^T v_k)^2 / N."""
+    """Eigen-overlap measure of the spiked matrix: its eigenvalues
+    (ascending), the one of eigenvector O v_k of weight (z^T v_k)^2 / N."""
     if inst.N > n_cap:
         raise ValidationError(f"N={inst.N} exceeds the secular solver's cap {n_cap}")
     op = inst.operator
     mu, overlap = diag_rank_one_eigh(op.eigenvalues, op.z, op.rho)
-    return OverlapMeasure(eigenvalues=mu, weights=overlap / inst.N)
+    return OverlapMeasure(nodes=mu, weights=overlap / inst.N)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ sum of terms g(p_k^T R + b_k), so each moment is a sum of integrals over at
 most two projections plus the signal, which enters through the prior's
 atoms (Gauss-Hermite nodes for a gaussian prior).  SE samples nothing.
 Spiked states add the overlap vector beta and alpha = E[X* Ubar].
+
+The spiked rows are taken over nu, the limit of the eigen-overlap measure,
+which `nu_measure` forms from the law alone: from the boundary values of
+its Stieltjes transform on a continuous law, and from the secular equation
+of diag(atoms) plus the rank-one spike on an atom law.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ import numpy as np
 from .denoisers import Denoiser, constant_denoiser
 from .errors import NumericalError, ValidationError
 from .freeprob import _TraceFreeRows, build_poly_family, phi_powers
-from .laws import MarchenkoPastur, Semicircle, SpectralLaw
-from .randmat import (Prior, RationalFn, build_rot_invariant, build_spiked, make_prior,
-                      overlap_measure)
+from .laws import DiscreteGrid, SpectralLaw
+# build_rot_invariant is not called here: perfbench's tracer wraps it by this module's name
+from .randmat import (OVERLAP_N_CAP, OverlapMeasure, Prior, RationalFn, build_rot_invariant,
+                      diag_rank_one_eigh, make_prior)
 
 PSD_TOL = 1e-9
 # At 192 nodes every spiked-mp prediction is within 3e-4 relative of the
@@ -234,7 +240,7 @@ def gaussian_expectations(denoiser: Denoiser, Sigma: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _family_gram(law: SpectralLaw, kind: str, t: int, f: Callable | None = None,
-                 nu: "NuMeasure | None" = None):
+                 nu: OverlapMeasure | None = None):
     """First and second moments of the polynomial family members 1..t under
     the law (and optionally under nu)."""
     fam = build_poly_family(law, kind, t, f=f)
@@ -393,46 +399,6 @@ def oamp_se(law: SpectralLaw, f_schedule: Sequence[Callable], g_schedule,
 # the nu measure and the spiked recursion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NuMeasure:
-    """Eigen-overlap limit measure: continuous part (nodes/weights) plus an
-    optional outlier atom."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    atom: tuple | None = None  # (z_star, weight)
-    mode: str = "analytic"
-
-    def quad_nodes(self, n: int | None = None):
-        """Nodes and weights, the continuous part's and then the atom's."""
-        if self.atom is None:
-            return self.nodes, self.weights
-        return (np.append(self.nodes, self.atom[0]),
-                np.append(self.weights, self.atom[1]))
-
-    def total_mass(self) -> float:
-        return float(self.quad_nodes()[1].sum())
-
-    def expect(self, g: Callable) -> float:
-        x, w = self.quad_nodes()
-        return float(w @ (np.asarray(g(x), dtype=float) * np.ones_like(x)))
-
-    def mean(self) -> float:
-        return self.expect(lambda x: x)
-
-
-def _boundary_stieltjes(law: SpectralLaw, lam: np.ndarray) -> np.ndarray:
-    """m_mu(lambda - i0) on the support."""
-    if isinstance(law, (Semicircle, MarchenkoPastur)):
-        return np.array([law.stieltjes(complex(x, -1e-10)) for x in lam])
-    # generic: Richardson extrapolation over a fixed epsilon ladder
-    eps = (1e-2, 5e-3, 2.5e-3)
-    m = [np.array([law.stieltjes(complex(x, -e)) for x in lam]) for e in eps]
-    m12 = 2.0 * m[1] - m[0]
-    m23 = 2.0 * m[2] - m[1]
-    return 2.0 * m23 - m12
-
-
 def find_outlier(law: SpectralLaw, theta: float) -> tuple | None:
     """Root z* > support of 1 = theta m_mu(z) plus the atom weight
     -1 / (theta^2 m_mu'(z*)); None when theta is sub-critical."""
@@ -460,39 +426,32 @@ def find_outlier(law: SpectralLaw, theta: float) -> tuple | None:
     return (float(z_star), float(weight))
 
 
-def nu_measure(law: SpectralLaw, theta: float, mode: str = "analytic",
-               N: int = 2000, seeds: int = 20, seed_base: int = 0,
-               prior: Prior | None = None, n_nodes: int = 400) -> NuMeasure:
-    """Limit of the signal-overlap eigenvalue measure of Y:
-    m_nu(z) = m_mu(z) / (1 - theta m_mu(z))."""
+def nu_measure(law: SpectralLaw, theta: float) -> OverlapMeasure:
+    """Limit nu of the eigen-overlap measure of Y = (theta/N) x* x*^T + W, W
+    of spectral law mu: m_nu(z) = m_mu(z) / (1 - theta m_mu(z)).  Nothing is
+    sampled.
+
+    A continuous law gives nu the density rho_mu(x) / |1 - theta m_mu(x - i0)|^2
+    at the nodes of its `quad_nodes(400)`, plus the outlier atom of
+    `find_outlier`.
+    For an atom law (DiscreteGrid) nu is exactly the spectral measure of
+    diag(atoms) + theta 1 1^T / n at 1 / sqrt(n) (Sherman-Morrison): its
+    atoms are the secular roots, weighted by their squared overlaps, the top
+    root being the outlier.  A law of more than OVERLAP_N_CAP atoms is first
+    reduced to its quantile grid of that size, which bounds the O(n^2) root
+    loop."""
     if theta <= 0:
         raise ValidationError("theta must be > 0")
-    if mode == "analytic":
-        nodes, w = law.quad_nodes(n_nodes)
-        mb = _boundary_stieltjes(law, nodes)
-        ratio = 1.0 / np.abs(1.0 - theta * mb) ** 2
-        return NuMeasure(nodes=nodes, weights=w * ratio,
-                         atom=find_outlier(law, theta), mode="analytic")
-    if mode == "empirical":
-        prior = prior or make_prior("rademacher")
-        all_nodes = []
-        all_w = []
-        grid = law.quantile_grid(N).atoms
-        for s in range(seeds):
-            ens = build_rot_invariant(grid, seed=seed_base + 17 * s + 1)
-            inst = build_spiked(theta, prior, ens, seed=seed_base + 17 * s + 2)
-            om = overlap_measure(inst)
-            all_nodes.append(om.eigenvalues)
-            all_w.append(om.weights / seeds)
-        return NuMeasure(nodes=np.concatenate(all_nodes),
-                         weights=np.concatenate(all_w), atom=None, mode="empirical")
-    raise ValidationError(f"unknown nu mode {mode!r}")
-
-
-def default_nu_mode(law: SpectralLaw) -> str:
-    """Analytic inversion for closed-form laws; empirical elsewhere (the
-    inversion near the spectral edge is delicate for tabulated densities)."""
-    return "analytic" if isinstance(law, (Semicircle, MarchenkoPastur)) else "empirical"
+    if isinstance(law, DiscreteGrid):
+        if law.atoms.size > OVERLAP_N_CAP:
+            law = law.quantile_grid(OVERLAP_N_CAP)
+        n = law.atoms.size
+        mu, overlap = diag_rank_one_eigh(law.atoms, np.ones(n), theta / n)
+        return OverlapMeasure(nodes=mu, weights=overlap / n)
+    nodes, w = law.quad_nodes(400)
+    mb = np.array([law.stieltjes(complex(x, -1e-10)) for x in nodes])
+    ratio = 1.0 / np.abs(1.0 - theta * mb) ** 2
+    return OverlapMeasure(nodes=nodes, weights=w * ratio, atom=find_outlier(law, theta))
 
 
 def mp_denoise_fn(theta: float, alpha: float) -> RationalFn:
@@ -519,12 +478,12 @@ def check_pole_free(law: SpectralLaw, delta: float = 1e-6) -> None:
 
 
 def spiked_se(law: SpectralLaw, theta: float, f: Callable, denoisers,
-              init: SeInit, T: int, nu: NuMeasure | None = None) -> list[SeState]:
+              init: SeInit, T: int, nu: OverlapMeasure | None = None) -> list[SeState]:
     """Spiked-model state evolution for constant-f matrix processing: the
     trace-free rows of f on mu, and on nu with the E solved on mu."""
     if not init.spiked:
         raise ValidationError("spiked_se requires a spiked initialization (omega set)")
     if nu is None:
-        nu = nu_measure(law, theta, mode=default_nu_mode(law))
+        nu = nu_measure(law, theta)
     return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T,
                    nu_rows=_TraceFreeRows(nu, [f] * T, all_nodes=True))

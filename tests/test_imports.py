@@ -73,8 +73,8 @@ assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 
 
 def test_scipy_loads_only_for_the_secular_solver():
-    # a spiked library run and its verification load no scipy; the empirical
-    # nu, through overlap_measure, loads scipy.linalg and nothing else
+    # a spiked library run and its verification load no scipy; the nu of an
+    # atom law, through the secular solver, loads scipy.linalg and nothing else
     code = """
 import numpy as np
 from amp_lab.denoisers import tanh_denoiser
@@ -89,7 +89,7 @@ run = run_ri_amp_mp(inst, law, mp_denoise_fn(1.5, 0.2), [tanh_denoiser(t) for t 
                     inst.x_star, 2, mode="grid")
 assert verify_unfolding(run).max_error < 1e-8
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
-nu_measure(law, 1.5, mode="empirical", N=64, seeds=1)
+nu_measure(law.quantile_grid(64), 1.5)
 """
     mods = _scipy_modules(code)
     assert "scipy.linalg" in mods

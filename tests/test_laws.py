@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amp_lab.errors import NumericalError, ValidationError
+from amp_lab.errors import DomainError, NumericalError, ValidationError
 from amp_lab.laws import (
     DiscreteGrid,
     ExternalDensity,
@@ -21,6 +21,12 @@ from amp_lab.laws import (
     parse_law_spec,
     point_mass,
 )
+from amp_lab.se import find_outlier
+
+
+def _semicircle_table(n: int = 4001) -> ExternalDensity:
+    x = np.linspace(-2, 2, n)
+    return ExternalDensity(grid=x, density=np.sqrt(np.clip(4 - x * x, 0, None)) / (2 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +93,31 @@ def test_stieltjes_herglotz_branch():
 
 
 def test_stieltjes_matches_quadrature():
-    for law in (Semicircle(), MarchenkoPastur(alpha=0.25)):
+    for law in (Semicircle(), MarchenkoPastur(alpha=0.25), _semicircle_table()):
         z = 0.7 + 0.3j
         direct = law.expect(lambda x: np.real(1.0 / (z - x))) \
             + 1j * law.expect(lambda x: np.imag(1.0 / (z - x)))
         assert abs(law.stieltjes(z) - direct) < 1e-7
+
+
+def test_density_table_stieltjes_is_closed_form_off_and_on_the_support():
+    # off the support it is the semicircle's to the table's own resolution;
+    # at x - i0 on it, Im m = pi rho(x); on the real support it is refused
+    table, sc = _semicircle_table(), Semicircle()
+    for z in (2.5, -3.0, 50.0, 0.3 + 1e-3j):
+        assert abs(table.stieltjes(z) - sc.stieltjes(z)) < 1e-5 * abs(sc.stieltjes(z))
+    for x in (-1.7, 0.0, 0.9):
+        m = table.stieltjes(complex(x, -1e-10))
+        assert abs(m.imag - np.pi * table._density_vector(np.array([x]))[0]) < 1e-8
+    with pytest.raises(DomainError):
+        table.stieltjes(1.0)
+
+
+def test_find_outlier_on_a_density_table():
+    # the BBP outlier theta + 1/theta of the tabulated semicircle
+    theta = 1.5
+    z_star, _ = find_outlier(_semicircle_table(), theta)
+    assert abs(z_star - (theta + 1 / theta)) < 1e-3
 
 
 def test_discrete_grid_stieltjes_exact():
@@ -134,9 +160,7 @@ def test_quad_nodes_integrate_moments(law):
 def test_external_density_roundtrip():
     # tabulated semicircle density behaves like the closed form
     sc = Semicircle()
-    x = np.linspace(-2, 2, 4001)
-    dens = np.sqrt(np.clip(4 - x * x, 0, None)) / (2 * np.pi)
-    law = ExternalDensity(grid=x, density=dens)
+    law = _semicircle_table()
     for n in (1, 2, 4):
         assert abs(law.moment(n) - sc.moment(n)) < 5e-4
     nodes, w = law.quad_nodes()

@@ -452,7 +452,7 @@ def test_overlap_measure_total_mass():
     inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=4)
     om = overlap_measure(inst)
     assert abs(om.total_mass() - 1.0) < 1e-10
-    assert om.eigenvalues.shape == (400,)
+    assert om.nodes.shape == (400,)
 
 
 def test_overlap_measure_bbp_outlier():
@@ -465,7 +465,7 @@ def test_overlap_measure_bbp_outlier():
         ens = build_rot_invariant(sc.quantile_grid(1500).atoms, seed=10 + s)
         inst = build_spiked(theta, make_prior("rademacher"), ens, seed=20 + s)
         om = overlap_measure(inst)
-        tops.append(om.eigenvalues.max())
+        tops.append(om.nodes.max())
         means.append(om.mean())
     assert abs(np.mean(tops) - (theta + 1 / theta)) < 0.1
     assert abs(np.mean(means) - theta) < 0.1
@@ -510,7 +510,7 @@ def test_secular_factorization_matches_dense_eigh(name, N):
     Y = inst.Y
     lam, U = np.linalg.eigh(Y)
     om = overlap_measure(inst)
-    assert np.max(np.abs(om.eigenvalues - lam)) <= 1e-12 * scale
+    assert np.max(np.abs(om.nodes - lam)) <= 1e-12 * scale
     assert np.max(np.abs(om.weights - (inst.x_star @ U) ** 2 / N)) <= 1e-12
     op = as_operator(inst)
     assert op is inst.operator

@@ -13,8 +13,10 @@ from amp_lab.denoisers import (constant_denoiser, linear_mmse_combining_denoiser
                                random_lipschitz_denoiser, tanh_denoiser)
 from amp_lab.errors import ValidationError
 from amp_lab.freeprob import _TraceFreeRows, cumulants_from_law, phi_powers
-from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
-from amp_lab.randmat import Prior, RationalFn, make_prior, parse_prior_spec
+from amp_lab.laws import (DiscreteGrid, ExternalDensity, MarchenkoPastur, Semicircle,
+                          parse_law_spec)
+from amp_lab.randmat import (Prior, RationalFn, build_rot_invariant, build_spiked, make_prior,
+                             overlap_measure, parse_prior_spec)
 from amp_lab.se import (
     GH_POINTS,
     PopMoments,
@@ -260,6 +262,11 @@ def test_se_states_psd_and_nested():
 # nu measure
 # ---------------------------------------------------------------------------
 
+def _semicircle_table(n: int) -> ExternalDensity:
+    x = np.linspace(-2, 2, n)
+    return ExternalDensity(grid=x, density=np.sqrt(np.clip(4 - x * x, 0, None)) / (2 * np.pi))
+
+
 def test_nu_semicircle_supercritical():
     theta = 1.5
     nu = nu_measure(Semicircle(), theta)
@@ -286,24 +293,48 @@ def test_nu_mp_mean():
 
 
 def test_nu_empirical_matches_analytic_mean():
-    theta = 1.5
+    # the reference: the mean of the sampled overlap measures of 6 instances
+    theta, N, seeds = 1.5, 1200, 6
     ana = nu_measure(Semicircle(), theta)
-    emp = nu_measure(Semicircle(), theta, mode="empirical", N=1200, seeds=6)
-    assert abs(emp.total_mass() - 1.0) < 1e-8
-    assert abs(emp.mean() - ana.mean()) < 0.1
+    grid = Semicircle().quantile_grid(N).atoms
+    oms = [overlap_measure(build_spiked(theta, make_prior("rademacher"),
+                                        build_rot_invariant(grid, seed=17 * s + 1),
+                                        seed=17 * s + 2)) for s in range(seeds)]
+    assert abs(np.mean([om.total_mass() for om in oms]) - 1.0) < 1e-8
+    assert abs(np.mean([om.mean() for om in oms]) - ana.mean()) < 0.1
 
 
-def test_nu_empirical_builds_one_quantile_grid(monkeypatch):
-    built = []
-    orig = SpectralLaw.quantile_grid
+def test_nu_of_atoms_is_the_spectral_measure_of_the_spiked_diagonal():
+    # nu of n atoms: the eigenvalues of diag(atoms) + theta 1 1^T / n, each
+    # weighted by its eigenvector's squared overlap with 1 / sqrt(n)
+    theta, atoms = 1.5, Semicircle().quantile_grid(30).atoms
+    nu = nu_measure(DiscreteGrid(atoms=atoms), theta)
+    lam, vecs = np.linalg.eigh(np.diag(atoms) + theta / atoms.size)
+    assert nu.atom is None
+    assert np.max(np.abs(nu.nodes - lam)) <= 1e-13
+    assert np.max(np.abs(nu.weights - (vecs.sum(axis=0) / math.sqrt(atoms.size)) ** 2)) <= 1e-13
+    point = nu_measure(parse_law_spec("point:c=1.5"), theta)
+    assert point.nodes.tolist() == [3.0] and point.weights.tolist() == [1.0]
 
-    def counted(self, N):
-        built.append(N)
-        return orig(self, N)
 
-    monkeypatch.setattr(SpectralLaw, "quantile_grid", counted)
-    nu_measure(Semicircle(), 1.5, mode="empirical", seeds=3, N=64)
-    assert built == [64]
+def test_nu_of_many_atoms_takes_the_capped_quantile_grid(monkeypatch):
+    monkeypatch.setattr(se, "OVERLAP_N_CAP", 50)
+    law = DiscreteGrid(atoms=Semicircle().quantile_grid(200).atoms)
+    nu = nu_measure(law, 1.5)
+    assert nu.nodes.size == 50 and abs(nu.total_mass() - 1.0) < 1e-12
+    again, capped = nu_measure(law, 1.5), nu_measure(law.quantile_grid(50), 1.5)
+    assert np.array_equal(nu.nodes, again.nodes) and np.array_equal(nu.weights, again.weights)
+    assert np.array_equal(nu.nodes, capped.nodes) and np.array_equal(nu.weights, capped.weights)
+
+
+def test_nu_of_a_density_table_matches_the_closed_form_law():
+    # the 4001-point tabulated semicircle: mass 1, mean theta, and the
+    # outlier theta + 1/theta of weight 1 - 1/theta^2
+    theta = 1.5
+    nu = nu_measure(_semicircle_table(4001), theta)
+    assert abs(nu.total_mass() - 1.0) < 1e-6 and abs(nu.mean() - theta) < 1e-6
+    assert abs(nu.atom[0] - (theta + 1 / theta)) < 1e-3
+    assert abs(nu.atom[1] - (1 - 1 / theta**2)) < 1e-3
 
 
 def test_check_pole_free():
@@ -510,19 +541,39 @@ ANALYTIC_SETTINGS = (
        for prior in ("rademacher", "gaussian", "sparse:rho=0.2")])
 
 
-@pytest.mark.parametrize("algo,den,prior,spiked", ANALYTIC_SETTINGS,
-                         ids=lambda v: str(v) if not isinstance(v, bool) else
-                         ("spiked" if v else "plain"))
-def test_se_samples_nothing(monkeypatch, algo, den, prior, spiked):
+# spiked on a `file:` density table, a `file:` atom list and a point mass
+LAW_FILE_SETTINGS = [("ri-amp-mp", "linear-mmse-combining", "rademacher", True, law)
+                     for law in ("file-table", "file-atoms", "point:c=1.5")]
+
+
+def _law_spec(law, algo, tmp_path) -> str:
+    if law is None:
+        return "semicircle" if algo == "gaussian-amp" else "mp:alpha=0.2"
+    if not law.startswith("file-"):
+        return law
+    path = tmp_path / "law.txt"
+    if law == "file-table":
+        table = _semicircle_table(401)
+        np.savetxt(path, np.column_stack([table.grid, table.density]))
+    else:
+        np.savetxt(path, Semicircle().quantile_grid(500).atoms)
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("algo,den,prior,spiked,law", [
+    pytest.param(*v, None, id="-".join([*v[:3], "spiked" if v[3] else "plain"]))
+    for v in ANALYTIC_SETTINGS] + [
+    pytest.param(*v, id="-".join([*v[:3], "spiked", v[4]])) for v in LAW_FILE_SETTINGS])
+def test_se_samples_nothing(monkeypatch, tmp_path, algo, den, prior, spiked, law):
     # every generator standard_normal-s into an error, and so does every prior
+    cfg = {"law": _law_spec(law, algo, tmp_path), "N": 200,
+           "T": 3, "algo": algo, "denoiser": den, "prior": prior}
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed=None: _NoSampleGenerator(np.random.PCG64(seed)))
     monkeypatch.setattr(Prior, "sample", _no_sampling)
-    cfg = {"law": "semicircle" if algo == "gaussian-amp" else "mp:alpha=0.2", "N": 200,
-           "T": 3, "algo": algo, "denoiser": den, "prior": prior}
     if spiked:
         cfg.update(theta=1.5, omega=0.3,
-                   matrix_fn="mp-denoise" if algo == "ri-amp-mp" else "identity")
+                   matrix_fn="mp-denoise" if algo == "ri-amp-mp" and law is None else "identity")
     elif algo in ("ri-amp-mp", "oamp"):
         cfg["matrix_fn"] = "polynomial:-0.3,0.6,0.25"
     _, rows = compute_se(ExperimentConfig.from_dict(cfg))
