@@ -28,11 +28,9 @@ from .randmat import (
     build_rot_invariant,
     build_spiked,
     goe_ensemble,
-    load_matrix,
     make_prior,
     overlap_measure,
     sample_haar_orthogonal,
-    save_matrix,
 )
 from .denoisers import (linear_mmse_combining_denoiser, random_lipschitz_denoiser,
                         tanh_denoiser)

@@ -21,12 +21,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .denoisers import (identity_denoiser, linear_mmse_combining_denoiser,
+from .denoisers import (identity_denoiser, last_row_denoiser, linear_mmse_combining_denoiser,
                         mmse_rademacher_denoiser, random_lipschitz_denoiser,
                         tanh_denoiser)
-from .engines import (HORIZON_CAP, orthogonality_residuals, run_gaussian_amp,
-                      run_oamp, run_ri_amp, run_ri_amp_df, run_ri_amp_mp,
-                      ubar_divergences, verify_unfolding)
+from .engines import (HORIZON_CAP, orthogonality_residuals, run_oamp, run_ri_amp,
+                      run_ri_amp_df, run_ri_amp_mp, ubar_divergences, verify_unfolding)
 from .errors import AmpLabError, NumericalError, ValidationError
 from .freeprob import (build_poly_family, cumulants_from_law,
                        cumulants_to_moments_nc, mc_cumulants,
@@ -34,9 +33,9 @@ from .freeprob import (build_poly_family, cumulants_from_law,
 from .laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
 from .randmat import (RationalFn, build_rot_invariant, build_spiked, goe_ensemble,
                       parse_prior_spec)
-from .se import (SeInit, check_pole_free,
-                 fan_se_form, gaussian_amp_se, mp_denoise_fn, oamp_se,
-                 ri_amp_mp_se, ri_amp_se, spiked_se, theorem_sigma, _family_gram)
+from .se import (SeInit, check_pole_free, fan_se_form, mp_denoise_fn, oamp_se,
+                 ri_amp_df_se, ri_amp_mp_se, ri_amp_se, spiked_se, theorem_sigma,
+                 _family_gram)
 
 FLOAT_FMT = "{:.17g}"
 SPIKED_ALGOS = ("ri-amp", "ri-amp-mp")
@@ -256,8 +255,10 @@ def resolve_denoiser_factory(spec: str, spiked: bool):
 # ---------------------------------------------------------------------------
 
 def compute_se(cfg: ExperimentConfig):
-    """Return (states_or_None, prediction rows).  Spiked rows are
-    (t, mse_se_pred); non-spiked rows are (t, r2_se_pred = E[R_t^2])."""
+    """Return (states, prediction rows).  Spiked rows are (t, mse_se_pred);
+    non-spiked rows are (t, r2_se_pred = Sigma_tt = E[R_t^2]).  Gaussian AMP
+    is RI-AMP under the unit semicircle, each single-memory eta read on the
+    last history row, as its runs apply it."""
     law = parse_law_spec(cfg.law)
     prior = parse_prior_spec(cfg.prior)
     factory = resolve_denoiser_factory(cfg.denoiser, cfg.spiked)
@@ -268,26 +269,19 @@ def compute_se(cfg: ExperimentConfig):
         rows = [(s.t, s.mse_pred) for s in states]
         return states, rows
     init = SeInit(prior=prior)
-    if cfg.algo in ("ri-amp", "ri-amp-df", "ri-amp-mp"):
-        if cfg.algo == "ri-amp-mp":
-            f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
-            states = ri_amp_mp_se(law, f, factory, init, cfg.T)
-        else:
-            kind = "Q" if cfg.algo == "ri-amp" else "H"
-            states = ri_amp_se(law, factory, init, cfg.T, kind=kind)
-        rows = [(s.t, float(s.Sigma[s.t - 1, s.t - 1])) for s in states]
-        return states, rows
     if cfg.algo == "gaussian-amp":
-        if not isinstance(law, Semicircle):
-            raise ValidationError("gaussian-amp requires the semicircle law (GOE)")
-        dens = [factory(1, None, None) for _ in range(cfg.T)]
-        sig2 = gaussian_amp_se(dens, cfg.T, u1_second_moment=prior.second_moment)
-        return dens, [(t, float(sig2[t - 1])) for t in range(1, cfg.T + 1)]
-    if cfg.algo == "oamp":
+        if law != Semicircle():  # the runs draw a unit-variance GOE
+            raise ValidationError("gaussian-amp requires the unit semicircle law (GOE)")
+        dens = [last_row_denoiser(factory(1, None, None), t) for t in range(1, cfg.T + 1)]
+        states = ri_amp_se(law, dens, init, cfg.T)
+    elif cfg.algo in MATRIX_FN_ALGOS:
         f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
-        omegas = oamp_se(law, [f] * cfg.T, factory, init, cfg.T)
-        return omegas, [(t, float(omegas[t - 1][t - 1, t - 1])) for t in range(1, cfg.T + 1)]
-    raise ValidationError(f"unknown algo {cfg.algo!r}")
+        states = (ri_amp_mp_se(law, f, factory, init, cfg.T) if cfg.algo == "ri-amp-mp"
+                  else oamp_se(law, [f] * cfg.T, factory, init, cfg.T))
+    else:
+        evolve = ri_amp_se if cfg.algo == "ri-amp" else ri_amp_df_se
+        states = evolve(law, factory, init, cfg.T)
+    return states, [(s.t, float(s.Sigma[s.t - 1, s.t - 1])) for s in states]
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +308,20 @@ def _single_run(cfg: ExperimentConfig, law, f, states, grid, run_idx: int):
 
     `grid` holds the law's N quantile atoms, built once per run before the
     worker pool and shared read-only by every seed (each ensemble copies
-    it); it is None for gaussian-amp, whose seeds draw a GOE matrix."""
+    it); it is None for gaussian-amp, whose seeds draw a GOE matrix.  Every
+    algo runs the denoisers its SE states built."""
     rng = np.random.default_rng(_seed(cfg.seed_base, run_idx, 0))
     prior = parse_prior_spec(cfg.prior)
     if cfg.algo == "gaussian-amp":
         ens = goe_ensemble(cfg.N, seed=_seed(cfg.seed_base, run_idx, 1))
     else:
         ens = build_rot_invariant(grid, seed=_seed(cfg.seed_base, run_idx, 1))
+    dens = [states[t - 1].denoiser for t in range(1, cfg.T + 1)]
     if cfg.spiked:
         inst = build_spiked(cfg.theta, prior, ens, seed=_seed(cfg.seed_base, run_idx, 2))
         x = inst.x_star
         u1 = (math.sqrt(cfg.omega) * x
               + math.sqrt(1.0 - cfg.omega) * rng.standard_normal(cfg.N))
-        dens = [states[t - 1].denoiser for t in range(1, cfg.T + 1)]
         if cfg.algo == "ri-amp":
             run = run_ri_amp(inst, law, dens, u1, cfg.T, mode="grid")
         else:
@@ -335,19 +330,15 @@ def _single_run(cfg: ExperimentConfig, law, f, states, grid, run_idx: int):
         ovl = np.array([1.0 - (run.u[t] @ x / cfg.N) ** 2 for t in range(1, cfg.T + 1)])
         return np.column_stack([mse, ovl])
     u1 = prior.sample(cfg.N, rng)
-    if cfg.algo == "gaussian-amp":
-        run = run_gaussian_amp(ens, states, u1, cfg.T)
-    elif cfg.algo == "oamp":
-        factory = resolve_denoiser_factory(cfg.denoiser, False)
-        g_sched = [factory(t, None, states[t - 1]) for t in range(1, cfg.T + 1)]
-        run = run_oamp(ens, [f] * cfg.T, g_sched, u1, cfg.T)
+    if cfg.algo == "oamp":
+        run = run_oamp(ens, [f] * cfg.T, dens, u1, cfg.T)
+    elif cfg.algo == "ri-amp-mp":
+        run = run_ri_amp_mp(ens, law, f, dens, u1, cfg.T, mode="grid")
+    elif cfg.algo == "gaussian-amp":  # RI-AMP debiased by the unit semicircle
+        run = run_ri_amp(ens, law, dens, u1, cfg.T, mode="population")
     else:
-        dens = [states[t - 1].denoiser for t in range(1, cfg.T + 1)]
-        if cfg.algo == "ri-amp-mp":
-            run = run_ri_amp_mp(ens, law, f, dens, u1, cfg.T, mode="grid")
-        else:
-            runner = run_ri_amp if cfg.algo == "ri-amp" else run_ri_amp_df
-            run = runner(ens, law, dens, u1, cfg.T, mode="grid")
+        runner = run_ri_amp if cfg.algo == "ri-amp" else run_ri_amp_df
+        run = runner(ens, law, dens, u1, cfg.T, mode="grid")
     r2 = np.array([d["norm_r"] ** 2 for d in run.diagnostics])
     return r2[:, None]
 
@@ -479,7 +470,6 @@ def _write_outputs(cfg: ExperimentConfig, out_dir: str, rows, se_rows,
         "seeds_ok": n_ok,
         "seeds_divergent": n_div,
         "content_hash": digest,
-        "scale_note": "desk-scale defaults N=2000, runs=20",
     }
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)

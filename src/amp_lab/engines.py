@@ -1,4 +1,5 @@
-"""Iterative algorithms: Gaussian AMP, RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP.
+"""Iterative algorithms: RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP, and Gaussian AMP
+as RI-AMP under the unit semicircle.
 
 All variants run one loop, `_run_loop`, and differ only in a step hook that
 forms r_t from the matrix and the history.  The matrix is always a
@@ -23,7 +24,6 @@ at the law's quadrature nodes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,7 +33,7 @@ from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, UnsupportedVariantError, ValidationError
 from .freeprob import (MP_DEBIAS_NODES, _TraceFreeRows, build_poly_family,
                        moments_to_cumulants, phi_powers)
-from .laws import DiscreteGrid, SpectralLaw
+from .laws import DiscreteGrid, Semicircle, SpectralLaw
 from .randmat import (RationalFn, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
                       dense_symmetric)
 
@@ -68,7 +68,6 @@ class AmpRun:
     debias_law: SpectralLaw
     denoisers: list  # denoisers[t-1] maps r_1..r_t to u_{t+1}
     f_schedule: list | None = None
-    mode: str = "grid"
 
     @property
     def T(self) -> int:
@@ -81,12 +80,6 @@ class AmpRun:
     def phi_matrix(self, t: int) -> np.ndarray:
         """Strictly-lower-triangular divergence matrix over u_1..u_t."""
         return self.phi[:t, :t]
-
-    @property
-    def phi_hat(self) -> np.ndarray:
-        """T x T layout: row t holds <d_i u_{t+1}> for i <= t."""
-        T = self.T
-        return self.phi[1 : T + 1, :T]
 
 
 def _check_finite(v: np.ndarray, t: int, what: str) -> None:
@@ -160,8 +153,7 @@ def _prepare(M, law: SpectralLaw | None, mode: str, T: int):
     return T, operator, _debias_law(mode, law, operator.eigenvalues)
 
 
-def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, mode,
-              f_schedule=None):
+def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, f_schedule=None):
     """The iteration every variant shares.  At step t the variant's hook
     `r_step(t, u, ubar, phi[:t, :t])` returns r_t and the coefficient row it
     subtracted; then u_{t+1} = denoisers[t-1](r_1..r_t), its divergence row
@@ -198,7 +190,7 @@ def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, mode,
         })
     return AmpRun(variant=variant, r=r, u=u, ubar=ubar, phi=phi, debias=debias,
                   diagnostics=diagnostics, operator=operator, debias_law=debias_law,
-                  denoisers=list(denoisers[:T]), f_schedule=f_schedule, mode=mode)
+                  denoisers=list(denoisers[:T]), f_schedule=f_schedule)
 
 
 def run_ri_amp(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
@@ -211,7 +203,7 @@ def run_ri_amp(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
         row = ri_amp_debias(kappa[:t], phi_t)[t - 1]
         return _subtract(operator.apply(u[t - 1]), row, u), row
 
-    return _run_loop("RIAMP", operator, dlaw, denoisers, u1, T, r_step, mode)
+    return _run_loop("RIAMP", operator, dlaw, denoisers, u1, T, r_step)
 
 
 def run_ri_amp_df(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
@@ -225,7 +217,7 @@ def run_ri_amp_df(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
         row = ri_amp_debias(gamma[:t], phi_t)[t - 1]
         return _subtract(operator.apply(u[t - 1]), row, ubar), row
 
-    return _run_loop("RIAMPDF", operator, dlaw, denoisers, u1, T, r_step, mode)
+    return _run_loop("RIAMPDF", operator, dlaw, denoisers, u1, T, r_step)
 
 
 def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
@@ -246,7 +238,7 @@ def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
         row = rows.append(phi_t[t - 1, : t - 1])
         return _subtract(f_ops[t - 1](u[t - 1]), row, u), row
 
-    return _run_loop("RIAMPMP", operator, dlaw, denoisers, u1, T, r_step, mode,
+    return _run_loop("RIAMPMP", operator, dlaw, denoisers, u1, T, r_step,
                      f_schedule=f_schedule)
 
 
@@ -255,18 +247,13 @@ def run_gaussian_amp(M, denoisers: Sequence[Denoiser], u1: np.ndarray, T: int) -
     r_t = W u_t - <eta_t'> u_{t-1}; u_{t+1} = eta_{t+1}(r_t).
 
     `denoisers[t-1]` is eta_{t+1}, the arity-1 map from r_t to u_{t+1}.  This
-    is RI-AMP under the semicircle cumulants (0, 1, 0, ...): B_t = Phi_hat, so
-    the Onsager row of step t is the divergence row of u_t, whose only entry
-    is <eta_t'> at u_{t-1}.
+    is RI-AMP under the unit semicircle, whose cumulants are (0, 1, 0, ...):
+    B_t = Phi_hat, so the Onsager row of step t is the divergence row of u_t,
+    whose only entry is <eta_t'> at u_{t-1}.  The run is RI-AMP's, with each
+    eta lifted to the history and debiased by the population law.
     """
-    T, operator, dlaw = _prepare(M, None, "grid", T)
     lifted = [last_row_denoiser(den, t) for t, den in enumerate(denoisers[:T], start=1)]
-
-    def r_step(t, u, ubar, phi_t):
-        row = phi_t[t - 1]
-        return _subtract(operator.apply(u[t - 1]), row, u), row
-
-    return _run_loop("GaussianAMP", operator, dlaw, lifted, u1, T, r_step, "grid")
+    return run_ri_amp(M, Semicircle(), lifted, u1, T, mode="population")
 
 
 def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
@@ -292,7 +279,7 @@ def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
     def r_step(t, u, ubar, phi_t):
         return centered[t - 1](ubar[t - 1]), np.zeros(t)
 
-    return _run_loop("OAMP", operator, dlaw, g_schedule, xbar1, T, r_step, "grid",
+    return _run_loop("OAMP", operator, dlaw, g_schedule, xbar1, T, r_step,
                      f_schedule=list(f_schedule[:T]))
 
 
@@ -310,7 +297,7 @@ class UnfoldedRepresentation:
     max_error: float
 
 
-_FAMILY_KIND = {"RIAMP": "Q", "GaussianAMP": "Q", "RIAMPDF": "H"}
+_FAMILY_KIND = {"RIAMP": "Q", "RIAMPDF": "H"}
 
 
 def _unfold_by_products(run: AmpRun, fam) -> np.ndarray:
@@ -370,14 +357,6 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
     relative errors plus the trace residuals E_law[poly entries]."""
     if law is None:
         law = run.debias_law
-    if run.variant == "GaussianAMP":
-        kap = moments_to_cumulants(law.moments(max(run.T, 2))).cumulants
-        target = np.zeros(len(kap))
-        target[1] = 1.0
-        if np.max(np.abs(np.asarray(kap, dtype=float) - target)) > 1e-10:
-            raise UnsupportedVariantError(
-                "Gaussian AMP unfolds only under a law with cumulants (0, 1, 0, ...)"
-            )
     if run.variant in _FAMILY_KIND:
         fam = build_poly_family(law, _FAMILY_KIND[run.variant], run.T)
     elif run.variant == "RIAMPMP":
@@ -422,18 +401,3 @@ def orthogonality_residuals(run: AmpRun) -> np.ndarray:
         for s in range(t):
             out[s, t] = abs(run.u[s] @ run.ubar[t]) / N
     return out
-
-
-def diagnostics_csv(run: AmpRun, path: str, unfolded: UnfoldedRepresentation | None = None) -> None:
-    """Per-iteration diagnostics table."""
-    ortho = orthogonality_residuals(run)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "norm_r", "norm_u", "max_trace_residual",
-                     "max_orthogonality_residual", "reconstruction_error"])
-        for row in run.diagnostics:
-            t = row["t"]
-            tr = float(unfolded.trace_residuals.max()) if unfolded is not None else ""
-            rec = float(unfolded.per_t_errors[t - 1]) if unfolded is not None else ""
-            wr.writerow([t, row["norm_r"], row["norm_u"], tr,
-                         float(ortho[:t, t].max()) if t < ortho.shape[1] else 0.0, rec])

@@ -99,11 +99,6 @@ class SpectralLaw:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    @property
-    def support_bound(self) -> float:
-        lo, hi = self.support()
-        return max(abs(lo), abs(hi))
-
     def expect(self, f) -> float:
         """E[f(Lambda)] for a vectorized f, with error <= 1e-9 max(1, |E|)
         (or a few rounding units of E|f| when the values of f cancel).

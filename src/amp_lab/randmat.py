@@ -20,7 +20,6 @@ overlaps, without eigenvectors, when the overlap measure is asked for.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -370,7 +369,6 @@ class Prior:
     name: str
     sampler: Callable  # (rng, size) -> array
     second_moment: float
-    params: tuple = ()
     atoms: tuple | None = None
 
     def sample(self, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -420,7 +418,7 @@ def make_prior(name: str, /, **params) -> Prior:
             x[(u >= rho / 2) & (u < rho)] = -a
             return x
 
-        return Prior("sparse", sampler, 1.0, params=(("rho", rho),),
+        return Prior("sparse", sampler, 1.0,
                      atoms=((-a, 0.0, a), (rho / 2, 1.0 - rho, rho / 2)))
 
 
@@ -588,37 +586,3 @@ def overlap_measure(inst: SpikedInstance, n_cap: int = OVERLAP_N_CAP) -> Overlap
     op = inst.operator
     mu, overlap = diag_rank_one_eigh(op.eigenvalues, op.z, op.rho)
     return OverlapMeasure(nodes=mu, weights=overlap / inst.N)
-
-
-# ---------------------------------------------------------------------------
-# binary matrix container
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"AMPM"
-_DTYPES = {"float64": 1}
-_DTYPE_CODES = {v: k for k, v in _DTYPES.items()}
-
-
-def save_matrix(path: str, A: np.ndarray) -> None:
-    """Row-major binary dump with a {magic, N, dtype} header."""
-    A = np.ascontiguousarray(np.asarray(A, dtype=np.float64))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError("only square matrices are persisted")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qB", A.shape[0], _DTYPES["float64"]))
-        fh.write(A.tobytes(order="C"))
-
-
-def load_matrix(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}")
-        N, code = struct.unpack("<qB", fh.read(9))
-        if code not in _DTYPE_CODES:
-            raise ValidationError(f"{path}: unknown dtype code {code}")
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    if data.size != N * N:
-        raise ValidationError(f"{path}: payload size {data.size} != N^2 = {N * N}")
-    return data.reshape(N, N).copy()

@@ -1,11 +1,13 @@
 """Deterministic state evolution (SE) for every algorithm variant.
 
 One recursion, `_evolve`, serves RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP and the
-spiked model.  Every variant is long-memory OAMP, r_t = sum_s V_{t,s}(W)
-ubar_s with V trace-free, and the recursion appends row t of V at the law's
-quadrature nodes (and at nu's, with a spike) from the rows the runs use
+spiked model; Gaussian AMP is RI-AMP under the unit semicircle.  Every
+variant is long-memory OAMP, r_t = sum_s V_{t,s}(W) ubar_s with V
+trace-free, and the recursion appends row t of V at the law's quadrature
+nodes (and at nu's, with a spike) from the rows the runs use
 (`freeprob._TraceFreeRows`; RI-AMP-DF's H family), then integrates Sigma_t.
-`theorem_sigma`, `fan_se_form` and `gaussian_amp_se` stay as closed forms.
+`theorem_sigma`, `fan_se_form` and `gaussian_amp_se` stay as closed-form
+references.
 
 The expectations over the Gaussian iterate limits use one engine,
 Gauss-Hermite quadrature, for every denoiser and prior: each denoiser is a
@@ -90,7 +92,6 @@ class SeState:
     Sigma: np.ndarray
     Phi: np.ndarray
     DeltaBar: np.ndarray
-    Delta: np.ndarray
     beta: np.ndarray | None = None
     alpha: np.ndarray | None = None
     mse_pred: float | None = None
@@ -288,12 +289,12 @@ def fan_se_form(kappa: Sequence[float], Phi: np.ndarray, Delta: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 
 class _FamilyRows:
-    """Rows of V = sum_i P_i(Lambda) Phi^{i-1} at the law's nodes, appended
-    like `_TraceFreeRows` rows, for a polynomial family P (RI-AMP-DF's H):
-    row n takes rows n of Phi^0..Phi^{n-1} against P_1..P_n."""
+    """Rows of V = sum_i H_i(Lambda) Phi^{i-1} at the law's nodes, appended
+    like `_TraceFreeRows` rows, for RI-AMP-DF's polynomial family H:
+    row n takes rows n of Phi^0..Phi^{n-1} against H_1..H_n."""
 
-    def __init__(self, law: SpectralLaw, kind: str, T: int):
-        fam = build_poly_family(law, kind, T)
+    def __init__(self, law: SpectralLaw, T: int):
+        fam = build_poly_family(law, "H", T)
         nodes, self.w = law.quad_nodes()
         self.vals = np.vstack([fam.evaluate(i, nodes) for i in range(1, T + 1)])
         self.Phi, self.J = np.zeros((T, T)), []
@@ -341,24 +342,22 @@ def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool 
         den = item if isinstance(item, Denoiser) else item(t, beta, Sigma)
         built.append(den)
         pm = population_moments(built, Sigma, beta, init)
-        states.append(SeState(t=t, Sigma=Sigma, Phi=Phi, DeltaBar=DeltaBar,
-                              Delta=DeltaBar + Phi @ Sigma @ Phi.T, beta=beta, alpha=alpha,
-                              mse_pred=pm.mse, denoiser=den))
+        states.append(SeState(t=t, Sigma=Sigma, Phi=Phi, DeltaBar=DeltaBar, beta=beta,
+                              alpha=alpha, mse_pred=pm.mse, denoiser=den))
         Phi, DeltaBar, alpha = pm.Phi, pm.DeltaBar, pm.alpha
         resid = pm.resid if spiked else DeltaBar
     return states
 
 
-def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int, kind: str = "Q") -> list[SeState]:
-    """State evolution of RI-AMP (kind='Q'), the trace-free rows of f = identity
-    (their E is its free-cumulant Onsager matrix), or RI-AMP-DF (kind='H')."""
-    if kind == "Q":
-        return ri_amp_mp_se(law, lambda x: x, denoisers, init, T)
-    return _evolve(_FamilyRows(law, kind, T), denoisers, init, T)
+def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
+    """State evolution of RI-AMP: the trace-free rows of f = identity (their E
+    is its free-cumulant Onsager matrix)."""
+    return ri_amp_mp_se(law, lambda x: x, denoisers, init, T)
 
 
 def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
-    return ri_amp_se(law, denoisers, init, T, kind="H")
+    """State evolution of RI-AMP-DF: the rows of its H family."""
+    return _evolve(_FamilyRows(law, T), denoisers, init, T)
 
 
 def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,
@@ -371,7 +370,8 @@ def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,
 def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int,
                     u1_second_moment: float = 1.0) -> np.ndarray:
     """Scalar recursion sigma_t^2 = Var(R_t) of single-memory Gaussian AMP:
-    sigma_1^2 = E[U_1^2]; sigma_{t+1}^2 = E[eta_{t+1}(sigma_t Z)^2].
+    sigma_1^2 = E[U_1^2]; sigma_{t+1}^2 = E[eta_{t+1}(sigma_t Z)^2].  A
+    closed-form reference for `ri_amp_se` under the unit semicircle.
 
     `denoisers[t-1]` is eta_{t+1} (the map from r_t to u_{t+1}); only the
     last history row is read."""
@@ -388,11 +388,12 @@ def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int,
 
 
 def oamp_se(law: SpectralLaw, f_schedule: Sequence[Callable], g_schedule,
-            init: SeInit, T: int) -> list[np.ndarray]:
-    """Omega_1..Omega_T of OAMP.  Its rows have Phi = 0, so row t of V is the
-    one entry f_t - E_mu f_t, and Omega_t = [Cov_mu(f_i, f_j)] o [E[Xbar_i Xbar_j]]."""
+            init: SeInit, T: int) -> list[SeState]:
+    """State evolution of OAMP, Sigma_t = Omega_t.  Its rows have Phi = 0, so
+    row t of V is the one entry f_t - E_mu f_t, and
+    Omega_t = [Cov_mu(f_i, f_j)] o [E[Xbar_i Xbar_j]]."""
     rows = _TraceFreeRows(law, list(f_schedule[:T]), all_nodes=True)
-    return [s.Sigma for s in _evolve(rows, g_schedule, init, T, centered=True)]
+    return _evolve(rows, g_schedule, init, T, centered=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from amp_lab.cli import (
     resolve_matrix_fn,
     run_experiment,
 )
+from amp_lab.denoisers import tanh_denoiser
 from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
 from amp_lab.laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
@@ -165,6 +166,40 @@ def test_matrix_fn_other_than_identity_exits_1(algo, spiked, tmp_path, capsys):
     assert captured.out == "" and "matrix_fn 'polynomial:0.5,2.0,1.0'" in captured.err
     p.write_text(json.dumps({**cfg, "matrix_fn": "identity"}))
     assert main(["se", "--config", str(p)]) == 0
+
+
+@pytest.mark.parametrize("cmd", ["se", "run"])
+def test_gaussian_amp_requires_the_unit_semicircle(cmd, tmp_path, capsys):
+    # the runs draw a unit-variance GOE, so a prediction for another law
+    # would not describe them
+    cfg = {"law": "semicircle:var=4", "N": 400, "T": 3, "runs": 2,
+           "algo": "gaussian-amp", "denoiser": "tanh"}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main([cmd, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unit semicircle" in captured.err
+    assert not (tmp_path / "o").exists()
+    p.write_text(json.dumps({**cfg, "law": "semicircle:var=1"}))
+    assert main([cmd, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_gaussian_amp_se_is_ri_amp_se_under_the_unit_semicircle(tmp_path, capsys):
+    # gaussian-amp predicts through the SE core as RI-AMP does; the scalar
+    # recursion gaussian_amp_se is the closed-form reference
+    T = 6
+    csvs = {}
+    for algo in ("gaussian-amp", "ri-amp"):
+        p = tmp_path / f"{algo}.json"
+        p.write_text(json.dumps({"law": "semicircle", "N": 200, "T": T, "algo": algo,
+                                 "denoiser": "tanh"}))
+        assert main(["se", "--config", str(p), "--out", str(tmp_path / algo)]) == 0
+        csvs[algo] = (tmp_path / algo / "se.csv").read_bytes()
+    capsys.readouterr()
+    assert csvs["gaussian-amp"] == csvs["ri-amp"]
+    pred = [float(line.split(",")[1]) for line in csvs["gaussian-amp"].decode().split()[1:]]
+    ref = se.gaussian_amp_se([tanh_denoiser(1)] * T, T)
+    np.testing.assert_allclose(pred, ref, rtol=1e-13, atol=0)
 
 
 def test_mmse_denoiser_requires_spiked():

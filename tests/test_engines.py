@@ -1,7 +1,6 @@
 """AMP engines: debiasing matrices, exact unfolding, trace/divergence
 exactness, cross-variant consistency, and the run record."""
 
-import csv
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,6 @@ from amp_lab.engines import (
     _unfold_by_products,
     as_operator,
     orthogonality_residuals,
-    diagnostics_csv,
     ri_amp_debias,
     ri_amp_mp_debias,
     run_gaussian_amp,
@@ -26,7 +24,7 @@ from amp_lab.engines import (
     ubar_divergences,
     verify_unfolding,
 )
-from amp_lab.errors import DomainError, UnsupportedVariantError, ValidationError
+from amp_lab.errors import DomainError, ValidationError
 from amp_lab.freeprob import _TraceFreeRows, build_poly_family, cumulants_from_law
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
 from amp_lab.randmat import (RationalFn, SpectralOperator, build_rot_invariant, build_spiked,
@@ -472,17 +470,16 @@ def test_unfolding_breaks_with_tampered_cumulants():
     assert np.max(bad.trace_residuals) > 1e-5
 
 
-def test_gaussian_amp_unfolding_goe_only():
+def test_gaussian_amp_unfolds_exactly_on_goe():
+    # Gaussian AMP is RI-AMP debiased by the unit semicircle, so a GOE run
+    # unfolds over the semicircle's Q family like any population-mode run
     ens = goe_ensemble(300, seed=6)
     rng = np.random.default_rng(7)
     u1 = rng.choice([-1.0, 1.0], size=300)
     dens = [tanh_denoiser(1) for _ in range(4)]
-    run = run_gaussian_amp(ens, dens, u1, 4)
-    # the realized GOE grid has cumulants close to but not exactly (0,1,0,..)
-    with pytest.raises(UnsupportedVariantError):
-        verify_unfolding(run)
-    rep = verify_unfolding(run, law=Semicircle())
-    assert rep.max_error < 0.2
+    rep = verify_unfolding(run_gaussian_amp(ens, dens, u1, 4))
+    assert rep.max_error <= 1e-8
+    assert np.max(rep.trace_residuals) <= 1e-9
 
 
 def test_cross_variant_first_step_identical():
@@ -638,21 +635,6 @@ def test_dense_input_must_be_symmetric():
     W_rounded = W + 1e-14 * np.max(np.abs(W)) * (noise - noise.T)
     v = rng.standard_normal(50)
     assert np.linalg.norm(as_operator(W_rounded).apply(v) - W @ v) <= 1e-12 * np.linalg.norm(W @ v)
-
-
-def test_diagnostics_csv_columns(tmp_path):
-    law = Semicircle()
-    ens, u1 = _setup(law, 128, seed=17)
-    dens = _lip_dens(2, seed=120)
-    run = run_ri_amp(ens, law, dens, u1, 2, mode="grid")
-    rep = verify_unfolding(run)
-    path = str(tmp_path / "diag.csv")
-    diagnostics_csv(run, path, rep)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "norm_r", "norm_u", "max_trace_residual",
-                       "max_orthogonality_residual", "reconstruction_error"]
-    assert len(rows) == 3
 
 
 def test_nonfinite_denoiser_output_raises():

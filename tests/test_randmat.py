@@ -20,13 +20,11 @@ from amp_lab.randmat import (
     dense_symmetric,
     diag_rank_one_eigh,
     goe_ensemble,
-    load_matrix,
     make_prior,
     overlap_measure,
     sample_goe,
     sample_haar_orthogonal,
     sample_haar_rotation,
-    save_matrix,
 )
 from amp_lab.se import mp_denoise_fn
 
@@ -569,37 +567,3 @@ def test_diag_rank_one_eigh_reconstructs():
         assert abs(w @ mu**p - quad) < 1e-14 * (z @ z) * np.linalg.norm(D, 2) ** p
     with pytest.raises(ValidationError):
         diag_rank_one_eigh(lam, z, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# binary matrix container
-# ---------------------------------------------------------------------------
-
-def test_save_load_roundtrip(tmp_path):
-    A = np.random.default_rng(0).standard_normal((17, 17))
-    path = str(tmp_path / "m.bin")
-    save_matrix(path, A)
-    B = load_matrix(path)
-    assert np.array_equal(A, B)
-
-
-def test_load_matrix_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValidationError, match="magic"):
-        load_matrix(str(path))
-
-
-def test_save_matrix_rejects_nonsquare(tmp_path):
-    with pytest.raises(ValidationError):
-        save_matrix(str(tmp_path / "m.bin"), np.ones((3, 4)))
-
-
-def test_load_matrix_truncated(tmp_path):
-    path = str(tmp_path / "m.bin")
-    save_matrix(path, np.ones((4, 4)))
-    data = open(path, "rb").read()
-    with open(path, "wb") as fh:
-        fh.write(data[:-8])
-    with pytest.raises(ValidationError, match="payload"):
-        load_matrix(path)
