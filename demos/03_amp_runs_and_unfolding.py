@@ -4,7 +4,8 @@ their iterates.
 Each variant produces residuals r_t that are, exactly in finite samples, a
 polynomial combination sum_j p_{t,j}(M) ubar_j of the matrix applied to the
 denoised iterates — with trace-free polynomial entries.  `verify_unfolding`
-reconstructs every r_t this way and reports the errors.
+replays each run's own template to reconstruct every r_t this way, and
+reports the errors and the trace residuals.
 
 Run with:  python3 demos/03_amp_runs_and_unfolding.py
 """

@@ -254,16 +254,26 @@ def resolve_denoiser_factory(spec: str, spiked: bool):
 # SE predictions for a config
 # ---------------------------------------------------------------------------
 
-def compute_se(cfg: ExperimentConfig):
-    """Return (states, prediction rows).  Spiked rows are (t, mse_se_pred);
-    non-spiked rows are (t, r2_se_pred = Sigma_tt = E[R_t^2]).  Gaussian AMP
-    is RI-AMP under the unit semicircle, each single-memory eta read on the
-    last history row, as its runs apply it."""
+def _resolve(cfg: ExperimentConfig):
+    """(law, prior, f, factory) of a config, each resolved once (f None if unused)."""
     law = parse_law_spec(cfg.law)
     prior = parse_prior_spec(cfg.prior)
     factory = resolve_denoiser_factory(cfg.denoiser, cfg.spiked)
+    f = (resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
+         if cfg.spiked or cfg.algo in MATRIX_FN_ALGOS else None)
+    return law, prior, f, factory
+
+
+def compute_se(cfg: ExperimentConfig):
+    """Return (states, prediction rows).  Spiked rows are (t, mse_se_pred);
+    non-spiked rows are (t, r2_se_pred = Sigma_tt = E[R_t^2])."""
+    return _se(cfg, *_resolve(cfg))
+
+
+def _se(cfg: ExperimentConfig, law, prior, f, factory):
+    """compute_se on resolved inputs.  Gaussian AMP is RI-AMP under the unit
+    semicircle, each eta read on the last history row as its runs apply it."""
     if cfg.spiked:
-        f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
         init = SeInit(prior=prior, omega=cfg.omega)
         states = spiked_se(law, cfg.theta, f, factory, init, cfg.T)
         rows = [(s.t, s.mse_pred) for s in states]
@@ -274,10 +284,10 @@ def compute_se(cfg: ExperimentConfig):
             raise ValidationError("gaussian-amp requires the unit semicircle law (GOE)")
         dens = [last_row_denoiser(factory(1, None, None), t) for t in range(1, cfg.T + 1)]
         states = ri_amp_se(law, dens, init, cfg.T)
-    elif cfg.algo in MATRIX_FN_ALGOS:
-        f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
-        states = (ri_amp_mp_se(law, f, factory, init, cfg.T) if cfg.algo == "ri-amp-mp"
-                  else oamp_se(law, [f] * cfg.T, factory, init, cfg.T))
+    elif cfg.algo == "ri-amp-mp":
+        states = ri_amp_mp_se(law, f, factory, init, cfg.T)
+    elif cfg.algo == "oamp":
+        states = oamp_se(law, [f] * cfg.T, factory, init, cfg.T)
     else:
         evolve = ri_amp_se if cfg.algo == "ri-amp" else ri_amp_df_se
         states = evolve(law, factory, init, cfg.T)
@@ -303,7 +313,7 @@ def _seed(base: int, run_idx: int, stream: int) -> int:
     return base + 1_000_003 * run_idx + stream
 
 
-def _single_run(cfg: ExperimentConfig, law, f, states, grid, run_idx: int):
+def _single_run(cfg: ExperimentConfig, law, prior, f, states, grid, run_idx: int):
     """One seeded instance; returns per-iteration metric rows.
 
     `grid` holds the law's N quantile atoms, built once per run before the
@@ -311,7 +321,6 @@ def _single_run(cfg: ExperimentConfig, law, f, states, grid, run_idx: int):
     it); it is None for gaussian-amp, whose seeds draw a GOE matrix.  Every
     algo runs the denoisers its SE states built."""
     rng = np.random.default_rng(_seed(cfg.seed_base, run_idx, 0))
-    prior = parse_prior_spec(cfg.prior)
     if cfg.algo == "gaussian-amp":
         ens = goe_ensemble(cfg.N, seed=_seed(cfg.seed_base, run_idx, 1))
     else:
@@ -349,11 +358,8 @@ def run_experiment(cfg: ExperimentConfig):
     Returns (rows, se_rows, n_ok, n_divergent).  Seeds whose run raises a
     numerical failure are excluded from aggregation and counted."""
     workers = _worker_count(cfg.runs)
-    law = parse_law_spec(cfg.law)
-    f = None
-    if cfg.algo in ("ri-amp-mp", "oamp"):
-        f = resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
-    states, se_rows = compute_se(cfg)
+    law, prior, f, factory = _resolve(cfg)
+    states, se_rows = _se(cfg, law, prior, f, factory)
     grid = None
     if cfg.algo != "gaussian-amp":
         grid = law.quantile_grid(cfg.N).atoms
@@ -361,7 +367,7 @@ def run_experiment(cfg: ExperimentConfig):
 
     def task(run_idx):
         try:
-            return _single_run(cfg, law, f, states, grid, run_idx)
+            return _single_run(cfg, law, prior, f, states, grid, run_idx)
         except NumericalError as exc:
             print(f"warning: seed {run_idx} diverged and was excluded: {exc}",
                   file=sys.stderr)
@@ -583,37 +589,23 @@ def _suite_cumulants():
 
 def _suite_unfolding():
     checks = []
-    law = Semicircle()
     N, T = 300, 4
-    grid = law.quantile_grid(N).atoms
-    for variant, runner in (("ri-amp", run_ri_amp), ("ri-amp-df", run_ri_amp_df)):
+    sc, mp, f = Semicircle(), MarchenkoPastur(alpha=0.3), mp_denoise_fn(1.2, 0.3)
+    # (variant, law, runner, seed base, denoiser seed stride)
+    cases = (("ri-amp", sc, run_ri_amp, 1, 7), ("ri-amp-df", sc, run_ri_amp_df, 1, 7),
+             ("ri-amp-mp", mp, lambda M, law, *a, **k: run_ri_amp_mp(M, law, f, *a, **k), 2, 11))
+    for variant, law, runner, base, stride in cases:
+        grid = law.quantile_grid(N).atoms
         worst_rec = worst_tr = 0.0
         for s in range(3):
-            ens = build_rot_invariant(grid, seed=10 + s)
-            rng = np.random.default_rng(100 + s)
-            u1 = rng.choice([-1.0, 1.0], size=N)
-            dens = [random_lipschitz_denoiser(t, seed=7 * s + t) for t in range(1, T + 1)]
-            run = runner(ens, law, dens, u1, T, mode="grid")
-            rep = verify_unfolding(run)
+            ens = build_rot_invariant(grid, seed=10 * base + s)
+            u1 = np.random.default_rng(100 * base + s).choice([-1.0, 1.0], size=N)
+            dens = [random_lipschitz_denoiser(t, seed=stride * s + t) for t in range(1, T + 1)]
+            rep = verify_unfolding(runner(ens, law, dens, u1, T, mode="grid"))
             worst_rec = max(worst_rec, rep.max_error)
-            worst_tr = max(worst_tr, float(np.max(np.abs(rep.trace_residuals))))
+            worst_tr = max(worst_tr, float(np.max(rep.trace_residuals)))
         checks.append(_check(f"{variant} unfolding reconstruction", worst_rec, 1e-8))
         checks.append(_check(f"{variant} trace residuals", worst_tr, 1e-9))
-    worst_rec = worst_tr = 0.0
-    mp = MarchenkoPastur(alpha=0.3)
-    f = mp_denoise_fn(1.2, 0.3)
-    grid = mp.quantile_grid(N).atoms
-    for s in range(3):
-        ens = build_rot_invariant(grid, seed=20 + s)
-        rng = np.random.default_rng(200 + s)
-        u1 = rng.choice([-1.0, 1.0], size=N)
-        dens = [random_lipschitz_denoiser(t, seed=11 * s + t) for t in range(1, T + 1)]
-        run = run_ri_amp_mp(ens, mp, f, dens, u1, T, mode="grid")
-        rep = verify_unfolding(run)
-        worst_rec = max(worst_rec, rep.max_error)
-        worst_tr = max(worst_tr, float(np.max(np.abs(rep.trace_residuals))))
-    checks.append(_check("ri-amp-mp unfolding reconstruction", worst_rec, 1e-8))
-    checks.append(_check("ri-amp-mp trace residuals", worst_tr, 1e-9))
     return checks
 
 

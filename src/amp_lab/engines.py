@@ -8,18 +8,21 @@ operator, an operator as it is, or the eigendecomposition of a dense
 symmetric array.  The loop keeps the shared
 bookkeeping: iterates r_t / u_t, the orthogonal (divergence-free) residuals
 ubar_t, the empirical divergence matrix Phi_hat, and the de-biasing
-coefficients each hook subtracted at each step.  The unfolding
-verifier reconstructs every r_t as a triangular matrix of polynomials in the
-driving matrix applied to (ubar_1..ubar_t) — an exact algebraic identity when
-the de-biasing coefficients come from the realized eigenvalue grid.  It
-applies that matrix by products with the operator's core in W's eigenbasis,
-one path for spiked and non-spiked runs alike.  RI-AMP-MP's trace-free
-de-biasing rows, in the run and in the verifier, come from one row
-recursion (`freeprob._TraceFreeRows`, which state evolution shares).  Over
-a grid with one f it runs on a Lanczos (Gauss) rule of the grid's
-pushforward under f with T // 2 + 1 points, exact for the rows' polynomial
-degree; otherwise, and for the verifier's all-atom trace residuals, it runs
-at the law's quadrature nodes.
+coefficients each hook subtracted at each step.  RI-AMP-MP's trace-free
+de-biasing rows come from one row recursion (`freeprob._TraceFreeRows`,
+which state evolution shares); over a grid with one f it runs on a Lanczos
+(Gauss) rule of the grid's pushforward under f with T // 2 + 1 points,
+exact for the rows' polynomial degree, and otherwise at the law's
+quadrature nodes.
+
+RI-AMP, RI-AMP-DF and RI-AMP-MP share one template,
+r_t = f_t(M) u_t - sum_i E_{t,i} x_i with u = ubar + Phi r, so each run is
+r = V(M) ubar with V lower triangular.  The unfolding verifier replays that
+template from the run's own record (Phi, E, f): once on its ubar by
+products with the operator's core in W's eigenbasis, spiked or not, to
+reconstruct every r_t, and once at the nodes of a law (the run's debias
+law by default) for the trace residuals E_law[V], zero when the recorded
+E is trace-free under that law.
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ class AmpRun:
     @property
     def N(self) -> int:
         return self.operator.N
-
-    def phi_matrix(self, t: int) -> np.ndarray:
-        """Strictly-lower-triangular divergence matrix over u_1..u_t."""
-        return self.phi[:t, :t]
 
 
 def _check_finite(v: np.ndarray, t: int, what: str) -> None:
@@ -289,95 +288,62 @@ def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
 
 @dataclass
 class UnfoldedRepresentation:
-    """Triangular polynomial-matrix representation of a run."""
+    """How closely a run unfolds as r = V(M) ubar, V lower triangular."""
 
-    variant: str
     per_t_errors: np.ndarray  # relative l2 reconstruction error of each r_t
-    trace_residuals: np.ndarray  # T x T; |E_law[poly_{s,j}(Lambda)]|
+    trace_residuals: np.ndarray  # T x T, lower; |E_law[V_{t,j}(Lambda)]|
     max_error: float
 
 
-_FAMILY_KIND = {"RIAMP": "Q", "RIAMPDF": "H"}
-
-
-def _unfold_by_products(run: AmpRun, fam) -> np.ndarray:
-    """Columns O^T sum_j [poly]_{t,j}(M) ubar_j, W's eigenbasis coordinates
-    of the reconstruction, by products with the core D on
-    S = O^T [ubar_1..ubar_T]: diagonal without a spike, and without D's
-    eigenvectors with one.  fam is the run's polynomial family (None for
-    RI-AMP-MP).  A scalar matrix A acts on a block of columns S as S A^T."""
-    T = run.T
-    op = run.operator
-    S = op.to_spectral(np.column_stack(run.ubar[:T]))
-    Phi = run.phi_matrix(T)
-    if fam is not None:
-        # [poly]_{t,j} = sum_i (Phi^{i-1})_{t,j} P_i, P_i the family's members
-        out = np.zeros_like(S)
-        for i, P in enumerate(phi_powers(Phi, T), start=1):
-            out += op.core_function(RationalFn(coeffs=fam.coeffs[i]))(S @ P.T)
-        return out
-    # RI-AMP-MP: J = (F - E) sum_k (Phi (F - E))^k, nilpotent: k < T
+def _replay(run: AmpRun, S, times_f: Sequence[Callable]) -> list:
+    """r_1..r_T of the run's own template, replayed from S[t-1] = ubar_t:
+    u_t = ubar_t + sum_{i<t} Phi_{t,i} r_i and
+    r_t = f_t u_t - sum_{i<=t} E_{t,i} x_i, with the recorded Phi and
+    E = tril(debias), x = u (ubar for RI-AMP-DF) and times_f[t-1] applying
+    f_t.  The map is linear in S.  An entry whose leading axis is shorter
+    than its step's stands for zeros past its end, so rows started from unit
+    vectors keep only the lower triangle of V in r = V ubar."""
     E = np.tril(run.debias)
-    fs = [op.core_function(ft) for ft in run.f_schedule]
-
-    def f_minus_e(X):
-        return np.column_stack([g(X[:, t]) for t, g in enumerate(fs)]) - X @ E.T
-
-    X = acc = S
-    for _ in range(1, T):
-        X = f_minus_e(X) @ Phi.T
-        acc = acc + X
-    return f_minus_e(acc)
-
-
-def _trace_residuals(run: AmpRun, fam, law: SpectralLaw) -> np.ndarray:
-    """|E[poly entries]| over the run's realized eigenvalue law, T x T, for
-    the entries that `law` defines.  A family's entries average to
-    sum_i Phi^{i-1} E[P_i], the family built from `law`; RI-AMP-MP's are the
-    averages of the rows of J over every node of the run's law (every atom
-    in grid mode), built from the E that `law` solves for, so they check the
-    Lanczos rule's E against the all-atom averages."""
-    T = run.T
-    Phi = run.phi_matrix(T)
-    if fam is not None:
-        nodes, w = run.debias_law.quad_nodes()
-        means = [w @ fam.evaluate(i, nodes) for i in range(1, T + 1)]
-        return np.abs(np.einsum("i,isj->sj", means, phi_powers(Phi, T)))
-    E = ri_amp_mp_debias(law, run.f_schedule, Phi)
-    rows = _TraceFreeRows(run.debias_law, run.f_schedule, all_nodes=True)
-    out = np.zeros((T, T))
-    for n in range(1, T + 1):
-        rows.append(Phi[n - 1, : n - 1], E[n - 1, :n])
-        out[n - 1, :n] = np.abs(rows.mean(rows.J[-1]))
-    return out
+    x, r = [], []
+    for t, s_t in enumerate(S):
+        u_t = np.array(s_t)
+        for i, r_i in enumerate(r):
+            u_t[: len(r_i)] += run.phi[t, i] * r_i
+        x.append(s_t if run.variant == "RIAMPDF" else u_t)
+        r_t = times_f[t](u_t)
+        for i, x_i in enumerate(x):
+            r_t[: len(x_i)] -= E[t, i] * x_i
+        r.append(r_t)
+    return r
 
 
 def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRepresentation:
-    """Reconstruct each r_t as sum_j [poly]_{t,j}(M) ubar_j and report the
-    relative errors plus the trace residuals E_law[poly entries]."""
-    if law is None:
-        law = run.debias_law
-    if run.variant in _FAMILY_KIND:
-        fam = build_poly_family(law, _FAMILY_KIND[run.variant], run.T)
-    elif run.variant == "RIAMPMP":
-        fam = None
-    else:
-        raise UnsupportedVariantError(
-            f"no unfolding representation for variant {run.variant!r}"
-        )
+    """Replay the run's template r = V(M) ubar twice: at the nodes of `law`
+    from unit vectors, for the trace residuals |E_law[V_{t,j}(Lambda)]| (first,
+    so the T(T+1) node rows are freed before the reconstruction), and on its
+    own ubar in W's eigenbasis, for the relative error of each r_t.  `law`
+    defaults to the run's debias law, under which the recorded E is trace-free."""
+    if run.variant not in ("RIAMP", "RIAMPDF", "RIAMPMP"):
+        raise UnsupportedVariantError(f"no unfolding representation for variant {run.variant!r}")
+    law = run.debias_law if law is None else law
+    T, op = run.T, run.operator
+    fs = run.f_schedule or [RationalFn(coeffs=(0.0, 1.0))] * T
+    nodes, w = law.quad_nodes()
+    units = (np.eye(t + 1, 1, -t).repeat(nodes.size, axis=1) for t in range(T))  # e_t at all nodes
+    residuals = np.zeros((T, T))
+    times_f = [lambda s, v=_map_eigenvalues(f, nodes): v * s for f in fs]
+    for t, v_t in enumerate(_replay(run, units, times_f)):
+        residuals[t, : t + 1] = np.abs((v_t * w).sum(axis=1))
     # compared in W's eigenbasis: each r_t lies in the span a lazy rotation
     # has revealed, so O^T r reveals nothing, while O applied to the
     # reconstruction would record its rounding as new directions of O
-    r_hat = _unfold_by_products(run, fam)
-    R = run.operator.to_spectral(np.column_stack(run.r))
-    denom = np.maximum(np.linalg.norm(R, axis=0), 1e-300)
-    errors = np.linalg.norm(r_hat - R, axis=0) / denom
-    # trace residuals average the polynomial entries over the run's realized
-    # eigenvalue law, so a mismatched `law` (wrong cumulants) shows up here
+    S = op.to_spectral(np.column_stack(run.ubar[:T])).T
+    r_hat = np.column_stack(_replay(run, S, [op.core_function(f) for f in fs]))
+    R = op.to_spectral(np.column_stack(run.r))
+    errors = np.linalg.norm(r_hat - R, axis=0) / np.maximum(np.linalg.norm(R, axis=0), 1e-300)
     return UnfoldedRepresentation(
-        variant=run.variant,
         per_t_errors=errors,
-        trace_residuals=_trace_residuals(run, fam, law),
+        trace_residuals=residuals,
         max_error=float(errors.max()),
     )
 

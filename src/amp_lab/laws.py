@@ -148,7 +148,8 @@ class SpectralLaw:
 
     def _off_support(self, z: complex) -> complex:
         """z as a complex number; DomainError when it lies on the support.
-        Each law's `stieltjes(z)`, m(z) = E[1/(z - Lambda)], takes such a z."""
+        Each law's `stieltjes(z)`, m(z) = E[1/(z - Lambda)], and its closed-form
+        `stieltjes_derivative(z)` take such a z."""
         z = complex(z)
         lo, hi = self.support()
         if z.imag == 0.0 and lo <= z.real <= hi:
@@ -223,11 +224,6 @@ class SpectralLaw:
         """Nodes and weights with sum(w * f(x)) ~ E[f(Lambda)] for smooth f."""
         raise NotImplementedError
 
-    def stieltjes_derivative(self, z: complex, h: float = 1e-6) -> complex:
-        """m'(z) by central differencing of the Stieltjes transform."""
-        z = complex(z)
-        return (self.stieltjes(z + h) - self.stieltjes(z - h)) / (2.0 * h)
-
 
 @dataclass(frozen=True)
 class Semicircle(SpectralLaw):
@@ -263,6 +259,11 @@ class Semicircle(SpectralLaw):
         if (z.conjugate() * root).real < 0:
             root = -root
         return (z - root) / (2.0 * v)
+
+    def stieltjes_derivative(self, z: complex) -> complex:
+        # v m^2 - z m + 1 = 0, differentiated in z
+        m = self.stieltjes(z)
+        return m / (2.0 * self.variance * m - complex(z))
 
     def quad_nodes(self, n: int = 400):
         theta, w = _leggauss(n)
@@ -323,6 +324,11 @@ class MarchenkoPastur(SpectralLaw):
         # real z off the support: both roots are real, m(z) is the one near 1/z
         return m1 if abs(m1 - 1.0 / z) < abs(m2 - 1.0 / z) else m2
 
+    def stieltjes_derivative(self, z: complex) -> complex:
+        # a z m^2 - (z - 1 + a) m + 1 = 0, differentiated in z
+        m, a, z = self.stieltjes(z), self.alpha, complex(z)
+        return (m - a * m * m) / (2.0 * a * z * m - (z - 1.0 + a))
+
     def quad_nodes(self, n: int = 400):
         # lam = mid + half sin(theta), theta = x pi/2, with the distances to
         # both edges, 2 half sin^2((1 -+ x) pi/4), formed without cancellation
@@ -364,6 +370,9 @@ class DiscreteGrid(SpectralLaw):
         if z.imag == 0.0 and np.any(np.abs(self.atoms - z.real) == 0.0):
             raise DomainError(f"z={z} coincides with an atom")
         return complex(np.mean(1.0 / (z - self.atoms)))
+
+    def stieltjes_derivative(self, z: complex) -> complex:
+        return complex(-np.mean(1.0 / (complex(z) - self.atoms) ** 2))
 
     def quad_nodes(self, n: int = 400):
         return self.atoms, np.full(self.atoms.size, 1.0 / self.atoms.size)
@@ -425,6 +434,14 @@ class ExternalDensity(SpectralLaw):
         a, b, d = self.grid[:-1], self.grid[1:], self.density[:-1]
         q = np.diff(self.density) / (b - a)
         return complex(np.sum((d + q * (z - a)) * np.log((z - a) / (z - b)) - q * (b - a)))
+
+    def stieltjes_derivative(self, z: complex) -> complex:
+        """The derivative of `stieltjes`' per-segment closed form."""
+        z = self._off_support(z)
+        a, b, d = self.grid[:-1], self.grid[1:], self.density[:-1]
+        q = np.diff(self.density) / (b - a)
+        return complex(np.sum(q * np.log((z - a) / (z - b))
+                              + (d + q * (z - a)) * (1.0 / (z - a) - 1.0 / (z - b))))
 
     def expect(self, f):
         # per-segment Gauss-Legendre on f * (linear density)

@@ -85,6 +85,10 @@ class SeInit:
     def spiked(self) -> bool:
         return self.omega is not None
 
+    @property
+    def psd_tol(self) -> float:  # a spiked Sigma subtracts beta beta^T: more rounding
+        return 1e-7 if self.spiked else PSD_TOL
+
 
 @dataclass
 class SeState:
@@ -143,10 +147,16 @@ def population_moments(denoisers: Sequence[Denoiser], Sigma: np.ndarray,
     DeltaBar - alpha alpha^T stays accurate when it is tiny.
     """
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
+    _psd_check(Sigma, "Sigma", init.psd_tol)
+    return _moments(denoisers, Sigma, beta, init)
+
+
+def _moments(denoisers: Sequence[Denoiser], Sigma: np.ndarray,
+             beta: np.ndarray | None, init: SeInit) -> PopMoments:
+    """population_moments on a checked 2-d Sigma."""
     t = Sigma.shape[0]
     if len(denoisers) < t:
         raise ValidationError("denoiser schedule shorter than the horizon")
-    _psd_check(Sigma, "Sigma")
     z, wz = _gh_rule(GH_POINTS)
     # pairs take the tensor rule in row blocks, every temporary far below glibc's
     # 128 KB mmap threshold, so the time does not depend on allocation history
@@ -337,11 +347,11 @@ def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool 
             beta = np.einsum("amx,m,x->a", Vnu[:t, :t], alpha, nu_rows.w)
             Sigma += (_weighted_gram(Vnu[:t, :t], nu_rows.w, np.outer(alpha, alpha))
                       - np.outer(beta, beta))
-        _psd_check(Sigma, f"Sigma_{t}", tol=1e-7 if spiked else PSD_TOL)
+        _psd_check(Sigma, f"Sigma_{t}", init.psd_tol)
         item = denoisers[t - 1] if isinstance(denoisers, (list, tuple)) else denoisers
         den = item if isinstance(item, Denoiser) else item(t, beta, Sigma)
         built.append(den)
-        pm = population_moments(built, Sigma, beta, init)
+        pm = _moments(built, Sigma, beta, init)
         states.append(SeState(t=t, Sigma=Sigma, Phi=Phi, DeltaBar=DeltaBar, beta=beta,
                               alpha=alpha, mse_pred=pm.mse, denoiser=den))
         Phi, DeltaBar, alpha = pm.Phi, pm.DeltaBar, pm.alpha

@@ -452,9 +452,9 @@ def test_run_builds_one_quantile_grid_shared_read_only(monkeypatch):
         built.append(N)
         return orig_grid(self, N)
 
-    def recorded(cfg, law, f, states, grid, run_idx):
+    def recorded(cfg, law, prior, f, states, grid, run_idx):
         grids.append(grid)
-        return orig_run(cfg, law, f, states, grid, run_idx)
+        return orig_run(cfg, law, prior, f, states, grid, run_idx)
 
     monkeypatch.setattr(SpectralLaw, "quantile_grid", counted)
     monkeypatch.setattr(cli, "_single_run", recorded)
@@ -464,6 +464,23 @@ def test_run_builds_one_quantile_grid_shared_read_only(monkeypatch):
     assert not grids[0].flags.writeable
     with pytest.raises(ValueError):
         grids[0][0] = 0.0
+
+
+def test_run_resolves_each_input_once(tmp_path, monkeypatch):
+    # one resolution serves SE and every seed, so the law file is opened once
+    law_file = tmp_path / "atoms.txt"
+    law_file.write_text("\n".join(str(x) for x in np.linspace(0.2, 2.0, 40)) + "\n")
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    run_experiment(_cfg(law=f"file:{law_file}", matrix_fn="identity",
+                        denoiser="tanh", theta=None, omega=None, N=40, T=2))
+    assert opened.count(str(law_file)) == 1
 
 
 def test_se_command(tmp_path, capsys):

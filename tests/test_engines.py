@@ -11,7 +11,7 @@ from amp_lab.denoisers import identity_denoiser, random_lipschitz_denoiser, tanh
 from amp_lab.engines import (
     HORIZON_CAP,
     MP_DEBIAS_NODES,
-    _unfold_by_products,
+    _replay,
     as_operator,
     orthogonality_residuals,
     ri_amp_debias,
@@ -97,7 +97,7 @@ def test_mp_debias_rows_appended_per_step_match_full_solve():
     ens, u1 = _setup(law, N, 4)
     f = mp_denoise_fn(1.2, 0.3)
     run = run_ri_amp_mp(ens, law, f, _lip_dens(T, 4), u1, T, mode="grid")
-    E = ri_amp_mp_debias(run.debias_law, [f] * T, run.phi_matrix(T))
+    E = ri_amp_mp_debias(run.debias_law, [f] * T, run.phi[:T, :T])
     assert np.max(np.abs(run.debias - E)) <= 1e-12 * np.max(np.abs(E))
 
 
@@ -220,8 +220,8 @@ def test_lanczos_rule_breakdown_matches_all_atom_solve(N, kind, width):
 
 
 def test_grid_mode_trace_free_rows_are_not_n_wide(monkeypatch):
-    # the run and ri_amp_mp_debias keep no row at every atom; only the
-    # verifier's trace residuals average J over all of them
+    # the run and ri_amp_mp_debias keep no row at every atom, and the
+    # verifier replays the run's recorded rows instead of solving its own
     made = []
 
     class Recording(_TraceFreeRows):
@@ -234,12 +234,12 @@ def test_grid_mode_trace_free_rows_are_not_n_wide(monkeypatch):
     ens, u1 = _setup(law, N, seed=8)
     f = lambda x: x + 0.3 * x**2
     run = run_ri_amp_mp(ens, law, f, _lip_dens(T, seed=80), u1, T, mode="grid")
-    ri_amp_mp_debias(run.debias_law, [f] * T, run.phi_matrix(T))
+    ri_amp_mp_debias(run.debias_law, [f] * T, run.phi[:T, :T])
+    assert [all_nodes for all_nodes, _ in made] == [False, False]
+    for _, rows in made:
+        assert {a.shape[1] for a in rows.S + rows.J} == {T // 2 + 1}
     verify_unfolding(run)
-    assert [all_nodes for all_nodes, _ in made] == [False, False, False, True]
-    for all_nodes, rows in made:
-        widths = {a.shape[1] for a in rows.S + rows.J}
-        assert widths == ({N} if all_nodes else {T // 2 + 1})
+    assert len(made) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +280,8 @@ def test_unfolding_by_products_matches_dense_reference(variant):
     else:
         f = (lambda x: x + 0.3 * x**2) if variant == "ri-amp-mp-poly" else mp_denoise_fn(1.2, 0.3)
         run = run_ri_amp_mp(ens, law, f, dens, u1, T, mode="grid")
-    lam, Phi = ens.eigenvalues, run.phi_matrix(T)
+    lam, Phi = ens.eigenvalues, run.phi[:T, :T]
     if run.variant == "RIAMPMP":
-        fam = None
         F = np.vstack([f(lam) for f in run.f_schedule])
         V = np.transpose(_dense_j(F, np.tril(run.debias), Phi), (1, 2, 0))
     else:
@@ -290,7 +289,9 @@ def test_unfolding_by_products_matches_dense_reference(variant):
         vals = [np.polynomial.polynomial.polyval(lam, fam.coeffs[i]) for i in range(1, T + 1)]
         V = sum(np.linalg.matrix_power(Phi, i)[:, :, None] * vals[i] for i in range(T))
     O = ens.rotation.dense()
-    products = O @ _unfold_by_products(run, fam)
+    fs = run.f_schedule or [RationalFn(coeffs=(0.0, 1.0))] * T
+    S = ens.to_spectral(np.column_stack(run.ubar[:T])).T
+    products = O @ np.column_stack(_replay(run, S, [ens.core_function(f) for f in fs]))
     spec = O.T @ np.column_stack(run.ubar[:T])
     dense = O @ np.einsum("tjn,nj->nt", V * np.tri(T)[:, :, None], spec)
     err = np.linalg.norm(products - dense, axis=0) / np.linalg.norm(dense, axis=0)
@@ -438,13 +439,45 @@ def test_verify_unfolding_reveals_no_direction_of_the_rotation():
 
 
 def test_unfolding_population_mode_approximate():
-    # population-law cumulants are not exact at finite N, but close
+    # population-law cumulants are not the grid's at finite N, but the
+    # verifier replays the run's recorded Onsager rows, so a population-mode
+    # run reconstructs exactly and is trace-free under its population law
     law = Semicircle()
     ens, u1 = _setup(law, 500, seed=4)
     dens = _lip_dens(3, seed=60)
     run = run_ri_amp(ens, law, dens, u1, 3, mode="population")
     rep = verify_unfolding(run, law=law)
-    assert rep.max_error < 0.2
+    assert rep.max_error < 1e-12
+    assert np.max(rep.trace_residuals) < 1e-12
+
+
+def test_population_mode_run_is_not_trace_free_under_its_grid():
+    # the same run verified under its realized grid: the reconstruction does
+    # not depend on the law, the trace residuals show the cumulant mismatch
+    law = Semicircle()
+    ens, u1 = _setup(law, 500, seed=4)
+    run = run_ri_amp(ens, law, _lip_dens(3, seed=60), u1, 3, mode="population")
+    rep = verify_unfolding(run, law=DiscreteGrid(atoms=np.sort(ens.eigenvalues)))
+    assert rep.max_error <= 1e-12
+    assert np.max(rep.trace_residuals) > 1e-5
+
+
+@pytest.mark.parametrize("variant", ["ri-amp", "ri-amp-df", "ri-amp-mp"])
+def test_unfolding_reads_the_recorded_onsager_rows(variant):
+    # one recorded debias entry off by 1e-6 no longer reconstructs r
+    law = MarchenkoPastur(alpha=0.3)
+    N, T = 300, 4
+    ens, u1 = _setup(law, N, seed=25)
+    dens = _lip_dens(T, seed=250)
+    if variant == "ri-amp":
+        run = run_ri_amp(ens, law, dens, u1, T, mode="grid")
+    elif variant == "ri-amp-df":
+        run = run_ri_amp_df(ens, law, dens, u1, T, mode="grid")
+    else:
+        run = run_ri_amp_mp(ens, law, mp_denoise_fn(1.2, 0.3), dens, u1, T, mode="grid")
+    assert verify_unfolding(run).max_error <= 1e-12
+    run.debias[2, 1] += 1e-6
+    assert verify_unfolding(run).max_error > 1e-8
 
 
 def test_unfolding_breaks_with_tampered_cumulants():

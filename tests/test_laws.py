@@ -120,6 +120,40 @@ def test_find_outlier_on_a_density_table():
     assert abs(z_star - (theta + 1 / theta)) < 1e-3
 
 
+@pytest.mark.parametrize("theta", [1.2, 1.5, 3.0])
+def test_find_outlier_semicircle_closed_form(theta):
+    # the BBP outlier theta + 1/theta of weight 1 - 1/theta^2
+    z_star, weight = find_outlier(Semicircle(), theta)
+    assert abs(z_star - (theta + 1 / theta)) <= 1e-12
+    assert abs(weight - (1 - 1 / theta**2)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,theta", [(0.2, 1.5), (0.3, 1.2)])
+def test_mp_stieltjes_derivative_at_the_outlier(alpha, theta):
+    law = MarchenkoPastur(alpha=alpha)
+    z_star, weight = find_outlier(law, theta)
+    ref = -law.expect(lambda x: 1.0 / (z_star - x) ** 2)
+    mprime = law.stieltjes_derivative(z_star)
+    assert abs(mprime - ref) <= 1e-10 * abs(ref)
+    assert weight == -1.0 / (theta**2 * mprime.real)
+
+
+def test_stieltjes_derivative_of_atoms_and_tables():
+    # atoms: -mean(1/(z - a)^2) exactly; a density table: the derivative of
+    # its closed form, against a central difference of it
+    atoms = np.array([-1.0, 0.5, 2.0])
+    z = 0.1 + 0.2j
+    assert abs(DiscreteGrid(atoms=atoms).stieltjes_derivative(z)
+               + np.mean(1.0 / (z - atoms) ** 2)) < 1e-14
+    table = _semicircle_table(401)
+    for z in (2.5, -3.0, 0.3 + 0.5j):
+        h = 1e-5
+        diff = (table.stieltjes(z + h) - table.stieltjes(z - h)) / (2 * h)
+        assert abs(table.stieltjes_derivative(z) - diff) < 1e-8 * abs(diff)
+    with pytest.raises(DomainError):
+        table.stieltjes_derivative(1.0)
+
+
 def test_discrete_grid_stieltjes_exact():
     atoms = np.array([-1.0, 0.5, 2.0])
     law = DiscreteGrid(atoms=atoms)

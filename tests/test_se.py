@@ -389,6 +389,22 @@ def test_spiked_se_requires_omega():
                   lambda t, b, S: tanh_denoiser(t), init, 2)
 
 
+@pytest.mark.parametrize("spiked", [True, False])
+def test_population_moments_psd_tolerance_follows_the_init(spiked):
+    # a spiked Sigma may dip 1e-7 below PSD, any other 1e-9
+    init = SeInit(prior=make_prior("rademacher"), omega=0.3 if spiked else None)
+    dens = [tanh_denoiser(1), tanh_denoiser(2)]
+    beta = np.array([0.5, 0.2]) if spiked else None
+    small, large = np.diag([1.0, -5e-8]), np.diag([1.0, -5e-7])
+    if spiked:
+        population_moments(dens, small, beta, init)
+    else:
+        with pytest.raises(ValidationError, match="not PSD"):
+            population_moments(dens, small, beta, init)
+    with pytest.raises(ValidationError, match="not PSD"):
+        population_moments(dens, large, beta, init)
+
+
 def test_se_init_validation():
     with pytest.raises(ValidationError):
         SeInit(prior=make_prior("rademacher"), omega=1.5)
