@@ -10,7 +10,6 @@ from .errors import (
     DomainError,
     NumericalError,
     SizeLimitError,
-    UnsupportedVariantError,
     ValidationError,
 )
 from .laws import MarchenkoPastur, Semicircle, load_law_file

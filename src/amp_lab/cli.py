@@ -24,8 +24,9 @@ from . import __version__
 from .denoisers import (identity_denoiser, last_row_denoiser, linear_mmse_combining_denoiser,
                         mmse_rademacher_denoiser, random_lipschitz_denoiser,
                         tanh_denoiser)
-from .engines import (HORIZON_CAP, orthogonality_residuals, run_oamp, run_ri_amp,
-                      run_ri_amp_df, run_ri_amp_mp, ubar_divergences, verify_unfolding)
+from .engines import (HORIZON_CAP, orthogonality_residuals, ri_amp_debias, run_oamp,
+                      run_ri_amp, run_ri_amp_df, run_ri_amp_mp, ubar_divergences,
+                      verify_unfolding)
 from .errors import AmpLabError, NumericalError, ValidationError
 from .freeprob import (build_poly_family, cumulants_from_law,
                        cumulants_to_moments_nc, mc_cumulants,
@@ -72,8 +73,8 @@ def _seed_bytes(N: int, algo: str, T: int) -> int:
     temporaries.  One-worker peaks of whole `run` processes at N = 10^6
     (ri-amp, ri-amp-df, ri-amp-mp and oamp; ri-amp and ri-amp-mp also
     spiked) were at most 27, 49, 82 and 126 vectors at T = 1, 3, 6 and 10.
-    Every budget is at least 1.5 times the measured peak.  RI-AMP-MP's
-    trace-free rows add nothing of length N in grid mode: they live on a
+    Every budget is at least 1.5 times the measured peak.  The trace-free
+    Onsager rows add nothing of length N in grid mode: they live on a
     Lanczos rule of T // 2 + 1 points."""
     if algo == "gaussian-amp":
         return 66 * N * N
@@ -587,25 +588,47 @@ def _suite_cumulants():
     return checks
 
 
+def _closed_form_rows(run):
+    """The paper's Onsager matrix sum_i c_i Phi^{i-1} of RI-AMP (c the free
+    cumulants of the debias law, from its moments) or of RI-AMP-DF (c the
+    centering constants of the law's H family)."""
+    law, T = run.debias_law, run.T
+    c = (moments_to_cumulants(law.moments(T)).cumulants if run.variant == "RIAMP"
+         else build_poly_family(law, "H", T).centering)
+    return ri_amp_debias(c, run.phi[:T, :T])
+
+
 def _suite_unfolding():
+    """Every variant unfolds and is trace-free; the trace-free rows of RI-AMP
+    and RI-AMP-DF are the paper's closed-form Onsager matrices."""
     checks = []
     N, T = 300, 4
     sc, mp, f = Semicircle(), MarchenkoPastur(alpha=0.3), mp_denoise_fn(1.2, 0.3)
-    # (variant, law, runner, seed base, denoiser seed stride)
-    cases = (("ri-amp", sc, run_ri_amp, 1, 7), ("ri-amp-df", sc, run_ri_amp_df, 1, 7),
-             ("ri-amp-mp", mp, lambda M, law, *a, **k: run_ri_amp_mp(M, law, f, *a, **k), 2, 11))
-    for variant, law, runner, base, stride in cases:
+    # (variant, law, runner, seed base, denoiser seed stride, closed-form series)
+    cases = (("ri-amp", sc, run_ri_amp, 1, 7, "free-cumulant"),
+             ("ri-amp-df", sc, run_ri_amp_df, 1, 7, "H-family"),
+             ("ri-amp-mp", mp, lambda M, law, *a, **k: run_ri_amp_mp(M, law, f, *a, **k), 2, 11,
+              None),
+             ("oamp", mp, lambda M, law, dens, u1, T, mode: run_oamp(M, [f] * T, dens, u1, T),
+              3, 13, None))
+    for variant, law, runner, base, stride, series in cases:
         grid = law.quantile_grid(N).atoms
-        worst_rec = worst_tr = 0.0
+        worst_rec = worst_tr = worst_rows = 0.0
         for s in range(3):
             ens = build_rot_invariant(grid, seed=10 * base + s)
             u1 = np.random.default_rng(100 * base + s).choice([-1.0, 1.0], size=N)
             dens = [random_lipschitz_denoiser(t, seed=stride * s + t) for t in range(1, T + 1)]
-            rep = verify_unfolding(runner(ens, law, dens, u1, T, mode="grid"))
+            run = runner(ens, law, dens, u1, T, mode="grid")
+            rep = verify_unfolding(run)
             worst_rec = max(worst_rec, rep.max_error)
             worst_tr = max(worst_tr, float(np.max(rep.trace_residuals)))
+            if series:
+                worst_rows = max(worst_rows,
+                                 float(np.max(np.abs(run.debias - _closed_form_rows(run)))))
         checks.append(_check(f"{variant} unfolding reconstruction", worst_rec, 1e-8))
         checks.append(_check(f"{variant} trace residuals", worst_tr, 1e-9))
+        if series:
+            checks.append(_check(f"{variant} Onsager rows = {series} series", worst_rows, 1e-12))
     return checks
 
 

@@ -1,28 +1,33 @@
 """Iterative algorithms: RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP, and Gaussian AMP
 as RI-AMP under the unit semicircle.
 
-All variants run one loop, `_run_loop`, and differ only in a step hook that
-forms r_t from the matrix and the history.  The matrix is always a
+Every variant runs one template, long-memory OAMP,
+r_t = f_t(M) u_t - sum_i E_{t,i} x_i with u = ubar + Phi r, so each run is
+r = V(M) ubar with V lower triangular and trace-free.  RI-AMP and RI-AMP-MP
+take x = u, RI-AMP-DF and OAMP x = ubar; RI-AMP and RI-AMP-DF have
+f = identity, and OAMP has Phi = 0, applying f_t to ubar_t.  One loop,
+`_run`, keeps the shared bookkeeping: iterates r_t / u_t, the
+divergence-free residuals ubar_t, the empirical divergence matrix Phi_hat,
+and the Onsager row E_t of each step.  The matrix is always a
 `randmat.SpectralOperator`: `as_operator` takes a spiked instance's
 operator, an operator as it is, or the eigendecomposition of a dense
-symmetric array.  The loop keeps the shared
-bookkeeping: iterates r_t / u_t, the orthogonal (divergence-free) residuals
-ubar_t, the empirical divergence matrix Phi_hat, and the de-biasing
-coefficients each hook subtracted at each step.  RI-AMP-MP's trace-free
-de-biasing rows come from one row recursion (`freeprob._TraceFreeRows`,
-which state evolution shares); over a grid with one f it runs on a Lanczos
-(Gauss) rule of the grid's pushforward under f with T // 2 + 1 points,
-exact for the rows' polynomial degree, and otherwise at the law's
-quadrature nodes.
+symmetric array.
 
-RI-AMP, RI-AMP-DF and RI-AMP-MP share one template,
-r_t = f_t(M) u_t - sum_i E_{t,i} x_i with u = ubar + Phi r, so each run is
-r = V(M) ubar with V lower triangular.  The unfolding verifier replays that
-template from the run's own record (Phi, E, f): once on its ubar by
-products with the operator's core in W's eigenbasis, spiked or not, to
-reconstruct every r_t, and once at the nodes of a law (the run's debias
-law by default) for the trace residuals E_law[V], zero when the recorded
-E is trace-free under that law.
+The Onsager rows of every variant come from one row recursion
+(`freeprob._TraceFreeRows`, which state evolution shares).  For f =
+identity they are the free-cumulant rows sum_i kappa_i Phi^{i-1} (x = u)
+and RI-AMP-DF's H-family rows sum_i gamma_i Phi^{i-1} (x = ubar), which
+`ri_amp_debias` forms as a reference; for OAMP the one entry E_{t,t} is
+the centering tr f_t(W) / N.  Over a grid with one f the recursion runs
+on a Lanczos (Gauss) rule of the grid's pushforward under f with
+T // 2 + 1 points, exact for the rows' polynomial degree, and otherwise at
+the law's quadrature nodes.
+
+The unfolding verifier replays the template from the run's own record
+(Phi, E, f): once on its ubar by products with the operator's core in W's
+eigenbasis, spiked or not, to reconstruct every r_t, and once at the nodes
+of a law (the run's debias law by default) for the trace residuals
+E_law[V], zero when the recorded E is trace-free under that law.
 """
 
 from __future__ import annotations
@@ -33,14 +38,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .denoisers import Denoiser, last_row_denoiser
-from .errors import NumericalError, UnsupportedVariantError, ValidationError
-from .freeprob import (MP_DEBIAS_NODES, _TraceFreeRows, build_poly_family,
-                       moments_to_cumulants, phi_powers)
+from .errors import NumericalError, ValidationError
+from .freeprob import MP_DEBIAS_NODES, _TraceFreeRows, phi_powers
 from .laws import DiscreteGrid, Semicircle, SpectralLaw
 from .randmat import (RationalFn, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
                       dense_symmetric)
 
 HORIZON_CAP = 10
+IDENTITY = RationalFn(coeffs=(0.0, 1.0))  # the matrix function of RI-AMP and RI-AMP-DF
+_UBAR_TEMPLATE = ("RIAMPDF", "OAMP")  # variants that subtract E x with x = ubar, not u
 
 
 def as_operator(M) -> SpectralOperator:
@@ -70,7 +76,7 @@ class AmpRun:
     operator: SpectralOperator
     debias_law: SpectralLaw
     denoisers: list  # denoisers[t-1] maps r_1..r_t to u_{t+1}
-    f_schedule: list | None = None
+    f_schedule: list  # f_1..f_T of the template; IDENTITY for RI-AMP and RI-AMP-DF
 
     @property
     def T(self) -> int:
@@ -84,12 +90,6 @@ class AmpRun:
 def _check_finite(v: np.ndarray, t: int, what: str) -> None:
     if not np.all(np.isfinite(v)):
         raise NumericalError(f"{what} diverged (non-finite entries) at iteration t={t}")
-
-
-def _resolve_horizon(T: int) -> int:
-    if not 1 <= T <= HORIZON_CAP:
-        raise ValidationError(f"horizon T={T} outside [1, {HORIZON_CAP}]")
-    return T
 
 
 def _debias_law(mode: str, law: SpectralLaw | None, w_eigenvalues: np.ndarray) -> SpectralLaw:
@@ -144,41 +144,54 @@ def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
     return E
 
 
-def _prepare(M, law: SpectralLaw | None, mode: str, T: int):
-    """(T, operator, debias law) of a run: the checked horizon, the factored
-    matrix and the law whose cumulants debias it."""
-    T = _resolve_horizon(T)
+def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: str) -> AmpRun:
+    """The one iteration every variant runs: r_t = f_t(M) u_t - sum_i E_{t,i} x_i
+    with x = ubar for RI-AMP-DF and OAMP (`_UBAR_TEMPLATE`) and x = u
+    otherwise, its Onsager row E_t appended by `_TraceFreeRows` over the
+    debias law; then u_{t+1} = denoisers[t-1](r_1..r_t), its divergence row
+    and the divergence-free residual ubar_{t+1} are recorded.  OAMP has
+    Phi = 0 in its rows: its r-step takes f_t(M) ubar_t, and its one row
+    entry E_{t,t} = E_mu f_t is the centering.  The history r_1..r_T is one
+    (T, N) array whose rows are `run.r`."""
+    if not 1 <= T <= HORIZON_CAP:
+        raise ValidationError(f"horizon T={T} outside [1, {HORIZON_CAP}]")
     operator = as_operator(M)
-    return T, operator, _debias_law(mode, law, operator.eigenvalues)
-
-
-def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, f_schedule=None):
-    """The iteration every variant shares.  At step t the variant's hook
-    `r_step(t, u, ubar, phi[:t, :t])` returns r_t and the coefficient row it
-    subtracted; then u_{t+1} = denoisers[t-1](r_1..r_t), its divergence row
-    and the divergence-free residual ubar_{t+1} are recorded."""
+    if variant == "OAMP" and operator.z is not None:
+        raise ValidationError("OAMP runs on a rotationally-invariant matrix, "
+                              "not on a spiked instance")
+    dlaw = _debias_law(mode, law, operator.eigenvalues)
+    f_schedule = list(f) if isinstance(f, (list, tuple)) else [f] * T
+    if len(f_schedule) < T:
+        raise ValidationError(f"need {T} matrix functions for horizon T={T}")
+    f_schedule = f_schedule[:T]
+    distinct = {id(ft): ft for ft in f_schedule}  # an operator holds f at the N eigenvalues
+    ops = {key: operator.function(ft) for key, ft in distinct.items()}  # one per distinct f
+    f_ops = [ops[id(ft)] for ft in f_schedule]
+    x_is_ubar, oamp = variant in _UBAR_TEMPLATE, variant == "OAMP"
+    rows = _TraceFreeRows(dlaw, f_schedule, template="ubar" if x_is_ubar else "u")
     N = operator.N
     u1 = np.asarray(u1, dtype=float)
     if u1.shape != (N,):
         raise ValidationError("u_1 must be a length-N vector")
     if len(denoisers) < T:
         raise ValidationError(f"need {T} denoisers for horizon T={T}")
-    u = [u1]
-    ubar = [u1.copy()]
-    r: list = []
+    u, ubar = [u1], [u1.copy()]
+    R = np.empty((T, N))
+    r = list(R)
     phi = np.zeros((T + 1, T + 1))
     debias = np.zeros((T, T))
     diagnostics = []
     for t in range(1, T + 1):
-        r_t, row = r_step(t, u, ubar, phi[:t, :t])
+        row = rows.append(np.zeros(t - 1) if oamp else phi[t - 1, : t - 1])
+        v = ubar[t - 1] if oamp else u[t - 1]
+        r_t = _subtract(f_ops[t - 1](v), row, ubar if x_is_ubar else u)
         _check_finite(r_t, t, "r")
-        r.append(r_t)
-        debias[t - 1, : row.size] = row
+        R[t - 1] = r_t
+        debias[t - 1, :t] = row
         den = denoisers[t - 1]
-        R = np.vstack(r)
-        u_next = den.evaluate(R)
+        u_next = den.evaluate(R[:t])
         _check_finite(u_next, t, "u")
-        d = den.divergences(R)
+        d = den.divergences(R[:t])
         phi[t, :t] = d
         u.append(u_next)
         ubar.append(_subtract(u_next, d, r))  # u_{t+1} - sum_i <d_i u_{t+1}> r_i
@@ -188,35 +201,24 @@ def _run_loop(variant, operator, debias_law, denoisers, u1, T, r_step, f_schedul
             "norm_u": float(np.linalg.norm(u_next) / np.sqrt(N)),
         })
     return AmpRun(variant=variant, r=r, u=u, ubar=ubar, phi=phi, debias=debias,
-                  diagnostics=diagnostics, operator=operator, debias_law=debias_law,
+                  diagnostics=diagnostics, operator=operator, debias_law=dlaw,
                   denoisers=list(denoisers[:T]), f_schedule=f_schedule)
 
 
 def run_ri_amp(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
                u1: np.ndarray, T: int, mode: str = "grid") -> AmpRun:
-    """r_t = W u_t - sum_i b_{t,i} u_i with B_t = sum kappa_i Phi_hat^{i-1}."""
-    T, operator, dlaw = _prepare(M, law, mode, T)
-    kappa = [float(k) for k in moments_to_cumulants(dlaw.moments(T)).cumulants]
-
-    def r_step(t, u, ubar, phi_t):
-        row = ri_amp_debias(kappa[:t], phi_t)[t - 1]
-        return _subtract(operator.apply(u[t - 1]), row, u), row
-
-    return _run_loop("RIAMP", operator, dlaw, denoisers, u1, T, r_step)
+    """r_t = W u_t - sum_i b_{t,i} u_i with B_t trace-free, which is
+    sum_i kappa_i Phi_hat^{i-1} for the free cumulants kappa of the law:
+    RI-AMP-MP with f = identity."""
+    return _run("RIAMP", M, law, IDENTITY, denoisers, u1, T, mode)
 
 
 def run_ri_amp_df(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
                   u1: np.ndarray, T: int, mode: str = "grid") -> AmpRun:
-    """r_t = W u_t - sum_i c_{t,i} ubar_i with C_t = sum gamma_i Phi_hat^{i-1};
-    gamma are the one-step centering constants of the H family."""
-    T, operator, dlaw = _prepare(M, law, mode, T)
-    gamma = list(build_poly_family(dlaw, "H", T).centering)
-
-    def r_step(t, u, ubar, phi_t):
-        row = ri_amp_debias(gamma[:t], phi_t)[t - 1]
-        return _subtract(operator.apply(u[t - 1]), row, ubar), row
-
-    return _run_loop("RIAMPDF", operator, dlaw, denoisers, u1, T, r_step)
+    """r_t = W u_t - sum_i c_{t,i} ubar_i with C_t trace-free, which is
+    sum_i gamma_i Phi_hat^{i-1} for the one-step centering constants gamma
+    of the H family."""
+    return _run("RIAMPDF", M, law, IDENTITY, denoisers, u1, T, mode)
 
 
 def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
@@ -225,20 +227,7 @@ def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
     over the (grid or population) law of W.  M may be a spiked instance, in
     which case f_t(Y) is applied in W's eigenbasis and each f_t must be a
     RationalFn."""
-    T, operator, dlaw = _prepare(M, law, mode, T)
-    f_schedule = list(f) if isinstance(f, (list, tuple)) else [f] * T
-    if len(f_schedule) < T:
-        raise ValidationError("f schedule shorter than horizon")
-    f_schedule = f_schedule[:T]
-    f_ops = [operator.function(ft) for ft in f_schedule]
-    rows = _TraceFreeRows(dlaw, f_schedule)
-
-    def r_step(t, u, ubar, phi_t):
-        row = rows.append(phi_t[t - 1, : t - 1])
-        return _subtract(f_ops[t - 1](u[t - 1]), row, u), row
-
-    return _run_loop("RIAMPMP", operator, dlaw, denoisers, u1, T, r_step,
-                     f_schedule=f_schedule)
+    return _run("RIAMPMP", M, law, f, denoisers, u1, T, mode)
 
 
 def run_gaussian_amp(M, denoisers: Sequence[Denoiser], u1: np.ndarray, T: int) -> AmpRun:
@@ -261,25 +250,11 @@ def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
     xbar_{t+1} = g_{t+1}(x_1..x_t) - sum_i <d_i g> x_i.
 
     Stored in the shared run layout with x_t in the `r` slot, g_{t+1} in `u`
-    and xbar_t in `ubar`.  The x-step subtracts nothing, so the `debias`
-    rows are zero.  M is not a spiked instance: the trace-free centering
-    needs the spectrum of f_t(M)."""
-    T, operator, dlaw = _prepare(M, None, "grid", T)
-    if operator.z is not None:
-        raise ValidationError("OAMP runs on a rotationally-invariant matrix, "
-                              "not on a spiked instance")
-    if len(f_schedule) < T:
-        raise ValidationError(f"need {T} matrix denoisers for horizon T={T}")
-    centered = []
-    for f in f_schedule[:T]:
-        mean = _map_eigenvalues(f, operator.eigenvalues).mean()  # exact trace-free centering
-        centered.append(operator.function(lambda x, f=f, mean=mean: f(x) - mean))
-
-    def r_step(t, u, ubar, phi_t):
-        return centered[t - 1](ubar[t - 1]), np.zeros(t)
-
-    return _run_loop("OAMP", operator, dlaw, g_schedule, xbar1, T, r_step,
-                     f_schedule=list(f_schedule[:T]))
+    and xbar_t in `ubar`.  The x-step is the shared template with Phi = 0
+    and x = xbar, so row t of `debias` holds tr f_t(W)/N on its diagonal.
+    M is not a spiked instance: the trace-free centering needs the spectrum
+    of f_t(M)."""
+    return _run("OAMP", M, None, list(f_schedule), g_schedule, xbar1, T, "grid")
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +273,20 @@ class UnfoldedRepresentation:
 def _replay(run: AmpRun, S, times_f: Sequence[Callable]) -> list:
     """r_1..r_T of the run's own template, replayed from S[t-1] = ubar_t:
     u_t = ubar_t + sum_{i<t} Phi_{t,i} r_i and
-    r_t = f_t u_t - sum_{i<=t} E_{t,i} x_i, with the recorded Phi and
-    E = tril(debias), x = u (ubar for RI-AMP-DF) and times_f[t-1] applying
-    f_t.  The map is linear in S.  An entry whose leading axis is shorter
-    than its step's stands for zeros past its end, so rows started from unit
-    vectors keep only the lower triangle of V in r = V ubar."""
+    r_t = f_t u_t - sum_{i<=t} E_{t,i} x_i, with the recorded Phi (0 for
+    OAMP) and E = tril(debias), x = u (ubar for RI-AMP-DF and OAMP) and
+    times_f[t-1] applying f_t.  The map is linear in S.  An entry whose
+    leading axis is shorter than its step's stands for zeros past its end,
+    so rows started from unit vectors keep only the lower triangle of V in
+    r = V ubar."""
     E = np.tril(run.debias)
+    phi = np.zeros_like(run.phi) if run.variant == "OAMP" else run.phi
     x, r = [], []
     for t, s_t in enumerate(S):
         u_t = np.array(s_t)
         for i, r_i in enumerate(r):
-            u_t[: len(r_i)] += run.phi[t, i] * r_i
-        x.append(s_t if run.variant == "RIAMPDF" else u_t)
+            u_t[: len(r_i)] += phi[t, i] * r_i
+        x.append(s_t if run.variant in _UBAR_TEMPLATE else u_t)
         r_t = times_f[t](u_t)
         for i, x_i in enumerate(x):
             r_t[: len(x_i)] -= E[t, i] * x_i
@@ -323,11 +300,8 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
     so the T(T+1) node rows are freed before the reconstruction), and on its
     own ubar in W's eigenbasis, for the relative error of each r_t.  `law`
     defaults to the run's debias law, under which the recorded E is trace-free."""
-    if run.variant not in ("RIAMP", "RIAMPDF", "RIAMPMP"):
-        raise UnsupportedVariantError(f"no unfolding representation for variant {run.variant!r}")
     law = run.debias_law if law is None else law
-    T, op = run.T, run.operator
-    fs = run.f_schedule or [RationalFn(coeffs=(0.0, 1.0))] * T
+    T, op, fs = run.T, run.operator, run.f_schedule
     nodes, w = law.quad_nodes()
     units = (np.eye(t + 1, 1, -t).repeat(nodes.size, axis=1) for t in range(T))  # e_t at all nodes
     residuals = np.zeros((T, T))

@@ -20,7 +20,3 @@ class DomainError(AmpLabError):
 
 class SizeLimitError(ValidationError):
     """Combinatorial input exceeds the configured order cap."""
-
-
-class UnsupportedVariantError(ValidationError):
-    """The requested operation has no defined behavior for this algorithm variant."""

@@ -348,15 +348,21 @@ def _jacobi_matrix(values: np.ndarray, k: int) -> np.ndarray:
 
 
 class _TraceFreeRows:
-    """Rows of S = (I - Phi (F - E))^{-1} and J = (F - E) S over a law,
-    appended one per step.
+    """Onsager rows E of the template r_t = f_t u_t - sum_i E_{t,i} x_i,
+    u = ubar + Phi r, over a law, appended one per step with the rows of
+    u = S ubar and r = J ubar.  `template` picks x = u ("u": RI-AMP,
+    RI-AMP-MP) or x = ubar ("ubar": RI-AMP-DF, OAMP).
 
     S is unit lower triangular and S = I + Phi J, so row n of S needs only
     the earlier rows of J: S_n = e_n + sum_{k<n} Phi_{n,k} J_k.  Row n of J
-    is J_n = f_n S_n - sum_{m<=n} E_{n,m} S_m, and E_mu[J_n] = 0 is the
-    unit-triangular system E_mu[S]^T e = E_mu[f_n S_n] for row n of E.  Each
-    row costs O(width n^2); S_n and J_n are kept as (n, width) arrays, and
-    `mean` takes E_mu of their entries.
+    is J_n = f_n S_n - sum_{m<=n} E_{n,m} X_m, X = S for x = u and X = I
+    for x = ubar, so E_mu[J_n] = 0 is the unit-triangular system
+    E_mu[S]^T e = E_mu[f_n S_n] for x = u and the explicit row
+    e = E_mu[f_n S_n] for x = ubar.  With f = identity the rows of E are
+    sum_i kappa_i Phi^{i-1} for x = u (kappa the free cumulants) and
+    sum_i gamma_i Phi^{i-1} for x = ubar (gamma the H family's centering
+    constants).  Each row costs O(width n^2); S_n and J_n are kept as
+    (n, width) arrays, and `mean` takes E_mu of their entries.
 
     Each entry is a polynomial of degree <= T in f_1..f_T.  Over a
     DiscreteGrid with one f (all f_t the same object) an entry p is kept as
@@ -369,8 +375,10 @@ class _TraceFreeRows:
     grows with log(width) rather than width."""
 
     def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable],
-                 n_nodes: int = MP_DEBIAS_NODES, all_nodes: bool = False):
+                 n_nodes: int = MP_DEBIAS_NODES, all_nodes: bool = False,
+                 template: str = "u"):
         T = len(f_schedule)
+        self.x_is_ubar = template == "ubar"
         if (not all_nodes and isinstance(law, DiscreteGrid)
                 and all(ft is f_schedule[0] for ft in f_schedule)):
             jac = _jacobi_matrix(_map_eigenvalues(f_schedule[0], law.atoms), T // 2 + 1)
@@ -400,9 +408,13 @@ class _TraceFreeRows:
         self.S.append(s)
         self.S_mean[n - 1, :n] = self.mean(s)
         if e_row is None:  # E_mu[S] is lower triangular, diagonal sum(w)
-            e_row = np.linalg.solve(self.S_mean[:n, :n].T, self.mean(j))
-        for m, s_m in enumerate(self.S):
-            j[: m + 1] -= e_row[m] * s_m
+            e_row = (self.mean(j) if self.x_is_ubar
+                     else np.linalg.solve(self.S_mean[:n, :n].T, self.mean(j)))
+        if self.x_is_ubar:
+            j -= e_row[:, None] * self.one
+        else:
+            for m, s_m in enumerate(self.S):
+                j[: m + 1] -= e_row[m] * s_m
         self.J.append(j)
         return e_row
 

@@ -61,11 +61,12 @@ class _RevealedPairs:
 
 def _project_off(v: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, r) with v = Q^T c + r and r orthogonal to the orthonormal rows of
-    Q: classical Gram-Schmidt, twice (CGS2)."""
+    Q, for v a vector (N,) or a block of columns (N, m): classical
+    Gram-Schmidt, twice (CGS2)."""
     c = Q @ v
-    r = v - c @ Q
+    r = v - (c.T @ Q).T
     c2 = Q @ r
-    r -= c2 @ Q
+    r -= (c2.T @ Q).T
     return c + c2, r
 
 
@@ -108,16 +109,24 @@ class LazyHaarRotation:
         return replace(self, transposed=not self.transposed)
 
     def __matmul__(self, x) -> np.ndarray:
-        """O @ x (O.T @ x when transposed) for x of shape (N,) or (N, m);
-        the m columns are queried in order."""
+        """O @ x (O.T @ x when transposed) for x of shape (N,) or (N, m); the
+        m columns are queried in order.  The columns before the first with a
+        new direction reveal nothing, so their answers come from one block
+        projection; the rest are queried one by one."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[0] != self.N:
             raise ValidationError(f"cannot apply an {self.N}x{self.N} rotation "
                                   f"to shape {x.shape}")
         if x.ndim == 1:
             return self._query(x)
+        P = self.pairs
+        src, dst = P.rows[int(self.transposed), :P.k], P.rows[1 - int(self.transposed), :P.k]
+        c, r = _project_off(x, src)
+        new = np.linalg.norm(r, axis=0) > RANK_TOL * np.linalg.norm(x, axis=0)
+        first = int(np.argmax(new)) if P.k < self.N and new.any() else x.shape[1]
         y = np.empty_like(x)
-        for j in range(x.shape[1]):
+        y[:, :first] = (c[:, :first].T @ dst).T
+        for j in range(first, x.shape[1]):
             y[:, j] = self._query(x[:, j])
         return y
 

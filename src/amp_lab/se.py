@@ -4,8 +4,8 @@ One recursion, `_evolve`, serves RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP and the
 spiked model; Gaussian AMP is RI-AMP under the unit semicircle.  Every
 variant is long-memory OAMP, r_t = sum_s V_{t,s}(W) ubar_s with V
 trace-free, and the recursion appends row t of V at the law's quadrature
-nodes (and at nu's, with a spike) from the rows the runs use
-(`freeprob._TraceFreeRows`; RI-AMP-DF's H family), then integrates Sigma_t.
+nodes (and at nu's, with a spike) by the row recursion the runs use
+(`freeprob._TraceFreeRows`), then integrates Sigma_t.
 `theorem_sigma`, `fan_se_form` and `gaussian_amp_se` stay as closed-form
 references.
 
@@ -298,23 +298,6 @@ def fan_se_form(kappa: Sequence[float], Phi: np.ndarray, Delta: np.ndarray) -> n
 # the SE core: every variant in the long-memory OAMP form
 # ---------------------------------------------------------------------------
 
-class _FamilyRows:
-    """Rows of V = sum_i H_i(Lambda) Phi^{i-1} at the law's nodes, appended
-    like `_TraceFreeRows` rows, for RI-AMP-DF's polynomial family H:
-    row n takes rows n of Phi^0..Phi^{n-1} against H_1..H_n."""
-
-    def __init__(self, law: SpectralLaw, T: int):
-        fam = build_poly_family(law, "H", T)
-        nodes, self.w = law.quad_nodes()
-        self.vals = np.vstack([fam.evaluate(i, nodes) for i in range(1, T + 1)])
-        self.Phi, self.J = np.zeros((T, T)), []
-
-    def append(self, phi_row: np.ndarray, e_row=None) -> None:
-        n = len(self.J) + 1
-        self.Phi[n - 1, : n - 1] = phi_row
-        self.J.append(phi_powers(self.Phi[:n, :n], n)[:, n - 1].T @ self.vals[:n])
-
-
 def _weighted_gram(V: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
     """sum_x w_x V(x) D V(x)^T for V of shape (t, t, nodes)."""
     return np.einsum("anx,bnx,x->ab", np.einsum("amx,mn->anx", V, D), V, w)
@@ -366,8 +349,10 @@ def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState
 
 
 def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
-    """State evolution of RI-AMP-DF: the rows of its H family."""
-    return _evolve(_FamilyRows(law, T), denoisers, init, T)
+    """State evolution of RI-AMP-DF: the x = ubar trace-free rows of
+    f = identity (their E is its H-family Onsager matrix)."""
+    rows = _TraceFreeRows(law, [lambda x: x] * T, all_nodes=True, template="ubar")
+    return _evolve(rows, denoisers, init, T)
 
 
 def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,

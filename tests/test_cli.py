@@ -546,6 +546,16 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 1
 
 
+def test_verify_unfolding_covers_every_variant_and_the_closed_forms(capsys):
+    # OAMP unfolds like the others, and the trace-free rows of RI-AMP and
+    # RI-AMP-DF are checked against the paper's closed-form series
+    assert main(["verify", "--suite", "unfolding"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["suites"]["unfolding"]]
+    assert "oamp unfolding reconstruction" in names
+    assert "ri-amp Onsager rows = free-cumulant series" in names
+    assert "ri-amp-df Onsager rows = H-family series" in names
+
+
 def test_random_lipschitz_se_matches_runs():
     # the term-wise quadrature against runs: semicircle RI-AMP with a
     # random-lipschitz schedule, 12 seeds at N=2000, every t within 3 standard

@@ -2,6 +2,7 @@
 exactness, cross-variant consistency, and the run record."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from amp_lab.engines import (
     verify_unfolding,
 )
 from amp_lab.errors import DomainError, ValidationError
-from amp_lab.freeprob import _TraceFreeRows, build_poly_family, cumulants_from_law
+from amp_lab.freeprob import (_TraceFreeRows, build_poly_family, cumulants_from_law,
+                              cumulants_to_moments_nc, moments_to_cumulants)
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
 from amp_lab.randmat import (RationalFn, SpectralOperator, build_rot_invariant, build_spiked,
                              goe_ensemble, make_prior, sample_goe)
@@ -74,6 +76,62 @@ def test_mp_debias_identity_f_matches_cumulant_series():
     assert np.max(np.abs(E - B)) < 1e-10
 
 
+@pytest.mark.parametrize("mode", ["grid", "population"])
+@pytest.mark.parametrize("law", [Semicircle(), MarchenkoPastur(alpha=0.3)])
+def test_run_rows_are_the_closed_form_onsager_matrices(law, mode):
+    # the paper's theorem: the trace-free rows of f = identity are
+    # sum_i kappa_i Phi^(i-1) for x = u (free cumulants from the moments) and
+    # sum_i gamma_i Phi^(i-1) for x = ubar (the H family's centering)
+    T = HORIZON_CAP
+    ens, u1 = _setup(law, 300, seed=27)
+    a = run_ri_amp(ens, law, _lip_dens(T, seed=270), u1, T, mode=mode)
+    kappa = [float(k) for k in moments_to_cumulants(a.debias_law.moments(T)).cumulants]
+    assert np.max(np.abs(a.debias - ri_amp_debias(kappa, a.phi[:T, :T]))) <= 1e-12
+    ens, u1 = _setup(law, 300, seed=28)
+    b = run_ri_amp_df(ens, law, _lip_dens(T, seed=280), u1, T, mode=mode)
+    gamma = build_poly_family(b.debias_law, "H", T).centering
+    assert np.max(np.abs(b.debias - ri_amp_debias(gamma, b.phi[:T, :T]))) <= 1e-12
+
+
+def _exact_series(moments, T):
+    """Free cumulants kappa_1..kappa_T and H-family centering constants
+    gamma_1..gamma_T of exact moments m_1..m_T, as floats."""
+    kappa = moments_to_cumulants(moments).cumulants
+    m = [Fraction(1)] + list(moments)
+    H, gamma = [Fraction(1)], []  # coefficients of H_{n-1}
+    for _ in range(T):
+        gamma.append(sum(c * m[i + 1] for i, c in enumerate(H)))  # E[Lambda H_{n-1}]
+        H = [-gamma[-1]] + H  # H_n = Lambda H_{n-1} - gamma_n
+    return [float(k) for k in kappa], [float(g) for g in gamma]
+
+
+@pytest.mark.parametrize("case", ["grid", "population"])
+def test_trace_free_rows_match_exact_series(case):
+    # against the series of exact cumulants the rows err by rounding alone;
+    # the float moment-to-cumulant recursion is 2.9e-14 off on this grid and
+    # 1.4e-14 on the population law
+    mp = MarchenkoPastur(alpha=0.3)
+    T = HORIZON_CAP
+    ens, u1 = _setup(mp, 1000, seed=0)
+    Phi = run_ri_amp(ens, mp, _lip_dens(T, seed=0), u1, T, mode="grid").phi[:T, :T]
+    if case == "grid":
+        law = mp.quantile_grid(100)
+        atoms = [Fraction(float(a)) for a in law.atoms]
+        moments = [sum(a**n for a in atoms) / len(atoms) for n in range(1, T + 1)]
+        kappa, gamma = _exact_series(moments, T)
+    else:
+        law = mp
+        kappa = [0.3 ** (n - 1) for n in range(1, T + 1)]
+        exact = [Fraction(3, 10) ** (n - 1) for n in range(1, T + 1)]
+        gamma = _exact_series(cumulants_to_moments_nc(exact), T)[1]
+    for template, series in (("u", kappa), ("ubar", gamma)):
+        rows = _TraceFreeRows(law, [lambda x: x] * T, template=template)
+        E = np.zeros((T, T))
+        for n in range(1, T + 1):
+            E[n - 1, :n] = rows.append(Phi[n - 1, : n - 1])
+        assert np.max(np.abs(E - ri_amp_debias(series, Phi))) <= 1e-14
+
+
 def test_mp_debias_constant_schedule_is_pushforward_cumulants():
     law = MarchenkoPastur(alpha=0.25)
     f = mp_denoise_fn(1.2, 0.25)
@@ -83,7 +141,6 @@ def test_mp_debias_constant_schedule_is_pushforward_cumulants():
     E = ri_amp_mp_debias(law, [f] * t, phi)
     nodes, w = law.quad_nodes()
     fmoms = [float(w @ np.asarray(f(nodes)) ** n) for n in range(1, t + 1)]
-    from amp_lab.freeprob import moments_to_cumulants
     kap = [float(k) for k in moments_to_cumulants(fmoms).cumulants]
     direct = sum(kap[i] * np.linalg.matrix_power(phi, i) for i in range(t))
     assert np.max(np.abs(E - direct)) < 1e-8
@@ -462,7 +519,7 @@ def test_population_mode_run_is_not_trace_free_under_its_grid():
     assert np.max(rep.trace_residuals) > 1e-5
 
 
-@pytest.mark.parametrize("variant", ["ri-amp", "ri-amp-df", "ri-amp-mp"])
+@pytest.mark.parametrize("variant", ["ri-amp", "ri-amp-df", "ri-amp-mp", "oamp"])
 def test_unfolding_reads_the_recorded_onsager_rows(variant):
     # one recorded debias entry off by 1e-6 no longer reconstructs r
     law = MarchenkoPastur(alpha=0.3)
@@ -473,11 +530,27 @@ def test_unfolding_reads_the_recorded_onsager_rows(variant):
         run = run_ri_amp(ens, law, dens, u1, T, mode="grid")
     elif variant == "ri-amp-df":
         run = run_ri_amp_df(ens, law, dens, u1, T, mode="grid")
-    else:
+    elif variant == "ri-amp-mp":
         run = run_ri_amp_mp(ens, law, mp_denoise_fn(1.2, 0.3), dens, u1, T, mode="grid")
+    else:
+        run = run_oamp(ens, [mp_denoise_fn(1.2, 0.3)] * T, dens, u1, T)
     assert verify_unfolding(run).max_error <= 1e-12
     run.debias[2, 1] += 1e-6
     assert verify_unfolding(run).max_error > 1e-8
+
+
+@pytest.mark.parametrize("law", [Semicircle(), MarchenkoPastur(alpha=0.3)])
+def test_oamp_unfolds_exactly(law):
+    # OAMP is the shared template with Phi = 0: x_t = V_{t,t}(W) xbar_t with
+    # V_{t,t} = f_t - E_mu f_t, a different f at each step
+    N, T = 400, HORIZON_CAP
+    ens, u1 = _setup(law, N, seed=26)
+    fs = [RationalFn(coeffs=(0.1 * t, 1.0, -0.2 + 0.05 * t)) for t in range(T)]
+    run = run_oamp(ens, fs, _lip_dens(T, seed=260), u1, T)
+    rep = verify_unfolding(run)
+    assert rep.max_error <= 1e-13
+    assert np.max(rep.trace_residuals) <= 1e-13
+    assert ubar_divergences(run) <= 1e-13
 
 
 def test_unfolding_breaks_with_tampered_cumulants():
@@ -527,15 +600,20 @@ def test_cross_variant_first_step_identical():
 
 
 def test_mp_identity_f_equals_ri_amp_trajectory():
-    law = MarchenkoPastur(alpha=0.2)
-    ens, u1 = _setup(law, 250, seed=9)
+    # RI-AMP is RI-AMP-MP with f = identity, bit for bit: one template and
+    # one row recursion, each run on its own ensemble drawn from one seed
     T = 4
     dens = _lip_dens(T, seed=90)
-    a = run_ri_amp(ens, law, dens, u1, T, mode="grid")
-    b = run_ri_amp_mp(ens, law, lambda x: x, dens, u1, T, mode="grid")
-    for t in range(T):
-        assert np.max(np.abs(a.r[t] - b.r[t])) < 1e-9
-        assert np.max(np.abs(a.u[t + 1] - b.u[t + 1])) < 1e-9
+    for law in (Semicircle(), MarchenkoPastur(alpha=0.2)):
+        for mode in ("grid", "population"):
+            ens, u1 = _setup(law, 250, seed=9)
+            a = run_ri_amp(ens, law, dens, u1, T, mode=mode)
+            twin, _ = _setup(law, 250, seed=9)
+            b = run_ri_amp_mp(twin, law, lambda x: x, dens, u1, T, mode=mode)
+            for name in ("r", "u", "ubar"):
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(getattr(a, name), getattr(b, name)))
+            assert np.array_equal(a.debias, b.debias)
 
 
 def test_goe_population_debias_equals_divergence_matrix():
@@ -636,7 +714,9 @@ def test_oamp_ubar_divergences_detect_tampered_phi():
     T = 3
     run = run_oamp(ens, [lambda x: x] * T, _lip_dens(T, seed=130), u1, T)
     assert ubar_divergences(run) < 1e-12
-    assert not np.any(run.debias)  # the x-step subtracts nothing
+    # the x-step subtracts only its centering tr f_t(W) / N times xbar_t
+    centering = np.eye(T) * ens.eigenvalues.mean()
+    assert np.max(np.abs(run.debias - centering)) <= 1e-15
     run.phi[2, :2] += 1.0
     assert ubar_divergences(run) >= 0.5
 

@@ -108,6 +108,29 @@ def test_lazy_haar_rotation_round_trip():
     assert np.max(np.abs(rot @ (rot.T @ y) - y)) < 1e-13
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_lazy_haar_block_query_matches_column_queries(transposed):
+    # a block is projected at once up to its first new direction and then
+    # queried column by column; its twin rotation, queried one column at a
+    # time, reveals the same pairs and gives the same answers to rounding
+    N = 200
+    rng = np.random.default_rng(9)
+    rots = [sample_haar_rotation(N, seed=10) for _ in range(2)]
+    start = rng.standard_normal((N, 3))
+    for rot in rots:
+        rot @ start
+    a, b = (rot.T if transposed else rot for rot in rots)
+    seen = rots[0].pairs.rows[int(transposed), :3]  # the revealed span on a's input side
+    block = np.column_stack([seen.T @ rng.standard_normal(3), rng.standard_normal(N),
+                             seen.T @ rng.standard_normal(3)])
+    by_block = a @ block
+    by_column = np.column_stack([b @ block[:, j] for j in range(3)])
+    assert rots[0].pairs.k == rots[1].pairs.k == 4
+    assert np.max(np.abs(by_block - by_column)) <= 1e-13
+    later = rng.standard_normal((N, 2))
+    assert np.max(np.abs(a @ later - np.column_stack([b @ later[:, 0], b @ later[:, 1]]))) <= 1e-13
+
+
 @pytest.mark.parametrize("law", ["semicircle", "mp:alpha=0.3", "point:c=1.5",
                                  "five-atoms"])
 def test_lazy_haar_w_powers_match_dense(law):
