@@ -74,8 +74,9 @@ def _seed_bytes(N: int, algo: str, T: int) -> int:
     (ri-amp, ri-amp-df, ri-amp-mp and oamp; ri-amp and ri-amp-mp also
     spiked) were at most 27, 49, 82 and 126 vectors at T = 1, 3, 6 and 10.
     Every budget is at least 1.5 times the measured peak.  The trace-free
-    Onsager rows add nothing of length N in grid mode: they live on a
-    Lanczos rule of T // 2 + 1 points."""
+    Onsager rows keep nothing of length N in grid mode: they live on a
+    Gauss rule of T + 1 points, whose Lanczos build holds T + 1 transient
+    vectors."""
     if algo == "gaussian-amp":
         return 66 * N * N
     return 8 * N * 16 * (T + 2)

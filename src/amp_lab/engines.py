@@ -18,10 +18,9 @@ The Onsager rows of every variant come from one row recursion
 identity they are the free-cumulant rows sum_i kappa_i Phi^{i-1} (x = u)
 and RI-AMP-DF's H-family rows sum_i gamma_i Phi^{i-1} (x = ubar), which
 `ri_amp_debias` forms as a reference; for OAMP the one entry E_{t,t} is
-the centering tr f_t(W) / N.  Over a grid with one f the recursion runs
-on a Lanczos (Gauss) rule of the grid's pushforward under f with
-T // 2 + 1 points, exact for the rows' polynomial degree, and otherwise at
-the law's quadrature nodes.
+the centering tr f_t(W) / N.  With one f the recursion runs on the
+T + 1 point Gauss rule of the debias law's pushforward under f, exact for
+the rows' polynomial degree, and otherwise at the law's quadrature nodes.
 
 The unfolding verifier replays the template from the run's own record
 (Phi, E, f): once on its ubar by products with the operator's core in W's
@@ -39,7 +38,7 @@ import numpy as np
 
 from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, ValidationError
-from .freeprob import MP_DEBIAS_NODES, _TraceFreeRows, phi_powers
+from .freeprob import _TraceFreeRows, phi_powers
 from .laws import DiscreteGrid, Semicircle, SpectralLaw
 from .randmat import (RationalFn, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
                       dense_symmetric)
@@ -119,29 +118,6 @@ def ri_amp_debias(kappa: Sequence[float], phi_hat: np.ndarray) -> np.ndarray:
     for i, P in enumerate(phi_powers(phi_hat, t)):
         B += float(kappa[i]) * P
     return B
-
-
-def ri_amp_mp_debias(law: SpectralLaw, f_schedule: Sequence[Callable],
-                     phi_hat: np.ndarray, n_nodes: int = MP_DEBIAS_NODES) -> np.ndarray:
-    """Unique lower-triangular E_t with E_mu[J(Lambda)] = 0, where
-    J = (F - E)(I - Phi_hat (F - E))^{-1}, F(lambda) = diag(f_1..f_t)(lambda).
-
-    Solved row by row (`_TraceFreeRows`): row n depends only on the leading
-    n x n blocks of Phi_hat and E, so the rows of E_t are those of E_{t-1}
-    with one row appended.  Over a DiscreteGrid with one f (every f_t the
-    same object) the rows live on a Lanczos rule of T // 2 + 1 points.
-    """
-    phi_hat = np.atleast_2d(np.asarray(phi_hat, dtype=float))
-    t = phi_hat.shape[0]
-    if len(f_schedule) != t:
-        raise ValidationError("f schedule length must match phi_hat size")
-    if np.any(np.abs(np.triu(phi_hat)) > 0):
-        raise ValidationError("phi_hat must be strictly lower triangular")
-    rows = _TraceFreeRows(law, f_schedule, n_nodes)
-    E = np.zeros((t, t))
-    for n in range(1, t + 1):
-        E[n - 1, :n] = rows.append(phi_hat[n - 1, : n - 1])
-    return E
 
 
 def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: str) -> AmpRun:

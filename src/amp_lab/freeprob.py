@@ -20,13 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .laws import DiscreteGrid, SpectralLaw, catalan  # noqa: F401 (re-exported)
+from .laws import SpectralLaw, catalan  # noqa: F401 (re-exported)
 from .randmat import _map_eigenvalues, dense_symmetric
 
 NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
-# quadrature nodes of trace-free rows under a population law; no effect on a
-# grid, whose rows use every atom or the Lanczos rule of its pushforward
+# quadrature nodes of a population law's trace-free rows, before a one-f
+# schedule reduces them to the Gauss rule of the pushforward
 MP_DEBIAS_NODES = 400
 
 
@@ -313,20 +313,22 @@ def build_poly_family(
 # trace-free rows (the long-memory OAMP form of every variant)
 # ---------------------------------------------------------------------------
 
-def _jacobi_matrix(values: np.ndarray, k: int) -> np.ndarray:
-    """Jacobi matrix of the equal-weight law of `values`, at most k x k.
+def _gauss_rule(values: np.ndarray, weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule, at most k points, of the measure
+    with mass `weights` at `values`.
 
-    k steps of Lanczos on diag(values) from the normalized ones vector, with
-    full reorthogonalization (twice against every earlier vector), stopped
-    early when the new vector vanishes: then the law has as many distinct
-    values as steps taken and the rule reproduces it.  With Jac the result,
-    e_1^T p(Jac) e_1 = mean(p(values)) for every polynomial p of degree
-    <= 2 k - 1 (Golub & Welsch, Math. Comp. 23, 1969), and no
-    eigendecomposition is needed to use it."""
-    N = values.size
-    k = min(k, N)
-    Q = np.empty((k, N))
-    Q[0] = 1.0 / np.sqrt(N)
+    k steps of Lanczos on diag(values) from sqrt(weights / mass), with full
+    reorthogonalization (twice against every earlier vector), stopped early
+    when the new vector vanishes: then the measure has as many distinct
+    values as steps taken and the rule reproduces it.  The nodes are the
+    eigenvalues of the Jacobi matrix and the weights mass times the squared
+    first components of its eigenvectors; the rule integrates every
+    polynomial of degree <= 2 k - 1 as the measure does (Golub & Welsch,
+    Math. Comp. 23, 1969)."""
+    mass = float(weights.sum())
+    k = min(k, values.size)
+    Q = np.empty((k, values.size))
+    Q[0] = np.sqrt(weights / mass)
     alpha = np.zeros(k)
     beta = np.zeros(k - 1)
     # a vanishing vector is rounding of the values, relative to their size
@@ -344,7 +346,9 @@ def _jacobi_matrix(values: np.ndarray, k: int) -> np.ndarray:
             break
         beta[j] = b
         Q[j + 1] = w / b
-    return np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+    jac = np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+    nodes, vecs = np.linalg.eigh(jac)
+    return nodes, mass * vecs[0] ** 2
 
 
 class _TraceFreeRows:
@@ -362,56 +366,50 @@ class _TraceFreeRows:
     sum_i kappa_i Phi^{i-1} for x = u (kappa the free cumulants) and
     sum_i gamma_i Phi^{i-1} for x = ubar (gamma the H family's centering
     constants).  Each row costs O(width n^2); S_n and J_n are kept as
-    (n, width) arrays, and `mean` takes E_mu of their entries.
+    (n, width) arrays of values at nodes, and `mean` takes E_mu of their
+    entries as a pairwise sum, whose rounding grows with log(width).
 
-    Each entry is a polynomial of degree <= T in f_1..f_T.  Over a
-    DiscreteGrid with one f (all f_t the same object) an entry p is kept as
-    p(Jac) e_1, Jac the Jacobi matrix of the grid's pushforward under f with
-    k = T // 2 + 1 rows: multiplying by f is a product with Jac, the
-    constant 1 is e_1, and E_mu is the first component (w = e_1), exact for
-    degree <= 2 k - 1 >= T.  Otherwise, or with all_nodes, the entries are
-    kept at the law's `quad_nodes` (every atom of a grid, n_nodes of a
-    population law, nu's nodes) and E_mu is a pairwise sum, whose rounding
-    grows with log(width) rather than width."""
+    Each entry is a polynomial of degree <= T in f_1..f_T, so a product of
+    two (state evolution's Sigma) has degree <= 2 T.  With one f (all f_t
+    the same object) the nodes are the T + 1 point Gauss rule of f's
+    pushforward of the law's `quad_nodes` (every atom of a grid,
+    MP_DEBIAS_NODES of a population law, nu's nodes and atom), exact to
+    degree 2 T + 1, and multiplying by f multiplies by the rule's nodes.
+    A schedule of distinct f keeps the law's nodes."""
 
-    def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable],
-                 n_nodes: int = MP_DEBIAS_NODES, all_nodes: bool = False,
-                 template: str = "u"):
+    def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable], template: str = "u"):
         T = len(f_schedule)
         self.x_is_ubar = template == "ubar"
-        if (not all_nodes and isinstance(law, DiscreteGrid)
-                and all(ft is f_schedule[0] for ft in f_schedule)):
-            jac = _jacobi_matrix(_map_eigenvalues(f_schedule[0], law.atoms), T // 2 + 1)
-            w = one = np.zeros(jac.shape[0])
-            one[0] = 1.0
-            self._times_f = lambda n, s: s @ jac
-            self.mean = lambda a: a @ w
+        nodes, w = law.quad_nodes(MP_DEBIAS_NODES)
+        if len({id(ft) for ft in f_schedule}) == 1:
+            f_nodes, w = _gauss_rule(_map_eigenvalues(f_schedule[0], nodes), w, T + 1)
+            self._f_at = lambda n: f_nodes
         else:
-            nodes, w = law.quad_nodes(n_nodes)
-            one = np.ones(w.size)
-            self._times_f = lambda n, s: _map_eigenvalues(f_schedule[n - 1], nodes) * s
-            self.mean = lambda a: (a * w).sum(axis=1)
-        self.w, self.one = w, one  # the closures hold w, not self: no reference cycle
+            self._f_at = lambda n: _map_eigenvalues(f_schedule[n - 1], nodes)
+        self.w = w
         self.S: list = []
         self.J: list = []
         self.S_mean = np.zeros((T, T))  # row m-1: E_mu[S_m]
+
+    def mean(self, a: np.ndarray) -> np.ndarray:
+        return (a * self.w).sum(axis=1)
 
     def append(self, phi_row: np.ndarray, e_row: np.ndarray | None = None) -> np.ndarray:
         """Append row n = len(S) + 1 from phi_row = Phi[n-1, :n-1] and return
         row n of E: e_row when given, else the trace-free solution."""
         n = len(self.S) + 1
         s = np.zeros((n, self.w.size))
-        s[n - 1] = self.one
+        s[n - 1] = 1.0
         for k, j_k in enumerate(self.J):
             s[: k + 1] += phi_row[k] * j_k
-        j = self._times_f(n, s)
+        j = self._f_at(n) * s
         self.S.append(s)
         self.S_mean[n - 1, :n] = self.mean(s)
         if e_row is None:  # E_mu[S] is lower triangular, diagonal sum(w)
             e_row = (self.mean(j) if self.x_is_ubar
                      else np.linalg.solve(self.S_mean[:n, :n].T, self.mean(j)))
         if self.x_is_ubar:
-            j -= e_row[:, None] * self.one
+            j -= e_row[:, None]
         else:
             for m, s_m in enumerate(self.S):
                 j[: m + 1] -= e_row[m] * s_m
@@ -456,24 +454,8 @@ def partial_moments(law: SpectralLaw, order: int, order_cap: int = RECURSION_ORD
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo estimators (no eigendecomposition)
+# Monte-Carlo cumulant estimator (no eigendecomposition)
 # ---------------------------------------------------------------------------
-
-def mc_moments(W, order: int, seed: int) -> np.ndarray:
-    """Estimates g^T W^n g / N via repeated matrix-vector products.
-
-    W may be a dense symmetric array or any object with an `apply(v)` method
-    (matrices kept in factored form)."""
-    apply, N = _as_matvec(W)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(N)
-    v = g.copy()
-    out = np.empty(order)
-    for n in range(order):
-        v = apply(v)
-        out[n] = g @ v / N
-    return out
-
 
 def mc_cumulants(W, order: int, seed: int) -> np.ndarray:
     """Free-cumulant estimator from a single probe vector.

@@ -20,7 +20,7 @@ overlaps, without eigenvectors, when the overlap measure is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -338,18 +338,14 @@ class RationalFn:
     """Matrix function f(x) = sum_k coeffs[k] x^k + pole / x.
 
     A spiked instance applies f(Y) from these coefficients alone, so every
-    matrix function of a spiked run has this form.  `expr`, when given,
-    evaluates f at points (the same function, written as its caller wrote
-    it); otherwise the polynomial is evaluated by Horner's rule.
+    matrix function of a spiked run has this form; at points the polynomial
+    is evaluated by Horner's rule.
     """
 
     coeffs: tuple
     pole: float = 0.0
-    expr: Callable | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, x):
-        if self.expr is not None:
-            return self.expr(x)
         y = np.polynomial.polynomial.polyval(x, self.coeffs)
         return y + self.pole / x if self.pole else y
 

@@ -3,9 +3,11 @@
 One recursion, `_evolve`, serves RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP and the
 spiked model; Gaussian AMP is RI-AMP under the unit semicircle.  Every
 variant is long-memory OAMP, r_t = sum_s V_{t,s}(W) ubar_s with V
-trace-free, and the recursion appends row t of V at the law's quadrature
-nodes (and at nu's, with a spike) by the row recursion the runs use
-(`freeprob._TraceFreeRows`), then integrates Sigma_t.
+trace-free, and the recursion appends row t of V at the rows' nodes over
+the law (and over nu, with a spike) by the row recursion the runs use
+(`freeprob._TraceFreeRows`), then integrates Sigma_t.  With one f those
+nodes are the T + 1 point Gauss rule of f's pushforward, exact for Sigma's
+degree 2 T.
 `theorem_sigma`, `fan_se_form` and `gaussian_amp_se` stay as closed-form
 references.
 
@@ -304,8 +306,8 @@ def _weighted_gram(V: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool = False) -> list[SeState]:
-    """The one SE recursion.  At each t it appends row t of V at the law's
-    nodes (`rows`) and, with a spike, at nu's nodes with mu's E (`nu_rows`):
+    """The one SE recursion.  At each t it appends row t of V at the nodes
+    of the rows over the law (`rows`) and, with a spike, at nu's nodes with mu's E (`nu_rows`):
     Sigma_t = E_mu[V (DeltaBar - a a^T) V^T] + E_nu[V a a^T V^T] - b b^T with
     a = alpha_t (0 unspiked), b = beta_t = E_nu[V] a.  `centered` (OAMP) puts
     Phi = 0 in the rows.  `denoisers`: Denoisers or factory(t, beta, Sigma)."""
@@ -351,7 +353,7 @@ def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState
 def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
     """State evolution of RI-AMP-DF: the x = ubar trace-free rows of
     f = identity (their E is its H-family Onsager matrix)."""
-    rows = _TraceFreeRows(law, [lambda x: x] * T, all_nodes=True, template="ubar")
+    rows = _TraceFreeRows(law, [lambda x: x] * T, template="ubar")
     return _evolve(rows, denoisers, init, T)
 
 
@@ -359,7 +361,7 @@ def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,
                  T: int) -> list[SeState]:
     """State evolution of non-spiked RI-AMP-MP with one matrix function f:
     the trace-free rows of f."""
-    return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T)
+    return _evolve(_TraceFreeRows(law, [f] * T), denoisers, init, T)
 
 
 def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int,
@@ -387,7 +389,7 @@ def oamp_se(law: SpectralLaw, f_schedule: Sequence[Callable], g_schedule,
     """State evolution of OAMP, Sigma_t = Omega_t.  Its rows have Phi = 0, so
     row t of V is the one entry f_t - E_mu f_t, and
     Omega_t = [Cov_mu(f_i, f_j)] o [E[Xbar_i Xbar_j]]."""
-    rows = _TraceFreeRows(law, list(f_schedule[:T]), all_nodes=True)
+    rows = _TraceFreeRows(law, list(f_schedule[:T]))
     return _evolve(rows, g_schedule, init, T, centered=True)
 
 
@@ -454,12 +456,7 @@ def mp_denoise_fn(theta: float, alpha: float) -> RationalFn:
     """The matrix-denoising map f(x) = (theta/alpha)(1 + (alpha-1)/x)
     - theta^2/(alpha x) = theta/alpha + theta (alpha - 1 - theta)/(alpha x),
     which has a pole at x = 0."""
-
-    def f(x):
-        return (theta / alpha) * (1.0 + (alpha - 1.0) / x) - theta**2 / (alpha * x)
-
-    return RationalFn(coeffs=(theta / alpha,), pole=theta * (alpha - 1.0 - theta) / alpha,
-                      expr=f)
+    return RationalFn(coeffs=(theta / alpha,), pole=theta * (alpha - 1.0 - theta) / alpha)
 
 
 def check_pole_free(law: SpectralLaw, delta: float = 1e-6) -> None:
@@ -481,5 +478,5 @@ def spiked_se(law: SpectralLaw, theta: float, f: Callable, denoisers,
         raise ValidationError("spiked_se requires a spiked initialization (omega set)")
     if nu is None:
         nu = nu_measure(law, theta)
-    return _evolve(_TraceFreeRows(law, [f] * T, all_nodes=True), denoisers, init, T,
-                   nu_rows=_TraceFreeRows(nu, [f] * T, all_nodes=True))
+    return _evolve(_TraceFreeRows(law, [f] * T), denoisers, init, T,
+                   nu_rows=_TraceFreeRows(nu, [f] * T))

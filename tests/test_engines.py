@@ -7,16 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from amp_lab import engines
-from amp_lab.denoisers import identity_denoiser, random_lipschitz_denoiser, tanh_denoiser
+from amp_lab import engines, se
+from amp_lab.denoisers import (identity_denoiser, linear_mmse_combining_denoiser,
+                               random_lipschitz_denoiser, tanh_denoiser)
 from amp_lab.engines import (
     HORIZON_CAP,
-    MP_DEBIAS_NODES,
     _replay,
     as_operator,
     orthogonality_residuals,
     ri_amp_debias,
-    ri_amp_mp_debias,
     run_gaussian_amp,
     run_oamp,
     run_ri_amp,
@@ -26,12 +25,13 @@ from amp_lab.engines import (
     verify_unfolding,
 )
 from amp_lab.errors import DomainError, ValidationError
-from amp_lab.freeprob import (_TraceFreeRows, build_poly_family, cumulants_from_law,
-                              cumulants_to_moments_nc, moments_to_cumulants)
+from amp_lab.freeprob import (MP_DEBIAS_NODES, _TraceFreeRows, build_poly_family,
+                              cumulants_from_law, cumulants_to_moments_nc,
+                              moments_to_cumulants)
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
 from amp_lab.randmat import (RationalFn, SpectralOperator, build_rot_invariant, build_spiked,
                              goe_ensemble, make_prior, sample_goe)
-from amp_lab.se import mp_denoise_fn
+from amp_lab.se import SeInit, mp_denoise_fn, ri_amp_se, spiked_se
 
 
 def _setup(law, N, seed):
@@ -43,6 +43,16 @@ def _setup(law, N, seed):
 
 def _lip_dens(T, seed):
     return [random_lipschitz_denoiser(t, seed=seed + t) for t in range(1, T + 1)]
+
+
+def _rows_e(law, fs, Phi, template="u"):
+    """E from the row recursion, and the recursion itself."""
+    rows = _TraceFreeRows(law, fs, template=template)
+    T = len(fs)
+    E = np.zeros((T, T))
+    for n in range(1, T + 1):
+        E[n - 1, :n] = rows.append(Phi[n - 1, : n - 1])
+    return E, rows
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +80,7 @@ def test_mp_debias_identity_f_matches_cumulant_series():
     rng = np.random.default_rng(1)
     t = 4
     phi = np.tril(rng.uniform(-0.5, 0.5, (t, t)), k=-1)
-    E = ri_amp_mp_debias(law, [lambda x: x] * t, phi)
+    E, _ = _rows_e(law, [lambda x: x] * t, phi)
     kappa = [float(k) for k in cumulants_from_law(law, t).cumulants]
     B = ri_amp_debias(kappa, phi)
     assert np.max(np.abs(E - B)) < 1e-10
@@ -125,10 +135,7 @@ def test_trace_free_rows_match_exact_series(case):
         exact = [Fraction(3, 10) ** (n - 1) for n in range(1, T + 1)]
         gamma = _exact_series(cumulants_to_moments_nc(exact), T)[1]
     for template, series in (("u", kappa), ("ubar", gamma)):
-        rows = _TraceFreeRows(law, [lambda x: x] * T, template=template)
-        E = np.zeros((T, T))
-        for n in range(1, T + 1):
-            E[n - 1, :n] = rows.append(Phi[n - 1, : n - 1])
+        E, _ = _rows_e(law, [lambda x: x] * T, Phi, template)
         assert np.max(np.abs(E - ri_amp_debias(series, Phi))) <= 1e-14
 
 
@@ -138,7 +145,7 @@ def test_mp_debias_constant_schedule_is_pushforward_cumulants():
     rng = np.random.default_rng(2)
     t = 4
     phi = np.tril(rng.uniform(-0.5, 0.5, (t, t)), k=-1)
-    E = ri_amp_mp_debias(law, [f] * t, phi)
+    E, _ = _rows_e(law, [f] * t, phi)
     nodes, w = law.quad_nodes()
     fmoms = [float(w @ np.asarray(f(nodes)) ** n) for n in range(1, t + 1)]
     kap = [float(k) for k in moments_to_cumulants(fmoms).cumulants]
@@ -154,7 +161,7 @@ def test_mp_debias_rows_appended_per_step_match_full_solve():
     ens, u1 = _setup(law, N, 4)
     f = mp_denoise_fn(1.2, 0.3)
     run = run_ri_amp_mp(ens, law, f, _lip_dens(T, 4), u1, T, mode="grid")
-    E = ri_amp_mp_debias(run.debias_law, [f] * T, run.phi[:T, :T])
+    E, _ = _rows_e(run.debias_law, [f] * T, run.phi[:T, :T])
     assert np.max(np.abs(run.debias - E)) <= 1e-12 * np.max(np.abs(E))
 
 
@@ -178,46 +185,13 @@ def test_trace_free_rows_match_dense_solve_per_node(mode):
     quad = lambda x: 0.5 - x + 0.3 * x**2
     fs = [mp_denoise_fn(1.2, 0.3) if t % 2 else quad for t in range(T)]
     Phi = np.tril(np.random.default_rng(3).uniform(-0.5, 0.5, (T, T)), k=-1)
-    rows = _TraceFreeRows(law, fs)
-    E = np.zeros((T, T))
-    for n in range(1, T + 1):
-        E[n - 1, :n] = rows.append(Phi[n - 1, : n - 1])
-    assert np.array_equal(E, ri_amp_mp_debias(law, fs, Phi))
+    E, rows = _rows_e(law, fs, Phi)
     nodes, w = law.quad_nodes(MP_DEBIAS_NODES)
     J = _dense_j(np.vstack([f(nodes) for f in fs]), E, Phi)
     scale = np.max(np.abs(J))
     for n in range(1, T + 1):
         assert np.max(np.abs(rows.J[n - 1].T - J[:, n - 1, :n])) <= 1e-12 * scale
     assert np.max(np.abs(np.einsum("a,ast->st", w, J))) <= 1e-12
-
-
-def _rows_e(law, fs, Phi, **kw):
-    """E from the row recursion, and the recursion itself."""
-    rows = _TraceFreeRows(law, fs, **kw)
-    T = len(fs)
-    E = np.zeros((T, T))
-    for n in range(1, T + 1):
-        E[n - 1, :n] = rows.append(Phi[n - 1, : n - 1])
-    return E, rows
-
-
-@pytest.mark.parametrize("N", [2000, 100_000])
-@pytest.mark.parametrize("case", ["semicircle", "mp"])
-def test_lanczos_rule_rows_match_all_atom_rows(case, N):
-    # one f over a grid: the rows live on a k = T // 2 + 1 point rule of the
-    # pushforward, exact for every entry's degree <= T, so E matches the
-    # all-atom solve to the rounding of the latter's N-term sums
-    if case == "semicircle":
-        grid, f = Semicircle().quantile_grid(N), lambda x: x + 0.3 * x**2
-    else:
-        grid, f = MarchenkoPastur(alpha=0.3).quantile_grid(N), mp_denoise_fn(1.2, 0.3)
-    T = 10
-    Phi = np.tril(np.random.default_rng(4).uniform(-0.5, 0.5, (T, T)), k=-1)
-    E_rule, rows = _rows_e(grid, [f] * T, Phi)
-    E_all, _ = _rows_e(grid, [f] * T, Phi, all_nodes=True)
-    assert rows.w.size == T // 2 + 1
-    assert np.array_equal(E_rule, ri_amp_mp_debias(grid, [f] * T, Phi))
-    assert np.max(np.abs(E_rule - E_all)) <= 1e-13 * np.max(np.abs(E_all))
 
 
 def _long_double_e(F, w, Phi):
@@ -245,58 +219,89 @@ def _long_double_e(F, w, Phi):
     return E
 
 
-def test_node_path_mean_is_a_pairwise_sum():
-    # at every atom of a 10^5-point grid, E from the float64 rows agrees with
-    # a long-double run of the same recursion on the same float64 inputs
-    grid = MarchenkoPastur(alpha=0.3).quantile_grid(100_000)
-    f = mp_denoise_fn(1.2, 0.3)
+def _all_atom_e(grid, f, Phi):
+    """The long-double rows at every atom of a grid, for one f."""
+    nodes, w = grid.quad_nodes()
+    return _long_double_e(np.asarray(f(nodes), dtype=np.longdouble),
+                          w.astype(np.longdouble), Phi.astype(np.longdouble))
+
+
+@pytest.mark.parametrize("N", [2000, 100_000])
+@pytest.mark.parametrize("case", ["semicircle", "mp"])
+def test_lanczos_rule_rows_match_all_atom_rows(case, N):
+    # one f over a grid: the rows live on the T + 1 point Gauss rule of the
+    # pushforward, exact for every entry's degree <= T, so E matches the
+    # long-double rows at every atom to rounding
+    if case == "semicircle":
+        grid, f = Semicircle().quantile_grid(N), lambda x: x + 0.3 * x**2
+    else:
+        grid, f = MarchenkoPastur(alpha=0.3).quantile_grid(N), mp_denoise_fn(1.2, 0.3)
     T = 10
+    Phi = np.tril(np.random.default_rng(4).uniform(-0.5, 0.5, (T, T)), k=-1)
+    E, rows = _rows_e(grid, [f] * T, Phi)
+    assert rows.w.size == T + 1
+    ref = _all_atom_e(grid, f, Phi)
+    assert float(np.max(np.abs(E - ref)) / np.max(np.abs(ref))) <= 1e-13
+
+
+def test_node_path_mean_is_a_pairwise_sum():
+    # a schedule of distinct f objects keeps the rows at every atom of a
+    # 10^5-point grid; E from the float64 rows agrees with a long-double run
+    # of the same recursion on the same float64 inputs
+    grid = MarchenkoPastur(alpha=0.3).quantile_grid(100_000)
+    T = 10
+    fs = [mp_denoise_fn(1.2, 0.3) for _ in range(T)]
     Phi = np.tril(np.random.default_rng(6).uniform(-0.5, 0.5, (T, T)), k=-1)
-    E, rows = _rows_e(grid, [f] * T, Phi, all_nodes=True)
+    E, rows = _rows_e(grid, fs, Phi)
     assert rows.w.size == grid.atoms.size
     del rows
-    nodes, w = grid.quad_nodes()
-    ref = _long_double_e(np.asarray(f(nodes), dtype=np.longdouble),
-                         w.astype(np.longdouble), Phi.astype(np.longdouble))
+    ref = _all_atom_e(grid, fs[0], Phi)
     assert float(np.max(np.abs(E - ref)) / np.max(np.abs(ref))) <= 1e-15
 
 
 @pytest.mark.parametrize("N,kind,width", [(1, "quadratic", 1), (2, "quadratic", 2),
                                           (3, "quadratic", 3), (500, "constant", 1)])
 def test_lanczos_rule_breakdown_matches_all_atom_solve(N, kind, width):
-    # fewer distinct values of f than the T // 2 + 1 = 6 rule points: Lanczos
+    # fewer distinct values of f than the T + 1 = 11 rule points: Lanczos
     # stops early, and its smaller rule reproduces the law
     grid = DiscreteGrid(atoms=np.linspace(-1.0, 1.5, N))
     f = (lambda x: np.full_like(x, 0.7)) if kind == "constant" else (lambda x: x + 0.3 * x**2)
     T = 10
     Phi = np.tril(np.random.default_rng(5).uniform(-0.5, 0.5, (T, T)), k=-1)
-    E_rule, rows = _rows_e(grid, [f] * T, Phi)
-    E_all, _ = _rows_e(grid, [f] * T, Phi, all_nodes=True)
+    E, rows = _rows_e(grid, [f] * T, Phi)
     assert rows.w.size == width
-    assert np.max(np.abs(E_rule - E_all)) <= 1e-13 * np.max(np.abs(E_all))
+    ref = _all_atom_e(grid, f, Phi)
+    assert float(np.max(np.abs(E - ref)) / np.max(np.abs(ref))) <= 1e-13
 
 
 def test_grid_mode_trace_free_rows_are_not_n_wide(monkeypatch):
-    # the run and ri_amp_mp_debias keep no row at every atom, and the
-    # verifier replays the run's recorded rows instead of solving its own
+    # a grid run, SE on a grid and spiked SE on a grid (over mu and over nu)
+    # keep no row at every atom, and the verifier replays the run's recorded
+    # rows instead of building its own
     made = []
 
     class Recording(_TraceFreeRows):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            made.append((kwargs.get("all_nodes", False), self))
+            made.append(self)
 
     monkeypatch.setattr(engines, "_TraceFreeRows", Recording)
-    law, N, T = Semicircle(), 300, 6
+    monkeypatch.setattr(se, "_TraceFreeRows", Recording)
+    law, N, T = MarchenkoPastur(alpha=0.2), 300, 6
     ens, u1 = _setup(law, N, seed=8)
-    f = lambda x: x + 0.3 * x**2
+    f = mp_denoise_fn(1.5, 0.2)
     run = run_ri_amp_mp(ens, law, f, _lip_dens(T, seed=80), u1, T, mode="grid")
-    ri_amp_mp_debias(run.debias_law, [f] * T, run.phi[:T, :T])
-    assert [all_nodes for all_nodes, _ in made] == [False, False]
-    for _, rows in made:
-        assert {a.shape[1] for a in rows.S + rows.J} == {T // 2 + 1}
+    grid = law.quantile_grid(N)
+    ri_amp_se(grid, [tanh_denoiser(t) for t in range(1, T + 1)],
+              SeInit(prior=make_prior("rademacher")), T)
+    fac = lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
+    spiked_se(grid, 1.5, f, fac, SeInit(prior=make_prior("rademacher"), omega=0.3), T)
+    assert len(made) == 4
+    for rows in made:
+        assert rows.w.size <= T + 1
+        assert {a.shape[1] for a in rows.S + rows.J} == {rows.w.size}
     verify_unfolding(run)
-    assert len(made) == 2
+    assert len(made) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from amp_lab.freeprob import (
     enumerate_step_tuples,
     is_noncrossing,
     mc_cumulants,
-    mc_moments,
     moments_to_cumulants,
     partial_moments,
     partition_to_tuple,
@@ -236,12 +235,6 @@ def test_partial_moments_base_row():
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
-def test_mc_moments_goe():
-    W = sample_goe(3000, seed=3)
-    m = mc_moments(W, 4, seed=4)
-    assert np.max(np.abs(m - [0, 1, 0, 2])) < 0.15
-
-
 def test_mc_cumulants_goe_and_mp():
     W = sample_goe(3000, seed=5)
     k = mc_cumulants(W, 4, seed=6)
@@ -265,7 +258,7 @@ def test_mc_rejects_nonsquare():
         mc_cumulants(np.ones((3, 4)), 2, seed=0)
 
 
-@pytest.mark.parametrize("estimator", [mc_moments, mc_cumulants], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("estimator", [mc_cumulants], ids=lambda f: f.__name__)
 def test_mc_rejects_non_finite_dense_input(estimator):
     W = sample_goe(50, seed=11)
     W[4, 9] = W[9, 4] = np.nan
@@ -273,10 +266,10 @@ def test_mc_rejects_non_finite_dense_input(estimator):
         estimator(W, 3, seed=0)
 
 
-@pytest.mark.parametrize("estimator", [mc_moments, mc_cumulants], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("estimator", [mc_cumulants], ids=lambda f: f.__name__)
 def test_mc_rejects_non_symmetric_dense_input(estimator):
     # a Gaussian A is not a symmetric matrix; its products would estimate
-    # nothing the estimators define
+    # nothing the estimator defines
     A = np.random.default_rng(12).standard_normal((50, 50)) / np.sqrt(50)
     with pytest.raises(ValidationError, match="not symmetric"):
         estimator(A, 3, seed=0)

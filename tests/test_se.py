@@ -348,12 +348,13 @@ def test_check_pole_free():
 # ---------------------------------------------------------------------------
 
 def test_mp_denoise_fn_coefficients_match_its_expression():
-    # the spiked operator applies f from its coefficients; SE evaluates the
-    # expression
-    f = mp_denoise_fn(1.5, 0.2)
-    x = np.linspace(0.3, 2.5, 50)
-    plain = RationalFn(coeffs=f.coeffs, pole=f.pole)
-    assert np.max(np.abs(plain(x) - f(x))) <= 1e-14 * np.max(np.abs(f(x)))
+    # the spiked operator and every evaluation at points apply f from its
+    # coefficients and pole; they match the map as the paper writes it
+    theta, alpha = 1.2, 0.3
+    f = mp_denoise_fn(theta, alpha)
+    x = MarchenkoPastur(alpha=alpha).quantile_grid(2000).atoms
+    closed = (theta / alpha) * (1.0 + (alpha - 1.0) / x) - theta**2 / (alpha * x)
+    assert np.max(np.abs(f(x) - closed)) <= 1e-13 * np.max(np.abs(closed))
 
 
 def test_spiked_se_first_step_closed_form():
@@ -452,8 +453,9 @@ def test_se_core_matches_q_h_and_k_gram_forms(law):
 
 
 def test_se_core_gram_form_on_a_one_column_file_law(tmp_path):
-    # a one-column file is a DiscreteGrid: the core keeps its rows at every
-    # atom (a Lanczos rule is exact only to degree T, Sigma needs 2T)
+    # a one-column file is a DiscreteGrid: the core keeps its rows on the
+    # T + 1 point Gauss rule of its pushforward, exact to the degree 2T that
+    # Sigma needs
     path = tmp_path / "atoms.txt"
     path.write_text("\n".join(repr(float(x)) for x in Semicircle().quantile_grid(300).atoms) + "\n")
     law = parse_law_spec(f"file:{path}")
@@ -461,9 +463,25 @@ def test_se_core_gram_form_on_a_one_column_file_law(tmp_path):
     T = 6
     init = SeInit(prior=make_prior("rademacher"))
     dens = [tanh_denoiser(t) for t in range(1, T + 1)]
-    assert _TraceFreeRows(law, [QUAD] * T, all_nodes=True).w.size == 300
+    assert _TraceFreeRows(law, [QUAD] * T).w.size <= T + 1
     assert _gram_form_gap(ri_amp_se(law, dens, init, T), law, "Q") <= 1e-13
     assert _gram_form_gap(ri_amp_mp_se(law, QUAD, dens, init, T), law, "K", f=QUAD) <= 1e-13
+
+
+def test_se_on_a_large_grid_keeps_no_row_at_every_atom():
+    # one f: the rows live on the T + 1 point Gauss rule of the grid's
+    # pushforward; rows kept at every atom of this grid peaked at 238 MiB
+    grid = MarchenkoPastur(alpha=0.3).quantile_grid(100_000)
+    T = 10
+    dens = [tanh_denoiser(t) for t in range(1, T + 1)]
+    init = SeInit(prior=make_prior("rademacher"))
+    tracemalloc.start()
+    try:
+        ri_amp_se(grid, dens, init, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("law", [Semicircle(), MarchenkoPastur(alpha=0.3)])
