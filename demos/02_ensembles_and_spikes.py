@@ -13,14 +13,14 @@ from amp_lab import (
     make_prior,
     nu_measure,
     overlap_measure,
-    sample_haar_orthogonal,
+    sample_haar_rotation,
 )
 
 N = 1500
 sc = Semicircle()
 
 # --- a rotationally-invariant matrix is O diag(lambda) O^T, O Haar -----------
-O = sample_haar_orthogonal(N, seed=0)
+O = sample_haar_rotation(N, seed=0).dense()
 print("Haar orthogonality |O^T O - I| =", np.max(np.abs(O.T @ O - np.eye(N))))
 
 grid = sc.quantile_grid(N).atoms  # deterministic quantile grid of the law

@@ -29,7 +29,7 @@ from .randmat import (
     goe_ensemble,
     make_prior,
     overlap_measure,
-    sample_haar_orthogonal,
+    sample_haar_rotation,
 )
 from .denoisers import (linear_mmse_combining_denoiser, random_lipschitz_denoiser,
                         tanh_denoiser)

@@ -170,11 +170,6 @@ def sample_haar_rotation(N: int, seed: int) -> LazyHaarRotation:
     return LazyHaarRotation(_RevealedPairs(N, seed))
 
 
-def sample_haar_orthogonal(N: int, seed: int) -> np.ndarray:
-    """Dense form of `sample_haar_rotation(N, seed)`."""
-    return sample_haar_rotation(N, seed).dense()
-
-
 @dataclass
 class SpectralOperator:
     """Factored symmetric matrix M = O D O^T with D = diag(eigenvalues) +

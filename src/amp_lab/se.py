@@ -7,7 +7,10 @@ trace-free, and the recursion appends row t of V at the rows' nodes over
 the law (and over nu, with a spike) by the row recursion the runs use
 (`freeprob._TraceFreeRows`), then integrates Sigma_t.  With one f those
 nodes are the T + 1 point Gauss rule of f's pushforward, exact for Sigma's
-degree 2 T.
+degree 2 T.  Beside the rows it appends the moments of the step's new
+denoiser (`_MomentRows`) and carries the earlier ones: the entries of
+U_{j+1} read only the leading blocks of Sigma and beta that step j saw, and
+later steps extend those blocks without changing them.
 `theorem_sigma`, `fan_se_form` and `gaussian_amp_se` stay as closed-form
 references.
 
@@ -33,13 +36,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .denoisers import Denoiser, constant_denoiser
+from .denoisers import Denoiser
 from .errors import NumericalError, ValidationError
 from .freeprob import _TraceFreeRows, build_poly_family, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
 # build_rot_invariant is not called here: perfbench's tracer wraps it by this module's name
 from .randmat import (OVERLAP_N_CAP, OverlapMeasure, Prior, RationalFn, build_rot_invariant,
-                      diag_rank_one_eigh, make_prior)
+                      diag_rank_one_eigh)
 
 PSD_TOL = 1e-9
 # At 192 nodes every spiked-mp prediction is within 3e-4 relative of the
@@ -136,7 +139,8 @@ class PopMoments:
 def population_moments(denoisers: Sequence[Denoiser], Sigma: np.ndarray,
                        beta: np.ndarray | None, init: SeInit) -> PopMoments:
     """Moments of U_1..U_{t+1} (t = Sigma size) in the population limit:
-    R = beta X* + Z, Z ~ N(0, Sigma), U_{j+1} = eta_{j+1}(R_1..R_j).
+    R = beta X* + Z, Z ~ N(0, Sigma), U_{j+1} = eta_{j+1}(R_1..R_j).  One
+    `_MomentRows.append` per denoiser, each on the given Sigma and beta.
 
     Each eta_{j+1} = sum_k c_k g(s_k + b_k), s_k = p_k^T R.  With
     d_k = c_k E[g'(s_k + b_k)] the divergence row is sum_k d_k p_k, so the
@@ -150,102 +154,97 @@ def population_moments(denoisers: Sequence[Denoiser], Sigma: np.ndarray,
     """
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
     _psd_check(Sigma, "Sigma", init.psd_tol)
-    return _moments(denoisers, Sigma, beta, init)
-
-
-def _moments(denoisers: Sequence[Denoiser], Sigma: np.ndarray,
-             beta: np.ndarray | None, init: SeInit) -> PopMoments:
-    """population_moments on a checked 2-d Sigma."""
     t = Sigma.shape[0]
     if len(denoisers) < t:
         raise ValidationError("denoiser schedule shorter than the horizon")
-    z, wz = _gh_rule(GH_POINTS)
-    # pairs take the tensor rule in row blocks, every temporary far below glibc's
-    # 128 KB mmap threshold, so the time does not depend on allocation history
-    blocks = [slice(i, i + GH_BLOCK_ROWS) for i in range(0, z.size, GH_BLOCK_ROWS)]
-    spiked = init.spiked
-    # the signal as values xv with probabilities xw; without a spike it is never
-    # read (U_1's unit second moment is all SE needs)
-    if not spiked:
-        xv, xw = np.zeros(1), np.ones(1)
-    elif init.prior.atoms is None:
-        xv, xw = z, wz
-    else:
-        xv, xw = init.prior.atoms
-    b = np.asarray(beta, dtype=float) if spiked and beta is not None else np.zeros(t)
+    moments = _MomentRows(init, t)
+    for den in denoisers[:t]:
+        moments.append(den, Sigma, beta)
+    return moments.block(t + 1)
 
-    def expect(Q, h):
-        """E[h(*(Q R), X)] over the one or two projections in the rows of Q,
-        given each signal value (conditioning on X keeps the Gaussian part
-        narrow, which the quadrature resolves far better)."""
-        L = _gauss_factor(Q @ Sigma @ Q.T)
-        m = Q @ b
-        if len(Q) == 1:
-            return sum(px * float(wz @ h(m[0] * x + L[0, 0] * z, x)) for x, px in zip(xv, xw))
-        return sum(px * float(wz[k] @ h(m[0] * x + L[0, 0] * z[k, None] + L[0, 1] * z,
-                                        m[1] * x + L[1, 0] * z[k, None] + L[1, 1] * z, x) @ wz)
-                   for x, px in zip(xv, xw) for k in blocks)
 
-    def cross(A, B):
-        """E[(sum_k A_k)(sum_l B_l)] for terms (p, h), h a function of (p^T R, X)."""
-        return sum(expect(pa[None], lambda s, x: ha(s, x) ** 2) if ha is hb else
-                   expect(np.vstack([pa, pb]), lambda sa, sb, x: ha(sa, x) * hb(sb, x))
-                   for pa, ha in A for pb, hb in B)
+class _MomentRows:
+    """Population moments of U_1, U_2, ..., one denoiser at a time, from U_1
+    alone (Phi = 0, DeltaBar = 1, alpha_1 = sqrt(omega), 0 unspiked).
 
-    Phi = np.zeros((t + 1, t + 1))
-    alpha = np.zeros(t + 1)
-    if spiked:
-        alpha[0] = math.sqrt(init.omega)
-    resid = np.zeros((t + 1, t + 1))  # E[(Ubar_m - alpha_m X)(Ubar_n - alpha_n X)]
-    resid[0, 0] = 1.0 - alpha[0] ** 2  # the U_1 noise is independent of the rest
-    res = []  # res[j]: the terms of Ubar_{j+1} - alpha_{j+1} X
-    for j, den in enumerate(denoisers[:t]):
-        P = np.zeros((den.projection.shape[0], t))  # the terms' p_k, zero-padded
-        P[:, : j + 1] = den.projection
-        g, gp = den.link, den.link_prime
-        terms = []
+    `append(den, Sigma, beta)` integrates only the entries of
+    U_{j+1} = den(R_1..R_j): Phi's row j, alpha_{j+1}, row and column j of
+    E[(Ubar_m - alpha_m X)(Ubar_n - alpha_n X)] and, with a spike, den's MSE.
+    Earlier entries are carried: those of U_{i+1} read only the leading
+    blocks of Sigma and beta that step i saw, which later steps extend
+    without changing.  Each denoiser's one-projection terms are kept for the
+    cross terms and zero-padded to the Sigma of each call.
+    """
+
+    def __init__(self, init: SeInit, T: int):
+        self.init = init
+        # the signal as values with probabilities; without a spike it is never
+        # read (U_1's unit second moment is all SE needs)
+        self.signal = ((np.zeros(1), np.ones(1)) if not init.spiked else
+                       _gh_rule(GH_POINTS) if init.prior.atoms is None else init.prior.atoms)
+        self.Phi = np.zeros((T + 1, T + 1))
+        self.alpha = np.zeros(T + 1)
+        self.alpha[0] = math.sqrt(init.omega or 0.0)
+        self.resid = np.zeros((T + 1, T + 1))  # E[(Ubar_m - alpha_m X)(Ubar_n - alpha_n X)]
+        self.resid[0, 0] = 1.0 - self.alpha[0] ** 2  # the U_1 noise is independent of the rest
+        self.res = []  # res[i]: (projection, term functions) of Ubar_{i+2} - alpha_{i+2} X
+        self.mse = None  # E[(eta - X)^2] of the last denoiser, with a spike
+
+    def block(self, n: int) -> PopMoments:
+        """Copies of the moments of U_1..U_n (alpha None unspiked)."""
+        alpha, resid = self.alpha[:n].copy(), self.resid[:n, :n].copy()
+        return PopMoments(Phi=self.Phi[:n, :n].copy(), DeltaBar=resid + np.outer(alpha, alpha),
+                          alpha=alpha if self.init.spiked else None, resid=resid, mse=self.mse)
+
+    def append(self, den: Denoiser, Sigma: np.ndarray, beta: np.ndarray | None) -> None:
+        """Integrate the entries of the next U_{j+1} = den(R_1..R_j) given
+        R = beta X* + Z, Z ~ N(0, Sigma), Sigma t x t with t >= j."""
+        t, j = Sigma.shape[0], len(self.res) + 1
+        z, wz = _gh_rule(GH_POINTS)
+        # pairs take the tensor rule in row blocks, every temporary far below glibc's
+        # 128 KB mmap threshold, so the time does not depend on allocation history
+        blocks = [slice(i, i + GH_BLOCK_ROWS) for i in range(0, z.size, GH_BLOCK_ROWS)]
+        xv, xw = self.signal
+        spiked = self.init.spiked
+        b = np.asarray(beta, dtype=float) if spiked and beta is not None else np.zeros(t)
+
+        def expect(Q, h):
+            """E[h(*(Q R), X)] over the one or two projections in the rows of Q,
+            given each signal value (conditioning on X keeps the Gaussian part
+            narrow, which the quadrature resolves far better)."""
+            L = _gauss_factor(Q @ Sigma @ Q.T)
+            m = Q @ b
+            if len(Q) == 1:
+                return sum(px * float(wz @ h(m[0] * x + L[0, 0] * z, x)) for x, px in zip(xv, xw))
+            return sum(px * float(wz[k] @ h(m[0] * x + L[0, 0] * z[k, None] + L[0, 1] * z,
+                                            m[1] * x + L[1, 0] * z[k, None] + L[1, 1] * z, x) @ wz)
+                       for x, px in zip(xv, xw) for k in blocks)
+
+        def cross(A, B):
+            """E[(sum_k A_k)(sum_l B_l)] for terms (p, h), h a function of (p^T R, X)."""
+            return sum(expect(pa[None], lambda s, x: ha(s, x) ** 2) if ha is hb else
+                       expect(np.vstack([pa, pb]), lambda sa, sb, x: ha(sa, x) * hb(sb, x))
+                       for pa, ha in A for pb, hb in B)
+
+        padded = lambda proj: np.pad(proj, ((0, 0), (0, t - proj.shape[1])))  # the terms' p_k
+
+        P, g, gp = padded(den.projection), den.link, den.link_prime
+        hs = []
         for p, c, o in zip(P, den.weights, den.offsets):
             d = c * expect(p[None], lambda s, x: gp(s + o))
-            Phi[j + 1, : j + 1] += d * p[: j + 1]
+            self.Phi[j, :j] += d * p[:j]
             u = lambda s, x, c=c, o=o, d=d: c * g(s + o) - d * s
             a = expect(p[None], lambda s, x: x * u(s, x)) if spiked else 0.0
-            alpha[j + 1] += a
-            terms.append((p, lambda s, x, u=u, a=a: u(s, x) - a * x))
-        res.append(terms)
-        for i in range(j + 1):
-            resid[i + 1, j + 1] = resid[j + 1, i + 1] = cross(res[i], terms)
-    DeltaBar = resid + np.outer(alpha, alpha)
-    if not spiked:
-        return PopMoments(Phi=Phi, DeltaBar=DeltaBar, alpha=None)
-    # E[(eta_t - X)^2], the signal split evenly over the last denoiser's terms
-    last = denoisers[t - 1]
-    K = len(last.weights)
-    err = [(p, lambda s, x, c=c, o=o: c * last.link(s + o) - x / K)
-           for (p, _), c, o in zip(res[-1], last.weights, last.offsets)]
-    mse = cross(err, err)
-    return PopMoments(Phi=Phi, DeltaBar=DeltaBar, alpha=alpha, resid=resid, mse=mse)
-
-
-def gaussian_expectations(denoiser: Denoiser, Sigma: np.ndarray,
-                          init: SeInit | None = None,
-                          beta: np.ndarray | None = None) -> dict:
-    """One-denoiser expectation helper: divergence row E[d_i eta], the
-    divergence-free residual second moment E[Ubar^2], and (spiked) E[X* Ubar]."""
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    t = Sigma.shape[0]
-    init = init or SeInit(prior=make_prior("rademacher"))
-    if denoiser.arity != t:
-        raise ValidationError("denoiser arity must equal the Sigma dimension")
-    schedule = [denoiser if j == t else constant_denoiser(j, 0.0) for j in range(1, t + 1)]
-    pm = population_moments(schedule, Sigma, beta, init)
-    out = {
-        "divergences": pm.Phi[t, :t].copy(),
-        "ubar_second_moment": float(pm.DeltaBar[t, t]),
-        "ubar_cross": pm.DeltaBar[t, : t + 1].copy(),
-    }
-    if pm.alpha is not None:
-        out["alpha"] = float(pm.alpha[t])
-    return out
+            self.alpha[j] += a
+            hs.append(lambda s, x, u=u, a=a: u(s, x) - a * x)
+        self.res.append((den.projection, hs))
+        new = list(zip(P, hs))
+        for i, (proj, his) in enumerate(self.res):
+            self.resid[i + 1, j] = self.resid[j, i + 1] = cross(list(zip(padded(proj), his)), new)
+        if spiked:  # the signal split evenly over den's terms
+            err = [(p, lambda s, x, c=c, o=o, K=len(P): c * g(s + o) - x / K)
+                   for p, c, o in zip(P, den.weights, den.offsets)]
+            self.mse = cross(err, err)
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +308,35 @@ def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool 
     """The one SE recursion.  At each t it appends row t of V at the nodes
     of the rows over the law (`rows`) and, with a spike, at nu's nodes with mu's E (`nu_rows`):
     Sigma_t = E_mu[V (DeltaBar - a a^T) V^T] + E_nu[V a a^T V^T] - b b^T with
-    a = alpha_t (0 unspiked), b = beta_t = E_nu[V] a.  `centered` (OAMP) puts
+    a = alpha_t (0 unspiked), b = beta_t = E_nu[V] a, and then appends the
+    moments of eta_{t+1} on Sigma_t and beta_t.  `centered` (OAMP) puts
     Phi = 0 in the rows.  `denoisers`: Denoisers or factory(t, beta, Sigma)."""
     spiked = init.spiked
     if spiked and nu_rows is None:
         raise ValidationError("use spiked_se for spiked initializations")
-    Phi, DeltaBar = np.zeros((1, 1)), np.ones((1, 1))
-    alpha = np.array([math.sqrt(init.omega)]) if spiked else None
-    resid = DeltaBar - alpha**2 if spiked else DeltaBar
+    moments = _MomentRows(init, T)
     V = np.zeros((T, T, rows.w.size))
     Vnu = np.zeros((T, T, nu_rows.w.size)) if spiked else None
-    states, built, beta = [], [], None
+    states, beta = [], None
     for t in range(1, T + 1):
-        phi_row = np.zeros(t - 1) if centered else Phi[t - 1, : t - 1]
+        pm = moments.block(t)  # U_1..U_t; appending eta_{t+1} leaves this block as it is
+        phi_row = np.zeros(t - 1) if centered else pm.Phi[t - 1, : t - 1]
         e_row = rows.append(phi_row)
         V[t - 1, :t] = rows.J[-1]
-        _psd_check(resid, f"DeltaBar_{t} - alpha alpha^T" if spiked else f"DeltaBar_{t}")
-        Sigma = _weighted_gram(V[:t, :t], rows.w, resid)
+        _psd_check(pm.resid, f"DeltaBar_{t} - alpha alpha^T" if spiked else f"DeltaBar_{t}")
+        Sigma = _weighted_gram(V[:t, :t], rows.w, pm.resid)
         if spiked:
             nu_rows.append(phi_row, e_row)
             Vnu[t - 1, :t] = nu_rows.J[-1]
-            beta = np.einsum("amx,m,x->a", Vnu[:t, :t], alpha, nu_rows.w)
-            Sigma += (_weighted_gram(Vnu[:t, :t], nu_rows.w, np.outer(alpha, alpha))
+            beta = np.einsum("amx,m,x->a", Vnu[:t, :t], pm.alpha, nu_rows.w)
+            Sigma += (_weighted_gram(Vnu[:t, :t], nu_rows.w, np.outer(pm.alpha, pm.alpha))
                       - np.outer(beta, beta))
         _psd_check(Sigma, f"Sigma_{t}", init.psd_tol)
         item = denoisers[t - 1] if isinstance(denoisers, (list, tuple)) else denoisers
         den = item if isinstance(item, Denoiser) else item(t, beta, Sigma)
-        built.append(den)
-        pm = _moments(built, Sigma, beta, init)
-        states.append(SeState(t=t, Sigma=Sigma, Phi=Phi, DeltaBar=DeltaBar, beta=beta,
-                              alpha=alpha, mse_pred=pm.mse, denoiser=den))
-        Phi, DeltaBar, alpha = pm.Phi, pm.DeltaBar, pm.alpha
-        resid = pm.resid if spiked else DeltaBar
+        moments.append(den, Sigma, beta)
+        states.append(SeState(t=t, Sigma=Sigma, Phi=pm.Phi, DeltaBar=pm.DeltaBar, beta=beta,
+                              alpha=pm.alpha, mse_pred=moments.mse, denoiser=den))
     return states
 
 
@@ -353,8 +349,7 @@ def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState
 def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
     """State evolution of RI-AMP-DF: the x = ubar trace-free rows of
     f = identity (their E is its H-family Onsager matrix)."""
-    rows = _TraceFreeRows(law, [lambda x: x] * T, template="ubar")
-    return _evolve(rows, denoisers, init, T)
+    return _evolve(_TraceFreeRows(law, [lambda x: x] * T, template="ubar"), denoisers, init, T)
 
 
 def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,

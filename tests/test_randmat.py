@@ -23,7 +23,6 @@ from amp_lab.randmat import (
     make_prior,
     overlap_measure,
     sample_goe,
-    sample_haar_orthogonal,
     sample_haar_rotation,
 )
 from amp_lab.se import mp_denoise_fn
@@ -35,20 +34,20 @@ from amp_lab.se import mp_denoise_fn
 
 def test_haar_is_orthogonal():
     for N in (1, 5, 80):
-        O = sample_haar_orthogonal(N, seed=3)
+        O = sample_haar_rotation(N, seed=3).dense()
         assert np.max(np.abs(O.T @ O - np.eye(N))) < 1e-12
 
 
 def test_haar_deterministic_per_seed():
-    a = sample_haar_orthogonal(20, seed=11)
-    b = sample_haar_orthogonal(20, seed=11)
+    a = sample_haar_rotation(20, seed=11).dense()
+    b = sample_haar_rotation(20, seed=11).dense()
     assert np.array_equal(a, b)
-    c = sample_haar_orthogonal(20, seed=12)
+    c = sample_haar_rotation(20, seed=12).dense()
     assert not np.array_equal(a, c)
 
 
 def test_haar_n1_signs():
-    vals = [sample_haar_orthogonal(1, seed=s)[0, 0] for s in range(200)]
+    vals = [sample_haar_rotation(1, seed=s).dense()[0, 0] for s in range(200)]
     assert set(np.round(vals, 12)) <= {-1.0, 1.0}
     assert 0.3 < np.mean(np.array(vals) > 0) < 0.7
 
@@ -56,7 +55,7 @@ def test_haar_n1_signs():
 def test_haar_entry_statistics():
     # first entry is asymptotically N(0, 1/N)
     N, seeds = 500, 200
-    vals = np.array([sample_haar_orthogonal(N, seed=s)[0, 0] for s in range(seeds)])
+    vals = np.array([sample_haar_rotation(N, seed=s).dense()[0, 0] for s in range(seeds)])
     scaled = vals * np.sqrt(N)
     stderr = 1.0 / np.sqrt(seeds)
     assert abs(scaled.mean()) < 3 * stderr

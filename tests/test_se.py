@@ -25,7 +25,6 @@ from amp_lab.se import (
     fan_se_form,
     find_outlier,
     gaussian_amp_se,
-    gaussian_expectations,
     mp_denoise_fn,
     nu_measure,
     oamp_se,
@@ -121,9 +120,24 @@ def _population_moments_mc(denoisers, Sigma, beta, init, samples, seed, step_see
     return PopMoments(Phi=Phi, DeltaBar=DeltaBar, alpha=alpha, resid=resid, mse=mse)
 
 
+def _one_denoiser_moments(den, Sigma, init=None, beta=None) -> dict:
+    """Row t of `population_moments` for one denoiser of arity t = Sigma size,
+    after t - 1 zero denoisers: its divergence row, E[Ubar^2], the cross row
+    and (spiked) alpha."""
+    t = Sigma.shape[0]
+    init = init or SeInit(prior=make_prior("rademacher"))
+    schedule = [constant_denoiser(j, 0.0) for j in range(1, t)] + [den]
+    pm = population_moments(schedule, Sigma, beta, init)
+    out = {"divergences": pm.Phi[t, :t], "ubar_second_moment": float(pm.DeltaBar[t, t]),
+           "ubar_cross": pm.DeltaBar[t, : t + 1]}
+    if pm.alpha is not None:
+        out["alpha"] = float(pm.alpha[t])
+    return out
+
+
 def test_gaussian_expectation_tanh_derivative():
     # E[1 - tanh^2(Z)], Z ~ N(0,1): quadrature-grade reference value
-    out = gaussian_expectations(tanh_denoiser(1), np.array([[1.0]]))
+    out = _one_denoiser_moments(tanh_denoiser(1), np.array([[1.0]]))
     assert abs(out["divergences"][0] - 0.6057055096) < 1e-9
 
 
@@ -131,7 +145,7 @@ def test_gh_and_mc_engines_agree():
     den = tanh_denoiser(2, scale=1.1)
     Sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
     init = SeInit(prior=make_prior("rademacher"))
-    gh = gaussian_expectations(den, Sigma, init=init)
+    gh = _one_denoiser_moments(den, Sigma, init=init)
     mc = _population_moments_mc([constant_denoiser(1, 0.0), den], Sigma, None, init,
                                 samples=2_000_000, seed=5, step_seed=0)
     assert abs(gh["divergences"][1] - mc.Phi[2, 1]) < 5e-3
@@ -186,7 +200,7 @@ def test_projection_quadrature_matches_explicit_1d_tanh():
     Sigma = np.array([[1.0, 0.3, 0.2], [0.3, 0.8, 0.25], [0.2, 0.25, 0.6]])
     beta = np.array([0.6, 0.9, 1.2])
     init = SeInit(prior=make_prior("rademacher"), omega=0.3)
-    out = gaussian_expectations(tanh_denoiser(3, scale=1.1), Sigma, init=init, beta=beta)
+    out = _one_denoiser_moments(tanh_denoiser(3, scale=1.1), Sigma, init=init, beta=beta)
     z, w = np.polynomial.hermite_e.hermegauss(GH_POINTS)
     w = w / w.sum()
     r = np.array([-1.0, 1.0])[:, None] * beta[2] + math.sqrt(Sigma[2, 2]) * z[None, :]
@@ -548,6 +562,49 @@ def test_pair_quadrature_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert peak <= 256 * 1024
+
+
+def test_se_integrates_each_entry_once(monkeypatch):
+    # every step integrates only its new denoiser's entries: the whole
+    # recursion takes as many quadrature expectations as one
+    # population_moments call on its final schedule and Sigma
+    calls = []
+    factor = se._gauss_factor
+    monkeypatch.setattr(se, "_gauss_factor", lambda S: calls.append(1) or factor(S))
+    init = SeInit(prior=make_prior("rademacher"))
+    fac = lambda t, beta, Sigma: random_lipschitz_denoiser(t, 3 + 31 * t)
+    states = ri_amp_se(Semicircle(), fac, init, 10)
+    recursion = len(calls)
+    calls.clear()
+    population_moments([s.denoiser for s in states], states[-1].Sigma, None, init)
+    assert recursion == len(calls)
+
+
+@pytest.mark.parametrize("spiked", [False, True], ids=["mp", "spiked-mp"])
+def test_carried_moments_equal_recomputed_ones(spiked):
+    # the moments SE carries from step to step equal those integrated afresh
+    # on each step's Sigma and beta: the entries of U_{j+1} read only the
+    # leading blocks that step j saw (bit for bit unspiked, to rounding with
+    # a spike)
+    if spiked:
+        cfg = ExperimentConfig(law="mp:alpha=0.2", N=2000, T=6, theta=1.5, omega=0.3,
+                               algo="ri-amp-mp", denoiser="linear-mmse-combining",
+                               matrix_fn="mp-denoise")
+    else:
+        cfg = ExperimentConfig(law="mp:alpha=0.3", N=500, T=10, algo="ri-amp",
+                               denoiser="random-lipschitz:seed=3")
+    states, _ = compute_se(cfg)
+    init = SeInit(prior=make_prior("rademacher"), omega=cfg.omega if spiked else None)
+    dens = [s.denoiser for s in states]
+    for t in range(1, cfg.T):
+        pm = population_moments(dens[:t], states[t - 1].Sigma, states[t - 1].beta, init)
+        carried, fresh = [states[t].Phi, states[t].DeltaBar], [pm.Phi, pm.DeltaBar]
+        if not spiked:
+            assert all(np.array_equal(a, b) for a, b in zip(carried, fresh))
+            continue
+        carried += [states[t].alpha, [states[t - 1].mse_pred]]
+        fresh += [pm.alpha, [pm.mse]]
+        assert max(_rel(a, b) for a, b in zip(carried, fresh)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
