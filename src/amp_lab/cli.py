@@ -31,7 +31,8 @@ from .errors import AmpLabError, NumericalError, ValidationError
 from .freeprob import (build_poly_family, cumulants_from_law,
                        cumulants_to_moments_nc, mc_cumulants,
                        moments_to_cumulants, partial_moments)
-from .laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
+from .laws import (MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec, parse_number,
+                   parse_spec, read_columns)
 from .randmat import (RationalFn, build_rot_invariant, build_spiked, goe_ensemble,
                       parse_prior_spec)
 from .se import (SeInit, check_pole_free, fan_se_form, mp_denoise_fn, oamp_se,
@@ -54,6 +55,9 @@ _CONFIG_FIELDS = {
     "matrix_fn": str, "prior": str, "mc_samples": int, "output": str,
 }
 _NULLABLE_FIELDS = ("theta", "omega", "output")
+# the spec grammar of `resolve_denoiser_factory`: each denoiser's keys
+_DENOISER_KEYS = {"linear-mmse-combining": (), "mmse-rademacher": (), "tanh": ("scale",),
+                  "identity": (), "random-lipschitz": ("seed",)}
 
 
 def _physical_memory_bytes() -> int | None:
@@ -130,13 +134,8 @@ class ExperimentConfig:
         if self.matrix_fn != "identity" and self.algo not in MATRIX_FN_ALGOS:
             raise ValidationError(f"matrix_fn {self.matrix_fn!r} applies only to algos "
                                   f"{MATRIX_FN_ALGOS}; {self.algo!r} needs 'identity'")
-        prior = parse_prior_spec(self.prior)
-        name = self.denoiser.partition(":")[0]
-        if name in ("mmse-rademacher", "linear-mmse-combining"):
-            if not self.spiked:
-                raise ValidationError(f"denoiser {self.denoiser!r} needs a spiked config")
-            if prior.second_moment != 1.0:
-                raise ValidationError("MMSE denoisers need a unit-second-moment prior")
+        parse_prior_spec(self.prior)
+        resolve_denoiser_factory(self.denoiser, self.spiked)
         workers = _worker_count(self.runs)
         _check_fits_memory(workers * _seed_bytes(self.N, self.algo, self.T),
                            f"N={self.N} with {workers} concurrent seed(s)")
@@ -187,8 +186,9 @@ class ExperimentConfig:
 
 def resolve_matrix_fn(spec: str, law: SpectralLaw, theta: float | None):
     """Matrix-denoiser specs: identity | mp-denoise | polynomial:c0,c1,... |
-    file:path (one coefficient per line, '#' comments).  Each resolves to a
-    RationalFn, the form a spiked run applies without eigenvectors."""
+    file:path (one coefficient per line, read by `laws.read_columns`); every
+    coefficient a finite number.  Each resolves to a RationalFn, the form a
+    spiked run applies without eigenvectors."""
     if spec == "identity":
         return RationalFn(coeffs=(0.0, 1.0))
     if spec == "mp-denoise":
@@ -200,56 +200,35 @@ def resolve_matrix_fn(spec: str, law: SpectralLaw, theta: float | None):
         return mp_denoise_fn(theta, law.alpha)
     head, _, rest = spec.partition(":")
     if head == "polynomial":
-        try:
-            coeffs = [float(c) for c in rest.split(",") if c.strip()]
-        except ValueError as exc:
-            raise ValidationError(f"matrix_fn {spec!r}: {exc}") from exc
-        if not coeffs:
-            raise ValidationError("polynomial matrix_fn needs coefficients")
-        return RationalFn(coeffs=tuple(coeffs))
+        return RationalFn(coeffs=tuple(parse_number(c, f"matrix_fn {spec!r}: coefficient ")
+                                       for c in rest.split(",")))
     if head == "file":
-        coeffs = []
-        try:
-            with open(rest) as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    try:
-                        coeffs.append(float(line))
-                    except ValueError as exc:
-                        raise ValidationError(f"{rest}:{lineno}: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"matrix_fn file {rest!r}: {exc}") from exc
-        if not coeffs:
-            raise ValidationError(f"{rest}: no coefficients")
-        return RationalFn(coeffs=tuple(coeffs))
+        return RationalFn(coeffs=tuple(read_columns(rest, "matrix_fn file", (1,))[:, 0].tolist()))
     raise ValidationError(f"unknown matrix_fn spec {spec!r}")
 
 
 def resolve_denoiser_factory(spec: str, spiked: bool):
-    """Denoiser specs: mmse-rademacher | linear-mmse-combining | tanh[:scale=s]
-    | identity | random-lipschitz[:seed=s].  Returns factory(t, beta, Sigma)."""
-    name, _, rest = spec.partition(":")
-    params = {}
-    for item in rest.split(","):
-        if item:
-            k, _, v = item.partition("=")
-            params[k.strip()] = v
+    """Denoiser specs (`laws.parse_spec`): mmse-rademacher | linear-mmse-combining
+    (spiked configs only) | tanh[:scale=s] | identity | random-lipschitz[:seed=s],
+    s an integer in [0, 2^53], where floats hold integers exactly.  Returns
+    factory(t, beta, Sigma)."""
+    name, params = parse_spec(spec, "denoiser", _DENOISER_KEYS)
+    if name in ("mmse-rademacher", "linear-mmse-combining") and not spiked:
+        raise ValidationError(f"denoiser {spec!r} needs a spiked config")
     if name == "linear-mmse-combining":
         return lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
     if name == "mmse-rademacher":
         return lambda t, beta, Sigma: mmse_rademacher_denoiser(
             t, float(beta[-1]), float(Sigma[-1, -1]))
     if name == "tanh":
-        scale = float(params.get("scale", 1.0))
+        scale = params.get("scale", 1.0)
         return lambda t, beta, Sigma: tanh_denoiser(t, scale)
     if name == "identity":
         return lambda t, beta, Sigma: identity_denoiser(t)
-    if name == "random-lipschitz":
-        seed = int(params.get("seed", 0))
-        return lambda t, beta, Sigma: random_lipschitz_denoiser(t, seed + 31 * t)
-    raise ValidationError(f"unknown denoiser spec {spec!r}")
+    seed = params.get("seed", 0.0)
+    if not (seed.is_integer() and 0 <= seed <= 2**53):
+        raise ValidationError(f"denoiser {spec!r}: seed must be an integer in [0, 2^53]")
+    return lambda t, beta, Sigma: random_lipschitz_denoiser(t, int(seed) + 31 * t)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +384,17 @@ def _fmt(x) -> str:
     return FLOAT_FMT.format(float(x))
 
 
+def _csv_text(header: list[str] | None, rows) -> str:
+    """CSV lines: the header, if any, then the rows, t an integer, the rest in FLOAT_FMT."""
+    lines = [",".join(header)] if header else []
+    lines += [",".join([str(int(row[0]))] + [_fmt(c) for c in row[1:]]) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
 def _write_csv(path: str, header: list[str], rows) -> bytes:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(int(c)) if i == 0 else _fmt(c)
-                              for i, c in enumerate(row)))
-    data = ("\n".join(lines) + "\n").encode()
+    """Write `_csv_text` to `path`, making its directory; return the bytes."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    data = _csv_text(header, rows).encode()
     with open(path, "wb") as fh:
         fh.write(data)
     return data
@@ -458,9 +442,18 @@ def _write_svg(path: str, rows, spiked: bool) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def _check_out_dir(path: str) -> None:
+    """ValidationError, before any work, unless `path` is a writable
+    directory or can be made one; nothing is created."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise ValidationError(f"output directory {path!r}: {head!r} is not a writable directory")
+
+
 def _write_outputs(cfg: ExperimentConfig, out_dir: str, rows, se_rows,
                    n_ok: int, n_div: int) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     if cfg.spiked:
         header = ["t", "mse_emp_mean", "mse_emp_stderr", "mse_se_pred",
                   "overlap_emp_mean", "overlap_emp_stderr"]
@@ -502,7 +495,7 @@ def cmd_cumulants(args) -> int:
         _check_fits_memory(_seed_bytes(args.dim, "ri-amp", args.order), f"--dim {args.dim}")
     table = cumulants_from_law(law, args.order)
     header = ["n", "m_n", "kappa_n"]
-    extra = None
+    rows = [[n, table.moment(n), table.kappa(n)] for n in range(1, args.order + 1)]
     if args.mc:
         reps = []
         grid = law.quantile_grid(args.dim).atoms
@@ -510,27 +503,20 @@ def cmd_cumulants(args) -> int:
             ens = build_rot_invariant(grid, seed=args.seed + 101 * rep)
             reps.append(mc_cumulants(ens, args.order, seed=args.seed + 101 * rep + 1))
         reps = np.array(reps)
-        extra = (reps.mean(axis=0), reps.std(axis=0, ddof=1) if len(reps) > 1
-                 else np.zeros(args.order))
+        spread = reps.std(axis=0, ddof=1) if len(reps) > 1 else np.zeros(args.order)
+        rows = [row + [m, e] for row, m, e in zip(rows, reps.mean(axis=0), spread)]
         header += ["kappa_hat_n", "kappa_hat_spread"]
-    out = sys.stdout
-    print(",".join(header), file=out)
-    for n in range(1, args.order + 1):
-        row = [str(n), _fmt(table.moment(n)), _fmt(table.kappa(n))]
-        if extra is not None:
-            row += [_fmt(extra[0][n - 1]), _fmt(extra[1][n - 1])]
-        print(",".join(row), file=out)
+    sys.stdout.write(_csv_text(header, rows))
     return 0
 
 
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     out_dir = args.out or cfg.output or "."
+    _check_out_dir(out_dir)
     rows, se_rows, n_ok, n_div = run_experiment(cfg)
     _write_outputs(cfg, out_dir, rows, se_rows, n_ok, n_div)
-    for row in rows:
-        print(",".join(str(int(row[0])) if i == 0 else _fmt(c)
-                       for i, c in enumerate(row)))
+    sys.stdout.write(_csv_text(None, rows))
     if n_div:
         print(f"warning: {n_div} seed(s) excluded after numerical failure",
               file=sys.stderr)
@@ -539,15 +525,13 @@ def cmd_run(args) -> int:
 
 def cmd_se(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
+    if args.out:
+        _check_out_dir(args.out)
     _, se_rows = compute_se(cfg)
     header = ["t", "mse_se_pred" if cfg.spiked else "r2_se_pred"]
-    lines = [",".join(header)] + [f"{t},{_fmt(v)}" for t, v in se_rows]
-    text = "\n".join(lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "se.csv"), "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        _write_csv(os.path.join(args.out, "se.csv"), header, se_rows)
+    sys.stdout.write(_csv_text(header, se_rows))
     return 0
 
 

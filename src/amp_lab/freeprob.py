@@ -34,12 +34,12 @@ MP_DEBIAS_NODES = 400
 # non-crossing partitions
 # ---------------------------------------------------------------------------
 
-def enumerate_nc_partitions(k: int, order_cap: int = NC_ORDER_CAP):
+def enumerate_nc_partitions(k: int):
     """All non-crossing partitions of {1, ..., k}, each a tuple of blocks."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if k > order_cap:
-        raise SizeLimitError(f"k={k} exceeds the combinatorial cap {order_cap}")
+    if k > NC_ORDER_CAP:
+        raise SizeLimitError(f"k={k} exceeds the combinatorial cap {NC_ORDER_CAP}")
     return list(_nc_gen(tuple(range(1, k + 1))))
 
 
@@ -88,10 +88,10 @@ def partition_to_tuple(partition, k: int) -> tuple:
     return tuple(s)
 
 
-def enumerate_step_tuples(k: int, order_cap: int = NC_ORDER_CAP):
+def enumerate_step_tuples(k: int):
     """Tuples (s_1..s_k) with s_i >= 0, partial sums <= position, total = k."""
-    if k > order_cap:
-        raise SizeLimitError(f"k={k} exceeds the combinatorial cap {order_cap}")
+    if k > NC_ORDER_CAP:
+        raise SizeLimitError(f"k={k} exceeds the combinatorial cap {NC_ORDER_CAP}")
 
     out = []
 
@@ -119,11 +119,11 @@ def _nc_block_profiles(k: int) -> dict:
     return profiles
 
 
-def cumulants_to_moments_nc(cumulants: Sequence, order_cap: int = NC_ORDER_CAP) -> list:
+def cumulants_to_moments_nc(cumulants: Sequence) -> list:
     """Moment-cumulant formula by summation over non-crossing partitions."""
     k = len(cumulants)
-    if k > order_cap:
-        raise SizeLimitError(f"order {k} exceeds the combinatorial cap {order_cap}")
+    if k > NC_ORDER_CAP:
+        raise SizeLimitError(f"order {k} exceeds the combinatorial cap {NC_ORDER_CAP}")
     moments = []
     for n in range(1, k + 1):
         total = 0
@@ -157,7 +157,7 @@ class CumulantTable:
         return self.moments[n - 1]
 
 
-def moments_to_cumulants(moments: Sequence, order_cap: int = RECURSION_ORDER_CAP) -> CumulantTable:
+def moments_to_cumulants(moments: Sequence) -> CumulantTable:
     """Free cumulants from moments by the interleaved coefficient recursion.
 
     alpha_{n,i} = alpha_{n-1,i-1} - sum_{j=1}^{n-i} kappa_j alpha_{n-j,i},
@@ -166,8 +166,8 @@ def moments_to_cumulants(moments: Sequence, order_cap: int = RECURSION_ORDER_CAP
     n_ord = len(moments)
     if n_ord < 1:
         raise ValidationError("need at least one moment")
-    if n_ord > order_cap:
-        raise SizeLimitError(f"order {n_ord} exceeds the recursion cap {order_cap}")
+    if n_ord > RECURSION_ORDER_CAP:
+        raise SizeLimitError(f"order {n_ord} exceeds the recursion cap {RECURSION_ORDER_CAP}")
     alpha = [[moments[0] * 0 + 1]]  # row 0: Q_0 = 1, in the input arithmetic
     kappas = [moments[0]]
     for n in range(1, n_ord):
@@ -248,7 +248,6 @@ def build_poly_family(
     kind: str,
     order: int,
     f: Callable | None = None,
-    order_cap: int = RECURSION_ORDER_CAP,
 ) -> PolyFamily:
     """Build the centered polynomial family of the requested kind.
 
@@ -260,8 +259,8 @@ def build_poly_family(
     """
     if order < 0:
         raise ValidationError("order must be >= 0")
-    if order > order_cap:
-        raise SizeLimitError(f"order {order} exceeds the recursion cap {order_cap}")
+    if order > RECURSION_ORDER_CAP:
+        raise SizeLimitError(f"order {order} exceeds the recursion cap {RECURSION_ORDER_CAP}")
     if kind == "K":
         if f is None:
             raise ValidationError("kind K requires a processing function")
@@ -277,7 +276,7 @@ def build_poly_family(
             coeffs: list = [[1.0]]
             centering: list = []
         else:
-            table = moments_to_cumulants(mom, order_cap=order_cap)
+            table = moments_to_cumulants(mom)
             coeffs = [list(r) for r in table.alpha]
             centering = list(table.cumulants)
             # the cumulant recursion stops at row order-1; one more row is
@@ -433,14 +432,14 @@ class PartialMomentTable:
         return float(self.c[k, j])
 
 
-def partial_moments(law: SpectralLaw, order: int, order_cap: int = RECURSION_ORDER_CAP) -> PartialMomentTable:
+def partial_moments(law: SpectralLaw, order: int) -> PartialMomentTable:
     """Table c_{k,j} = sum_m c_{k-1,m} kappa_{j+1-m}, c_{0,0}=1, c_{0,j>=1}=0.
 
     Satisfies c_{k,j} = E[Lambda^k Q_j]."""
     if order < 0:
         raise ValidationError("order must be >= 0")
     width = max(2 * order, 1)  # column need shrinks by one per row step
-    kap = moments_to_cumulants(law.moments(width + 1), order_cap=order_cap).cumulants
+    kap = moments_to_cumulants(law.moments(width + 1)).cumulants
     kappa = [1.0] + [float(k) for k in kap]  # kappa[0] = 1 convention
     c = np.zeros((order + 1, width + 1))
     c[0, 0] = 1.0

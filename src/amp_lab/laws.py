@@ -472,68 +472,92 @@ def point_mass(c: float) -> DiscreteGrid:
     return DiscreteGrid(atoms=np.array([float(c)]))
 
 
-def load_law_file(path: str) -> SpectralLaw:
-    """Load atoms (one value per line) or a density table ("lambda density").
+# the spec grammar of `parse_law_spec`: each law name's keys
+_LAW_KEYS = {"semicircle": ("var",), "mp": ("alpha",), "point": ("c",)}
+# other spellings of the names and keys of every spec grammar
+SPEC_ALIASES = {"sc": "semicircle", "goe": "semicircle", "marchenko-pastur": "mp",
+                "marchenkopastur": "mp", "point-mass": "point", "variance": "var"}
 
-    Comment lines start with '#'.  One column -> DiscreteGrid, two columns ->
-    ExternalDensity.
-    """
+
+def parse_number(text: str, where: str) -> float:
+    """`text` as a finite float, or a ValidationError that starts with `where`."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{where}{text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}{text.strip()!r} is not finite")
+    return value
+
+
+def parse_spec(spec: str, kind: str,
+               keys: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, float]]:
+    """(name, {key: value}) of a spec "name[:key=value,...]" of one `kind`
+    (law spec, prior, denoiser), `keys` mapping each name to the keys it
+    takes.  Names and keys are case-insensitive, SPEC_ALIASES gives their
+    other spellings, and whitespace around them is ignored.  An unknown name
+    or key, a key given twice (in either spelling) and a value that is not
+    a finite number raise ValidationError naming `kind` and the spec."""
+    head, _, rest = spec.partition(":")
+    name = SPEC_ALIASES.get(head.strip().lower(), head.strip().lower())
+    if name not in keys:
+        raise ValidationError(f"unknown {kind} {spec!r}; choose from {sorted(keys)}")
+    params = {}
+    for item in rest.split(",") if rest.strip() else ():
+        key, _, value = item.partition("=")
+        key = SPEC_ALIASES.get(key.strip().lower(), key.strip().lower())
+        if key not in keys[name]:
+            raise ValidationError(f"{kind} {spec!r}: unknown parameter {key!r}; "
+                                  f"{name} takes {list(keys[name]) or 'none'}")
+        if key in params:
+            raise ValidationError(f"{kind} {spec!r}: {key} is given twice")
+        params[key] = parse_number(value, f"{kind} {spec!r}: {key}=")
+    return name, params
+
+
+def read_columns(path: str, what: str, widths: tuple[int, ...]) -> np.ndarray:
+    """The (rows, columns) table of finite numbers in a text file: a row a line,
+    '#' comments, blank lines skipped, every row as wide as the first, a width in
+    `widths`.  Errors are ValidationErrors naming `what`, the file and line."""
     rows = []
-    ncols = None
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
+                parts = raw.split("#", 1)[0].split()
+                if not parts:
                     continue
-                parts = line.split()
-                if ncols is None:
-                    ncols = len(parts)
-                if len(parts) != ncols or ncols not in (1, 2):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {ncols or '1 or 2'} columns")
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+                where = f"{what} {path}:{lineno}: "
+                expected = (len(rows[0]),) if rows else widths
+                if len(parts) not in expected:
+                    raise ValidationError(f"{where}expected {' or '.join(map(str, expected))} "
+                                          "columns")
+                rows.append([parse_number(p, where) for p in parts])
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"law file {path!r}: {exc}") from exc
+        raise ValidationError(f"{what} {path!r}: {exc}") from exc
     if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    if ncols == 1:
+        raise ValidationError(f"{what} {path}: no data rows")
+    return np.asarray(rows)
+
+
+def load_law_file(path: str) -> SpectralLaw:
+    """Load atoms (one value per line) or a density table ("lambda density")
+    by `read_columns`: one column -> DiscreteGrid, two columns ->
+    ExternalDensity."""
+    data = read_columns(path, "law file", (1, 2))
+    if data.shape[1] == 1:
         return DiscreteGrid(atoms=data[:, 0])
     return ExternalDensity(grid=data[:, 0], density=data[:, 1])
 
 
 def parse_law_spec(spec: str) -> SpectralLaw:
-    """Parse CLI specs like "semicircle", "semicircle:var=2", "mp:alpha=0.2",
-    "point:c=1.5", "file:path"."""
-    head, _, rest = spec.partition(":")
-    head = head.strip().lower()
-    if head == "file":
-        return load_law_file(rest)
-    if head in ("semicircle", "sc", "goe"):
-        allowed = ("var", "variance")
-    elif head in ("mp", "marchenko-pastur", "marchenkopastur"):
-        allowed = ("alpha",)
-    elif head in ("point", "point-mass"):
-        allowed = ("c",)
-    else:
-        raise ValidationError(f"unknown law spec {spec!r}")
-    kv = {}
-    for item in rest.split(",") if rest else ():
-        k, _, v = item.partition("=")
-        k = k.strip()
-        if k not in allowed:
-            raise ValidationError(
-                f"law spec {spec!r}: unknown parameter {k!r} (expected one of {allowed})")
-        try:
-            kv[k] = float(v)
-        except ValueError:
-            raise ValidationError(f"law spec {spec!r}: {k}={v!r} is not a number") from None
-    if head in ("semicircle", "sc", "goe"):
-        return Semicircle(variance=kv.get("var", kv.get("variance", 1.0)))
-    if head in ("mp", "marchenko-pastur", "marchenkopastur"):
+    """The law of a CLI spec "semicircle[:var=v]", "mp[:alpha=a]",
+    "point[:c=c]" (the `parse_spec` grammar) or "file:path"."""
+    head, _, path = spec.partition(":")
+    if head.strip().lower() == "file":
+        return load_law_file(path)
+    name, kv = parse_spec(spec, "law spec", _LAW_KEYS)
+    if name == "semicircle":
+        return Semicircle(variance=kv.get("var", 1.0))
+    if name == "mp":
         return MarchenkoPastur(alpha=kv.get("alpha", 0.5))
     return point_mass(kv.get("c", 0.0))

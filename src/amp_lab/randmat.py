@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
+from .laws import parse_spec
 
 OVERLAP_N_CAP = 8000  # the secular solver's root loop takes O(N^2) time
 # A query's residual off the revealed span is new only above this multiple
@@ -379,27 +380,17 @@ _PRIOR_PARAMS = {"rademacher": (), "gaussian": (), "sparse": ("rho",)}
 
 
 def parse_prior_spec(spec: str) -> Prior:
-    """The prior of a spec 'name[:key=value,...]', e.g. 'sparse:rho=0.2'."""
-    name, _, rest = spec.partition(":")
-    params = {}
-    for item in rest.split(",") if rest else ():
-        key, _, val = (part.strip() for part in item.partition("="))
-        try:
-            params[key] = float(val)
-        except ValueError:
-            raise ValidationError(f"prior {spec!r}: {key}={val!r} is not a number") from None
-    return make_prior(name.strip(), **params)
+    """The prior of a spec 'name[:key=value,...]' (`laws.parse_spec`), e.g. 'sparse:rho=0.2'."""
+    name, params = parse_spec(spec, "prior", _PRIOR_PARAMS)
+    return make_prior(name, **params)
 
 
 def make_prior(name: str, /, **params) -> Prior:
     """Priors: 'rademacher' (default choice), 'sparse' (three-point, param
     rho = nonzero fraction in (0, 1], default 0.1), 'gaussian'."""
-    if name not in _PRIOR_PARAMS:
-        raise ValidationError(f"unknown prior {name!r}; choose from {sorted(_PRIOR_PARAMS)}")
-    unknown = sorted(set(params) - set(_PRIOR_PARAMS[name]))
-    if unknown:
-        raise ValidationError(f"prior {name!r}: unknown parameter(s) {unknown}; "
-                              f"it takes {list(_PRIOR_PARAMS[name]) or 'none'}")
+    if name not in _PRIOR_PARAMS or not set(params) <= set(_PRIOR_PARAMS[name]):
+        raise ValidationError(f"prior {name!r} with parameters {sorted(params)}: the priors "
+                              f"and their parameters are {_PRIOR_PARAMS}")
     if name == "rademacher":
         return Prior("rademacher", lambda rng, n: rng.choice([-1.0, 1.0], size=n), 1.0,
                      atoms=((-1.0, 1.0), (0.5, 0.5)))
@@ -578,11 +569,11 @@ class OverlapMeasure:
         return self.expect(lambda x: x)
 
 
-def overlap_measure(inst: SpikedInstance, n_cap: int = OVERLAP_N_CAP) -> OverlapMeasure:
+def overlap_measure(inst: SpikedInstance) -> OverlapMeasure:
     """Eigen-overlap measure of the spiked matrix: its eigenvalues
     (ascending), the one of eigenvector O v_k of weight (z^T v_k)^2 / N."""
-    if inst.N > n_cap:
-        raise ValidationError(f"N={inst.N} exceeds the secular solver's cap {n_cap}")
+    if inst.N > OVERLAP_N_CAP:
+        raise ValidationError(f"N={inst.N} exceeds the secular solver's cap {OVERLAP_N_CAP}")
     op = inst.operator
     mu, overlap = diag_rank_one_eigh(op.eigenvalues, op.z, op.rho)
     return OverlapMeasure(nodes=mu, weights=overlap / inst.N)

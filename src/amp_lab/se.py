@@ -49,6 +49,7 @@ PSD_TOL = 1e-9
 # 256-node value; from about 372 nodes `hermegauss` returns non-finite weights.
 GH_POINTS = 192
 GH_BLOCK_ROWS = 32  # pair-rule rows per block: <= 32 x 116 kept nodes, 30 KB a temporary
+POLE_GAP = 1e-6  # a 1/x matrix denoiser needs the support this far from 0
 
 
 @functools.lru_cache(maxsize=4)
@@ -359,17 +360,16 @@ def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,
     return _evolve(_TraceFreeRows(law, [f] * T), denoisers, init, T)
 
 
-def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int,
-                    u1_second_moment: float = 1.0) -> np.ndarray:
+def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int) -> np.ndarray:
     """Scalar recursion sigma_t^2 = Var(R_t) of single-memory Gaussian AMP:
-    sigma_1^2 = E[U_1^2]; sigma_{t+1}^2 = E[eta_{t+1}(sigma_t Z)^2].  A
+    sigma_1^2 = E[U_1^2] = 1; sigma_{t+1}^2 = E[eta_{t+1}(sigma_t Z)^2].  A
     closed-form reference for `ri_amp_se` under the unit semicircle.
 
     `denoisers[t-1]` is eta_{t+1} (the map from r_t to u_{t+1}); only the
     last history row is read."""
     z, wz = _gh_rule(GH_POINTS)
     out = np.empty(T)
-    out[0] = float(u1_second_moment)
+    out[0] = 1.0
     for t in range(1, T):
         den = denoisers[t - 1]
         R = np.zeros((den.arity, z.size))
@@ -454,13 +454,13 @@ def mp_denoise_fn(theta: float, alpha: float) -> RationalFn:
     return RationalFn(coeffs=(theta / alpha,), pole=theta * (alpha - 1.0 - theta) / alpha)
 
 
-def check_pole_free(law: SpectralLaw, delta: float = 1e-6) -> None:
-    """Reject laws whose support meets (-delta, delta) when a 1/x matrix
-    denoiser is selected."""
+def check_pole_free(law: SpectralLaw) -> None:
+    """Reject laws whose support meets (-POLE_GAP, POLE_GAP) when a 1/x
+    matrix denoiser is selected."""
     lo, hi = law.support()
-    if lo < delta and hi > -delta:
+    if lo < POLE_GAP and hi > -POLE_GAP:
         raise ValidationError(
-            f"law support [{lo}, {hi}] intersects (-{delta}, {delta}): "
+            f"law support [{lo}, {hi}] intersects (-{POLE_GAP}, {POLE_GAP}): "
             "matrix denoiser has a pole at 0"
         )
 

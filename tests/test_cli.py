@@ -22,7 +22,7 @@ from amp_lab.denoisers import tanh_denoiser
 from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
 from amp_lab.laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
-from amp_lab.randmat import LazyHaarRotation, RationalFn, make_prior
+from amp_lab.randmat import LazyHaarRotation, RationalFn, make_prior, parse_prior_spec
 from amp_lab import se
 from amp_lab.se import SeInit, spiked_se
 
@@ -31,6 +31,9 @@ BASE = {"law": "mp:alpha=0.2", "N": 200, "T": 3, "theta": 1.5, "omega": 0.3,
         "runs": 2, "seed_base": 1, "algo": "ri-amp-mp",
         "denoiser": "linear-mmse-combining", "matrix_fn": "mp-denoise",
         "mc_samples": 50_000}
+
+_SE_CFG = {"law": "semicircle", "N": 64, "T": 2, "algo": "ri-amp", "denoiser": "tanh"}
+_MP_CFG = {**_SE_CFG, "law": "mp:alpha=0.3", "algo": "ri-amp-mp"}
 
 
 def _cfg(**over):
@@ -169,6 +172,26 @@ def test_matrix_fn_other_than_identity_exits_1(algo, spiked, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["se", "run"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_output_path_that_cannot_be_a_directory_exits_1_before_any_work(
+        cmd, out, tmp_path, monkeypatch, capsys):
+    # "taken" is a file, so neither it nor a path under it can be a directory
+    (tmp_path / "taken").write_text("")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_SE_CFG))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "compute_se", no_work)
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    assert main([cmd, "--config", str(p), "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: output directory ")
+    assert str(tmp_path / out) in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["se", "run"])
 def test_gaussian_amp_requires_the_unit_semicircle(cmd, tmp_path, capsys):
     # the runs draw a unit-variance GOE, so a prediction for another law
     # would not describe them
@@ -243,8 +266,9 @@ def test_matrix_fn_spec_errors():
     sc = Semicircle()
     with pytest.raises(ValidationError):
         resolve_matrix_fn("mp-denoise", sc, 1.5)  # wrong law
-    with pytest.raises(ValidationError):
-        resolve_matrix_fn("polynomial:", sc, None)
+    for spec in ("polynomial:", "polynomial:1,,2", "polynomial:1,2,", "polynomial:nan"):
+        with pytest.raises(ValidationError, match="matrix_fn"):
+            resolve_matrix_fn(spec, sc, None)
     with pytest.raises(ValidationError):
         resolve_matrix_fn("wavelet", sc, None)
 
@@ -316,6 +340,88 @@ def test_denoiser_specs():
     assert "tanh" in den.name
     with pytest.raises(ValidationError):
         resolve_denoiser_factory("oracle", True)
+
+
+@pytest.mark.parametrize("over,kind", [
+    ({"denoiser": "tanh:scale=abc"}, "denoiser"), ({"denoiser": "tanh:scale"}, "denoiser"),
+    ({"denoiser": "tanh:sclae=2"}, "denoiser"), ({"denoiser": "tanh:scale=nan"}, "denoiser"),
+    ({"denoiser": "identity:foo=1"}, "denoiser"),
+    ({**BASE, "denoiser": "mmse-rademacher:zzz"}, "denoiser"),
+    ({"denoiser": "random-lipschitz:seed=1.5"}, "denoiser"),
+    ({"denoiser": "random-lipschitz:seed=-40"}, "denoiser"),
+    ({"denoiser": "random-lipschitz:seed=-1"}, "denoiser"),
+    ({"law": "semicircle:var=2,variance=3"}, "law spec"),
+    ({"prior": "sparse:rho=0.5,rho=0.2"}, "prior"),
+    ({**_MP_CFG, "matrix_fn": "polynomial:1,inf"}, "matrix_fn"),
+    ({**_MP_CFG, "matrix_fn": "file:{nan_table}"}, "matrix_fn file"),
+])
+def test_bad_spec_exits_1_naming_its_kind(over, kind, tmp_path, capsys):
+    # one grammar for every name[:key=value] spec: a bad value, an unknown or
+    # repeated key (var and variance are one key) exits 1 before any output
+    table = tmp_path / "coef.txt"
+    table.write_text("1.0\nnan\n")
+    cfg = {**_SE_CFG, **over}
+    cfg["matrix_fn"] = cfg.get("matrix_fn", "identity").format(nan_table=table)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["se", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {kind} ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["TANH:Scale=1", " tanh : scale = 1 ", "tanh:scale=1.0"])
+def test_denoiser_spec_names_and_keys_are_case_and_space_insensitive(spec):
+    assert resolve_denoiser_factory(spec, False)(2, None, None).name == "tanh(scale=1.0)"
+
+
+def test_random_lipschitz_seed_is_an_integer_from_zero():
+    names = [resolve_denoiser_factory(f"random-lipschitz:seed={s}", False)(1, None, None).name
+             for s in ("0", "3", "3.0", "9007199254740992")]
+    assert names == ["random-lipschitz(seed=31)", "random-lipschitz(seed=34)",
+                     "random-lipschitz(seed=34)", "random-lipschitz(seed=9007199254741023)"]
+    for bad in ("-1", "0.5", "1e300", "inf"):
+        with pytest.raises(ValidationError, match="denoiser"):
+            resolve_denoiser_factory(f"random-lipschitz:seed={bad}", False)
+
+
+def _spec_text(names, keys):
+    """Arbitrary text, or one of `names` followed by key=value items drawn
+    from `keys` (positional values when `keys` is empty)."""
+    values = st.sampled_from(["1", "0.3", "-1", "2.5", "0", "1e300", "1e400", "nan", "inf",
+                              "", "x", " 2 "])
+    items = values if not keys else st.builds("{}={}".format, st.sampled_from(keys), values)
+    params = st.lists(items | st.text(max_size=4), max_size=3).map(",".join)
+    return st.text(max_size=16) | st.builds("{}{}{}".format, st.sampled_from(names),
+                                             st.sampled_from([":", " : "]), params)
+
+
+_RESOLVERS = {
+    "law": (parse_law_spec, ["semicircle", "SC", "goe", "mp", "marchenko-pastur", "point",
+                             "point-mass"], ["var", "variance", "alpha", "c", "Var", "x"]),
+    "prior": (parse_prior_spec, ["rademacher", "gaussian", "sparse", "Sparse"],
+              ["rho", "RHO", "x"]),
+    "denoiser": (lambda spec: resolve_denoiser_factory(spec, True),
+                 ["tanh", "identity", "random-lipschitz", "mmse-rademacher",
+                  "linear-mmse-combining"], ["scale", "seed", "x"]),
+    "matrix_fn": (lambda spec: resolve_matrix_fn(spec, MarchenkoPastur(alpha=0.3), 1.5),
+                  ["identity", "mp-denoise", "polynomial"], []),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RESOLVERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_spec_resolvers_return_or_raise_validation_error(kind, data):
+    # on any spec text but a file: one, a resolver returns or raises
+    # ValidationError, never another exception
+    resolve, names, keys = _RESOLVERS[kind]
+    spec = data.draw(_spec_text(names, keys).filter(
+        lambda s: s.partition(":")[0].strip().lower() != "file"))
+    try:
+        resolve(spec)
+    except ValidationError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,25 @@ def test_missing_or_unreadable_law_file_is_a_validation_error(tmp_path, name):
         parse_law_spec("file:" + path)
 
 
+@pytest.mark.parametrize("spec,law", [
+    ("sc:variance=2", Semicircle(variance=2.0)), (" GOE : Var = 2 ", Semicircle(variance=2.0)),
+    ("semicircle:", Semicircle()), ("Marchenko-Pastur:ALPHA=0.3", MarchenkoPastur(alpha=0.3)),
+    ("mp", MarchenkoPastur(alpha=0.5)),
+])
+def test_law_spec_spellings_name_one_law(spec, law):
+    assert parse_law_spec(spec) == law
+
+
+@pytest.mark.parametrize("spec,needle", [
+    ("semicircle:var=2,variance=3", "given twice"), ("mp:alpha=0.2,alpha=0.3", "given twice"),
+    ("semicircle:var=2,", "unknown parameter"), ("mp:alpha", "not a number"),
+    ("wigner", "unknown law spec"),
+])
+def test_law_spec_rejects_repeated_missing_and_unknown_keys(spec, needle):
+    with pytest.raises(ValidationError, match=needle):
+        parse_law_spec(spec)
+
+
 @pytest.mark.parametrize("spec", ["semicircle:var=nan", "semicircle:var=inf",
                                   "semicircle:var=1e300", "point:c=inf", "point:c=nan",
                                   "point:c=-1e100"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from amp_lab import randmat
 from amp_lab.cli import ExperimentConfig, compute_se, resolve_matrix_fn
 from amp_lab.denoisers import tanh_denoiser
 from amp_lab.engines import HORIZON_CAP, as_operator, run_ri_amp, run_ri_amp_mp
@@ -491,11 +492,12 @@ def test_overlap_measure_bbp_outlier():
     assert abs(np.mean(means) - theta) < 0.1
 
 
-def test_overlap_measure_size_cap():
+def test_overlap_measure_size_cap(monkeypatch):
     ens = build_rot_invariant(np.linspace(-1, 1, 64), seed=0)
     inst = build_spiked(1.0, make_prior("rademacher"), ens, seed=0)
+    monkeypatch.setattr(randmat, "OVERLAP_N_CAP", 32)
     with pytest.raises(ValidationError):
-        overlap_measure(inst, n_cap=32)
+        overlap_measure(inst)
 
 
 def _secular_case(name, N):
