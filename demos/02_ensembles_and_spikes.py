@@ -37,16 +37,17 @@ inst = build_spiked(theta, prior, ens, seed=3)
 # Above the transition (theta > 1 for the semicircle) the top eigenvalue
 # detaches from the bulk edge and lands at theta + 1/theta.
 om = overlap_measure(inst)
-print("top eigenvalue:", om.nodes.max(),
+print("top eigenvalue:", om.atoms.max(),
       " predicted outlier:", theta + 1 / theta)
 
-# The eigen-overlap measure nu weights each eigenvalue by its squared
-# projection on the signal; its analytic form has a bulk reweighting plus an
-# atom at the outlier of mass 1 - 1/theta^2.
+# The eigen-overlap measure weights each eigenvalue by its squared projection
+# on the signal.  Its limit nu is an atom law like the overlap measure: a bulk
+# reweighting of the semicircle's quadrature nodes and, as its last atom, the
+# outlier of mass 1 - 1/theta^2.
 nu = nu_measure(sc, theta)
-print("nu atom (location, mass):", nu.atom,
+print("nu outlier:", nu.atoms[-1], " mass:", nu.weights[-1],
       "  empirical top-eigenvector overlap:", om.weights.max())
-print("nu mean:", nu.mean(), " empirical:", om.mean())
+print("nu mean:", nu.moment(1), " empirical:", om.moment(1))
 
 # Below the transition there is no outlier and the signal is invisible to PCA.
 print("outlier at theta=0.8:", find_outlier(sc, 0.8))

@@ -58,6 +58,8 @@ _NULLABLE_FIELDS = ("theta", "omega", "output")
 # the spec grammar of `resolve_denoiser_factory`: each denoiser's keys
 _DENOISER_KEYS = {"linear-mmse-combining": (), "mmse-rademacher": (), "tanh": ("scale",),
                   "identity": (), "random-lipschitz": ("seed",)}
+# matrix_fn names; polynomial and file take positional coefficients or a path
+_MATRIX_FN_NAMES = {"identity": (), "mp-denoise": (), "polynomial": (), "file": ()}
 
 
 def _physical_memory_bytes() -> int | None:
@@ -131,7 +133,7 @@ class ExperimentConfig:
         if self.spiked and self.algo not in SPIKED_ALGOS:
             raise ValidationError(
                 f"spiked experiments support algos {SPIKED_ALGOS}, got {self.algo!r}")
-        if self.matrix_fn != "identity" and self.algo not in MATRIX_FN_ALGOS:
+        if self.matrix_fn.strip().lower() != "identity" and self.algo not in MATRIX_FN_ALGOS:
             raise ValidationError(f"matrix_fn {self.matrix_fn!r} applies only to algos "
                                   f"{MATRIX_FN_ALGOS}; {self.algo!r} needs 'identity'")
         parse_prior_spec(self.prior)
@@ -187,24 +189,25 @@ class ExperimentConfig:
 def resolve_matrix_fn(spec: str, law: SpectralLaw, theta: float | None):
     """Matrix-denoiser specs: identity | mp-denoise | polynomial:c0,c1,... |
     file:path (one coefficient per line, read by `laws.read_columns`); every
-    coefficient a finite number.  Each resolves to a RationalFn, the form a
-    spiked run applies without eigenvectors."""
-    if spec == "identity":
-        return RationalFn(coeffs=(0.0, 1.0))
-    if spec == "mp-denoise":
-        if not isinstance(law, MarchenkoPastur):
-            raise ValidationError("mp-denoise requires a Marchenko-Pastur law")
-        if theta is None:
-            raise ValidationError("mp-denoise requires theta")
-        check_pole_free(law)
-        return mp_denoise_fn(theta, law.alpha)
+    coefficient a finite number.  Names are case-insensitive and whitespace
+    around them is ignored, as in `laws.parse_spec`; a file path is taken
+    verbatim.  Each resolves to a RationalFn, the form a spiked run applies
+    without eigenvectors."""
     head, _, rest = spec.partition(":")
-    if head == "polynomial":
+    name = head.strip().lower()
+    if name == "polynomial":
         return RationalFn(coeffs=tuple(parse_number(c, f"matrix_fn {spec!r}: coefficient ")
                                        for c in rest.split(",")))
-    if head == "file":
+    if name == "file":
         return RationalFn(coeffs=tuple(read_columns(rest, "matrix_fn file", (1,))[:, 0].tolist()))
-    raise ValidationError(f"unknown matrix_fn spec {spec!r}")
+    if parse_spec(spec, "matrix_fn", _MATRIX_FN_NAMES)[0] == "identity":
+        return RationalFn(coeffs=(0.0, 1.0))
+    if not isinstance(law, MarchenkoPastur):
+        raise ValidationError("mp-denoise requires a Marchenko-Pastur law")
+    if theta is None:
+        raise ValidationError("mp-denoise requires theta")
+    check_pole_free(law)
+    return mp_denoise_fn(theta, law.alpha)
 
 
 def resolve_denoiser_factory(spec: str, spiked: bool):

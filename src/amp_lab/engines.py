@@ -278,17 +278,20 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
     defaults to the run's debias law, under which the recorded E is trace-free."""
     law = run.debias_law if law is None else law
     T, op, fs = run.T, run.operator, run.f_schedule
+    distinct = {id(f): f for f in fs}  # each distinct f is mapped once per node set
     nodes, w = law.quad_nodes()
     units = (np.eye(t + 1, 1, -t).repeat(nodes.size, axis=1) for t in range(T))  # e_t at all nodes
     residuals = np.zeros((T, T))
-    times_f = [lambda s, v=_map_eigenvalues(f, nodes): v * s for f in fs]
+    at_nodes = {key: _map_eigenvalues(f, nodes) for key, f in distinct.items()}
+    times_f = [lambda s, v=at_nodes[id(f)]: v * s for f in fs]
     for t, v_t in enumerate(_replay(run, units, times_f)):
         residuals[t, : t + 1] = np.abs((v_t * w).sum(axis=1))
     # compared in W's eigenbasis: each r_t lies in the span a lazy rotation
     # has revealed, so O^T r reveals nothing, while O applied to the
     # reconstruction would record its rounding as new directions of O
     S = op.to_spectral(np.column_stack(run.ubar[:T])).T
-    r_hat = np.column_stack(_replay(run, S, [op.core_function(f) for f in fs]))
+    cores = {key: op.core_function(f) for key, f in distinct.items()}
+    r_hat = np.column_stack(_replay(run, S, [cores[id(f)] for f in fs]))
     R = op.to_spectral(np.column_stack(run.r))
     errors = np.linalg.norm(r_hat - R, axis=0) / np.maximum(np.linalg.norm(R, axis=0), 1e-300)
     return UnfoldedRepresentation(

@@ -371,8 +371,8 @@ class _TraceFreeRows:
     Each entry is a polynomial of degree <= T in f_1..f_T, so a product of
     two (state evolution's Sigma) has degree <= 2 T.  With one f (all f_t
     the same object) the nodes are the T + 1 point Gauss rule of f's
-    pushforward of the law's `quad_nodes` (every atom of a grid,
-    MP_DEBIAS_NODES of a population law, nu's nodes and atom), exact to
+    pushforward of the law's `quad_nodes` (every atom of a grid, nu
+    included, MP_DEBIAS_NODES of a population law), exact to
     degree 2 T + 1, and multiplying by f multiplies by the rule's nodes.
     A schedule of distinct f keeps the law's nodes."""
 

@@ -3,11 +3,12 @@
 Supported families:
   * semicircle(variance)
   * marchenko_pastur(aspect ratio alpha in (0,1))
-  * discrete grid (equal-weight atoms)
+  * discrete grid (atoms with weights, equal by default): grids, point
+    masses, discrete priors and the spiked model's overlap measures
   * external tabulated density (piecewise linear, renormalized on load)
 
 Every family has its Stieltjes transform in closed form: the semicircle's
-and MP's quadratic roots, a mean over a grid's atoms, and a sum of one
+and MP's quadratic roots, a weighted mean over a grid's atoms, and a sum of one
 logarithm per segment for a tabulated density.  So m(x - i0) on the
 support, which the spiked model's overlap measure needs, is
 `stieltjes(complex(x, -1e-10))` for every continuous law.
@@ -344,42 +345,61 @@ class MarchenkoPastur(SpectralLaw):
 
 @dataclass(frozen=True)
 class DiscreteGrid(SpectralLaw):
-    """Equal-weight atom list (e.g. a realized eigenvalue grid)."""
+    """Weighted atom law: `atoms` of probability `weights`, equal when None
+    (e.g. a realized eigenvalue grid).  Given weights must be finite,
+    nonnegative and one per atom; they are not renormalized, so an overlap
+    measure or nu keeps its mass as computed."""
 
     atoms: np.ndarray = field(default_factory=lambda: np.array([0.0]))
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=float))
         if self.atoms.ndim != 1 or self.atoms.size == 0:
             raise ValidationError("atom list must be a nonempty 1-d array")
         _check_support(self.atoms, "atoms")
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=float)
+            if w.shape != self.atoms.shape or not np.all(np.isfinite(w) & (w >= 0)):
+                raise ValidationError("atom weights must be finite, nonnegative and "
+                                      "one per atom")
+            object.__setattr__(self, "weights", w)
+
+    def _mean(self, values: np.ndarray):
+        """The weighted mean of values at the atoms."""
+        return np.mean(values) if self.weights is None else self.weights @ values
 
     def support(self):
         return (float(self.atoms.min()), float(self.atoms.max()))
 
     def expect(self, f):
-        return float(np.mean(np.broadcast_to(f(self.atoms), self.atoms.shape)))
+        return float(self._mean(np.broadcast_to(f(self.atoms), self.atoms.shape)))
 
     def moment(self, n: int) -> float:
         if n < 0:
             raise ValidationError("moment order must be >= 0")
-        return float(np.mean(self.atoms**n))
+        return float(self._mean(self.atoms**n))
 
     def stieltjes(self, z: complex) -> complex:
         z = complex(z)
         if z.imag == 0.0 and np.any(np.abs(self.atoms - z.real) == 0.0):
             raise DomainError(f"z={z} coincides with an atom")
-        return complex(np.mean(1.0 / (z - self.atoms)))
+        return complex(self._mean(1.0 / (z - self.atoms)))
 
     def stieltjes_derivative(self, z: complex) -> complex:
-        return complex(-np.mean(1.0 / (complex(z) - self.atoms) ** 2))
+        return complex(-self._mean(1.0 / (complex(z) - self.atoms) ** 2))
 
     def quad_nodes(self, n: int = 400):
-        return self.atoms, np.full(self.atoms.size, 1.0 / self.atoms.size)
+        if self.weights is None:
+            return self.atoms, np.full(self.atoms.size, 1.0 / self.atoms.size)
+        return self.atoms, self.weights
 
     def quantile_grid(self, N: int) -> "DiscreteGrid":
+        """Equal-weight atoms only: ValidationError for unequal weights."""
         if N < 1:
             raise ValidationError("grid size must be >= 1")
+        if self.weights is not None and np.ptp(self.weights) > 0:
+            raise ValidationError("the quantile grid of an atom law needs equal weights")
         if N == self.atoms.size:
             return DiscreteGrid(atoms=np.sort(self.atoms))
         srt = np.sort(self.atoms)

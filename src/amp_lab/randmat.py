@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .laws import parse_spec
+from .laws import DiscreteGrid, parse_spec
 
 OVERLAP_N_CAP = 8000  # the secular solver's root loop takes O(N^2) time
 # A query's residual off the revealed span is new only above this multiple
@@ -363,14 +363,14 @@ def _map_eigenvalues(f: Callable, lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Prior:
-    """Scalar signal prior with unit second moment (validated).  `atoms`
-    (values, probabilities) is the law of a discrete prior, which state
-    evolution integrates against; None for the gaussian prior."""
+    """Scalar signal prior with unit second moment (validated).  `law` is
+    the atom law of a discrete prior, which state evolution integrates
+    against; None for the gaussian prior."""
 
     name: str
     sampler: Callable  # (rng, size) -> array
     second_moment: float
-    atoms: tuple | None = None
+    law: DiscreteGrid | None = None
 
     def sample(self, N: int, rng: np.random.Generator) -> np.ndarray:
         return self.sampler(rng, N)
@@ -393,7 +393,7 @@ def make_prior(name: str, /, **params) -> Prior:
                               f"and their parameters are {_PRIOR_PARAMS}")
     if name == "rademacher":
         return Prior("rademacher", lambda rng, n: rng.choice([-1.0, 1.0], size=n), 1.0,
-                     atoms=((-1.0, 1.0), (0.5, 0.5)))
+                     law=DiscreteGrid(atoms=np.array([-1.0, 1.0])))
     if name == "gaussian":
         return Prior("gaussian", lambda rng, n: rng.standard_normal(n), 1.0)
     if name == "sparse":
@@ -410,7 +410,8 @@ def make_prior(name: str, /, **params) -> Prior:
             return x
 
         return Prior("sparse", sampler, 1.0,
-                     atoms=((-a, 0.0, a), (rho / 2, 1.0 - rho, rho / 2)))
+                     law=DiscreteGrid(atoms=np.array([-a, 0.0, a]),
+                                      weights=np.array([rho / 2, 1.0 - rho, rho / 2])))
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +514,6 @@ class SpikedInstance:
     def N(self) -> int:
         return self.x_star.shape[0]
 
-    @property
-    def Y(self) -> np.ndarray:
-        """Y formed densely from its definition, in O(N^3): a reference for
-        the factored operator, never used by a run."""
-        W = replace(self.operator, z=None, rho=0.0).dense()
-        return (self.theta / self.N) * np.outer(self.x_star, self.x_star) + W
-
 
 def build_spiked(theta: float, prior: Prior, ensemble: SpectralOperator,
                  seed: int) -> SpikedInstance:
@@ -540,40 +534,12 @@ def build_spiked(theta: float, prior: Prior, ensemble: SpectralOperator,
     return SpikedInstance(theta=theta, x_star=x, operator=operator)
 
 
-@dataclass(frozen=True)
-class OverlapMeasure:
-    """A weighted discrete measure: atoms `nodes` of weight `weights`, and
-    optionally one more atom `atom` = (location, weight).  `overlap_measure`
-    gives the eigen-overlap measure of a spiked instance; `se.nu_measure`
-    gives its limit nu, whose outlier is `atom` for a continuous law."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    atom: tuple | None = None
-
-    def quad_nodes(self, n: int | None = None):
-        """Nodes and weights, `nodes`' and then the atom's."""
-        if self.atom is None:
-            return self.nodes, self.weights
-        return (np.append(self.nodes, self.atom[0]),
-                np.append(self.weights, self.atom[1]))
-
-    def total_mass(self) -> float:
-        return float(self.quad_nodes()[1].sum())
-
-    def expect(self, g: Callable) -> float:
-        x, w = self.quad_nodes()
-        return float(w @ (np.asarray(g(x), dtype=float) * np.ones_like(x)))
-
-    def mean(self) -> float:
-        return self.expect(lambda x: x)
-
-
-def overlap_measure(inst: SpikedInstance) -> OverlapMeasure:
-    """Eigen-overlap measure of the spiked matrix: its eigenvalues
-    (ascending), the one of eigenvector O v_k of weight (z^T v_k)^2 / N."""
+def overlap_measure(inst: SpikedInstance) -> DiscreteGrid:
+    """Eigen-overlap measure of the spiked matrix, an atom law: its
+    eigenvalues (ascending), the one of eigenvector O v_k of weight
+    (z^T v_k)^2 / N."""
     if inst.N > OVERLAP_N_CAP:
         raise ValidationError(f"N={inst.N} exceeds the secular solver's cap {OVERLAP_N_CAP}")
     op = inst.operator
     mu, overlap = diag_rank_one_eigh(op.eigenvalues, op.z, op.rho)
-    return OverlapMeasure(nodes=mu, weights=overlap / inst.N)
+    return DiscreteGrid(atoms=mu, weights=overlap / inst.N)

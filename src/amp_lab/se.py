@@ -41,7 +41,7 @@ from .errors import NumericalError, ValidationError
 from .freeprob import _TraceFreeRows, build_poly_family, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
 # build_rot_invariant is not called here: perfbench's tracer wraps it by this module's name
-from .randmat import (OVERLAP_N_CAP, OverlapMeasure, Prior, RationalFn, build_rot_invariant,
+from .randmat import (OVERLAP_N_CAP, Prior, RationalFn, build_rot_invariant,
                       diag_rank_one_eigh)
 
 PSD_TOL = 1e-9
@@ -182,7 +182,8 @@ class _MomentRows:
         # the signal as values with probabilities; without a spike it is never
         # read (U_1's unit second moment is all SE needs)
         self.signal = ((np.zeros(1), np.ones(1)) if not init.spiked else
-                       _gh_rule(GH_POINTS) if init.prior.atoms is None else init.prior.atoms)
+                       _gh_rule(GH_POINTS) if init.prior.law is None else
+                       init.prior.law.quad_nodes())
         self.Phi = np.zeros((T + 1, T + 1))
         self.alpha = np.zeros(T + 1)
         self.alpha[0] = math.sqrt(init.omega or 0.0)
@@ -253,7 +254,7 @@ class _MomentRows:
 # ---------------------------------------------------------------------------
 
 def _family_gram(law: SpectralLaw, kind: str, t: int, f: Callable | None = None,
-                 nu: OverlapMeasure | None = None):
+                 nu: DiscreteGrid | None = None):
     """First and second moments of the polynomial family members 1..t under
     the law (and optionally under nu)."""
     fam = build_poly_family(law, kind, t, f=f)
@@ -307,7 +308,7 @@ def _weighted_gram(V: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool = False) -> list[SeState]:
     """The one SE recursion.  At each t it appends row t of V at the nodes
-    of the rows over the law (`rows`) and, with a spike, at nu's nodes with mu's E (`nu_rows`):
+    of the rows over the law (`rows`) and, with a spike, at nu's atoms with mu's E (`nu_rows`):
     Sigma_t = E_mu[V (DeltaBar - a a^T) V^T] + E_nu[V a a^T V^T] - b b^T with
     a = alpha_t (0 unspiked), b = beta_t = E_nu[V] a, and then appends the
     moments of eta_{t+1} on Sigma_t and beta_t.  `centered` (OAMP) puts
@@ -419,32 +420,36 @@ def find_outlier(law: SpectralLaw, theta: float) -> tuple | None:
     return (float(z_star), float(weight))
 
 
-def nu_measure(law: SpectralLaw, theta: float) -> OverlapMeasure:
+def nu_measure(law: SpectralLaw, theta: float) -> DiscreteGrid:
     """Limit nu of the eigen-overlap measure of Y = (theta/N) x* x*^T + W, W
-    of spectral law mu: m_nu(z) = m_mu(z) / (1 - theta m_mu(z)).  Nothing is
-    sampled.
+    of spectral law mu: m_nu(z) = m_mu(z) / (1 - theta m_mu(z)), an atom law.
+    Nothing is sampled.
 
     A continuous law gives nu the density rho_mu(x) / |1 - theta m_mu(x - i0)|^2
-    at the nodes of its `quad_nodes(400)`, plus the outlier atom of
-    `find_outlier`.
-    For an atom law (DiscreteGrid) nu is exactly the spectral measure of
-    diag(atoms) + theta 1 1^T / n at 1 / sqrt(n) (Sherman-Morrison): its
-    atoms are the secular roots, weighted by their squared overlaps, the top
-    root being the outlier.  A law of more than OVERLAP_N_CAP atoms is first
-    reduced to its quantile grid of that size, which bounds the O(n^2) root
-    loop."""
+    at the nodes of its `quad_nodes(400)`, and the outlier of `find_outlier`
+    as the last atom.
+    For an atom law (DiscreteGrid) of weights w nu is exactly the spectral
+    measure of diag(atoms) + theta sqrt(w) sqrt(w)^T at sqrt(w)
+    (Sherman-Morrison): its atoms are the secular roots, weighted by their
+    squared overlaps, the top root being the outlier.  A law of more than
+    OVERLAP_N_CAP atoms is first reduced to its quantile grid of that size,
+    which bounds the O(n^2) root loop."""
     if theta <= 0:
         raise ValidationError("theta must be > 0")
     if isinstance(law, DiscreteGrid):
         if law.atoms.size > OVERLAP_N_CAP:
             law = law.quantile_grid(OVERLAP_N_CAP)
-        n = law.atoms.size
-        mu, overlap = diag_rank_one_eigh(law.atoms, np.ones(n), theta / n)
-        return OverlapMeasure(nodes=mu, weights=overlap / n)
+        n = law.atoms.size  # sqrt(w) = z / sqrt(n), z = sqrt(n w): 1 for equal weights
+        z = np.ones(n) if law.weights is None else np.sqrt(n * law.weights)
+        mu, overlap = diag_rank_one_eigh(law.atoms, z, theta / n)
+        return DiscreteGrid(atoms=mu, weights=overlap / n)
     nodes, w = law.quad_nodes(400)
     mb = np.array([law.stieltjes(complex(x, -1e-10)) for x in nodes])
-    ratio = 1.0 / np.abs(1.0 - theta * mb) ** 2
-    return OverlapMeasure(nodes=nodes, weights=w * ratio, atom=find_outlier(law, theta))
+    w = w * (1.0 / np.abs(1.0 - theta * mb) ** 2)
+    outlier = find_outlier(law, theta)
+    if outlier is not None:
+        nodes, w = np.append(nodes, outlier[0]), np.append(w, outlier[1])
+    return DiscreteGrid(atoms=nodes, weights=w)
 
 
 def mp_denoise_fn(theta: float, alpha: float) -> RationalFn:
@@ -466,7 +471,7 @@ def check_pole_free(law: SpectralLaw) -> None:
 
 
 def spiked_se(law: SpectralLaw, theta: float, f: Callable, denoisers,
-              init: SeInit, T: int, nu: OverlapMeasure | None = None) -> list[SeState]:
+              init: SeInit, T: int, nu: DiscreteGrid | None = None) -> list[SeState]:
     """Spiked-model state evolution for constant-f matrix processing: the
     trace-free rows of f on mu, and on nu with the E solved on mu."""
     if not init.spiked:

@@ -319,8 +319,8 @@ def test_acceptance_10_bbp_sanity(announce):
         ens = build_rot_invariant(grid, seed=300 + s)
         inst = build_spiked(theta, prior, ens, seed=400 + s)
         om = overlap_measure(inst)
-        tops.append(float(om.nodes.max()))
-        means.append(float(om.mean()))
+        tops.append(float(om.atoms.max()))
+        means.append(float(om.moment(1)))
     top_dev = abs(float(np.mean(tops)) - (theta + 1.0 / theta))
     mean_dev = abs(float(np.mean(means)) - theta)
     ok = top_dev <= 0.1 and mean_dev <= 0.1

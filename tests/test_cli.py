@@ -375,6 +375,29 @@ def test_denoiser_spec_names_and_keys_are_case_and_space_insensitive(spec):
     assert resolve_denoiser_factory(spec, False)(2, None, None).name == "tanh(scale=1.0)"
 
 
+@pytest.mark.parametrize("spec,canonical", [
+    ("Identity", "identity"), (" identity", "identity"), ("IDENTITY ", "identity"),
+    ("MP-Denoise", "mp-denoise"), (" mp-denoise ", "mp-denoise"),
+    (" Polynomial : 0.5,2", "polynomial:0.5,2"),
+])
+def test_matrix_fn_spec_names_are_case_and_space_insensitive(spec, canonical, tmp_path,
+                                                            capsys):
+    mp = MarchenkoPastur(alpha=0.3)
+    assert resolve_matrix_fn(spec, mp, 1.5) == resolve_matrix_fn(canonical, mp, 1.5)
+    # the CLI takes the spelling too: spiked ri-amp-mp, and plain ri-amp for identity
+    outs = []
+    for m in (spec, canonical):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**_MP_CFG, "theta": 1.5, "omega": 0.3,
+                                 "denoiser": "linear-mmse-combining", "matrix_fn": m}))
+        assert main(["se", "--config", str(p)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    if canonical == "identity":
+        p.write_text(json.dumps({**_SE_CFG, "matrix_fn": spec}))
+        assert main(["se", "--config", str(p)]) == 0
+
+
 def test_random_lipschitz_seed_is_an_integer_from_zero():
     names = [resolve_denoiser_factory(f"random-lipschitz:seed={s}", False)(1, None, None).name
              for s in ("0", "3", "3.0", "9007199254740992")]

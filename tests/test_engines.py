@@ -2,6 +2,7 @@
 exactness, cross-variant consistency, and the run record."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -498,6 +499,29 @@ def test_verify_unfolding_reveals_no_direction_of_the_rotation():
         revealed = ens.rotation.pairs.k
         verify_unfolding(run)
         assert ens.rotation.pairs.k == revealed
+
+
+def test_verify_unfolding_maps_each_distinct_f_once():
+    # a T = 10 run of one f: the verifier maps f once at the law's nodes and
+    # once at the eigenvalues, not once per step, and its report is bit for
+    # bit that of the same record with T distinct copies of f
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return x + 0.3 * x**2
+
+    law, N, T = Semicircle(), 300, HORIZON_CAP
+    ens, u1 = _setup(law, N, seed=5)
+    run = run_ri_amp_mp(ens, law, f, _lip_dens(T, seed=70), u1, T, mode="grid")
+    calls.clear()
+    rep = verify_unfolding(run)
+    assert calls == [(N,), (N,)]
+    copies = replace(run, f_schedule=[lambda x: f(x) for _ in range(T)])
+    again = verify_unfolding(copies)
+    assert len(calls) == 2 + 2 * T
+    assert np.array_equal(rep.per_t_errors, again.per_t_errors)
+    assert np.array_equal(rep.trace_residuals, again.trace_residuals)
 
 
 def test_unfolding_population_mode_approximate():

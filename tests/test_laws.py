@@ -162,6 +162,36 @@ def test_discrete_grid_stieltjes_exact():
     assert abs(law.stieltjes(z) - expected) < 1e-14
 
 
+def test_weighted_grid_is_the_weighted_atom_law():
+    # expectations, moments, both transforms and the quadrature rule all take
+    # the weights; equal given weights are the equal-weight law
+    atoms, w = np.array([-1.0, 0.5, 2.0]), np.array([0.5, 0.2, 0.3])
+    law, z = DiscreteGrid(atoms=atoms, weights=w), 0.1 + 0.2j
+    assert abs(law.expect(np.cos) - w @ np.cos(atoms)) < 1e-15
+    assert abs(law.moment(3) - w @ atoms**3) < 1e-15
+    assert abs(law.stieltjes(z) - w @ (1.0 / (z - atoms))) < 1e-14
+    assert abs(law.stieltjes_derivative(z) + w @ (1.0 / (z - atoms) ** 2)) < 1e-14
+    nodes, weights = law.quad_nodes()
+    assert np.array_equal(nodes, atoms) and np.array_equal(weights, w)
+    equal = DiscreteGrid(atoms=atoms, weights=np.full(3, 1 / 3))
+    assert abs(equal.moment(2) - DiscreteGrid(atoms=atoms).moment(2)) < 1e-15
+    assert np.array_equal(equal.quantile_grid(3).atoms, atoms)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.5, np.nan, 0.5], [0.5, -0.1, 0.6],
+                                     [[0.2, 0.3, 0.5]]])
+def test_weighted_grid_rejects_bad_weights(weights):
+    with pytest.raises(ValidationError, match="weights"):
+        DiscreteGrid(atoms=np.array([-1.0, 0.5, 2.0]), weights=np.array(weights))
+
+
+def test_quantile_grid_of_a_weighted_grid_raises():
+    law = DiscreteGrid(atoms=np.array([-1.0, 0.5, 2.0]), weights=np.array([0.5, 0.2, 0.3]))
+    for N in (2, 3, 10):
+        with pytest.raises(ValidationError, match="equal weights"):
+            law.quantile_grid(N)
+
+
 # ---------------------------------------------------------------------------
 # quantile grids and quadrature
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Ensembles, priors, spiked instances, overlap measures, and matrix I/O."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,6 +415,20 @@ def test_sparse_prior_sparsity():
     assert abs(np.mean(x != 0) - 0.2) < 0.01
 
 
+def test_discrete_priors_carry_their_atom_law():
+    # the law SE integrates against is the law the sampler draws from
+    for prior, atoms, mass in ((make_prior("rademacher"), [-1.0, 1.0], [0.5, 0.5]),
+                               (make_prior("sparse", rho=0.2), [-5**0.5, 0.0, 5**0.5],
+                                [0.1, 0.8, 0.1])):
+        nodes, w = prior.law.quad_nodes()
+        assert isinstance(prior.law, DiscreteGrid)
+        assert np.allclose(nodes, atoms, rtol=1e-15) and np.allclose(w, mass, rtol=1e-15)
+        assert abs(prior.law.moment(2) - 1.0) < 1e-15
+        x = prior.sample(100_000, np.random.default_rng(2))
+        assert np.all(np.isin(x, nodes))
+    assert make_prior("gaussian").law is None
+
+
 def test_make_prior_validates():
     with pytest.raises(ValidationError):
         make_prior("cauchy")
@@ -425,11 +440,18 @@ def test_make_prior_validates():
 # spiked instances and the overlap measure
 # ---------------------------------------------------------------------------
 
+def _dense_y(inst):
+    """Y = (theta/N) x* x*^T + W formed densely from its definition, in
+    O(N^3): the reference for the factored operator."""
+    W = replace(inst.operator, z=None, rho=0.0).dense()
+    return (inst.theta / inst.N) * np.outer(inst.x_star, inst.x_star) + W
+
+
 def test_build_spiked_shape_and_symmetry():
     mp = MarchenkoPastur(alpha=0.3)
     ens = build_rot_invariant(mp.quantile_grid(128).atoms, seed=0)
     inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=1)
-    Y = inst.Y
+    Y = _dense_y(inst)
     assert Y.shape == (128, 128)
     assert np.max(np.abs(Y - Y.T)) < 1e-12
     v = np.random.default_rng(2).standard_normal(128)
@@ -445,7 +467,7 @@ def test_spiked_operator_dense_matches_y(rotation):
     ens = (build_rot_invariant(grid, seed=3) if rotation == "lazy-haar"
            else SpectralOperator(eigenvalues=grid.copy(), rotation=_qr_haar(N, seed=3)))
     inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=4)
-    Y = inst.Y
+    Y = _dense_y(inst)
     assert np.linalg.norm(inst.operator.dense() - Y) <= 1e-12 * np.linalg.norm(Y)
 
 
@@ -472,8 +494,9 @@ def test_overlap_measure_total_mass():
     ens = build_rot_invariant(sc.quantile_grid(400).atoms, seed=3)
     inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=4)
     om = overlap_measure(inst)
+    assert isinstance(om, DiscreteGrid)
     assert abs(om.total_mass() - 1.0) < 1e-10
-    assert om.nodes.shape == (400,)
+    assert om.atoms.shape == (400,)
 
 
 def test_overlap_measure_bbp_outlier():
@@ -486,8 +509,8 @@ def test_overlap_measure_bbp_outlier():
         ens = build_rot_invariant(sc.quantile_grid(1500).atoms, seed=10 + s)
         inst = build_spiked(theta, make_prior("rademacher"), ens, seed=20 + s)
         om = overlap_measure(inst)
-        tops.append(om.nodes.max())
-        means.append(om.mean())
+        tops.append(om.atoms.max())
+        means.append(om.moment(1))
     assert abs(np.mean(tops) - (theta + 1 / theta)) < 0.1
     assert abs(np.mean(means) - theta) < 0.1
 
@@ -529,10 +552,10 @@ def test_secular_factorization_matches_dense_eigh(name, N):
     # the secular roots and closed-form overlap weights, and the spiked
     # operator's products, against a dense eigendecomposition of Y
     inst, scale = _secular_case(name, N)
-    Y = inst.Y
+    Y = _dense_y(inst)
     lam, U = np.linalg.eigh(Y)
     om = overlap_measure(inst)
-    assert np.max(np.abs(om.nodes - lam)) <= 1e-12 * scale
+    assert np.max(np.abs(om.atoms - lam)) <= 1e-12 * scale
     assert np.max(np.abs(om.weights - (inst.x_star @ U) ** 2 / N)) <= 1e-12
     op = as_operator(inst)
     assert op is inst.operator

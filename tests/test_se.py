@@ -284,17 +284,17 @@ def _semicircle_table(n: int) -> ExternalDensity:
 def test_nu_semicircle_supercritical():
     theta = 1.5
     nu = nu_measure(Semicircle(), theta)
-    assert nu.atom is not None
-    z_star, w_atom = nu.atom
+    z_star, w_atom = nu.atoms[-1], nu.weights[-1]  # the outlier is nu's last atom
+    assert (z_star, w_atom) == find_outlier(Semicircle(), theta)
     assert abs(z_star - (theta + 1 / theta)) < 1e-8
     assert abs(w_atom - (1 - 1 / theta**2)) < 1e-6
     assert abs(nu.total_mass() - 1.0) < 1e-6
-    assert abs(nu.mean() - theta) < 1e-6
+    assert abs(nu.moment(1) - theta) < 1e-6
 
 
 def test_nu_subcritical_no_atom():
     nu = nu_measure(Semicircle(), 0.5)
-    assert nu.atom is None
+    assert np.array_equal(nu.atoms, Semicircle().quad_nodes(400)[0])  # no atom appended
     assert find_outlier(Semicircle(), 0.5) is None
 
 
@@ -303,7 +303,7 @@ def test_nu_mp_mean():
     theta, alpha = 1.5, 0.2
     nu = nu_measure(MarchenkoPastur(alpha=alpha), theta)
     assert abs(nu.total_mass() - 1.0) < 1e-6
-    assert abs(nu.mean() - (1.0 + theta)) < 1e-5
+    assert abs(nu.moment(1) - (1.0 + theta)) < 1e-5
 
 
 def test_nu_empirical_matches_analytic_mean():
@@ -315,7 +315,7 @@ def test_nu_empirical_matches_analytic_mean():
                                         build_rot_invariant(grid, seed=17 * s + 1),
                                         seed=17 * s + 2)) for s in range(seeds)]
     assert abs(np.mean([om.total_mass() for om in oms]) - 1.0) < 1e-8
-    assert abs(np.mean([om.mean() for om in oms]) - ana.mean()) < 0.1
+    assert abs(np.mean([om.moment(1) for om in oms]) - ana.moment(1)) < 0.1
 
 
 def test_nu_of_atoms_is_the_spectral_measure_of_the_spiked_diagonal():
@@ -324,21 +324,67 @@ def test_nu_of_atoms_is_the_spectral_measure_of_the_spiked_diagonal():
     theta, atoms = 1.5, Semicircle().quantile_grid(30).atoms
     nu = nu_measure(DiscreteGrid(atoms=atoms), theta)
     lam, vecs = np.linalg.eigh(np.diag(atoms) + theta / atoms.size)
-    assert nu.atom is None
-    assert np.max(np.abs(nu.nodes - lam)) <= 1e-13
+    assert nu.atoms.size == atoms.size
+    assert np.max(np.abs(nu.atoms - lam)) <= 1e-13
     assert np.max(np.abs(nu.weights - (vecs.sum(axis=0) / math.sqrt(atoms.size)) ** 2)) <= 1e-13
     point = nu_measure(parse_law_spec("point:c=1.5"), theta)
-    assert point.nodes.tolist() == [3.0] and point.weights.tolist() == [1.0]
+    assert point.atoms.tolist() == [3.0] and point.weights.tolist() == [1.0]
+
+
+def _nu_transform_error(law, theta):
+    """Largest relative gap between m_nu(z) of nu = nu_measure(law, theta)
+    and m_mu(z) / (1 - theta m_mu(z)) at four points off both supports."""
+    nu = nu_measure(law, theta)
+    assert isinstance(nu, DiscreteGrid)
+    lo, hi = law.support()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    err = 0.0
+    for z in (lo - half, complex(mid, half), complex(mid, -0.25 * half),
+              complex(hi + half, 0.5 * half)):
+        m = law.stieltjes(z)
+        want = m / (1.0 - theta * m)
+        err = max(err, abs(nu.stieltjes(z) - want) / abs(want))
+    return err
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.5, 4.0])
+@pytest.mark.parametrize("law", ["random-300", "mp-500"])
+def test_nu_of_an_atom_law_has_the_spiked_stieltjes_transform(law, theta):
+    # m_nu = m_mu / (1 - theta m_mu) holds exactly for the secular roots
+    law = (DiscreteGrid(atoms=np.random.default_rng(3).uniform(-1.0, 2.0, 300))
+           if law == "random-300" else MarchenkoPastur(alpha=0.3).quantile_grid(500))
+    assert _nu_transform_error(law, theta) <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.5, 4.0])
+@pytest.mark.parametrize("law", [Semicircle(), MarchenkoPastur(alpha=0.3)])
+def test_nu_of_a_continuous_law_has_the_spiked_stieltjes_transform(law, theta):
+    # the reweighted quadrature nodes and the outlier atom integrate 1/(z - x)
+    assert _nu_transform_error(law, theta) <= 1e-9
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.5, 4.0])
+def test_nu_of_a_weighted_atom_law_has_the_spiked_stieltjes_transform(theta):
+    # weights w: the spectral measure of diag(atoms) + theta sqrt(w) sqrt(w)^T at sqrt(w);
+    # a zero weight deflates its atom, which keeps weight 0 in nu
+    rng = np.random.default_rng(4)
+    w = rng.dirichlet(np.ones(200))
+    w[7] = 0.0
+    law = DiscreteGrid(atoms=rng.uniform(-1.0, 2.0, 200), weights=w)
+    assert _nu_transform_error(law, theta) <= 1e-13
+    nu = nu_measure(law, theta)
+    assert abs(nu.total_mass() - w.sum()) <= 1e-13
+    assert nu.weights[np.flatnonzero(nu.atoms == law.atoms[7])].tolist() == [0.0]
 
 
 def test_nu_of_many_atoms_takes_the_capped_quantile_grid(monkeypatch):
     monkeypatch.setattr(se, "OVERLAP_N_CAP", 50)
     law = DiscreteGrid(atoms=Semicircle().quantile_grid(200).atoms)
     nu = nu_measure(law, 1.5)
-    assert nu.nodes.size == 50 and abs(nu.total_mass() - 1.0) < 1e-12
+    assert nu.atoms.size == 50 and abs(nu.total_mass() - 1.0) < 1e-12
     again, capped = nu_measure(law, 1.5), nu_measure(law.quantile_grid(50), 1.5)
-    assert np.array_equal(nu.nodes, again.nodes) and np.array_equal(nu.weights, again.weights)
-    assert np.array_equal(nu.nodes, capped.nodes) and np.array_equal(nu.weights, capped.weights)
+    assert np.array_equal(nu.atoms, again.atoms) and np.array_equal(nu.weights, again.weights)
+    assert np.array_equal(nu.atoms, capped.atoms) and np.array_equal(nu.weights, capped.weights)
 
 
 def test_nu_of_a_density_table_matches_the_closed_form_law():
@@ -346,9 +392,9 @@ def test_nu_of_a_density_table_matches_the_closed_form_law():
     # outlier theta + 1/theta of weight 1 - 1/theta^2
     theta = 1.5
     nu = nu_measure(_semicircle_table(4001), theta)
-    assert abs(nu.total_mass() - 1.0) < 1e-6 and abs(nu.mean() - theta) < 1e-6
-    assert abs(nu.atom[0] - (theta + 1 / theta)) < 1e-3
-    assert abs(nu.atom[1] - (1 - 1 / theta**2)) < 1e-3
+    assert abs(nu.total_mass() - 1.0) < 1e-6 and abs(nu.moment(1) - theta) < 1e-6
+    assert abs(nu.atoms[-1] - (theta + 1 / theta)) < 1e-3
+    assert abs(nu.weights[-1] - (1 - 1 / theta**2)) < 1e-3
 
 
 def test_check_pole_free():
