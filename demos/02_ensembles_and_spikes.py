@@ -41,9 +41,10 @@ print("top eigenvalue:", om.atoms.max(),
       " predicted outlier:", theta + 1 / theta)
 
 # The eigen-overlap measure weights each eigenvalue by its squared projection
-# on the signal.  Its limit nu is an atom law like the overlap measure: a bulk
-# reweighting of the semicircle's quadrature nodes and, as its last atom, the
-# outlier of mass 1 - 1/theta^2.
+# on the signal.  Its limit nu is an atom law like the overlap measure: the
+# spectral measure of one spiked core, diag(nodes) + theta sqrt(w) sqrt(w)^T
+# on the semicircle's quadrature nodes and weights, whose secular roots give
+# a reweighted bulk and, as the top root, the outlier of mass 1 - 1/theta^2.
 nu = nu_measure(sc, theta)
 print("nu outlier:", nu.atoms[-1], " mass:", nu.weights[-1],
       "  empirical top-eigenvector overlap:", om.weights.max())

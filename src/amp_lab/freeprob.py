@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SizeLimitError, ValidationError
 from .laws import SpectralLaw, catalan  # noqa: F401 (re-exported)
-from .randmat import _map_eigenvalues, dense_symmetric
+from .randmat import SpectralOperator, _map_eigenvalues, dense_symmetric
 
 NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
@@ -312,11 +312,12 @@ def build_poly_family(
 # trace-free rows (the long-memory OAMP form of every variant)
 # ---------------------------------------------------------------------------
 
-def _gauss_rule(values: np.ndarray, weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss rule, at most k points, of the measure
-    with mass `weights` at `values`.
+def _gauss_rule(apply: Callable, weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule, at most k points, of the spectral
+    measure of a symmetric M (`apply`: v -> M v) at sqrt(weights); for
+    M = diag(values), the measure of mass `weights` at `values`.
 
-    k steps of Lanczos on diag(values) from sqrt(weights / mass), with full
+    k steps of Lanczos on M from sqrt(weights / mass), with full
     reorthogonalization (twice against every earlier vector), stopped early
     when the new vector vanishes: then the measure has as many distinct
     values as steps taken and the rule reproduces it.  The nodes are the
@@ -325,15 +326,16 @@ def _gauss_rule(values: np.ndarray, weights: np.ndarray, k: int) -> tuple[np.nda
     polynomial of degree <= 2 k - 1 as the measure does (Golub & Welsch,
     Math. Comp. 23, 1969)."""
     mass = float(weights.sum())
-    k = min(k, values.size)
-    Q = np.empty((k, values.size))
+    k = min(k, weights.size)
+    Q = np.empty((k, weights.size))
     Q[0] = np.sqrt(weights / mass)
     alpha = np.zeros(k)
     beta = np.zeros(k - 1)
-    # a vanishing vector is rounding of the values, relative to their size
-    tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(values)))
+    tol = 0.0
     for j in range(k):
-        w = values * Q[j]
+        w = apply(Q[j])
+        # a vanishing vector is rounding of the products, relative to their size
+        tol = max(tol, 64.0 * np.finfo(float).eps * float(np.linalg.norm(w)))
         alpha[j] = Q[j] @ w
         for _ in range(2):
             w -= (Q[: j + 1] @ w) @ Q[: j + 1]
@@ -370,18 +372,26 @@ class _TraceFreeRows:
 
     Each entry is a polynomial of degree <= T in f_1..f_T, so a product of
     two (state evolution's Sigma) has degree <= 2 T.  With one f (all f_t
-    the same object) the nodes are the T + 1 point Gauss rule of f's
-    pushforward of the law's `quad_nodes` (every atom of a grid, nu
-    included, MP_DEBIAS_NODES of a population law), exact to
-    degree 2 T + 1, and multiplying by f multiplies by the rule's nodes.
-    A schedule of distinct f keeps the law's nodes."""
+    the same object) the nodes are the T + 1 point Gauss rule, exact to
+    degree 2 T + 1, of f's pushforward of the law's `quad_nodes` (a, w)
+    (every atom of a grid, MP_DEBIAS_NODES of a population law), and
+    multiplying by f multiplies by the rule's nodes.  With `theta` they are
+    the rule of f's pushforward of nu, the spectral measure of the spiked
+    core A = diag(a) + theta sqrt(w) sqrt(w)^T at sqrt(w), whose transform
+    is m_mu / (1 - theta m_mu).  Both rules are Lanczos on f of the core
+    (`SpectralOperator.core_function`; with theta f is a RationalFn, as in
+    a spiked run).  A schedule of distinct f keeps the law's nodes; theta
+    is for one f."""
 
-    def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable], template: str = "u"):
+    def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable], template: str = "u",
+                 theta: float | None = None):
         T = len(f_schedule)
         self.x_is_ubar = template == "ubar"
         nodes, w = law.quad_nodes(MP_DEBIAS_NODES)
-        if len({id(ft) for ft in f_schedule}) == 1:
-            f_nodes, w = _gauss_rule(_map_eigenvalues(f_schedule[0], nodes), w, T + 1)
+        if len({id(ft) for ft in f_schedule}) == 1:  # only the core is applied: no rotation
+            core = (SpectralOperator(nodes, rotation=None) if theta is None else
+                    SpectralOperator(nodes, rotation=None, z=np.sqrt(w), rho=theta))
+            f_nodes, w = _gauss_rule(core.core_function(f_schedule[0]), w, T + 1)
             self._f_at = lambda n: f_nodes
         else:
             self._f_at = lambda n: _map_eigenvalues(f_schedule[n - 1], nodes)

@@ -21,10 +21,11 @@ most two projections plus the signal, which enters through the prior's
 atoms (Gauss-Hermite nodes for a gaussian prior).  SE samples nothing.
 Spiked states add the overlap vector beta and alpha = E[X* Ubar].
 
-The spiked rows are taken over nu, the limit of the eigen-overlap measure,
-which `nu_measure` forms from the law alone: from the boundary values of
-its Stieltjes transform on a continuous law, and from the secular equation
-of diag(atoms) plus the rank-one spike on an atom law.
+The spiked rows are taken over nu, the limit of the eigen-overlap measure:
+the spectral measure of the spiked core diag(a) + theta sqrt(w) sqrt(w)^T
+at sqrt(w), (a, w) the law's `quad_nodes`.  Spiked SE takes nu's rule by
+Lanczos on f of that core, O(nodes) a step, with no cap on the atoms;
+`nu_measure` forms all of nu from the core's secular roots in O(nodes^2).
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ from .errors import NumericalError, ValidationError
 from .freeprob import _TraceFreeRows, build_poly_family, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
 # build_rot_invariant is not called here: perfbench's tracer wraps it by this module's name
-from .randmat import (OVERLAP_N_CAP, Prior, RationalFn, build_rot_invariant,
-                      diag_rank_one_eigh)
+from .randmat import Prior, RationalFn, build_rot_invariant, diag_rank_one_eigh
 
 PSD_TOL = 1e-9
 # At 192 nodes every spiked-mp prediction is within 3e-4 relative of the
-# 256-node value; from about 372 nodes `hermegauss` returns non-finite weights.
+# 256-node value; from 371 nodes `hermegauss`' weights overflow (`_gh_rule` raises).
 GH_POINTS = 192
 GH_BLOCK_ROWS = 32  # pair-rule rows per block: <= 32 x 116 kept nodes, 30 KB a temporary
 POLE_GAP = 1e-6  # a 1/x matrix denoiser needs the support this far from 0
@@ -58,11 +58,15 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Nodes of weight below 1e-30 are dropped (about half of them at 192
     nodes): their total mass, even against z^4, is below 1e-26.  The rule is
-    computed once per n and shared read-only.
+    computed once per n and shared read-only.  NumericalError when the
+    weights overflow (from 371 nodes).
     """
-    z, w = np.polynomial.hermite_e.hermegauss(n)
-    w = w / w.sum()
+    with np.errstate(all="ignore"):
+        z, w = np.polynomial.hermite_e.hermegauss(n)
+        w = w / w.sum()
     keep = w > 1e-30
+    if not (np.all(np.isfinite(w)) and keep.any()):
+        raise NumericalError(f"the {n}-point Gauss-Hermite rule failed: its weights overflow")
     z, w = z[keep], w[keep]
     z.flags.writeable = False
     w.flags.writeable = False
@@ -422,34 +426,17 @@ def find_outlier(law: SpectralLaw, theta: float) -> tuple | None:
 
 def nu_measure(law: SpectralLaw, theta: float) -> DiscreteGrid:
     """Limit nu of the eigen-overlap measure of Y = (theta/N) x* x*^T + W, W
-    of spectral law mu: m_nu(z) = m_mu(z) / (1 - theta m_mu(z)), an atom law.
-    Nothing is sampled.
-
-    A continuous law gives nu the density rho_mu(x) / |1 - theta m_mu(x - i0)|^2
-    at the nodes of its `quad_nodes(400)`, and the outlier of `find_outlier`
-    as the last atom.
-    For an atom law (DiscreteGrid) of weights w nu is exactly the spectral
-    measure of diag(atoms) + theta sqrt(w) sqrt(w)^T at sqrt(w)
-    (Sherman-Morrison): its atoms are the secular roots, weighted by their
-    squared overlaps, the top root being the outlier.  A law of more than
-    OVERLAP_N_CAP atoms is first reduced to its quantile grid of that size,
-    which bounds the O(n^2) root loop."""
+    of spectral law mu: m_nu = m_mu / (1 - theta m_mu), an atom law, nothing
+    sampled.  By Sherman-Morrison it is the spectral measure of the spiked
+    core diag(a) + theta sqrt(w) sqrt(w)^T at sqrt(w), (a, w) the law's
+    `quad_nodes` (every atom of an atom law, 400 nodes of a population law):
+    the core's secular roots weighted by their squared overlaps, the top one
+    the outlier when theta is supercritical.  O(n^2) time for n nodes."""
     if theta <= 0:
         raise ValidationError("theta must be > 0")
-    if isinstance(law, DiscreteGrid):
-        if law.atoms.size > OVERLAP_N_CAP:
-            law = law.quantile_grid(OVERLAP_N_CAP)
-        n = law.atoms.size  # sqrt(w) = z / sqrt(n), z = sqrt(n w): 1 for equal weights
-        z = np.ones(n) if law.weights is None else np.sqrt(n * law.weights)
-        mu, overlap = diag_rank_one_eigh(law.atoms, z, theta / n)
-        return DiscreteGrid(atoms=mu, weights=overlap / n)
-    nodes, w = law.quad_nodes(400)
-    mb = np.array([law.stieltjes(complex(x, -1e-10)) for x in nodes])
-    w = w * (1.0 / np.abs(1.0 - theta * mb) ** 2)
-    outlier = find_outlier(law, theta)
-    if outlier is not None:
-        nodes, w = np.append(nodes, outlier[0]), np.append(w, outlier[1])
-    return DiscreteGrid(atoms=nodes, weights=w)
+    nodes, w = law.quad_nodes()
+    mu, overlap = diag_rank_one_eigh(nodes, np.sqrt(w), theta)
+    return DiscreteGrid(atoms=mu, weights=overlap)
 
 
 def mp_denoise_fn(theta: float, alpha: float) -> RationalFn:
@@ -470,13 +457,12 @@ def check_pole_free(law: SpectralLaw) -> None:
         )
 
 
-def spiked_se(law: SpectralLaw, theta: float, f: Callable, denoisers,
-              init: SeInit, T: int, nu: DiscreteGrid | None = None) -> list[SeState]:
+def spiked_se(law: SpectralLaw, theta: float, f: RationalFn, denoisers,
+              init: SeInit, T: int) -> list[SeState]:
     """Spiked-model state evolution for constant-f matrix processing: the
-    trace-free rows of f on mu, and on nu with the E solved on mu."""
-    if not init.spiked:
-        raise ValidationError("spiked_se requires a spiked initialization (omega set)")
-    if nu is None:
-        nu = nu_measure(law, theta)
+    trace-free rows of f on mu, and on nu with the E solved on mu, nu's
+    rule by Lanczos on f of the spiked core (`_TraceFreeRows` with theta)."""
+    if not (init.spiked and theta > 0):
+        raise ValidationError("spiked_se requires theta > 0 and a spiked init (omega set)")
     return _evolve(_TraceFreeRows(law, [f] * T), denoisers, init, T,
-                   nu_rows=_TraceFreeRows(nu, [f] * T))
+                   nu_rows=_TraceFreeRows(law, [f] * T, theta=theta))

@@ -1,8 +1,8 @@
 """Import footprint: numpy is the only heavy dependency that `import amp_lab`,
-the non-spiked paths and spiked runs load; scipy.linalg (for LAPACK dlasd4)
-loads only when the secular solver runs, for the overlap measure or the
-empirical nu.  Every name the benchmark and the demos import from amp_lab,
-and every attribute the benchmark's tracer wraps, exists."""
+the non-spiked paths, spiked runs and spiked SE load; scipy.linalg (for
+LAPACK dlasd4) loads only when the secular solver runs, for the overlap
+measure or `nu_measure`.  Every name the benchmark and the demos import
+from amp_lab, and every attribute the benchmark's tracer wraps, exists."""
 
 import ast
 import glob
@@ -72,11 +72,17 @@ assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
     assert _scipy_modules(code, cfg, str(tmp_path / "out")) == set()
 
 
-def test_scipy_loads_only_for_the_secular_solver():
-    # a spiked library run and its verification load no scipy; the nu of an
-    # atom law, through the secular solver, loads scipy.linalg and nothing else
+def test_scipy_loads_only_for_the_secular_solver(tmp_path):
+    # a spiked library run, its verification and a spiked `amp-lab se` on a
+    # one-column file: atom law load no scipy; nu_measure, through the
+    # secular solver, loads scipy.linalg and nothing else
+    law_file = tmp_path / "atoms.txt"
+    law_file.write_text("\n".join(str(0.4 + 0.002 * i) for i in range(800)) + "\n")
+    cfg = _write_config(tmp_path, law=f"file:{law_file}", N=800, T=3, theta=1.5, omega=0.3,
+                        algo="ri-amp", denoiser="linear-mmse-combining", runs=1)
     code = """
 import numpy as np
+from amp_lab.cli import main
 from amp_lab.denoisers import tanh_denoiser
 from amp_lab.engines import run_ri_amp_mp, verify_unfolding
 from amp_lab.laws import MarchenkoPastur
@@ -88,10 +94,11 @@ inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=2)
 run = run_ri_amp_mp(inst, law, mp_denoise_fn(1.5, 0.2), [tanh_denoiser(t) for t in (1, 2)],
                     inst.x_star, 2, mode="grid")
 assert verify_unfolding(run).max_error < 1e-8
+assert main(["se", "--config", sys.argv[1]]) == 0
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 nu_measure(law.quantile_grid(64), 1.5)
 """
-    mods = _scipy_modules(code)
+    mods = _scipy_modules(code, cfg)
     assert "scipy.linalg" in mods
     assert not mods & {"scipy.integrate", "scipy.special", "scipy.optimize"}
 

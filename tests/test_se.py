@@ -1,19 +1,21 @@
 """State evolution: covariance forms, expectation engines, the overlap limit
 measure, and the spiked recursion."""
 
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from amp_lab import se
-from amp_lab.cli import ALL_ALGOS, SPIKED_ALGOS, ExperimentConfig, compute_se
+from amp_lab.cli import ALL_ALGOS, SPIKED_ALGOS, ExperimentConfig, compute_se, main
 from amp_lab.denoisers import (constant_denoiser, linear_mmse_combining_denoiser,
                                random_lipschitz_denoiser, tanh_denoiser)
-from amp_lab.errors import ValidationError
 from amp_lab.freeprob import _TraceFreeRows, cumulants_from_law, phi_powers
-from amp_lab.laws import (DiscreteGrid, ExternalDensity, MarchenkoPastur, Semicircle,
+from amp_lab.errors import NumericalError, ValidationError
+from amp_lab.laws import (DiscreteGrid, ExternalDensity, MarchenkoPastur, Semicircle, catalan,
                           parse_law_spec)
 from amp_lab.randmat import (Prior, RationalFn, build_rot_invariant, build_spiked, make_prior,
                              overlap_measure, parse_prior_spec)
@@ -152,6 +154,19 @@ def test_gh_and_mc_engines_agree():
     assert abs(gh["ubar_second_moment"] - mc.DeltaBar[2, 2]) < 5e-3
 
 
+def test_an_overflowing_gauss_hermite_rule_raises(monkeypatch, tmp_path, capsys):
+    # hermegauss' weights overflow from 371 nodes: SE exits 2 with a message
+    # instead of integrating against an empty rule
+    with pytest.raises(NumericalError, match="400-point"):
+        se._gh_rule(400)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"law": "semicircle", "N": 100, "T": 2, "algo": "ri-amp",
+                               "denoiser": "tanh"}))
+    monkeypatch.setattr(se, "GH_POINTS", 400)
+    assert main(["se", "--config", str(cfg)]) == 2
+    assert "400-point Gauss-Hermite rule" in capsys.readouterr().err
+
+
 SIGMA3 = np.array([[1.0, 0.3, 0.2], [0.3, 0.8, 0.25], [0.2, 0.25, 0.6]])
 BETA3 = np.array([0.6, 0.9, 1.2])
 
@@ -284,8 +299,9 @@ def _semicircle_table(n: int) -> ExternalDensity:
 def test_nu_semicircle_supercritical():
     theta = 1.5
     nu = nu_measure(Semicircle(), theta)
-    z_star, w_atom = nu.atoms[-1], nu.weights[-1]  # the outlier is nu's last atom
-    assert (z_star, w_atom) == find_outlier(Semicircle(), theta)
+    z_star, w_atom = nu.atoms[-1], nu.weights[-1]  # the outlier is nu's top root
+    outlier = find_outlier(Semicircle(), theta)
+    assert abs(z_star - outlier[0]) <= 1e-12 and abs(w_atom - outlier[1]) <= 1e-12
     assert abs(z_star - (theta + 1 / theta)) < 1e-8
     assert abs(w_atom - (1 - 1 / theta**2)) < 1e-6
     assert abs(nu.total_mass() - 1.0) < 1e-6
@@ -294,7 +310,7 @@ def test_nu_semicircle_supercritical():
 
 def test_nu_subcritical_no_atom():
     nu = nu_measure(Semicircle(), 0.5)
-    assert np.array_equal(nu.atoms, Semicircle().quad_nodes(400)[0])  # no atom appended
+    assert nu.atoms.max() <= Semicircle().support()[1]  # no atom above the support
     assert find_outlier(Semicircle(), 0.5) is None
 
 
@@ -377,14 +393,38 @@ def test_nu_of_a_weighted_atom_law_has_the_spiked_stieltjes_transform(theta):
     assert nu.weights[np.flatnonzero(nu.atoms == law.atoms[7])].tolist() == [0.0]
 
 
-def test_nu_of_many_atoms_takes_the_capped_quantile_grid(monkeypatch):
-    monkeypatch.setattr(se, "OVERLAP_N_CAP", 50)
-    law = DiscreteGrid(atoms=Semicircle().quantile_grid(200).atoms)
-    nu = nu_measure(law, 1.5)
-    assert nu.atoms.size == 50 and abs(nu.total_mass() - 1.0) < 1e-12
-    again, capped = nu_measure(law, 1.5), nu_measure(law.quantile_grid(50), 1.5)
-    assert np.array_equal(nu.atoms, again.atoms) and np.array_equal(nu.weights, again.weights)
-    assert np.array_equal(nu.atoms, capped.atoms) and np.array_equal(nu.weights, capped.weights)
+def _exact_mu_moments(law, n: int) -> list:
+    """Moments 0..n of the semicircle, MP(1/5) or an atom law as Fractions."""
+    if isinstance(law, Semicircle):
+        return [Fraction(catalan(k // 2)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)]
+    if isinstance(law, MarchenkoPastur):  # Narayana polynomials
+        a = Fraction(1, 5)
+        return [Fraction(1)] + [sum(Fraction(math.comb(k, j) * math.comb(k, j + 1), k) * a**j
+                                    for j in range(k)) for k in range(1, n + 1)]
+    atoms, w = ([Fraction(float(v)) for v in x] for x in law.quad_nodes())
+    return [sum(wi * ai**k for ai, wi in zip(atoms, w)) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.5])
+@pytest.mark.parametrize("law", ["semicircle", "mp-0.2", "weighted-atoms"])
+def test_nu_rule_moments_match_the_exact_nu_moments(law, theta):
+    # m_nu = m_mu / (1 - theta m_mu) in u = 1/z: nu's moment series is
+    # N = M + theta u M N, M mu's, summed in exact arithmetic; the
+    # (T + 1)-point rule of the rows over nu integrates degree 2 T + 1 exactly
+    rng = np.random.default_rng(4)
+    law = {"semicircle": Semicircle(), "mp-0.2": MarchenkoPastur(alpha=0.2),
+           "weighted-atoms": DiscreteGrid(atoms=rng.uniform(-1.0, 2.0, 200),
+                                          weights=rng.dirichlet(np.ones(200)))}[law]
+    T = 10
+    n = 2 * T + 1
+    mu, nu, th = _exact_mu_moments(law, n), [], Fraction(theta)
+    for k in range(n + 1):
+        nu.append(mu[k] + th * sum(nu[j] * mu[k - 1 - j] for j in range(k)))
+    rows = _TraceFreeRows(law, [RationalFn(coeffs=(0.0, 1.0))] * T, theta=theta)
+    x = rows._f_at(1)  # the rule's nodes
+    assert x.size == T + 1
+    for k in range(n + 1):
+        assert abs(float(rows.w @ x**k) - float(nu[k])) <= 1e-13 * max(1.0, abs(float(nu[k])))
 
 
 def test_nu_of_a_density_table_matches_the_closed_form_law():
@@ -448,6 +488,16 @@ def test_spiked_se_requires_omega():
     with pytest.raises(ValidationError):
         spiked_se(Semicircle(), 1.5, lambda x: x,
                   lambda t, b, S: tanh_denoiser(t), init, 2)
+
+
+def test_spiked_se_requires_a_positive_theta_and_a_rational_f():
+    # nu's rows apply f to the spiked core as a spiked run applies f(Y)
+    init = SeInit(prior=make_prior("rademacher"), omega=0.3)
+    fac = lambda t, b, S: tanh_denoiser(t)
+    with pytest.raises(ValidationError, match="theta > 0"):
+        spiked_se(Semicircle(), 0.0, RationalFn(coeffs=(0.0, 1.0)), fac, init, 2)
+    with pytest.raises(ValidationError, match="RationalFn"):
+        spiked_se(Semicircle(), 1.5, lambda x: x, fac, init, 2)
 
 
 @pytest.mark.parametrize("spiked", [True, False])
@@ -570,7 +620,7 @@ def test_spiked_se_core_matches_k_family_plus_nu(f_name):
     init = SeInit(prior=make_prior("rademacher"), omega=0.3)
     fac = lambda t, beta, Sigma: linear_mmse_combining_denoiser(beta, Sigma)
     nu = nu_measure(mp, theta)
-    states = spiked_se(mp, theta, f, fac, init, T, nu=nu)
+    states = spiked_se(mp, theta, f, fac, init, T)
     _, gram_mu, mean_nu, gram_nu = _family_gram(mp, "K", T, f=f, nu=nu)
     for s in states:
         t, a = s.t, s.alpha
