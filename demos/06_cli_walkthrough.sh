@@ -1,6 +1,6 @@
 #!/bin/sh
 # The same capabilities through the `amp-lab` command-line harness.
-# Run with:  sh demos/06_cli_walkthrough.sh   (about 1 min)
+# Run with:  sh demos/06_cli_walkthrough.sh   (a few seconds)
 set -e
 
 out=$(mktemp -d)

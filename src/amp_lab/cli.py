@@ -494,7 +494,7 @@ def cmd_cumulants(args) -> int:
         if args.seed < 0:
             raise ValidationError("--seed must be >= 0")
         # the replicas run one after another, each on one Haar ensemble that
-        # answers the order + 1 products of the cumulant recursion
+        # answers the `order` products of the centering recursion
         _check_fits_memory(_seed_bytes(args.dim, "ri-amp", args.order), f"--dim {args.dim}")
     table = cumulants_from_law(law, args.order)
     header = ["n", "m_n", "kappa_n"]

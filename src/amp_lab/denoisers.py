@@ -125,17 +125,6 @@ def identity_denoiser(t: int) -> Denoiser:
     return projection_denoiser("identity", _last(t), _identity, _one)
 
 
-def constant_denoiser(t: int, c: float) -> Denoiser:
-    """eta = c: the identity link of the zero projection, offset by c."""
-    return additive_denoiser(f"constant({c})", np.zeros((1, t)), _identity, _one,
-                             offsets=[float(c)])
-
-
-def linear_denoiser(weights) -> Denoiser:
-    """eta = sum_i w_i r_i."""
-    return projection_denoiser("linear", weights, _identity, _one)
-
-
 def tanh_denoiser(t: int, scale: float = 1.0) -> Denoiser:
     """eta = tanh(scale * r_t), single memory."""
     s = float(scale)

@@ -1,13 +1,15 @@
 """Moments, free cumulants, and the polynomial families behind the AMP variants.
 
-Two independent routes between moments and free cumulants are kept:
-
-  * an exact interleaved coefficient recursion (`moments_to_cumulants`), and
-  * brute-force enumeration of non-crossing partitions
-    (`cumulants_to_moments_nc`), which serves as the combinatorial oracle.
-
-Arithmetic is generic: feeding `fractions.Fraction` values keeps every
-intermediate exact, so round trips are not tolerance-limited.
+Free cumulants arise from one recursive centering (`_center`): P_0 = 1,
+c_n = E[x P_{n-1}] and P_n = x P_{n-1} - sum_{j<=n} c_j P_{n-j} give the free
+cumulants c and the Q family P.  The loop runs on three representations:
+coefficient arrays against the moments of Lambda (`moments_to_cumulants`, and
+`build_poly_family`'s Q family and H family, whose one-step memory is
+P_n = x P_{n-1} - c_n P_0), against those of f(Lambda) (the K family), and
+vectors with x = W (`mc_cumulants`).  Summation over non-crossing
+partitions (`cumulants_to_moments_nc`) is its independent oracle.
+Arithmetic is generic: `fractions.Fraction` inputs keep every intermediate
+exact, so round trips are not tolerance-limited.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .laws import SpectralLaw, catalan  # noqa: F401 (re-exported)
+from .laws import SpectralLaw
 from .randmat import SpectralOperator, _map_eigenvalues, dense_symmetric
 
 NC_ORDER_CAP = 12
@@ -33,15 +35,6 @@ MP_DEBIAS_NODES = 400
 # ---------------------------------------------------------------------------
 # non-crossing partitions
 # ---------------------------------------------------------------------------
-
-def enumerate_nc_partitions(k: int):
-    """All non-crossing partitions of {1, ..., k}, each a tuple of blocks."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if k > NC_ORDER_CAP:
-        raise SizeLimitError(f"k={k} exceeds the combinatorial cap {NC_ORDER_CAP}")
-    return list(_nc_gen(tuple(range(1, k + 1))))
-
 
 def _nc_gen(labels: tuple):
     if not labels:
@@ -63,50 +56,6 @@ def _nc_gen(labels: tuple):
                 for sub in combo:
                     part += sub
                 yield part
-
-
-def is_noncrossing(partition) -> bool:
-    """Direct four-element crossing test (independent of the generator)."""
-    blocks = [set(b) for b in partition]
-    elems = sorted(e for b in blocks for e in b)
-    idx = {}
-    for i, b in enumerate(blocks):
-        for e in b:
-            idx[e] = i
-    for a, b, c, d in itertools.combinations(elems, 4):
-        if idx[a] == idx[c] and idx[b] == idx[d] and idx[a] != idx[b]:
-            return False
-    return True
-
-
-def partition_to_tuple(partition, k: int) -> tuple:
-    """Bijection onto step sequences: entry i is the block size if i is the
-    largest element of its block, else 0."""
-    s = [0] * k
-    for block in partition:
-        s[max(block) - 1] = len(block)
-    return tuple(s)
-
-
-def enumerate_step_tuples(k: int):
-    """Tuples (s_1..s_k) with s_i >= 0, partial sums <= position, total = k."""
-    if k > NC_ORDER_CAP:
-        raise SizeLimitError(f"k={k} exceeds the combinatorial cap {NC_ORDER_CAP}")
-
-    out = []
-
-    def rec(prefix, total):
-        m = len(prefix)
-        if m == k:
-            if total == k:
-                out.append(tuple(prefix))
-            return
-        for s in range(0, m + 1 - total + 1):
-            if total + s <= m + 1:
-                rec(prefix + [s], total + s)
-
-    rec([], 0)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +86,41 @@ def cumulants_to_moments_nc(cumulants: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
-# exact recursion (interleaved alpha / kappa updates)
+# the centering recursion
 # ---------------------------------------------------------------------------
+
+def _center(times_x: Callable, mean: Callable, p0, order: int, full_memory: bool = True):
+    """P_0..P_order and c_1..c_order of the centering
+
+        c_n = mean(x P_{n-1}),   P_n = x P_{n-1} - sum_{j=1}^n c_j P_{n-j}
+
+    (full memory), or P_n = x P_{n-1} - c_n P_0 (one-step memory), for any
+    representation of P with `-` and scalar `*`: `times_x` maps P to x P."""
+    P, c = [p0], []
+    for n in range(1, order + 1):
+        xp = times_x(P[-1])
+        c.append(mean(xp))
+        for j in range(1, n + 1) if full_memory else (n,):
+            xp = xp - c[j - 1] * P[n - j]
+        P.append(xp)
+    return P, c
+
+
+def _center_on_moments(moments: Sequence, full_memory: bool = True):
+    """`_center` on coefficient arrays in powers 0..n of x, n = len(moments),
+    against m_0 = 1, m_1..m_n: P_0..P_n and c_1..c_n in the moments'
+    arithmetic (object arrays, so `Fraction`s stay exact)."""
+    zero = moments[0] * 0 if len(moments) else 0.0
+    m = np.array([zero + 1, *moments], dtype=object)
+    p0 = np.array([zero + 1] + [zero] * len(moments), dtype=object)
+    return _center(lambda p: np.concatenate(([zero], p[:-1])), lambda p: sum(p * m), p0,
+                   len(moments), full_memory)
+
+
+def _check_order(order: int) -> None:
+    if order > RECURSION_ORDER_CAP:
+        raise SizeLimitError(f"order {order} exceeds the recursion cap {RECURSION_ORDER_CAP}")
+
 
 @dataclass(frozen=True)
 class CumulantTable:
@@ -158,47 +140,20 @@ class CumulantTable:
 
 
 def moments_to_cumulants(moments: Sequence) -> CumulantTable:
-    """Free cumulants from moments by the interleaved coefficient recursion.
-
-    alpha_{n,i} = alpha_{n-1,i-1} - sum_{j=1}^{n-i} kappa_j alpha_{n-j,i},
-    kappa_{n+1} = sum_j alpha_{n,j} m_{j+1},   kappa_1 = m_1.
-    """
+    """Free cumulants kappa_n = E[x Q_{n-1}] from moments by the centering on
+    coefficient arrays; `alpha` holds Q_0..Q_{n-1}."""
     n_ord = len(moments)
     if n_ord < 1:
         raise ValidationError("need at least one moment")
-    if n_ord > RECURSION_ORDER_CAP:
-        raise SizeLimitError(f"order {n_ord} exceeds the recursion cap {RECURSION_ORDER_CAP}")
-    alpha = [[moments[0] * 0 + 1]]  # row 0: Q_0 = 1, in the input arithmetic
-    kappas = [moments[0]]
-    for n in range(1, n_ord):
-        alpha.append(_next_alpha_row(alpha, kappas))
-        kappa_next = sum(alpha[n][j] * moments[j] for j in range(0, n + 1))
-        kappas.append(kappa_next)
-    return CumulantTable(
-        order=n_ord,
-        moments=tuple(moments),
-        cumulants=tuple(kappas),
-        alpha=tuple(tuple(r) for r in alpha),
-    )
+    _check_order(n_ord)
+    Q, kappas = _center_on_moments(moments)
+    return CumulantTable(order=n_ord, moments=tuple(moments), cumulants=tuple(kappas),
+                         alpha=tuple(tuple(q[: n + 1]) for n, q in enumerate(Q[:-1])))
 
 
 def cumulants_from_law(law: SpectralLaw, order: int) -> CumulantTable:
+    _check_order(order)
     return moments_to_cumulants(law.moments(order))
-
-
-def _next_alpha_row(alpha, kappas):
-    """Row n = len(alpha) of the coefficient recursion, given kappa_1..kappa_n
-    (the arithmetic of kappa_1 carries through, so Fractions stay exact)."""
-    n = len(alpha)
-    zero = kappas[0] * 0
-    row = []
-    for i in range(0, n):
-        acc = alpha[n - 1][i - 1] if i >= 1 else zero
-        for j in range(1, n - i + 1):
-            acc = acc - kappas[j - 1] * alpha[n - j][i]
-        row.append(acc)
-    row.append(zero + 1)
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +204,16 @@ def build_poly_family(
     order: int,
     f: Callable | None = None,
 ) -> PolyFamily:
-    """Build the centered polynomial family of the requested kind.
+    """The centered polynomial family of the requested kind: `_center` on
+    coefficient arrays against the moments of Lambda, or of f(Lambda) for K.
 
-    Q: member recursion with all past members subtracted (its centering
-       constants are the free cumulants of the law).
-    H: one-step centering only.
-    K: same recursion as Q but applied to the pushforward variable f(Lambda);
-       requires `f`.
+    Q: full memory (its centering constants are the free cumulants of the law).
+    H: one-step memory.
+    K: full memory in the pushforward variable f(Lambda); requires `f`.
     """
     if order < 0:
         raise ValidationError("order must be >= 0")
-    if order > RECURSION_ORDER_CAP:
-        raise SizeLimitError(f"order {order} exceeds the recursion cap {RECURSION_ORDER_CAP}")
+    _check_order(order)
     if kind == "K":
         if f is None:
             raise ValidationError("kind K requires a processing function")
@@ -269,42 +222,13 @@ def build_poly_family(
         mom = law.moments(order)
     else:
         raise ValidationError(f"unknown family kind {kind!r}")
-
-    if kind in ("Q", "K"):
-        if order == 0:
-            table = None
-            coeffs: list = [[1.0]]
-            centering: list = []
-        else:
-            table = moments_to_cumulants(mom)
-            coeffs = [list(r) for r in table.alpha]
-            centering = list(table.cumulants)
-            # the cumulant recursion stops at row order-1; one more row is
-            # needed so the family itself reaches the requested order
-            coeffs.append(_next_alpha_row(coeffs, centering))
-        return PolyFamily(
-            kind=kind,
-            order=order,
-            coeffs=tuple(tuple(float(c) for c in r) for r in coeffs),
-            centering=tuple(float(c) for c in centering),
-            base_fn=f if kind == "K" else None,
-        )
-
-    # kind H: H_n = lam H_{n-1} - E[Lam H_{n-1}]
-    coeffs = [[1.0]]
-    centering = []
-    for n in range(1, order + 1):
-        prev = coeffs[n - 1]
-        gamma = sum(prev[i] * mom[i] for i in range(len(prev)))  # E[Lam H_{n-1}]
-        row = [0.0] + list(prev)
-        row[0] -= gamma
-        coeffs.append(row)
-        centering.append(gamma)
+    P, centering = _center_on_moments(mom, full_memory=kind != "H")
     return PolyFamily(
-        kind="H",
+        kind=kind,
         order=order,
-        coeffs=tuple(tuple(float(c) for c in r) for r in coeffs),
+        coeffs=tuple(tuple(float(c) for c in p[: n + 1]) for n, p in enumerate(P)),
         centering=tuple(float(c) for c in centering),
+        base_fn=f if kind == "K" else None,
     )
 
 
@@ -449,6 +373,9 @@ def partial_moments(law: SpectralLaw, order: int) -> PartialMomentTable:
     if order < 0:
         raise ValidationError("order must be >= 0")
     width = max(2 * order, 1)  # column need shrinks by one per row step
+    if width + 1 > RECURSION_ORDER_CAP:
+        raise SizeLimitError(f"order {order} needs {width + 1} moments, past the recursion "
+                             f"cap {RECURSION_ORDER_CAP}")
     kap = moments_to_cumulants(law.moments(width + 1)).cumulants
     kappa = [1.0] + [float(k) for k in kap]  # kappa[0] = 1 convention
     c = np.zeros((order + 1, width + 1))
@@ -469,24 +396,14 @@ def partial_moments(law: SpectralLaw, order: int) -> PartialMomentTable:
 def mc_cumulants(W, order: int, seed: int) -> np.ndarray:
     """Free-cumulant estimator from a single probe vector.
 
-    Runs the centered vector recursion z_n = W z_{n-1} - sum_i k_i z_{n-i}
-    with k_n = h^T z_{n-1} / N and h = W g; the estimated cumulants feed the
+    The centering on vectors, z_0 = g, k_n = g^T W z_{n-1} / N and
+    z_n = W z_{n-1} - sum_i k_i z_{n-i}: the estimated cumulants feed the
     subsequent updates on the fly.  Never materializes polynomial matrices.
     W may be a dense symmetric array or expose `apply(v)`.
     """
     apply, N = _as_matvec(W)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(N)
-    h = apply(g)
-    zs = [g]
-    kap = np.empty(order)
-    for n in range(1, order + 1):
-        kap[n - 1] = h @ zs[n - 1] / N
-        z = apply(zs[n - 1])
-        for i in range(1, n + 1):
-            z = z - kap[i - 1] * zs[n - i]
-        zs.append(z)
-    return kap
+    g = np.random.default_rng(seed).standard_normal(N)
+    return np.array(_center(apply, lambda v: g @ v / N, g, order)[1])
 
 
 def _as_matvec(W):

@@ -9,9 +9,9 @@ Supported families:
 
 Every family has its Stieltjes transform in closed form: the semicircle's
 and MP's quadratic roots, a weighted mean over a grid's atoms, and a sum of one
-logarithm per segment for a tabulated density.  So m(x - i0) on the
-support, which the spiked model's overlap measure needs, is
-`stieltjes(complex(x, -1e-10))` for every continuous law.
+logarithm per segment for a tabulated density.  The spiked model's outlier
+(`se.find_outlier`) reads it, and its derivative, at real z above the
+support.
 
 All laws are immutable after construction and safe to share across workers.
 """

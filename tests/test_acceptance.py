@@ -23,14 +23,13 @@ from amp_lab.engines import (
 )
 from amp_lab.freeprob import (
     build_poly_family,
-    catalan,
     cumulants_from_law,
     cumulants_to_moments_nc,
     mc_cumulants,
     moments_to_cumulants,
     partial_moments,
 )
-from amp_lab.laws import MarchenkoPastur, Semicircle
+from amp_lab.laws import MarchenkoPastur, Semicircle, catalan
 from amp_lab.randmat import (
     build_rot_invariant,
     build_spiked,

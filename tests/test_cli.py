@@ -461,6 +461,14 @@ def test_cumulants_exit_codes(capsys):
     assert main(["cumulants", "--law", "semicircle", "--order", "0"]) == 1
 
 
+def test_cumulants_order_past_the_cap_exits_1(capsys):
+    # Semicircle.moment(2000) overflows a float: the cap is checked first
+    assert main(["cumulants", "--law", "semicircle", "--order", "2000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 2000 exceeds the recursion cap 20\n"
+
+
 def test_cumulants_point_mass(capsys):
     assert main(["cumulants", "--law", "point:c=1.5", "--order", "4"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

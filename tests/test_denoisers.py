@@ -6,16 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amp_lab.denoisers import (
+    Denoiser,
+    _identity,
+    _one,
     additive_denoiser,
-    constant_denoiser,
     identity_denoiser,
-    linear_denoiser,
     linear_mmse_combining_denoiser,
     mmse_rademacher_denoiser,
+    projection_denoiser,
     random_lipschitz_denoiser,
     tanh_denoiser,
 )
 from amp_lab.errors import ValidationError
+
+
+def constant_denoiser(t: int, c: float) -> Denoiser:
+    """eta = c: the identity link of the zero projection, offset by c."""
+    return additive_denoiser(f"constant({c})", np.zeros((1, t)), _identity, _one,
+                             offsets=[float(c)])
+
+
+def linear_denoiser(weights) -> Denoiser:
+    """eta = sum_i w_i r_i."""
+    return projection_denoiser("linear", weights, _identity, _one)
 
 
 FD_STEP = 1e-5

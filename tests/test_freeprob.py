@@ -1,6 +1,7 @@
 """Moment/cumulant machinery: combinatorial enumeration, the coefficient
 recursion, polynomial families, partial moments, and Monte Carlo estimators."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,22 +10,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amp_lab.engines import IDENTITY
 from amp_lab.errors import SizeLimitError, ValidationError
 from amp_lab.freeprob import (
+    NC_ORDER_CAP,
+    _center_on_moments,
+    _nc_gen,
+    _TraceFreeRows,
     build_poly_family,
-    catalan,
     cumulants_from_law,
     cumulants_to_moments_nc,
-    enumerate_nc_partitions,
-    enumerate_step_tuples,
-    is_noncrossing,
     mc_cumulants,
     moments_to_cumulants,
     partial_moments,
-    partition_to_tuple,
 )
-from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, point_mass
+from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, catalan, point_mass
 from amp_lab.randmat import build_rot_invariant, sample_goe
+
+
+def enumerate_nc_partitions(k: int):
+    """All non-crossing partitions of {1, ..., k}, each a tuple of blocks."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if k > NC_ORDER_CAP:
+        raise SizeLimitError(f"k={k} exceeds the combinatorial cap {NC_ORDER_CAP}")
+    return list(_nc_gen(tuple(range(1, k + 1))))
+
+
+def is_noncrossing(partition) -> bool:
+    """Direct four-element crossing test (independent of the generator)."""
+    blocks = [set(b) for b in partition]
+    elems = sorted(e for b in blocks for e in b)
+    idx = {}
+    for i, b in enumerate(blocks):
+        for e in b:
+            idx[e] = i
+    for a, b, c, d in itertools.combinations(elems, 4):
+        if idx[a] == idx[c] and idx[b] == idx[d] and idx[a] != idx[b]:
+            return False
+    return True
+
+
+def partition_to_tuple(partition, k: int) -> tuple:
+    """Bijection onto step sequences: entry i is the block size if i is the
+    largest element of its block, else 0."""
+    s = [0] * k
+    for block in partition:
+        s[max(block) - 1] = len(block)
+    return tuple(s)
+
+
+def enumerate_step_tuples(k: int):
+    """Tuples (s_1..s_k) with s_i >= 0, partial sums <= position, total = k."""
+    if k > NC_ORDER_CAP:
+        raise SizeLimitError(f"k={k} exceeds the combinatorial cap {NC_ORDER_CAP}")
+
+    out = []
+
+    def rec(prefix, total):
+        m = len(prefix)
+        if m == k:
+            if total == k:
+                out.append(tuple(prefix))
+            return
+        for s in range(0, m + 1 - total + 1):
+            if total + s <= m + 1:
+                rec(prefix + [s], total + s)
+
+    rec([], 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +168,14 @@ def test_moments_to_cumulants_validates():
         moments_to_cumulants([])
     with pytest.raises(SizeLimitError):
         moments_to_cumulants(list(range(25)))
+
+
+def test_order_cap_is_checked_before_any_moment():
+    # Semicircle.moment(2000) overflows a float: the cap must come first
+    with pytest.raises(SizeLimitError, match="order 2000 exceeds the recursion cap 20"):
+        cumulants_from_law(Semicircle(), 2000)
+    with pytest.raises(SizeLimitError, match="order 2000 exceeds the recursion cap 20"):
+        build_poly_family(Semicircle(), "Q", 2000)
 
 
 def test_alpha_rows_are_q_coefficients():
@@ -229,6 +291,47 @@ def test_partial_moments_base_row():
     assert pm[0, 0] == 1.0
     for j in range(1, 6):
         assert abs(pm[0, j]) < 1e-12
+
+
+def test_partial_moments_cap_names_the_requested_order():
+    # order k takes 2 k + 1 moments: 9 is the largest order within the cap
+    assert partial_moments(Semicircle(), 9).order == 9
+    with pytest.raises(SizeLimitError, match="order 10 needs 21 moments"):
+        partial_moments(Semicircle(), 10)
+
+
+# ---------------------------------------------------------------------------
+# the Onsager rows are the centering
+# ---------------------------------------------------------------------------
+
+def _last_shift_row(law, T, template):
+    """Row T of `_TraceFreeRows`' Onsager rows E with f = identity and Phi the
+    shift matrix (Phi_{n,n-1} = 1), reversed: entry n is E_{T,T-n+1}."""
+    rows = _TraceFreeRows(law, [IDENTITY] * T, template)
+    Phi = np.eye(T, k=-1)
+    for n in range(1, T + 1):
+        e = rows.append(Phi[n - 1, : n - 1])
+    return e[::-1]
+
+
+def test_shift_rows_of_template_u_are_the_free_cumulants_past_the_cap():
+    # E = sum_i kappa_i Phi^{i-1}, so E_{T,m} = kappa_{T-m+1}, at T = 40
+    T = 40
+    kappa = _last_shift_row(MarchenkoPastur(alpha=0.2), T, "u")
+    assert np.max(np.abs(kappa - 0.2 ** np.arange(T))) <= 1e-14
+    kappa = _last_shift_row(Semicircle(), T, "u")
+    assert np.max(np.abs(kappa - np.eye(T)[1])) <= 1e-14
+
+
+def test_shift_rows_of_template_ubar_are_the_h_centering_constants():
+    # E = sum_i gamma_i Phi^{i-1}; gamma from MP(1/5)'s Narayana moments in
+    # exact arithmetic, by the one-step centering
+    T, a = 20, Fraction(1, 5)
+    moments = [sum(Fraction(math.comb(n, k) * math.comb(n, k + 1), n) * a**k for k in range(n))
+               for n in range(1, T + 1)]
+    gamma = np.array([float(g) for g in _center_on_moments(moments, full_memory=False)[1]])
+    rows = _last_shift_row(MarchenkoPastur(alpha=0.2), T, "ubar")
+    assert np.max(np.abs(rows - gamma) / np.abs(gamma)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,7 @@ def test_expect_accepts_constant_integrand():
 def test_catalan_lives_in_laws():
     import amp_lab.freeprob
 
-    assert amp_lab.freeprob.catalan is catalan
+    assert not hasattr(amp_lab.freeprob, "catalan")
     assert [catalan(k) for k in range(7)] == [1, 1, 2, 5, 14, 42, 132]
     assert Semicircle(variance=2.0).moment(8) == 14 * 2.0**4
 

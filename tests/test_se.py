@@ -11,8 +11,8 @@ import pytest
 
 from amp_lab import se
 from amp_lab.cli import ALL_ALGOS, SPIKED_ALGOS, ExperimentConfig, compute_se, main
-from amp_lab.denoisers import (constant_denoiser, linear_mmse_combining_denoiser,
-                               random_lipschitz_denoiser, tanh_denoiser)
+from amp_lab.denoisers import (linear_mmse_combining_denoiser, random_lipschitz_denoiser,
+                               tanh_denoiser)
 from amp_lab.freeprob import _TraceFreeRows, cumulants_from_law, phi_powers
 from amp_lab.errors import NumericalError, ValidationError
 from amp_lab.laws import (DiscreteGrid, ExternalDensity, MarchenkoPastur, Semicircle, catalan,
@@ -38,6 +38,7 @@ from amp_lab.se import (
     theorem_sigma,
     _family_gram,
 )
+from test_denoisers import constant_denoiser
 
 
 # ---------------------------------------------------------------------------
