@@ -33,11 +33,10 @@ from .freeprob import (build_poly_family, cumulants_from_law,
                        moments_to_cumulants, partial_moments)
 from .laws import (MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec, parse_number,
                    parse_spec, read_columns)
-from .randmat import (RationalFn, build_rot_invariant, build_spiked, goe_ensemble,
+from .randmat import (IDENTITY, RationalFn, build_rot_invariant, build_spiked, goe_ensemble,
                       parse_prior_spec)
 from .se import (SeInit, check_pole_free, fan_se_form, mp_denoise_fn, oamp_se,
-                 ri_amp_df_se, ri_amp_mp_se, ri_amp_se, spiked_se, theorem_sigma,
-                 _family_gram)
+                 ri_amp_df_se, ri_amp_mp_se, spiked_se, theorem_sigma, _family_gram)
 
 FLOAT_FMT = "{:.17g}"
 SPIKED_ALGOS = ("ri-amp", "ri-amp-mp")
@@ -162,7 +161,9 @@ class ExperimentConfig:
                     raise ValidationError(f"config key {key!r} must not be null")
                 coerced[key] = None
                 continue
-            if typ is not str and isinstance(val, bool):
+            if typ is str and not isinstance(val, str):
+                raise ValidationError(f"config key {key!r} must be a string, got {val!r}")
+            if typ is not str and (isinstance(val, bool) or not isinstance(val, (int, float))):
                 raise ValidationError(f"config key {key!r} must be a number, got {val!r}")
             if typ is int and isinstance(val, float) and not val.is_integer():
                 raise ValidationError(f"config key {key!r} must be an integer, got {val!r}")
@@ -201,7 +202,7 @@ def resolve_matrix_fn(spec: str, law: SpectralLaw, theta: float | None):
     if name == "file":
         return RationalFn(coeffs=tuple(read_columns(rest, "matrix_fn file", (1,))[:, 0].tolist()))
     if parse_spec(spec, "matrix_fn", _MATRIX_FN_NAMES)[0] == "identity":
-        return RationalFn(coeffs=(0.0, 1.0))
+        return IDENTITY
     if not isinstance(law, MarchenkoPastur):
         raise ValidationError("mp-denoise requires a Marchenko-Pastur law")
     if theta is None:
@@ -239,13 +240,12 @@ def resolve_denoiser_factory(spec: str, spiked: bool):
 # ---------------------------------------------------------------------------
 
 def _resolve(cfg: ExperimentConfig):
-    """(law, prior, f, factory) of a config, each resolved once (f None if unused)."""
+    """(law, prior, f, factory) of a config, each resolved once (f is IDENTITY
+    for the algos that run on the matrix itself)."""
     law = parse_law_spec(cfg.law)
     prior = parse_prior_spec(cfg.prior)
     factory = resolve_denoiser_factory(cfg.denoiser, cfg.spiked)
-    f = (resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta)
-         if cfg.spiked or cfg.algo in MATRIX_FN_ALGOS else None)
-    return law, prior, f, factory
+    return law, prior, resolve_matrix_fn(cfg.matrix_fn, law, cfg.theta), factory
 
 
 def compute_se(cfg: ExperimentConfig):
@@ -255,26 +255,24 @@ def compute_se(cfg: ExperimentConfig):
 
 
 def _se(cfg: ExperimentConfig, law, prior, f, factory):
-    """compute_se on resolved inputs.  Gaussian AMP is RI-AMP under the unit
-    semicircle, each eta read on the last history row as its runs apply it."""
+    """compute_se on resolved inputs.  RI-AMP is RI-AMP-MP with f = identity,
+    and Gaussian AMP is RI-AMP under the unit semicircle, each eta read on
+    the last history row as its runs apply it."""
+    init = SeInit(prior=prior, omega=cfg.omega)
     if cfg.spiked:
-        init = SeInit(prior=prior, omega=cfg.omega)
         states = spiked_se(law, cfg.theta, f, factory, init, cfg.T)
-        rows = [(s.t, s.mse_pred) for s in states]
-        return states, rows
-    init = SeInit(prior=prior)
+        return states, [(s.t, s.mse_pred) for s in states]
+    dens = factory
     if cfg.algo == "gaussian-amp":
         if law != Semicircle():  # the runs draw a unit-variance GOE
             raise ValidationError("gaussian-amp requires the unit semicircle law (GOE)")
         dens = [last_row_denoiser(factory(1, None, None), t) for t in range(1, cfg.T + 1)]
-        states = ri_amp_se(law, dens, init, cfg.T)
-    elif cfg.algo == "ri-amp-mp":
-        states = ri_amp_mp_se(law, f, factory, init, cfg.T)
-    elif cfg.algo == "oamp":
-        states = oamp_se(law, [f] * cfg.T, factory, init, cfg.T)
+    if cfg.algo == "oamp":
+        states = oamp_se(law, [f] * cfg.T, dens, init, cfg.T)
+    elif cfg.algo == "ri-amp-df":
+        states = ri_amp_df_se(law, dens, init, cfg.T)
     else:
-        evolve = ri_amp_se if cfg.algo == "ri-amp" else ri_amp_df_se
-        states = evolve(law, factory, init, cfg.T)
+        states = ri_amp_mp_se(law, f, dens, init, cfg.T)
     return states, [(s.t, float(s.Sigma[s.t - 1, s.t - 1])) for s in states]
 
 
@@ -311,27 +309,23 @@ def _single_run(cfg: ExperimentConfig, law, prior, f, states, grid, run_idx: int
         ens = build_rot_invariant(grid, seed=_seed(cfg.seed_base, run_idx, 1))
     dens = [states[t - 1].denoiser for t in range(1, cfg.T + 1)]
     if cfg.spiked:
-        inst = build_spiked(cfg.theta, prior, ens, seed=_seed(cfg.seed_base, run_idx, 2))
-        x = inst.x_star
+        M = build_spiked(cfg.theta, prior, ens, seed=_seed(cfg.seed_base, run_idx, 2))
+        x = M.x_star
         u1 = (math.sqrt(cfg.omega) * x
               + math.sqrt(1.0 - cfg.omega) * rng.standard_normal(cfg.N))
-        if cfg.algo == "ri-amp":
-            run = run_ri_amp(inst, law, dens, u1, cfg.T, mode="grid")
-        else:
-            run = run_ri_amp_mp(inst, law, f, dens, u1, cfg.T, mode="grid")
+    else:
+        M, u1 = ens, prior.sample(cfg.N, rng)
+    if cfg.algo == "oamp":
+        run = run_oamp(M, [f] * cfg.T, dens, u1, cfg.T)
+    elif cfg.algo == "ri-amp-df":
+        run = run_ri_amp_df(M, law, dens, u1, cfg.T, mode="grid")
+    else:  # RI-AMP-MP, f = identity for RI-AMP; Gaussian AMP debiases by the unit semicircle
+        mode = "population" if cfg.algo == "gaussian-amp" else "grid"
+        run = run_ri_amp_mp(M, law, f, dens, u1, cfg.T, mode=mode)
+    if cfg.spiked:
         mse = np.array([np.mean((run.u[t] - x) ** 2) for t in range(1, cfg.T + 1)])
         ovl = np.array([1.0 - (run.u[t] @ x / cfg.N) ** 2 for t in range(1, cfg.T + 1)])
         return np.column_stack([mse, ovl])
-    u1 = prior.sample(cfg.N, rng)
-    if cfg.algo == "oamp":
-        run = run_oamp(ens, [f] * cfg.T, dens, u1, cfg.T)
-    elif cfg.algo == "ri-amp-mp":
-        run = run_ri_amp_mp(ens, law, f, dens, u1, cfg.T, mode="grid")
-    elif cfg.algo == "gaussian-amp":  # RI-AMP debiased by the unit semicircle
-        run = run_ri_amp(ens, law, dens, u1, cfg.T, mode="population")
-    else:
-        runner = run_ri_amp if cfg.algo == "ri-amp" else run_ri_amp_df
-        run = runner(ens, law, dens, u1, cfg.T, mode="grid")
     r2 = np.array([d["norm_r"] ** 2 for d in run.diagnostics])
     return r2[:, None]
 

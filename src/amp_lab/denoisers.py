@@ -40,10 +40,6 @@ class Denoiser:
     def arity(self) -> int:
         return self.projection.shape[1]
 
-    def depends_on(self) -> frozenset:
-        """1-based history indices the map reads."""
-        return frozenset(int(i) + 1 for i in np.flatnonzero(self.projection.any(axis=0)))
-
     def _args(self, R: np.ndarray) -> np.ndarray:
         """(K, N) link arguments p_k^T R + b_k."""
         return self.projection @ R + self.offsets[:, None]
@@ -159,7 +155,8 @@ def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
 
     With R = beta x + Z, Z ~ N(0, Sigma), the statistic s = c^T R with
     c = Sigma^-1 beta satisfies s | x ~ N(gamma x, gamma), gamma = beta^T c, so
-    the posterior mean is tanh(s).  The combining weights c are the projection.
+    the posterior mean is tanh(s).  The combining weights c are the projection's
+    one row.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
@@ -168,6 +165,4 @@ def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
         raise ValidationError("Sigma shape must match beta length")
     # least-squares solve tolerates the near-singular Sigma of late iterations
     c, *_ = np.linalg.lstsq(Sigma, beta, rcond=1e-12)
-    den = projection_denoiser("linear-mmse-combining", c, np.tanh, _tanh_prime)
-    object.__setattr__(den, "combining_weights", den.projection[0])
-    return den
+    return projection_denoiser("linear-mmse-combining", c, np.tanh, _tanh_prime)

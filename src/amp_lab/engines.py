@@ -40,11 +40,10 @@ from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, ValidationError
 from .freeprob import _TraceFreeRows, phi_powers
 from .laws import DiscreteGrid, Semicircle, SpectralLaw
-from .randmat import (RationalFn, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
+from .randmat import (IDENTITY, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
                       dense_symmetric)
 
 HORIZON_CAP = 10
-IDENTITY = RationalFn(coeffs=(0.0, 1.0))  # the matrix function of RI-AMP and RI-AMP-DF
 _UBAR_TEMPLATE = ("RIAMPDF", "OAMP")  # variants that subtract E x with x = ubar, not u
 
 

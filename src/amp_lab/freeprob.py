@@ -27,9 +27,6 @@ from .randmat import SpectralOperator, _map_eigenvalues, dense_symmetric
 
 NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
-# quadrature nodes of a population law's trace-free rows, before a one-f
-# schedule reduces them to the Gauss rule of the pushforward
-MP_DEBIAS_NODES = 400
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +295,7 @@ class _TraceFreeRows:
     two (state evolution's Sigma) has degree <= 2 T.  With one f (all f_t
     the same object) the nodes are the T + 1 point Gauss rule, exact to
     degree 2 T + 1, of f's pushforward of the law's `quad_nodes` (a, w)
-    (every atom of a grid, MP_DEBIAS_NODES of a population law), and
+    (every atom of a grid, 400 nodes of a population law), and
     multiplying by f multiplies by the rule's nodes.  With `theta` they are
     the rule of f's pushforward of nu, the spectral measure of the spiked
     core A = diag(a) + theta sqrt(w) sqrt(w)^T at sqrt(w), whose transform
@@ -311,7 +308,7 @@ class _TraceFreeRows:
                  theta: float | None = None):
         T = len(f_schedule)
         self.x_is_ubar = template == "ubar"
-        nodes, w = law.quad_nodes(MP_DEBIAS_NODES)
+        nodes, w = law.quad_nodes()
         if len({id(ft) for ft in f_schedule}) == 1:  # only the core is applied: no rotation
             core = (SpectralOperator(nodes, rotation=None) if theta is None else
                     SpectralOperator(nodes, rotation=None, z=np.sqrt(w), rho=theta))
@@ -354,20 +351,10 @@ class _TraceFreeRows:
 # partial moments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialMomentTable:
-    """Doubly-indexed interpolation between moments and free cumulants."""
-
-    order: int
-    c: np.ndarray  # shape (order+1, order+1); c[k, j]
-
-    def __getitem__(self, kj):
-        k, j = kj
-        return float(self.c[k, j])
-
-
-def partial_moments(law: SpectralLaw, order: int) -> PartialMomentTable:
-    """Table c_{k,j} = sum_m c_{k-1,m} kappa_{j+1-m}, c_{0,0}=1, c_{0,j>=1}=0.
+def partial_moments(law: SpectralLaw, order: int) -> np.ndarray:
+    """The (order+1) x (order+1) array c[k, j] of c_{k,j} = sum_m c_{k-1,m}
+    kappa_{j+1-m}, c_{0,0}=1, c_{0,j>=1}=0, which interpolates between the
+    moments (column 0) and the free cumulants (row 1).
 
     Satisfies c_{k,j} = E[Lambda^k Q_j]."""
     if order < 0:
@@ -386,7 +373,7 @@ def partial_moments(law: SpectralLaw, order: int) -> PartialMomentTable:
             for m in range(0, j + 2):
                 acc += c[k - 1, m] * kappa[j + 1 - m]
             c[k, j] = acc
-    return PartialMomentTable(order=order, c=c[: order + 1, : order + 1].copy())
+    return c[: order + 1, : order + 1].copy()
 
 
 # ---------------------------------------------------------------------------

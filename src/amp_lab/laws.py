@@ -380,14 +380,18 @@ class DiscreteGrid(SpectralLaw):
             raise ValidationError("moment order must be >= 0")
         return float(self._mean(self.atoms**n))
 
-    def stieltjes(self, z: complex) -> complex:
+    def _off_support(self, z: complex) -> complex:
+        """z as a complex number; DomainError when it is an atom."""
         z = complex(z)
-        if z.imag == 0.0 and np.any(np.abs(self.atoms - z.real) == 0.0):
+        if z.imag == 0.0 and np.any(self.atoms == z.real):
             raise DomainError(f"z={z} coincides with an atom")
-        return complex(self._mean(1.0 / (z - self.atoms)))
+        return z
+
+    def stieltjes(self, z: complex) -> complex:
+        return complex(self._mean(1.0 / (self._off_support(z) - self.atoms)))
 
     def stieltjes_derivative(self, z: complex) -> complex:
-        return complex(-self._mean(1.0 / (complex(z) - self.atoms) ** 2))
+        return complex(-self._mean(1.0 / (self._off_support(z) - self.atoms) ** 2))
 
     def quad_nodes(self, n: int = 400):
         if self.weights is None:
@@ -445,47 +449,44 @@ class ExternalDensity(SpectralLaw):
     def _density_vector(self, lam):
         return np.interp(lam, self.grid, self.density, left=0.0, right=0.0)
 
+    def _segments(self):
+        """Per segment [a_k, b_k]: a, b, the density d_k at a_k and its slope q_k."""
+        a, b = self.grid[:-1], self.grid[1:]
+        return a, b, self.density[:-1], np.diff(self.density) / (b - a)
+
     def stieltjes(self, z: complex) -> complex:
         """Closed form for the density d_k + q_k (lambda - a_k) on each
         segment [a_k, b_k]: m(z) = sum_k (d_k + q_k (z - a_k)) log((z - a_k) /
         (z - b_k)) - q_k (b_k - a_k), the principal logarithm being analytic
         off the segment."""
         z = self._off_support(z)
-        a, b, d = self.grid[:-1], self.grid[1:], self.density[:-1]
-        q = np.diff(self.density) / (b - a)
+        a, b, d, q = self._segments()
         return complex(np.sum((d + q * (z - a)) * np.log((z - a) / (z - b)) - q * (b - a)))
 
     def stieltjes_derivative(self, z: complex) -> complex:
         """The derivative of `stieltjes`' per-segment closed form."""
         z = self._off_support(z)
-        a, b, d = self.grid[:-1], self.grid[1:], self.density[:-1]
-        q = np.diff(self.density) / (b - a)
+        a, b, d, q = self._segments()
         return complex(np.sum(q * np.log((z - a) / (z - b))
                               + (d + q * (z - a)) * (1.0 / (z - a) - 1.0 / (z - b))))
 
-    def expect(self, f):
-        # per-segment Gauss-Legendre on f * (linear density)
-        nodes, weights = _leggauss(16)
-        a = self.grid[:-1]
-        b = self.grid[1:]
+    def _segment_rule(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(segments, k) nodes and density-times-weights of k-point Gauss-Legendre."""
+        nodes, weights = _leggauss(k)
+        a, b = self.grid[:-1], self.grid[1:]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         lam = mid[:, None] + half[:, None] * nodes[None, :]
-        w = half[:, None] * weights[None, :] * self._density_vector(lam)
+        return lam, half[:, None] * weights[None, :] * self._density_vector(lam)
+
+    def expect(self, f):
+        lam, w = self._segment_rule(16)
         return float(np.sum(np.asarray(f(lam)) * w))
 
     def quad_nodes(self, n: int = 400):
         per_seg = max(4, int(np.ceil(n / (self.grid.size - 1))))
-        nodes, weights = _leggauss(min(per_seg, 64))
-        a = self.grid[:-1]
-        b = self.grid[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        lam = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :] * self._density_vector(
-            mid[:, None] + half[:, None] * nodes[None, :]
-        )).ravel()
-        return lam, w
+        lam, w = self._segment_rule(min(per_seg, 64))
+        return lam.ravel(), w.ravel()
 
 
 def point_mass(c: float) -> DiscreteGrid:

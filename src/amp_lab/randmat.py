@@ -180,8 +180,8 @@ class SpectralOperator:
     rho = theta/N) and is absent (z None) otherwise; Y's eigenvectors are
     never formed.  A Haar operator carries the state of its rotation: see
     LazyHaarRotation for what that means for determinism and threads.
-    to_spectral, from_spectral and the functions of core_function take a
-    vector (N,) or a block of column vectors (N, k)."""
+    to_spectral and from_spectral take a vector (N,) or, as the rotation
+    does, a block (N, k); the other maps take one vector (N,)."""
 
     eigenvalues: np.ndarray
     rotation: np.ndarray | LazyHaarRotation
@@ -202,8 +202,8 @@ class SpectralOperator:
 
     def _core(self, s: np.ndarray) -> np.ndarray:
         """D s = lambda s + rho z (z^T s)."""
-        ds = _columns(self.eigenvalues, s) * s
-        return ds if self.z is None else ds + _columns(self.rho * self.z, s) * (self.z @ s)
+        ds = self.eigenvalues * s
+        return ds if self.z is None else ds + self.rho * self.z * (self.z @ s)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M v without materializing M."""
@@ -219,7 +219,7 @@ class SpectralOperator:
         the spectrum of W or of Y (det D = det L (1 + rho z^T L^-1 z))."""
         if self.z is None:
             values = _map_eigenvalues(f, self.eigenvalues)
-            return lambda s: _columns(values, s) * s
+            return lambda s: values * s
         if not isinstance(f, RationalFn):
             raise ValidationError("a spiked instance applies only rational matrix functions "
                                   "(RationalFn: polynomial plus b/x), got " + repr(f))
@@ -239,7 +239,7 @@ class SpectralOperator:
             for c in reversed(coeffs[:-1]):
                 y = self._core(y) + c * s
             if pole:
-                inv = s / _columns(lam, s) - _columns(zl, s) * (rho * (zl @ s) / denom)
+                inv = s / lam - zl * (rho * (zl @ s) / denom)
                 y = y + pole * inv
             return y
 
@@ -259,11 +259,6 @@ class SpectralOperator:
             Oz = O @ self.z
             M += self.rho * np.outer(Oz, Oz)
         return 0.5 * (M + M.T)
-
-
-def _columns(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """a as a column when s is a block of columns, so that a * s scales rows."""
-    return a if s.ndim == 1 else a[:, None]
 
 
 def build_rot_invariant(grid: np.ndarray, seed: int) -> SpectralOperator:
@@ -344,6 +339,9 @@ class RationalFn:
     def __call__(self, x):
         y = np.polynomial.polynomial.polyval(x, self.coeffs)
         return y + self.pole / x if self.pole else y
+
+
+IDENTITY = RationalFn(coeffs=(0.0, 1.0))  # RI-AMP's f; polyval gives x exactly (-0.0 as 0.0)
 
 
 def _map_eigenvalues(f: Callable, lam: np.ndarray) -> np.ndarray:

@@ -42,13 +42,13 @@ from .errors import NumericalError, ValidationError
 from .freeprob import _TraceFreeRows, build_poly_family, phi_powers
 from .laws import DiscreteGrid, SpectralLaw
 # build_rot_invariant is not called here: perfbench's tracer wraps it by this module's name
-from .randmat import Prior, RationalFn, build_rot_invariant, diag_rank_one_eigh
+from .randmat import IDENTITY, Prior, RationalFn, build_rot_invariant, diag_rank_one_eigh
 
 PSD_TOL = 1e-9
 # At 192 nodes every spiked-mp prediction is within 3e-4 relative of the
 # 256-node value; from 371 nodes `hermegauss`' weights overflow (`_gh_rule` raises).
 GH_POINTS = 192
-GH_BLOCK_ROWS = 32  # pair-rule rows per block: <= 32 x 116 kept nodes, 30 KB a temporary
+GH_BLOCK_ROWS = 32  # pair-rule rows per block: 32 x 100 kept nodes, 26 KB a temporary
 POLE_GAP = 1e-6  # a 1/x matrix denoiser needs the support this far from 0
 
 
@@ -349,13 +349,13 @@ def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool 
 def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
     """State evolution of RI-AMP: the trace-free rows of f = identity (their E
     is its free-cumulant Onsager matrix)."""
-    return ri_amp_mp_se(law, lambda x: x, denoisers, init, T)
+    return ri_amp_mp_se(law, IDENTITY, denoisers, init, T)
 
 
 def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
     """State evolution of RI-AMP-DF: the x = ubar trace-free rows of
     f = identity (their E is its H-family Onsager matrix)."""
-    return _evolve(_TraceFreeRows(law, [lambda x: x] * T, template="ubar"), denoisers, init, T)
+    return _evolve(_TraceFreeRows(law, [IDENTITY] * T, template="ubar"), denoisers, init, T)
 
 
 def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,
@@ -399,19 +399,20 @@ def oamp_se(law: SpectralLaw, f_schedule: Sequence[Callable], g_schedule,
 
 def find_outlier(law: SpectralLaw, theta: float) -> tuple | None:
     """Root z* > support of 1 = theta m_mu(z) plus the atom weight
-    -1 / (theta^2 m_mu'(z*)); None when theta is sub-critical."""
+    -1 / (theta^2 m_mu'(z*)); None when theta is sub-critical.
+
+    The bracket starts just above the edge hi, by the larger of 1e-9 and
+    1e-15 |hi|, so it lies off the support at every edge within
+    SUPPORT_CAP.  It ends at b = hi + 10 theta + 10, where
+    theta m(b) <= theta / (b - hi) < 0.1."""
     if theta <= 0:
         raise ValidationError("theta must be > 0")
     lo, hi = law.support()
-    a = hi + 1e-9
+    a = hi + max(1e-9, 1e-15 * abs(hi))
     b = hi + 10.0 * theta + 10.0
     g = lambda zz: theta * law.stieltjes(zz).real - 1.0
-    ga = g(a)
-    if ga < 0:  # m(edge+) < 1/theta: no outlier separates
+    if g(a) < 0:  # m(edge+) < 1/theta: no outlier separates
         return None
-    gb = g(b)
-    if gb > 0:
-        raise NumericalError("outlier bracketing failed")
     for _ in range(200):
         mid = 0.5 * (a + b)
         if g(mid) > 0:

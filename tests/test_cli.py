@@ -82,6 +82,19 @@ def test_config_accepts_integral_floats():
     assert type(cfg.N) is int and type(cfg.runs) is int
 
 
+@pytest.mark.parametrize("bad,kind", [
+    ({"N": "2000"}, "number"), ({"theta": "1.5"}, "number"), ({"runs": "2"}, "number"),
+    ({"output": 5}, "string"), ({"law": 0.2}, "string"), ({"algo": ["ri-amp"]}, "string"),
+], ids=["N-string", "theta-string", "runs-string", "output-number", "law-number", "algo-list"])
+def test_config_values_of_the_wrong_json_type_exit_1(bad, kind, tmp_path, capsys):
+    # a string is not read as a number, nor a number as a string
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**BASE, **bad}))
+    assert main(["se", "--config", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"config key {next(iter(bad))!r} must be a {kind}" in err
+
+
 @pytest.mark.parametrize("bad", [{"N": 100.7}, {"runs": True}, {"T": HORIZON_CAP + 1}])
 def test_bad_config_values_exit_1(bad, tmp_path, capsys):
     p = tmp_path / "cfg.json"
@@ -517,6 +530,24 @@ def test_run_meta_json_byte_identical(tmp_path):
         assert main(["run", "--config", str(p), "--out", str(tmp_path / name)]) == 0
         metas.append((tmp_path / name / "meta.json").read_bytes())
     assert metas[0] == metas[1]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"law": "mp:alpha=0.3", "denoiser": "tanh"},
+    {"law": "semicircle", "denoiser": "random-lipschitz:seed=2"},
+    {"law": "semicircle", "theta": 1.5, "omega": 0.3, "denoiser": "mmse-rademacher"},
+    {"law": "mp:alpha=0.2", "theta": 1.5, "omega": 0.3, "denoiser": "linear-mmse-combining"},
+], ids=["plain-mp", "plain-semicircle", "spiked-semicircle", "spiked-mp"])
+def test_run_ri_amp_is_ri_amp_mp_with_identity(cfg, tmp_path, capsys):
+    # the CLI runs ri-amp as ri-amp-mp with f = identity: the same bytes
+    outputs = []
+    for algo in ("ri-amp", "ri-amp-mp"):
+        p = tmp_path / f"{algo}.json"
+        p.write_text(json.dumps({**cfg, "N": 200, "T": 4, "runs": 2, "seed_base": 3,
+                                 "algo": algo, "matrix_fn": "identity"}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / algo)]) == 0
+        outputs.append([(tmp_path / algo / name).read_bytes() for name in ("mse.csv", "se.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_run_samples_haar_without_qr_or_dense_rotation(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
-"""Every demo script runs to completion against the package namespace; the
-shell demos through an `amp-lab` command that runs the CLI module."""
+"""Every demo script and the README's Python quick start run to completion
+against the package namespace; the shell demos through an `amp-lab` command
+that runs the CLI module."""
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -24,6 +26,17 @@ def _env() -> dict:
 @pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
 def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, demo], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_quick_start_runs(tmp_path):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    assert blocks
+    script = tmp_path / "quick_start.py"
+    script.write_text("\n".join(blocks))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 

@@ -26,9 +26,8 @@ from amp_lab.engines import (
     verify_unfolding,
 )
 from amp_lab.errors import DomainError, ValidationError
-from amp_lab.freeprob import (MP_DEBIAS_NODES, _TraceFreeRows, build_poly_family,
-                              cumulants_from_law, cumulants_to_moments_nc,
-                              moments_to_cumulants)
+from amp_lab.freeprob import (_TraceFreeRows, build_poly_family, cumulants_from_law,
+                              cumulants_to_moments_nc, moments_to_cumulants)
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle
 from amp_lab.randmat import (RationalFn, SpectralOperator, build_rot_invariant, build_spiked,
                              goe_ensemble, make_prior, sample_goe)
@@ -187,7 +186,7 @@ def test_trace_free_rows_match_dense_solve_per_node(mode):
     fs = [mp_denoise_fn(1.2, 0.3) if t % 2 else quad for t in range(T)]
     Phi = np.tril(np.random.default_rng(3).uniform(-0.5, 0.5, (T, T)), k=-1)
     E, rows = _rows_e(law, fs, Phi)
-    nodes, w = law.quad_nodes(MP_DEBIAS_NODES)
+    nodes, w = law.quad_nodes()
     J = _dense_j(np.vstack([f(nodes) for f in fs]), E, Phi)
     scale = np.max(np.abs(J))
     for n in range(1, T + 1):

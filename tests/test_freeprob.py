@@ -295,7 +295,7 @@ def test_partial_moments_base_row():
 
 def test_partial_moments_cap_names_the_requested_order():
     # order k takes 2 k + 1 moments: 9 is the largest order within the cap
-    assert partial_moments(Semicircle(), 9).order == 9
+    assert partial_moments(Semicircle(), 9).shape == (10, 10)
     with pytest.raises(SizeLimitError, match="order 10 needs 21 moments"):
         partial_moments(Semicircle(), 10)
 

@@ -128,6 +128,15 @@ def test_find_outlier_semicircle_closed_form(theta):
     assert abs(weight - (1 - 1 / theta**2)) <= 1e-12
 
 
+@pytest.mark.parametrize("variance,theta", [(1e14, 2e7), (2.4e29, 1e15)])
+def test_find_outlier_on_a_wide_support(variance, theta):
+    # the outlier theta + v/theta of weight 1 - v/theta^2 where the edge
+    # 2 sqrt(v) is past 1e7, so that edge + 1e-9 rounds to the edge
+    z_star, weight = find_outlier(Semicircle(variance=variance), theta)
+    assert abs(z_star - (theta + variance / theta)) <= 1e-12 * z_star
+    assert abs(weight - (1 - variance / theta**2)) <= 1e-12
+
+
 @pytest.mark.parametrize("alpha,theta", [(0.2, 1.5), (0.3, 1.2)])
 def test_mp_stieltjes_derivative_at_the_outlier(alpha, theta):
     law = MarchenkoPastur(alpha=alpha)
@@ -152,6 +161,13 @@ def test_stieltjes_derivative_of_atoms_and_tables():
         assert abs(table.stieltjes_derivative(z) - diff) < 1e-8 * abs(diff)
     with pytest.raises(DomainError):
         table.stieltjes_derivative(1.0)
+
+
+def test_atom_law_stieltjes_and_derivative_refuse_an_atom():
+    law = DiscreteGrid(atoms=np.array([0.0, 1.0]))
+    for transform in (law.stieltjes, law.stieltjes_derivative):
+        with pytest.raises(DomainError, match="coincides with an atom"):
+            transform(1.0)
 
 
 def test_discrete_grid_stieltjes_exact():
