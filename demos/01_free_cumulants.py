@@ -12,11 +12,11 @@ from amp_lab import (
     build_poly_family,
     cumulants_from_law,
     cumulants_to_moments_nc,
-    goe_ensemble,
     mc_cumulants,
     moments_to_cumulants,
     partial_moments,
 )
+from amp_lab.randmat import sample_goe
 
 # --- moments <-> free cumulants -------------------------------------------
 # The semicircle law has Catalan-number even moments and free cumulants
@@ -52,6 +52,7 @@ print("c[3, 0] = m_3 =", pm[3, 0], " vs moment", mp.moment(3))
 
 # --- Monte-Carlo estimation without eigendecomposition ----------------------
 # The estimator only needs matrix-vector products: z_n = W z_{n-1} minus the
-# already-estimated lower-order cumulant corrections.
-W = goe_ensemble(2000, seed=0)
+# already-estimated lower-order cumulant corrections.  W is a dense GOE draw,
+# never eigendecomposed.
+W = sample_goe(2000, seed=0)
 print("GOE kappa_hat (N=2000):", np.round(mc_cumulants(W, 4, seed=1), 3))

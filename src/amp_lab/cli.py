@@ -208,7 +208,10 @@ def resolve_matrix_fn(spec: str, law: SpectralLaw, theta: float | None):
     if theta is None:
         raise ValidationError("mp-denoise requires theta")
     check_pole_free(law)
-    return mp_denoise_fn(theta, law.alpha)
+    try:
+        return mp_denoise_fn(theta, law.alpha)
+    except ValidationError as exc:  # theta large enough to overflow f
+        raise ValidationError(f"matrix_fn {spec!r}: {exc}") from None
 
 
 def resolve_denoiser_factory(spec: str, spiked: bool):

@@ -4,9 +4,9 @@ as RI-AMP under the unit semicircle.
 Every variant runs one template, long-memory OAMP,
 r_t = f_t(M) u_t - sum_i E_{t,i} x_i with u = ubar + Phi r, so each run is
 r = V(M) ubar with V lower triangular and trace-free.  RI-AMP and RI-AMP-MP
-take x = u, RI-AMP-DF and OAMP x = ubar; RI-AMP and RI-AMP-DF have
-f = identity, and OAMP has Phi = 0, applying f_t to ubar_t.  One loop,
-`_run`, keeps the shared bookkeeping: iterates r_t / u_t, the
+take x = u, RI-AMP-DF and OAMP x = ubar (`_TEMPLATE`); RI-AMP and
+RI-AMP-DF have f = identity, and OAMP ignores Phi, applying f_t to ubar_t.
+One loop, `_run`, keeps the shared bookkeeping: iterates r_t / u_t, the
 divergence-free residuals ubar_t, the empirical divergence matrix Phi_hat,
 and the Onsager row E_t of each step.  The matrix is always a
 `randmat.SpectralOperator`: `as_operator` takes a spiked instance's
@@ -38,13 +38,14 @@ import numpy as np
 
 from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, ValidationError
-from .freeprob import _TraceFreeRows, phi_powers
+from .freeprob import _combine, _TraceFreeRows, phi_powers
 from .laws import DiscreteGrid, Semicircle, SpectralLaw
 from .randmat import (IDENTITY, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
                       dense_symmetric)
 
 HORIZON_CAP = 10
-_UBAR_TEMPLATE = ("RIAMPDF", "OAMP")  # variants that subtract E x with x = ubar, not u
+# each variant's template (`freeprob._TraceFreeRows`): x = u, x = ubar, or OAMP's x = u = ubar
+_TEMPLATE = {"RIAMP": "u", "RIAMPMP": "u", "RIAMPDF": "ubar", "OAMP": "oamp"}
 
 
 def as_operator(M) -> SpectralOperator:
@@ -100,13 +101,6 @@ def _debias_law(mode: str, law: SpectralLaw | None, w_eigenvalues: np.ndarray) -
     raise ValidationError(f"unknown cumulant mode {mode!r} (use 'grid' or 'population')")
 
 
-def _subtract(v: np.ndarray, row: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
-    """v - sum_i row[i] basis[i], summed in index order."""
-    for i in range(row.size):
-        v = v - row[i] * basis[i]
-    return v
-
-
 def ri_amp_debias(kappa: Sequence[float], phi_hat: np.ndarray) -> np.ndarray:
     """B_t = sum_{i=1}^t kappa_i Phi_hat^{i-1} (lower triangular, diag kappa_1)."""
     phi_hat = np.atleast_2d(np.asarray(phi_hat, dtype=float))
@@ -121,13 +115,13 @@ def ri_amp_debias(kappa: Sequence[float], phi_hat: np.ndarray) -> np.ndarray:
 
 def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: str) -> AmpRun:
     """The one iteration every variant runs: r_t = f_t(M) u_t - sum_i E_{t,i} x_i
-    with x = ubar for RI-AMP-DF and OAMP (`_UBAR_TEMPLATE`) and x = u
-    otherwise, its Onsager row E_t appended by `_TraceFreeRows` over the
-    debias law; then u_{t+1} = denoisers[t-1](r_1..r_t), its divergence row
-    and the divergence-free residual ubar_{t+1} are recorded.  OAMP has
-    Phi = 0 in its rows: its r-step takes f_t(M) ubar_t, and its one row
-    entry E_{t,t} = E_mu f_t is the centering.  The history r_1..r_T is one
-    (T, N) array whose rows are `run.r`."""
+    with the variant's template (`_TEMPLATE`), its Onsager row E_t appended
+    by `_TraceFreeRows` over the debias law; then u_{t+1} =
+    denoisers[t-1](r_1..r_t), its divergence row and the divergence-free
+    residual ubar_{t+1} are recorded.  OAMP's rows ignore Phi: its r-step
+    takes f_t(M) ubar_t, and its one row entry E_{t,t} = E_mu f_t is the
+    centering.  The history r_1..r_T is one (T, N) array whose rows are
+    `run.r`."""
     if not 1 <= T <= HORIZON_CAP:
         raise ValidationError(f"horizon T={T} outside [1, {HORIZON_CAP}]")
     operator = as_operator(M)
@@ -142,8 +136,8 @@ def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: st
     distinct = {id(ft): ft for ft in f_schedule}  # an operator holds f at the N eigenvalues
     ops = {key: operator.function(ft) for key, ft in distinct.items()}  # one per distinct f
     f_ops = [ops[id(ft)] for ft in f_schedule]
-    x_is_ubar, oamp = variant in _UBAR_TEMPLATE, variant == "OAMP"
-    rows = _TraceFreeRows(dlaw, f_schedule, template="ubar" if x_is_ubar else "u")
+    template = _TEMPLATE[variant]
+    rows = _TraceFreeRows(dlaw, f_schedule, template=template)
     N = operator.N
     u1 = np.asarray(u1, dtype=float)
     if u1.shape != (N,):
@@ -151,15 +145,15 @@ def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: st
     if len(denoisers) < T:
         raise ValidationError(f"need {T} denoisers for horizon T={T}")
     u, ubar = [u1], [u1.copy()]
+    x = u if template == "u" else ubar
     R = np.empty((T, N))
     r = list(R)
     phi = np.zeros((T + 1, T + 1))
     debias = np.zeros((T, T))
     diagnostics = []
     for t in range(1, T + 1):
-        row = rows.append(np.zeros(t - 1) if oamp else phi[t - 1, : t - 1])
-        v = ubar[t - 1] if oamp else u[t - 1]
-        r_t = _subtract(f_ops[t - 1](v), row, ubar if x_is_ubar else u)
+        row = rows.append(phi[t - 1, : t - 1])
+        r_t = _combine(f_ops[t - 1](ubar[t - 1] if template == "oamp" else u[t - 1]), -row, x)
         _check_finite(r_t, t, "r")
         R[t - 1] = r_t
         debias[t - 1, :t] = row
@@ -169,7 +163,7 @@ def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: st
         d = den.divergences(R[:t])
         phi[t, :t] = d
         u.append(u_next)
-        ubar.append(_subtract(u_next, d, r))  # u_{t+1} - sum_i <d_i u_{t+1}> r_i
+        ubar.append(_combine(u_next.copy(), -d, r))  # u_{t+1} - sum_i <d_i u_{t+1}> r_i
         diagnostics.append({
             "t": t,
             "norm_r": float(np.linalg.norm(r_t) / np.sqrt(N)),
@@ -225,8 +219,8 @@ def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
     xbar_{t+1} = g_{t+1}(x_1..x_t) - sum_i <d_i g> x_i.
 
     Stored in the shared run layout with x_t in the `r` slot, g_{t+1} in `u`
-    and xbar_t in `ubar`.  The x-step is the shared template with Phi = 0
-    and x = xbar, so row t of `debias` holds tr f_t(W)/N on its diagonal.
+    and xbar_t in `ubar`.  The x-step is the "oamp" template, x = xbar
+    with Phi ignored, so row t of `debias` holds tr f_t(W)/N on its diagonal.
     M is not a spiked instance: the trace-free centering needs the spectrum
     of f_t(M)."""
     return _run("OAMP", M, None, list(f_schedule), g_schedule, xbar1, T, "grid")
@@ -246,26 +240,20 @@ class UnfoldedRepresentation:
 
 
 def _replay(run: AmpRun, S, times_f: Sequence[Callable]) -> list:
-    """r_1..r_T of the run's own template, replayed from S[t-1] = ubar_t:
-    u_t = ubar_t + sum_{i<t} Phi_{t,i} r_i and
-    r_t = f_t u_t - sum_{i<=t} E_{t,i} x_i, with the recorded Phi (0 for
-    OAMP) and E = tril(debias), x = u (ubar for RI-AMP-DF and OAMP) and
-    times_f[t-1] applying f_t.  The map is linear in S.  An entry whose
-    leading axis is shorter than its step's stands for zeros past its end,
-    so rows started from unit vectors keep only the lower triangle of V in
-    r = V ubar."""
+    """r_1..r_T of the run's own template (`_TEMPLATE`), replayed from
+    S[t-1] = ubar_t: u_t = ubar_t + sum_{i<t} Phi_{t,i} r_i (u_t = ubar_t
+    for OAMP) and r_t = f_t u_t - sum_{i<=t} E_{t,i} x_i, with the recorded
+    Phi and E = tril(debias) and times_f[t-1] applying f_t.  The map is
+    linear in S.  An entry whose leading axis is shorter than its step's
+    stands for zeros past its end (`freeprob._combine`), so rows started
+    from unit vectors keep only the lower triangle of V in r = V ubar."""
+    template = _TEMPLATE[run.variant]
     E = np.tril(run.debias)
-    phi = np.zeros_like(run.phi) if run.variant == "OAMP" else run.phi
     x, r = [], []
     for t, s_t in enumerate(S):
-        u_t = np.array(s_t)
-        for i, r_i in enumerate(r):
-            u_t[: len(r_i)] += phi[t, i] * r_i
-        x.append(s_t if run.variant in _UBAR_TEMPLATE else u_t)
-        r_t = times_f[t](u_t)
-        for i, x_i in enumerate(x):
-            r_t[: len(x_i)] -= E[t, i] * x_i
-        r.append(r_t)
+        u_t = s_t if template == "oamp" else _combine(np.array(s_t), run.phi[t], r)
+        x.append(u_t if template == "u" else s_t)
+        r.append(_combine(times_f[t](u_t), -E[t], x))
     return r
 
 

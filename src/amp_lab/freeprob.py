@@ -124,7 +124,6 @@ class CumulantTable:
     """Moments m_1..m_n, free cumulants k_1..k_n, and the triangular
     coefficient table of the centered polynomial sequence Q_n."""
 
-    order: int
     moments: tuple
     cumulants: tuple
     alpha: tuple  # alpha[n] = coefficients of Q_n in powers 0..n
@@ -139,12 +138,11 @@ class CumulantTable:
 def moments_to_cumulants(moments: Sequence) -> CumulantTable:
     """Free cumulants kappa_n = E[x Q_{n-1}] from moments by the centering on
     coefficient arrays; `alpha` holds Q_0..Q_{n-1}."""
-    n_ord = len(moments)
-    if n_ord < 1:
+    if len(moments) < 1:
         raise ValidationError("need at least one moment")
-    _check_order(n_ord)
+    _check_order(len(moments))
     Q, kappas = _center_on_moments(moments)
-    return CumulantTable(order=n_ord, moments=tuple(moments), cumulants=tuple(kappas),
+    return CumulantTable(moments=tuple(moments), cumulants=tuple(kappas),
                          alpha=tuple(tuple(q[: n + 1]) for n, q in enumerate(Q[:-1])))
 
 
@@ -182,8 +180,6 @@ class PolyFamily:
     and the free cumulants of f(Lambda) for K.
     """
 
-    kind: str
-    order: int
     coeffs: tuple
     centering: tuple
     base_fn: Callable | None = None
@@ -221,8 +217,6 @@ def build_poly_family(
         raise ValidationError(f"unknown family kind {kind!r}")
     P, centering = _center_on_moments(mom, full_memory=kind != "H")
     return PolyFamily(
-        kind=kind,
-        order=order,
         coeffs=tuple(tuple(float(c) for c in p[: n + 1]) for n, p in enumerate(P)),
         centering=tuple(float(c) for c in centering),
         base_fn=f if kind == "K" else None,
@@ -273,23 +267,34 @@ def _gauss_rule(apply: Callable, weights: np.ndarray, k: int) -> tuple[np.ndarra
     return nodes, mass * vecs[0] ** 2
 
 
+def _combine(v: np.ndarray, coeffs, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """v += sum_i coeffs[i] rows[i] in place, in index order, and return v.
+    A row shorter than v along the leading axis stands for zeros past its
+    end.  Both linear steps of the template, u = ubar + Phi r and
+    r = f u - E x, are this one step (the second with -E)."""
+    for c, row in zip(coeffs, rows):
+        v[: len(row)] += c * row
+    return v
+
+
 class _TraceFreeRows:
     """Onsager rows E of the template r_t = f_t u_t - sum_i E_{t,i} x_i,
     u = ubar + Phi r, over a law, appended one per step with the rows of
     u = S ubar and r = J ubar.  `template` picks x = u ("u": RI-AMP,
-    RI-AMP-MP) or x = ubar ("ubar": RI-AMP-DF, OAMP).
+    RI-AMP-MP), x = ubar ("ubar": RI-AMP-DF), or x = u = ubar ("oamp": OAMP,
+    whose rows ignore Phi).
 
     S is unit lower triangular and S = I + Phi J, so row n of S needs only
-    the earlier rows of J: S_n = e_n + sum_{k<n} Phi_{n,k} J_k.  Row n of J
-    is J_n = f_n S_n - sum_{m<=n} E_{n,m} X_m, X = S for x = u and X = I
-    for x = ubar, so E_mu[J_n] = 0 is the unit-triangular system
-    E_mu[S]^T e = E_mu[f_n S_n] for x = u and the explicit row
-    e = E_mu[f_n S_n] for x = ubar.  With f = identity the rows of E are
+    the earlier rows of J: S_n = e_n + sum_{k<n} Phi_{n,k} J_k (S_n = e_n
+    for OAMP).  Row n of J is J_n = f_n S_n - sum_{m<=n} E_{n,m} X_m, X_m
+    = S_m for x = u and the unit row e_m for x = ubar, so E_mu[J_n] = 0 is
+    the lower-triangular system E_mu[X]^T e = E_mu[f_n S_n], whose diagonal
+    is the rule's mass.  With f = identity the rows of E are
     sum_i kappa_i Phi^{i-1} for x = u (kappa the free cumulants) and
     sum_i gamma_i Phi^{i-1} for x = ubar (gamma the H family's centering
-    constants).  Each row costs O(width n^2); S_n and J_n are kept as
-    (n, width) arrays of values at nodes, and `mean` takes E_mu of their
-    entries as a pairwise sum, whose rounding grows with log(width).
+    constants).  Each row costs O(width n^2); S_n, X_n and J_n are (n, width)
+    arrays of values at nodes, and `mean` takes E_mu of their entries as a
+    pairwise sum, whose rounding grows with log(width).
 
     Each entry is a polynomial of degree <= T in f_1..f_T, so a product of
     two (state evolution's Sigma) has degree <= 2 T.  With one f (all f_t
@@ -307,7 +312,7 @@ class _TraceFreeRows:
     def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable], template: str = "u",
                  theta: float | None = None):
         T = len(f_schedule)
-        self.x_is_ubar = template == "ubar"
+        self.template = template
         nodes, w = law.quad_nodes()
         if len({id(ft) for ft in f_schedule}) == 1:  # only the core is applied: no rotation
             core = (SpectralOperator(nodes, rotation=None) if theta is None else
@@ -317,33 +322,27 @@ class _TraceFreeRows:
         else:
             self._f_at = lambda n: _map_eigenvalues(f_schedule[n - 1], nodes)
         self.w = w
-        self.S: list = []
+        self.X: list = []
         self.J: list = []
-        self.S_mean = np.zeros((T, T))  # row m-1: E_mu[S_m]
+        self.X_mean = np.zeros((T, T))  # row m-1: E_mu[X_m]
 
     def mean(self, a: np.ndarray) -> np.ndarray:
         return (a * self.w).sum(axis=1)
 
     def append(self, phi_row: np.ndarray, e_row: np.ndarray | None = None) -> np.ndarray:
-        """Append row n = len(S) + 1 from phi_row = Phi[n-1, :n-1] and return
+        """Append row n = len(X) + 1 from phi_row = Phi[n-1, :n-1] and return
         row n of E: e_row when given, else the trace-free solution."""
-        n = len(self.S) + 1
-        s = np.zeros((n, self.w.size))
-        s[n - 1] = 1.0
-        for k, j_k in enumerate(self.J):
-            s[: k + 1] += phi_row[k] * j_k
+        n = len(self.X) + 1
+        e_n = np.zeros((n, self.w.size))
+        e_n[n - 1] = 1.0
+        s = e_n if self.template == "oamp" else _combine(e_n.copy(), phi_row, self.J)
+        x = e_n if self.template == "ubar" else s
         j = self._f_at(n) * s
-        self.S.append(s)
-        self.S_mean[n - 1, :n] = self.mean(s)
-        if e_row is None:  # E_mu[S] is lower triangular, diagonal sum(w)
-            e_row = (self.mean(j) if self.x_is_ubar
-                     else np.linalg.solve(self.S_mean[:n, :n].T, self.mean(j)))
-        if self.x_is_ubar:
-            j -= e_row[:, None]
-        else:
-            for m, s_m in enumerate(self.S):
-                j[: m + 1] -= e_row[m] * s_m
-        self.J.append(j)
+        self.X.append(x)
+        self.X_mean[n - 1, :n] = self.mean(x)
+        if e_row is None:
+            e_row = np.linalg.solve(self.X_mean[:n, :n].T, self.mean(j))
+        self.J.append(_combine(j, -e_row, self.X))
         return e_row
 
 

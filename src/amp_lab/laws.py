@@ -404,8 +404,6 @@ class DiscreteGrid(SpectralLaw):
             raise ValidationError("grid size must be >= 1")
         if self.weights is not None and np.ptp(self.weights) > 0:
             raise ValidationError("the quantile grid of an atom law needs equal weights")
-        if N == self.atoms.size:
-            return DiscreteGrid(atoms=np.sort(self.atoms))
         srt = np.sort(self.atoms)
         p = (np.arange(N) + 0.5) / N
         idx = np.minimum((p * srt.size).astype(int), srt.size - 1)

@@ -336,6 +336,12 @@ class RationalFn:
     coeffs: tuple
     pole: float = 0.0
 
+    def __post_init__(self):
+        for name, c in [*((f"coefficient {k}", c) for k, c in enumerate(self.coeffs)),
+                        ("pole", self.pole)]:
+            if not np.isfinite(c):
+                raise ValidationError(f"matrix function {name} is {c}, not a finite number")
+
     def __call__(self, x):
         y = np.polynomial.polynomial.polyval(x, self.coeffs)
         return y + self.pole / x if self.pole else y

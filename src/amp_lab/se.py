@@ -115,6 +115,8 @@ class SeState:
 def _psd_check(S: np.ndarray, name: str, tol: float = PSD_TOL) -> None:
     if S.size == 0:
         return
+    if not np.all(np.isfinite(S)):
+        raise NumericalError(f"{name} is not finite: the state evolution overflowed")
     w = np.linalg.eigvalsh(0.5 * (S + S.T))
     if w.min() < -tol:
         raise ValidationError(f"{name} is not PSD (min eigenvalue {w.min():.3e})")
@@ -310,13 +312,13 @@ def _weighted_gram(V: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.einsum("anx,bnx,x->ab", np.einsum("amx,mn->anx", V, D), V, w)
 
 
-def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool = False) -> list[SeState]:
+def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None) -> list[SeState]:
     """The one SE recursion.  At each t it appends row t of V at the nodes
     of the rows over the law (`rows`) and, with a spike, at nu's atoms with mu's E (`nu_rows`):
     Sigma_t = E_mu[V (DeltaBar - a a^T) V^T] + E_nu[V a a^T V^T] - b b^T with
     a = alpha_t (0 unspiked), b = beta_t = E_nu[V] a, and then appends the
-    moments of eta_{t+1} on Sigma_t and beta_t.  `centered` (OAMP) puts
-    Phi = 0 in the rows.  `denoisers`: Denoisers or factory(t, beta, Sigma)."""
+    moments of eta_{t+1} on Sigma_t and beta_t.  `denoisers`: Denoisers or
+    factory(t, beta, Sigma)."""
     spiked = init.spiked
     if spiked and nu_rows is None:
         raise ValidationError("use spiked_se for spiked initializations")
@@ -326,7 +328,7 @@ def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None, centered: bool 
     states, beta = [], None
     for t in range(1, T + 1):
         pm = moments.block(t)  # U_1..U_t; appending eta_{t+1} leaves this block as it is
-        phi_row = np.zeros(t - 1) if centered else pm.Phi[t - 1, : t - 1]
+        phi_row = pm.Phi[t - 1, : t - 1]
         e_row = rows.append(phi_row)
         V[t - 1, :t] = rows.J[-1]
         _psd_check(pm.resid, f"DeltaBar_{t} - alpha alpha^T" if spiked else f"DeltaBar_{t}")
@@ -386,11 +388,11 @@ def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int) -> np.ndarray:
 
 def oamp_se(law: SpectralLaw, f_schedule: Sequence[Callable], g_schedule,
             init: SeInit, T: int) -> list[SeState]:
-    """State evolution of OAMP, Sigma_t = Omega_t.  Its rows have Phi = 0, so
+    """State evolution of OAMP, Sigma_t = Omega_t.  Its rows ignore Phi, so
     row t of V is the one entry f_t - E_mu f_t, and
     Omega_t = [Cov_mu(f_i, f_j)] o [E[Xbar_i Xbar_j]]."""
-    rows = _TraceFreeRows(law, list(f_schedule[:T]))
-    return _evolve(rows, g_schedule, init, T, centered=True)
+    return _evolve(_TraceFreeRows(law, list(f_schedule[:T]), template="oamp"), g_schedule,
+                   init, T)
 
 
 # ---------------------------------------------------------------------------

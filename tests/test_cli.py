@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -458,6 +460,61 @@ def test_spec_resolvers_return_or_raise_validation_error(kind, data):
         resolve(spec)
     except ValidationError:
         pass
+
+
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)  # across [1e-300, 1e300]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spiked=st.booleans(), theta=_MAGNITUDE, omega=_MAGNITUDE, scale=_MAGNITUDE,
+       T=st.integers(1, 3))
+def test_numeric_config_keys_through_se_exit_0_1_or_2(spiked, theta, omega, scale, T):
+    # any theta, omega and tanh scale from 1e-300 to 1e300: `se` ends with an
+    # exit code (an overflow is a numerical failure), never an exception
+    cfg = {"law": "semicircle", "N": 16, "T": T, "algo": "ri-amp",
+           "denoiser": f"tanh:scale={scale!r}"}
+    if spiked:
+        cfg.update(theta=theta, omega=omega)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["se", "--config", path]) in (0, 1, 2)
+
+
+_OVERFLOWING = {
+    "tanh-scale": {"law": "semicircle", "N": 64, "T": 3, "algo": "ri-amp",
+                   "denoiser": "tanh:scale=1e300"},
+    "spiked-theta": {"law": "semicircle", "N": 64, "T": 3, "theta": 1e300, "omega": 0.3,
+                     "algo": "ri-amp", "denoiser": "mmse-rademacher"},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cmd", ["se", "run"])
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_overflowing_state_evolution_exits_2_naming_the_matrix(name, cmd, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_OVERFLOWING[name]))
+    assert main([cmd, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: (Sigma|DeltaBar)_\d is not finite: .*\n", err)
+
+
+def test_overflowing_mp_denoise_exits_1_naming_matrix_fn(tmp_path, capsys):
+    # theta = 1e300 overflows mp-denoise's pole to -inf, which RationalFn refuses
+    with pytest.raises(ValidationError, match="pole is -inf"):
+        RationalFn(coeffs=(1.0,), pole=float("-inf"))
+    with pytest.raises(ValidationError, match="coefficient 1 is nan"):
+        RationalFn(coeffs=(1.0, float("nan")))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**_MP_CFG, "law": "mp:alpha=0.2", "theta": 1e300, "omega": 0.3,
+                             "matrix_fn": "mp-denoise", "denoiser": "mmse-rademacher"}))
+    assert main(["se", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: matrix_fn 'mp-denoise': ")
+    assert "pole is -inf" in captured.err and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,7 @@ def test_grid_mode_trace_free_rows_are_not_n_wide(monkeypatch):
     assert len(made) == 4
     for rows in made:
         assert rows.w.size <= T + 1
-        assert {a.shape[1] for a in rows.S + rows.J} == {rows.w.size}
+        assert {a.shape[1] for a in rows.X + rows.J} == {rows.w.size}
     verify_unfolding(run)
     assert len(made) == 4
 

@@ -334,6 +334,33 @@ def test_shift_rows_of_template_ubar_are_the_h_centering_constants():
     assert np.max(np.abs(rows - gamma) / np.abs(gamma)) <= 1e-13
 
 
+@pytest.mark.parametrize("template", ["ubar", "oamp"])
+@pytest.mark.parametrize("one_f", [True, False], ids=["gauss-rule", "atoms"])
+def test_x_ubar_rows_are_trace_free_under_a_rule_of_mass_one_half(template, one_f):
+    # X_m is the unit row e_m, so E_mu[X] is the rule's mass times I and the
+    # solve divides E_mu[f S_n] by it; taking e = E_mu[f S_n] as it is leaves
+    # E_mu[J_n] = (1 - mass) E_mu[f S_n], half of it here
+    rng = np.random.default_rng(7)
+    atoms = np.sort(rng.uniform(-2.0, 2.0, 12))
+    w = rng.uniform(0.5, 1.5, 12)
+    T = 5
+    fs = ([IDENTITY] * T if one_f else
+          [lambda x, k=k: np.tanh(x + 0.3 * k) for k in range(T)])
+    rows = _TraceFreeRows(DiscreteGrid(atoms=atoms, weights=0.5 * w / w.sum()), fs, template)
+    assert abs(rows.w.sum() - 0.5) <= 1e-15
+    Phi = np.tril(rng.uniform(-1.0, 1.0, (T, T)), -1)
+    for n in range(1, T + 1):
+        rows.append(Phi[n - 1, : n - 1])
+        s = np.zeros((n, rows.w.size))
+        s[n - 1] = 1.0
+        for k, j_k in enumerate(rows.J[:-1] if template == "ubar" else []):
+            s[: k + 1] += Phi[n - 1, k] * j_k
+        f_s = rows.mean(rows._f_at(n) * s)
+        assert np.max(np.abs(rows.mean(rows.J[-1]))) <= 1e-14 * np.max(np.abs(f_s))
+        if template == "oamp":  # Phi does not enter: J_n = (f_n - E_mu f_n / mass) e_n
+            assert not rows.J[-1][:-1].any()
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
