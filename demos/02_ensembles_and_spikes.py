@@ -32,11 +32,11 @@ print("m_2 via quadratic form:", g @ ens.apply(ens.apply(g)) / N,
 # --- spiked model Y = (theta/N) x x^T + W -----------------------------------
 theta = 1.5
 prior = make_prior("rademacher")
-inst = build_spiked(theta, prior, ens, seed=3)
+Y, _ = build_spiked(theta, prior, ens, seed=3)
 
 # Above the transition (theta > 1 for the semicircle) the top eigenvalue
 # detaches from the bulk edge and lands at theta + 1/theta.
-om = overlap_measure(inst)
+om = overlap_measure(Y)
 print("top eigenvalue:", om.atoms.max(),
       " predicted outlier:", theta + 1 / theta)
 

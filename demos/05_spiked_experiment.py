@@ -44,13 +44,13 @@ grid = mp.quantile_grid(N).atoms
 mse = np.zeros(T)
 for s in range(runs):
     ens = build_rot_invariant(grid, seed=s)
-    inst = build_spiked(theta, prior, ens, seed=100 + s)
+    Y, x = build_spiked(theta, prior, ens, seed=100 + s)
     rng = np.random.default_rng(200 + s)
-    u1 = (math.sqrt(omega) * inst.x_star
+    u1 = (math.sqrt(omega) * x
           + math.sqrt(1 - omega) * rng.standard_normal(N))
     dens = [states[t - 1].denoiser for t in range(1, T + 1)]
-    run = run_ri_amp_mp(inst, mp, f, dens, u1, T, mode="grid")
-    mse += np.array([np.mean((run.u[t] - inst.x_star) ** 2)
+    run = run_ri_amp_mp(Y, mp, f, dens, u1, T, mode="grid")
+    mse += np.array([np.mean((run.u[t] - x) ** 2)
                      for t in range(1, T + 1)]) / runs
 
 print(f"{'t':>2s}  {'predicted MSE':>14s}  {'empirical MSE':>14s}")

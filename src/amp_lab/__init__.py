@@ -23,7 +23,6 @@ from .freeprob import (
 )
 from .randmat import (
     RationalFn,
-    SpikedInstance,
     build_rot_invariant,
     build_spiked,
     goe_ensemble,

@@ -42,6 +42,9 @@ FLOAT_FMT = "{:.17g}"
 SPIKED_ALGOS = ("ri-amp", "ri-amp-mp")
 MATRIX_FN_ALGOS = ("ri-amp-mp", "oamp")  # the others run on the matrix itself
 ALL_ALGOS = ("ri-amp", "ri-amp-df", "ri-amp-mp", "gaussian-amp", "oamp")
+# numpy's floating-point warnings are silenced: every result is checked for
+# finiteness, and an overflow ends in one `numerical failure:` line
+_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,8 @@ def _seed(base: int, run_idx: int, stream: int) -> int:
 
 
 def _single_run(cfg: ExperimentConfig, law, prior, f, states, grid, run_idx: int):
-    """One seeded instance; returns per-iteration metric rows.
+    """One seeded instance; returns per-iteration metric rows, NumericalError
+    when one is not finite (the seed diverged).
 
     `grid` holds the law's N quantile atoms, built once per run before the
     worker pool and shared read-only by every seed (each ensemble copies
@@ -312,8 +316,7 @@ def _single_run(cfg: ExperimentConfig, law, prior, f, states, grid, run_idx: int
         ens = build_rot_invariant(grid, seed=_seed(cfg.seed_base, run_idx, 1))
     dens = [states[t - 1].denoiser for t in range(1, cfg.T + 1)]
     if cfg.spiked:
-        M = build_spiked(cfg.theta, prior, ens, seed=_seed(cfg.seed_base, run_idx, 2))
-        x = M.x_star
+        M, x = build_spiked(cfg.theta, prior, ens, seed=_seed(cfg.seed_base, run_idx, 2))
         u1 = (math.sqrt(cfg.omega) * x
               + math.sqrt(1.0 - cfg.omega) * rng.standard_normal(cfg.N))
     else:
@@ -328,9 +331,13 @@ def _single_run(cfg: ExperimentConfig, law, prior, f, states, grid, run_idx: int
     if cfg.spiked:
         mse = np.array([np.mean((run.u[t] - x) ** 2) for t in range(1, cfg.T + 1)])
         ovl = np.array([1.0 - (run.u[t] @ x / cfg.N) ** 2 for t in range(1, cfg.T + 1)])
-        return np.column_stack([mse, ovl])
-    r2 = np.array([d["norm_r"] ** 2 for d in run.diagnostics])
-    return r2[:, None]
+        metrics = np.column_stack([mse, ovl])
+    else:
+        metrics = np.array([d["norm_r"] ** 2 for d in run.diagnostics])[:, None]
+    bad = ~np.isfinite(metrics).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"the metrics are not finite at t={int(np.argmax(bad)) + 1}")
+    return metrics
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -348,7 +355,8 @@ def run_experiment(cfg: ExperimentConfig):
 
     def task(run_idx):
         try:
-            return _single_run(cfg, law, prior, f, states, grid, run_idx)
+            with np.errstate(**_ERRSTATE):  # numpy keeps it per thread
+                return _single_run(cfg, law, prior, f, states, grid, run_idx)
         except NumericalError as exc:
             print(f"warning: seed {run_idx} diverged and was excluded: {exc}",
                   file=sys.stderr)
@@ -495,7 +503,7 @@ def cmd_cumulants(args) -> int:
         _check_fits_memory(_seed_bytes(args.dim, "ri-amp", args.order), f"--dim {args.dim}")
     table = cumulants_from_law(law, args.order)
     header = ["n", "m_n", "kappa_n"]
-    rows = [[n, table.moment(n), table.kappa(n)] for n in range(1, args.order + 1)]
+    rows = [[n, m, k] for n, (m, k) in enumerate(zip(table.moments, table.cumulants), start=1)]
     if args.mc:
         reps = []
         grid = law.quantile_grid(args.dim).atoms
@@ -736,7 +744,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with np.errstate(**_ERRSTATE):
+            return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

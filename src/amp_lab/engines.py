@@ -9,9 +9,8 @@ RI-AMP-DF have f = identity, and OAMP ignores Phi, applying f_t to ubar_t.
 One loop, `_run`, keeps the shared bookkeeping: iterates r_t / u_t, the
 divergence-free residuals ubar_t, the empirical divergence matrix Phi_hat,
 and the Onsager row E_t of each step.  The matrix is always a
-`randmat.SpectralOperator`: `as_operator` takes a spiked instance's
-operator, an operator as it is, or the eigendecomposition of a dense
-symmetric array.
+`randmat.SpectralOperator`, spiked or not: `as_operator` takes an operator
+as it is, or the eigendecomposition of a dense symmetric array.
 
 The Onsager rows of every variant come from one row recursion
 (`freeprob._TraceFreeRows`, which state evolution shares).  For f =
@@ -40,8 +39,7 @@ from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, ValidationError
 from .freeprob import _combine, _TraceFreeRows, phi_powers
 from .laws import DiscreteGrid, Semicircle, SpectralLaw
-from .randmat import (IDENTITY, SpectralOperator, SpikedInstance, _eigh, _map_eigenvalues,
-                      dense_symmetric)
+from .randmat import IDENTITY, SpectralOperator, _eigh, _map_eigenvalues, dense_symmetric
 
 HORIZON_CAP = 10
 # each variant's template (`freeprob._TraceFreeRows`): x = u, x = ubar, or OAMP's x = u = ubar
@@ -49,12 +47,9 @@ _TEMPLATE = {"RIAMP": "u", "RIAMPMP": "u", "RIAMPDF": "ubar", "OAMP": "oamp"}
 
 
 def as_operator(M) -> SpectralOperator:
-    """The factored operator a run acts on: a spiked instance's operator, a
-    SpectralOperator as it is, or `eigh` of a dense symmetric array (checked
-    by `randmat.dense_symmetric`).  Its eigenvalues are those of W, not Y,
-    for a spiked instance."""
-    if isinstance(M, SpikedInstance):
-        return M.operator
+    """The factored operator a run acts on: a SpectralOperator as it is (a
+    spiked one keeps W's eigenvalues, not Y's), or `eigh` of a dense
+    symmetric array (checked by `randmat.dense_symmetric`)."""
     if isinstance(M, SpectralOperator):
         return M
     lam, O = _eigh(dense_symmetric(M))
@@ -193,7 +188,7 @@ def run_ri_amp_df(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
 def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
                   u1: np.ndarray, T: int, mode: str = "grid") -> AmpRun:
     """r_t = f_t(M) u_t - sum_i e_{t,i} u_i; E_t solves the trace-free equation
-    over the (grid or population) law of W.  M may be a spiked instance, in
+    over the (grid or population) law of W.  M may be spiked (`build_spiked`), in
     which case f_t(Y) is applied in W's eigenbasis and each f_t must be a
     RationalFn."""
     return _run("RIAMPMP", M, law, f, denoisers, u1, T, mode)

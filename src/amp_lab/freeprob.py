@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError, ValidationError
+from .errors import NumericalError, SizeLimitError, ValidationError
 from .laws import SpectralLaw
 from .randmat import SpectralOperator, _map_eigenvalues, dense_symmetric
 
@@ -121,29 +121,20 @@ def _check_order(order: int) -> None:
 
 @dataclass(frozen=True)
 class CumulantTable:
-    """Moments m_1..m_n, free cumulants k_1..k_n, and the triangular
-    coefficient table of the centered polynomial sequence Q_n."""
+    """Moments m_1..m_n and free cumulants k_1..k_n."""
 
     moments: tuple
     cumulants: tuple
-    alpha: tuple  # alpha[n] = coefficients of Q_n in powers 0..n
-
-    def kappa(self, n: int):
-        return self.cumulants[n - 1]
-
-    def moment(self, n: int):
-        return self.moments[n - 1]
 
 
 def moments_to_cumulants(moments: Sequence) -> CumulantTable:
     """Free cumulants kappa_n = E[x Q_{n-1}] from moments by the centering on
-    coefficient arrays; `alpha` holds Q_0..Q_{n-1}."""
+    coefficient arrays."""
     if len(moments) < 1:
         raise ValidationError("need at least one moment")
     _check_order(len(moments))
-    Q, kappas = _center_on_moments(moments)
-    return CumulantTable(moments=tuple(moments), cumulants=tuple(kappas),
-                         alpha=tuple(tuple(q[: n + 1]) for n, q in enumerate(Q[:-1])))
+    _, kappas = _center_on_moments(moments)
+    return CumulantTable(moments=tuple(moments), cumulants=tuple(kappas))
 
 
 def cumulants_from_law(law: SpectralLaw, order: int) -> CumulantTable:
@@ -239,8 +230,11 @@ def _gauss_rule(apply: Callable, weights: np.ndarray, k: int) -> tuple[np.ndarra
     eigenvalues of the Jacobi matrix and the weights mass times the squared
     first components of its eigenvectors; the rule integrates every
     polynomial of degree <= 2 k - 1 as the measure does (Golub & Welsch,
-    Math. Comp. 23, 1969)."""
+    Math. Comp. 23, 1969).  NumericalError unless the mass is finite and
+    positive."""
     mass = float(weights.sum())
+    if not (np.isfinite(mass) and mass > 0):
+        raise NumericalError(f"the quadrature weights sum to {mass}, not a positive mass")
     k = min(k, weights.size)
     Q = np.empty((k, weights.size))
     Q[0] = np.sqrt(weights / mass)
@@ -250,13 +244,13 @@ def _gauss_rule(apply: Callable, weights: np.ndarray, k: int) -> tuple[np.ndarra
     for j in range(k):
         w = apply(Q[j])
         # a vanishing vector is rounding of the products, relative to their size
-        tol = max(tol, 64.0 * np.finfo(float).eps * float(np.linalg.norm(w)))
+        tol = max(tol, 64.0 * np.finfo(float).eps * _norm(w))
         alpha[j] = Q[j] @ w
         for _ in range(2):
             w -= (Q[: j + 1] @ w) @ Q[: j + 1]
         if j == k - 1:
             break
-        b = float(np.linalg.norm(w))
+        b = _norm(w)
         if b <= tol:
             k = j + 1
             break
@@ -265,6 +259,17 @@ def _gauss_rule(apply: Callable, weights: np.ndarray, k: int) -> tuple[np.ndarra
     jac = np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
     nodes, vecs = np.linalg.eigh(jac)
     return nodes, mass * vecs[0] ** 2
+
+
+def _norm(w: np.ndarray) -> float:
+    """|w|, taken as max|w| |w / max|w|| when the plain norm overflows
+    (from |w| of about 1e154 its squares do)."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(w))
+    if not np.isfinite(n):
+        big = float(np.max(np.abs(w)))
+        n = big * float(np.linalg.norm(w / big))
+    return n
 
 
 def _combine(v: np.ndarray, coeffs, rows: Sequence[np.ndarray]) -> np.ndarray:

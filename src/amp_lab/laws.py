@@ -143,10 +143,6 @@ class SpectralLaw:
     def moments(self, order: int) -> list[float]:
         return [self.moment(n) for n in range(1, order + 1)]
 
-    def variance(self) -> float:
-        m1 = self.moment(1)
-        return self.moment(2) - m1 * m1
-
     def _off_support(self, z: complex) -> complex:
         """z as a complex number; DomainError when it lies on the support.
         Each law's `stieltjes(z)`, m(z) = E[1/(z - Lambda)], and its closed-form
@@ -217,9 +213,6 @@ class SpectralLaw:
         atoms = np.interp(p, cdf[:n], lam[:n])
         atoms.sort()
         return DiscreteGrid(atoms=atoms)
-
-    def total_mass(self) -> float:
-        return self.expect(lambda lam: np.ones_like(np.asarray(lam, dtype=float)))
 
     def quad_nodes(self, n: int = 400) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights with sum(w * f(x)) ~ E[f(Lambda)] for smooth f."""

@@ -504,25 +504,12 @@ def _secular_roots(d: np.ndarray, w: np.ndarray, rho_n: float):
     return mu, wn**2 * overlap
 
 
-@dataclass(frozen=True)
-class SpikedInstance:
-    """Y = (theta/N) x* x*^T + W.  `operator` is Y in W's eigenbasis,
-    O (diag(lambda) + (theta/N) z z^T) O^T with z = O^T x* fixed when the
-    instance is built; it shares W's rotation and its revealed state."""
-
-    theta: float
-    x_star: np.ndarray
-    operator: SpectralOperator
-
-    @property
-    def N(self) -> int:
-        return self.x_star.shape[0]
-
-
 def build_spiked(theta: float, prior: Prior, ensemble: SpectralOperator,
-                 seed: int) -> SpikedInstance:
-    """Y = (theta/N) x* x*^T + W with x* iid from a unit-second-moment prior
-    and W = ensemble, which must not carry a rank-one term already."""
+                 seed: int) -> tuple[SpectralOperator, np.ndarray]:
+    """(Y, x*): Y = (theta/N) x* x*^T + W as W's operator with the rank-one
+    term, z = O^T x* and rho = theta/N, sharing W's rotation and its revealed
+    state; x* iid from a unit-second-moment prior.  W = ensemble must not
+    carry a rank-one term already."""
     if theta <= 0:
         raise ValidationError("theta must be > 0")
     if abs(prior.second_moment - 1.0) > 1e-12:
@@ -533,17 +520,16 @@ def build_spiked(theta: float, prior: Prior, ensemble: SpectralOperator,
         raise ValidationError("the ensemble already carries a rank-one spike")
     rng = np.random.default_rng(seed)
     x = prior.sample(ensemble.N, rng)
-    theta = float(theta)
-    operator = replace(ensemble, z=ensemble.to_spectral(x), rho=theta / ensemble.N)
-    return SpikedInstance(theta=theta, x_star=x, operator=operator)
+    return replace(ensemble, z=ensemble.to_spectral(x), rho=float(theta) / ensemble.N), x
 
 
-def overlap_measure(inst: SpikedInstance) -> DiscreteGrid:
-    """Eigen-overlap measure of the spiked matrix, an atom law: its
+def overlap_measure(Y: SpectralOperator) -> DiscreteGrid:
+    """Eigen-overlap measure of a spiked operator Y, an atom law: its
     eigenvalues (ascending), the one of eigenvector O v_k of weight
-    (z^T v_k)^2 / N."""
-    if inst.N > OVERLAP_N_CAP:
-        raise ValidationError(f"N={inst.N} exceeds the secular solver's cap {OVERLAP_N_CAP}")
-    op = inst.operator
-    mu, overlap = diag_rank_one_eigh(op.eigenvalues, op.z, op.rho)
-    return DiscreteGrid(atoms=mu, weights=overlap / inst.N)
+    (z^T v_k)^2 / N.  ValidationError for an operator without a rank-one term."""
+    if Y.z is None:
+        raise ValidationError("the overlap measure needs a spiked operator (a rank-one term)")
+    if Y.N > OVERLAP_N_CAP:
+        raise ValidationError(f"N={Y.N} exceeds the secular solver's cap {OVERLAP_N_CAP}")
+    mu, overlap = diag_rank_one_eigh(Y.eigenvalues, Y.z, Y.rho)
+    return DiscreteGrid(atoms=mu, weights=overlap / Y.N)

@@ -134,42 +134,6 @@ def _gauss_factor(S: np.ndarray) -> np.ndarray:
 # population moments of (X*, U_1..U_{t+1}) given Sigma_t, beta_t
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PopMoments:
-    Phi: np.ndarray  # (t+1, t+1), strictly lower; row j-1 = divergences of U_j
-    DeltaBar: np.ndarray  # (t+1, t+1)
-    alpha: np.ndarray | None  # (t+1,)
-    resid: np.ndarray | None = None  # DeltaBar - alpha alpha^T, computed stably
-    mse: float | None = None
-
-
-def population_moments(denoisers: Sequence[Denoiser], Sigma: np.ndarray,
-                       beta: np.ndarray | None, init: SeInit) -> PopMoments:
-    """Moments of U_1..U_{t+1} (t = Sigma size) in the population limit:
-    R = beta X* + Z, Z ~ N(0, Sigma), U_{j+1} = eta_{j+1}(R_1..R_j).  One
-    `_MomentRows.append` per denoiser, each on the given Sigma and beta.
-
-    Each eta_{j+1} = sum_k c_k g(s_k + b_k), s_k = p_k^T R.  With
-    d_k = c_k E[g'(s_k + b_k)] the divergence row is sum_k d_k p_k, so the
-    divergence-free residual Ubar_{j+1} = sum_k (c_k g(s_k + b_k) - d_k s_k)
-    is a sum of one-projection terms.  Every moment is then a sum of
-    expectations over one or two projections of R and the signal X, taken by
-    tensorized Gauss-Hermite quadrature given each signal value (the prior's
-    atoms; Gauss-Hermite nodes for a gaussian prior).  The residuals about the
-    signal, Ubar - alpha X, are integrated directly so that
-    DeltaBar - alpha alpha^T stays accurate when it is tiny.
-    """
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    _psd_check(Sigma, "Sigma", init.psd_tol)
-    t = Sigma.shape[0]
-    if len(denoisers) < t:
-        raise ValidationError("denoiser schedule shorter than the horizon")
-    moments = _MomentRows(init, t)
-    for den in denoisers[:t]:
-        moments.append(den, Sigma, beta)
-    return moments.block(t + 1)
-
-
 class _MomentRows:
     """Population moments of U_1, U_2, ..., one denoiser at a time, from U_1
     alone (Phi = 0, DeltaBar = 1, alpha_1 = sqrt(omega), 0 unspiked).
@@ -179,8 +143,11 @@ class _MomentRows:
     E[(Ubar_m - alpha_m X)(Ubar_n - alpha_n X)] and, with a spike, den's MSE.
     Earlier entries are carried: those of U_{i+1} read only the leading
     blocks of Sigma and beta that step i saw, which later steps extend
-    without changing.  Each denoiser's one-projection terms are kept for the
-    cross terms and zero-padded to the Sigma of each call.
+    without changing, so `_evolve` reads the moments of U_1..U_t from the
+    leading blocks of Phi, alpha and resid.  The residuals about the signal,
+    Ubar - alpha X, are integrated directly, so DeltaBar - alpha alpha^T stays
+    accurate when it is tiny.  Each denoiser's one-projection terms are kept
+    for the cross terms and zero-padded to the Sigma of each call.
     """
 
     def __init__(self, init: SeInit, T: int):
@@ -197,12 +164,6 @@ class _MomentRows:
         self.resid[0, 0] = 1.0 - self.alpha[0] ** 2  # the U_1 noise is independent of the rest
         self.res = []  # res[i]: (projection, term functions) of Ubar_{i+2} - alpha_{i+2} X
         self.mse = None  # E[(eta - X)^2] of the last denoiser, with a spike
-
-    def block(self, n: int) -> PopMoments:
-        """Copies of the moments of U_1..U_n (alpha None unspiked)."""
-        alpha, resid = self.alpha[:n].copy(), self.resid[:n, :n].copy()
-        return PopMoments(Phi=self.Phi[:n, :n].copy(), DeltaBar=resid + np.outer(alpha, alpha),
-                          alpha=alpha if self.init.spiked else None, resid=resid, mse=self.mse)
 
     def append(self, den: Denoiser, Sigma: np.ndarray, beta: np.ndarray | None) -> None:
         """Integrate the entries of the next U_{j+1} = den(R_1..R_j) given
@@ -327,24 +288,29 @@ def _evolve(rows, denoisers, init: SeInit, T: int, nu_rows=None) -> list[SeState
     Vnu = np.zeros((T, T, nu_rows.w.size)) if spiked else None
     states, beta = [], None
     for t in range(1, T + 1):
-        pm = moments.block(t)  # U_1..U_t; appending eta_{t+1} leaves this block as it is
-        phi_row = pm.Phi[t - 1, : t - 1]
-        e_row = rows.append(phi_row)
+        # U_1..U_t: appending eta_{t+1} leaves these leading blocks as they are
+        Phi = moments.Phi[:t, :t].copy()
+        alpha, resid = moments.alpha[:t].copy(), moments.resid[:t, :t].copy()
+        e_row = rows.append(Phi[t - 1, : t - 1])
         V[t - 1, :t] = rows.J[-1]
-        _psd_check(pm.resid, f"DeltaBar_{t} - alpha alpha^T" if spiked else f"DeltaBar_{t}")
-        Sigma = _weighted_gram(V[:t, :t], rows.w, pm.resid)
+        _psd_check(resid, f"DeltaBar_{t} - alpha alpha^T" if spiked else f"DeltaBar_{t}")
+        Sigma = _weighted_gram(V[:t, :t], rows.w, resid)
         if spiked:
-            nu_rows.append(phi_row, e_row)
+            nu_rows.append(Phi[t - 1, : t - 1], e_row)
             Vnu[t - 1, :t] = nu_rows.J[-1]
-            beta = np.einsum("amx,m,x->a", Vnu[:t, :t], pm.alpha, nu_rows.w)
-            Sigma += (_weighted_gram(Vnu[:t, :t], nu_rows.w, np.outer(pm.alpha, pm.alpha))
+            beta = np.einsum("amx,m,x->a", Vnu[:t, :t], alpha, nu_rows.w)
+            Sigma += (_weighted_gram(Vnu[:t, :t], nu_rows.w, np.outer(alpha, alpha))
                       - np.outer(beta, beta))
         _psd_check(Sigma, f"Sigma_{t}", init.psd_tol)
         item = denoisers[t - 1] if isinstance(denoisers, (list, tuple)) else denoisers
         den = item if isinstance(item, Denoiser) else item(t, beta, Sigma)
         moments.append(den, Sigma, beta)
-        states.append(SeState(t=t, Sigma=Sigma, Phi=pm.Phi, DeltaBar=pm.DeltaBar, beta=beta,
-                              alpha=pm.alpha, mse_pred=moments.mse, denoiser=den))
+        if spiked and not np.isfinite(moments.mse):
+            raise NumericalError(f"the predicted MSE at t={t} is not finite: the state "
+                                 "evolution overflowed")
+        states.append(SeState(t=t, Sigma=Sigma, Phi=Phi, DeltaBar=resid + np.outer(alpha, alpha),
+                              beta=beta, alpha=alpha if spiked else None,
+                              mse_pred=moments.mse, denoiser=den))
     return states
 
 

@@ -316,8 +316,8 @@ def test_acceptance_10_bbp_sanity(announce):
     tops, means = [], []
     for s in range(n_seeds):
         ens = build_rot_invariant(grid, seed=300 + s)
-        inst = build_spiked(theta, prior, ens, seed=400 + s)
-        om = overlap_measure(inst)
+        Y, _ = build_spiked(theta, prior, ens, seed=400 + s)
+        om = overlap_measure(Y)
         tops.append(float(om.atoms.max()))
         means.append(float(om.moment(1)))
     top_dev = abs(float(np.mean(tops)) - (theta + 1.0 / theta))

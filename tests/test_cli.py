@@ -1,5 +1,7 @@
 """CLI harness: config parsing, subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -515,6 +517,108 @@ def test_overflowing_mp_denoise_exits_1_naming_matrix_fn(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: matrix_fn 'mp-denoise': ")
     assert "pole is -inf" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cmd", ["se", "run"])
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_an_overflowing_state_evolution_prints_one_line(name, cmd, tmp_path, capsys):
+    # numpy's overflow warnings are silenced (here they would raise): stderr
+    # holds the `numerical failure:` line alone
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_OVERFLOWING[name]))
+    assert main([cmd, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_spiked_prediction_exits_2(tmp_path, capsys):
+    # Sigma_1 is finite (about 1e308), but the MSE integral of eta_2 = R_1
+    # overflows: the prediction is checked, not printed as inf
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"law": "semicircle", "N": 64, "T": 1, "theta": 2.0, "omega": 0.3,
+                             "algo": "ri-amp-mp", "matrix_fn": "polynomial:0,5e153",
+                             "denoiser": "identity"}))
+    assert main(["se", "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "numerical failure: the predicted MSE at t=1 is not finite: the state evolution "
+        "overflowed\n")
+
+
+_GAUSS_RULE_FAILURES = {
+    # |f| near 1e160: the norms of the Lanczos vectors overflow, which once
+    # read as a breakdown and gave a one-node rule with V = 0
+    "huge-f": ({"law": "semicircle", "N": 64, "T": 3, "algo": "ri-amp-mp",
+                "matrix_fn": "polynomial:1e160,1e160,1e160", "denoiser": "tanh"},
+               r"Sigma_1 is not finite: .*"),
+    # MP(1e-300)'s quadrature weights sum to 0
+    "massless-rule": ({"law": "mp:alpha=1e-300", "N": 64, "T": 3, "algo": "ri-amp",
+                       "denoiser": "tanh"}, r"the quadrature weights sum to 0\.0, .*"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_GAUSS_RULE_FAILURES))
+def test_a_failing_gauss_rule_exits_2_with_one_line(name, tmp_path, capsys):
+    cfg, message = _GAUSS_RULE_FAILURES[name]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["se", "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch("numerical failure: " + message + "\n", captured.err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_run_whose_iterates_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
+    # f is constant, so SE reads 0, but rounding in f(M) u grows |r_2|^2 past
+    # 1e308: every seed's metrics are not finite, so every seed diverges
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"law": "semicircle", "N": 2000, "T": 2, "algo": "ri-amp-mp",
+                             "matrix_fn": "polynomial:3e152", "denoiser": "identity",
+                             "runs": 2}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        f"warning: seed {i} diverged and was excluded: the metrics are not finite at t=2"
+        for i in (0, 1)] + ["numerical failure: all seeds diverged"]
+
+
+_COEFFICIENT = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e,
+                                                  st.sampled_from([-1.0, 1.0]),
+                                                  st.floats(-300.0, 300.0)))
+_MATRIX_CASES = st.one_of(
+    st.lists(_COEFFICIENT, min_size=3, max_size=3).map(lambda c: {
+        "law": "semicircle", "algo": "ri-amp-mp",
+        "matrix_fn": "polynomial:" + ",".join(repr(x) for x in c)}),
+    st.floats(-300.0, -0.01).map(lambda e: {"law": f"mp:alpha={10.0**e!r}", "algo": "ri-amp"}))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=_MATRIX_CASES, cmd=st.sampled_from(["se", "run"]), N=st.integers(16, 64),
+       T=st.integers(1, 3))
+def test_matrix_fn_coefficients_and_mp_aspect_through_main_exit_0_1_or_2(case, cmd, N, T):
+    # polynomial coefficients from 1e-300 to 1e300 and MP aspect ratios from
+    # 1e-300 to 0.98: `se` and `run` end with an exit code, never an exception
+    # or a numpy warning, and print finite values when they succeed
+    cfg = {**case, "N": N, "T": T, "denoiser": "tanh", "runs": 2}
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([cmd, "--config", path, "--out", os.path.join(d, "out")])
+    assert code in (0, 1, 2)
+    if code == 0:
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1 if cmd == "se" else 0:]]
+        assert len(rows) == T and np.isfinite(np.array(rows, dtype=float)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -366,8 +366,8 @@ def test_unfolding_exact_spiked_mp_denoise():
     law = MarchenkoPastur(alpha=0.3)
     N, T, theta = 500, 4, 1.5
     ens, u1 = _setup(law, N, seed=6)
-    inst = build_spiked(theta, make_prior("rademacher"), ens, seed=7)
-    run = run_ri_amp_mp(inst, law, mp_denoise_fn(theta, 0.3), _lip_dens(T, seed=80),
+    Y, _ = build_spiked(theta, make_prior("rademacher"), ens, seed=7)
+    run = run_ri_amp_mp(Y, law, mp_denoise_fn(theta, 0.3), _lip_dens(T, seed=80),
                         u1, T, mode="grid")
     rep = verify_unfolding(run)
     assert rep.max_error <= 1e-8
@@ -381,15 +381,15 @@ def test_unfolding_exact_spiked_by_products(variant):
     law = MarchenkoPastur(alpha=0.3)
     N, T = 400, 5
     ens, u1 = _setup(law, N, seed=12)
-    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=13)
+    Y, _ = build_spiked(1.5, make_prior("rademacher"), ens, seed=13)
     dens = _lip_dens(T, seed=120)
     if variant == "ri-amp":
-        run = run_ri_amp(inst, law, dens, u1, T, mode="grid")
+        run = run_ri_amp(Y, law, dens, u1, T, mode="grid")
     elif variant == "ri-amp-df":
-        run = run_ri_amp_df(inst, law, dens, u1, T, mode="grid")
+        run = run_ri_amp_df(Y, law, dens, u1, T, mode="grid")
     else:
         cubics = [RationalFn(coeffs=(0.1 * t, 1.0, -0.3, 0.05 * t)) for t in range(1, T + 1)]
-        run = run_ri_amp_mp(inst, law, cubics, dens, u1, T, mode="grid")
+        run = run_ri_amp_mp(Y, law, cubics, dens, u1, T, mode="grid")
     rep = verify_unfolding(run)
     assert rep.max_error <= 1e-8
     assert np.max(rep.trace_residuals) <= 1e-9
@@ -401,12 +401,12 @@ def test_spiked_run_allocates_no_n_by_n_array():
     law = MarchenkoPastur(alpha=0.2)
     N, T, theta = 1000, 4, 1.5
     ens, _ = _setup(law, N, seed=14)
-    inst = build_spiked(theta, make_prior("rademacher"), ens, seed=15)
-    u1 = 0.5 * inst.x_star + np.random.default_rng(16).standard_normal(N)
+    Y, x = build_spiked(theta, make_prior("rademacher"), ens, seed=15)
+    u1 = 0.5 * x + np.random.default_rng(16).standard_normal(N)
     dens, f = _lip_dens(T, seed=140), mp_denoise_fn(theta, 0.2)
     tracemalloc.start()
     try:
-        run_ri_amp_mp(inst, law, f, dens, u1, T, mode="grid")
+        run_ri_amp_mp(Y, law, f, dens, u1, T, mode="grid")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,12 +462,12 @@ def test_grid_mp_run_and_verify_hold_no_t_by_t_matrix_per_eigenvalue():
 def test_spiked_runs_need_rational_matrix_functions():
     law = MarchenkoPastur(alpha=0.3)
     ens, u1 = _setup(law, 100, seed=17)
-    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=18)
+    Y, _ = build_spiked(1.5, make_prior("rademacher"), ens, seed=18)
     dens = _lip_dens(2, seed=170)
     with pytest.raises(ValidationError, match="rational"):
-        run_ri_amp_mp(inst, law, lambda x: x + 0.3 * x**2, dens, u1, 2, mode="grid")
+        run_ri_amp_mp(Y, law, lambda x: x + 0.3 * x**2, dens, u1, 2, mode="grid")
     with pytest.raises(ValidationError, match="spiked"):
-        run_oamp(inst, [RationalFn(coeffs=(0.0, 1.0))] * 2, dens, u1, 2)
+        run_oamp(Y, [RationalFn(coeffs=(0.0, 1.0))] * 2, dens, u1, 2)
 
 
 def test_spiked_pole_check_on_w_and_y():
@@ -478,9 +478,9 @@ def test_spiked_pole_check_on_w_and_y():
                               z=np.array([1.0, 0.0]), rho=1.0)
     with pytest.raises(DomainError, match="eigenvalue of Y"):
         sing_y.function(pole)
-    sing_w = build_spiked(1.0, make_prior("rademacher"),
-                          SpectralOperator(eigenvalues=np.array([0.0, 1.0]),
-                                           rotation=np.eye(2)), seed=0)
+    sing_w, _ = build_spiked(1.0, make_prior("rademacher"),
+                             SpectralOperator(eigenvalues=np.array([0.0, 1.0]),
+                                              rotation=np.eye(2)), seed=0)
     with pytest.raises(DomainError, match="eigenvalue of W"):
         as_operator(sing_w).function(pole)
     as_operator(sing_w).function(RationalFn(coeffs=(1.0, 2.0)))  # no pole: fine

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amp_lab.engines import IDENTITY
-from amp_lab.errors import SizeLimitError, ValidationError
+from amp_lab.errors import NumericalError, SizeLimitError, ValidationError
 from amp_lab.freeprob import (
     NC_ORDER_CAP,
     _center_on_moments,
+    _gauss_rule,
     _nc_gen,
     _TraceFreeRows,
     build_poly_family,
@@ -178,15 +179,6 @@ def test_order_cap_is_checked_before_any_moment():
         build_poly_family(Semicircle(), "Q", 2000)
 
 
-def test_alpha_rows_are_q_coefficients():
-    # row n of the recursion table holds the coefficients of Q_n
-    law = MarchenkoPastur(alpha=0.3)
-    table = cumulants_from_law(law, 6)
-    fam = build_poly_family(law, "Q", 5)
-    for n in range(0, 6):
-        assert np.allclose(table.alpha[n], fam.coeffs[n], atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # polynomial families
 # ---------------------------------------------------------------------------
@@ -332,6 +324,23 @@ def test_shift_rows_of_template_ubar_are_the_h_centering_constants():
     gamma = np.array([float(g) for g in _center_on_moments(moments, full_memory=False)[1]])
     rows = _last_shift_row(MarchenkoPastur(alpha=0.2), T, "ubar")
     assert np.max(np.abs(rows - gamma) / np.abs(gamma)) <= 1e-13
+
+
+def test_gauss_rule_of_a_huge_measure_is_the_scaled_rule():
+    # from values of about 1e154 the plain norms of the Lanczos vectors
+    # overflow; that is not a breakdown, and the rule is the unit rule scaled
+    nodes, w = Semicircle().quad_nodes()
+    x, wx = _gauss_rule(lambda v: nodes * v, w, 4)
+    big, w_big = _gauss_rule(lambda v: 1e160 * nodes * v, w, 4)
+    assert big.size == 4
+    assert np.max(np.abs(big / 1e160 - x)) <= 1e-14 * np.max(np.abs(x))
+    assert np.max(np.abs(w_big - wx)) <= 1e-14
+
+
+@pytest.mark.parametrize("weights", [np.zeros(5), np.array([1.0, np.nan]), np.array([-1.0])])
+def test_gauss_rule_refuses_a_measure_without_positive_finite_mass(weights):
+    with pytest.raises(NumericalError, match="not a positive mass"):
+        _gauss_rule(lambda v: v, weights, 2)
 
 
 @pytest.mark.parametrize("template", ["ubar", "oamp"])

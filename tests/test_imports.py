@@ -90,9 +90,9 @@ from amp_lab.randmat import build_rot_invariant, build_spiked, make_prior
 from amp_lab.se import mp_denoise_fn, nu_measure
 law = MarchenkoPastur(alpha=0.2)
 ens = build_rot_invariant(law.quantile_grid(64).atoms, seed=1)
-inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=2)
-run = run_ri_amp_mp(inst, law, mp_denoise_fn(1.5, 0.2), [tanh_denoiser(t) for t in (1, 2)],
-                    inst.x_star, 2, mode="grid")
+Y, x = build_spiked(1.5, make_prior("rademacher"), ens, seed=2)
+run = run_ri_amp_mp(Y, law, mp_denoise_fn(1.5, 0.2), [tanh_denoiser(t) for t in (1, 2)],
+                    x, 2, mode="grid")
 assert verify_unfolding(run).max_error < 1e-8
 assert main(["se", "--config", sys.argv[1]]) == 0
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]

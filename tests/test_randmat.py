@@ -214,10 +214,9 @@ def _trajectories(ensembles, spiked):
     for seed, ens in ensembles:
         rng = np.random.default_rng(seed)
         if spiked:
-            inst = build_spiked(theta, make_prior("rademacher"), ens, seed=seed + 1)
-            x = inst.x_star
+            Y, x = build_spiked(theta, make_prior("rademacher"), ens, seed=seed + 1)
             u1 = np.sqrt(omega) * x + np.sqrt(1.0 - omega) * rng.standard_normal(N)
-            run = run_ri_amp(inst, law, dens, u1, T, mode="grid")
+            run = run_ri_amp(Y, law, dens, u1, T, mode="grid")
             out.append([x @ run.u[t + 1] / N for t in range(T)])
         else:
             u1 = rng.choice([-1.0, 1.0], size=N)
@@ -258,11 +257,10 @@ def test_spiked_mse_same_law_under_qr_reference():
     prior = make_prior("rademacher")
 
     def mse(ens, seed):
-        inst = build_spiked(cfg.theta, prior, ens, seed=seed)
-        x = inst.x_star
+        Y, x = build_spiked(cfg.theta, prior, ens, seed=seed)
         noise = np.random.default_rng(seed + 1).standard_normal(cfg.N)
         u1 = np.sqrt(cfg.omega) * x + np.sqrt(1.0 - cfg.omega) * noise
-        run = run_ri_amp_mp(inst, law, f, dens, u1, cfg.T, mode="grid")
+        run = run_ri_amp_mp(Y, law, f, dens, u1, cfg.T, mode="grid")
         return [np.mean((run.u[t] - x) ** 2) for t in (1, 2)]
 
     new = np.array([mse(build_rot_invariant(grid, seed=500 + s), 600 + s)
@@ -440,22 +438,22 @@ def test_make_prior_validates():
 # spiked instances and the overlap measure
 # ---------------------------------------------------------------------------
 
-def _dense_y(inst):
+def _dense_y(Y, x):
     """Y = (theta/N) x* x*^T + W formed densely from its definition, in
     O(N^3): the reference for the factored operator."""
-    W = replace(inst.operator, z=None, rho=0.0).dense()
-    return (inst.theta / inst.N) * np.outer(inst.x_star, inst.x_star) + W
+    W = replace(Y, z=None, rho=0.0).dense()
+    return Y.rho * np.outer(x, x) + W
 
 
 def test_build_spiked_shape_and_symmetry():
     mp = MarchenkoPastur(alpha=0.3)
     ens = build_rot_invariant(mp.quantile_grid(128).atoms, seed=0)
-    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=1)
-    Y = _dense_y(inst)
+    op, x = build_spiked(1.5, make_prior("rademacher"), ens, seed=1)
+    Y = _dense_y(op, x)
     assert Y.shape == (128, 128)
     assert np.max(np.abs(Y - Y.T)) < 1e-12
     v = np.random.default_rng(2).standard_normal(128)
-    assert np.max(np.abs(inst.operator.apply(v) - Y @ v)) < 1e-9
+    assert np.max(np.abs(op.apply(v) - Y @ v)) < 1e-9
 
 
 @pytest.mark.parametrize("rotation", ["lazy-haar", "dense"])
@@ -466,20 +464,20 @@ def test_spiked_operator_dense_matches_y(rotation):
     grid = MarchenkoPastur(alpha=0.3).quantile_grid(N).atoms
     ens = (build_rot_invariant(grid, seed=3) if rotation == "lazy-haar"
            else SpectralOperator(eigenvalues=grid.copy(), rotation=_qr_haar(N, seed=3)))
-    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=4)
-    Y = _dense_y(inst)
-    assert np.linalg.norm(inst.operator.dense() - Y) <= 1e-12 * np.linalg.norm(Y)
+    op, x = build_spiked(1.5, make_prior("rademacher"), ens, seed=4)
+    Y = _dense_y(op, x)
+    assert np.linalg.norm(op.dense() - Y) <= 1e-12 * np.linalg.norm(Y)
 
 
 def test_build_spiked_shares_the_rotation_and_refuses_a_second_spike():
     ens = build_rot_invariant(np.linspace(-1, 1, 32), seed=0)
-    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=1)
-    assert inst.operator.rotation is ens.rotation
+    Y, x = build_spiked(1.5, make_prior("rademacher"), ens, seed=1)
+    assert Y.rotation is ens.rotation
     assert ens.z is None
-    assert np.array_equal(inst.operator.z, ens.to_spectral(inst.x_star))
-    assert inst.operator.rho == 1.5 / 32
+    assert np.array_equal(Y.z, ens.to_spectral(x))
+    assert Y.rho == 1.5 / 32
     with pytest.raises(ValidationError, match="rank-one"):
-        build_spiked(1.0, make_prior("rademacher"), inst.operator, seed=2)
+        build_spiked(1.0, make_prior("rademacher"), Y, seed=2)
 
 
 def test_build_spiked_validates_theta():
@@ -492,10 +490,10 @@ def test_overlap_measure_total_mass():
     # sum of squared overlaps of a unit-second-moment signal is ||x||^2/N = 1
     sc = Semicircle()
     ens = build_rot_invariant(sc.quantile_grid(400).atoms, seed=3)
-    inst = build_spiked(1.5, make_prior("rademacher"), ens, seed=4)
-    om = overlap_measure(inst)
+    Y, _ = build_spiked(1.5, make_prior("rademacher"), ens, seed=4)
+    om = overlap_measure(Y)
     assert isinstance(om, DiscreteGrid)
-    assert abs(om.total_mass() - 1.0) < 1e-10
+    assert abs(om.weights.sum() - 1.0) < 1e-10
     assert om.atoms.shape == (400,)
 
 
@@ -507,8 +505,8 @@ def test_overlap_measure_bbp_outlier():
     means, tops = [], []
     for s in range(5):
         ens = build_rot_invariant(sc.quantile_grid(1500).atoms, seed=10 + s)
-        inst = build_spiked(theta, make_prior("rademacher"), ens, seed=20 + s)
-        om = overlap_measure(inst)
+        Y, _ = build_spiked(theta, make_prior("rademacher"), ens, seed=20 + s)
+        om = overlap_measure(Y)
         tops.append(om.atoms.max())
         means.append(om.moment(1))
     assert abs(np.mean(tops) - (theta + 1 / theta)) < 0.1
@@ -517,14 +515,20 @@ def test_overlap_measure_bbp_outlier():
 
 def test_overlap_measure_size_cap(monkeypatch):
     ens = build_rot_invariant(np.linspace(-1, 1, 64), seed=0)
-    inst = build_spiked(1.0, make_prior("rademacher"), ens, seed=0)
+    Y, _ = build_spiked(1.0, make_prior("rademacher"), ens, seed=0)
     monkeypatch.setattr(randmat, "OVERLAP_N_CAP", 32)
     with pytest.raises(ValidationError):
-        overlap_measure(inst)
+        overlap_measure(Y)
+
+
+def test_overlap_measure_refuses_an_operator_without_a_spike():
+    ens = build_rot_invariant(np.linspace(-1, 1, 64), seed=0)
+    with pytest.raises(ValidationError, match="rank-one"):
+        overlap_measure(ens)
 
 
 def _secular_case(name, N):
-    """(instance, eigenvalue scale) for one secular-vs-dense comparison."""
+    """((Y, x*), eigenvalue scale) for one secular-vs-dense comparison."""
     prior = make_prior("rademacher")
     if name == "mp":
         law, theta = MarchenkoPastur(alpha=0.2), 1.5
@@ -551,14 +555,14 @@ def _secular_case(name, N):
 def test_secular_factorization_matches_dense_eigh(name, N):
     # the secular roots and closed-form overlap weights, and the spiked
     # operator's products, against a dense eigendecomposition of Y
-    inst, scale = _secular_case(name, N)
-    Y = _dense_y(inst)
+    (spiked, x), scale = _secular_case(name, N)
+    Y = _dense_y(spiked, x)
     lam, U = np.linalg.eigh(Y)
-    om = overlap_measure(inst)
+    om = overlap_measure(spiked)
     assert np.max(np.abs(om.atoms - lam)) <= 1e-12 * scale
-    assert np.max(np.abs(om.weights - (inst.x_star @ U) ** 2 / N)) <= 1e-12
-    op = as_operator(inst)
-    assert op is inst.operator
+    assert np.max(np.abs(om.weights - (x @ U) ** 2 / N)) <= 1e-12
+    op = as_operator(spiked)
+    assert op is spiked
     v = np.random.default_rng(N).standard_normal(N)
     assert np.linalg.norm(op.apply(v) - Y @ v) <= 1e-12 * np.linalg.norm(Y @ v)
     for f in (mp_denoise_fn(1.5, 0.2), RationalFn(coeffs=(1.0, -1.0, 0.0, 0.5))):
