@@ -81,7 +81,10 @@ def _seed_bytes(N: int, algo: str, T: int) -> int:
     temporaries.  One-worker peaks of whole `run` processes at N = 10^6
     (ri-amp, ri-amp-df, ri-amp-mp and oamp; ri-amp and ri-amp-mp also
     spiked) were at most 27, 49, 82 and 126 vectors at T = 1, 3, 6 and 10.
-    Every budget is at least 1.5 times the measured peak.  The trace-free
+    Every budget is at least 1.5 times the measured peak.  A run reserves
+    its revealed pairs before its first step and forms no (t, N) array of
+    partials: spiked-mp seeds at N = 10^6, T = 6, run one at a time after
+    SE, peak 54 vectors above the process's 62 MB before them.  The trace-free
     Onsager rows keep nothing of length N in grid mode: they live on a
     Gauss rule of T + 1 points, whose Lanczos build holds T + 1 transient
     vectors."""
@@ -344,7 +347,8 @@ def run_experiment(cfg: ExperimentConfig):
     """Run `cfg.runs` seeded instances in a worker pool and aggregate.
 
     Returns (rows, se_rows, n_ok, n_divergent).  Seeds whose run raises a
-    numerical failure are excluded from aggregation and counted."""
+    numerical failure are excluded from aggregation and counted, each with
+    a warning on stderr, printed in seed order once the pool is done."""
     workers = _worker_count(cfg.runs)
     law, prior, f, factory = _resolve(cfg)
     states, se_rows = _se(cfg, law, prior, f, factory)
@@ -358,13 +362,14 @@ def run_experiment(cfg: ExperimentConfig):
             with np.errstate(**_ERRSTATE):  # numpy keeps it per thread
                 return _single_run(cfg, law, prior, f, states, grid, run_idx)
         except NumericalError as exc:
-            print(f"warning: seed {run_idx} diverged and was excluded: {exc}",
-                  file=sys.stderr)
-            return None
+            return exc
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(task, range(cfg.runs)))
-    ok = [r for r in results if r is not None]
+    for run_idx, r in enumerate(results):  # in seed order, whichever thread finished first
+        if isinstance(r, NumericalError):
+            print(f"warning: seed {run_idx} diverged and was excluded: {r}", file=sys.stderr)
+    ok = [r for r in results if not isinstance(r, NumericalError)]
     n_div = cfg.runs - len(ok)
     if not ok:
         raise NumericalError("all seeds diverged")

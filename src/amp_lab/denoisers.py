@@ -41,25 +41,39 @@ class Denoiser:
         return self.projection.shape[1]
 
     def _args(self, R: np.ndarray) -> np.ndarray:
-        """(K, N) link arguments p_k^T R + b_k."""
-        return self.projection @ R + self.offsets[:, None]
-
-    def evaluate(self, R: np.ndarray) -> np.ndarray:
+        """(K, N) link arguments p_k^T R + b_k of a history with `arity` rows."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
         if R.shape[0] != self.arity:
             raise ValidationError(
                 f"denoiser {self.name!r} expects {self.arity} history rows, got {R.shape[0]}"
             )
-        return np.sum(self.weights[:, None] * self.link(self._args(R)), axis=0)
+        return self.projection @ R + self.offsets[:, None]
+
+    def _value(self, args: np.ndarray) -> np.ndarray:
+        return np.sum(self.weights[:, None] * self.link(args), axis=0)
+
+    def _divergences(self, args: np.ndarray) -> np.ndarray:
+        """<d_i eta> = sum_k c_k p_{k,i} <g'(p_k^T R + b_k)>: each term's
+        g' averaged over the N coordinates before the projection, so no
+        (t, N) array is formed."""
+        return (self.weights[:, None] * self.projection).T @ self.link_prime(args).mean(axis=1)
+
+    def evaluate(self, R: np.ndarray) -> np.ndarray:
+        return self._value(self._args(R))
 
     def partials(self, R: np.ndarray) -> np.ndarray:
         """(t, N) array of partial derivatives."""
-        R = np.atleast_2d(np.asarray(R, dtype=float))
         return (self.weights[:, None] * self.projection).T @ self.link_prime(self._args(R))
 
     def divergences(self, R: np.ndarray) -> np.ndarray:
         """Empirical divergence row <d_i eta> (length t)."""
-        return self.partials(R).mean(axis=1)
+        return self._divergences(self._args(R))
+
+    def evaluate_with_divergences(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eta(R), divergence row) from one evaluation of the link
+        arguments: `evaluate` and `divergences` of R, bit for bit."""
+        args = self._args(R)
+        return self._value(args), self._divergences(args)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, ValidationError
 from .freeprob import _combine, _TraceFreeRows, phi_powers
 from .laws import DiscreteGrid, Semicircle, SpectralLaw
-from .randmat import IDENTITY, SpectralOperator, _eigh, _map_eigenvalues, dense_symmetric
+from .randmat import (IDENTITY, LazyHaarRotation, SpectralOperator, _eigh, _map_eigenvalues,
+                      dense_symmetric)
 
 HORIZON_CAP = 10
 # each variant's template (`freeprob._TraceFreeRows`): x = u, x = ubar, or OAMP's x = u = ubar
@@ -115,8 +116,10 @@ def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: st
     denoisers[t-1](r_1..r_t), its divergence row and the divergence-free
     residual ubar_{t+1} are recorded.  OAMP's rows ignore Phi: its r-step
     takes f_t(M) ubar_t, and its one row entry E_{t,t} = E_mu f_t is the
-    centering.  The history r_1..r_T is one (T, N) array whose rows are
-    `run.r`."""
+    centering.  The histories are preallocated blocks whose rows are
+    `run.r`, `run.u` and `run.ubar`, so each linear step is one
+    matrix-vector product with a block, and the denoiser's value and
+    divergence row come from one evaluation of its link arguments."""
     if not 1 <= T <= HORIZON_CAP:
         raise ValidationError(f"horizon T={T} outside [1, {HORIZON_CAP}]")
     operator = as_operator(M)
@@ -139,32 +142,31 @@ def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: st
         raise ValidationError("u_1 must be a length-N vector")
     if len(denoisers) < T:
         raise ValidationError(f"need {T} denoisers for horizon T={T}")
-    u, ubar = [u1], [u1.copy()]
-    x = u if template == "u" else ubar
-    R = np.empty((T, N))
-    r = list(R)
+    if isinstance(operator.rotation, LazyHaarRotation):
+        operator.rotation.pairs.reserve(2 * T)  # a step reveals at most two pairs
+    # rows of the history blocks: U[t-1] = u_t, Ubar[t-1] = ubar_t, R[t-1] = r_t
+    U, Ubar, R = np.empty((T + 1, N)), np.empty((T + 1, N)), np.empty((T, N))
+    U[0] = Ubar[0] = u1
+    X = U if template == "u" else Ubar
     phi = np.zeros((T + 1, T + 1))
     debias = np.zeros((T, T))
     diagnostics = []
     for t in range(1, T + 1):
         row = rows.append(phi[t - 1, : t - 1])
-        r_t = _combine(f_ops[t - 1](ubar[t - 1] if template == "oamp" else u[t - 1]), -row, x)
-        _check_finite(r_t, t, "r")
-        R[t - 1] = r_t
+        np.subtract(f_ops[t - 1](Ubar[t - 1] if template == "oamp" else U[t - 1]),
+                    row @ X[:t], out=R[t - 1])
+        _check_finite(R[t - 1], t, "r")
         debias[t - 1, :t] = row
-        den = denoisers[t - 1]
-        u_next = den.evaluate(R[:t])
-        _check_finite(u_next, t, "u")
-        d = den.divergences(R[:t])
+        U[t], d = denoisers[t - 1].evaluate_with_divergences(R[:t])
+        _check_finite(U[t], t, "u")
         phi[t, :t] = d
-        u.append(u_next)
-        ubar.append(_combine(u_next.copy(), -d, r))  # u_{t+1} - sum_i <d_i u_{t+1}> r_i
+        np.subtract(U[t], d @ R[:t], out=Ubar[t])  # u_{t+1} - sum_i <d_i u_{t+1}> r_i
         diagnostics.append({
             "t": t,
-            "norm_r": float(np.linalg.norm(r_t) / np.sqrt(N)),
-            "norm_u": float(np.linalg.norm(u_next) / np.sqrt(N)),
+            "norm_r": float(np.linalg.norm(R[t - 1]) / np.sqrt(N)),
+            "norm_u": float(np.linalg.norm(U[t]) / np.sqrt(N)),
         })
-    return AmpRun(variant=variant, r=r, u=u, ubar=ubar, phi=phi, debias=debias,
+    return AmpRun(variant=variant, r=list(R), u=list(U), ubar=list(Ubar), phi=phi, debias=debias,
                   diagnostics=diagnostics, operator=operator, debias_law=dlaw,
                   denoisers=list(denoisers[:T]), f_schedule=f_schedule)
 
@@ -257,7 +259,12 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
     from unit vectors, for the trace residuals |E_law[V_{t,j}(Lambda)]| (first,
     so the T(T+1) node rows are freed before the reconstruction), and on its
     own ubar in W's eigenbasis, for the relative error of each r_t.  `law`
-    defaults to the run's debias law, under which the recorded E is trace-free."""
+    defaults to the run's debias law, under which the recorded E is trace-free.
+
+    On a lazy rotation the errors depend on every pair revealed before the
+    verification, by the other runs on the operator too, to rounding.  So a
+    byte-for-byte comparison of one variant's report across changes that
+    touch another variant's rounding needs one rotation per variant."""
     law = run.debias_law if law is None else law
     T, op, fs = run.T, run.operator, run.f_schedule
     distinct = {id(f): f for f in fs}  # each distinct f is mapped once per node set
@@ -287,8 +294,9 @@ def ubar_divergences(run: AmpRun) -> float:
     """Max |empirical divergence of ubar_{t+1} w.r.t. r_i| — exactly zero by
     construction with analytic partials; recomputed here from scratch."""
     worst = 0.0
+    R = np.vstack(run.r)
     for t, den in enumerate(run.denoisers[: run.T], start=1):
-        d = den.divergences(np.vstack(run.r[:t]))
+        d = den.divergences(R[:t])
         worst = max(worst, float(np.abs(d - run.phi[t, :t]).max()))
     return worst
 

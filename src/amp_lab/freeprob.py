@@ -14,7 +14,10 @@ exact, so round trips are not tolerance-limited.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -27,6 +30,7 @@ from .randmat import SpectralOperator, _map_eigenvalues, dense_symmetric
 
 NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
+GAUSS_RULE_MEMO = 8  # Gauss rules of `_TraceFreeRows` kept, the least recently used dropped
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +280,46 @@ def _combine(v: np.ndarray, coeffs, rows: Sequence[np.ndarray]) -> np.ndarray:
     """v += sum_i coeffs[i] rows[i] in place, in index order, and return v.
     A row shorter than v along the leading axis stands for zeros past its
     end.  Both linear steps of the template, u = ubar + Phi r and
-    r = f u - E x, are this one step (the second with -E)."""
+    r = f u - E x, are this one step (the second with -E) on the rows of
+    `_TraceFreeRows` and in the verifier's replay."""
     for c, row in zip(coeffs, rows):
         v[: len(row)] += c * row
     return v
+
+
+_RULES: OrderedDict = OrderedDict()  # (digest, id(f), k, theta) -> (f, nodes, weights)
+_RULES_LOCK = threading.Lock()
+
+
+def _memo_gauss_rule(nodes: np.ndarray, w: np.ndarray, f: Callable, k: int,
+                     theta: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The k-point Gauss rule of f's pushforward of the measure (nodes, w),
+    or of nu with `theta` (see `_TraceFreeRows`), built once while it stays
+    among the GAUSS_RULE_MEMO most recently used.  The seeds of a CLI run and
+    the runs of a session on one grid share the eigenvalues and f, so they
+    share the rule.  The key holds a digest of nodes and w (no array of
+    their length) and f's identity: distinct f objects never share a rule,
+    and each entry keeps its f alive, so the identity is not reused while
+    the entry lives.  The arrays returned are read-only; a lock makes the
+    memo safe for the CLI's seed threads, which wait for one build."""
+    h = hashlib.blake2b(np.ascontiguousarray(nodes, dtype=float).tobytes(), digest_size=16)
+    h.update(np.ascontiguousarray(w, dtype=float).tobytes())
+    key = (h.digest(), id(f), k, theta)
+    with _RULES_LOCK:
+        entry = _RULES.get(key)
+        if entry is None:
+            # only the core is applied, so the operator needs no rotation
+            core = (SpectralOperator(nodes, rotation=None) if theta is None else
+                    SpectralOperator(nodes, rotation=None, z=np.sqrt(w), rho=theta))
+            rule = _gauss_rule(core.core_function(f), w, k)
+            for a in rule:
+                a.flags.writeable = False
+            entry = _RULES[key] = (f, *rule)
+            if len(_RULES) > GAUSS_RULE_MEMO:
+                _RULES.popitem(last=False)
+        else:
+            _RULES.move_to_end(key)
+    return entry[1], entry[2]
 
 
 class _TraceFreeRows:
@@ -311,18 +351,17 @@ class _TraceFreeRows:
     core A = diag(a) + theta sqrt(w) sqrt(w)^T at sqrt(w), whose transform
     is m_mu / (1 - theta m_mu).  Both rules are Lanczos on f of the core
     (`SpectralOperator.core_function`; with theta f is a RationalFn, as in
-    a spiked run).  A schedule of distinct f keeps the law's nodes; theta
-    is for one f."""
+    a spiked run), built once per measure, f, T and theta
+    (`_memo_gauss_rule`).  A schedule of distinct f keeps the law's nodes;
+    theta is for one f."""
 
     def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable], template: str = "u",
                  theta: float | None = None):
         T = len(f_schedule)
         self.template = template
         nodes, w = law.quad_nodes()
-        if len({id(ft) for ft in f_schedule}) == 1:  # only the core is applied: no rotation
-            core = (SpectralOperator(nodes, rotation=None) if theta is None else
-                    SpectralOperator(nodes, rotation=None, z=np.sqrt(w), rho=theta))
-            f_nodes, w = _gauss_rule(core.core_function(f_schedule[0]), w, T + 1)
+        if len({id(ft) for ft in f_schedule}) == 1:
+            f_nodes, w = _memo_gauss_rule(nodes, w, f_schedule[0], T + 1, theta)
             self._f_at = lambda n: f_nodes
         else:
             self._f_at = lambda n: _map_eigenvalues(f_schedule[n - 1], nodes)

@@ -530,7 +530,33 @@ def parse_spec(spec: str, kind: str,
 def read_columns(path: str, what: str, widths: tuple[int, ...]) -> np.ndarray:
     """The (rows, columns) table of finite numbers in a text file: a row a line,
     '#' comments, blank lines skipped, every row as wide as the first, a width in
-    `widths`.  Errors are ValidationErrors naming `what`, the file and line."""
+    `widths`.  Errors are ValidationErrors naming `what`, the file and line.
+
+    The whole body is split and converted by `float` in one pass; a file it
+    does not accept is read again line by line (`_read_columns_by_line`),
+    which finds the first bad line and words the error."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        lines = text.split("\n")
+        if "#" in text:
+            lines = [line.split("#", 1)[0] for line in lines]
+        tokens = " ".join(lines).split()
+        filled = len(lines) - lines.count("") - sum(map(str.isspace, lines))
+        width = len(tokens) // filled if filled else 0
+        # every filled line holds a token, so with one column the count is the check
+        if (width in widths and len(tokens) == width * filled
+                and (width == 1 or all(len(line.split()) in (0, width) for line in lines))):
+            data = np.array(list(map(float, tokens)))
+            if np.isfinite(data).all():
+                return data.reshape(filled, width)
+    except (OSError, UnicodeDecodeError, ValueError):
+        pass
+    return _read_columns_by_line(path, what, widths)
+
+
+def _read_columns_by_line(path: str, what: str, widths: tuple[int, ...]) -> np.ndarray:
+    """`read_columns` one line and one value (`parse_number`) at a time."""
     rows = []
     try:
         with open(path) as fh:

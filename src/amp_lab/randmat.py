@@ -40,21 +40,26 @@ GOE_MIRROR_BLOCK = 256  # rows per block when a dense N x N matrix is mirrored o
 class _RevealedPairs:
     """Orthonormal rows a_1..a_k and b_1..b_k with O a_i = b_i, and the
     generator that reveals the rest of O.  Storage doubles as pairs are
-    added."""
+    added, or grows when room is reserved for them."""
 
     def __init__(self, N: int, seed: int):
         self.rng = np.random.default_rng(seed)
         self.rows = np.empty((2, min(N, 16), N))  # rows[0, i] = a_i, rows[1, i] = b_i
         self.k = 0
 
+    def reserve(self, m: int) -> None:
+        """Room for m more pairs (at most N in all), so the next m appends
+        copy nothing; a store too small at least doubles."""
+        k, cap, N = self.k, self.rows.shape[1], self.rows.shape[2]
+        if k + m > cap and cap < N:
+            grown = np.empty((2, min(max(2 * cap, k + m), N), N))
+            grown[:, :k] = self.rows[:, :k]
+            self.rows = grown
+
     def append(self, a: np.ndarray, b: np.ndarray) -> None:
         """Record the pairs a[j] -> b[j] (arrays of shape (m, N))."""
         k, m = self.k, a.shape[0]
-        if k + m > self.rows.shape[1]:
-            grown = np.empty((2, min(max(2 * self.rows.shape[1], k + m), self.rows.shape[2]),
-                              self.rows.shape[2]))
-            grown[:, :k] = self.rows[:, :k]
-            self.rows = grown
+        self.reserve(m)
         self.rows[0, k:k + m] = a
         self.rows[1, k:k + m] = b
         self.k = k + m
@@ -71,6 +76,23 @@ def _project_off(v: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c + c2, r
 
 
+def _fresh_direction(g: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The unit vector along g's part orthogonal to the orthonormal rows of
+    Q.  One classical Gram-Schmidt pass is enough when its residual keeps at
+    least 1/sqrt(2) of |g|; a second pass is taken only when it keeps less
+    ("twice is enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
+    2005).  A Gaussian g off a span of k << N dimensions keeps about
+    sqrt(1 - k/N) of its norm, so runs take one pass."""
+    norm = float(np.linalg.norm(g))
+    g = g - (Q @ g) @ Q
+    kept = float(np.linalg.norm(g))
+    if kept < np.sqrt(0.5) * norm:
+        g -= (Q @ g) @ Q
+        kept = float(np.linalg.norm(g))
+    g /= kept
+    return g
+
+
 @dataclass(frozen=True)
 class LazyHaarRotation:
     """Haar orthogonal O, revealed only on the vectors it is applied to.
@@ -78,13 +100,14 @@ class LazyHaarRotation:
     The rotation keeps orthonormal pairs (a_i, b_i) with O a_i = b_i.  A
     query O @ x splits x = A^T c + rho e with e a unit vector orthogonal to
     the a_i (CGS2) and returns B^T c + rho g, where g is a fresh standard
-    normal vector projected off the b_i and normalized; the pair (e, g) is
-    recorded.  Given the pairs, O maps the complement of span(a) onto that of
-    span(b) as a Haar isometry, so O e is uniform on the unit sphere of the
-    latter: every answer has the Haar law conditioned on the earlier ones
-    (Rangan, Schniter & Fletcher, IEEE TIT 65, 2019; Takeuchi, IEEE TIT 66,
-    2020).  O.T @ y is the same query with the roles of a and b swapped.  A
-    query costs O(N k) for k pairs.
+    normal vector projected off the b_i (one pass unless a second is needed,
+    `_fresh_direction`) and normalized; the pair (e, g) is recorded.  Given
+    the pairs, O maps the complement of span(a) onto that of span(b) as a
+    Haar isometry, so O e is uniform on the unit sphere of the latter:
+    every answer has the Haar law conditioned on the earlier ones (Rangan,
+    Schniter & Fletcher, IEEE TIT 65, 2019; Takeuchi, IEEE TIT 66, 2020).
+    O.T @ y is the same query with the roles of a and b swapped.  A query
+    costs O(N k) for k pairs.
 
     A residual rho <= RANK_TOL |x| is rounding, not a new direction: it is
     dropped and no pair is recorded.  Recording such noise would break the
@@ -138,8 +161,7 @@ class LazyHaarRotation:
         y = c @ dst
         rho = float(np.linalg.norm(r))
         if P.k < self.N and rho > RANK_TOL * float(np.linalg.norm(x)):
-            _, g = _project_off(P.rng.standard_normal(self.N), dst)
-            g /= np.linalg.norm(g)
+            g = _fresh_direction(P.rng.standard_normal(self.N), dst)
             y += rho * g
             e = r / rho
             a, b = (g, e) if self.transposed else (e, g)

@@ -81,8 +81,10 @@ def test_linear_denoiser():
 
 def test_arity_mismatch_raises():
     den = tanh_denoiser(2)
-    with pytest.raises(ValidationError):
-        den.evaluate(_history(3, 4))
+    for call in (den.evaluate, den.divergences, den.evaluate_with_divergences):
+        with pytest.raises(ValidationError,
+                           match=r"^denoiser 'tanh\(scale=1.0\)' expects 2 history rows, got 3$"):
+            call(_history(3, 4))
 
 
 @pytest.mark.parametrize("factory", [
@@ -159,3 +161,24 @@ def test_tanh_partials_property(scale, seed):
     den = tanh_denoiser(1, scale=scale)
     R = np.random.default_rng(seed).standard_normal((1, 20))
     assert np.max(np.abs(den.partials(R) - _fd_partials(den, R))) < 1e-5
+
+
+@pytest.mark.parametrize("factory", [
+    lambda t: tanh_denoiser(t, scale=1.3),
+    lambda t: random_lipschitz_denoiser(t, seed=5),
+    lambda t: linear_denoiser(np.arange(1.0, t + 1.0)),
+    lambda t: additive_denoiser("two-term", [[0.5, -1.0, 0.0], [0.2, 0.3, 1.1]], np.tanh,
+                                lambda s: 1.0 - np.tanh(s) ** 2, weights=[0.7, -1.3],
+                                offsets=[0.1, -0.4]),
+])
+def test_fused_evaluation_matches_evaluate_and_the_mean_of_the_partials(factory):
+    # one pass of the link arguments gives eta bit for bit as `evaluate`,
+    # and the average-first divergence row equals `divergences` bit for bit
+    # and the mean of the (t, N) partials to rounding
+    den = factory(3)
+    R = _history(3, 500, seed=4)
+    value, div = den.evaluate_with_divergences(R)
+    assert np.array_equal(value, den.evaluate(R))
+    assert np.array_equal(div, den.divergences(R))
+    ref = den.partials(R).mean(axis=1)
+    assert np.all(np.abs(div - ref) <= 1e-15 * np.abs(ref).max())

@@ -2,15 +2,17 @@
 exactness, cross-variant consistency, and the run record."""
 
 import tracemalloc
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from amp_lab import engines, se
-from amp_lab.denoisers import (identity_denoiser, linear_mmse_combining_denoiser,
-                               random_lipschitz_denoiser, tanh_denoiser)
+from amp_lab import engines, freeprob, se
+from amp_lab.denoisers import (additive_denoiser, identity_denoiser,
+                               linear_mmse_combining_denoiser, random_lipschitz_denoiser,
+                               tanh_denoiser)
 from amp_lab.engines import (
     HORIZON_CAP,
     _replay,
@@ -521,6 +523,43 @@ def test_verify_unfolding_maps_each_distinct_f_once():
     assert len(calls) == 2 + 2 * T
     assert np.array_equal(rep.per_t_errors, again.per_t_errors)
     assert np.array_equal(rep.trace_residuals, again.trace_residuals)
+
+
+def test_a_session_builds_one_gauss_rule_per_grid_and_f(monkeypatch):
+    # three variants on two seeds of one grid: ri-amp and ri-amp-df share
+    # f = identity, ri-amp-mp has its own f, so two rules, not six
+    built = []
+    orig = freeprob._gauss_rule
+    monkeypatch.setattr(freeprob, "_RULES", OrderedDict())
+    monkeypatch.setattr(freeprob, "_gauss_rule", lambda *a: built.append(a) or orig(*a))
+    law, N, T = MarchenkoPastur(alpha=0.3), 300, 6
+    f = mp_denoise_fn(1.2, 0.3)
+    for seed in (1, 2):
+        ens, u1 = _setup(law, N, seed=seed)
+        dens = _lip_dens(T, seed=10 * seed)
+        run_ri_amp(ens, law, dens, u1, T)
+        run_ri_amp_df(ens, law, dens, u1, T)
+        run_ri_amp_mp(ens, law, f, dens, u1, T)
+    assert len(built) == 2
+
+
+def test_a_run_evaluates_the_denoiser_link_once_per_step():
+    calls = {"link": 0, "link_prime": 0}
+
+    def counted(name, g):
+        def fn(s):
+            calls[name] += 1
+            return g(s)
+        return fn
+
+    law, N, T = Semicircle(), 300, HORIZON_CAP
+    ens, u1 = _setup(law, N, seed=3)
+    link, link_prime = counted("link", np.tanh), counted("link_prime",
+                                                         lambda s: 1.0 - np.tanh(s) ** 2)
+    dens = [additive_denoiser("tanh", np.eye(t)[-1:], link, link_prime) for t in range(1, T + 1)]
+    run = run_ri_amp(ens, law, dens, u1, T)
+    assert calls == {"link": T, "link_prime": T}
+    assert ubar_divergences(run) == 0.0
 
 
 def test_unfolding_population_mode_approximate():

@@ -3,6 +3,9 @@ recursion, polynomial families, partial moments, and Monte Carlo estimators."""
 
 import itertools
 import math
+import threading
+import time
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amp_lab import freeprob
 from amp_lab.engines import IDENTITY
 from amp_lab.errors import NumericalError, SizeLimitError, ValidationError
 from amp_lab.freeprob import (
+    GAUSS_RULE_MEMO,
     NC_ORDER_CAP,
     _center_on_moments,
     _gauss_rule,
+    _memo_gauss_rule,
     _nc_gen,
     _TraceFreeRows,
     build_poly_family,
@@ -341,6 +347,77 @@ def test_gauss_rule_of_a_huge_measure_is_the_scaled_rule():
 def test_gauss_rule_refuses_a_measure_without_positive_finite_mass(weights):
     with pytest.raises(NumericalError, match="not a positive mass"):
         _gauss_rule(lambda v: v, weights, 2)
+
+
+@pytest.fixture
+def rule_memo(monkeypatch):
+    """An empty Gauss-rule memo for one test, and a count of the rules built."""
+    built = []
+    orig = freeprob._gauss_rule
+
+    def counting(*args):
+        built.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(freeprob, "_RULES", OrderedDict())
+    monkeypatch.setattr(freeprob, "_gauss_rule", counting)
+    return built
+
+
+def test_memo_rule_is_the_built_rule_read_only(rule_memo):
+    nodes, w = MarchenkoPastur(alpha=0.3).quad_nodes()
+    f = lambda x: x + 0.3 * x**2  # noqa: E731
+    x, wx = _memo_gauss_rule(nodes, w, f, 5, None)
+    ref = _gauss_rule(lambda v: f(nodes) * v, w, 5)
+    assert np.array_equal(x, ref[0]) and np.array_equal(wx, ref[1])
+    assert not x.flags.writeable and not wx.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    again = _memo_gauss_rule(nodes.copy(), w.copy(), f, 5, None)  # equal arrays, new objects
+    assert again[0] is x and again[1] is wx and len(rule_memo) == 1
+    # a new f, k, theta or measure is a new rule; nothing N-long is in a key
+    g = lambda x: x + 0.3 * x**2  # noqa: E731
+    _memo_gauss_rule(nodes, w, g, 5, None)
+    _memo_gauss_rule(nodes, w, IDENTITY, 5, None)
+    _memo_gauss_rule(nodes, w, IDENTITY, 5, 1.5)
+    _memo_gauss_rule(nodes, w, f, 4, None)
+    _memo_gauss_rule(nodes, 0.5 * w, f, 5, None)
+    assert len(rule_memo) == len(freeprob._RULES) == 6
+    assert _memo_gauss_rule(nodes, w, g, 5, None)[0] is not x
+    for key in freeprob._RULES:
+        assert all(not isinstance(part, np.ndarray) for part in key)
+
+
+def test_memo_rule_stays_bounded(rule_memo):
+    nodes, w = Semicircle().quad_nodes()
+    fs = [lambda x, c=c: x + c * x**2 for c in range(3 * GAUSS_RULE_MEMO)]
+    for f in fs:
+        _memo_gauss_rule(nodes, w, f, 3, None)
+    assert len(freeprob._RULES) == GAUSS_RULE_MEMO
+    _memo_gauss_rule(nodes, w, fs[-1], 3, None)  # the most recent ones are kept
+    assert len(rule_memo) == 3 * GAUSS_RULE_MEMO
+
+
+def test_memo_rule_is_built_once_by_concurrent_threads(rule_memo, monkeypatch):
+    slow = freeprob._gauss_rule
+
+    def slower(*args):
+        time.sleep(0.05)
+        return slow(*args)
+
+    monkeypatch.setattr(freeprob, "_gauss_rule", slower)
+    nodes, w = Semicircle().quad_nodes()
+    out = [None] * 4
+
+    def work(i):
+        out[i] = _memo_gauss_rule(nodes, w, IDENTITY, 4, None)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert len(rule_memo) == 1 and all(o[0] is out[0][0] for o in out)
 
 
 @pytest.mark.parametrize("template", ["ubar", "oamp"])

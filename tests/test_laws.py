@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from amp_lab.errors import DomainError, NumericalError, ValidationError
@@ -16,10 +16,12 @@ from amp_lab.laws import (
     MarchenkoPastur,
     Semicircle,
     _leggauss,
+    _read_columns_by_line,
     catalan,
     load_law_file,
     parse_law_spec,
     point_mass,
+    read_columns,
 )
 from amp_lab.se import find_outlier
 
@@ -297,6 +299,41 @@ def test_load_law_file_errors_carry_line_numbers(tmp_path):
     r.write_text("# nothing\n")
     with pytest.raises(ValidationError, match="no data"):
         load_law_file(str(r))
+
+
+def test_a_200k_line_law_file_reads_as_loadtxt_does(tmp_path):
+    # the one-pass reader: about 0.15 s for this file on a 2-core x86-64
+    # host, where the value-by-value reader took 0.33 s and np.loadtxt 0.09 s
+    atoms = MarchenkoPastur(alpha=0.2).quantile_grid(200_000).atoms
+    p = tmp_path / "law.txt"
+    p.write_text("# MP(0.2) quantiles\n" + "\n".join(map(repr, atoms.tolist())) + "\n\n")
+    data = read_columns(str(p), "law file", (1, 2))
+    assert data.shape == (200_000, 1)
+    assert np.array_equal(data[:, 0], np.loadtxt(str(p)))
+    assert np.array_equal(data[:, 0], atoms)
+
+
+_TABLE_PIECES = ["1", "-2.5", "3e2", "1_0", "nan", "inf", "x", "#", " ", "\t", "\x0b", "\x0c",
+                 "\n", "\r", "\r\n"]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(_TABLE_PIECES), max_size=30))
+@example(["1", " ", "-2.5", " ", "3e2", "\n", "1_0"])  # 3 + 1 values: two rows of two by count
+@example(["1", "\r", "-2.5", "#", "x", "\n", "\x0c", "3e2"])
+def test_one_pass_reader_agrees_with_the_line_reader(tmp_path, pieces):
+    # the same table or the same error message, word for word
+    p = tmp_path / "table.txt"
+    p.write_text("".join(pieces), newline="")
+
+    def outcome(reader):
+        try:
+            return reader(str(p), "law file", (1, 2)).tolist()
+        except ValidationError as exc:
+            return str(exc)
+
+    assert outcome(read_columns) == outcome(_read_columns_by_line)
 
 
 @pytest.mark.parametrize("name", ["", "absent.txt", "."])

@@ -187,6 +187,71 @@ def test_lazy_haar_rotation_holds_only_its_pairs():
     assert peak <= 0.02 * 8 * N * N  # Householder reflectors alone were 0.5
 
 
+def test_fresh_direction_takes_a_second_pass_only_when_the_first_loses_norm():
+    rng = np.random.default_rng(3)
+    N = 200
+    Q = np.linalg.qr(rng.standard_normal((N, 5)))[0].T
+    # mostly off the span: one pass, bit for bit the first CGS step
+    g = rng.standard_normal(N)
+    one = g - (Q @ g) @ Q
+    assert np.array_equal(randmat._fresh_direction(g.copy(), Q), one / np.linalg.norm(one))
+    # 1e8 along the span: one pass leaves a component about 1e-8 of the
+    # result along it, the second pass removes it
+    h = 1e8 * Q[0] + rng.standard_normal(N)
+    first = h - (Q @ h) @ Q
+    assert np.abs(Q @ (first / np.linalg.norm(first))).max() > 1e-12
+    e = randmat._fresh_direction(h, Q)
+    assert np.abs(Q @ e).max() <= 1e-15 and abs(e @ e - 1.0) <= 1e-15
+
+
+def test_revealed_pairs_stay_orthonormal_up_to_a_full_rotation(monkeypatch):
+    # querying every column of I on a small rotation reveals all N pairs;
+    # late fresh directions keep about sqrt(1 - k/N) of their norm, so both
+    # branches of `_fresh_direction` run
+    N = 24
+    seen = []
+    orig = randmat._fresh_direction
+
+    def spy(g, Q):
+        rest = g - (Q @ g) @ Q
+        seen.append(np.linalg.norm(rest) >= np.sqrt(0.5) * np.linalg.norm(g))
+        return orig(g, Q)
+
+    monkeypatch.setattr(randmat, "_fresh_direction", spy)
+    rot = sample_haar_rotation(N, seed=11)
+    for j in range(N):
+        (rot.T if j % 2 else rot) @ np.eye(N)[j]
+    assert rot.pairs.k == N and True in seen and False in seen
+    for side in rot.pairs.rows:
+        assert np.abs(side @ side.T - np.eye(N)).max() <= 1e-13
+
+
+def test_a_run_grows_the_pair_store_only_before_its_first_step(monkeypatch):
+    # a run reserves its 2T pairs up front: past the 16 rows a rotation
+    # starts with, the store is replaced once per run, never mid-iteration
+    grown = []
+    orig = randmat._RevealedPairs.reserve
+
+    def spy(self, m):
+        before = self.rows
+        orig(self, m)
+        if self.rows is not before:
+            grown.append(self.k)
+
+    monkeypatch.setattr(randmat._RevealedPairs, "reserve", spy)
+    N, T = 300, HORIZON_CAP
+    law = MarchenkoPastur(alpha=0.3)
+    ens = build_rot_invariant(law.quantile_grid(N).atoms, seed=5)
+    u1, u1_other = np.random.default_rng(6).choice([-1.0, 1.0], size=(2, N))
+    dens = [tanh_denoiser(t) for t in range(1, T + 1)]
+    run_ri_amp(ens, law, dens, u1, T)
+    assert ens.rotation.pairs.k == 2 * T and grown == [0]
+    run_ri_amp(ens, law, dens, u1_other, T)
+    assert ens.rotation.pairs.k == 4 * T and grown == [0, 2 * T]
+    ens.rotation.pairs.reserve(10 * N)  # never room for more than N pairs
+    assert ens.rotation.pairs.rows.shape == (2, N, N)
+
+
 def test_lazy_haar_law_matches_qr_reference():
     # two-sample KS between the lazy sampler and QR with sign correction,
     # on disjoint seeds: sqrt(N) O[0, 0] and a fixed bilinear form u^T O v
