@@ -34,7 +34,6 @@ class Denoiser:
     link_prime: Callable
     weights: np.ndarray
     offsets: np.ndarray
-    lipschitz_bound: float
 
     @property
     def arity(self) -> int:
@@ -83,15 +82,12 @@ class Denoiser:
 def additive_denoiser(name: str, P, link: Callable, link_prime: Callable,
                       weights=None, offsets=None) -> Denoiser:
     """eta(R) = sum_k weights_k link(P[k] @ R + offsets_k) with arity
-    P.shape[1] (weights default to 1, offsets to 0).  Every link used here is
-    1-Lipschitz, so sum_k |weights_k| sum_i |P[k, i]| bounds the Lipschitz
-    constant."""
+    P.shape[1] (weights default to 1, offsets to 0)."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     K = P.shape[0]
     c = np.ones(K) if weights is None else np.asarray(weights, dtype=float)
     b = np.zeros(K) if offsets is None else np.asarray(offsets, dtype=float)
-    return Denoiser(name, P, link, link_prime, c, b,
-                    lipschitz_bound=float((np.abs(c) * np.abs(P).sum(axis=1)).sum()))
+    return Denoiser(name, P, link, link_prime, c, b)
 
 
 def projection_denoiser(name: str, p, link: Callable, link_prime: Callable) -> Denoiser:

@@ -21,11 +21,11 @@ the centering tr f_t(W) / N.  With one f the recursion runs on the
 T + 1 point Gauss rule of the debias law's pushforward under f, exact for
 the rows' polynomial degree, and otherwise at the law's quadrature nodes.
 
-The unfolding verifier replays the template from the run's own record
-(Phi, E, f): once on its ubar by products with the operator's core in W's
-eigenbasis, spiked or not, to reconstruct every r_t, and once at the nodes
-of a law (the run's debias law by default) for the trace residuals
-E_law[V], zero when the recorded E is trace-free under that law.
+The unfolding verifier replays the template with the same rows, given the
+run's own record (Phi, E, f): from its ubar in W's eigenbasis with f of the
+operator's core, spiked or not, to reconstruct every r_t, and from the unit
+rows at the nodes of a law (the run's debias law by default) for the trace
+residuals E_law[V], zero when the recorded E is trace-free under that law.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ import numpy as np
 
 from .denoisers import Denoiser, last_row_denoiser
 from .errors import NumericalError, ValidationError
-from .freeprob import _combine, _TraceFreeRows, phi_powers
+from .freeprob import _map_distinct, _TraceFreeRows, _unit_rows, phi_powers
 from .laws import DiscreteGrid, Semicircle, SpectralLaw
-from .randmat import (IDENTITY, LazyHaarRotation, SpectralOperator, _eigh, _map_eigenvalues,
-                      dense_symmetric)
+from .randmat import IDENTITY, LazyHaarRotation, SpectralOperator, _eigh, dense_symmetric
 
 HORIZON_CAP = 10
 # each variant's template (`freeprob._TraceFreeRows`): x = u, x = ubar, or OAMP's x = u = ubar
@@ -131,11 +130,9 @@ def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: st
     if len(f_schedule) < T:
         raise ValidationError(f"need {T} matrix functions for horizon T={T}")
     f_schedule = f_schedule[:T]
-    distinct = {id(ft): ft for ft in f_schedule}  # an operator holds f at the N eigenvalues
-    ops = {key: operator.function(ft) for key, ft in distinct.items()}  # one per distinct f
-    f_ops = [ops[id(ft)] for ft in f_schedule]
+    f_ops = _map_distinct(operator.function, f_schedule)  # each holds f at the N eigenvalues
     template = _TEMPLATE[variant]
-    rows = _TraceFreeRows(dlaw, f_schedule, template=template)
+    rows = _TraceFreeRows.over(dlaw, f_schedule, template)
     N = operator.N
     u1 = np.asarray(u1, dtype=float)
     if u1.shape != (N,):
@@ -236,51 +233,36 @@ class UnfoldedRepresentation:
     max_error: float
 
 
-def _replay(run: AmpRun, S, times_f: Sequence[Callable]) -> list:
-    """r_1..r_T of the run's own template (`_TEMPLATE`), replayed from
-    S[t-1] = ubar_t: u_t = ubar_t + sum_{i<t} Phi_{t,i} r_i (u_t = ubar_t
-    for OAMP) and r_t = f_t u_t - sum_{i<=t} E_{t,i} x_i, with the recorded
-    Phi and E = tril(debias) and times_f[t-1] applying f_t.  The map is
-    linear in S.  An entry whose leading axis is shorter than its step's
-    stands for zeros past its end (`freeprob._combine`), so rows started
-    from unit vectors keep only the lower triangle of V in r = V ubar."""
-    template = _TEMPLATE[run.variant]
-    E = np.tril(run.debias)
-    x, r = [], []
-    for t, s_t in enumerate(S):
-        u_t = s_t if template == "oamp" else _combine(np.array(s_t), run.phi[t], r)
-        x.append(u_t if template == "u" else s_t)
-        r.append(_combine(times_f[t](u_t), -E[t], x))
-    return r
-
-
 def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRepresentation:
-    """Replay the run's template r = V(M) ubar twice: at the nodes of `law`
-    from unit vectors, for the trace residuals |E_law[V_{t,j}(Lambda)]| (first,
-    so the T(T+1) node rows are freed before the reconstruction), and on its
-    own ubar in W's eigenbasis, for the relative error of each r_t.  `law`
-    defaults to the run's debias law, under which the recorded E is trace-free.
+    """Replay the run's template r = V(M) ubar with its Phi and recorded E
+    (`_TraceFreeRows`) twice: from the unit rows at the nodes of `law`, for
+    the trace residuals |E_law[V_{t,j}(Lambda)]| (first, so the T(T+1) node
+    rows are freed before the reconstruction), and from its own ubar in W's
+    eigenbasis, for the relative error of each r_t.  `law` defaults to the
+    run's debias law, under which the recorded E is trace-free.
 
     On a lazy rotation the errors depend on every pair revealed before the
     verification, by the other runs on the operator too, to rounding.  So a
     byte-for-byte comparison of one variant's report across changes that
     touch another variant's rounding needs one rotation per variant."""
     law = run.debias_law if law is None else law
-    T, op, fs = run.T, run.operator, run.f_schedule
-    distinct = {id(f): f for f in fs}  # each distinct f is mapped once per node set
+    T, op = run.T, run.operator
+
+    def replay(start, core: SpectralOperator) -> list:
+        rows = _TraceFreeRows(start, _map_distinct(core.core_function, run.f_schedule),
+                              _TEMPLATE[run.variant])
+        for t in range(T):
+            rows.append(run.phi[t, :t], run.debias[t, : t + 1])
+        return rows.J
+
     nodes, w = law.quad_nodes()
-    units = (np.eye(t + 1, 1, -t).repeat(nodes.size, axis=1) for t in range(T))  # e_t at all nodes
     residuals = np.zeros((T, T))
-    at_nodes = {key: _map_eigenvalues(f, nodes) for key, f in distinct.items()}
-    times_f = [lambda s, v=at_nodes[id(f)]: v * s for f in fs]
-    for t, v_t in enumerate(_replay(run, units, times_f)):
+    for t, v_t in enumerate(replay(_unit_rows(nodes.size), SpectralOperator(nodes, rotation=None))):
         residuals[t, : t + 1] = np.abs((v_t * w).sum(axis=1))
     # compared in W's eigenbasis: each r_t lies in the span a lazy rotation
     # has revealed, so O^T r reveals nothing, while O applied to the
     # reconstruction would record its rounding as new directions of O
-    S = op.to_spectral(np.column_stack(run.ubar[:T])).T
-    cores = {key: op.core_function(f) for key, f in distinct.items()}
-    r_hat = np.column_stack(_replay(run, S, [cores[id(f)] for f in fs]))
+    r_hat = np.column_stack(replay(op.to_spectral(np.column_stack(run.ubar[:T])).T, op))
     R = op.to_spectral(np.column_stack(run.r))
     errors = np.linalg.norm(r_hat - R, axis=0) / np.maximum(np.linalg.norm(R, axis=0), 1e-300)
     return UnfoldedRepresentation(

@@ -8,6 +8,7 @@ coefficient arrays against the moments of Lambda (`moments_to_cumulants`, and
 P_n = x P_{n-1} - c_n P_0), against those of f(Lambda) (the K family), and
 vectors with x = W (`mc_cumulants`).  Summation over non-crossing
 partitions (`cumulants_to_moments_nc`) is its independent oracle.
+`_TraceFreeRows` replays the long-memory OAMP template of every AMP variant.
 Arithmetic is generic: `fractions.Fraction` inputs keep every intermediate
 exact, so round trips are not tolerance-limited.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, SizeLimitError, ValidationError
 from .laws import SpectralLaw
-from .randmat import SpectralOperator, _map_eigenvalues, dense_symmetric
+from .randmat import SpectralOperator, dense_symmetric
 
 NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
@@ -281,7 +282,7 @@ def _combine(v: np.ndarray, coeffs, rows: Sequence[np.ndarray]) -> np.ndarray:
     A row shorter than v along the leading axis stands for zeros past its
     end.  Both linear steps of the template, u = ubar + Phi r and
     r = f u - E x, are this one step (the second with -E) on the rows of
-    `_TraceFreeRows` and in the verifier's replay."""
+    `_TraceFreeRows`."""
     for c, row in zip(coeffs, rows):
         v[: len(row)] += c * row
     return v
@@ -322,69 +323,89 @@ def _memo_gauss_rule(nodes: np.ndarray, w: np.ndarray, f: Callable, k: int,
     return entry[1], entry[2]
 
 
+def _map_distinct(g: Callable, fs: Sequence[Callable]) -> list:
+    """[g(f) for f in fs], calling g once per distinct f object."""
+    done = {id(f): f for f in fs}
+    done = {key: g(f) for key, f in done.items()}
+    return [done[id(f)] for f in fs]
+
+
+def _unit_rows(width: int):
+    """e_1, e_2, ... at `width` nodes: e_n is (n, width), ones in its last row."""
+    return (np.eye(n, 1, 1 - n).repeat(width, axis=1) for n in itertools.count(1))
+
+
 class _TraceFreeRows:
-    """Onsager rows E of the template r_t = f_t u_t - sum_i E_{t,i} x_i,
-    u = ubar + Phi r, over a law, appended one per step with the rows of
-    u = S ubar and r = J ubar.  `template` picks x = u ("u": RI-AMP,
-    RI-AMP-MP), x = ubar ("ubar": RI-AMP-DF), or x = u = ubar ("oamp": OAMP,
-    whose rows ignore Phi).
+    """The template r_t = f_t u_t - sum_i E_{t,i} x_i, u = ubar + Phi r,
+    replayed one step per `append` from the start rows ubar_1, ubar_2, ...:
+    the Onsager rows of runs and state evolution (`over`) and both passes of
+    the unfolding verifier, which gives the run's E.  `template` picks x = u
+    ("u": RI-AMP, RI-AMP-MP), x = ubar ("ubar": RI-AMP-DF), or x = u = ubar
+    ("oamp": OAMP, whose rows ignore Phi).  `f_maps[n-1]` applies f_n of an
+    operator's core (`SpectralOperator.core_function`), at nodes its values
+    times a row; `mean` takes E_mu with the nodes' weights `w` as a pairwise
+    sum, whose rounding grows with log(width).
 
-    S is unit lower triangular and S = I + Phi J, so row n of S needs only
-    the earlier rows of J: S_n = e_n + sum_{k<n} Phi_{n,k} J_k (S_n = e_n
-    for OAMP).  Row n of J is J_n = f_n S_n - sum_{m<=n} E_{n,m} X_m, X_m
-    = S_m for x = u and the unit row e_m for x = ubar, so E_mu[J_n] = 0 is
-    the lower-triangular system E_mu[X]^T e = E_mu[f_n S_n], whose diagonal
-    is the rule's mass.  With f = identity the rows of E are
-    sum_i kappa_i Phi^{i-1} for x = u (kappa the free cumulants) and
+    From the unit rows e_n at nodes (`_unit_rows`), S_n, X_n and J_n are the
+    (n, width) rows of u = S ubar, x = X ubar and r = J ubar at each node;
+    from vectors (ubar_n in W's eigenbasis), J_n is r_n.  S = I + Phi J, so
+    S_n = e_n + sum_{k<n} Phi_{n,k} J_k (S_n = e_n for OAMP), and J_n =
+    f_n S_n - sum_{m<=n} E_{n,m} X_m, X_m = S_m for x = u and e_m for
+    x = ubar.  So E_mu[J_n] = 0 is the lower-triangular system
+    E_mu[X]^T e = E_mu[f_n S_n], whose diagonal is the rule's mass, solved
+    when `append` is not given a row of E.  With f = identity the rows of E
+    are sum_i kappa_i Phi^{i-1} for x = u (kappa the free cumulants) and
     sum_i gamma_i Phi^{i-1} for x = ubar (gamma the H family's centering
-    constants).  Each row costs O(width n^2); S_n, X_n and J_n are (n, width)
-    arrays of values at nodes, and `mean` takes E_mu of their entries as a
-    pairwise sum, whose rounding grows with log(width).
+    constants).  Each row costs O(width n^2)."""
 
-    Each entry is a polynomial of degree <= T in f_1..f_T, so a product of
-    two (state evolution's Sigma) has degree <= 2 T.  With one f (all f_t
-    the same object) the nodes are the T + 1 point Gauss rule, exact to
-    degree 2 T + 1, of f's pushforward of the law's `quad_nodes` (a, w)
-    (every atom of a grid, 400 nodes of a population law), and
-    multiplying by f multiplies by the rule's nodes.  With `theta` they are
-    the rule of f's pushforward of nu, the spectral measure of the spiked
-    core A = diag(a) + theta sqrt(w) sqrt(w)^T at sqrt(w), whose transform
-    is m_mu / (1 - theta m_mu).  Both rules are Lanczos on f of the core
-    (`SpectralOperator.core_function`; with theta f is a RationalFn, as in
-    a spiked run), built once per measure, f, T and theta
-    (`_memo_gauss_rule`).  A schedule of distinct f keeps the law's nodes;
-    theta is for one f."""
-
-    def __init__(self, law: SpectralLaw, f_schedule: Sequence[Callable], template: str = "u",
-                 theta: float | None = None):
-        T = len(f_schedule)
+    def __init__(self, start, f_maps: Sequence[Callable], template: str,
+                 w: np.ndarray | None = None):
+        self._start = iter(start)
+        self.f_maps = f_maps
         self.template = template
-        nodes, w = law.quad_nodes()
-        if len({id(ft) for ft in f_schedule}) == 1:
-            f_nodes, w = _memo_gauss_rule(nodes, w, f_schedule[0], T + 1, theta)
-            self._f_at = lambda n: f_nodes
-        else:
-            self._f_at = lambda n: _map_eigenvalues(f_schedule[n - 1], nodes)
         self.w = w
         self.X: list = []
         self.J: list = []
-        self.X_mean = np.zeros((T, T))  # row m-1: E_mu[X_m]
+        self.X_mean = np.zeros((len(f_maps), len(f_maps)))  # row m-1: E_mu[X_m]
+
+    @classmethod
+    def over(cls, law: SpectralLaw, f_schedule: Sequence[Callable], template: str = "u",
+             theta: float | None = None) -> "_TraceFreeRows":
+        """The rows over a law from the unit rows at its nodes, for runs and
+        state evolution.  With one f (all f_t the same object) the nodes are
+        the T + 1 point Gauss rule of f's pushforward of the law's
+        `quad_nodes` (a, w), exact to degree 2 T + 1, which covers an entry
+        (degree <= T in f) and a product of two (SE's Sigma).  With `theta`
+        it is the rule of f's pushforward of nu, the spectral measure of the
+        spiked core A = diag(a) + theta sqrt(w) sqrt(w)^T at sqrt(w)
+        (transform m_mu / (1 - theta m_mu)).  Both are Lanczos on f of the
+        core (f a RationalFn with theta), built once per measure, f, T and
+        theta (`_memo_gauss_rule`).  Distinct f keep the law's nodes."""
+        T = len(f_schedule)
+        nodes, w = law.quad_nodes()
+        if len({id(ft) for ft in f_schedule}) == 1:
+            f_nodes, w = _memo_gauss_rule(nodes, w, f_schedule[0], T + 1, theta)
+            f_maps = [lambda s: f_nodes * s] * T
+        else:
+            f_maps = _map_distinct(SpectralOperator(nodes, rotation=None).core_function,
+                                   f_schedule)
+        return cls(_unit_rows(w.size), f_maps, template, w)
 
     def mean(self, a: np.ndarray) -> np.ndarray:
         return (a * self.w).sum(axis=1)
 
     def append(self, phi_row: np.ndarray, e_row: np.ndarray | None = None) -> np.ndarray:
-        """Append row n = len(X) + 1 from phi_row = Phi[n-1, :n-1] and return
-        row n of E: e_row when given, else the trace-free solution."""
+        """Append row n = len(X) + 1 from the next start row and phi_row =
+        Phi[n-1, :n-1] and return row n of E: e_row when given, else the
+        trace-free solution, which needs every earlier row solved too."""
         n = len(self.X) + 1
-        e_n = np.zeros((n, self.w.size))
-        e_n[n - 1] = 1.0
-        s = e_n if self.template == "oamp" else _combine(e_n.copy(), phi_row, self.J)
-        x = e_n if self.template == "ubar" else s
-        j = self._f_at(n) * s
+        start = next(self._start)
+        s = start if self.template == "oamp" else _combine(np.array(start), phi_row, self.J)
+        x = start if self.template == "ubar" else s
+        j = self.f_maps[n - 1](s)
         self.X.append(x)
-        self.X_mean[n - 1, :n] = self.mean(x)
         if e_row is None:
+            self.X_mean[n - 1, :n] = self.mean(x)
             e_row = np.linalg.solve(self.X_mean[:n, :n].T, self.mean(j))
         self.J.append(_combine(j, -e_row, self.X))
         return e_row

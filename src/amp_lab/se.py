@@ -4,8 +4,9 @@ One recursion, `_evolve`, serves RI-AMP, RI-AMP-DF, RI-AMP-MP, OAMP and the
 spiked model; Gaussian AMP is RI-AMP under the unit semicircle.  Every
 variant is long-memory OAMP, r_t = sum_s V_{t,s}(W) ubar_s with V
 trace-free, and the recursion appends row t of V at the rows' nodes over
-the law (and over nu, with a spike) by the row recursion the runs use
-(`freeprob._TraceFreeRows`), then integrates Sigma_t.  With one f those
+the law (and over nu, with a spike, given the E solved over the law) by
+the replay of the template that the runs and the unfolding verifier use
+(`freeprob._TraceFreeRows.over`), then integrates Sigma_t.  With one f those
 nodes are the T + 1 point Gauss rule of f's pushforward, exact for Sigma's
 degree 2 T.  Beside the rows it appends the moments of the step's new
 denoiser (`_MomentRows`) and carries the earlier ones: the entries of
@@ -323,14 +324,14 @@ def ri_amp_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState
 def ri_amp_df_se(law: SpectralLaw, denoisers, init: SeInit, T: int) -> list[SeState]:
     """State evolution of RI-AMP-DF: the x = ubar trace-free rows of
     f = identity (their E is its H-family Onsager matrix)."""
-    return _evolve(_TraceFreeRows(law, [IDENTITY] * T, template="ubar"), denoisers, init, T)
+    return _evolve(_TraceFreeRows.over(law, [IDENTITY] * T, "ubar"), denoisers, init, T)
 
 
 def ri_amp_mp_se(law: SpectralLaw, f: Callable, denoisers, init: SeInit,
                  T: int) -> list[SeState]:
     """State evolution of non-spiked RI-AMP-MP with one matrix function f:
     the trace-free rows of f."""
-    return _evolve(_TraceFreeRows(law, [f] * T), denoisers, init, T)
+    return _evolve(_TraceFreeRows.over(law, [f] * T), denoisers, init, T)
 
 
 def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int) -> np.ndarray:
@@ -357,8 +358,7 @@ def oamp_se(law: SpectralLaw, f_schedule: Sequence[Callable], g_schedule,
     """State evolution of OAMP, Sigma_t = Omega_t.  Its rows ignore Phi, so
     row t of V is the one entry f_t - E_mu f_t, and
     Omega_t = [Cov_mu(f_i, f_j)] o [E[Xbar_i Xbar_j]]."""
-    return _evolve(_TraceFreeRows(law, list(f_schedule[:T]), template="oamp"), g_schedule,
-                   init, T)
+    return _evolve(_TraceFreeRows.over(law, list(f_schedule[:T]), "oamp"), g_schedule, init, T)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +430,8 @@ def spiked_se(law: SpectralLaw, theta: float, f: RationalFn, denoisers,
               init: SeInit, T: int) -> list[SeState]:
     """Spiked-model state evolution for constant-f matrix processing: the
     trace-free rows of f on mu, and on nu with the E solved on mu, nu's
-    rule by Lanczos on f of the spiked core (`_TraceFreeRows` with theta)."""
+    rule by Lanczos on f of the spiked core (`_TraceFreeRows.over` with theta)."""
     if not (init.spiked and theta > 0):
         raise ValidationError("spiked_se requires theta > 0 and a spiked init (omega set)")
-    return _evolve(_TraceFreeRows(law, [f] * T), denoisers, init, T,
-                   nu_rows=_TraceFreeRows(law, [f] * T, theta=theta))
+    return _evolve(_TraceFreeRows.over(law, [f] * T), denoisers, init, T,
+                   nu_rows=_TraceFreeRows.over(law, [f] * T, theta=theta))

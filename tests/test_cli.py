@@ -467,7 +467,6 @@ def test_spec_resolvers_return_or_raise_validation_error(kind, data):
 _MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)  # across [1e-300, 1e300]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(spiked=st.booleans(), theta=_MAGNITUDE, omega=_MAGNITUDE, scale=_MAGNITUDE,
        T=st.integers(1, 3))
@@ -493,7 +492,6 @@ _OVERFLOWING = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cmd", ["se", "run"])
 @pytest.mark.parametrize("name", list(_OVERFLOWING))
 def test_overflowing_state_evolution_exits_2_naming_the_matrix(name, cmd, tmp_path, capsys):
@@ -519,7 +517,6 @@ def test_overflowing_mp_denoise_exits_1_naming_matrix_fn(tmp_path, capsys):
     assert "pole is -inf" in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cmd", ["se", "run"])
 @pytest.mark.parametrize("name", list(_OVERFLOWING))
 def test_an_overflowing_state_evolution_prints_one_line(name, cmd, tmp_path, capsys):
@@ -533,7 +530,6 @@ def test_an_overflowing_state_evolution_prints_one_line(name, cmd, tmp_path, cap
     assert captured.err.startswith("numerical failure: ")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_spiked_prediction_exits_2(tmp_path, capsys):
     # Sigma_1 is finite (about 1e308), but the MSE integral of eta_2 = R_1
     # overflows: the prediction is checked, not printed as inf
@@ -560,7 +556,6 @@ _GAUSS_RULE_FAILURES = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(_GAUSS_RULE_FAILURES))
 def test_a_failing_gauss_rule_exits_2_with_one_line(name, tmp_path, capsys):
     cfg, message = _GAUSS_RULE_FAILURES[name]
@@ -572,7 +567,6 @@ def test_a_failing_gauss_rule_exits_2_with_one_line(name, tmp_path, capsys):
     assert re.fullmatch("numerical failure: " + message + "\n", captured.err)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_run_whose_iterates_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     # f is constant, so SE reads 0, but rounding in f(M) u grows |r_2|^2 past
     # 1e308: every seed's metrics are not finite, so every seed diverges
@@ -599,7 +593,6 @@ _MATRIX_CASES = st.one_of(
     st.floats(-300.0, -0.01).map(lambda e: {"law": f"mp:alpha={10.0**e!r}", "algo": "ri-amp"}))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(case=_MATRIX_CASES, cmd=st.sampled_from(["se", "run"]), N=st.integers(16, 64),
        T=st.integers(1, 3))

@@ -131,11 +131,13 @@ def test_mmse_rademacher_validates_sigma():
 
 
 def test_random_lipschitz_bound_holds():
+    # tanh is 1-Lipschitz, so sum_k |c_k| sum_i |p_{k,i}| bounds the constant
     den = random_lipschitz_denoiser(4, seed=9)
     R1 = _history(4, 30, seed=4)
     R2 = R1 + 0.01 * _history(4, 30, seed=5)
     lhs = np.abs(den.evaluate(R1) - den.evaluate(R2))
-    rhs = den.lipschitz_bound * np.abs(R1 - R2).sum(axis=0)
+    bound = float((np.abs(den.weights) * np.abs(den.projection).sum(axis=1)).sum())
+    rhs = bound * np.abs(R1 - R2).sum(axis=0)
     assert np.all(lhs <= rhs + 1e-12)
 
 

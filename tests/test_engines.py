@@ -15,7 +15,7 @@ from amp_lab.denoisers import (additive_denoiser, identity_denoiser,
                                tanh_denoiser)
 from amp_lab.engines import (
     HORIZON_CAP,
-    _replay,
+    _TEMPLATE,
     as_operator,
     orthogonality_residuals,
     ri_amp_debias,
@@ -49,7 +49,7 @@ def _lip_dens(T, seed):
 
 def _rows_e(law, fs, Phi, template="u"):
     """E from the row recursion, and the recursion itself."""
-    rows = _TraceFreeRows(law, fs, template=template)
+    rows = _TraceFreeRows.over(law, fs, template)
     T = len(fs)
     E = np.zeros((T, T))
     for n in range(1, T + 1):
@@ -278,14 +278,19 @@ def test_lanczos_rule_breakdown_matches_all_atom_solve(N, kind, width):
 
 def test_grid_mode_trace_free_rows_are_not_n_wide(monkeypatch):
     # a grid run, SE on a grid and spiked SE on a grid (over mu and over nu)
-    # keep no row at every atom, and the verifier replays the run's recorded
-    # rows instead of building its own
+    # keep no row at every atom, and every instance the verifier makes is
+    # given the run's recorded E rows and never solves
     made = []
 
     class Recording(_TraceFreeRows):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.given = []
             made.append(self)
+
+        def append(self, phi_row, e_row=None):
+            self.given.append(e_row)
+            return super().append(phi_row, e_row)
 
     monkeypatch.setattr(engines, "_TraceFreeRows", Recording)
     monkeypatch.setattr(se, "_TraceFreeRows", Recording)
@@ -303,7 +308,11 @@ def test_grid_mode_trace_free_rows_are_not_n_wide(monkeypatch):
         assert rows.w.size <= T + 1
         assert {a.shape[1] for a in rows.X + rows.J} == {rows.w.size}
     verify_unfolding(run)
-    assert len(made) == 4
+    assert len(made) == 6
+    for rows in made[4:]:
+        assert len(rows.given) == T and not rows.X_mean.any()
+        for t, e in enumerate(rows.given):
+            assert np.array_equal(e, run.debias[t, : t + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +364,10 @@ def test_unfolding_by_products_matches_dense_reference(variant):
     O = ens.rotation.dense()
     fs = run.f_schedule or [RationalFn(coeffs=(0.0, 1.0))] * T
     S = ens.to_spectral(np.column_stack(run.ubar[:T])).T
-    products = O @ np.column_stack(_replay(run, S, [ens.core_function(f) for f in fs]))
+    rows = _TraceFreeRows(S, [ens.core_function(f) for f in fs], _TEMPLATE[run.variant])
+    for t in range(T):
+        rows.append(run.phi[t, :t], run.debias[t, : t + 1])
+    products = O @ np.column_stack(rows.J)
     spec = O.T @ np.column_stack(run.ubar[:T])
     dense = O @ np.einsum("tjn,nj->nt", V * np.tri(T)[:, :, None], spec)
     err = np.linalg.norm(products - dense, axis=0) / np.linalg.norm(dense, axis=0)

@@ -24,6 +24,7 @@ from amp_lab.freeprob import (
     _memo_gauss_rule,
     _nc_gen,
     _TraceFreeRows,
+    _unit_rows,
     build_poly_family,
     cumulants_from_law,
     cumulants_to_moments_nc,
@@ -305,7 +306,7 @@ def test_partial_moments_cap_names_the_requested_order():
 def _last_shift_row(law, T, template):
     """Row T of `_TraceFreeRows`' Onsager rows E with f = identity and Phi the
     shift matrix (Phi_{n,n-1} = 1), reversed: entry n is E_{T,T-n+1}."""
-    rows = _TraceFreeRows(law, [IDENTITY] * T, template)
+    rows = _TraceFreeRows.over(law, [IDENTITY] * T, template)
     Phi = np.eye(T, k=-1)
     for n in range(1, T + 1):
         e = rows.append(Phi[n - 1, : n - 1])
@@ -432,7 +433,7 @@ def test_x_ubar_rows_are_trace_free_under_a_rule_of_mass_one_half(template, one_
     T = 5
     fs = ([IDENTITY] * T if one_f else
           [lambda x, k=k: np.tanh(x + 0.3 * k) for k in range(T)])
-    rows = _TraceFreeRows(DiscreteGrid(atoms=atoms, weights=0.5 * w / w.sum()), fs, template)
+    rows = _TraceFreeRows.over(DiscreteGrid(atoms=atoms, weights=0.5 * w / w.sum()), fs, template)
     assert abs(rows.w.sum() - 0.5) <= 1e-15
     Phi = np.tril(rng.uniform(-1.0, 1.0, (T, T)), -1)
     for n in range(1, T + 1):
@@ -441,10 +442,30 @@ def test_x_ubar_rows_are_trace_free_under_a_rule_of_mass_one_half(template, one_
         s[n - 1] = 1.0
         for k, j_k in enumerate(rows.J[:-1] if template == "ubar" else []):
             s[: k + 1] += Phi[n - 1, k] * j_k
-        f_s = rows.mean(rows._f_at(n) * s)
+        f_s = rows.mean(rows.f_maps[n - 1](s))
         assert np.max(np.abs(rows.mean(rows.J[-1]))) <= 1e-14 * np.max(np.abs(f_s))
         if template == "oamp":  # Phi does not enter: J_n = (f_n - E_mu f_n / mass) e_n
             assert not rows.J[-1][:-1].any()
+
+
+@pytest.mark.parametrize("template", ["u", "ubar", "oamp"])
+@pytest.mark.parametrize("one_f", [True, False], ids=["gauss-rule", "atoms"])
+def test_rows_given_their_own_e_replay_the_solved_rows_bit_for_bit(template, one_f):
+    # the verifier and the rows over nu take E as given; from the same start
+    # and maps, the solved rows' own E must give back the same J
+    grid = MarchenkoPastur(alpha=0.3).quantile_grid(40)
+    T = 6
+    fs = ([lambda x: 0.5 - x + 0.3 * x**2] * T if one_f else
+          [lambda x, k=k: np.tanh(x + 0.3 * k) for k in range(T)])
+    solved = _TraceFreeRows.over(grid, fs, template)
+    assert solved.w.size == (T + 1 if one_f else 40)
+    Phi = np.tril(np.random.default_rng(8).uniform(-1.0, 1.0, (T, T)), -1)
+    E = [solved.append(Phi[n - 1, : n - 1]) for n in range(1, T + 1)]
+    given = _TraceFreeRows(_unit_rows(solved.w.size), solved.f_maps, template, solved.w)
+    for n, e in enumerate(E, start=1):
+        assert given.append(Phi[n - 1, : n - 1], e) is e
+    assert not given.X_mean.any()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(given.J, solved.J, strict=True))
 
 
 # ---------------------------------------------------------------------------

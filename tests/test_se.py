@@ -459,8 +459,8 @@ def test_nu_rule_moments_match_the_exact_nu_moments(law, theta):
     mu, nu, th = _exact_mu_moments(law, n), [], Fraction(theta)
     for k in range(n + 1):
         nu.append(mu[k] + th * sum(nu[j] * mu[k - 1 - j] for j in range(k)))
-    rows = _TraceFreeRows(law, [RationalFn(coeffs=(0.0, 1.0))] * T, theta=theta)
-    x = rows._f_at(1)  # the rule's nodes
+    rows = _TraceFreeRows.over(law, [RationalFn(coeffs=(0.0, 1.0))] * T, theta=theta)
+    x = rows.f_maps[0](np.ones(rows.w.size))  # the rule's nodes
     assert x.size == T + 1
     for k in range(n + 1):
         assert abs(float(rows.w @ x**k) - float(nu[k])) <= 1e-13 * max(1.0, abs(float(nu[k])))
@@ -612,7 +612,7 @@ def test_se_core_gram_form_on_a_one_column_file_law(tmp_path):
     T = 6
     init = SeInit(prior=make_prior("rademacher"))
     dens = [tanh_denoiser(t) for t in range(1, T + 1)]
-    assert _TraceFreeRows(law, [QUAD] * T).w.size <= T + 1
+    assert _TraceFreeRows.over(law, [QUAD] * T).w.size <= T + 1
     assert _gram_form_gap(ri_amp_se(law, dens, init, T), law, "Q") <= 1e-13
     assert _gram_form_gap(ri_amp_mp_se(law, QUAD, dens, init, T), law, "K", f=QUAD) <= 1e-13
 
