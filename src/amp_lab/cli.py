@@ -587,11 +587,12 @@ def _suite_cumulants():
 
 
 def _closed_form_rows(run):
-    """The paper's Onsager matrix sum_i c_i Phi^{i-1} of RI-AMP (c the free
-    cumulants of the debias law, from its moments) or of RI-AMP-DF (c the
-    centering constants of the law's H family)."""
+    """The paper's Onsager matrix sum_i c_i Phi^{i-1} of RI-AMP, template "u"
+    (c the free cumulants of the debias law, from its moments), or of
+    RI-AMP-DF, template "ubar" (c the centering constants of the law's H
+    family)."""
     law, T = run.debias_law, run.T
-    c = (moments_to_cumulants(law.moments(T)).cumulants if run.variant == "RIAMP"
+    c = (moments_to_cumulants(law.moments(T)).cumulants if run.template == "u"
          else build_poly_family(law, "H", T).centering)
     return ri_amp_debias(c, run.phi[:T, :T])
 

@@ -4,7 +4,7 @@ as RI-AMP under the unit semicircle.
 Every variant runs one template, long-memory OAMP,
 r_t = f_t(M) u_t - sum_i E_{t,i} x_i with u = ubar + Phi r, so each run is
 r = V(M) ubar with V lower triangular and trace-free.  RI-AMP and RI-AMP-MP
-take x = u, RI-AMP-DF and OAMP x = ubar (`_TEMPLATE`); RI-AMP and
+take x = u, RI-AMP-DF and OAMP x = ubar (`AmpRun.template`); RI-AMP and
 RI-AMP-DF have f = identity, and OAMP ignores Phi, applying f_t to ubar_t.
 One loop, `_run`, keeps the shared bookkeeping: iterates r_t / u_t, the
 divergence-free residuals ubar_t, the empirical divergence matrix Phi_hat,
@@ -42,8 +42,6 @@ from .laws import DiscreteGrid, Semicircle, SpectralLaw
 from .randmat import IDENTITY, LazyHaarRotation, SpectralOperator, _eigh, dense_symmetric
 
 HORIZON_CAP = 10
-# each variant's template (`freeprob._TraceFreeRows`): x = u, x = ubar, or OAMP's x = u = ubar
-_TEMPLATE = {"RIAMP": "u", "RIAMPMP": "u", "RIAMPDF": "ubar", "OAMP": "oamp"}
 
 
 def as_operator(M) -> SpectralOperator:
@@ -60,7 +58,7 @@ def as_operator(M) -> SpectralOperator:
 class AmpRun:
     """Record of one algorithm execution."""
 
-    variant: str
+    template: str  # "u", "ubar" or "oamp", as `freeprob._TraceFreeRows` takes it
     r: list  # r_1..r_T
     u: list  # u_1..u_{T+1}
     ubar: list  # ubar_1..ubar_{T+1}
@@ -108,21 +106,21 @@ def ri_amp_debias(kappa: Sequence[float], phi_hat: np.ndarray) -> np.ndarray:
     return B
 
 
-def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: str) -> AmpRun:
+def _run(template, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: str) -> AmpRun:
     """The one iteration every variant runs: r_t = f_t(M) u_t - sum_i E_{t,i} x_i
-    with the variant's template (`_TEMPLATE`), its Onsager row E_t appended
-    by `_TraceFreeRows` over the debias law; then u_{t+1} =
-    denoisers[t-1](r_1..r_t), its divergence row and the divergence-free
-    residual ubar_{t+1} are recorded.  OAMP's rows ignore Phi: its r-step
-    takes f_t(M) ubar_t, and its one row entry E_{t,t} = E_mu f_t is the
-    centering.  The histories are preallocated blocks whose rows are
+    on the template of `_TraceFreeRows` ("u": x = u; "ubar" and "oamp": x =
+    ubar), its Onsager row E_t appended by `_TraceFreeRows` over the debias
+    law; then u_{t+1} = denoisers[t-1](r_1..r_t), its divergence row and the
+    divergence-free residual ubar_{t+1} are recorded.  OAMP's rows ignore
+    Phi: its r-step takes f_t(M) ubar_t, and its one row entry E_{t,t} =
+    E_mu f_t is the centering.  The histories are preallocated blocks whose rows are
     `run.r`, `run.u` and `run.ubar`, so each linear step is one
     matrix-vector product with a block, and the denoiser's value and
     divergence row come from one evaluation of its link arguments."""
     if not 1 <= T <= HORIZON_CAP:
         raise ValidationError(f"horizon T={T} outside [1, {HORIZON_CAP}]")
     operator = as_operator(M)
-    if variant == "OAMP" and operator.z is not None:
+    if template == "oamp" and operator.z is not None:
         raise ValidationError("OAMP runs on a rotationally-invariant matrix, "
                               "not on a spiked instance")
     dlaw = _debias_law(mode, law, operator.eigenvalues)
@@ -131,7 +129,6 @@ def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: st
         raise ValidationError(f"need {T} matrix functions for horizon T={T}")
     f_schedule = f_schedule[:T]
     f_ops = _map_distinct(operator.function, f_schedule)  # each holds f at the N eigenvalues
-    template = _TEMPLATE[variant]
     rows = _TraceFreeRows.over(dlaw, f_schedule, template)
     N = operator.N
     u1 = np.asarray(u1, dtype=float)
@@ -163,7 +160,7 @@ def _run(variant, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: st
             "norm_r": float(np.linalg.norm(R[t - 1]) / np.sqrt(N)),
             "norm_u": float(np.linalg.norm(U[t]) / np.sqrt(N)),
         })
-    return AmpRun(variant=variant, r=list(R), u=list(U), ubar=list(Ubar), phi=phi, debias=debias,
+    return AmpRun(template=template, r=list(R), u=list(U), ubar=list(Ubar), phi=phi, debias=debias,
                   diagnostics=diagnostics, operator=operator, debias_law=dlaw,
                   denoisers=list(denoisers[:T]), f_schedule=f_schedule)
 
@@ -173,7 +170,7 @@ def run_ri_amp(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
     """r_t = W u_t - sum_i b_{t,i} u_i with B_t trace-free, which is
     sum_i kappa_i Phi_hat^{i-1} for the free cumulants kappa of the law:
     RI-AMP-MP with f = identity."""
-    return _run("RIAMP", M, law, IDENTITY, denoisers, u1, T, mode)
+    return _run("u", M, law, IDENTITY, denoisers, u1, T, mode)
 
 
 def run_ri_amp_df(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
@@ -181,7 +178,7 @@ def run_ri_amp_df(M, law: SpectralLaw | None, denoisers: Sequence[Denoiser],
     """r_t = W u_t - sum_i c_{t,i} ubar_i with C_t trace-free, which is
     sum_i gamma_i Phi_hat^{i-1} for the one-step centering constants gamma
     of the H family."""
-    return _run("RIAMPDF", M, law, IDENTITY, denoisers, u1, T, mode)
+    return _run("ubar", M, law, IDENTITY, denoisers, u1, T, mode)
 
 
 def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
@@ -190,7 +187,7 @@ def run_ri_amp_mp(M, law: SpectralLaw | None, f, denoisers: Sequence[Denoiser],
     over the (grid or population) law of W.  M may be spiked (`build_spiked`), in
     which case f_t(Y) is applied in W's eigenbasis and each f_t must be a
     RationalFn."""
-    return _run("RIAMPMP", M, law, f, denoisers, u1, T, mode)
+    return _run("u", M, law, f, denoisers, u1, T, mode)
 
 
 def run_gaussian_amp(M, denoisers: Sequence[Denoiser], u1: np.ndarray, T: int) -> AmpRun:
@@ -217,7 +214,7 @@ def run_oamp(M, f_schedule: Sequence[Callable], g_schedule: Sequence[Denoiser],
     with Phi ignored, so row t of `debias` holds tr f_t(W)/N on its diagonal.
     M is not a spiked instance: the trace-free centering needs the spectrum
     of f_t(M)."""
-    return _run("OAMP", M, None, list(f_schedule), g_schedule, xbar1, T, "grid")
+    return _run("oamp", M, None, list(f_schedule), g_schedule, xbar1, T, "grid")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +247,7 @@ def verify_unfolding(run: AmpRun, law: SpectralLaw | None = None) -> UnfoldedRep
 
     def replay(start, core: SpectralOperator) -> list:
         rows = _TraceFreeRows(start, _map_distinct(core.core_function, run.f_schedule),
-                              _TEMPLATE[run.variant])
+                              run.template)
         for t in range(T):
             rows.append(run.phi[t, :t], run.debias[t, : t + 1])
         return rows.J

@@ -7,7 +7,9 @@ coefficient arrays against the moments of Lambda (`moments_to_cumulants`, and
 `build_poly_family`'s Q family and H family, whose one-step memory is
 P_n = x P_{n-1} - c_n P_0), against those of f(Lambda) (the K family), and
 vectors with x = W (`mc_cumulants`).  Summation over non-crossing
-partitions (`cumulants_to_moments_nc`) is its independent oracle.
+partitions (`cumulants_to_moments_nc`) is its independent oracle: it groups
+them by block sizes, counted by Kreweras' formula, so both directions share
+the order cap `RECURSION_ORDER_CAP`.
 `_TraceFreeRows` replays the long-memory OAMP template of every AMP variant.
 Arithmetic is generic: `fractions.Fraction` inputs keep every intermediate
 exact, so round trips are not tolerance-limited.
@@ -17,10 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +31,6 @@ from .errors import NumericalError, SizeLimitError, ValidationError
 from .laws import SpectralLaw
 from .randmat import SpectralOperator, dense_symmetric
 
-NC_ORDER_CAP = 12
 RECURSION_ORDER_CAP = 20
 GAUSS_RULE_MEMO = 8  # Gauss rules of `_TraceFreeRows` kept, the least recently used dropped
 
@@ -38,47 +39,33 @@ GAUSS_RULE_MEMO = 8  # Gauss rules of `_TraceFreeRows` kept, the least recently 
 # non-crossing partitions
 # ---------------------------------------------------------------------------
 
-def _nc_gen(labels: tuple):
-    if not labels:
-        yield ()
-        return
-    n = len(labels)
-    # block of labels[0]: index 0 plus any increasing subset of the rest;
-    # the gaps between chosen indices (and the tail) partition independently
-    for size in range(n):
-        for members in itertools.combinations(range(1, n), size):
-            members = (0,) + members
-            block = tuple(labels[i] for i in members)
-            gaps = []
-            for lo, hi in zip(members, members[1:]):
-                gaps.append(labels[lo + 1 : hi])
-            gaps.append(labels[members[-1] + 1 :])
-            for combo in itertools.product(*[tuple(_nc_gen(g)) for g in gaps]):
-                part = (block,)
-                for sub in combo:
-                    part += sub
-                yield part
+def _ascending_partitions(n: int, least: int = 1):
+    """The partitions of n into parts >= least, as ascending tuples in
+    lexicographic order."""
+    for first in range(least, n // 2 + 1):
+        for rest in _ascending_partitions(n - first, first):
+            yield (first,) + rest
+    yield (n,)
 
 
-@lru_cache(maxsize=None)
-def _nc_block_profiles(k: int) -> dict:
-    """Map sorted block-size tuples -> multiplicity over NC(k)."""
-    profiles: dict = {}
-    for part in _nc_gen(tuple(range(1, k + 1))):
-        key = tuple(sorted(len(b) for b in part))
-        profiles[key] = profiles.get(key, 0) + 1
-    return profiles
+def _nc_block_profiles(n: int):
+    """Each block-size profile of the non-crossing partitions of {1..n}, an
+    ascending tuple (the partitions of n in lexicographic order), with its
+    count by Kreweras' formula n! / ((n - k + 1)! prod_j m_j!) for k blocks,
+    m_j of them of size j (Discrete Math. 1, 1972)."""
+    for sizes in _ascending_partitions(n):
+        mult = math.prod(math.factorial(m) for m in Counter(sizes).values())
+        yield sizes, math.factorial(n) // (math.factorial(n - len(sizes) + 1) * mult)
 
 
 def cumulants_to_moments_nc(cumulants: Sequence) -> list:
-    """Moment-cumulant formula by summation over non-crossing partitions."""
-    k = len(cumulants)
-    if k > NC_ORDER_CAP:
-        raise SizeLimitError(f"order {k} exceeds the combinatorial cap {NC_ORDER_CAP}")
+    """Moment-cumulant formula: m_n sums prod_B kappa_|B| over the
+    non-crossing partitions of {1..n}, grouped by block sizes."""
+    _check_order(len(cumulants))
     moments = []
-    for n in range(1, k + 1):
+    for n in range(1, len(cumulants) + 1):
         total = 0
-        for sizes, count in _nc_block_profiles(n).items():
+        for sizes, count in _nc_block_profiles(n):
             term = count
             for s in sizes:
                 term = term * cumulants[s - 1]

@@ -326,10 +326,11 @@ class MarchenkoPastur(SpectralLaw):
     def quad_nodes(self, n: int = 400):
         # lam = mid + half sin(theta), theta = x pi/2, with the distances to
         # both edges, 2 half sin^2((1 -+ x) pi/4), formed without cancellation
-        # so that lam and the weight keep their relative accuracy at the edges
+        # so that lam and the weight keep their relative accuracy at the edges;
+        # half = (a+ - a-) / 2 = 2 sqrt(alpha), not formed as a difference near 1
         x, w = _leggauss(n)
         a_minus, a_plus = self.edges
-        half = 0.5 * (a_plus - a_minus)
+        half = 2.0 * math.sqrt(self.alpha)
         above = 2.0 * half * np.sin((1.0 + x) * (np.pi / 4.0)) ** 2  # lam - a_minus
         below = 2.0 * half * np.sin((1.0 - x) * (np.pi / 4.0)) ** 2  # a_plus - lam
         lam = np.where(x < 0.0, a_minus + above, a_plus - below)

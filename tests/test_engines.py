@@ -15,7 +15,6 @@ from amp_lab.denoisers import (additive_denoiser, identity_denoiser,
                                tanh_denoiser)
 from amp_lab.engines import (
     HORIZON_CAP,
-    _TEMPLATE,
     as_operator,
     orthogonality_residuals,
     ri_amp_debias,
@@ -354,17 +353,17 @@ def test_unfolding_by_products_matches_dense_reference(variant):
         f = (lambda x: x + 0.3 * x**2) if variant == "ri-amp-mp-poly" else mp_denoise_fn(1.2, 0.3)
         run = run_ri_amp_mp(ens, law, f, dens, u1, T, mode="grid")
     lam, Phi = ens.eigenvalues, run.phi[:T, :T]
-    if run.variant == "RIAMPMP":
+    if variant.startswith("ri-amp-mp"):
         F = np.vstack([f(lam) for f in run.f_schedule])
         V = np.transpose(_dense_j(F, np.tril(run.debias), Phi), (1, 2, 0))
     else:
-        fam = build_poly_family(run.debias_law, "Q" if run.variant == "RIAMP" else "H", T)
+        fam = build_poly_family(run.debias_law, "Q" if run.template == "u" else "H", T)
         vals = [np.polynomial.polynomial.polyval(lam, fam.coeffs[i]) for i in range(1, T + 1)]
         V = sum(np.linalg.matrix_power(Phi, i)[:, :, None] * vals[i] for i in range(T))
     O = ens.rotation.dense()
     fs = run.f_schedule or [RationalFn(coeffs=(0.0, 1.0))] * T
     S = ens.to_spectral(np.column_stack(run.ubar[:T])).T
-    rows = _TraceFreeRows(S, [ens.core_function(f) for f in fs], _TEMPLATE[run.variant])
+    rows = _TraceFreeRows(S, [ens.core_function(f) for f in fs], run.template)
     for t in range(T):
         rows.append(run.phi[t, :t], run.debias[t, : t + 1])
     products = O @ np.column_stack(rows.J)

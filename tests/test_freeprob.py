@@ -1,5 +1,6 @@
-"""Moment/cumulant machinery: combinatorial enumeration, the coefficient
-recursion, polynomial families, partial moments, and Monte Carlo estimators."""
+"""Moment/cumulant machinery: non-crossing partitions (enumerated, as the
+reference for Kreweras' counts), the coefficient recursion, polynomial
+families, partial moments, and Monte Carlo estimators."""
 
 import itertools
 import math
@@ -18,11 +19,11 @@ from amp_lab.engines import IDENTITY
 from amp_lab.errors import NumericalError, SizeLimitError, ValidationError
 from amp_lab.freeprob import (
     GAUSS_RULE_MEMO,
-    NC_ORDER_CAP,
+    RECURSION_ORDER_CAP,
     _center_on_moments,
     _gauss_rule,
     _memo_gauss_rule,
-    _nc_gen,
+    _nc_block_profiles,
     _TraceFreeRows,
     _unit_rows,
     build_poly_family,
@@ -34,6 +35,32 @@ from amp_lab.freeprob import (
 )
 from amp_lab.laws import DiscreteGrid, MarchenkoPastur, Semicircle, catalan, point_mass
 from amp_lab.randmat import build_rot_invariant, sample_goe
+
+
+NC_ORDER_CAP = 12  # the brute-force enumeration below is exponential in k
+
+
+def _nc_gen(labels: tuple):
+    """Every non-crossing partition of `labels`, each a tuple of blocks."""
+    if not labels:
+        yield ()
+        return
+    n = len(labels)
+    # block of labels[0]: index 0 plus any increasing subset of the rest;
+    # the gaps between chosen indices (and the tail) partition independently
+    for size in range(n):
+        for members in itertools.combinations(range(1, n), size):
+            members = (0,) + members
+            block = tuple(labels[i] for i in members)
+            gaps = []
+            for lo, hi in zip(members, members[1:]):
+                gaps.append(labels[lo + 1 : hi])
+            gaps.append(labels[members[-1] + 1 :])
+            for combo in itertools.product(*[tuple(_nc_gen(g)) for g in gaps]):
+                part = (block,)
+                for sub in combo:
+                    part += sub
+                yield part
 
 
 def enumerate_nc_partitions(k: int):
@@ -128,6 +155,26 @@ def test_partition_to_tuple_roundtrip_counts():
     assert len(tuples) == catalan(k)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kreweras_counts_are_the_enumerations_in_its_order(n):
+    # the oracle's profiles and counts, in the order the enumeration first meets each
+    counts = {}
+    for part in enumerate_nc_partitions(n):
+        key = tuple(sorted(len(b) for b in part))
+        counts[key] = counts.get(key, 0) + 1
+    assert list(_nc_block_profiles(n)) == list(counts.items())
+
+
+@pytest.mark.parametrize("n", range(1, RECURSION_ORDER_CAP + 1))
+def test_kreweras_counts_sum_to_catalan_and_narayana(n):
+    # NC(n) has C_n partitions, C(n, k) C(n, k-1) / n of them with k blocks
+    by_blocks = {}
+    for sizes, count in _nc_block_profiles(n):
+        by_blocks[len(sizes)] = by_blocks.get(len(sizes), 0) + count
+    assert sum(by_blocks.values()) == catalan(n)
+    assert by_blocks == {k: math.comb(n, k) * math.comb(n, k - 1) // n for k in range(1, n + 1)}
+
+
 # ---------------------------------------------------------------------------
 # moment <-> cumulant maps
 # ---------------------------------------------------------------------------
@@ -159,6 +206,14 @@ def test_roundtrip_rational_is_exact():
            Fraction(1, 11), Fraction(-3, 4)]
     mom = cumulants_to_moments_nc(kap)
     assert list(moments_to_cumulants(mom).cumulants) == kap
+
+
+def test_nc_oracle_runs_to_the_recursion_cap_and_no_further():
+    kap = [Fraction((-1) ** n * (n + 1), 2 * n + 3) for n in range(RECURSION_ORDER_CAP)]
+    mom = cumulants_to_moments_nc(kap)
+    assert list(moments_to_cumulants(mom).cumulants) == kap
+    with pytest.raises(SizeLimitError, match="order 21 exceeds the recursion cap 20"):
+        cumulants_to_moments_nc(kap + [Fraction(1)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -239,6 +239,14 @@ def test_quad_nodes_integrate_moments(law):
         assert abs(w @ nodes**n - law.moment(n)) < 1e-9 * max(1, abs(law.moment(n)))
 
 
+@pytest.mark.parametrize("alpha", [1e-40, 1e-33, 1e-30, 1e-25, 1e-20, 1e-10, 1e-4, 0.3, 0.99])
+def test_mp_quad_weights_keep_their_mass_at_every_aspect_ratio(alpha):
+    # the half-width 2 sqrt(alpha) of the support, not (a+ - a-) / 2 formed
+    # from two numbers near 1, which lost the mass below alpha ~ 1e-20
+    _, w = MarchenkoPastur(alpha=alpha).quad_nodes()
+    assert abs(w.sum() - 1.0) <= 8 * np.finfo(float).eps
+
+
 def test_external_density_roundtrip():
     # tabulated semicircle density behaves like the closed form
     sc = Semicircle()
