@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -343,12 +343,45 @@ def _single_run(cfg: ExperimentConfig, law, prior, f, states, grid, run_idx: int
     return metrics
 
 
+def _run_seeds(task, runs: int, workers: int) -> list:
+    """[task(0), ..., task(runs - 1)] on `workers` threads, the calling one
+    among them: each takes the next seed in index order until none is left.
+    After every thread has joined, the exception of the lowest seed that
+    raised is re-raised; once one has, no further seed is started."""
+    results, errors = [None] * runs, {}
+    seeds, lock = iter(range(runs)), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                run_idx = None if errors else next(seeds, None)
+            if run_idx is None:
+                return
+            try:
+                results[run_idx] = task(run_idx)
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    errors[run_idx] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for th in helpers:
+        th.start()
+    try:
+        work()
+    finally:
+        for th in helpers:
+            th.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def run_experiment(cfg: ExperimentConfig):
-    """Run `cfg.runs` seeded instances in a worker pool and aggregate.
+    """Run `cfg.runs` seeded instances on the seed threads and aggregate.
 
     Returns (rows, se_rows, n_ok, n_divergent).  Seeds whose run raises a
     numerical failure are excluded from aggregation and counted, each with
-    a warning on stderr, printed in seed order once the pool is done."""
+    a warning on stderr, printed in seed order once every seed is done."""
     workers = _worker_count(cfg.runs)
     law, prior, f, factory = _resolve(cfg)
     states, se_rows = _se(cfg, law, prior, f, factory)
@@ -364,8 +397,7 @@ def run_experiment(cfg: ExperimentConfig):
         except NumericalError as exc:
             return exc
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(task, range(cfg.runs)))
+    results = _run_seeds(task, cfg.runs, workers)
     for run_idx, r in enumerate(results):  # in seed order, whichever thread finished first
         if isinstance(r, NumericalError):
             print(f"warning: seed {run_idx} diverged and was excluded: {r}", file=sys.stderr)

@@ -25,7 +25,9 @@ class Denoiser:
     Row k of `projection` (K, arity) is p_k, with zero entries for unread
     rows; `weights` c and `offsets` b have length K; `link` g and
     `link_prime` g' act elementwise on arrays of any shape.  The partials are
-    d eta / d r_i = sum_k c_k p_{k,i} g'(p_k^T R + b_k).
+    d eta / d r_i = sum_k c_k p_{k,i} g'(p_k^T R + b_k).  `prime_of_link`,
+    when set, gives g' from the values of g (1 - g^2 for tanh), bit for bit
+    `link_prime`, so `evaluate_with_divergences` evaluates g once.
     """
 
     name: str
@@ -34,6 +36,7 @@ class Denoiser:
     link_prime: Callable
     weights: np.ndarray
     offsets: np.ndarray
+    prime_of_link: Callable | None = None
 
     @property
     def arity(self) -> int:
@@ -48,17 +51,18 @@ class Denoiser:
             )
         return self.projection @ R + self.offsets[:, None]
 
-    def _value(self, args: np.ndarray) -> np.ndarray:
-        return np.sum(self.weights[:, None] * self.link(args), axis=0)
+    def _value(self, g: np.ndarray) -> np.ndarray:
+        """eta from the (K, N) link values g(p_k^T R + b_k)."""
+        return np.sum(self.weights[:, None] * g, axis=0)
 
-    def _divergences(self, args: np.ndarray) -> np.ndarray:
-        """<d_i eta> = sum_k c_k p_{k,i} <g'(p_k^T R + b_k)>: each term's
-        g' averaged over the N coordinates before the projection, so no
-        (t, N) array is formed."""
-        return (self.weights[:, None] * self.projection).T @ self.link_prime(args).mean(axis=1)
+    def _divergences(self, gp: np.ndarray) -> np.ndarray:
+        """<d_i eta> = sum_k c_k p_{k,i} <g'(p_k^T R + b_k)> from the (K, N)
+        values gp of g': each term's g' averaged over the N coordinates
+        before the projection, so no (t, N) array is formed."""
+        return (self.weights[:, None] * self.projection).T @ gp.mean(axis=1)
 
     def evaluate(self, R: np.ndarray) -> np.ndarray:
-        return self._value(self._args(R))
+        return self._value(self.link(self._args(R)))
 
     def partials(self, R: np.ndarray) -> np.ndarray:
         """(t, N) array of partial derivatives."""
@@ -66,13 +70,16 @@ class Denoiser:
 
     def divergences(self, R: np.ndarray) -> np.ndarray:
         """Empirical divergence row <d_i eta> (length t)."""
-        return self._divergences(self._args(R))
+        return self._divergences(self.link_prime(self._args(R)))
 
     def evaluate_with_divergences(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(eta(R), divergence row) from one evaluation of the link
-        arguments: `evaluate` and `divergences` of R, bit for bit."""
+        arguments, and of g when `prime_of_link` is set: `evaluate` and
+        `divergences` of R, bit for bit."""
         args = self._args(R)
-        return self._value(args), self._divergences(args)
+        g = self.link(args)
+        gp = self.link_prime(args) if self.prime_of_link is None else self.prime_of_link(g)
+        return self._value(g), self._divergences(gp)
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +87,21 @@ class Denoiser:
 # ---------------------------------------------------------------------------
 
 def additive_denoiser(name: str, P, link: Callable, link_prime: Callable,
-                      weights=None, offsets=None) -> Denoiser:
+                      weights=None, offsets=None, prime_of_link=None) -> Denoiser:
     """eta(R) = sum_k weights_k link(P[k] @ R + offsets_k) with arity
     P.shape[1] (weights default to 1, offsets to 0)."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     K = P.shape[0]
     c = np.ones(K) if weights is None else np.asarray(weights, dtype=float)
     b = np.zeros(K) if offsets is None else np.asarray(offsets, dtype=float)
-    return Denoiser(name, P, link, link_prime, c, b)
+    return Denoiser(name, P, link, link_prime, c, b, prime_of_link)
 
 
-def projection_denoiser(name: str, p, link: Callable, link_prime: Callable) -> Denoiser:
+def projection_denoiser(name: str, p, link: Callable, link_prime: Callable,
+                        prime_of_link=None) -> Denoiser:
     """eta(R) = link(p^T R) with arity len(p): the one-term case."""
     return additive_denoiser(name, np.atleast_1d(np.asarray(p, dtype=float))[None, :],
-                             link, link_prime)
+                             link, link_prime, prime_of_link=prime_of_link)
 
 
 def _last(t: int, scale: float = 1.0) -> np.ndarray:
@@ -111,7 +119,8 @@ def last_row_denoiser(den: Denoiser, t: int) -> Denoiser:
             f"denoiser {den.name!r} is not single-memory: arity {den.arity}, expected 1")
     P = np.zeros((den.projection.shape[0], t))
     P[:, -1] = den.projection[:, 0]
-    return additive_denoiser(den.name, P, den.link, den.link_prime, den.weights, den.offsets)
+    return additive_denoiser(den.name, P, den.link, den.link_prime, den.weights, den.offsets,
+                             den.prime_of_link)
 
 
 def _identity(s):
@@ -123,7 +132,11 @@ def _one(s):
 
 
 def _tanh_prime(s):
-    return 1.0 - np.tanh(s) ** 2
+    return _tanh_prime_of_link(np.tanh(s))
+
+
+def _tanh_prime_of_link(g):
+    return 1.0 - g ** 2
 
 
 def identity_denoiser(t: int) -> Denoiser:
@@ -134,7 +147,8 @@ def identity_denoiser(t: int) -> Denoiser:
 def tanh_denoiser(t: int, scale: float = 1.0) -> Denoiser:
     """eta = tanh(scale * r_t), single memory."""
     s = float(scale)
-    return projection_denoiser(f"tanh(scale={s})", _last(t, s), np.tanh, _tanh_prime)
+    return projection_denoiser(f"tanh(scale={s})", _last(t, s), np.tanh, _tanh_prime,
+                               _tanh_prime_of_link)
 
 
 def random_lipschitz_denoiser(t: int, seed: int) -> Denoiser:
@@ -146,7 +160,8 @@ def random_lipschitz_denoiser(t: int, seed: int) -> Denoiser:
     s = rng.uniform(0.5, 1.5, size=t)
     b = rng.uniform(-0.5, 0.5, size=t)
     return additive_denoiser(f"random-lipschitz(seed={seed})", np.diag(s), np.tanh,
-                             _tanh_prime, weights=w, offsets=b)
+                             _tanh_prime, weights=w, offsets=b,
+                             prime_of_link=_tanh_prime_of_link)
 
 
 def mmse_rademacher_denoiser(t: int, beta: float, sigma2: float) -> Denoiser:
@@ -156,7 +171,7 @@ def mmse_rademacher_denoiser(t: int, beta: float, sigma2: float) -> Denoiser:
         raise ValidationError("sigma2 must be positive")
     c = float(beta) / float(sigma2)
     return projection_denoiser(f"mmse-rademacher(beta={beta},sigma2={sigma2})",
-                               _last(t, c), np.tanh, _tanh_prime)
+                               _last(t, c), np.tanh, _tanh_prime, _tanh_prime_of_link)
 
 
 def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
@@ -175,4 +190,5 @@ def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
         raise ValidationError("Sigma shape must match beta length")
     # least-squares solve tolerates the near-singular Sigma of late iterations
     c, *_ = np.linalg.lstsq(Sigma, beta, rcond=1e-12)
-    return projection_denoiser("linear-mmse-combining", c, np.tanh, _tanh_prime)
+    return projection_denoiser("linear-mmse-combining", c, np.tanh, _tanh_prime,
+                               _tanh_prime_of_link)

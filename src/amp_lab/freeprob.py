@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalError, SizeLimitError, ValidationError
 from .laws import SpectralLaw
-from .randmat import SpectralOperator, dense_symmetric
+from .randmat import SpectralOperator, _horner, dense_symmetric
 
 RECURSION_ORDER_CAP = 20
 GAUSS_RULE_MEMO = 8  # Gauss rules of `_TraceFreeRows` kept, the least recently used dropped
@@ -171,7 +171,7 @@ class PolyFamily:
         x = np.asarray(lam, dtype=float)
         if self.base_fn is not None:
             x = np.asarray(self.base_fn(x), dtype=float)
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs[n], dtype=float))
+        return _horner(x, self.coeffs[n])
 
 
 def build_poly_family(

@@ -365,11 +365,22 @@ class RationalFn:
                 raise ValidationError(f"matrix function {name} is {c}, not a finite number")
 
     def __call__(self, x):
-        y = np.polynomial.polynomial.polyval(x, self.coeffs)
+        y = _horner(x, self.coeffs)
         return y + self.pole / x if self.pole else y
 
 
-IDENTITY = RationalFn(coeffs=(0.0, 1.0))  # RI-AMP's f; polyval gives x exactly (-0.0 as 0.0)
+IDENTITY = RationalFn(coeffs=(0.0, 1.0))  # RI-AMP's f; Horner gives x exactly (-0.0 as 0.0)
+
+
+def _horner(x, coeffs):
+    """sum_k coeffs[k] x^k by Horner's rule, in the operation order of
+    numpy.polynomial.polynomial.polyval, so bit for bit its value, without
+    importing numpy.polynomial."""
+    c = np.asarray(coeffs, dtype=float)
+    y = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        y = ck + y * x
+    return y
 
 
 def _map_eigenvalues(f: Callable, lam: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ from .randmat import IDENTITY, Prior, RationalFn, build_rot_invariant, diag_rank
 
 PSD_TOL = 1e-9
 # At 192 nodes every spiked-mp prediction is within 3e-4 relative of the
-# 256-node value; from 371 nodes `hermegauss`' weights overflow (`_gh_rule` raises).
+# 256-node value; from 371 nodes the rule's weights overflow (`_gh_rule` raises).
 GH_POINTS = 192
 GH_BLOCK_ROWS = 32  # pair-rule rows per block: 32 x 100 kept nodes, 26 KB a temporary
 POLE_GAP = 1e-6  # a 1/x matrix denoiser needs the support this far from 0
@@ -63,7 +63,7 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     weights overflow (from 371 nodes).
     """
     with np.errstate(all="ignore"):
-        z, w = np.polynomial.hermite_e.hermegauss(n)
+        z, w = _hermegauss(n)
         w = w / w.sum()
     keep = w > 1e-30
     if not (np.all(np.isfinite(w)) and keep.any()):
@@ -72,6 +72,36 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     z.flags.writeable = False
     w.flags.writeable = False
     return z, w
+
+
+def _hermegauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.polynomial.hermite_e.hermegauss(n), step for step, so bit for
+    bit its rule, without importing numpy.polynomial: the eigenvalues of the
+    symmetric companion matrix, one Newton step, and weights from the
+    normalized recurrence, symmetrized and scaled to sum sqrt(2 pi)."""
+    m = np.zeros((n, n))  # one n x n array, as numpy's: more would raise a run's peak RSS
+    m.reshape(-1)[1::n + 1] = m.reshape(-1)[n::n + 1] = np.sqrt(np.arange(1, n))
+    x = np.linalg.eigvalsh(m)
+    x -= _normed_hermite_e(x, n) / (_normed_hermite_e(x, n - 1) * np.sqrt(n))
+    fm = _normed_hermite_e(x, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(2 * np.pi) / w.sum()
+    return x, w
+
+
+def _normed_hermite_e(x: np.ndarray, n: int) -> np.ndarray:
+    """The orthonormal HermiteE polynomial of degree n at x, by numpy's
+    recurrence in its operation order (the plain He_n overflow from n = 207)."""
+    if n == 0:
+        return np.full(x.shape, 1 / np.sqrt(np.sqrt(2 * np.pi)))
+    c0, c1, nd = 0.0, 1.0 / np.sqrt(np.sqrt(2 * np.pi)), float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(1.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * x
 
 
 @dataclass

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -765,6 +766,42 @@ def test_run_aggregation_independent_of_worker_count(tmp_path, monkeypatch):
     rows3, *_ = run_experiment(cfg)
     assert np.allclose(np.asarray(rows1, dtype=float),
                        np.asarray(rows3, dtype=float), atol=0)
+
+
+@pytest.mark.parametrize("failing", [{1}, {0, 1}])
+def test_a_seed_that_raises_exits_1_with_its_one_message(failing, tmp_path, monkeypatch,
+                                                          capsys):
+    # whichever seed thread raises, main re-raises the lowest failing seed's
+    # error once every thread has joined: one line, exit 1, no traceback
+    orig = cli._single_run
+
+    def failing_run(cfg, law, prior, f, states, grid, run_idx):
+        if run_idx in failing:
+            raise ValidationError(f"seed {run_idx} refused")
+        return orig(cfg, law, prior, f, states, grid, run_idx)
+
+    monkeypatch.setattr(cli, "_single_run", failing_run)
+    monkeypatch.setenv("AMP_LAB_THREADS", "2")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(BASE))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: seed {min(failing)} refused\n"
+
+
+def test_seed_threads_run_every_seed_once_and_keep_index_order():
+    # more threads than cores and a short switch interval: a lost or
+    # repeated hand-out of a seed would show in the calls or the results
+    calls, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = cli._run_seeds(lambda i: calls.append(i) or i * i, 500, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(500))
+    assert results == [i * i for i in range(500)]
 
 
 def test_run_builds_one_quantile_grid_shared_read_only(monkeypatch):

@@ -554,8 +554,8 @@ def test_a_session_builds_one_gauss_rule_per_grid_and_f(monkeypatch):
     assert len(built) == 2
 
 
-def test_a_run_evaluates_the_denoiser_link_once_per_step():
-    calls = {"link": 0, "link_prime": 0}
+def test_a_run_evaluates_the_denoiser_link_once_per_step(monkeypatch):
+    calls = {"link": 0, "link_prime": 0, "tanh": 0}
 
     def counted(name, g):
         def fn(s):
@@ -569,7 +569,12 @@ def test_a_run_evaluates_the_denoiser_link_once_per_step():
                                                          lambda s: 1.0 - np.tanh(s) ** 2)
     dens = [additive_denoiser("tanh", np.eye(t)[-1:], link, link_prime) for t in range(1, T + 1)]
     run = run_ri_amp(ens, law, dens, u1, T)
-    assert calls == {"link": T, "link_prime": T}
+    assert calls == {"link": T, "link_prime": T, "tanh": 0}
+    assert ubar_divergences(run) == 0.0
+    # a tanh link takes g' = 1 - g^2 from the same values: one tanh a step
+    monkeypatch.setattr(np, "tanh", counted("tanh", np.tanh))
+    run = run_ri_amp(ens, law, [tanh_denoiser(t, scale=1.3) for t in range(1, T + 1)], u1, T)
+    assert calls["tanh"] == T
     assert ubar_divergences(run) == 0.0
 
 

@@ -1,8 +1,10 @@
 """Import footprint: numpy is the only heavy dependency that `import amp_lab`,
-the non-spiked paths, spiked runs and spiked SE load; scipy.linalg (for
-LAPACK dlasd4) loads only when the secular solver runs, for the overlap
-measure or `nu_measure`.  Every name the benchmark and the demos import
-from amp_lab, and every attribute the benchmark's tracer wraps, exists."""
+the non-spiked paths, verification, spiked runs and spiked SE load, and
+none of them loads numpy.polynomial or concurrent.futures; scipy.linalg
+(for LAPACK dlasd4) loads only when the secular solver runs, for the
+overlap measure or `nu_measure`.  A run's seed threads include the main
+one.  Every name the benchmark and the demos import from amp_lab, and every
+attribute the benchmark's tracer wraps, exists."""
 
 import ast
 import glob
@@ -11,22 +13,30 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import amp_lab
+from amp_lab.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(amp_lab.__file__)))
-REPORT = 'print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))'
+# modules no amp_lab path needs (scipy only for the secular solver)
+UNNEEDED = ("scipy", "numpy.polynomial", "concurrent.futures")
+# the loaded modules under any UNNEEDED prefix, as an expression in a child
+LOADED = (f"sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') "
+          f"for p in {UNNEEDED!r}))")
 
 
-def _scipy_modules(code: str, *args: str) -> set:
-    """The scipy modules loaded after running `code` in a fresh interpreter."""
+def _modules(code: str, *args: str) -> set:
+    """The modules under any UNNEEDED prefix loaded after running `code` in a
+    fresh interpreter."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                AMP_LAB_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + "\n" + REPORT,
-                           *args], capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c",
+                           f"import json, sys\n{code}\nprint(json.dumps({LOADED}))", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
@@ -38,7 +48,7 @@ def _write_config(tmp_path, **cfg) -> str:
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules("import amp_lab, amp_lab.cli") == set()
+    assert _modules("import amp_lab, amp_lab.cli") == set()
 
 
 def test_nonspiked_run_and_verification_load_no_scipy(tmp_path):
@@ -52,13 +62,14 @@ from amp_lab.engines import run_ri_amp, verify_unfolding
 from amp_lab.laws import Semicircle
 from amp_lab.randmat import build_rot_invariant
 assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert main(["verify", "--suite", "all"]) == 0
 law = Semicircle()
 ens = build_rot_invariant(law.quantile_grid(64).atoms, seed=1)
 u1 = np.random.default_rng(2).choice([-1.0, 1.0], size=64)
 run = run_ri_amp(ens, law, [tanh_denoiser(t) for t in (1, 2)], u1, 2, mode="grid")
 assert verify_unfolding(run).max_error < 1e-8
 """
-    assert _scipy_modules(code, cfg, str(tmp_path / "out")) == set()
+    assert _modules(code, cfg, str(tmp_path / "out")) == set()
 
 
 def test_spiked_run_loads_no_scipy(tmp_path):
@@ -69,13 +80,14 @@ def test_spiked_run_loads_no_scipy(tmp_path):
 from amp_lab.cli import main
 assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 """
-    assert _scipy_modules(code, cfg, str(tmp_path / "out")) == set()
+    assert _modules(code, cfg, str(tmp_path / "out")) == set()
 
 
 def test_scipy_loads_only_for_the_secular_solver(tmp_path):
     # a spiked library run, its verification and a spiked `amp-lab se` on a
-    # one-column file: atom law load no scipy; nu_measure, through the
-    # secular solver, loads scipy.linalg and nothing else
+    # one-column file: atom law load no unneeded module; nu_measure, through
+    # the secular solver, loads scipy.linalg (which itself imports
+    # numpy.polynomial and concurrent.futures)
     law_file = tmp_path / "atoms.txt"
     law_file.write_text("\n".join(str(0.4 + 0.002 * i) for i in range(800)) + "\n")
     cfg = _write_config(tmp_path, law=f"file:{law_file}", N=800, T=3, theta=1.5, omega=0.3,
@@ -95,12 +107,29 @@ run = run_ri_amp_mp(Y, law, mp_denoise_fn(1.5, 0.2), [tanh_denoiser(t) for t in 
                     x, 2, mode="grid")
 assert verify_unfolding(run).max_error < 1e-8
 assert main(["se", "--config", sys.argv[1]]) == 0
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not """ + LOADED + """
 nu_measure(law.quantile_grid(64), 1.5)
 """
-    mods = _scipy_modules(code, cfg)
+    mods = _modules(code, cfg)
     assert "scipy.linalg" in mods
     assert not mods & {"scipy.integrate", "scipy.special", "scipy.optimize"}
+
+
+def test_a_two_seed_run_on_two_workers_starts_one_thread(tmp_path, monkeypatch):
+    # the main thread runs seeds too, so it starts workers - 1 helpers
+    cfg = _write_config(tmp_path, law="mp:alpha=0.2", N=64, T=2, theta=1.5, omega=0.3,
+                        algo="ri-amp-mp", denoiser="linear-mmse-combining",
+                        matrix_fn="mp-denoise", runs=2, mc_samples=1000)
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setenv("AMP_LAB_THREADS", "2")
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(started) == 1
 
 
 def _amp_lab_imports(path: str) -> list:

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from amp_lab import randmat
@@ -683,3 +685,19 @@ def test_diag_rank_one_eigh_reconstructs():
         assert abs(w @ mu**p - quad) < 1e-14 * (z @ z) * np.linalg.norm(D, 2) ** p
     with pytest.raises(ValidationError):
         diag_rank_one_eigh(lam, z, 0.0)
+
+
+_FLOATS = st.floats(allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coeffs=st.lists(_FLOATS, min_size=1, max_size=8).map(tuple),
+       x=st.one_of(_FLOATS, st.lists(_FLOATS, min_size=1, max_size=16).map(np.array)))
+def test_horner_is_polyval_bit_for_bit(coeffs, x):
+    # the matrix functions' and the polynomial families' evaluation, against
+    # the numpy function it replaces: same type, shape and bits, overflow
+    # to inf and nan included
+    with np.errstate(all="ignore"):
+        ours, ref = randmat._horner(x, coeffs), np.polynomial.polynomial.polyval(x, coeffs)
+    assert type(ours) is type(ref) and np.shape(ours) == np.shape(ref)
+    assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()

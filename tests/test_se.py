@@ -194,16 +194,26 @@ def test_gh_and_mc_engines_agree():
 
 
 def test_an_overflowing_gauss_hermite_rule_raises(monkeypatch, tmp_path, capsys):
-    # hermegauss' weights overflow from 371 nodes: SE exits 2 with a message
+    # the rule's weights overflow from 371 nodes: SE exits 2 with a message
     # instead of integrating against an empty rule
-    with pytest.raises(NumericalError, match="400-point"):
-        se._gh_rule(400)
+    for n in (371, 400):
+        with pytest.raises(NumericalError, match=f"{n}-point"):
+            se._gh_rule(n)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"law": "semicircle", "N": 100, "T": 2, "algo": "ri-amp",
                                "denoiser": "tanh"}))
     monkeypatch.setattr(se, "GH_POINTS", 400)
     assert main(["se", "--config", str(cfg)]) == 2
     assert "400-point Gauss-Hermite rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 80, GH_POINTS, 370])
+def test_the_gauss_hermite_rule_is_numpys_bit_for_bit(n):
+    # the port against numpy.polynomial's rule, up to the last node count
+    # whose weights are finite
+    z, w = se._hermegauss(n)
+    ref_z, ref_w = np.polynomial.hermite_e.hermegauss(n)
+    assert z.tobytes() == ref_z.tobytes() and w.tobytes() == ref_w.tobytes()
 
 
 SIGMA3 = np.array([[1.0, 0.3, 0.2], [0.3, 0.8, 0.25], [0.2, 0.25, 0.6]])
