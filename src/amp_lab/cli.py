@@ -45,6 +45,9 @@ ALL_ALGOS = ("ri-amp", "ri-amp-df", "ri-amp-mp", "gaussian-amp", "oamp")
 # numpy's floating-point warnings are silenced: every result is checked for
 # finiteness, and an overflow ends in one `numerical failure:` line
 _ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+# elements per array of a seed's numpy calls from which seeds share threads
+# by default (`_worker_count`); the sweep that set it is in README
+POOL_MIN_ELEMENTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +90,9 @@ def _seed_bytes(N: int, algo: str, T: int) -> int:
     SE, peak 54 vectors above the process's 62 MB before them.  The trace-free
     Onsager rows keep nothing of length N in grid mode: they live on a
     Gauss rule of T + 1 points, whose Lanczos build holds T + 1 transient
-    vectors."""
+    vectors.  The budget bounds memory only: the default seed-thread count
+    (`_worker_count`) goes by array length, because a gaussian-amp seed's
+    time grows as N^3 and the others' as N, neither as its memory."""
     if algo == "gaussian-amp":
         return 66 * N * N
     return 8 * N * 16 * (T + 2)
@@ -143,7 +148,7 @@ class ExperimentConfig:
                                   f"{MATRIX_FN_ALGOS}; {self.algo!r} needs 'identity'")
         parse_prior_spec(self.prior)
         resolve_denoiser_factory(self.denoiser, self.spiked)
-        workers = _worker_count(self.runs)
+        workers = _worker_count(self.runs, self.N, self.algo)
         _check_fits_memory(workers * _seed_bytes(self.N, self.algo, self.T),
                            f"N={self.N} with {workers} concurrent seed(s)")
 
@@ -289,7 +294,17 @@ def _se(cfg: ExperimentConfig, law, prior, f, factory):
 # experiment runner
 # ---------------------------------------------------------------------------
 
-def _worker_count(runs: int) -> int:
+def _worker_count(runs: int, N: int, algo: str) -> int:
+    """Seed threads for `runs` seeds of `algo` at size N.
+
+    `AMP_LAB_THREADS`, when set, is used as given, at most one per seed.
+    Unset, min(runs, CPU count) threads share the seeds once the arrays of
+    a seed's numpy calls reach POOL_MIN_ELEMENTS: length-N vectors, or
+    gaussian-amp's N x N matrices.  Smaller seeds run one after another on
+    the calling thread.  A seed makes about 150 numpy calls a step, and only
+    the work inside a call runs beside another thread: for short arrays the
+    interpreter lock's hand-offs cost more than a second core returns, and a
+    second thread would hold a second seed's memory."""
     env = os.environ.get("AMP_LAB_THREADS", "").strip()
     try:
         cap = int(env) if env else (os.cpu_count() or 1)
@@ -297,6 +312,8 @@ def _worker_count(runs: int) -> int:
         raise ValidationError(f"AMP_LAB_THREADS must be an integer, got {env!r}") from None
     if cap < 1:
         raise ValidationError("AMP_LAB_THREADS must be >= 1")
+    if not env and (N * N if algo == "gaussian-amp" else N) < POOL_MIN_ELEMENTS:
+        return 1
     return max(1, min(runs, cap))
 
 
@@ -382,7 +399,7 @@ def run_experiment(cfg: ExperimentConfig):
     Returns (rows, se_rows, n_ok, n_divergent).  Seeds whose run raises a
     numerical failure are excluded from aggregation and counted, each with
     a warning on stderr, printed in seed order once every seed is done."""
-    workers = _worker_count(cfg.runs)
+    workers = _worker_count(cfg.runs, cfg.N, cfg.algo)
     law, prior, f, factory = _resolve(cfg)
     states, se_rows = _se(cfg, law, prior, f, factory)
     grid = None

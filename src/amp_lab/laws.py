@@ -2,7 +2,7 @@
 
 Supported families:
   * semicircle(variance)
-  * marchenko_pastur(aspect ratio alpha in (0,1))
+  * marchenko_pastur(aspect ratio alpha in [1e-7, 1))
   * discrete grid (atoms with weights, equal by default): grids, point
     masses, discrete priors and the spiked model's overlap measures
   * external tabulated density (piecewise linear, renormalized on load)
@@ -35,6 +35,11 @@ EXPECT_NODES = (64, 2048)
 SUPPORT_CAP = 1e15
 # points per block of `cdf_grid`'s density and of `quantile_grid`'s compaction
 CDF_BLOCK = 4096
+# least MP aspect ratio, the least power of ten from which on the 400-node
+# rule's variance is alpha within QUAD_TOL relative: its nodes lie within
+# 2 sqrt(alpha) of 1, so rounding keeps eps / sqrt(alpha) of their spread
+# (at 1e-8 the variance is off by 1.4e-12)
+MP_ALPHA_FLOOR = 1e-7
 
 
 def catalan(k: int) -> int:
@@ -270,7 +275,7 @@ class Semicircle(SpectralLaw):
 
 @dataclass(frozen=True)
 class MarchenkoPastur(SpectralLaw):
-    """Marchenko-Pastur law with aspect ratio alpha in (0, 1).
+    """Marchenko-Pastur law with aspect ratio alpha in [MP_ALPHA_FLOOR, 1).
 
     Density sqrt((a+ - x)(x - a-)) / (2 pi alpha x) on [a-, a+],
     a± = (1 ± sqrt(alpha))^2.  First moment 1, free cumulants alpha^(n-1).
@@ -279,8 +284,8 @@ class MarchenkoPastur(SpectralLaw):
     alpha: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("MP aspect ratio must lie in (0, 1)")
+        if not MP_ALPHA_FLOOR <= self.alpha < 1.0:
+            raise ValidationError(f"MP aspect ratio must lie in [{MP_ALPHA_FLOOR:g}, 1)")
 
     @property
     def edges(self) -> tuple[float, float]:

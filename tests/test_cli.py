@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -551,10 +553,6 @@ _GAUSS_RULE_FAILURES = {
     "huge-f": ({"law": "semicircle", "N": 64, "T": 3, "algo": "ri-amp-mp",
                 "matrix_fn": "polynomial:1e160,1e160,1e160", "denoiser": "tanh"},
                r"Sigma_1 is not finite: .*"),
-    # MP(5e-324), the least subnormal alpha: the product of the distances
-    # to both edges, of order alpha, underflows, so its weights sum to 0
-    "massless-rule": ({"law": "mp:alpha=5e-324", "N": 64, "T": 3, "algo": "ri-amp",
-                       "denoiser": "tanh"}, r"the quadrature weights sum to 0\.0, .*"),
 }
 
 
@@ -567,6 +565,19 @@ def test_a_failing_gauss_rule_exits_2_with_one_line(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch("numerical failure: " + message + "\n", captured.err)
+
+
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-8"])
+def test_an_mp_aspect_ratio_below_the_floor_exits_1_naming_it(alpha, tmp_path, capsys):
+    # MP(5e-324) once gave a rule whose weights summed to 0 (exit 2), and
+    # MP(1e-8) one whose variance was off by 1.4e-12: both are refused
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"law": f"mp:alpha={alpha}", "N": 64, "T": 3, "algo": "ri-amp",
+                             "denoiser": "tanh"}))
+    assert main(["se", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MP aspect ratio must lie in [1e-07, 1)\n"
 
 
 def test_a_run_whose_iterates_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -766,6 +777,53 @@ def test_run_aggregation_independent_of_worker_count(tmp_path, monkeypatch):
     rows3, *_ = run_experiment(cfg)
     assert np.allclose(np.asarray(rows1, dtype=float),
                        np.asarray(rows3, dtype=float), atol=0)
+
+
+def test_worker_count_pools_seeds_only_from_the_array_threshold(monkeypatch):
+    # unset, seeds of N below POOL_MIN_ELEMENTS (N^2 for gaussian-amp) take
+    # one worker and larger ones min(runs, cores); AMP_LAB_THREADS is used
+    # as given, capped at the seed count, whatever the size
+    monkeypatch.delenv("AMP_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    big = cli.POOL_MIN_ELEMENTS
+    assert cli._worker_count(8, big - 1, "ri-amp-mp") == 1
+    assert cli._worker_count(8, big, "ri-amp-mp") == 4
+    assert cli._worker_count(3, big, "oamp") == 3
+    assert cli._worker_count(1, big, "ri-amp") == 1
+    dense = math.isqrt(big - 1) + 1  # the least N with N^2 >= POOL_MIN_ELEMENTS
+    assert cli._worker_count(8, dense - 1, "gaussian-amp") == 1
+    assert cli._worker_count(8, dense, "gaussian-amp") == 4
+    monkeypatch.setenv("AMP_LAB_THREADS", "3")
+    assert cli._worker_count(8, 16, "ri-amp-mp") == 3
+    assert cli._worker_count(8, big, "ri-amp-mp") == 3
+    assert cli._worker_count(2, 16, "gaussian-amp") == 2
+
+
+def test_a_pooled_run_writes_the_bytes_of_a_one_thread_run(tmp_path, monkeypatch):
+    # at the threshold, unset, the 2 seeds share 2 threads (one started);
+    # with AMP_LAB_THREADS=1 they run on the calling thread; same bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "N": cli.POOL_MIN_ELEMENTS, "T": 2}))
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outputs = []
+    for threads in (None, "1"):
+        if threads is None:
+            monkeypatch.delenv("AMP_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("AMP_LAB_THREADS", threads)
+        out = tmp_path / f"out{threads}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("mse.csv", "se.csv", "meta.json")])
+    assert len(started) == 1
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("failing", [{1}, {0, 1}])

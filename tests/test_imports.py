@@ -3,8 +3,9 @@ the non-spiked paths, verification, spiked runs and spiked SE load, and
 none of them loads numpy.polynomial or concurrent.futures; scipy.linalg
 (for LAPACK dlasd4) loads only when the secular solver runs, for the
 overlap measure or `nu_measure`.  A run's seed threads include the main
-one.  Every name the benchmark and the demos import from amp_lab, and every
-attribute the benchmark's tracer wraps, exists."""
+one, and by default small seeds start no other.  Every name the benchmark
+and the demos import from amp_lab, and every attribute the benchmark's
+tracer wraps, exists."""
 
 import ast
 import glob
@@ -115,8 +116,7 @@ nu_measure(law.quantile_grid(64), 1.5)
     assert not mods & {"scipy.integrate", "scipy.special", "scipy.optimize"}
 
 
-def test_a_two_seed_run_on_two_workers_starts_one_thread(tmp_path, monkeypatch):
-    # the main thread runs seeds too, so it starts workers - 1 helpers
+def _threads_started_by_a_two_seed_run(tmp_path, monkeypatch) -> int:
     cfg = _write_config(tmp_path, law="mp:alpha=0.2", N=64, T=2, theta=1.5, omega=0.3,
                         algo="ri-amp-mp", denoiser="linear-mmse-combining",
                         matrix_fn="mp-denoise", runs=2, mc_samples=1000)
@@ -126,10 +126,23 @@ def test_a_two_seed_run_on_two_workers_starts_one_thread(tmp_path, monkeypatch):
         started.append(thread)
         start(thread)
 
-    monkeypatch.setenv("AMP_LAB_THREADS", "2")
     monkeypatch.setattr(threading.Thread, "start", counted)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(started) == 1
+    return len(started)
+
+
+def test_a_two_seed_run_on_two_workers_starts_one_thread(tmp_path, monkeypatch):
+    # the main thread runs seeds too, so it starts workers - 1 helpers
+    monkeypatch.setenv("AMP_LAB_THREADS", "2")
+    assert _threads_started_by_a_two_seed_run(tmp_path, monkeypatch) == 1
+
+
+def test_a_default_run_of_small_seeds_starts_no_thread(tmp_path, monkeypatch):
+    # seeds of N = 64 run one after another on the main thread, however
+    # many cores there are, unless AMP_LAB_THREADS asks for more
+    monkeypatch.delenv("AMP_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _threads_started_by_a_two_seed_run(tmp_path, monkeypatch) == 0
 
 
 def _amp_lab_imports(path: str) -> list:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from amp_lab.errors import DomainError, NumericalError, ValidationError
 from amp_lab.laws import (
+    MP_ALPHA_FLOOR,
+    QUAD_TOL,
     DiscreteGrid,
     ExternalDensity,
     MarchenkoPastur,
@@ -239,12 +241,28 @@ def test_quad_nodes_integrate_moments(law):
         assert abs(w @ nodes**n - law.moment(n)) < 1e-9 * max(1, abs(law.moment(n)))
 
 
-@pytest.mark.parametrize("alpha", [1e-40, 1e-33, 1e-30, 1e-25, 1e-20, 1e-10, 1e-4, 0.3, 0.99])
+@pytest.mark.parametrize("alpha", [1e-40, 1e-33, 1e-30, 1e-25, 1e-20, 1e-10, 1e-7, 1e-4, 0.3,
+                                   0.99])
 def test_mp_quad_weights_keep_their_mass_at_every_aspect_ratio(alpha):
     # the half-width 2 sqrt(alpha) of the support, not (a+ - a-) / 2 formed
-    # from two numbers near 1, which lost the mass below alpha ~ 1e-20
+    # from two numbers near 1, which lost the mass below alpha ~ 1e-20;
+    # below MP_ALPHA_FLOOR the law is refused, with a message naming the floor
+    if alpha < MP_ALPHA_FLOOR:
+        with pytest.raises(ValidationError, match=r"\[1e-07, 1\)"):
+            MarchenkoPastur(alpha=alpha)
+        return
     _, w = MarchenkoPastur(alpha=alpha).quad_nodes()
     assert abs(w.sum() - 1.0) <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("alpha", [10.0**-k for k in range(1, 8)])
+def test_mp_rule_keeps_the_variance_from_the_floor_up(alpha):
+    # the floor is the least power of ten from which on the rule's variance
+    # is alpha within QUAD_TOL (at 1e-8 it is off by 1.4e-12)
+    assert alpha >= MP_ALPHA_FLOOR
+    lam, w = MarchenkoPastur(alpha=alpha).quad_nodes()
+    mean = w @ lam
+    assert abs(w @ (lam - mean) ** 2 / alpha - 1.0) <= QUAD_TOL
 
 
 def test_external_density_roundtrip():
