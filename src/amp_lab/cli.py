@@ -48,6 +48,9 @@ _ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 # elements per array of a seed's numpy calls from which seeds share threads
 # by default (`_worker_count`); the sweep that set it is in README
 POOL_MIN_ELEMENTS = 10_000
+# most seed threads a run starts, AMP_LAB_THREADS included: far below the
+# per-user task limits of common hosts (README)
+MAX_SEED_THREADS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +99,17 @@ def _seed_bytes(N: int, algo: str, T: int) -> int:
     if algo == "gaussian-amp":
         return 66 * N * N
     return 8 * N * 16 * (T + 2)
+
+
+def _kept_bytes(T: int) -> int:
+    """Bytes a run keeps per seed from the seed's end until it writes: the
+    results slot, the (T, 1) or (T, 2) metrics array, and `run_experiment`'s
+    list of them, stack and mean and std reductions.  From 6000 to 12,000
+    seeds of N = 16 on one thread, tracemalloc's peak over the seed phase
+    and the aggregation grew by 363 (spiked ri-amp) and 467 (ri-amp) bytes
+    a seed at T = 1, and by 643 and 595 at T = 10; the budget is at least
+    1.5 times that."""
+    return 768 + 32 * T
 
 
 def _check_fits_memory(need: int, what: str) -> None:
@@ -149,8 +163,9 @@ class ExperimentConfig:
         parse_prior_spec(self.prior)
         resolve_denoiser_factory(self.denoiser, self.spiked)
         workers = _worker_count(self.runs, self.N, self.algo)
-        _check_fits_memory(workers * _seed_bytes(self.N, self.algo, self.T),
-                           f"N={self.N} with {workers} concurrent seed(s)")
+        _check_fits_memory(workers * _seed_bytes(self.N, self.algo, self.T)
+                           + self.runs * _kept_bytes(self.T),
+                           f"N={self.N} and runs={self.runs} with {workers} concurrent seed(s)")
 
     @property
     def spiked(self) -> bool:
@@ -297,8 +312,9 @@ def _se(cfg: ExperimentConfig, law, prior, f, factory):
 def _worker_count(runs: int, N: int, algo: str) -> int:
     """Seed threads for `runs` seeds of `algo` at size N.
 
-    `AMP_LAB_THREADS`, when set, is used as given, at most one per seed.
-    Unset, min(runs, CPU count) threads share the seeds once the arrays of
+    `AMP_LAB_THREADS`, when set, is used as given, at most one per seed; a
+    value above MAX_SEED_THREADS is refused.  Unset, min(runs, CPU count,
+    MAX_SEED_THREADS) threads share the seeds once the arrays of
     a seed's numpy calls reach POOL_MIN_ELEMENTS: length-N vectors, or
     gaussian-amp's N x N matrices.  Smaller seeds run one after another on
     the calling thread.  A seed makes about 150 numpy calls a step, and only
@@ -310,11 +326,11 @@ def _worker_count(runs: int, N: int, algo: str) -> int:
         cap = int(env) if env else (os.cpu_count() or 1)
     except ValueError:
         raise ValidationError(f"AMP_LAB_THREADS must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise ValidationError("AMP_LAB_THREADS must be >= 1")
+    if env and not 1 <= cap <= MAX_SEED_THREADS:
+        raise ValidationError(f"AMP_LAB_THREADS must lie in [1, {MAX_SEED_THREADS}], got {cap}")
     if not env and (N * N if algo == "gaussian-amp" else N) < POOL_MIN_ELEMENTS:
         return 1
-    return max(1, min(runs, cap))
+    return max(1, min(runs, cap, MAX_SEED_THREADS))
 
 
 def _seed(base: int, run_idx: int, stream: int) -> int:
@@ -380,10 +396,12 @@ def _run_seeds(task, runs: int, workers: int) -> list:
                 with lock:
                     errors[run_idx] = exc
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for th in helpers:
-        th.start()
-    try:
+    helpers = []
+    try:  # a thread that fails to start still leaves the started ones joined
+        for _ in range(workers - 1):
+            th = threading.Thread(target=work)
+            th.start()
+            helpers.append(th)
         work()
     finally:
         for th in helpers:

@@ -4,8 +4,11 @@ A denoiser at step t maps the history rows (r_1[n], ..., r_t[n]) to a
 scalar, eta(R) = sum_k c_k g(p_k^T R + b_k): K terms, each a scalar link g of
 one projection p_k of the history.  A projection denoiser g(p^T R) is the
 one-term case; `random_lipschitz_denoiser` has one term per history row.
-State evolution integrates every term exactly by quadrature over at most two
-projections.
+`Denoiser.evaluate` returns eta(R) and its divergence row <d_i eta> from one
+evaluation of the link.  The slope g' receives the link's arguments and
+values: tanh takes 1 - g^2 from the values, a posterior mean can take
+Var(x | s) from the arguments.  State evolution integrates every term
+exactly by quadrature over at most two projections.
 """
 
 from __future__ import annotations
@@ -23,20 +26,18 @@ class Denoiser:
     """eta: (t, N) history array -> (N,) output, eta(R) = sum_k c_k g(p_k^T R + b_k).
 
     Row k of `projection` (K, arity) is p_k, with zero entries for unread
-    rows; `weights` c and `offsets` b have length K; `link` g and
-    `link_prime` g' act elementwise on arrays of any shape.  The partials are
-    d eta / d r_i = sum_k c_k p_{k,i} g'(p_k^T R + b_k).  `prime_of_link`,
-    when set, gives g' from the values of g (1 - g^2 for tanh), bit for bit
-    `link_prime`, so `evaluate_with_divergences` evaluates g once.
+    rows; `weights` c and `offsets` b have length K.  `link` g acts
+    elementwise on arrays of any shape, and `slope(a, g)` is g'(a) given the
+    arguments a and their values g = link(a).  The partials are
+    d eta / d r_i = sum_k c_k p_{k,i} g'(p_k^T R + b_k).
     """
 
     name: str
     projection: np.ndarray
     link: Callable
-    link_prime: Callable
+    slope: Callable
     weights: np.ndarray
     offsets: np.ndarray
-    prime_of_link: Callable | None = None
 
     @property
     def arity(self) -> int:
@@ -51,57 +52,42 @@ class Denoiser:
             )
         return self.projection @ R + self.offsets[:, None]
 
-    def _value(self, g: np.ndarray) -> np.ndarray:
-        """eta from the (K, N) link values g(p_k^T R + b_k)."""
-        return np.sum(self.weights[:, None] * g, axis=0)
-
-    def _divergences(self, gp: np.ndarray) -> np.ndarray:
-        """<d_i eta> = sum_k c_k p_{k,i} <g'(p_k^T R + b_k)> from the (K, N)
-        values gp of g': each term's g' averaged over the N coordinates
-        before the projection, so no (t, N) array is formed."""
-        return (self.weights[:, None] * self.projection).T @ gp.mean(axis=1)
-
-    def evaluate(self, R: np.ndarray) -> np.ndarray:
-        return self._value(self.link(self._args(R)))
+    def evaluate(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eta(R), divergence row <d_i eta> of length t) from one evaluation
+        of the link: each term's g' averaged over the N coordinates before
+        the projection, so no (t, N) array is formed."""
+        args = self._args(R)
+        g = self.link(args)
+        return (np.sum(self.weights[:, None] * g, axis=0),
+                (self.weights[:, None] * self.projection).T @ self.slope(args, g).mean(axis=1))
 
     def partials(self, R: np.ndarray) -> np.ndarray:
         """(t, N) array of partial derivatives."""
-        return (self.weights[:, None] * self.projection).T @ self.link_prime(self._args(R))
-
-    def divergences(self, R: np.ndarray) -> np.ndarray:
-        """Empirical divergence row <d_i eta> (length t)."""
-        return self._divergences(self.link_prime(self._args(R)))
-
-    def evaluate_with_divergences(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(eta(R), divergence row) from one evaluation of the link
-        arguments, and of g when `prime_of_link` is set: `evaluate` and
-        `divergences` of R, bit for bit."""
         args = self._args(R)
-        g = self.link(args)
-        gp = self.link_prime(args) if self.prime_of_link is None else self.prime_of_link(g)
-        return self._value(g), self._divergences(gp)
+        return (self.weights[:, None] * self.projection).T @ self.slope(args, self.link(args))
 
 
 # ---------------------------------------------------------------------------
 # factories
 # ---------------------------------------------------------------------------
 
-def additive_denoiser(name: str, P, link: Callable, link_prime: Callable,
-                      weights=None, offsets=None, prime_of_link=None) -> Denoiser:
+def additive_denoiser(name: str, P, link: Callable, slope: Callable,
+                      weights=None, offsets=None) -> Denoiser:
     """eta(R) = sum_k weights_k link(P[k] @ R + offsets_k) with arity
-    P.shape[1] (weights default to 1, offsets to 0)."""
+    P.shape[1] (weights default to 1, offsets to 0); a 1-D P is one term.
+    ValidationError unless weights and offsets are 1-D with one entry per
+    row of P, and all three are finite."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     K = P.shape[0]
     c = np.ones(K) if weights is None else np.asarray(weights, dtype=float)
     b = np.zeros(K) if offsets is None else np.asarray(offsets, dtype=float)
-    return Denoiser(name, P, link, link_prime, c, b, prime_of_link)
-
-
-def projection_denoiser(name: str, p, link: Callable, link_prime: Callable,
-                        prime_of_link=None) -> Denoiser:
-    """eta(R) = link(p^T R) with arity len(p): the one-term case."""
-    return additive_denoiser(name, np.atleast_1d(np.asarray(p, dtype=float))[None, :],
-                             link, link_prime, prime_of_link=prime_of_link)
+    if P.ndim != 2 or c.shape != (K,) or b.shape != (K,):
+        raise ValidationError(f"denoiser {name!r}: weights {c.shape} and offsets {b.shape} "
+                              f"need one entry per row of the {P.shape} projection")
+    if not (np.isfinite(P).all() and np.isfinite(c).all() and np.isfinite(b).all()):
+        raise ValidationError(f"denoiser {name!r}: projection, weights and offsets "
+                              "must be finite")
+    return Denoiser(name, P, link, slope, c, b)
 
 
 def _last(t: int, scale: float = 1.0) -> np.ndarray:
@@ -119,36 +105,30 @@ def last_row_denoiser(den: Denoiser, t: int) -> Denoiser:
             f"denoiser {den.name!r} is not single-memory: arity {den.arity}, expected 1")
     P = np.zeros((den.projection.shape[0], t))
     P[:, -1] = den.projection[:, 0]
-    return additive_denoiser(den.name, P, den.link, den.link_prime, den.weights, den.offsets,
-                             den.prime_of_link)
+    return additive_denoiser(den.name, P, den.link, den.slope, den.weights, den.offsets)
 
 
 def _identity(s):
     return s
 
 
-def _one(s):
-    return np.ones_like(s)
+def _identity_slope(a, g):
+    return np.ones_like(a)
 
 
-def _tanh_prime(s):
-    return _tanh_prime_of_link(np.tanh(s))
-
-
-def _tanh_prime_of_link(g):
+def _tanh_slope(a, g):
     return 1.0 - g ** 2
 
 
 def identity_denoiser(t: int) -> Denoiser:
     """eta = r_t (last history row)."""
-    return projection_denoiser("identity", _last(t), _identity, _one)
+    return additive_denoiser("identity", _last(t), _identity, _identity_slope)
 
 
 def tanh_denoiser(t: int, scale: float = 1.0) -> Denoiser:
     """eta = tanh(scale * r_t), single memory."""
     s = float(scale)
-    return projection_denoiser(f"tanh(scale={s})", _last(t, s), np.tanh, _tanh_prime,
-                               _tanh_prime_of_link)
+    return additive_denoiser(f"tanh(scale={s})", _last(t, s), np.tanh, _tanh_slope)
 
 
 def random_lipschitz_denoiser(t: int, seed: int) -> Denoiser:
@@ -160,8 +140,7 @@ def random_lipschitz_denoiser(t: int, seed: int) -> Denoiser:
     s = rng.uniform(0.5, 1.5, size=t)
     b = rng.uniform(-0.5, 0.5, size=t)
     return additive_denoiser(f"random-lipschitz(seed={seed})", np.diag(s), np.tanh,
-                             _tanh_prime, weights=w, offsets=b,
-                             prime_of_link=_tanh_prime_of_link)
+                             _tanh_slope, weights=w, offsets=b)
 
 
 def mmse_rademacher_denoiser(t: int, beta: float, sigma2: float) -> Denoiser:
@@ -170,8 +149,8 @@ def mmse_rademacher_denoiser(t: int, beta: float, sigma2: float) -> Denoiser:
     if sigma2 <= 0:
         raise ValidationError("sigma2 must be positive")
     c = float(beta) / float(sigma2)
-    return projection_denoiser(f"mmse-rademacher(beta={beta},sigma2={sigma2})",
-                               _last(t, c), np.tanh, _tanh_prime, _tanh_prime_of_link)
+    return additive_denoiser(f"mmse-rademacher(beta={beta},sigma2={sigma2})",
+                             _last(t, c), np.tanh, _tanh_slope)
 
 
 def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
@@ -190,5 +169,4 @@ def linear_mmse_combining_denoiser(beta, Sigma) -> Denoiser:
         raise ValidationError("Sigma shape must match beta length")
     # least-squares solve tolerates the near-singular Sigma of late iterations
     c, *_ = np.linalg.lstsq(Sigma, beta, rcond=1e-12)
-    return projection_denoiser("linear-mmse-combining", c, np.tanh, _tanh_prime,
-                               _tanh_prime_of_link)
+    return additive_denoiser("linear-mmse-combining", c, np.tanh, _tanh_slope)

@@ -151,7 +151,7 @@ def _run(template, M, law: SpectralLaw | None, f, denoisers, u1, T: int, mode: s
                     row @ X[:t], out=R[t - 1])
         _check_finite(R[t - 1], t, "r")
         debias[t - 1, :t] = row
-        U[t], d = denoisers[t - 1].evaluate_with_divergences(R[:t])
+        U[t], d = denoisers[t - 1].evaluate(R[:t])
         _check_finite(U[t], t, "u")
         phi[t, :t] = d
         np.subtract(U[t], d @ R[:t], out=Ubar[t])  # u_{t+1} - sum_i <d_i u_{t+1}> r_i
@@ -275,7 +275,7 @@ def ubar_divergences(run: AmpRun) -> float:
     worst = 0.0
     R = np.vstack(run.r)
     for t, den in enumerate(run.denoisers[: run.T], start=1):
-        d = den.divergences(R[:t])
+        d = den.evaluate(R[:t])[1]
         worst = max(worst, float(np.abs(d - run.phi[t, :t]).max()))
     return worst
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .laws import DiscreteGrid, parse_spec
+from .laws import SUPPORT_CAP, DiscreteGrid, parse_spec
 
 OVERLAP_N_CAP = 8000  # the secular solver's root loop takes O(N^2) time
 # A query's residual off the revealed span is new only above this multiple
@@ -414,6 +414,9 @@ class Prior:
 
 
 _PRIOR_PARAMS = {"rademacher": (), "gaussian": (), "sparse": ("rho",)}
+# least nonzero fraction of the sparse prior: the atom 1/sqrt(rho) of a
+# smaller one passes SUPPORT_CAP
+SPARSE_RHO_FLOOR = 1e-30
 
 
 def parse_prior_spec(spec: str) -> Prior:
@@ -424,7 +427,7 @@ def parse_prior_spec(spec: str) -> Prior:
 
 def make_prior(name: str, /, **params) -> Prior:
     """Priors: 'rademacher' (default choice), 'sparse' (three-point, param
-    rho = nonzero fraction in (0, 1], default 0.1), 'gaussian'."""
+    rho = nonzero fraction in [SPARSE_RHO_FLOOR, 1], default 0.1), 'gaussian'."""
     if name not in _PRIOR_PARAMS or not set(params) <= set(_PRIOR_PARAMS[name]):
         raise ValidationError(f"prior {name!r} with parameters {sorted(params)}: the priors "
                               f"and their parameters are {_PRIOR_PARAMS}")
@@ -435,8 +438,10 @@ def make_prior(name: str, /, **params) -> Prior:
         return Prior("gaussian", lambda rng, n: rng.standard_normal(n), 1.0)
     if name == "sparse":
         rho = float(params.get("rho", 0.1))
-        if not 0 < rho <= 1:
-            raise ValidationError("sparse prior needs 0 < rho <= 1")
+        if not SPARSE_RHO_FLOOR <= rho <= 1:
+            raise ValidationError(f"prior 'sparse:rho={rho!r}' needs {SPARSE_RHO_FLOOR:g} <= rho "
+                                  f"<= 1: below that the atom 1/sqrt(rho) is beyond "
+                                  f"+-{SUPPORT_CAP:g}")
         a = 1.0 / np.sqrt(rho)
 
         def sampler(rng, n, rho=rho, a=a):

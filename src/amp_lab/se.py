@@ -228,10 +228,10 @@ class _MomentRows:
 
         padded = lambda proj: np.pad(proj, ((0, 0), (0, t - proj.shape[1])))  # the terms' p_k
 
-        P, g, gp = padded(den.projection), den.link, den.link_prime
+        P, g, gp = padded(den.projection), den.link, den.slope
         hs = []
         for p, c, o in zip(P, den.weights, den.offsets):
-            d = c * expect(p[None], lambda s, x: gp(s + o))
+            d = c * expect(p[None], lambda s, x: gp(arg := s + o, g(arg)))
             self.Phi[j, :j] += d * p[:j]
             u = lambda s, x, c=c, o=o, d=d: c * g(s + o) - d * s
             a = expect(p[None], lambda s, x: x * u(s, x)) if spiked else 0.0
@@ -378,7 +378,7 @@ def gaussian_amp_se(denoisers: Sequence[Denoiser], T: int) -> np.ndarray:
         den = denoisers[t - 1]
         R = np.zeros((den.arity, z.size))
         R[-1] = math.sqrt(max(out[t - 1], 0.0)) * z
-        vals = den.evaluate(R)
+        vals = den.evaluate(R)[0]
         out[t] = float(wz @ vals**2)
     return out
 

@@ -9,6 +9,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from amp_lab.cli import (
 from amp_lab.denoisers import tanh_denoiser
 from amp_lab.engines import HORIZON_CAP
 from amp_lab.errors import ValidationError
-from amp_lab.laws import MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
+from amp_lab.laws import SUPPORT_CAP, MarchenkoPastur, Semicircle, SpectralLaw, parse_law_spec
 from amp_lab.randmat import LazyHaarRotation, RationalFn, make_prior, parse_prior_spec
 from amp_lab import se
 from amp_lab.se import SeInit, spiked_se
@@ -171,6 +172,23 @@ def test_config_rejects_n_beyond_physical_memory(monkeypatch, tmp_path, capsys):
     assert main(["se", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "physical memory" in captured.err
+
+
+def test_a_seed_count_beyond_physical_memory_exits_1_naming_runs(tmp_path, monkeypatch,
+                                                                 capsys):
+    # a run keeps cli._kept_bytes(T) per seed until it writes, so 10^12
+    # seeds of N = 16 do not fit 1 TiB; nothing is allocated for them
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**40)
+    monkeypatch.setenv("AMP_LAB_THREADS", "1")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"law": "semicircle", "N": 16, "T": 1, "runs": 10**12,
+                             "algo": "ri-amp", "denoiser": "tanh"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "runs=1000000000000" in captured.err and "physical memory" in captured.err
 
 
 @pytest.mark.parametrize("algo,spiked", [("ri-amp", False), ("ri-amp-df", False),
@@ -335,6 +353,24 @@ def test_prior_specs_through_se(prior, ok, tmp_path, capsys):
     else:
         assert rc == 1 and captured.out == ""
         assert "prior" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rho", ["1e-300", "1e-31"])
+def test_a_sparse_fraction_below_the_floor_exits_1_naming_it(rho, tmp_path, capsys):
+    # below 1e-30 the atom 1/sqrt(rho) passes laws.SUPPORT_CAP: the message
+    # names the prior and the floor, not the atoms
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**_SE_CFG, "prior": f"sparse:rho={rho}"}))
+    assert main(["se", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"prior 'sparse:rho={rho}' needs 1e-30 <= rho <= 1" in captured.err
+
+
+def test_the_sparse_fraction_floor_is_accepted():
+    prior = parse_prior_spec("sparse:rho=1e-30")
+    assert 0 < prior.law.atoms.max() <= SUPPORT_CAP
+    ExperimentConfig.from_dict({**_SE_CFG, "prior": "sparse:rho=1e-30"})
 
 
 def test_nonspiked_ri_amp_mp_predictions_match_runs(tmp_path, capsys):
@@ -860,6 +896,47 @@ def test_seed_threads_run_every_seed_once_and_keep_index_order():
         sys.setswitchinterval(interval)
     assert sorted(calls) == list(range(500))
     assert results == [i * i for i in range(500)]
+
+
+def test_a_thread_count_above_the_ceiling_exits_1_before_any_thread_starts(
+        tmp_path, monkeypatch, capsys):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    monkeypatch.setenv("AMP_LAB_THREADS", str(cli.MAX_SEED_THREADS + 1))
+    with pytest.raises(ValidationError, match=r"^AMP_LAB_THREADS must lie in \[1, 256\]"):
+        cli._worker_count(30000, 16, "ri-amp")
+    monkeypatch.setenv("AMP_LAB_THREADS", "30000")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"law": "semicircle", "N": 16, "T": 1, "runs": 30000,
+                             "algo": "ri-amp", "denoiser": "tanh"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: AMP_LAB_THREADS must lie in [1, 256], "
+                                       "got 30000\n")
+    assert started == [] and not out.exists()
+    # the ceiling itself is accepted, and the default count stops there too
+    monkeypatch.setenv("AMP_LAB_THREADS", str(cli.MAX_SEED_THREADS))
+    assert cli._worker_count(10**6, 16, "ri-amp") == cli.MAX_SEED_THREADS
+    monkeypatch.delenv("AMP_LAB_THREADS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4 * cli.MAX_SEED_THREADS)
+    assert cli._worker_count(10**6, cli.POOL_MIN_ELEMENTS, "ri-amp") == cli.MAX_SEED_THREADS
+
+
+def test_a_thread_that_fails_to_start_leaves_the_started_ones_joined(monkeypatch):
+    # the second helper fails to start: the first is joined before the error
+    # reaches the caller, so no seed thread outlives _run_seeds
+    started, start = [], threading.Thread.start
+
+    def second_fails(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", second_fails)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        cli._run_seeds(lambda i: time.sleep(0.02), 6, 3)
+    assert len(started) == 1 and not started[0].is_alive()
 
 
 def test_run_builds_one_quantile_grid_shared_read_only(monkeypatch):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from amp_lab.denoisers import (
     Denoiser,
     _identity,
-    _one,
+    _identity_slope,
+    _tanh_slope,
     additive_denoiser,
     identity_denoiser,
     linear_mmse_combining_denoiser,
     mmse_rademacher_denoiser,
-    projection_denoiser,
     random_lipschitz_denoiser,
     tanh_denoiser,
 )
@@ -22,13 +22,13 @@ from amp_lab.errors import ValidationError
 
 def constant_denoiser(t: int, c: float) -> Denoiser:
     """eta = c: the identity link of the zero projection, offset by c."""
-    return additive_denoiser(f"constant({c})", np.zeros((1, t)), _identity, _one,
+    return additive_denoiser(f"constant({c})", np.zeros((1, t)), _identity, _identity_slope,
                              offsets=[float(c)])
 
 
 def linear_denoiser(weights) -> Denoiser:
-    """eta = sum_i w_i r_i."""
-    return projection_denoiser("linear", weights, _identity, _one)
+    """eta = sum_i w_i r_i: one term, whose projection is the 1-D weights."""
+    return additive_denoiser("linear", weights, _identity, _identity_slope)
 
 
 FD_STEP = 1e-5
@@ -51,14 +51,14 @@ def _fd_partials(den, R):
         Rp[i] = R[i] + h
         Rm = R.copy()
         Rm[i] = R[i] - h
-        out[i] = (den.evaluate(Rp) - den.evaluate(Rm)) / (2.0 * h)
+        out[i] = (den.evaluate(Rp)[0] - den.evaluate(Rm)[0]) / (2.0 * h)
     return out
 
 
 def test_identity_denoiser():
     R = _history(3, 10)
     den = identity_denoiser(3)
-    assert np.array_equal(den.evaluate(R), R[-1])
+    assert np.array_equal(den.evaluate(R)[0], R[-1])
     p = den.partials(R)
     assert np.array_equal(p[2], np.ones(10))
     assert np.array_equal(p[:2], np.zeros((2, 10)))
@@ -67,21 +67,23 @@ def test_identity_denoiser():
 def test_constant_denoiser():
     den = constant_denoiser(2, 0.7)
     R = _history(2, 5)
-    assert np.allclose(den.evaluate(R), 0.7)
-    assert np.allclose(den.divergences(R), 0.0)
+    value, div = den.evaluate(R)
+    assert np.allclose(value, 0.7)
+    assert np.allclose(div, 0.0)
 
 
 def test_linear_denoiser():
     w = np.array([0.5, -1.0, 2.0])
     den = linear_denoiser(w)
     R = _history(3, 20, seed=1)
-    assert np.allclose(den.evaluate(R), w @ R)
-    assert np.allclose(den.divergences(R), w)
+    value, div = den.evaluate(R)
+    assert np.allclose(value, w @ R)
+    assert np.allclose(div, w)
 
 
 def test_arity_mismatch_raises():
     den = tanh_denoiser(2)
-    for call in (den.evaluate, den.divergences, den.evaluate_with_divergences):
+    for call in (den.evaluate, den.partials):
         with pytest.raises(ValidationError,
                            match=r"^denoiser 'tanh\(scale=1.0\)' expects 2 history rows, got 3$"):
             call(_history(3, 4))
@@ -93,7 +95,7 @@ def test_arity_mismatch_raises():
     lambda t: mmse_rademacher_denoiser(t, beta=1.2, sigma2=0.8),
     # two terms reading overlapping projections of the history
     lambda t: additive_denoiser("two-term", [[0.5, -1.0, 0.0], [0.2, 0.3, 1.1]], np.tanh,
-                                lambda s: 1.0 - np.tanh(s) ** 2, weights=[0.7, -1.3],
+                                lambda a, g: 1.0 - np.tanh(a) ** 2, weights=[0.7, -1.3],
                                 offsets=[0.1, -0.4]),
 ])
 def test_analytic_partials_match_finite_differences(factory):
@@ -135,7 +137,7 @@ def test_random_lipschitz_bound_holds():
     den = random_lipschitz_denoiser(4, seed=9)
     R1 = _history(4, 30, seed=4)
     R2 = R1 + 0.01 * _history(4, 30, seed=5)
-    lhs = np.abs(den.evaluate(R1) - den.evaluate(R2))
+    lhs = np.abs(den.evaluate(R1)[0] - den.evaluate(R2)[0])
     bound = float((np.abs(den.weights) * np.abs(den.projection).sum(axis=1)).sum())
     rhs = bound * np.abs(R1 - R2).sum(axis=0)
     assert np.all(lhs <= rhs + 1e-12)
@@ -152,7 +154,7 @@ def test_random_lipschitz_is_one_term_per_history_row():
     b = rng.uniform(-0.5, 0.5, size=t)
     R = _history(t, 64, seed=12)
     th = np.tanh(s[:, None] * R + b[:, None])
-    assert np.array_equal(den.evaluate(R), np.sum(w[:, None] * th, axis=0))
+    assert np.array_equal(den.evaluate(R)[0], np.sum(w[:, None] * th, axis=0))
     assert np.array_equal(den.partials(R), (w * s)[:, None] * (1.0 - th**2))
 
 
@@ -170,17 +172,37 @@ def test_tanh_partials_property(scale, seed):
     lambda t: random_lipschitz_denoiser(t, seed=5),
     lambda t: linear_denoiser(np.arange(1.0, t + 1.0)),
     lambda t: additive_denoiser("two-term", [[0.5, -1.0, 0.0], [0.2, 0.3, 1.1]], np.tanh,
-                                lambda s: 1.0 - np.tanh(s) ** 2, weights=[0.7, -1.3],
+                                lambda a, g: 1.0 - np.tanh(a) ** 2, weights=[0.7, -1.3],
                                 offsets=[0.1, -0.4]),
 ])
 def test_fused_evaluation_matches_evaluate_and_the_mean_of_the_partials(factory):
-    # one pass of the link arguments gives eta bit for bit as `evaluate`,
-    # and the average-first divergence row equals `divergences` bit for bit
-    # and the mean of the (t, N) partials to rounding
+    # the one evaluation's average-first divergence row equals the mean of
+    # the (t, N) partials to rounding
     den = factory(3)
     R = _history(3, 500, seed=4)
-    value, div = den.evaluate_with_divergences(R)
-    assert np.array_equal(value, den.evaluate(R))
-    assert np.array_equal(div, den.divergences(R))
+    div = den.evaluate(R)[1]
     ref = den.partials(R).mean(axis=1)
     assert np.all(np.abs(div - ref) <= 1e-15 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("link, slope", [(np.tanh, _tanh_slope), (_identity, _identity_slope)])
+def test_every_factory_slope_is_the_derivative_of_its_link(link, slope):
+    a = np.linspace(-4.0, 4.0, 161)
+    h = FD_STEP * (1.0 + np.abs(a))
+    fd = (link(a + h) - link(a - h)) / (2.0 * h)
+    assert np.max(np.abs(slope(a, link(a)) - fd)) < 1e-9
+
+
+@pytest.mark.parametrize("P, kwargs, match", [
+    (np.eye(3), {"weights": [1.0, 2.0]}, r"one entry per row of the \(3, 3\) projection"),
+    (np.eye(3), {"offsets": np.zeros(4)}, r"one entry per row"),
+    (np.eye(2), {"weights": np.ones((2, 1))}, r"one entry per row"),
+    (np.eye(2), {"offsets": 0.5}, r"one entry per row"),
+    (np.ones((1, 2, 2)), {}, r"one entry per row"),
+    ([1.0, np.nan], {}, r"must be finite"),
+    (np.eye(2), {"weights": [1.0, np.inf]}, r"must be finite"),
+    (np.eye(2), {"offsets": [-np.inf, 0.0]}, r"must be finite"),
+])
+def test_additive_denoiser_validates_its_terms(P, kwargs, match):
+    with pytest.raises(ValidationError, match=r"^denoiser 'bad': .*" + match):
+        additive_denoiser("bad", P, np.tanh, _tanh_slope, **kwargs)

@@ -555,24 +555,24 @@ def test_a_session_builds_one_gauss_rule_per_grid_and_f(monkeypatch):
 
 
 def test_a_run_evaluates_the_denoiser_link_once_per_step(monkeypatch):
-    calls = {"link": 0, "link_prime": 0, "tanh": 0}
+    calls = {"link": 0, "slope": 0, "tanh": 0}
 
     def counted(name, g):
-        def fn(s):
+        def fn(*args):
             calls[name] += 1
-            return g(s)
+            return g(*args)
         return fn
 
     law, N, T = Semicircle(), 300, HORIZON_CAP
     ens, u1 = _setup(law, N, seed=3)
-    link, link_prime = counted("link", np.tanh), counted("link_prime",
-                                                         lambda s: 1.0 - np.tanh(s) ** 2)
-    dens = [additive_denoiser("tanh", np.eye(t)[-1:], link, link_prime) for t in range(1, T + 1)]
+    link, slope = counted("link", np.tanh), counted("slope", lambda a, g: 1.0 - g ** 2)
+    dens = [additive_denoiser("tanh", np.eye(t)[-1:], link, slope) for t in range(1, T + 1)]
+    # np.tanh counted from here: only the link evaluates it
+    monkeypatch.setattr(np, "tanh", counted("tanh", np.tanh))
     run = run_ri_amp(ens, law, dens, u1, T)
-    assert calls == {"link": T, "link_prime": T, "tanh": 0}
+    assert calls == {"link": T, "slope": T, "tanh": 0}
     assert ubar_divergences(run) == 0.0
     # a tanh link takes g' = 1 - g^2 from the same values: one tanh a step
-    monkeypatch.setattr(np, "tanh", counted("tanh", np.tanh))
     run = run_ri_amp(ens, law, [tanh_denoiser(t, scale=1.3) for t in range(1, T + 1)], u1, T)
     assert calls["tanh"] == T
     assert ubar_divergences(run) == 0.0
@@ -836,8 +836,7 @@ def test_dense_input_must_be_symmetric():
 def test_nonfinite_denoiser_output_raises():
     law = Semicircle()
     ens, u1 = _setup(law, 64, seed=18)
-    from amp_lab.denoisers import projection_denoiser
-    bad = projection_denoiser("bad", [1.0], lambda s: s * np.inf, np.zeros_like)
+    bad = additive_denoiser("bad", [1.0], lambda s: s * np.inf, lambda a, g: np.zeros_like(a))
     from amp_lab.errors import NumericalError
     with pytest.raises(NumericalError):
         run_ri_amp(ens, law, [bad], u1, 1, mode="grid")

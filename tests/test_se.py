@@ -140,7 +140,7 @@ def _population_moments_mc(denoisers, Sigma, beta, init, samples, seed, step_see
     Phi = np.zeros((t + 1, t + 1))
     for j in range(1, t + 1):
         den = denoisers[j - 1]
-        U.append(den.evaluate(R[:j]))
+        U.append(den.evaluate(R[:j])[0])
         Phi[j, :j] = den.partials(R[:j]).mean(axis=1)
     Ubar = [U[0]]
     for j in range(1, t + 1):
